@@ -9,6 +9,7 @@
 
 use crate::error::{DbError, DbResult};
 use crate::value::Value;
+use std::sync::Arc;
 
 /// Declared type of a column.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -49,12 +50,16 @@ pub struct Column {
 }
 
 /// A table schema: ordered columns plus the primary-key column set.
+///
+/// Immutable once built and shared behind `Arc`s, so a clone is two
+/// reference-count bumps: the per-operation paths (`Table::schema`,
+/// write sessions) hand out copies freely.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct Schema {
-    columns: Vec<Column>,
+    columns: Arc<[Column]>,
     /// Positions (into `columns`) of the primary-key columns, in key
     /// order.
-    pkey: Vec<usize>,
+    pkey: Arc<[usize]>,
 }
 
 impl Schema {
@@ -196,8 +201,8 @@ impl SchemaBuilder {
             pkey.push(pos);
         }
         Ok(Schema {
-            columns: self.columns,
-            pkey,
+            columns: self.columns.into(),
+            pkey: pkey.into(),
         })
     }
 }

@@ -18,12 +18,21 @@
 //!   from an `Insert` of the frozen source row regardless of arrival
 //!   order — FOJ by content checks, split and union by LSN gating
 //!   (Theorem 1). So "transform record r" is simply
-//!   `oper.apply(r.lsn, Insert{r})`, and a row the workload already
+//!   `oper.apply(r.lsn, Insert{r})` (`UnionMapping::apply_frozen` is
+//!   that rule for a whole batch), and a row the workload already
 //!   re-wrote in the target wins over the stale frozen image.
 //! * The backfill ∥ on-access race is settled by the residual set's
-//!   per-key claim: whoever claims transforms; everyone else blocks
-//!   until the claim completes, so each record is transformed exactly
-//!   once ([`ResidualSet`] invariants, DESIGN.md §15).
+//!   claims: whoever claims a key (alone, or inside a backfill batch)
+//!   transforms it; everyone else blocks until the claim completes, so
+//!   each record is transformed exactly once ([`ResidualSet`]
+//!   invariants, DESIGN.md §15).
+//!
+//! There is one transform path, [`LazyMigration::transform`]: a first
+//! touch runs it with a batch of one, the backfill with a batch of up
+//! to `batch` keys of one residual stripe. It holds only what it
+//! writes — no lock while it reads the frozen rows and builds the
+//! target rows, then (union) a write session over the one target shard
+//! the batch routes to.
 //!
 //! Rows dirtied by a doomed (grandfathered) transaction are *deferred*:
 //! their transform waits until the transaction's rollback has restored
@@ -33,18 +42,21 @@
 //!
 //! [`backfill`]: LazyMigration::backfill
 
+use crate::foj::FojMapping;
 use crate::operator::TransformOperator;
 use crate::spec::SplitMode;
-use crate::sync::MirrorMap;
+use crate::split::SplitMapping;
 use crate::throttle::Throttle;
 use crate::transform::TransformPlan;
-use morph_common::{DbError, DbResult, Key, TableId, TxnId, Value};
+use crate::union::UnionMapping;
+use morph_common::{DbError, DbResult, Key, TableId, TxnId};
 use morph_engine::{Database, OpInterceptor, PlannedOp};
-use morph_storage::{Claim, ClaimGuard, ResidualSet, Table};
+use morph_storage::{Claim, ClaimGuard, ResidualSet, Row, Table};
 use morph_txn::LockMode;
 use morph_wal::LogOp;
 use parking_lot::Mutex;
-use std::collections::HashMap;
+use std::borrow::Cow;
+use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
 use std::time::{Duration, Instant};
@@ -52,41 +64,85 @@ use std::time::{Duration, Instant};
 /// Sentinel for "no interceptor installed".
 const NO_TOKEN: u64 = u64::MAX;
 
-/// Inverse key mapping: which frozen source record must exist before a
-/// target-table access at a given key can proceed. Where a target key
-/// identifies exactly one source record the touch is per-key; where it
-/// aggregates many (a split's S side, any FOJ key) the touch falls back
-/// to draining the whole residual — correct, and documented as the
-/// fallback in DESIGN.md §15.
-enum Inverse {
-    Union {
-        src_r: TableId,
-        src_s: TableId,
-        target: TableId,
-        r_tag: Value,
-        s_tag: Value,
-    },
+/// The operator of a lazy migration, held the way its rules allow it to
+/// be shared, together with the inverse key mapping the on-access hook
+/// needs: which frozen source record must exist before an access to a
+/// given target key can proceed. Where a target key identifies exactly
+/// one source record the touch is per-key; where it aggregates many (a
+/// split's S side, any FOJ key) the touch falls back to draining the
+/// whole residual — correct, and documented as the fallback in
+/// DESIGN.md §15.
+enum LazyOper {
+    /// A target row mirrors one source row and lives in the storage
+    /// shard that row's key routes to: per-key touches, shard-scoped
+    /// batches, rules through `&self`.
+    Union(UnionMapping),
+    /// The rules are `&self` but read and write join partners across
+    /// shards: every record goes through a whole-table session.
+    Foj { oper: FojMapping, target: TableId },
+    /// The rules keep consistency-checker state (`&mut self`) and S₂
+    /// records aggregate source rows across shards.
     Split {
+        oper: Mutex<SplitMapping>,
         source: TableId,
         r2: Option<TableId>,
         s2: TableId,
     },
-    Foj {
-        target: TableId,
-    },
+}
+
+impl LazyOper {
+    /// Preparation step (creates the target tables). Rename-in-place
+    /// split plans are rejected: the lazy scheme needs the frozen
+    /// source intact as the transform input, which the in-place rename
+    /// destroys.
+    fn prepare(db: &Database, plan: &TransformPlan) -> DbResult<LazyOper> {
+        Ok(match plan {
+            TransformPlan::Union(spec) => LazyOper::Union(UnionMapping::prepare(db, spec)?),
+            TransformPlan::Foj(spec) => {
+                let oper = FojMapping::prepare(db, spec)?;
+                LazyOper::Foj {
+                    target: oper.t_table().id(),
+                    oper,
+                }
+            }
+            TransformPlan::Split(spec) => {
+                if spec.mode == SplitMode::RenameInPlace {
+                    return Err(DbError::TransformationAborted(
+                        "lazy migration does not support rename-in-place splits".into(),
+                    ));
+                }
+                let oper = SplitMapping::prepare(db, spec)?;
+                LazyOper::Split {
+                    source: oper.t_table().id(),
+                    r2: oper.r_table().map(|t| t.id()),
+                    s2: oper.s_table().id(),
+                    oper: Mutex::new(oper),
+                }
+            }
+        })
+    }
+
+    fn with<R>(&self, f: impl FnOnce(&dyn TransformOperator) -> R) -> R {
+        match self {
+            LazyOper::Union(oper) => f(oper),
+            LazyOper::Foj { oper, .. } => f(oper),
+            LazyOper::Split { oper, .. } => f(&*oper.lock()),
+        }
+    }
 }
 
 /// A lazily-executing migration: catalog already cut over, records
 /// transformed on access and by background backfill.
 pub struct LazyMigration {
     db: Arc<Database>,
-    oper: Mutex<Box<dyn TransformOperator>>,
-    residual: Arc<ResidualSet>,
+    oper: LazyOper,
+    residual: ResidualSet,
     sources: Vec<Arc<Table>>,
-    inverse: Inverse,
     /// Source keys dirtied by a doomed old transaction, transformable
-    /// only once that transaction's rollback has completed.
-    deferred: Mutex<HashMap<(TableId, Key), TxnId>>,
+    /// only once that transaction's rollback has completed; `None`
+    /// when the cutover found no such writer, so that the common case
+    /// never takes the lock.
+    deferred: Option<Mutex<HashMap<(TableId, Key), TxnId>>>,
     token: AtomicU64,
 }
 
@@ -119,73 +175,36 @@ impl LazyMigration {
     /// and install the on-access hook. Returns with the catalog
     /// switched and **zero** records transformed.
     ///
-    /// Rename-in-place split plans are rejected: the lazy scheme needs
-    /// the frozen source intact as the transform input, which the
-    /// in-place rename destroys.
+    /// Rename-in-place split plans are rejected (see [`LazyOper`]).
     pub fn start(db: &Arc<Database>, plan: &TransformPlan) -> DbResult<Arc<LazyMigration>> {
-        if let TransformPlan::Split(s) = plan {
-            if s.mode == SplitMode::RenameInPlace {
-                return Err(DbError::TransformationAborted(
-                    "lazy migration does not support rename-in-place splits".into(),
-                ));
-            }
+        let oper = LazyOper::prepare(db, plan)?;
+        let sources = oper.with(|o| crate::sync::sorted_sources(db, o))?;
+        let residual = ResidualSet::new();
+        for src in &sources {
+            residual.reserve(src.id(), src.len());
         }
-        let (oper, _names) = plan.prepare_operator(db)?;
-        let sources = crate::sync::sorted_sources(db, &*oper)?;
-        let inverse = match oper.mirror_map() {
-            MirrorMap::Union {
-                r_id,
-                s_id,
-                t_id,
-                r_tag,
-                s_tag,
-                ..
-            } => Inverse::Union {
-                src_r: r_id,
-                src_s: s_id,
-                target: t_id,
-                r_tag,
-                s_tag,
-            },
-            MirrorMap::Split { t, r_id, s_id, .. } => Inverse::Split {
-                source: t.id(),
-                r2: r_id,
-                s2: s_id,
-            },
-            MirrorMap::Foj { t, .. } => Inverse::Foj { target: t.id() },
-        };
-
-        let lazy = Arc::new(LazyMigration {
-            db: Arc::clone(db),
-            oper: Mutex::new(oper),
-            residual: Arc::new(ResidualSet::new()),
-            sources,
-            inverse,
-            deferred: Mutex::new(HashMap::new()),
-            token: AtomicU64::new(NO_TOKEN),
-        });
+        let mut deferred = HashMap::new();
 
         // --- the cutover pause: everything below runs under the latch.
-        let guards: Vec<_> = lazy.sources.iter().map(|t| t.latch_exclusive()).collect();
+        let guards: Vec<_> = sources.iter().map(|t| t.latch_exclusive()).collect();
 
         // Old transactions: anyone holding locks on a source. Their
         // exclusively-locked keys are dirty — track them (a rolled-back
         // delete restores a row the snapshot cannot see) and defer
         // their transform past the rollback.
-        let mut old = std::collections::HashSet::new();
+        let mut old = HashSet::new();
         // morph-lint: allow(lock_order, cutover pause: the coordinator alone holds these exclusive latches and user txns never latch shards while holding registry/side locks, so the rank protocol's reverse order cannot occur concurrently)
         for txn in db.active_txns() {
-            for src in &lazy.sources {
+            for src in &sources {
                 let held = db.locks().held_keys_in(txn, src.id());
                 if held.is_empty() {
                     continue;
                 }
                 old.insert(txn);
-                let mut defer = lazy.deferred.lock(); // morph-lint: rank(core.scratch)
                 for (key, mode) in held {
                     if mode == LockMode::Exclusive {
-                        lazy.residual.track(src.id(), key.clone());
-                        defer.insert((src.id(), key), txn);
+                        residual.track(src.id(), key.clone());
+                        deferred.insert((src.id(), key), txn);
                     }
                 }
             }
@@ -193,13 +212,19 @@ impl LazyMigration {
         for txn in &old {
             db.doom(*txn);
         }
-        for (src, guard) in lazy.sources.iter().zip(&guards) {
+        for (src, guard) in sources.iter().zip(&guards) {
             // morph-lint: allow(lock_order, cutover pause: freezing under the exclusive latch is the point — nothing else can hold table.meta while every shard latch is ours)
             src.freeze(old.iter().copied().collect());
-            for key in guard.keys() {
-                lazy.residual.track(src.id(), key);
-            }
+            residual.track_latched(src.id(), guard);
         }
+        let lazy = Arc::new(LazyMigration {
+            db: Arc::clone(db),
+            oper,
+            residual,
+            sources: sources.clone(),
+            deferred: (!deferred.is_empty()).then(|| Mutex::new(deferred)),
+            token: AtomicU64::new(NO_TOKEN),
+        });
         // morph-lint: allow(lock_order, cutover pause: interceptor registration under the latch is what makes the cut atomic; writers blocked on the latch observe the interceptor the instant they resume)
         let token = db.add_interceptor(Arc::new(LazyInterceptor {
             lazy: Arc::downgrade(&lazy),
@@ -233,37 +258,28 @@ impl LazyMigration {
     pub fn touch(&self, source: TableId, key: &Key) -> DbResult<()> {
         match self.residual.claim(source, key) {
             Claim::Done => Ok(()),
-            Claim::Transform(guard) => self.transform_one(guard),
+            Claim::Transform(guard) => self.transform(guard),
         }
     }
 
     /// Throttled background backfill: claim and transform pending
-    /// records in batches of `batch`, paying the priority throttle per
-    /// batch so user transactions keep the machine. Returns the number
-    /// of records this call transformed; the residual may still hold
-    /// keys in flight with on-access claimants when it returns.
+    /// records in batches of up to `batch` keys of one residual stripe
+    /// until nothing is pending, paying the priority throttle per batch
+    /// so user transactions keep the machine. Returns the number of
+    /// records this call transformed; the residual may still hold keys
+    /// in flight with on-access claimants when it returns.
     pub fn backfill(&self, batch: usize, priority: f64) -> DbResult<usize> {
-        let batch = batch.max(1);
         let mut throttle = Throttle::new(priority);
         let mut total = 0usize;
         loop {
             self.db.crash_point("router.backfill_batch")?;
             // morph-lint: allow(nondet, batch timing feeds throttle pacing only; wall time never enters table or WAL state)
             let t0 = Instant::now();
-            let mut n = 0usize;
-            while n < batch {
-                match self.residual.claim_next() {
-                    Some(guard) => {
-                        self.transform_one(guard)?;
-                        n += 1;
-                    }
-                    None => break,
-                }
-            }
-            if n == 0 {
+            let Some(guard) = self.residual.claim_batch(batch) else {
                 return Ok(total);
-            }
-            total += n;
+            };
+            total += guard.keys().len();
+            self.transform(guard)?;
             throttle.pay(t0.elapsed());
         }
     }
@@ -289,9 +305,7 @@ impl LazyMigration {
         for src in &self.sources {
             self.db.catalog().drop_table(&src.name())?;
         }
-        let oper = self.oper.lock();
-        oper.finalize(&self.db)?;
-        Ok(())
+        self.oper.with(|o| o.finalize(&self.db))
     }
 
     /// The interceptor's entry: resolve a target-table access to the
@@ -300,50 +314,35 @@ impl LazyMigration {
         if self.residual.is_drained() {
             return Ok(());
         }
-        match &self.inverse {
-            Inverse::Union {
-                src_r,
-                src_s,
-                target,
-                r_tag,
-                s_tag,
-            } => {
-                if table.id() != *target {
+        match &self.oper {
+            LazyOper::Union(oper) => {
+                if table.id() != oper.t_table().id() {
                     return Ok(());
                 }
-                let key = Self::op_key(table, op);
-                let Some((tag, rest)) = key.values().split_first() else {
-                    return Ok(());
-                };
-                let src = if tag == r_tag {
-                    *src_r
-                } else if tag == s_tag {
-                    *src_s
-                } else {
-                    return Ok(());
-                };
-                self.touch(src, &Key(rest.to_vec()))
+                match oper.source_of(&Self::op_key(table, op)) {
+                    Some((source, key)) => self.touch(source, &key),
+                    None => Ok(()),
+                }
             }
-            Inverse::Split { source, r2, s2 } => {
+            LazyOper::Split { source, r2, s2, .. } => {
                 if Some(table.id()) == *r2 {
                     // R₂'s key is the source key verbatim.
-                    let key = Self::op_key(table, op);
-                    self.touch(*source, &key)
+                    self.touch(*source, &Self::op_key(table, op))
                 } else if table.id() == *s2 {
                     // An S₂ record aggregates many source rows (its
                     // reference counter sums over them): no single
                     // source key to touch — drain.
-                    self.drain_now().map(|_| ())
+                    self.drain_for_access()
                 } else {
                     Ok(())
                 }
             }
-            Inverse::Foj { target } => {
+            LazyOper::Foj { target, .. } => {
                 if table.id() == *target {
                     // FOJ keys pair rows of both sources; resolving one
                     // touch may require join partners from either side
                     // — drain.
-                    self.drain_now().map(|_| ())
+                    self.drain_for_access()
                 } else {
                     Ok(())
                 }
@@ -351,57 +350,97 @@ impl LazyMigration {
         }
     }
 
+    /// The whole-residual fallback of an access that has no single
+    /// source key: unlike a backfill it may not return while another
+    /// claimant still holds a batch in flight, because the access reads
+    /// what that batch writes.
+    fn drain_for_access(&self) -> DbResult<()> {
+        while !self.residual.is_drained() {
+            if self.drain_now()? == 0 {
+                std::thread::yield_now();
+            }
+        }
+        Ok(())
+    }
+
     /// The target key an operation addresses (for inserts, the key the
     /// new row would get).
-    fn op_key(table: &Table, op: &PlannedOp<'_>) -> Key {
+    fn op_key<'k>(table: &Table, op: &PlannedOp<'k>) -> Cow<'k, Key> {
         match op {
-            PlannedOp::Insert { values } => table.schema().key_of(values),
+            PlannedOp::Insert { values } => Cow::Owned(table.schema().key_of(values)),
             PlannedOp::Update { key, .. } | PlannedOp::Delete { key } | PlannedOp::Read { key } => {
-                (*key).clone()
+                Cow::Borrowed(key)
             }
         }
     }
 
-    /// Transform one claimed source record: wait out a doomed writer's
-    /// rollback, read the frozen row, feed it through the operator's
-    /// propagation rules as an `Insert` at the row's own LSN.
-    fn transform_one(&self, guard: ClaimGuard<'_>) -> DbResult<()> {
-        let Some(src) = self.sources.iter().find(|t| t.id() == guard.table()) else {
+    /// Transform the claimed source records — a batch of one for a
+    /// first touch, of many for the backfill. Reads the frozen rows and
+    /// passes the per-record crash point before anything is written or
+    /// latched, so a failure there abandons the whole claim with the
+    /// targets untouched; then feeds the rows through the operator as
+    /// `Insert`s at their own LSNs.
+    fn transform(&self, guard: ClaimGuard<'_>) -> DbResult<()> {
+        let table = guard.table();
+        let Some(src) = self.sources.iter().find(|t| t.id() == table) else {
             guard.complete();
             return Ok(());
         };
-        // Deferred key: a doomed old transaction wrote this row; its
-        // committed image is only back once the rollback finishes. The
-        // wait mirrors eager NBA's transferred proxy locks, which block
-        // access to exactly these rows for exactly this long.
-        let owner = {
-            let defer = self.deferred.lock(); // morph-lint: rank(core.scratch)
-            defer.get(&(guard.table(), guard.key().clone())).copied()
+        let mut rows = Vec::with_capacity(guard.keys().len());
+        for key in guard.keys() {
+            if let Some(deferred) = &self.deferred {
+                self.await_rollback(deferred, table, key);
+            }
+            // A key whose row is gone from the frozen source was a
+            // doomed insert, rolled back: nothing to transform.
+            if let Some(row) = src.get(key) {
+                self.db.crash_point("router.lazy_touch")?;
+                rows.push(row);
+            }
+        }
+        let as_insert = |row: Row| {
+            let op = LogOp::Insert {
+                table,
+                row: row.values,
+            };
+            (row.lsn, op)
         };
+        match &self.oper {
+            LazyOper::Union(oper) => oper.apply_frozen(table, rows)?,
+            LazyOper::Foj { oper, .. } => {
+                for (lsn, op) in rows.into_iter().map(as_insert) {
+                    oper.apply(lsn, &op)?;
+                }
+            }
+            LazyOper::Split { oper, .. } => {
+                let mut oper = oper.lock();
+                for (lsn, op) in rows.into_iter().map(as_insert) {
+                    oper.apply(lsn, &op)?;
+                }
+            }
+        }
+        guard.complete();
+        Ok(())
+    }
+
+    /// Deferred key: a doomed old transaction wrote this row; its
+    /// committed image is only back once the rollback finishes. The
+    /// wait mirrors eager NBA's transferred proxy locks, which block
+    /// access to exactly these rows for exactly this long.
+    fn await_rollback(
+        &self,
+        deferred: &Mutex<HashMap<(TableId, Key), TxnId>>,
+        table: TableId,
+        key: &Key,
+    ) {
+        let entry = (table, key.clone());
+        let owner = deferred.lock().get(&entry).copied(); // morph-lint: rank(core.scratch)
         if let Some(txn) = owner {
             while self.db.is_active(txn) {
                 std::thread::sleep(Duration::from_micros(100));
             }
-            let mut defer = self.deferred.lock(); // morph-lint: rank(core.scratch)
-            defer.remove(&(guard.table(), guard.key().clone()));
+            deferred.lock().remove(&entry); // morph-lint: rank(core.scratch)
         }
-        let Some(row) = src.get(guard.key()) else {
-            // The row is gone from the frozen source (a doomed insert,
-            // rolled back): nothing to transform.
-            guard.complete();
-            return Ok(());
-        };
-        self.db.crash_point("router.lazy_touch")?;
-        let op = LogOp::Insert {
-            table: guard.table(),
-            row: row.values,
-        };
-        {
-            let mut oper = self.oper.lock();
-            oper.apply(row.lsn, &op)?;
-        }
-        guard.complete();
-        Ok(())
     }
 }
 
@@ -409,7 +448,7 @@ impl LazyMigration {
 mod tests {
     use super::*;
     use crate::union::UnionSpec;
-    use morph_common::{ColumnType, Schema};
+    use morph_common::{ColumnType, Schema, Value};
 
     fn setup_union() -> Arc<Database> {
         let db = Arc::new(Database::new());
@@ -490,6 +529,73 @@ mod tests {
         let row = db.read(t, "t", &key).unwrap().unwrap();
         assert_eq!(row[2], Value::Int(-1));
         db.commit(t).unwrap();
+    }
+
+    /// A transform latches only the target shard it writes: with shard
+    /// A held by this thread, a first touch and a backfill of keys that
+    /// all route elsewhere run to completion on a worker.
+    #[test]
+    fn lazy_union_transform_latches_only_the_shard_it_writes() {
+        use morph_storage::TABLE_SHARDS;
+        const HELD: usize = 0;
+        let db = Arc::new(Database::new());
+        let schema = || {
+            Schema::builder()
+                .column("id", ColumnType::Int)
+                .column("v", ColumnType::Int)
+                .primary_key(&["id"])
+                .build()
+                .unwrap()
+        };
+        let r = db.create_table("r", schema()).unwrap();
+        db.create_table("s", schema()).unwrap();
+        // Sources hold only keys that route away from the held shard.
+        let ids: Vec<i64> = (0..)
+            .filter(|&i| r.shard_of_key(&Key::single(i)) != HELD)
+            .take(100)
+            .collect();
+        let t = db.begin();
+        for &i in &ids {
+            db.insert(t, "r", vec![Value::Int(i), Value::Int(i * 10)])
+                .unwrap();
+            db.insert(t, "s", vec![Value::Int(i), Value::Int(i * 100)])
+                .unwrap();
+        }
+        db.commit(t).unwrap();
+
+        let lazy = LazyMigration::start(&db, &union_plan()).unwrap();
+        let target = db.catalog().get("t").unwrap();
+        // The target shard is derived from the target key, and the
+        // target's shard key makes it the source row's shard.
+        for &i in &ids {
+            assert_eq!(
+                target.shard_of_key(&t_key("s", i)),
+                r.shard_of_key(&Key::single(i))
+            );
+        }
+
+        let held = target.write_session_masked(TABLE_SHARDS, HELD);
+        let (tx, rx) = std::sync::mpsc::channel();
+        let outcome = std::thread::scope(|s| {
+            s.spawn(|| {
+                let txn = db.begin();
+                let touched = db.read(txn, "t", &t_key("r", ids[7]));
+                db.commit(txn).unwrap();
+                tx.send((touched, lazy.backfill(64, 1.0))).unwrap();
+            });
+            let outcome = rx.recv_timeout(Duration::from_secs(20));
+            drop(held); // a transform stuck on the held shard ends here
+            outcome
+        });
+        let (touched, backfilled) =
+            outcome.expect("a transform waited for a shard it does not write");
+        assert_eq!(
+            touched.unwrap().unwrap(),
+            vec![Value::str("r"), Value::Int(ids[7]), Value::Int(ids[7] * 10)]
+        );
+        assert_eq!(backfilled.unwrap(), 2 * ids.len() - 1);
+        assert!(lazy.is_drained());
+        lazy.finish().unwrap();
     }
 
     #[test]

@@ -143,6 +143,40 @@ impl UnionMapping {
         Key(vals)
     }
 
+    /// Inverse of [`UnionMapping::t_key`]: the source record a target
+    /// key mirrors (`None` when it carries neither provenance tag) —
+    /// what a lazy migration must have transformed before an access to
+    /// that target key may proceed.
+    pub(crate) fn source_of(&self, t_key: &Key) -> Option<(TableId, Key)> {
+        let (tag, rest) = t_key.values().split_first()?;
+        let source = if *tag == self.r_tag {
+            self.r.id()
+        } else if *tag == self.s_tag {
+            self.s.id()
+        } else {
+            return None;
+        };
+        Some((source, Key(rest.to_vec())))
+    }
+
+    /// Lazy-migration entry (DESIGN.md §15): materialize frozen rows of
+    /// source `table` in T, skipping keys T already holds (a re-run
+    /// after a crash). [`Table::insert_absent`] builds and validates the
+    /// target rows and keys before anything is latched, then inserts
+    /// under a write session over exactly the target shards those keys
+    /// route to — one shard for a residual batch, whose keys share a
+    /// routing hash that T's shard key preserves.
+    pub(crate) fn apply_frozen(&self, table: TableId, rows: Vec<Row>) -> DbResult<()> {
+        let tag = self.tag_for(table);
+        self.t.insert_absent(rows.into_iter().map(|src| {
+            let mut values = Vec::with_capacity(src.values.len() + 1);
+            values.push(tag.clone());
+            values.extend(src.values);
+            Row::new(values, src.lsn)
+        }))?;
+        Ok(())
+    }
+
     /// Shift source column positions by the provenance column.
     fn t_cols(cols: &[(usize, Value)]) -> Vec<(usize, Value)> {
         cols.iter().map(|(i, v)| (*i + 1, v.clone())).collect()

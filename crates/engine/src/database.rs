@@ -42,6 +42,11 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
+/// The registered interceptors with their removal tokens. Immutable and
+/// swapped whole on add/remove, so an operation that finds any clones
+/// one `Arc` instead of building a list.
+type InterceptorList = Arc<[(u64, Arc<dyn OpInterceptor>)]>;
+
 /// A data operation about to be executed, as seen by interceptors.
 #[derive(Debug)]
 pub enum PlannedOp<'a> {
@@ -166,7 +171,7 @@ pub struct Database {
     registry: TxnRegistry,
     counters: Counters,
     next_txn: AtomicU64,
-    interceptors: RwLock<Vec<(u64, Arc<dyn OpInterceptor>)>>,
+    interceptors: RwLock<InterceptorList>,
     next_interceptor: AtomicU64,
     /// LSNs that log truncation must not cross (live propagation
     /// cursors), keyed by protection token.
@@ -211,7 +216,7 @@ impl Database {
             registry: TxnRegistry::new(),
             counters: Counters::default(),
             next_txn: AtomicU64::new(1),
-            interceptors: RwLock::new(Vec::new()),
+            interceptors: RwLock::new(Arc::new([])),
             next_interceptor: AtomicU64::new(1),
             protected_lsns: RwLock::new(std::collections::HashMap::new()),
             next_protection: AtomicU64::new(1),
@@ -681,25 +686,27 @@ impl Database {
     /// Register an interceptor; returns a token for removal.
     pub fn add_interceptor(&self, i: Arc<dyn OpInterceptor>) -> u64 {
         let token = self.next_interceptor.fetch_add(1, Ordering::Relaxed);
-        self.interceptors.write().push((token, i));
+        let mut list = self.interceptors.write();
+        *list = list.iter().cloned().chain([(token, i)]).collect();
         token
     }
 
     /// Remove a previously registered interceptor.
     pub fn remove_interceptor(&self, token: u64) {
-        self.interceptors.write().retain(|(t, _)| *t != token);
+        let mut list = self.interceptors.write();
+        *list = list.iter().filter(|(t, _)| *t != token).cloned().collect();
     }
 
     fn run_interceptors(&self, txn: TxnId, table: &Table, op: &PlannedOp<'_>) -> DbResult<()> {
         // Fast path: no interceptors registered.
-        let snapshot: Vec<Arc<dyn OpInterceptor>> = {
+        let snapshot = {
             let g = self.interceptors.read();
             if g.is_empty() {
                 return Ok(());
             }
-            g.iter().map(|(_, i)| Arc::clone(i)).collect()
+            Arc::clone(&g)
         };
-        for i in snapshot {
+        for (_, i) in snapshot.iter() {
             i.before_op(self, txn, table, op)?;
         }
         Ok(())

@@ -108,9 +108,15 @@ impl ShardedLazyMigration {
         self.lazies.iter().all(|l| l.is_drained())
     }
 
-    /// One throttled backfill round across all shards (round-robin:
-    /// `batch` records per shard per call). Returns records
-    /// transformed.
+    /// One throttled backfill round: visits the shards in order and
+    /// drains each one's whole pending residual in `batch`-sized steps,
+    /// the throttle paid after every step ([`LazyMigration::backfill`]).
+    /// It does not stop after one batch per shard: a throttle that
+    /// lives for one 64-record batch never accumulates its 200 µs
+    /// minimum sleep, so such a round would never yield the machine.
+    /// Returns records transformed; keys in flight with on-access
+    /// claimants may remain, so loop on
+    /// [`ShardedLazyMigration::is_drained`].
     pub fn backfill_round(&self, batch: usize, priority: f64) -> DbResult<usize> {
         let mut total = 0;
         for lazy in &self.lazies {

@@ -24,6 +24,7 @@ use crate::mvcc::{CommitTable, VersionChain, VersionEntry, SYSTEM};
 use crate::row::Row;
 use morph_common::{DbError, DbResult, Key, Lsn, Schema, TableId, TxnId, Value};
 use parking_lot::{RwLock, RwLockReadGuard, RwLockWriteGuard};
+use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, HashSet};
 use std::hash::{Hash, Hasher};
 use std::ops::Bound;
@@ -47,7 +48,7 @@ pub fn shard_stride(n: usize) -> usize {
 /// Deterministic routing hash: the same values route to the same shard
 /// in every process (SipHash with fixed keys), which keeps crash-sim
 /// replays byte-identical.
-fn route_hash(values: &[Value], positions: Option<&[usize]>) -> usize {
+pub(crate) fn route_hash(values: &[Value], positions: Option<&[usize]>) -> usize {
     let mut h = std::collections::hash_map::DefaultHasher::new();
     match positions {
         None => {
@@ -105,15 +106,24 @@ impl TableShard {
         if self.rows.contains_key(&key) {
             return Err(DbError::DuplicateKey(format!("{key:?}")));
         }
-        for idx in &self.indexes {
-            if idx.unique && idx.cardinality(&idx.key_of(values)) > 0 {
-                return Err(DbError::UniqueViolation {
-                    index: idx.name.clone(),
-                    key: format!("{:?}", idx.key_of(values)),
-                });
-            }
-        }
+        check_unique(&self.indexes, values)?;
         Ok(key)
+    }
+
+    /// Insert an already validated `row` under its `key` unless the key
+    /// exists, in one descent; returns whether it was inserted.
+    fn insert_if_absent(&mut self, key: Key, row: Row) -> DbResult<bool> {
+        let TableShard { rows, indexes, .. } = self;
+        let Entry::Vacant(slot) = rows.entry(key) else {
+            return Ok(false);
+        };
+        check_unique(indexes, &row.values)?;
+        for idx in indexes {
+            idx.insert(&row.values, slot.key())
+                .expect("uniqueness pre-checked"); // morph-lint: allow(panic, uniqueness was checked earlier in the same latched section)
+        }
+        slot.insert(row);
+        Ok(true)
     }
 
     fn insert_unchecked(&mut self, key: Key, row: Row) -> Key {
@@ -167,6 +177,20 @@ impl TableShard {
             }
         }
     }
+}
+
+/// The unique-index half of the insert checks, over one shard's index
+/// slices.
+fn check_unique(indexes: &[SecondaryIndex], values: &[Value]) -> DbResult<()> {
+    for idx in indexes {
+        if idx.unique && idx.cardinality(&idx.key_of(values)) > 0 {
+            return Err(DbError::UniqueViolation {
+                index: idx.name.clone(),
+                key: format!("{:?}", idx.key_of(values)),
+            });
+        }
+    }
+    Ok(())
 }
 
 /// Shared core of the update path. `new_shard` is `Some` when a
@@ -315,7 +339,7 @@ pub struct Table {
     state: RwLock<TableState>,
     /// Positions *within the primary key* whose values route a row to
     /// its shard; `None` routes by the whole key.
-    shard_key: RwLock<Option<Vec<usize>>>,
+    shard_key: RwLock<Option<Arc<[usize]>>>,
     /// Number of unique secondary indexes. Uniqueness needs cross-shard
     /// visibility, so single-key writes fall back to the all-shard path
     /// while this is non-zero.
@@ -361,7 +385,7 @@ impl Table {
         *self.name.write() = name.to_owned();
     }
 
-    /// A clone of the current schema.
+    /// A clone of the current schema (two reference-count bumps).
     pub fn schema(&self) -> Schema {
         self.schema.read().clone()
     }
@@ -412,7 +436,7 @@ impl Table {
                 "shard key must be configured on an empty table".into(),
             ));
         }
-        *self.shard_key.write() = Some(positions);
+        *self.shard_key.write() = Some(positions.into());
         Ok(())
     }
 
@@ -769,10 +793,9 @@ impl Table {
         } else {
             None
         };
-        let schema = self.schema.read();
-        let pkey_cols = schema.pkey().to_vec();
+        let schema = self.schema.read().clone();
+        let pkey_cols = schema.pkey();
         let arity = schema.arity();
-        drop(schema);
 
         if self.unique_indexes.load(Ordering::Relaxed) > 0 {
             // Composite-latch path: cross-shard unique pre-check, then
@@ -794,7 +817,7 @@ impl Table {
                     }
                     nv[*i] = v.clone();
                 }
-                (Key::project(&nv, &pkey_cols), nv)
+                (Key::project(&nv, pkey_cols), nv)
             };
             let old_values = guards[s_old].rows[key].values.clone();
             for (i, g) in guards.iter().enumerate() {
@@ -816,7 +839,7 @@ impl Table {
             let s_new = self.route(&new_key);
             let (old_shard, new_shard) = split_pair(&mut guards, s_old, s_new);
             return update_core(
-                old_shard, new_shard, &pkey_cols, arity, key, cols, ver, mk_lsn,
+                old_shard, new_shard, pkey_cols, arity, key, cols, ver, mk_lsn,
             );
         }
 
@@ -824,7 +847,7 @@ impl Table {
         // with it the shard) cannot change — one shard latch suffices.
         if !cols.iter().any(|(i, _)| pkey_cols.contains(i)) {
             let mut g = self.shards[self.route(key)].write();
-            return update_core(&mut g, None, &pkey_cols, arity, key, cols, ver, mk_lsn);
+            return update_core(&mut g, None, pkey_cols, arity, key, cols, ver, mk_lsn);
         }
         // A key column changes: the row may move shards. Take the
         // composite latch and split-borrow source and destination.
@@ -845,11 +868,11 @@ impl Table {
                 }
                 nv[*i] = v.clone();
             }
-            self.route(&Key::project(&nv, &pkey_cols))
+            self.route(&Key::project(&nv, pkey_cols))
         };
         let (old_shard, new_shard) = split_pair(&mut guards, s_old, s_new);
         update_core(
-            old_shard, new_shard, &pkey_cols, arity, key, cols, ver, mk_lsn,
+            old_shard, new_shard, pkey_cols, arity, key, cols, ver, mk_lsn,
         )
     }
 
@@ -1072,27 +1095,52 @@ impl Table {
     pub fn write_session_masked(&self, stride: usize, offset: usize) -> WriteSession<'_> {
         let stride = shard_stride(stride.max(1));
         let offset = offset % stride;
+        self.session_over(|s| s % stride == offset)
+    }
+
+    /// Insert every row of `rows` whose key the table does not hold
+    /// yet (the lazy transform path: a batch of frozen source images,
+    /// idempotent on a re-run); returns how many went in. Everything
+    /// that needs no latch happens first — validation, key derivation,
+    /// routing — and only then a write session opens over exactly the
+    /// shards those keys route to (ascending, like every composite
+    /// latch), for the uniqueness checks and one B-tree descent per
+    /// row. Shards no row routes to stay writable by others throughout.
+    /// A validation error is raised before anything is written; a
+    /// uniqueness error leaves the rows before it in.
+    pub fn insert_absent(&self, rows: impl IntoIterator<Item = Row>) -> DbResult<usize> {
+        let mut owns = [false; TABLE_SHARDS];
+        let routed = {
+            let schema = self.schema.read();
+            let shard_key = self.shard_key.read();
+            rows.into_iter()
+                .map(|row| {
+                    schema.validate(&row.values)?;
+                    let key = schema.key_of(&row.values);
+                    let shard = route_hash(&key.0, shard_key.as_deref());
+                    owns[shard] = true;
+                    Ok((shard, key, row))
+                })
+                .collect::<DbResult<Vec<_>>>()?
+        };
+        let mut session = self.session_over(|s| owns[s]);
+        let mut inserted = 0;
+        for (shard, key, row) in routed {
+            session.check_unique_owned(&row.values, shard)?;
+            inserted += session.shard_mut(shard)?.insert_if_absent(key, row)? as usize;
+        }
+        Ok(inserted)
+    }
+
+    fn session_over(&self, owns: impl Fn(usize) -> bool) -> WriteSession<'_> {
         let schema = self.schema.read().clone();
-        let pkey = schema.pkey().to_vec();
-        let arity = schema.arity();
         let shard_key = self.shard_key.read().clone();
         let versioning = self.versioning_enabled();
-        let guards: Vec<Option<RwLockWriteGuard<'_, TableShard>>> = (0..TABLE_SHARDS)
-            .map(|s| {
-                if s % stride == offset {
-                    Some(self.shards[s].write())
-                } else {
-                    None
-                }
-            })
-            .collect();
         WriteSession {
             schema,
-            pkey,
-            arity,
             shard_key,
             versioning,
-            guards,
+            guards: std::array::from_fn(|s| owns(s).then(|| self.shards[s].write())),
         }
     }
 
@@ -1256,18 +1304,14 @@ pub struct TableExclusiveLatch<'a> {
 }
 
 impl TableExclusiveLatch<'_> {
-    /// Every key currently in the table, read through the held latch.
-    /// A lazy cutover builds its residual set from this — calling
-    /// [`Table::snapshot`] instead would re-acquire the shard locks the
-    /// latch already holds and self-deadlock.
-    pub fn keys(&self) -> Vec<Key> {
-        let mut out: Vec<Key> = self
-            ._guards
-            .iter()
-            .flat_map(|g| g.rows.keys().cloned())
-            .collect();
-        out.sort();
-        out
+    /// Every key currently in the table, read through the held latch,
+    /// shard by shard and ascending within each shard. A lazy cutover
+    /// builds its residual set from this
+    /// ([`ResidualSet::track_latched`](crate::ResidualSet::track_latched))
+    /// — calling [`Table::snapshot`] instead would re-acquire the shard
+    /// locks the latch already holds and self-deadlock.
+    pub(crate) fn keys_by_shard(&self) -> impl Iterator<Item = &Key> {
+        self._guards.iter().flat_map(|g| g.rows.keys())
     }
 }
 
@@ -1282,9 +1326,7 @@ impl TableExclusiveLatch<'_> {
 /// probes see the masked shards only.
 pub struct WriteSession<'a> {
     schema: Schema,
-    pkey: Vec<usize>,
-    arity: usize,
-    shard_key: Option<Vec<usize>>,
+    shard_key: Option<Arc<[usize]>>,
     /// Snapshot of the table's versioning flag at open. Session writes
     /// do *not* archive versions — they are transformation-internal
     /// physical writes below the snapshot horizon (pre-cutover target
@@ -1292,7 +1334,7 @@ pub struct WriteSession<'a> {
     /// must still erase the key's chain so later snapshot readers
     /// cannot resurrect stale history.
     versioning: bool,
-    guards: Vec<Option<RwLockWriteGuard<'a, TableShard>>>,
+    guards: [Option<RwLockWriteGuard<'a, TableShard>>; TABLE_SHARDS],
 }
 
 impl WriteSession<'_> {
@@ -1350,8 +1392,10 @@ impl WriteSession<'_> {
         let key = self.schema.key_of(&row.values);
         let s = self.route(&key);
         self.check_unique_owned(&row.values, s)?;
-        let schema = self.schema.clone();
-        self.shard_mut(s)?.insert_row(&schema, row)
+        let shard = self.guards[s].as_deref_mut().ok_or_else(|| {
+            DbError::Internal(format!("shard {s} routed outside the session mask"))
+        })?;
+        shard.insert_row(&self.schema, row)
     }
 
     /// Delete by primary key, returning the removed row (unversioned;
@@ -1382,11 +1426,12 @@ impl WriteSession<'_> {
         // index, so it can be mutated in place instead of going
         // through the remove/re-insert machinery. This is the shape of
         // every payload update the propagation rules apply.
-        if !cols.iter().any(|(i, _)| self.pkey.contains(i)) {
+        let arity = self.schema.arity();
+        if !cols.iter().any(|(i, _)| self.schema.pkey().contains(i)) {
             for (i, _) in cols {
-                if *i >= self.arity {
+                if *i >= arity {
                     return Err(DbError::ArityMismatch {
-                        expected: self.arity,
+                        expected: arity,
                         got: *i + 1,
                     });
                 }
@@ -1423,15 +1468,15 @@ impl WriteSession<'_> {
                 .ok_or_else(|| DbError::KeyNotFound(format!("{key:?}")))?;
             let mut nv = row.values.clone();
             for (i, v) in cols {
-                if *i >= self.arity {
+                if *i >= arity {
                     return Err(DbError::ArityMismatch {
-                        expected: self.arity,
+                        expected: arity,
                         got: *i + 1,
                     });
                 }
                 nv[*i] = v.clone();
             }
-            let s_new = self.route(&Key::project(&nv, &self.pkey));
+            let s_new = self.route(&Key::project(&nv, self.schema.pkey()));
             if self.owned().any(|g| g.indexes.iter().any(|i| i.unique)) {
                 let old_values = shard.rows[key].values.clone();
                 for (s, g) in self.guards.iter().enumerate() {
@@ -1456,10 +1501,9 @@ impl WriteSession<'_> {
         };
         // Both shards must be owned by this session.
         self.shard(s_new)?;
-        let pkey = self.pkey.clone();
-        let arity = self.arity;
         let (old_shard, new_shard) = split_pair_opt(&mut self.guards, s_old, s_new)?;
-        update_core(old_shard, new_shard, &pkey, arity, key, cols, None, |_| {
+        let pkey = self.schema.pkey();
+        update_core(old_shard, new_shard, pkey, arity, key, cols, None, |_| {
             Ok(new_lsn)
         })
     }
@@ -2049,6 +2093,38 @@ mod tests {
             Err(DbError::Internal(_))
         ));
         s.delete(&Key::single(own)).unwrap();
+    }
+
+    #[test]
+    fn insert_absent_skips_present_keys_and_latches_only_routed_shards() {
+        let t = table();
+        t.insert(row(1, 7), Lsn(1)).unwrap();
+        let held_shard = t.shard_of_key(&Key::single(1));
+        // While this thread holds one shard, a batch routed elsewhere
+        // goes in (a wider latch would self-deadlock here).
+        let elsewhere: Vec<i64> = (2..)
+            .filter(|&i| t.shard_of_key(&Key::single(i)) != held_shard)
+            .take(20)
+            .collect();
+        let held = t.write_session_masked(TABLE_SHARDS, held_shard);
+        let n = t
+            .insert_absent(elsewhere.iter().map(|&i| Row::new(row(i, 0), Lsn(2))))
+            .unwrap();
+        assert_eq!(n, 20);
+        drop(held);
+        // A second pass over the same keys plus the pre-existing one
+        // inserts nothing and overwrites nothing.
+        let again = elsewhere.iter().copied().chain([1]);
+        let n = t
+            .insert_absent(again.map(|i| Row::new(row(i, 99), Lsn(3))))
+            .unwrap();
+        assert_eq!(n, 0);
+        assert_eq!(t.len(), 21);
+        assert_eq!(t.get(&Key::single(1)).unwrap().values, row(1, 7));
+        // Validation runs before anything is written.
+        let bad = vec![Row::new(row(500, 0), Lsn(4)), Row::new(vec![], Lsn(4))];
+        assert!(t.insert_absent(bad).is_err());
+        assert!(!t.contains(&Key::single(500)));
     }
 
     #[test]

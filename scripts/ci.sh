@@ -117,4 +117,14 @@ cargo test -q -p morph-sim --test shard_matrix
 echo "== shard kill matrix, group-commit WAL"
 MORPH_WAL_MODE=group cargo test -q -p morph-sim --test shard_matrix
 
+# The repository's benchmark (benchmark/README.md) is a package of its
+# own that builds against this checkout: its fmt, clippy, unit tests and
+# a smoke run of every workload (a release build, so not in `quick`), so
+# a product change that breaks the benchmark's build or its result lines
+# fails here.
+if [ "$quick" != "quick" ]; then
+    echo "== benchmark self-check (benchmark/check.sh)"
+    benchmark/check.sh
+fi
+
 echo "CI OK"
