@@ -14,36 +14,38 @@
 //! background process actually performs — not the idempotent-replay
 //! guard path.
 //!
-//! A second, `parallel` series measures the persistent-pool apply at
-//! `apply_shards ∈ {1, 2, 4, 8}` (cursor batch 1024) on an
-//! update-heavy scenario — payload updates are the record class the
-//! sharding lane-classifies, so this mix produces the long
-//! barrier-free runs the parallel segments need. The pool is spawned
-//! in the (untimed) setup: the persistent design pays thread creation
-//! once per job, not per batch. The series also embeds the
-//! `populate_parallel` worker-count sweep so this one JSON carries the
-//! full parallel-pipeline trajectory.
+//! The file also embeds the `populate_parallel` worker-count sweep,
+//! the one parallel stage of the pipeline.
 //!
 //! Writes `BENCH_propagation.json` at the repository root with
-//! records/s per batch size, the coalescer's drop counts, the detected
-//! core count (single-CPU numbers must not masquerade as scaling
-//! data), and the pool's epoch/handoff/steal counters. Series other
-//! benches merged into the file (`wal_commit_rate`, `pool_gate`) are
-//! preserved across a rewrite.
+//! records/s per batch size, the coalescer's drop counts and the
+//! detected core count (single-CPU numbers must not masquerade as
+//! scaling data). The `wal_commit_rate` series `wal_append` merged
+//! into the file is preserved across a rewrite.
 
 use criterion::{BatchSize, Criterion, Throughput};
-use morph_bench::apply_sweep::{self, ApplyOp, Lcg};
-use morph_bench::populate_parallel_point;
+use morph_bench::{detected_cores, populate_parallel_point};
 use morph_common::{ColumnType, Key, Lsn, Schema, Value};
 use morph_core::foj::{figure1_schemas, FojMapping};
 use morph_core::propagate::Propagator;
-use morph_core::{
-    ApplyPool, FojSpec, ParallelConfig, PoolStats, SplitMapping, SplitSpec, TransformOperator,
-};
+use morph_core::{FojSpec, SplitMapping, SplitSpec, TransformOperator};
 use morph_engine::Database;
 use std::io::Write;
 use std::sync::Arc;
 use std::time::Duration;
+
+/// Deterministic churn step stream (same log every setup call).
+struct Lcg(u64);
+
+impl Lcg {
+    fn step(&mut self) -> u64 {
+        self.0 = self
+            .0
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        self.0 >> 11
+    }
+}
 
 /// Hot keys the churn concentrates on — small enough that one 1024
 /// cursor batch revisits each key many times, the regime coalescing is
@@ -207,16 +209,13 @@ fn setup_split() -> (Arc<Database>, SplitMapping, Lsn) {
 }
 
 /// First drain of a fresh scenario at one cursor batch size.
-/// `apply_shards: 1` is the exact serial pipeline.
 fn drain(
     db: &Arc<Database>,
     m: &mut dyn TransformOperator,
     start: Lsn,
     batch_size: usize,
-    apply_shards: usize,
 ) -> (usize, usize) {
-    let mut prop =
-        Propagator::new(db, start, 1.0).with_parallel(ParallelConfig::new(1, apply_shards).exact());
+    let mut prop = Propagator::new(db, start, 1.0);
     let records = prop.drain_with_batch(db, m, batch_size).expect("drain");
     (records, prop.coalesced())
 }
@@ -226,10 +225,6 @@ struct Series {
     batch_size: usize,
     coalesced: usize,
     records: usize,
-    /// `Some(n)` marks a `parallel`-series entry at n apply shards.
-    apply_shards: Option<usize>,
-    /// Pool counters of the probe drain (parallel series, shards > 1).
-    stats: Option<PoolStats>,
 }
 
 fn main() {
@@ -240,7 +235,6 @@ fn main() {
         .configure_from_args();
 
     let sizes = [1usize, 16, 128, 1024];
-    let shard_counts = [1usize, 2, 4, 8];
     let mut series: Vec<Series> = Vec::new();
     {
         let mut g = c.benchmark_group("propagate_batch");
@@ -249,73 +243,39 @@ fn main() {
             // this size. The churn stream is deterministic, so every
             // timed sample drains the identical log.
             let (db, mut m, start) = setup_foj();
-            let (records, coalesced) = drain(&db, &mut m, start, bs, 1);
+            let (records, coalesced) = drain(&db, &mut m, start, bs);
             series.push(Series {
                 operator: "foj",
                 batch_size: bs,
                 coalesced,
                 records,
-                apply_shards: None,
-                stats: None,
             });
             g.throughput(Throughput::Elements(records as u64));
             g.bench_function(format!("foj/batch_{bs}"), |b| {
                 b.iter_batched(
                     setup_foj,
-                    |(db, mut m, start)| drain(&db, &mut m, start, bs, 1),
+                    |(db, mut m, start)| drain(&db, &mut m, start, bs),
                     BatchSize::PerIteration,
                 );
             });
         }
         for &bs in &sizes {
             let (db, mut m, start) = setup_split();
-            let (records, coalesced) = drain(&db, &mut m, start, bs, 1);
+            let (records, coalesced) = drain(&db, &mut m, start, bs);
             series.push(Series {
                 operator: "split",
                 batch_size: bs,
                 coalesced,
                 records,
-                apply_shards: None,
-                stats: None,
             });
             g.throughput(Throughput::Elements(records as u64));
             g.bench_function(format!("split/batch_{bs}"), |b| {
                 b.iter_batched(
                     setup_split,
-                    |(db, mut m, start)| drain(&db, &mut m, start, bs, 1),
+                    |(db, mut m, start)| drain(&db, &mut m, start, bs),
                     BatchSize::PerIteration,
                 );
             });
-        }
-        for op in [ApplyOp::Foj, ApplyOp::Split] {
-            for &shards in &shard_counts {
-                let (db, mut m, start) = apply_sweep::setup(op);
-                let pool = (shards > 1).then(|| Arc::new(ApplyPool::new(shards)));
-                let (records, coalesced, stats) =
-                    apply_sweep::drain_pooled(&db, m.as_mut(), start, 1024, pool.as_ref());
-                series.push(Series {
-                    operator: op.name(),
-                    batch_size: 1024,
-                    coalesced,
-                    records,
-                    apply_shards: Some(shards),
-                    stats: Some(stats),
-                });
-                g.throughput(Throughput::Elements(records as u64));
-                g.bench_function(format!("{}/parallel_shards_{shards}", op.name()), |b| {
-                    b.iter_batched(
-                        || {
-                            let scenario = apply_sweep::setup(op);
-                            let pool = (shards > 1).then(|| Arc::new(ApplyPool::new(shards)));
-                            (scenario, pool)
-                        },
-                        |((db, mut m, start), pool)| {
-                            apply_sweep::drain_pooled(&db, m.as_mut(), start, 1024, pool.as_ref())
-                        },
-                        BatchSize::PerIteration,
-                    );
-                });
-            }
         }
         g.finish();
     }
@@ -332,27 +292,14 @@ fn main() {
     let mut entries: Vec<String> = Vec::new();
     for (i, meas) in measurements.iter().enumerate() {
         let s = &series[i.min(series.len() - 1)];
-        let tag = match s.apply_shards {
-            Some(n) => format!("\"series\": \"parallel\", \"apply_shards\": {n}, "),
-            None => String::new(),
-        };
-        let counters = match &s.stats {
-            Some(st) if s.apply_shards.is_some_and(|n| n > 1) => format!(
-                ", \"epochs\": {}, \"handoffs\": {}, \"steals\": {}, \"inline_runs\": {}",
-                st.epochs, st.handoffs, st.steals, st.inline_runs
-            ),
-            _ => String::new(),
-        };
         entries.push(format!(
-            "    {{ {}\"operator\": \"{}\", \"batch_size\": {}, \"records_per_drain\": {}, \"coalesced_per_drain\": {}, \"ns_per_drain\": {:.0}, \"records_per_sec\": {:.0}{} }}",
-            tag,
+            "    {{ \"operator\": \"{}\", \"batch_size\": {}, \"records_per_drain\": {}, \"coalesced_per_drain\": {}, \"ns_per_drain\": {:.0}, \"records_per_sec\": {:.0} }}",
             s.operator,
             s.batch_size,
             s.records,
             s.coalesced,
             meas.ns_per_iter,
             meas.per_second().unwrap_or(0.0),
-            counters,
         ));
     }
     let pop_base = pop_points.first().map_or(1.0, |p| p.rows_per_sec);
@@ -367,18 +314,15 @@ fn main() {
         ));
     }
 
-    // Keep series other benches merged into this file (`wal_append`'s
-    // commit-rate sweep, `bench_check`'s gate results) across the
-    // rewrite, so regenerating the propagation numbers does not
-    // silently drop them.
+    // Keep the series `wal_append` merged into this file (its
+    // commit-rate sweep) across the rewrite, so regenerating the
+    // propagation numbers does not silently drop it.
     let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
         .join("../..")
         .join("BENCH_propagation.json");
     if let Ok(old) = std::fs::read_to_string(&path) {
         for line in old.lines() {
-            if line.contains("\"series\": \"wal_commit_rate\"")
-                || line.contains("\"series\": \"pool_gate\"")
-            {
+            if line.contains("\"series\": \"wal_commit_rate\"") {
                 entries.push(line.trim_end().trim_end_matches(',').to_owned());
             }
         }
@@ -386,7 +330,7 @@ fn main() {
 
     let json = format!(
         "{{\n  \"bench\": \"propagate_batch\",\n  \"cores\": {},\n  \"series\": [\n{}\n  ]\n}}\n",
-        apply_sweep::detected_cores(),
+        detected_cores(),
         entries.join(",\n"),
     );
     let mut f = std::fs::File::create(&path).expect("bench json");

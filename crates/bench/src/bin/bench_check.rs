@@ -1,44 +1,36 @@
 //! CI regression gates merged into `BENCH_propagation.json`:
 //!
-//! 1. **`pool_gate`** — persistent apply pool: a bounded drain sweep
-//!    (serial vs `apply_shards = 4`, cursor batch 1024) over the
-//!    update-heavy FOJ and split scenarios shared with the
-//!    `propagate_batch` bench. On ≥ 2 detected cores the pooled drain
-//!    must beat the serial pipeline by at least 10 % on both operators.
-//! 2. **`reader_gate`** — MVCC snapshot reads: p50/p99 latency of
+//! 1. **`reader_gate`** — MVCC snapshot reads: p50/p99 latency of
 //!    lock-based point reads versus snapshot reads, interleaved on the
 //!    same database while a snapshot-mode split migration and four
 //!    writer threads run. Snapshot reads take no transaction locks and
 //!    never touch the WAL, so on ≥ 2 cores their p99 must be at least
 //!    2× better than the locked reader's or the gate fails.
-//! 3. **`transform_mode`** — recorded ablation (never gated): the same
+//! 2. **`transform_mode`** — recorded ablation (never gated): the same
 //!    split migration under writer traffic, once populated by the
 //!    fuzzy copy + log propagation and once by a clean MVCC snapshot
 //!    scan, with population duration and propagation volume per mode.
-//! 4. **`shard_gate`** — shared-nothing router: aggregate commit
+//! 3. **`shard_gate`** — shared-nothing router: aggregate commit
 //!    throughput (8 closed-loop clients through the router) and
 //!    aggregate migration throughput (one union fanned out as
 //!    per-shard jobs) at 1, 2, 4 and 8 shards, with the aggregated
 //!    [`ShardCounters`] per point. On ≥ 4 cores the 4-shard commit
 //!    rate must be ≥ 1.8× the 1-shard rate.
-//! 5. **`lazy_tail`** — SLSM-style lazy mode: hot-shard p50/p99
+//! 4. **`lazy_tail`** — SLSM-style lazy mode: hot-shard p50/p99
 //!    read/write latency mid-migration, eager §3 pipeline vs lazy
 //!    cutover + throttled backfill. On ≥ 4 cores the lazy p99 must
 //!    beat the eager p99 on both reads and writes.
 //!
 //! On a single-CPU host the comparative gates are physically
-//! unenforceable — lanes, shards and readers time-slice one core — so
+//! unenforceable — shards and readers time-slice one core — so
 //! the measurements are recorded (tagged with the detected core count)
 //! and the gates pass: a 1-core number is an overhead reading, not
 //! scaling data, and failing on it would just teach people to delete
 //! the gate.
-//!
-//! `MORPH_GATE_REPS` overrides the best-of repetitions (default 3).
 
-use morph_bench::apply_sweep::{apply_sweep_point, detected_cores, ApplyOp, ApplyPoint};
-use morph_bench::{bench_split_spec, quick};
+use morph_bench::{bench_split_spec, detected_cores, quick};
 use morph_common::{ColumnType, Key, Schema, Value};
-use morph_core::{ParallelConfig, TransformMode, TransformOptions, Transformer};
+use morph_core::{TransformMode, TransformOptions, Transformer};
 use morph_engine::{Database, ShardedDatabase};
 use morph_orchestrator::{start_lazy_sharded, submit_sharded, Migration};
 use morph_workload::{setup_split_source, spawn_updaters, UpdateTarget};
@@ -46,8 +38,6 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-const GATE_SHARDS: usize = 4;
-const MIN_SPEEDUP: f64 = 1.10;
 /// The snapshot reader's p99 must be at least this many times better
 /// than the lock-based reader's.
 const MIN_READER_P99_RATIO: f64 = 2.0;
@@ -59,28 +49,7 @@ const SHARD_MIN_SPEEDUP: f64 = 1.8;
 
 /// Every series this binary owns inside `BENCH_propagation.json`
 /// (previous results are stripped before the fresh block is spliced).
-const MERGED_SERIES: [&str; 5] = [
-    "pool_gate",
-    "reader_gate",
-    "transform_mode",
-    "shard_gate",
-    "lazy_tail",
-];
-
-fn print_point(p: &ApplyPoint) {
-    println!(
-        "{:>6} {:>7} {:>9} {:>12} {:>12.0} {:>7} {:>9} {:>7} {:>7}",
-        p.operator,
-        p.apply_shards,
-        p.records,
-        p.ns,
-        p.records_per_sec,
-        p.stats.epochs,
-        p.stats.handoffs,
-        p.stats.steals,
-        p.stats.inline_runs,
-    );
-}
+const MERGED_SERIES: [&str; 4] = ["reader_gate", "transform_mode", "shard_gate", "lazy_tail"];
 
 /// Splice this binary's series into `BENCH_propagation.json`,
 /// replacing any previous results (same idiom as `wal_append`'s
@@ -400,13 +369,12 @@ fn shard_gate(entries: &mut Vec<String>, failures: &mut Vec<String>, cores: usiz
         let t = &p.counters.total;
         println!(
             "  shards={:>2}: {:>9.0} commits/s aggregate, {:>9.0} migrated records/s \
-             ({} records; wal_flushes {}, steals {}, mvcc_reclaimed {}, lock_waits {})",
+             ({} records; wal_flushes {}, mvcc_reclaimed {}, lock_waits {})",
             p.shards,
             p.commit_rate,
             p.propagate_rate,
             p.migrated_records,
             t.wal_flushes,
-            t.steals,
             t.mvcc_reclaimed,
             t.lock_waits,
         );
@@ -419,9 +387,9 @@ fn shard_gate(entries: &mut Vec<String>, failures: &mut Vec<String>, cores: usiz
         let per_shard_flushes: Vec<u64> =
             p.counters.per_shard.iter().map(|s| s.wal_flushes).collect();
         entries.push(format!(
-            "    {{ \"series\": \"shard_gate\", \"shards\": {}, \"clients\": {SHARD_CLIENTS}, \"commit_rate\": {:.0}, \"propagate_rate\": {:.0}, \"migrated_records\": {}, \"wal_flushes\": {}, \"wal_flushes_per_shard\": {per_shard_flushes:?}, \"steals\": {}, \"mvcc_reclaimed\": {}, \"lock_waits\": {}, \"commits\": {} }}",
+            "    {{ \"series\": \"shard_gate\", \"shards\": {}, \"clients\": {SHARD_CLIENTS}, \"commit_rate\": {:.0}, \"propagate_rate\": {:.0}, \"migrated_records\": {}, \"wal_flushes\": {}, \"wal_flushes_per_shard\": {per_shard_flushes:?}, \"mvcc_reclaimed\": {}, \"lock_waits\": {}, \"commits\": {} }}",
             p.shards, p.commit_rate, p.propagate_rate, p.migrated_records,
-            t.wal_flushes, t.steals, t.mvcc_reclaimed, t.lock_waits, t.commits,
+            t.wal_flushes, t.mvcc_reclaimed, t.lock_waits, t.commits,
         ));
     }
     let speedup = if base_rate > 0.0 {
@@ -507,7 +475,7 @@ fn lazy_tail_eager(rows: i64, samples: usize) -> TailPoint {
                     // needed for the priority to stretch the migration
                     // past the sampling window.
                     .priority(TAIL_PRIORITY)
-                    .parallel(ParallelConfig::new(2, 1))
+                    .copy_workers(2)
                     .deadline(Duration::from_secs(120)),
             )
             .expect("eager submit");
@@ -620,61 +588,10 @@ fn lazy_tail(entries: &mut Vec<String>, failures: &mut Vec<String>, cores: usize
 
 fn main() {
     let cores = detected_cores();
-    // Regression guard for the default core-count clamp: an absurd
-    // shard request must come back bounded by the host (the explicit
-    // `exact()` escape hatch is what width sweeps use).
-    let clamped = ParallelConfig::new(1, 64).effective_apply_shards();
-    assert!(
-        clamped <= cores.max(1),
-        "effective_apply_shards must clamp to available_parallelism ({clamped} > {cores})"
-    );
-    assert_eq!(
-        ParallelConfig::new(1, 64).exact().effective_apply_shards(),
-        64,
-        "exact() must bypass the clamp"
-    );
-    let reps = std::env::var("MORPH_GATE_REPS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(3usize);
-    println!("bench_check: apply-pool + MVCC reader gates (cores={cores}, best of {reps} reps)");
-    println!(
-        "{:>6} {:>7} {:>9} {:>12} {:>12} {:>7} {:>9} {:>7} {:>7}",
-        "op", "shards", "records", "ns", "records/s", "epochs", "handoffs", "steals", "inline"
-    );
+    println!("bench_check: MVCC reader, shard and lazy-tail gates (cores={cores})");
 
     let mut entries: Vec<String> = Vec::new();
     let mut failures: Vec<String> = Vec::new();
-    for op in [ApplyOp::Foj, ApplyOp::Split] {
-        let serial = apply_sweep_point(op, 1, reps);
-        let pooled = apply_sweep_point(op, GATE_SHARDS, reps);
-        print_point(&serial);
-        print_point(&pooled);
-        let speedup = pooled.records_per_sec / serial.records_per_sec;
-        println!(
-            "{:>6} speedup shards={GATE_SHARDS} vs serial: {speedup:.2}x",
-            op.name()
-        );
-        entries.push(format!(
-            "    {{ \"series\": \"pool_gate\", \"operator\": \"{}\", \"cores\": {}, \"apply_shards\": {}, \"serial_records_per_sec\": {:.0}, \"pool_records_per_sec\": {:.0}, \"speedup\": {:.3}, \"epochs\": {}, \"handoffs\": {}, \"steals\": {}, \"inline_runs\": {} }}",
-            op.name(),
-            cores,
-            GATE_SHARDS,
-            serial.records_per_sec,
-            pooled.records_per_sec,
-            speedup,
-            pooled.stats.epochs,
-            pooled.stats.handoffs,
-            pooled.stats.steals,
-            pooled.stats.inline_runs,
-        ));
-        if speedup < MIN_SPEEDUP {
-            failures.push(format!(
-                "{}: shards={GATE_SHARDS} is {speedup:.2}x serial (need ≥ {MIN_SPEEDUP:.2}x)",
-                op.name()
-            ));
-        }
-    }
 
     println!("reader gate: lock-based vs snapshot point reads during migration + 4 writers");
     let rg = reader_gate();
@@ -725,10 +642,6 @@ fn main() {
 
     if cores < 2 {
         println!(
-            "  pool_gate: SKIPPED (cores={cores} < 2) — ≥{:.0}% speedup recorded, not enforced",
-            (MIN_SPEEDUP - 1.0) * 100.0
-        );
-        println!(
             "  reader_gate: SKIPPED (cores={cores} < 2) — p99 ≥{MIN_READER_P99_RATIO:.1}x \
              ratio recorded, not enforced"
         );
@@ -736,9 +649,7 @@ fn main() {
     }
     if failures.is_empty() {
         println!(
-            "gates OK: shards={GATE_SHARDS} beats serial by ≥{:.0}% on both operators and \
-             snapshot reads beat locked reads by ≥{MIN_READER_P99_RATIO:.1}x at p99",
-            (MIN_SPEEDUP - 1.0) * 100.0
+            "gates OK: snapshot reads beat locked reads by ≥{MIN_READER_P99_RATIO:.1}x at p99"
         );
     } else {
         for f in &failures {

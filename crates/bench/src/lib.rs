@@ -22,8 +22,6 @@
 //!   reduced-scale smoke version of every experiment (used by `cargo
 //!   bench` in CI-ish settings; the published numbers use full scale).
 
-pub mod apply_sweep;
-
 use morph_core::propagate::Propagator;
 use morph_core::{FojMapping, FojSpec, SplitMapping, SplitSpec, TransformOperator};
 use morph_engine::Database;
@@ -48,6 +46,12 @@ pub struct Scale {
     pub window: Duration,
     /// Warm-up before the first window.
     pub warmup: Duration,
+}
+
+/// Detected hardware parallelism — recorded next to every parallel
+/// number so single-CPU results stop masquerading as scaling data.
+pub fn detected_cores() -> usize {
+    std::thread::available_parallelism().map_or(1, |n| n.get())
 }
 
 /// Whether `MORPH_QUICK=1` is set.

@@ -31,10 +31,8 @@ use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use crate::operator::{
-    drive_segments, scan_source_partitioned, scan_source_throttled, worker_share, LaneScratch,
-    LaneTag, SegmentRun, TransformOperator,
+    scan_source_partitioned, scan_source_throttled, worker_share, TransformOperator,
 };
-use crate::pool::{ApplyPool, EpochTask};
 use crate::spec::FojSpec;
 use crate::throttle::Throttle;
 use morph_storage::shard_stride;
@@ -128,14 +126,6 @@ impl FojMapping {
             .map(|&p| t_names[s_to_t[p]].as_str())
             .collect();
         let idx_spk = t.add_index("__spk", &spk_names, false)?;
-
-        // Shard T by the R-pk prefix of its storage key: every row of
-        // subject y lives in shard(y) regardless of its join value, so
-        // a non-join R-update's rule reads (the `__rpk` probe) stay
-        // inside one shard — the lane classification the sharded apply
-        // path relies on. R-pk columns are distinct, so after dedup
-        // they are exactly the first `pkey().len()` key positions.
-        t.set_shard_key((0..rs.pkey().len()).collect())?;
 
         Ok(FojMapping {
             r,
@@ -450,7 +440,7 @@ impl FojMapping {
             let mut rows: Vec<Vec<Value>> = batch.into_iter().map(|(_, row)| row.values).collect();
             r_acc
                 .lock()
-                .expect("scan collector poisoned") // morph-lint: allow(panic, std mutex poison implies a lane already panicked; that panic is re-raised at the join)
+                .expect("scan collector poisoned") // morph-lint: allow(panic, std mutex poison implies a scan worker already panicked; that panic is re-raised at the join)
                 .append(&mut rows);
             Ok(())
         };
@@ -461,7 +451,7 @@ impl FojMapping {
             let mut rows: Vec<Vec<Value>> = batch.into_iter().map(|(_, row)| row.values).collect();
             s_acc
                 .lock()
-                .expect("scan collector poisoned") // morph-lint: allow(panic, std mutex poison implies a lane already panicked; that panic is re-raised at the join)
+                .expect("scan collector poisoned") // morph-lint: allow(panic, std mutex poison implies a scan worker already panicked; that panic is re-raised at the join)
                 .append(&mut rows);
             Ok(())
         };
@@ -898,75 +888,6 @@ impl TransformOperator for FojMapping {
             self.apply_in(&mut ts, lsn, op)?;
         }
         Ok(())
-    }
-
-    /// Sharded apply. Only R-updates touching neither the join
-    /// attribute nor an R-pk column get a lane: their rule (rule 7,
-    /// R side) probes `__rpk`(y) alone, and T is sharded by the R-pk
-    /// key prefix, so every row of subject y — whatever its join value,
-    /// including rows materialized by a fuzzy copy racing ahead of the
-    /// log — lives in the lane's shard class. Every other record type
-    /// probes by join value or S-key, whose carrying rows span subjects
-    /// (and thus shards), so it is a barrier.
-    fn apply_batch_sharded(
-        &mut self,
-        batch: &[(Lsn, &LogOp)],
-        pool: &ApplyPool,
-        scratch: &mut LaneScratch,
-    ) -> DbResult<()> {
-        let stride = shard_stride(pool.width().max(1));
-        if stride <= 1 {
-            return self.apply_batch(batch);
-        }
-        let r_id = self.r.id();
-        let this = &*self;
-        drive_segments(
-            batch,
-            stride,
-            scratch,
-            |op| match op {
-                LogOp::Update { key, new, .. }
-                    if op.table() == r_id
-                        && !new
-                            .iter()
-                            .any(|(i, _)| *i == this.r_join || this.r_pk.contains(i)) =>
-                {
-                    LaneTag::Class(this.t.shard_of_component(key.values()))
-                }
-                _ => LaneTag::Barrier,
-            },
-            |seg| match seg {
-                SegmentRun::Serial(records) => {
-                    let mut ts = this.t.write_session();
-                    for &(lsn, op) in records {
-                        this.apply_in(&mut ts, lsn, op)?;
-                    }
-                    Ok(())
-                }
-                SegmentRun::Parallel(slice, lane_runs) => {
-                    // One epoch per parallel segment: each non-empty
-                    // lane is one sequential task under a masked write
-                    // session; the epoch fence replaces the old
-                    // scoped-spawn join.
-                    let tasks: Vec<EpochTask> = lane_runs
-                        .iter()
-                        .enumerate()
-                        .filter(|(_, run)| !run.is_empty())
-                        .map(|(w, run)| {
-                            Box::new(move || {
-                                let mut ts = this.t.write_session_masked(stride, w);
-                                for &ri in run {
-                                    let (lsn, op) = slice[ri as usize];
-                                    this.apply_in(&mut ts, lsn, op)?;
-                                }
-                                Ok(())
-                            }) as EpochTask
-                        })
-                        .collect();
-                    pool.run_epoch(tasks)
-                }
-            },
-        )
     }
 
     /// Rules 5 and 6 guard on the *logged pre-image* of the join

@@ -47,7 +47,6 @@ pub mod cc;
 pub mod foj;
 pub mod lazy;
 pub mod operator;
-pub mod pool;
 pub mod progress;
 pub mod propagate;
 pub mod report;
@@ -62,13 +61,12 @@ pub mod union;
 
 pub use foj::FojMapping;
 pub use lazy::LazyMigration;
-pub use operator::{CoalescePolicy, LaneScratch, TransformOperator};
-pub use pool::{ApplyPool, EpochTask, PoolStats};
+pub use operator::{CoalescePolicy, TransformOperator};
 pub use progress::{Progress, ProgressHandle, ProgressPhase};
 pub use report::{IterationStats, PopulationStats, SyncStats, TransformReport};
 pub use spec::{
-    FojSpec, NonConvergencePolicy, ParallelConfig, SplitMode, SplitSpec, SyncStrategy,
-    TransformMode, TransformOptions,
+    FojSpec, NonConvergencePolicy, SplitMode, SplitSpec, SyncStrategy, TransformMode,
+    TransformOptions,
 };
 pub use split::SplitMapping;
 pub use transform::{TransformHandle, TransformJob, TransformPlan, Transformer};

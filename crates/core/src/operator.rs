@@ -20,8 +20,6 @@
 //! |                         | union are *LSN-gated* (state identifiers, §5.2)  |
 //! | [`apply_batch`]         | batched §3.3 drain: one target-latch acquisition |
 //! |                         | per batch instead of per record                  |
-//! | [`apply_batch_sharded`] | §3.3 drain partitioned into subject-disjoint     |
-//! |                         | lanes handed to a persistent work-stealing pool  |
 //! | [`populate_parallel`]   | §3.2 fuzzy copy partitioned over scan threads    |
 //! | [`on_control`]          | §5.3 `CcBegin`/`CcOk` consistency-checker records|
 //! | [`maintenance`]         | §5.3 checker rounds between propagation batches  |
@@ -37,7 +35,6 @@
 //! [`populate_parallel`]: TransformOperator::populate_parallel
 //! [`apply`]: TransformOperator::apply
 //! [`apply_batch`]: TransformOperator::apply_batch
-//! [`apply_batch_sharded`]: TransformOperator::apply_batch_sharded
 //! [`on_control`]: TransformOperator::on_control
 //! [`maintenance`]: TransformOperator::maintenance
 //! [`readiness`]: TransformOperator::readiness
@@ -48,7 +45,6 @@
 //! [`finalize`]: TransformOperator::finalize
 
 use crate::cc::Readiness;
-use crate::pool::ApplyPool;
 use crate::sync::MirrorMap;
 use crate::throttle::Throttle;
 use morph_common::{DbResult, Key, Lsn, TableId};
@@ -126,31 +122,6 @@ pub trait TransformOperator: Send {
             self.apply(lsn, op)?;
         }
         Ok(())
-    }
-
-    /// Apply a batch with up to `pool.width()` concurrent apply lanes.
-    /// Each operator partitions the batch into *subject-disjoint*
-    /// lanes — record classes whose propagation-rule reads and writes
-    /// provably stay inside one storage-shard class of the target —
-    /// and hands the lanes to the persistent [`ApplyPool`] as one
-    /// epoch per parallel segment, each lane applying under a masked
-    /// write session. Records whose effects may cross lanes (and any
-    /// record the operator cannot classify) act as full barriers:
-    /// the batch is cut there, the barrier run is applied serially in
-    /// log order, and the surrounding epochs fence around it.
-    /// `scratch` carries the reusable lane-index buffers so
-    /// segmentation allocates nothing per batch.
-    ///
-    /// The default falls back to the serial [`TransformOperator::apply_batch`];
-    /// a 1-wide pool must be byte-identical to the serial path.
-    fn apply_batch_sharded(
-        &mut self,
-        batch: &[(Lsn, &LogOp)],
-        pool: &ApplyPool,
-        scratch: &mut LaneScratch,
-    ) -> DbResult<()> {
-        let _ = (pool, scratch);
-        self.apply_batch(batch)
     }
 
     /// How much record coalescing this operator's rules tolerate.
@@ -433,157 +404,4 @@ where
             None => Ok(total),
         }
     })
-}
-
-/// Lane classification of one log record for sharded apply.
-pub(crate) enum LaneTag {
-    /// The record's rule reads and writes stay inside the given lane
-    /// (a storage-shard class of the target); it may run concurrently
-    /// with records of other lanes.
-    Class(usize),
-    /// The record's effects may cross lanes — it must observe every
-    /// earlier record and be observed by every later one.
-    Barrier,
-}
-
-/// Reusable lane-index buffers for [`drive_segments`]. Owned by the
-/// `Propagator` (one per pipeline) and threaded through
-/// [`TransformOperator::apply_batch_sharded`], so segmentation reuses
-/// the same allocations batch after batch — the arena half of killing
-/// per-batch churn on the apply hot path. Indices are `u32` offsets
-/// into the current parallel run's slice, which keeps the buffers
-/// compact and makes "merge back to log order" a no-op (the slice
-/// *is* log order).
-pub struct LaneScratch {
-    lanes: Vec<Vec<u32>>,
-    /// Minimum parallel-run length worth an epoch hand-off; runs
-    /// shorter than this are demoted to serial. Defaults to
-    /// [`PARALLEL_SEGMENT_MIN`]; the propagator overrides it from
-    /// [`ParallelConfig::min_apply_segment`] so tests and the crash
-    /// simulator can force epochs on tiny batches.
-    ///
-    /// [`ParallelConfig::min_apply_segment`]: crate::spec::ParallelConfig::min_apply_segment
-    min_segment: usize,
-}
-
-impl Default for LaneScratch {
-    fn default() -> LaneScratch {
-        LaneScratch {
-            lanes: Vec::new(),
-            min_segment: PARALLEL_SEGMENT_MIN,
-        }
-    }
-}
-
-impl LaneScratch {
-    /// Override the epoch-worthiness threshold (propagator only).
-    pub(crate) fn set_min_segment(&mut self, min: usize) {
-        self.min_segment = min.max(1);
-    }
-
-    /// Cleared lane buffers for a `stride`-wide segmentation; grows
-    /// once and is reused thereafter.
-    fn lanes_for(&mut self, stride: usize) -> &mut [Vec<u32>] {
-        if self.lanes.len() < stride {
-            self.lanes.resize_with(stride, Vec::new);
-        }
-        for lane in &mut self.lanes[..stride] {
-            lane.clear();
-        }
-        &mut self.lanes[..stride]
-    }
-}
-
-/// Below this record count a parallel segment is applied serially:
-/// epoch handoff plus per-lane session setup costs more than the work
-/// it would parallelize. The segment's slice is already in log order,
-/// so the serial fallback needs no merge.
-pub const PARALLEL_SEGMENT_MIN: usize = 128;
-
-/// One run the segmenter hands to the apply callback, in log order.
-pub(crate) enum SegmentRun<'r, 'a, 'b> {
-    /// Contiguous barrier (or too-small parallel) records; apply in
-    /// slice order on the caller — the sub-slice *is* log order.
-    Serial(&'b [(Lsn, &'a LogOp)]),
-    /// A parallel run: the run's sub-slice plus per-lane `u32` index
-    /// lists into that sub-slice, each lane LSN-ascending.
-    Parallel(&'b [(Lsn, &'a LogOp)], &'r [Vec<u32>]),
-}
-
-/// Cut a batch into alternating serial/parallel runs by classifying
-/// each record, and drive `emit` over them in log order. Consecutive
-/// barrier records form one [`SegmentRun::Serial`]; consecutive
-/// lane-classified records form one [`SegmentRun::Parallel`]. Parallel
-/// runs below the scratch's epoch threshold (default
-/// [`PARALLEL_SEGMENT_MIN`]) are demoted to `Serial` — the sub-slice
-/// is already in log order, so nothing is merged.
-///
-/// A single `emit` callback (rather than separate serial/parallel
-/// ones) lets an operator hold `&mut self` for the serial arm while
-/// the parallel arm reborrows `&*self` for its `Send` tasks. Nothing
-/// is allocated here beyond what `scratch` retains between calls.
-pub(crate) fn drive_segments<'a, 'b>(
-    batch: &'b [(Lsn, &'a LogOp)],
-    lanes: usize,
-    scratch: &mut LaneScratch,
-    mut classify: impl FnMut(&LogOp) -> LaneTag,
-    mut emit: impl FnMut(SegmentRun<'_, 'a, 'b>) -> DbResult<()>,
-) -> DbResult<()> {
-    let stride = lanes.max(1);
-    let min_segment = scratch.min_segment.max(1);
-    let lane_buf = scratch.lanes_for(stride);
-
-    #[derive(Clone, Copy, PartialEq, Eq)]
-    enum Run {
-        None,
-        Serial,
-        Parallel,
-    }
-    let mut run = Run::None;
-    let mut start = 0usize;
-
-    for (i, &(_, op)) in batch.iter().enumerate() {
-        match classify(op) {
-            LaneTag::Barrier => {
-                if run == Run::Parallel {
-                    let slice = &batch[start..i];
-                    if slice.len() < min_segment {
-                        emit(SegmentRun::Serial(slice))?;
-                    } else {
-                        emit(SegmentRun::Parallel(slice, lane_buf))?;
-                    }
-                    for lane in lane_buf.iter_mut() {
-                        lane.clear();
-                    }
-                }
-                if run != Run::Serial {
-                    start = i;
-                    run = Run::Serial;
-                }
-            }
-            LaneTag::Class(class) => {
-                if run == Run::Serial {
-                    emit(SegmentRun::Serial(&batch[start..i]))?;
-                }
-                if run != Run::Parallel {
-                    start = i;
-                    run = Run::Parallel;
-                }
-                lane_buf[class % stride].push((i - start) as u32);
-            }
-        }
-    }
-    match run {
-        Run::None => {}
-        Run::Serial => emit(SegmentRun::Serial(&batch[start..]))?,
-        Run::Parallel => {
-            let slice = &batch[start..];
-            if slice.len() < min_segment {
-                emit(SegmentRun::Serial(slice))?;
-            } else {
-                emit(SegmentRun::Parallel(slice, lane_buf))?;
-            }
-        }
-    }
-    Ok(())
 }

@@ -33,10 +33,8 @@
 //! propagator has processed the abort log record of the lock owner"
 //! (§3.4).
 
-use crate::operator::{CoalescePolicy, LaneScratch, TransformOperator};
-use crate::pool::ApplyPool;
+use crate::operator::{CoalescePolicy, TransformOperator};
 use crate::report::IterationStats;
-use crate::spec::ParallelConfig;
 use crate::sync::proxy_owner;
 use crate::throttle::Throttle;
 use morph_common::{DbError, DbResult, Key, Lsn, Schema, TableId, TxnId};
@@ -249,16 +247,6 @@ pub struct Propagator {
     post: Option<PostSyncState>,
     /// Records dropped by the coalescer over this propagator's life.
     coalesced: usize,
-    /// Degree of apply parallelism (`apply_shards` lanes per run).
-    parallel: ParallelConfig,
-    /// Persistent work-stealing apply pool. Created once (lazily on the
-    /// first parallel flush, or up front via [`Propagator::with_pool`])
-    /// and reused across every batch — spawn cost is paid once per
-    /// transformation, not once per segment.
-    pool: Option<Arc<ApplyPool>>,
-    /// Reusable per-lane index scratch handed to the operators, so the
-    /// streaming segmenter never allocates lane buffers per batch.
-    scratch: LaneScratch,
     /// Drain context cached across iterations, keyed by the catalog's
     /// structural epoch: name→table resolution and barrier-column
     /// derivation are loop-invariant until a create/drop/rename.
@@ -274,48 +262,7 @@ impl Propagator {
             throttle: Throttle::new(priority),
             post: None,
             coalesced: 0,
-            parallel: ParallelConfig::serial(),
-            pool: None,
-            scratch: LaneScratch::default(),
             ctx: None,
-        }
-    }
-
-    /// Set the apply parallelism. The serial default is byte-identical
-    /// to the pre-parallel pipeline.
-    #[must_use]
-    pub fn with_parallel(mut self, parallel: ParallelConfig) -> Propagator {
-        self.parallel = parallel;
-        self.scratch.set_min_segment(parallel.min_apply_segment);
-        self
-    }
-
-    /// Install an already-spawned apply pool (the [`TransformJob`] path,
-    /// where pool spawn is a crash-instrumented step of the job).
-    /// Without this, a parallel propagator spawns its pool lazily on the
-    /// first flush.
-    ///
-    /// [`TransformJob`]: crate::transform::TransformJob
-    #[must_use]
-    pub fn with_pool(mut self, pool: Arc<ApplyPool>) -> Propagator {
-        self.pool = Some(pool);
-        self
-    }
-
-    /// Steal/handoff counters of the apply pool, if one was spawned.
-    pub fn pool_stats(&self) -> Option<crate::pool::PoolStats> {
-        self.pool.as_ref().map(|p| p.stats())
-    }
-
-    /// Park the pool's workers and fire the `apply.pool_drain` crash
-    /// point. Idempotent; a propagator that never went parallel has no
-    /// pool and returns `Ok` immediately. Called by the job teardown
-    /// before the propagator is dropped so that worker threads never
-    /// outlive the transformation that spawned them.
-    pub fn shutdown_pool(&mut self) -> DbResult<()> {
-        match self.pool.take() {
-            Some(pool) => pool.shutdown(),
-            None => Ok(()),
         }
     }
 
@@ -386,19 +333,7 @@ impl Propagator {
         for (lsn, rop) in &batch {
             refs.push((*lsn, rop.op()?));
         }
-        if self.parallel.effective_apply_shards() > 1 {
-            let pool = match &self.pool {
-                Some(pool) => Arc::clone(pool),
-                None => {
-                    let pool = Arc::new(ApplyPool::new(self.parallel.effective_apply_shards()));
-                    self.pool = Some(Arc::clone(&pool));
-                    pool
-                }
-            };
-            op.apply_batch_sharded(&refs, &pool, &mut self.scratch)
-        } else {
-            op.apply_batch(&refs)
-        }
+        op.apply_batch(&refs)
     }
 
     /// Handle one log record: defer relevant data ops into `run`, flush

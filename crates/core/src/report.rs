@@ -5,7 +5,6 @@
 //! "<1 ms" synchronization claim — and the per-iteration backlog trace
 //! that shows whether propagation converges at a given priority.
 
-use crate::pool::PoolStats;
 use crate::spec::SyncStrategy;
 use std::time::Duration;
 
@@ -82,9 +81,6 @@ pub struct TransformReport {
     /// Number of consistency-checker certification rounds run (split
     /// with §5.3 checking only).
     pub cc_rounds: usize,
-    /// Apply-pool counters (steal/handoff/epoch rates), present when
-    /// the job ran with `apply_shards > 1`.
-    pub pool: Option<PoolStats>,
     /// End-to-end duration.
     pub total: Duration,
 }

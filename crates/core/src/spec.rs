@@ -56,112 +56,6 @@ pub enum NonConvergencePolicy {
     },
 }
 
-/// Degree of parallelism of the transformation pipeline.
-///
-/// `copy_workers` drives the initial fuzzy copy (§3.2): the key space
-/// is partitioned into disjoint storage-shard classes and each worker
-/// scans one class on its own thread, with the priority budget divided
-/// among the workers so the aggregate duty cycle still honors
-/// [`TransformOptions::priority`]. `apply_shards` drives log
-/// propagation (§3.3): a coalesced run is partitioned by the operator's
-/// subject notion into lanes applied concurrently, each under its own
-/// masked write session; records whose effects cross lanes (and all
-/// control records) stay full barriers.
-///
-/// `ParallelConfig::serial()` (1 worker, 1 shard) is byte-identical to
-/// the single-threaded pipeline — the crash simulator runs it so its
-/// determinism contract is untouched.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub struct ParallelConfig {
-    /// Threads scanning disjoint source partitions during population.
-    pub copy_workers: usize,
-    /// Concurrent apply lanes per coalesced run.
-    pub apply_shards: usize,
-    /// Minimum lane-classified run length that is worth an epoch
-    /// hand-off to the apply pool; shorter runs apply serially on the
-    /// caller thread. Defaults to
-    /// [`PARALLEL_SEGMENT_MIN`](crate::operator::PARALLEL_SEGMENT_MIN);
-    /// tests and the crash simulator lower it to force real epochs
-    /// (workers in flight) on deliberately tiny batches.
-    pub min_apply_segment: usize,
-    /// Honor `apply_shards` exactly even beyond the host's core count.
-    /// By default the *effective* lane count is clamped to
-    /// `available_parallelism()` — on an N-core host, more than N apply
-    /// lanes only adds hand-off and fence overhead (the measured FOJ
-    /// regression: 8 lanes at 1.31M rec/s vs 1.66M serial on 1 CPU).
-    /// Width-sweep benches and the parallel-equivalence tests opt out
-    /// via [`ParallelConfig::exact`] to exercise the configured width
-    /// regardless of host.
-    pub exact: bool,
-}
-
-impl ParallelConfig {
-    /// The serial pipeline (exact single-threaded behavior).
-    pub fn serial() -> ParallelConfig {
-        ParallelConfig {
-            copy_workers: 1,
-            apply_shards: 1,
-            min_apply_segment: crate::operator::PARALLEL_SEGMENT_MIN,
-            exact: true,
-        }
-    }
-
-    /// A parallel pipeline with the given worker/lane counts (each
-    /// normalized to a power of two ≤ the storage shard count when
-    /// used).
-    pub fn new(copy_workers: usize, apply_shards: usize) -> ParallelConfig {
-        ParallelConfig {
-            copy_workers: copy_workers.max(1),
-            apply_shards: apply_shards.max(1),
-            min_apply_segment: crate::operator::PARALLEL_SEGMENT_MIN,
-            exact: false,
-        }
-    }
-
-    /// Lower (or raise) the epoch-worthiness threshold.
-    #[must_use]
-    pub fn with_min_apply_segment(mut self, min: usize) -> ParallelConfig {
-        self.min_apply_segment = min.max(1);
-        self
-    }
-
-    /// Opt out of the core-count clamp: use `apply_shards` verbatim
-    /// even when it exceeds `available_parallelism()` (width sweeps,
-    /// equivalence tests pinning an exact pool shape).
-    #[must_use]
-    pub fn exact(mut self) -> ParallelConfig {
-        self.exact = true;
-        self
-    }
-
-    /// The apply-lane count actually used: `apply_shards`, clamped to
-    /// the host's `available_parallelism()` unless
-    /// [`ParallelConfig::exact`] was requested. Over-sharding past the
-    /// core count is a measured pessimization (BENCH_propagation.json
-    /// `parallel` series: FOJ 8 lanes 1.31M rec/s vs 1.66M serial on
-    /// 1 CPU), so the default config never does it.
-    pub fn effective_apply_shards(&self) -> usize {
-        if self.exact {
-            return self.apply_shards;
-        }
-        let cores = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        self.apply_shards.min(cores).max(1)
-    }
-
-    /// Whether this configuration is the exact serial pipeline.
-    pub fn is_serial(&self) -> bool {
-        self.copy_workers <= 1 && self.apply_shards <= 1
-    }
-}
-
-impl Default for ParallelConfig {
-    fn default() -> Self {
-        ParallelConfig::serial()
-    }
-}
-
 /// Knobs shared by all transformations.
 #[derive(Clone, Debug)]
 pub struct TransformOptions {
@@ -195,9 +89,14 @@ pub struct TransformOptions {
     /// use this to compare the transformed tables against the final
     /// source state.
     pub retain_sources: bool,
-    /// Degree of parallelism (copy workers / apply lanes). Defaults to
-    /// the exact serial pipeline.
-    pub parallel: ParallelConfig,
+    /// Threads scanning disjoint source partitions during the initial
+    /// fuzzy copy (§3.2): the key space is partitioned into disjoint
+    /// storage-shard classes, one scan thread per class, with the
+    /// priority budget divided among the workers so the aggregate duty
+    /// cycle still honors [`TransformOptions::priority`]. The default
+    /// of 1 is the single-threaded copy. Log propagation (§3.3) is
+    /// always one sequential applier.
+    pub copy_workers: usize,
     /// How population reads the sources (see [`TransformMode`]).
     pub mode: TransformMode,
 }
@@ -215,7 +114,7 @@ impl Default for TransformOptions {
             cc_interval: 16,
             deadline: None,
             retain_sources: false,
-            parallel: ParallelConfig::serial(),
+            copy_workers: 1,
             mode: TransformMode::default(),
         }
     }
@@ -257,10 +156,10 @@ impl TransformOptions {
         self
     }
 
-    /// Set the pipeline parallelism.
+    /// Set the number of fuzzy-copy scan threads (at least 1).
     #[must_use]
-    pub fn parallel(mut self, p: ParallelConfig) -> Self {
-        self.parallel = p;
+    pub fn copy_workers(mut self, n: usize) -> Self {
+        self.copy_workers = n.max(1);
         self
     }
 
@@ -419,19 +318,6 @@ mod tests {
         assert_eq!(TransformOptions::default().priority(2.0).priority, 1.0);
         assert!(TransformOptions::default().priority(0.0).priority > 0.0);
         assert_eq!(TransformOptions::default().priority(0.25).priority, 0.25);
-    }
-
-    #[test]
-    fn parallel_config_normalizes() {
-        assert!(ParallelConfig::serial().is_serial());
-        assert!(TransformOptions::default().parallel.is_serial());
-        let p = ParallelConfig::new(0, 0);
-        assert!(p.is_serial());
-        let p = ParallelConfig::new(4, 2);
-        assert_eq!((p.copy_workers, p.apply_shards), (4, 2));
-        assert!(!p.is_serial());
-        let o = TransformOptions::default().parallel(p);
-        assert_eq!(o.parallel, p);
     }
 
     #[test]

@@ -23,10 +23,8 @@
 
 use crate::cc::{CcState, PendingCc, Readiness};
 use crate::operator::{
-    drive_segments, scan_source_partitioned, scan_source_throttled, CoalescePolicy, LaneScratch,
-    LaneTag, SegmentRun, TransformOperator,
+    scan_source_partitioned, scan_source_throttled, CoalescePolicy, TransformOperator,
 };
-use crate::pool::{ApplyPool, EpochTask};
 use crate::spec::{SplitMode, SplitSpec};
 use crate::throttle::Throttle;
 use morph_common::{DbError, DbResult, Key, Lsn, Schema, TableId, Value};
@@ -820,42 +818,6 @@ impl SplitMapping {
     }
 }
 
-/// A deferred S-side effect recorded during phase A of the sharded
-/// apply. Unlike R, the S table is keyed by split value, not by
-/// subject, so records that are disjoint by subject can still collide
-/// on a shared S-record. Phase A applies the R half per subject lane
-/// and records what the S half *would* do; phase B re-buckets the
-/// effects by split value and replays them in LSN order, which per
-/// S-key is exactly the serial order.
-enum SEffect {
-    /// Rule 8's S half: one new contribution of `s_vals` under `x`.
-    Absorb { x: Value, s_vals: Vec<Value> },
-    /// Rule 9's S half: one contribution under `x` goes away.
-    Release { x: Value },
-    /// Rule 9's absent-subject case: no counter change, but the shared
-    /// S-record's LSN watermark must still advance to the delete's LSN
-    /// (matches the serial path's `s_stamp`).
-    Stamp { x: Value },
-    /// Rule 11's non-split branch: dependent-column updates, LSN-gated
-    /// against the S-record itself.
-    DepUpdate {
-        x: Value,
-        dep_updates: Vec<(usize, Value)>,
-        all_deps: bool,
-    },
-}
-
-impl SEffect {
-    fn split_value(&self) -> &Value {
-        match self {
-            SEffect::Absorb { x, .. }
-            | SEffect::Release { x }
-            | SEffect::Stamp { x }
-            | SEffect::DepUpdate { x, .. } => x,
-        }
-    }
-}
-
 // Worker-local digest of one worker's S contributions during parallel
 // population; merged serially into the real S rows afterwards.
 struct SContrib {
@@ -870,311 +832,10 @@ struct SContrib {
 }
 
 impl SplitMapping {
-    /// Phase A of the sharded apply: the R half of one record, applied
-    /// under a masked R-side session, with its S half recorded as a
-    /// deferred [`SEffect`]. Only called for lane-classified records
-    /// (no split-column change, no key move) with checking off; both
-    /// are enforced by [`SplitMapping::apply_batch_sharded_impl`].
-    fn r_apply_collect(
-        &self,
-        rs: &mut WriteSession<'_>,
-        lsn: Lsn,
-        op: &LogOp,
-        effects: &mut Vec<(Lsn, SEffect)>,
-    ) -> DbResult<()> {
-        match op {
-            LogOp::Insert { row, .. } => {
-                let y = Key::project(row, &self.t_pk);
-                if self.r_get_in(rs, &y).is_some() {
-                    return Ok(()); // already reflected (Theorem 1)
-                }
-                self.r_insert(rs, row, lsn)?;
-                effects.push((
-                    lsn,
-                    SEffect::Absorb {
-                        x: self.split_val(row),
-                        s_vals: self.s_part(row),
-                    },
-                ));
-                Ok(())
-            }
-            LogOp::Delete { key, old, .. } => {
-                let Some((rlsn, x)) = self.r_get_in(rs, key) else {
-                    // Absent subject: defer the watermark stamp so the
-                    // shared S-record still advances to this LSN
-                    // (mirrors the serial path's `s_stamp`).
-                    if let Some(x) = old.get(self.split_t).cloned() {
-                        effects.push((lsn, SEffect::Stamp { x }));
-                    }
-                    return Ok(());
-                };
-                if rlsn >= lsn {
-                    return Ok(());
-                }
-                self.r_delete(rs, key)?;
-                effects.push((lsn, SEffect::Release { x }));
-                Ok(())
-            }
-            LogOp::Update { key, new, .. } => {
-                debug_assert!(
-                    !new.iter().any(|(i, _)| *i == self.split_t),
-                    "split-column updates are barriers"
-                );
-                let Some((rlsn, x_pre)) = self.r_get_in(rs, key) else {
-                    return Ok(());
-                };
-                if rlsn >= lsn {
-                    return Ok(()); // rule 10's LSN gate — S side skipped too
-                }
-                self.r_update(rs, key, new, lsn)?;
-                let dep_updates: Vec<(usize, Value)> = new
-                    .iter()
-                    .filter(|(i, _)| *i != self.split_t && self.s_cols.contains(i))
-                    .map(|(i, v)| {
-                        let s_pos = self.s_cols.iter().position(|c| c == i).expect("filtered"); // morph-lint: allow(panic, position over the predicate the filter just passed)
-                        (s_pos, v.clone())
-                    })
-                    .collect();
-                if dep_updates.is_empty() {
-                    return Ok(());
-                }
-                let all_deps = dep_updates.len() == self.s_cols.len() - 1;
-                effects.push((
-                    lsn,
-                    SEffect::DepUpdate {
-                        x: x_pre,
-                        dep_updates,
-                        all_deps,
-                    },
-                ));
-                Ok(())
-            }
-        }
-    }
-
-    /// Phase B of the sharded apply: replay one deferred S effect under
-    /// a masked S session. Mirrors [`SplitMapping::s_absorb`],
-    /// [`SplitMapping::s_release`] and rule 11's dependent-update
-    /// branch, minus the checker bookkeeping (the sharded path falls
-    /// back to serial when checking is on).
-    fn s_apply_effect(&self, ss: &mut WriteSession<'_>, lsn: Lsn, eff: &SEffect) -> DbResult<()> {
-        match eff {
-            SEffect::Absorb { x, s_vals } => {
-                let key = self.s_key(x);
-                let existed = ss.with_row_mut(&key, |row| {
-                    row.counter += 1;
-                    if row.lsn < lsn {
-                        row.lsn = lsn;
-                    }
-                    if row.values != *s_vals {
-                        row.flag = ConsistencyFlag::Unknown;
-                    }
-                });
-                if existed.is_none() {
-                    ss.insert_row(Row {
-                        values: s_vals.clone(),
-                        lsn,
-                        counter: 1,
-                        flag: ConsistencyFlag::Consistent,
-                        presence: Default::default(),
-                        writer: morph_storage::SYSTEM,
-                    })?;
-                }
-                Ok(())
-            }
-            SEffect::Release { x } => {
-                let key = self.s_key(x);
-                let drop_row = ss.with_row_mut(&key, |row| {
-                    row.counter = row.counter.saturating_sub(1);
-                    if row.lsn < lsn {
-                        row.lsn = lsn;
-                    }
-                    row.counter == 0
-                });
-                if drop_row == Some(true) {
-                    let _ = ss.delete(&key);
-                }
-                Ok(())
-            }
-            SEffect::Stamp { x } => {
-                let key = self.s_key(x);
-                let _ = ss.with_row_mut(&key, |row| {
-                    if row.lsn < lsn {
-                        row.lsn = lsn;
-                    }
-                });
-                Ok(())
-            }
-            SEffect::DepUpdate {
-                x,
-                dep_updates,
-                all_deps,
-            } => {
-                let key = self.s_key(x);
-                ss.with_row_mut(&key, |row| {
-                    if row.lsn >= lsn {
-                        return;
-                    }
-                    for (s_pos, v) in dep_updates {
-                        row.values[*s_pos] = v.clone();
-                    }
-                    row.lsn = lsn;
-                    if row.counter > 1 {
-                        row.flag = ConsistencyFlag::Unknown;
-                    } else if *all_deps {
-                        row.flag = ConsistencyFlag::Consistent;
-                    }
-                });
-                Ok(())
-            }
-        }
-    }
-
-    /// Two-phase sharded batch apply. Records are lane-classified by
-    /// the subject's R-side shard; phase A applies the R halves per
-    /// lane concurrently and collects deferred S effects, phase B
-    /// re-buckets the effects by split-value shard, sorts each bucket
-    /// by LSN, and replays them concurrently. Each phase is one pool
-    /// epoch: the epoch fence between them guarantees every bucket is
-    /// complete before any S half is applied, and a failed phase-A
-    /// lane aborts the segment at the fence (its bucket contributions
-    /// are missing, so applying the rest would diverge). Split-column
-    /// changes and key moves are barriers (their S half reads the
-    /// shared record's current image, which is order-sensitive across
-    /// subjects), and checking mode falls back to the serial path
-    /// entirely (the checker's touch tracking assumes serial
-    /// application).
-    fn apply_batch_sharded_impl(
-        &mut self,
-        batch: &[(Lsn, &LogOp)],
-        pool: &ApplyPool,
-        scratch: &mut LaneScratch,
-    ) -> DbResult<()> {
-        let stride = shard_stride(pool.width().max(1));
-        if stride <= 1 || self.check {
-            return <Self as TransformOperator>::apply_batch(self, batch);
-        }
-        let t_id = self.t.id();
-        let r_side = Arc::clone(self.r_side());
-        let s = Arc::clone(&self.s);
-        // The classifier copies these out instead of borrowing `self`:
-        // the serial arm below needs `&mut self` (rule 8–11 replay),
-        // and the two closures coexist.
-        let t_pk = self.t_pk.clone();
-        let split_t = self.split_t;
-        drive_segments(
-            batch,
-            stride,
-            scratch,
-            |op| {
-                if op.table() != t_id {
-                    return LaneTag::Barrier;
-                }
-                match op {
-                    LogOp::Insert { row, .. } => {
-                        let y = Key::project(row, &t_pk);
-                        LaneTag::Class(r_side.shard_of_component(y.values()))
-                    }
-                    LogOp::Delete { key, .. } => {
-                        LaneTag::Class(r_side.shard_of_component(key.values()))
-                    }
-                    LogOp::Update { key, new, .. } => {
-                        if new.iter().any(|(i, _)| *i == split_t || t_pk.contains(i)) {
-                            LaneTag::Barrier
-                        } else {
-                            LaneTag::Class(r_side.shard_of_component(key.values()))
-                        }
-                    }
-                }
-            },
-            |seg| match seg {
-                SegmentRun::Serial(records) => {
-                    let mut rs = r_side.write_session();
-                    let mut ss = s.write_session();
-                    for &(lsn, op) in records {
-                        self.apply_in(&mut rs, &mut ss, lsn, op)?;
-                    }
-                    Ok(())
-                }
-                SegmentRun::Parallel(slice, lane_runs) => {
-                    let this = &*self;
-                    let r_side = &r_side;
-                    let s = &s;
-                    // Phase A (epoch 1): each subject lane applies its
-                    // R halves under a masked session and scatters its
-                    // deferred S effects into per-S-shard buckets.
-                    let buckets: Vec<Mutex<Vec<(Lsn, SEffect)>>> =
-                        (0..stride).map(|_| Mutex::new(Vec::new())).collect();
-                    {
-                        let buckets = &buckets;
-                        let tasks: Vec<EpochTask> = lane_runs
-                            .iter()
-                            .enumerate()
-                            .filter(|(_, run)| !run.is_empty())
-                            .map(|(w, run)| {
-                                Box::new(move || {
-                                    let mut rs = r_side.write_session_masked(stride, w);
-                                    let mut effects = Vec::new();
-                                    for &ri in run {
-                                        let (lsn, op) = slice[ri as usize];
-                                        this.r_apply_collect(&mut rs, lsn, op, &mut effects)?;
-                                    }
-                                    drop(rs);
-                                    let mut per: Vec<Vec<(Lsn, SEffect)>> =
-                                        (0..stride).map(|_| Vec::new()).collect();
-                                    for (lsn, eff) in effects {
-                                        let lane = s.shard_of_component(std::slice::from_ref(
-                                            eff.split_value(),
-                                        )) % stride;
-                                        per[lane].push((lsn, eff));
-                                    }
-                                    for (v, chunk) in per.into_iter().enumerate() {
-                                        if !chunk.is_empty() {
-                                            // morph-lint: allow(panic, std mutex poison implies a lane already panicked; that panic is re-raised at the fence)
-                                            buckets[v].lock().unwrap().extend(chunk);
-                                        }
-                                    }
-                                    Ok(())
-                                }) as EpochTask
-                            })
-                            .collect();
-                        pool.run_epoch(tasks)?;
-                    }
-
-                    // Phase B (epoch 2): each split-value shard sorts
-                    // its bucket by LSN — restoring the serial order
-                    // for every S-key it contains — and replays it
-                    // under a masked S session.
-                    let mut owned: Vec<Vec<(Lsn, SEffect)>> = buckets
-                        .into_iter()
-                        // morph-lint: allow(panic, std mutex poison implies a lane panicked; that panic was re-raised at the phase-A fence)
-                        .map(|b| b.into_inner().unwrap())
-                        .collect();
-                    let tasks: Vec<EpochTask> = owned
-                        .iter_mut()
-                        .enumerate()
-                        .filter(|(_, bucket)| !bucket.is_empty())
-                        .map(|(w, bucket)| {
-                            Box::new(move || {
-                                bucket.sort_by_key(|&(lsn, _)| lsn);
-                                let mut ss = s.write_session_masked(stride, w);
-                                for (lsn, eff) in bucket.iter() {
-                                    this.s_apply_effect(&mut ss, *lsn, eff)?;
-                                }
-                                Ok(())
-                            }) as EpochTask
-                        })
-                        .collect();
-                    pool.run_epoch(tasks)
-                }
-            },
-        )
-    }
-
     /// Parallel initial population: partitioned fuzzy scan with masked
     /// R-side writes per worker, plus worker-local S digests merged
     /// serially afterwards (S rows are shared across subjects, so they
-    /// cannot be written lane-locally). Checking mode falls back to the
+    /// cannot be written worker-locally). Checking mode falls back to the
     /// serial path so the checker sees every touch.
     pub(crate) fn populate_parallel_with(
         &mut self,
@@ -1195,7 +856,7 @@ impl SplitMapping {
             (0..workers).map(|_| Mutex::new(HashMap::new())).collect();
         let sink = |w: usize, chunk: Vec<(Key, Row)>| {
             let mut rs = r_side.write_session_masked(workers, w);
-            let mut local = locals[w].lock().expect("populate digest poisoned"); // morph-lint: allow(panic, std mutex poison implies a lane already panicked; that panic is re-raised at the join)
+            let mut local = locals[w].lock().expect("populate digest poisoned"); // morph-lint: allow(panic, std mutex poison implies a populate worker already panicked; that panic is re-raised at the join)
             for (key, row) in chunk {
                 this.r_insert(&mut rs, &row.values, row.lsn)?;
                 let x = this.split_val(&row.values);
@@ -1234,7 +895,7 @@ impl SplitMapping {
         // serial key-ordered scan would have absorbed first).
         let mut merged: BTreeMap<Value, SContrib> = BTreeMap::new();
         for local in locals {
-            // morph-lint: allow(panic, into_inner poison implies a populate lane panicked; that panic was re-raised at the join)
+            // morph-lint: allow(panic, into_inner poison implies a populate worker panicked; that panic was re-raised at the join)
             for (x, c) in local.into_inner().expect("populate digest poisoned") {
                 match merged.entry(x) {
                     std::collections::btree_map::Entry::Occupied(mut e) => {
@@ -1295,15 +956,6 @@ impl TransformOperator for SplitMapping {
             self.apply_in(&mut rs, &mut ss, lsn, op)?;
         }
         Ok(())
-    }
-
-    fn apply_batch_sharded(
-        &mut self,
-        batch: &[(Lsn, &LogOp)],
-        pool: &ApplyPool,
-        scratch: &mut LaneScratch,
-    ) -> DbResult<()> {
-        self.apply_batch_sharded_impl(batch, pool, scratch)
     }
 
     fn coalesce_policy(&self) -> CoalescePolicy {

@@ -16,7 +16,6 @@
 use crate::cc::Readiness;
 use crate::foj::FojMapping;
 use crate::operator::TransformOperator;
-use crate::pool::ApplyPool;
 use crate::progress::{Progress, ProgressHandle, ProgressPhase};
 use crate::propagate::Propagator;
 use crate::report::{PopulationStats, TransformReport};
@@ -264,33 +263,16 @@ impl TransformJob {
                 self.db.register_copy_snapshot(id, Arc::clone(&snap));
             }
         }
-        let mut prop = Propagator::new(&self.db, start_lsn, self.options.priority)
-            .with_parallel(self.options.parallel);
-        let apply_width = self.options.parallel.effective_apply_shards();
-        if apply_width > 1 {
-            // Spawn the persistent apply pool once, here, as a
-            // crash-instrumented step of the job; every parallel batch
-            // until `finish` reuses these workers. Serial jobs never
-            // reach the pool (or its crash point).
-            let pool = match ApplyPool::for_db(apply_width, Arc::clone(&self.db)) {
-                Ok(pool) => pool,
-                Err(e) => {
-                    self.cleanup();
-                    return Err(e);
-                }
-            };
-            prop = prop.with_pool(Arc::new(pool));
-        }
-        self.prop = Some(prop);
+        self.prop = Some(Propagator::new(&self.db, start_lsn, self.options.priority));
         // Pin the log at our cursor so concurrent truncation (memory
         // reclamation on long-running systems) never outruns us; the
         // guard self-releases on every exit path.
         self.log_guard = Some(self.db.protect_log(start_lsn));
-        let populated = if self.options.parallel.copy_workers > 1 {
+        let populated = if self.options.copy_workers > 1 {
             self.oper.populate_parallel(
                 &self.db,
                 self.options.population_chunk,
-                self.options.parallel.copy_workers,
+                self.options.copy_workers,
                 self.options.priority,
             )
         } else {
@@ -549,12 +531,7 @@ impl TransformJob {
         self.report.total = self.t0.elapsed();
         self.progress.set_phase(ProgressPhase::CutOver);
         // Release the log pin and propagation state; the report is the
-        // job's final product. The pool is drained first (with its
-        // crash point) so worker threads never outlive the job.
-        if let Some(prop) = self.prop.as_mut() {
-            self.report.pool = prop.pool_stats();
-            prop.shutdown_pool()?;
-        }
+        // job's final product.
         self.log_guard = None;
         self.prop = None;
         Ok(std::mem::take(&mut self.report))

@@ -14,10 +14,8 @@
 //! implementing further [`TransformOperator`]s.
 
 use crate::operator::{
-    drive_segments, scan_source_partitioned, scan_source_throttled, CoalescePolicy, LaneScratch,
-    LaneTag, SegmentRun, TransformOperator,
+    scan_source_partitioned, scan_source_throttled, CoalescePolicy, TransformOperator,
 };
-use crate::pool::{ApplyPool, EpochTask};
 use crate::throttle::Throttle;
 use morph_common::{ColumnType, DbError, DbResult, Key, Lsn, Schema, TableId, Value};
 use morph_engine::Database;
@@ -98,7 +96,7 @@ impl UnionMapping {
         // tag): a source row and its target row then route to the same
         // shard index, which both the parallel fuzzy copy (partitioned
         // source scans writing under masked target sessions) and the
-        // sharded apply's lane classification rely on.
+        // lazy backfill's shard-scoped batches rely on.
         t.set_shard_key((1..=src_schema.pkey().len()).collect())?;
         Ok(UnionMapping {
             r_tag: Value::str(spec.r_table.clone()),
@@ -345,73 +343,6 @@ impl TransformOperator for UnionMapping {
             self.apply_in(&mut ts, lsn, op)?;
         }
         Ok(())
-    }
-
-    /// Sharded apply. Every union rule is a direct key operation on the
-    /// target row mirroring the record's source row, LSN-gated — so the
-    /// lane of a record is simply the target shard its source key
-    /// routes to. Only updates that move a source primary key (two
-    /// subjects, possibly two shards) are barriers.
-    fn apply_batch_sharded(
-        &mut self,
-        batch: &[(Lsn, &LogOp)],
-        pool: &ApplyPool,
-        scratch: &mut LaneScratch,
-    ) -> DbResult<()> {
-        let stride = shard_stride(pool.width().max(1));
-        if stride <= 1 {
-            return self.apply_batch(batch);
-        }
-        let schema = self.r.schema();
-        let src_pk = schema.pkey().to_vec();
-        let this = &*self;
-        drive_segments(
-            batch,
-            stride,
-            scratch,
-            |op| match op {
-                LogOp::Insert { row, .. } => {
-                    LaneTag::Class(this.t.shard_of_component(schema.key_of(row).values()))
-                }
-                LogOp::Delete { key, .. } => {
-                    LaneTag::Class(this.t.shard_of_component(key.values()))
-                }
-                LogOp::Update { key, new, .. } => {
-                    if new.iter().any(|(i, _)| src_pk.contains(i)) {
-                        LaneTag::Barrier
-                    } else {
-                        LaneTag::Class(this.t.shard_of_component(key.values()))
-                    }
-                }
-            },
-            |seg| match seg {
-                SegmentRun::Serial(records) => {
-                    let mut ts = this.t.write_session();
-                    for &(lsn, op) in records {
-                        this.apply_in(&mut ts, lsn, op)?;
-                    }
-                    Ok(())
-                }
-                SegmentRun::Parallel(slice, lane_runs) => {
-                    let tasks: Vec<EpochTask> = lane_runs
-                        .iter()
-                        .enumerate()
-                        .filter(|(_, run)| !run.is_empty())
-                        .map(|(w, run)| {
-                            Box::new(move || {
-                                let mut ts = this.t.write_session_masked(stride, w);
-                                for &ri in run {
-                                    let (lsn, op) = slice[ri as usize];
-                                    this.apply_in(&mut ts, lsn, op)?;
-                                }
-                                Ok(())
-                            }) as EpochTask
-                        })
-                        .collect();
-                    pool.run_epoch(tasks)
-                }
-            },
-        )
     }
 
     fn coalesce_policy(&self) -> CoalescePolicy {

@@ -21,10 +21,6 @@ pub struct Counters {
     /// Archived row versions reclaimed by MVCC garbage collection
     /// ([`Database::mvcc_gc`](../database/struct.Database.html)).
     pub mvcc_reclaimed: AtomicU64,
-    /// Work-stealing apply-pool steals flushed back to the engine at
-    /// pool shutdown (per-shard rollup; the live per-pool figure is in
-    /// `PoolStats`).
-    pub steals: AtomicU64,
 }
 
 /// One engine's counters, read at a point in time — the per-shard leaf
@@ -48,8 +44,6 @@ pub struct CountersSnapshot {
     pub ops: u64,
     /// Versions reclaimed by MVCC GC.
     pub mvcc_reclaimed: u64,
-    /// Apply-pool steals flushed to this engine.
-    pub steals: u64,
     /// WAL flushes performed by this engine's log manager.
     pub wal_flushes: u64,
     /// Records appended to this engine's WAL.
@@ -68,7 +62,6 @@ impl CountersSnapshot {
         self.doomed_aborts += other.doomed_aborts;
         self.ops += other.ops;
         self.mvcc_reclaimed += other.mvcc_reclaimed;
-        self.steals += other.steals;
         self.wal_flushes += other.wal_flushes;
         self.wal_records += other.wal_records;
         self.lock_waits += other.lock_waits;
@@ -98,7 +91,6 @@ impl Counters {
             doomed_aborts: Self::get(&self.doomed_aborts),
             ops: Self::get(&self.ops),
             mvcc_reclaimed: Self::get(&self.mvcc_reclaimed),
-            steals: Self::get(&self.steals),
             wal_flushes: 0,
             wal_records: 0,
             lock_waits: 0,

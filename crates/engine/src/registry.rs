@@ -58,8 +58,8 @@ impl TxnCell {
 const REGISTRY_SHARDS: usize = 16;
 
 /// Registry of active transactions, sharded by transaction id so that
-/// concurrent begin/get/remove traffic from updater threads and
-/// parallel apply lanes does not serialize on one map lock. Whole-set
+/// concurrent begin/get/remove traffic from updater threads does not
+/// serialize on one map lock. Whole-set
 /// operations (fuzzy mark, checkpoint) take every shard's write lock
 /// in index order — same-class nesting in a canonical order, exactly
 /// like the storage shard latches — which still blocks admission

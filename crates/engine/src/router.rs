@@ -252,8 +252,8 @@ impl ShardedDatabase {
     }
 
     /// Aggregate engine counters across all shards with the per-shard
-    /// breakdown (WAL flushes, apply-pool steals, MVCC reclamation,
-    /// lock waits, transaction and op counts).
+    /// breakdown (WAL flushes, MVCC reclamation, lock waits,
+    /// transaction and op counts).
     pub fn counters(&self) -> ShardCounters {
         let per_shard: Vec<CountersSnapshot> = self
             .shards

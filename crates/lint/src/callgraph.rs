@@ -61,7 +61,7 @@ pub struct CallGraph {
 /// name-based edge through them would wire unrelated code together.
 /// Load-bearing seams hiding behind such a name (`log.append`,
 /// `locks().lock`, `catalog.get`) are covered by manifest `fn`
-/// summaries instead, which apply in both `--fast` and full mode.
+/// summaries instead.
 const UNRESOLVED_NAMES: &[&str] = &[
     // construction / conversion
     "new",

@@ -4,10 +4,9 @@
 //! Eight passes, each a module under [`passes`]:
 //!
 //! 1. `lock_order`  — lock acquisitions must follow the checked-in
-//!    rank manifest (`manifest/lock_ranks.txt`); full mode propagates
-//!    entry lock-sets through the whole-workspace call graph to a
-//!    fixed point ([`callgraph`] + [`dataflow`]), `--fast` keeps the
-//!    historical one-level approximation.
+//!    rank manifest (`manifest/lock_ranks.txt`); entry lock-sets are
+//!    propagated through the whole-workspace call graph to a fixed
+//!    point ([`callgraph`] + [`dataflow`]).
 //! 2. `nondet`      — no ambient time/entropy in replay-deterministic
 //!    code (sim, core, wal, txn) without an allow escape.
 //! 3. `crash_point` — every `crash_point("…")` literal registered in
@@ -21,9 +20,9 @@
 //!    least the role's minimum for that site kind.
 //! 7. `purity`      — snapshot readers (`snapshot_read`/`snapshot_scan`
 //!    and the lazy interceptor) cannot reach a blocking lock-manager
-//!    acquire through the call graph (full mode only).
+//!    acquire through the call graph.
 //! 8. `stale_allow` — an `allow(…)` escape that no longer suppresses
-//!    any finding is itself a finding (full mode only).
+//!    any finding is itself a finding.
 //!
 //! Escape grammar: `// morph-lint: allow(<pass>, <reason>)` on the
 //! finding's line or the line directly above it; `// morph-lint:
@@ -182,9 +181,6 @@ pub struct Config {
     /// Lock-class names whose blocking acquisition marks a function
     /// dirty for the purity pass.
     pub purity_forbidden: Vec<String>,
-    /// `--fast` pre-commit mode: skip the interprocedural fixed point,
-    /// the purity proof, and the stale-allow audit.
-    pub fast: bool,
     /// Workspace crate dependency edges (`core` → `[storage, wal, …]`),
     /// parsed from the member `Cargo.toml`s. Call resolution refuses
     /// cross-crate edges the dependency graph cannot carry — a `wal`
@@ -228,7 +224,6 @@ impl Config {
                 "txn.lock_table".into(),
                 "txn.held".into(),
             ],
-            fast: false,
             det_zones: vec![
                 "crates/sim/src".into(),
                 "crates/core/src".into(),
@@ -318,9 +313,7 @@ pub fn run_all(cfg: &Config, files: &[SourceFile]) -> Vec<Finding> {
     findings.extend(passes::panic_audit::run(cfg, files));
     findings.extend(passes::wal_bytes::run(cfg, files));
     findings.extend(passes::atomics::run(cfg, files));
-    if !cfg.fast {
-        findings.extend(passes::purity::run(cfg, files, &graph, &facts));
-    }
+    findings.extend(passes::purity::run(cfg, files, &graph, &facts));
 
     // Central suppression: an `allow(<pass>)` on the finding's line or
     // the line above swallows it — and is thereby marked *used*.
@@ -338,27 +331,24 @@ pub fn run_all(cfg: &Config, files: &[SourceFile]) -> Vec<Finding> {
         }
     });
 
-    // Stale-allow audit (full mode only: `--fast` legitimately skips
-    // the passes some escapes exist for).
-    if !cfg.fast {
-        for (fi, f) in files.iter().enumerate() {
-            for d in &f.lexed.directives {
-                if d.verb != "allow" || !PASSES.contains(&d.arg.as_str()) {
-                    continue;
-                }
-                if !used.contains(&(fi, d.line, d.arg.clone())) {
-                    findings.push(Finding {
-                        pass: "stale_allow",
-                        file: f.rel.clone(),
-                        line: d.line,
-                        key: d.arg.clone(),
-                        msg: format!(
-                            "stale escape: `allow({})` no longer suppresses any finding — \
-                             remove it so the audit trail stays honest",
-                            d.arg
-                        ),
-                    });
-                }
+    // Stale-allow audit.
+    for (fi, f) in files.iter().enumerate() {
+        for d in &f.lexed.directives {
+            if d.verb != "allow" || !PASSES.contains(&d.arg.as_str()) {
+                continue;
+            }
+            if !used.contains(&(fi, d.line, d.arg.clone())) {
+                findings.push(Finding {
+                    pass: "stale_allow",
+                    file: f.rel.clone(),
+                    line: d.line,
+                    key: d.arg.clone(),
+                    msg: format!(
+                        "stale escape: `allow({})` no longer suppresses any finding — \
+                         remove it so the audit trail stays honest",
+                        d.arg
+                    ),
+                });
             }
         }
     }

@@ -2,10 +2,7 @@
 //! any finding. `cargo run -p morph-lint` from anywhere inside the
 //! repo; scripts/ci.sh runs it before the release build.
 //!
-//! Flags:
-//!   --fast         one-level lock pass only (pre-commit speed): skips
-//!                  the interprocedural fixed point, the purity proof,
-//!                  and the stale-allow audit
+//! Flag:
 //!   --json[=PATH]  machine-readable findings with stable IDs, written
 //!                  to PATH (or stdout); human output still printed
 
@@ -30,25 +27,19 @@ fn workspace_root() -> Result<PathBuf, String> {
 }
 
 fn run() -> Result<bool, String> {
-    let mut fast = false;
     let mut json: Option<Option<String>> = None;
     for arg in std::env::args().skip(1) {
-        if arg == "--fast" {
-            fast = true;
-        } else if arg == "--json" {
+        if arg == "--json" {
             json = Some(None);
         } else if let Some(path) = arg.strip_prefix("--json=") {
             json = Some(Some(path.to_string()));
         } else {
-            return Err(format!(
-                "unknown flag {arg} (expected --fast / --json[=PATH])"
-            ));
+            return Err(format!("unknown flag {arg} (expected --json[=PATH])"));
         }
     }
 
     let root = workspace_root()?;
-    let mut cfg = morph_lint::Config::for_repo(&root)?;
-    cfg.fast = fast;
+    let cfg = morph_lint::Config::for_repo(&root)?;
     let files = morph_lint::load_workspace(&root)?;
     let findings = morph_lint::run_all(&cfg, &files);
 
@@ -56,10 +47,9 @@ fn run() -> Result<bool, String> {
         println!("{finding}");
     }
     println!(
-        "morph-lint: {} file(s) scanned, {} finding(s){}",
+        "morph-lint: {} file(s) scanned, {} finding(s)",
         files.len(),
-        findings.len(),
-        if fast { " [fast mode]" } else { "" }
+        findings.len()
     );
     for pass in morph_lint::PASSES {
         let n = findings.iter().filter(|f| f.pass == pass).count();

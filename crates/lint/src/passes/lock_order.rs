@@ -1,6 +1,6 @@
 //! Pass 1: lock-order checking against `manifest/lock_ranks.txt`.
 //!
-//! Both modes share the lexical guard tracker in [`crate::dataflow`]:
+//! The lexical guard tracker lives in [`crate::dataflow`]:
 //! `let`-bound results of `.lock()/.read()/.write()` (and of manifest
 //! `fn … guard` calls) are live guards until their scope closes or an
 //! explicit `drop(name)`. At every acquisition the live guard set is
@@ -9,11 +9,10 @@
 //! first); acquiring a held class again is a re-acquire unless the
 //! class is `multi` (sharded siblings taken in a canonical order).
 //!
-//! Full mode additionally propagates each function's *entry lock-set*
+//! On top of that, each function's *entry lock-set* is propagated
 //! through the whole-workspace call graph to a fixed point, so an
 //! acquisition three frames beneath a held guard is flagged with the
-//! complete inter-file call chain. `--fast` skips the propagation and
-//! keeps the historical one-level approximation for pre-commit runs.
+//! complete inter-file call chain.
 //!
 //! Non-blocking acquisitions (`try_*`, manifest `try` fns) cannot
 //! participate in a deadlock cycle's wait edge, so they are tracked
@@ -31,14 +30,12 @@ pub fn run(
 ) -> Vec<Finding> {
     let mut out = Vec::new();
     intraprocedural(cfg, files, graph, facts, &mut out);
-    if !cfg.fast {
-        interprocedural(cfg, files, graph, facts, &mut out);
-    }
+    interprocedural(cfg, files, graph, facts, &mut out);
     out
 }
 
 /// Checks every acquisition against the guards lexically held at that
-/// point — identical in `--fast` and full mode.
+/// point.
 fn intraprocedural(
     cfg: &Config,
     files: &[SourceFile],

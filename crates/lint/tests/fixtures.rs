@@ -31,7 +31,6 @@ fn fixture_config() -> Config {
         atomics_zones: vec!["fixtures/".into()],
         purity_roots: vec!["Reader::snapshot_read".into()],
         purity_forbidden: vec!["lock.table".into()],
-        fast: false,
         crate_deps: std::collections::HashMap::new(),
     }
 }
@@ -171,36 +170,6 @@ fn clean_fixtures_are_silent_on_every_pass() {
             .map(|f| format!("  {f}"))
             .collect::<Vec<_>>()
             .join("\n")
-    );
-}
-
-#[test]
-fn fast_mode_keeps_the_intraprocedural_pins() {
-    // `--fast` must still catch every lexical defect; the deep
-    // inversion, the purity proof, and the stale-allow audit are the
-    // full-mode extras that legitimately disappear.
-    let mut cfg = fixture_config();
-    cfg.fast = true;
-    cfg.purity_roots = Vec::new();
-    let findings = run_all(&cfg, &fixture_files());
-    let has = |file: &str, line: usize, pass: &str| {
-        findings
-            .iter()
-            .any(|f| f.file == file && f.line == line && f.pass == pass)
-    };
-    assert!(has("fixtures/rank_inversion.rs", 14, "lock_order"));
-    assert!(has("fixtures/atomic_ordering.rs", 14, "atomics"));
-    assert!(
-        !has("fixtures/deep_inversion.rs", 16, "lock_order"),
-        "fast mode should skip the interprocedural fixed point"
-    );
-    assert!(
-        !has("fixtures/stale_allow.rs", 6, "stale_allow"),
-        "fast mode should skip the stale-allow audit"
-    );
-    assert!(
-        !findings.iter().any(|f| f.pass == "purity"),
-        "fast mode should skip the purity proof"
     );
 }
 

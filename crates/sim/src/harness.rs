@@ -39,7 +39,7 @@
 
 use crate::scenario::Scenario;
 use morph_common::{DbError, DbResult, Key, Schema, TableId, Value};
-use morph_core::{ParallelConfig, SyncStrategy, TransformMode};
+use morph_core::{SyncStrategy, TransformMode};
 use morph_engine::{recover_into, CrashHook, Database};
 use morph_storage::row::Presence;
 use morph_storage::ConsistencyFlag;
@@ -86,12 +86,6 @@ pub struct SimConfig {
     /// fallback — serial is the determinism pin; CI forces
     /// `MORPH_WAL_MODE=group` to prove the matrix holds in both.
     pub wal_mode: WalMode,
-    /// Parallelism of the transformation under test. Defaults to the
-    /// serial pipeline (the determinism pin). The pool kill matrix
-    /// runs `apply_shards > 1`; the reference run the oracle compares
-    /// against is *always* serial, so every parallel sim is also a
-    /// parallel ≡ serial equivalence check.
-    pub parallel: ParallelConfig,
     /// Initial-population mode of the transformation under test.
     /// Defaults to the fuzzy copy + log propagation pipeline (the
     /// determinism pin: with the default, MVCC stays disabled and the
@@ -111,7 +105,6 @@ impl SimConfig {
             kill: None,
             inject_budget: 40,
             wal_mode: WalMode::from_env(WalMode::Serial),
-            parallel: ParallelConfig::serial(),
             mode: TransformMode::LogPropagation,
         }
     }
@@ -119,14 +112,6 @@ impl SimConfig {
     #[must_use]
     pub fn kill_at(mut self, point: &str, occurrence: usize) -> SimConfig {
         self.kill = Some(Kill::new(point, occurrence));
-        self
-    }
-
-    /// Run the transformation under test with the given parallelism
-    /// (the oracle's reference run stays serial).
-    #[must_use]
-    pub fn parallel(mut self, parallel: ParallelConfig) -> SimConfig {
-        self.parallel = parallel;
         self
     }
 
@@ -430,7 +415,7 @@ pub fn run_sim(cfg: &SimConfig) -> Result<SimReport, SimFailure> {
     let run = build(cfg)?;
     let result = cfg
         .scenario
-        .run_with_mode(&run.db, cfg.strategy, cfg.parallel, cfg.mode)
+        .run_with_mode(&run.db, cfg.strategy, cfg.mode)
         .and_then(|report| {
             // A snapshot-mode universe ends with a GC sweep so that
             // `mvcc.gc_reclaim` is part of the census (and killable):
@@ -528,7 +513,7 @@ pub fn run_sim(cfg: &SimConfig) -> Result<SimReport, SimFailure> {
 
             // ---- oracle 2: restart the transformation from prep ----
             cfg.scenario
-                .run_with_mode(&db2, cfg.strategy, cfg.parallel, cfg.mode)
+                .run_with_mode(&db2, cfg.strategy, cfg.mode)
                 .map_err(|e| fail(format!("re-transformation failed: {e}"), &trace))?;
             trace.push("re-transformation: ok".to_owned());
 

@@ -13,8 +13,8 @@ use morph_common::{ColumnType, DbResult, Schema, Value};
 use morph_core::foj::figure1_schemas;
 use morph_core::split::example1_schema;
 use morph_core::{
-    FojSpec, ParallelConfig, SplitSpec, SyncStrategy, TransformMode, TransformOptions,
-    TransformReport, Transformer, UnionSpec,
+    FojSpec, SplitSpec, SyncStrategy, TransformMode, TransformOptions, TransformReport,
+    Transformer, UnionSpec,
 };
 use morph_engine::Database;
 use morph_workload::TableProfile;
@@ -264,22 +264,10 @@ impl Scenario {
         }
     }
 
-    /// Run the scenario's transformation synchronously on the serial
-    /// pipeline (the determinism pin).
+    /// Run the scenario's transformation synchronously with the
+    /// default population mode (the determinism pin).
     pub fn run(&self, db: &Arc<Database>, strategy: SyncStrategy) -> DbResult<TransformReport> {
-        self.run_with(db, strategy, ParallelConfig::serial())
-    }
-
-    /// Run the scenario's transformation synchronously under an
-    /// explicit parallel configuration (the pool kill matrix drives
-    /// `apply_shards > 1` through here).
-    pub fn run_with(
-        &self,
-        db: &Arc<Database>,
-        strategy: SyncStrategy,
-        parallel: ParallelConfig,
-    ) -> DbResult<TransformReport> {
-        self.run_with_mode(db, strategy, parallel, TransformMode::LogPropagation)
+        self.run_with_mode(db, strategy, TransformMode::LogPropagation)
     }
 
     /// Run the scenario's transformation under an explicit population
@@ -291,11 +279,9 @@ impl Scenario {
         &self,
         db: &Arc<Database>,
         strategy: SyncStrategy,
-        parallel: ParallelConfig,
         mode: TransformMode,
     ) -> DbResult<TransformReport> {
         let mut options = sim_options(strategy);
-        options.parallel = parallel;
         options.mode = mode;
         match self {
             Scenario::Foj => {

@@ -137,11 +137,17 @@ fn interrupted_restart_equals_uninterrupted_run() {
         (Scenario::Split, "populate.chunk"),
         (Scenario::Split, "propagate.batch"),
     ] {
-        for seed in [2, 3] {
-            let cfg =
-                SimConfig::new(seed, scenario, SyncStrategy::NonBlockingAbort).kill_at(point, 2);
-            let report = run_sim(&cfg).unwrap_or_else(|f| panic!("{}", f.render()));
-            assert_eq!(report.verdict, Verdict::KilledAndRecovered);
+        for strategy in STRATEGIES {
+            for seed in [2, 3] {
+                let cfg = SimConfig::new(seed, scenario, strategy).kill_at(point, 2);
+                let report = run_sim(&cfg).unwrap_or_else(|f| panic!("{}", f.render()));
+                assert_eq!(
+                    report.verdict,
+                    Verdict::KilledAndRecovered,
+                    "{} {strategy:?} seed {seed}: {point}#2 never fired",
+                    scenario.tag()
+                );
+            }
         }
     }
 }

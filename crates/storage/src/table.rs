@@ -7,17 +7,17 @@
 //! its own B-tree under its own latch. A row is routed to a shard by a
 //! deterministic hash of its *shard key* — by default the whole
 //! primary key, optionally a subset of key positions chosen at
-//! preparation time ([`Table::set_shard_key`]) so that rows a
-//! propagation rule touches together colocate (a FOJ target routes by
-//! the join component, keeping every row of one join group in one
-//! shard).
+//! preparation time ([`Table::set_shard_key`]) so that a source row
+//! and the target row mirroring it route to the same shard index (a
+//! union target routes by the source-key suffix, skipping the
+//! provenance tag).
 //!
 //! Single-key operations latch only the owning shard, scans and
 //! whole-table latches compose all shard latches in ascending order,
 //! and [`Table::write_session_masked`] opens a session over a strided
-//! subset of shards — the storage half of subject-sharded parallel
-//! apply: workers on disjoint masks write the same table concurrently
-//! without ever sharing a latch.
+//! subset of shards — the storage half of the parallel fuzzy copy and
+//! of shard-scoped lazy backfill: workers on disjoint masks write the
+//! same table concurrently without ever sharing a latch.
 
 use crate::index::SecondaryIndex;
 use crate::mvcc::{CommitTable, VersionChain, VersionEntry, SYSTEM};
@@ -31,12 +31,12 @@ use std::ops::Bound;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 
-/// Number of storage shards per table. A power of two so that lane
+/// Number of storage shards per table. A power of two so that worker
 /// strides {1, 2, 4, 8} tile the shard space exactly.
 pub const TABLE_SHARDS: usize = 8;
 
 /// Largest stride that tiles the shard space and does not exceed `n`
-/// (the usable worker/lane count for a requested parallelism of `n`).
+/// (the usable worker count for a requested parallelism of `n`).
 pub fn shard_stride(n: usize) -> usize {
     let mut s = 1;
     while s * 2 <= n.min(TABLE_SHARDS) {
@@ -443,14 +443,6 @@ impl Table {
     /// The shard a row with this primary key lives in.
     pub fn shard_of_key(&self, key: &Key) -> usize {
         route_hash(&key.0, self.shard_key.read().as_deref())
-    }
-
-    /// The shard selected by the routing-component values alone (the
-    /// values at the shard-key positions, in their configured order).
-    /// Operators use this to assign log records to apply lanes without
-    /// materializing target keys.
-    pub fn shard_of_component(&self, component: &[Value]) -> usize {
-        route_hash(component, None)
     }
 
     fn route(&self, key: &Key) -> usize {
@@ -1085,11 +1077,11 @@ impl Table {
 
     /// Open a write session over the shards `s` with
     /// `s % stride == offset` only. Sessions with the same stride and
-    /// different offsets hold disjoint latch sets, so parallel apply
-    /// lanes can write the same table concurrently. Operations that
+    /// different offsets hold disjoint latch sets, so parallel copy
+    /// workers can write the same table concurrently. Operations that
     /// route outside the mask fail with an internal error rather than
-    /// touching unlatched state — lane classification bugs surface as
-    /// hard errors, not silent corruption.
+    /// touching unlatched state — partitioning bugs surface as hard
+    /// errors, not silent corruption.
     ///
     /// `stride` must tile the shard space (see [`shard_stride`]).
     pub fn write_session_masked(&self, stride: usize, offset: usize) -> WriteSession<'_> {
@@ -2039,16 +2031,13 @@ mod tests {
             )
             .unwrap();
         }
-        // All rows of one group share a shard, and the component-only
-        // hash agrees with the full-key routing.
-        for g in 0..4 {
-            let component = [Value::str(format!("g{g}"))];
-            let shard = t.shard_of_component(&component);
-            for i in 0..64i64 {
-                if i % 4 == g {
-                    let key = Key::new([Value::Int(i), Value::str(format!("g{g}"))]);
-                    assert_eq!(t.shard_of_key(&key), shard);
-                }
+        // All rows of one group share a shard, whatever their first
+        // key component.
+        for g in 0..4i64 {
+            let key = |i: i64| Key::new([Value::Int(i), Value::str(format!("g{g}"))]);
+            let shard = t.shard_of_key(&key(g));
+            for i in (g..64).step_by(4) {
+                assert_eq!(t.shard_of_key(&key(i)), shard);
             }
         }
         // Too late once rows exist.

@@ -166,7 +166,7 @@ mod tests {
     use super::*;
     use crate::client::HotSide;
     use crate::setup;
-    use morph_core::{FojSpec, ParallelConfig, SplitSpec, TransformOptions, Transformer};
+    use morph_core::{FojSpec, SplitSpec, TransformOptions, Transformer};
 
     fn small_split_db() -> Arc<Database> {
         let db = Arc::new(Database::new());
@@ -210,7 +210,7 @@ mod tests {
             spec,
             TransformOptions::default()
                 .deadline(Duration::from_secs(30))
-                .parallel(ParallelConfig::new(4, 4)),
+                .copy_workers(4),
         );
         let during = runner.measure(Duration::from_millis(150));
         let report = handle.join().expect("transformation");
@@ -259,7 +259,7 @@ mod tests {
             FojSpec::new("R", "S", "T", "c", "c"),
             TransformOptions::default()
                 .deadline(Duration::from_secs(30))
-                .parallel(ParallelConfig::new(4, 4)),
+                .copy_workers(4),
         );
         let during = runner.measure(Duration::from_millis(150));
         let report = handle.join().expect("transformation");

@@ -1,25 +1,23 @@
-//! Property: the parallel transformation pipeline — partitioned
-//! parallel fuzzy copy plus subject-sharded batch apply — is
-//! observationally equivalent to the serial pipeline.
+//! Property: the partitioned parallel fuzzy copy (§3.2) is
+//! observationally equivalent to the serial copy.
 //!
-//! Two databases replay byte-identical histories. One transforms with
-//! `ParallelConfig { copy_workers: N, apply_shards: M }`, the other
-//! with the serial `1/1` configuration, and the target tables must
-//! come out row-for-row identical (and both must match the reference
-//! oracle). Any divergence is the parallel path's fault: an unsound
-//! lane classification (a record whose probe set escapes its subject
-//! shard), a lost barrier, an out-of-order shared-S effect, or a
+//! Two databases replay byte-identical histories. One populates its
+//! targets with `populate_parallel` over `copy_workers` scan threads,
+//! the other with the single-threaded `populate`; both then drain the
+//! same log tail through the one propagation path, and the target
+//! tables must come out row-for-row identical (and both must match the
+//! reference oracle). Any divergence is the parallel copy's fault: a
+//! masked write session that let a row escape its shard class, or a
 //! population merge that picked the wrong canonical S image.
 //!
-//! The worker/shard counts honour `MORPH_PAR_COPY_WORKERS` and
-//! `MORPH_PAR_APPLY_SHARDS` (default 4) so CI can pin the
-//! configuration it wants to certify.
+//! The worker count honours `MORPH_PAR_COPY_WORKERS` (default 4) so CI
+//! can pin the configuration it wants to certify.
 
 use morphdb::core::foj::{self, FojMapping};
 use morphdb::core::propagate::Propagator;
 use morphdb::core::split::{self, SplitMapping};
 use morphdb::core::union::{self, UnionMapping};
-use morphdb::core::{ApplyPool, FojSpec, ParallelConfig, SplitSpec, TransformOperator, UnionSpec};
+use morphdb::core::{FojSpec, SplitSpec, TransformOperator, UnionSpec};
 use morphdb::{ColumnType, Database, Key, Schema, Value};
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -33,10 +31,6 @@ fn env_usize(name: &str, default: usize) -> usize {
 
 fn copy_workers() -> usize {
     env_usize("MORPH_PAR_COPY_WORKERS", 4)
-}
-
-fn apply_shards() -> usize {
-    env_usize("MORPH_PAR_APPLY_SHARDS", 4)
 }
 
 /// Rows of a target table as comparable tuples (key, values, counter,
@@ -81,8 +75,7 @@ enum FojStep {
     DeleteS {
         c: i64,
     },
-    /// Payload update on R — the only record class the FOJ sharded
-    /// apply runs in parallel lanes; everything else is a barrier.
+    /// Payload update on R (touches neither key nor join attribute).
     PayloadR {
         a: i64,
         tag: i64,
@@ -102,8 +95,7 @@ enum FojStep {
 }
 
 fn foj_step() -> impl Strategy<Value = FojStep> {
-    // Update-heavy mix (payload updates are the parallelizable class,
-    // so repeating that arm grows the parallel segments).
+    // Update-heavy mix: payload updates land on rows the copy wrote.
     prop_oneof![
         (0..24i64, 0..6i64).prop_map(|(a, c)| FojStep::InsertR { a, c }),
         (0..6i64).prop_map(|c| FojStep::InsertS { c }),
@@ -195,12 +187,7 @@ proptest! {
     fn foj_parallel_pipeline_equals_serial(
         pre in foj_history(20),
         post in foj_history(40),
-        shards in prop_oneof![Just(0usize), 2..6usize],
-        min_seg in prop_oneof![Just(1usize), Just(8), Just(128)],
     ) {
-        // `0` routes to the CI-pinned width so the certified
-        // configuration keeps appearing among the randomized ones.
-        let shards = if shards == 0 { apply_shards() } else { shards };
         let par = Arc::new(Database::new());
         let ser = Arc::new(Database::new());
         foj_sources(&par);
@@ -226,14 +213,7 @@ proptest! {
             run_foj_txn(&ser, steps, *commit);
         }
 
-        // Lane width and epoch threshold are fuzzed alongside the
-        // history: a width the classifier never saw, or a threshold
-        // that turns every two-record run into a real pool epoch, must
-        // not change a single row.
-        let mut pp = Propagator::new(&par, start_p, 1.0)
-            .with_parallel(
-                ParallelConfig::new(copy_workers(), shards).with_min_apply_segment(min_seg).exact(),
-            );
+        let mut pp = Propagator::new(&par, start_p, 1.0);
         pp.drain_all(&par, &mut mp).unwrap();
         let mut ps = Propagator::new(&ser, start_s, 1.0);
         ps.drain_all(&ser, &mut ms).unwrap();
@@ -259,12 +239,12 @@ enum SplitStep {
     Delete {
         a: i64,
     },
-    /// Split-value move (barrier: rule 11 reads the shared S image).
+    /// Split-value move (rule 11 reads the shared S image).
     Move {
         a: i64,
         c: i64,
     },
-    /// Pure R-part payload update (lane-classified).
+    /// Pure R-part payload update.
     Payload {
         a: i64,
         tag: i64,
@@ -273,8 +253,7 @@ enum SplitStep {
         a: i64,
         to: i64,
     },
-    /// Dependent-column refresh keeping the FD (exercises the deferred
-    /// `DepUpdate` effect in the sharded apply's S phase).
+    /// Dependent-column refresh keeping the FD.
     DepRefresh {
         a: i64,
     },
@@ -381,10 +360,7 @@ proptest! {
     fn split_parallel_pipeline_equals_serial(
         pre in split_history(20),
         post in split_history(40),
-        shards in prop_oneof![Just(0usize), 2..6usize],
-        min_seg in prop_oneof![Just(1usize), Just(8), Just(128)],
     ) {
-        let shards = if shards == 0 { apply_shards() } else { shards };
         let par = Arc::new(Database::new());
         let ser = Arc::new(Database::new());
         split_source(&par);
@@ -410,16 +386,13 @@ proptest! {
             run_split_txn(&ser, steps, *commit);
         }
 
-        let mut pp = Propagator::new(&par, start_p, 1.0)
-            .with_parallel(
-                ParallelConfig::new(copy_workers(), shards).with_min_apply_segment(min_seg).exact(),
-            );
+        let mut pp = Propagator::new(&par, start_p, 1.0);
         pp.drain_all(&par, &mut mp).unwrap();
         let mut ps = Propagator::new(&ser, start_s, 1.0);
         ps.drain_all(&ser, &mut ms).unwrap();
 
         // R rows' LSNs are state identifiers (§5.2): the parallel
-        // lanes must leave the same identifiers the serial pass does.
+        // copy must leave the same identifiers the serial one does.
         prop_assert_eq!(rows_with_lsn(&par, "R_t"), rows_with_lsn(&ser, "R_t"));
         // Shared S-records compare on logical state (values, counter);
         // see batched_equivalence.rs for why the watermark is exempt.
@@ -451,7 +424,7 @@ enum UnionStep {
     DeleteB {
         id: i64,
     },
-    /// Non-pk update — lane-classified in the union's sharded apply.
+    /// Non-pk update.
     PayloadA {
         id: i64,
         tag: i64,
@@ -460,7 +433,7 @@ enum UnionStep {
         id: i64,
         tag: i64,
     },
-    /// Source pk move — two subjects, possibly two lanes: a barrier.
+    /// Source pk move — two subjects, possibly two target shards.
     KeyMoveA {
         id: i64,
         to: i64,
@@ -551,10 +524,7 @@ proptest! {
     fn union_parallel_pipeline_equals_serial(
         pre in union_history(20),
         post in union_history(40),
-        shards in prop_oneof![Just(0usize), 2..6usize],
-        min_seg in prop_oneof![Just(1usize), Just(8), Just(128)],
     ) {
-        let shards = if shards == 0 { apply_shards() } else { shards };
         let par = Arc::new(Database::new());
         let ser = Arc::new(Database::new());
         union_sources(&par);
@@ -580,10 +550,7 @@ proptest! {
             run_union_txn(&ser, steps, *commit);
         }
 
-        let mut pp = Propagator::new(&par, start_p, 1.0)
-            .with_parallel(
-                ParallelConfig::new(copy_workers(), shards).with_min_apply_segment(min_seg).exact(),
-            );
+        let mut pp = Propagator::new(&par, start_p, 1.0);
         pp.drain_all(&par, &mut mp).unwrap();
         let mut ps = Propagator::new(&ser, start_s, 1.0);
         ps.drain_all(&ser, &mut ms).unwrap();
@@ -598,357 +565,4 @@ proptest! {
             return Err(TestCaseError::fail(format!("serial diverged: {e}")));
         }
     }
-}
-
-// --- deterministic lane stress --------------------------------------------
-//
-// The proptest histories are small, so most of their parallel segments
-// fall under the flatten-and-serialize threshold. These tests build
-// update bursts long enough that the sharded apply genuinely runs
-// concurrent lanes against ONE target table, with only two shard
-// classes so every lane sees heavy traffic.
-
-/// Seed `n` R rows (and the S partners) and return prepared mappings
-/// on two identically-loaded databases.
-fn foj_burst_db(n: i64) -> Arc<Database> {
-    let db = Arc::new(Database::new());
-    foj_sources(&db);
-    let txn = db.begin();
-    for c in 0..6i64 {
-        db.insert(txn, "S", vec![Value::Int(c), Value::Int(0)])
-            .unwrap();
-    }
-    for a in 0..n {
-        db.insert(
-            txn,
-            "R",
-            vec![Value::Int(a), Value::Int(0), Value::Int(a % 6)],
-        )
-        .unwrap();
-    }
-    db.commit(txn).unwrap();
-    db
-}
-
-#[test]
-fn foj_two_lane_burst_on_one_table_equals_serial() {
-    const ROWS: i64 = 400;
-    let par = foj_burst_db(ROWS);
-    let ser = foj_burst_db(ROWS);
-
-    let spec = FojSpec::new("R", "S", "T", "c", "c");
-    let mut mp = FojMapping::prepare(&par, &spec).unwrap();
-    let mut ms = FojMapping::prepare(&ser, &spec).unwrap();
-    let (_, start_p, _) = par.write_fuzzy_mark();
-    let (_, start_s, _) = ser.write_fuzzy_mark();
-    TransformOperator::populate_parallel(&mut mp, &par, 64, copy_workers(), 1.0).unwrap();
-    ms.populate(64).unwrap();
-
-    // Burst: five update rounds over every row — thousands of
-    // consecutive lane-classified records with no barrier between
-    // them, all landing in table T through two masked lanes.
-    for round in 0..5i64 {
-        for a in 0..ROWS {
-            let txn = par.begin();
-            par.update(
-                txn,
-                "R",
-                &Key::single(a),
-                &[(1, Value::Int(round * ROWS + a))],
-            )
-            .unwrap();
-            par.commit(txn).unwrap();
-            let txn = ser.begin();
-            ser.update(
-                txn,
-                "R",
-                &Key::single(a),
-                &[(1, Value::Int(round * ROWS + a))],
-            )
-            .unwrap();
-            ser.commit(txn).unwrap();
-        }
-    }
-
-    let mut pp =
-        Propagator::new(&par, start_p, 1.0).with_parallel(ParallelConfig::new(1, 2).exact());
-    pp.drain_all(&par, &mut mp).unwrap();
-    let mut ps = Propagator::new(&ser, start_s, 1.0);
-    ps.drain_all(&ser, &mut ms).unwrap();
-
-    assert_eq!(rows_of(&par, "T"), rows_of(&ser, "T"));
-    foj::verify_against_reference(&mp).expect("parallel diverged from reference");
-    foj::verify_against_reference(&ms).expect("serial diverged from reference");
-}
-
-fn split_burst_db(n: i64) -> Arc<Database> {
-    let db = Arc::new(Database::new());
-    split_source(&db);
-    let txn = db.begin();
-    for a in 0..n {
-        let c = a % 6;
-        db.insert(
-            txn,
-            "T",
-            vec![Value::Int(a), Value::Int(0), Value::Int(c), dep(c)],
-        )
-        .unwrap();
-    }
-    db.commit(txn).unwrap();
-    db
-}
-
-#[test]
-fn split_two_lane_burst_on_one_table_equals_serial() {
-    const ROWS: i64 = 400;
-    let par = split_burst_db(ROWS);
-    let ser = split_burst_db(ROWS);
-
-    let spec = SplitSpec::new("T", "R_t", "S_t", &["a", "b", "c"], "c", &["d"]);
-    let mut mp = SplitMapping::prepare(&par, &spec).unwrap();
-    let mut ms = SplitMapping::prepare(&ser, &spec).unwrap();
-    let (_, start_p, _) = par.write_fuzzy_mark();
-    let (_, start_s, _) = ser.write_fuzzy_mark();
-    TransformOperator::populate_parallel(&mut mp, &par, 64, copy_workers(), 1.0).unwrap();
-    ms.populate(64).unwrap();
-
-    // Burst of lane-classified records across both phases: payload
-    // updates (R only), FD-preserving dependent refreshes (deferred
-    // DepUpdate effects on shared S rows), and per-round delete +
-    // reinsert of a sixth of the rows (deferred Release/Absorb
-    // effects). Full coalescing keeps at most one update per key and
-    // run, so the round-robin over 400 keys leaves runs well past the
-    // flatten threshold.
-    for round in 0..5i64 {
-        for a in 0..ROWS {
-            for db in [&par, &ser] {
-                let txn = db.begin();
-                if a % 6 == round % 6 {
-                    db.delete(txn, "T", &Key::single(a)).unwrap();
-                    let c = (a + round) % 6;
-                    db.insert(
-                        txn,
-                        "T",
-                        vec![Value::Int(a), Value::Int(0), Value::Int(c), dep(c)],
-                    )
-                    .unwrap();
-                } else {
-                    db.update(
-                        txn,
-                        "T",
-                        &Key::single(a),
-                        &[
-                            (1, Value::Int(round * ROWS + a)),
-                            (3, dep((a + 5 * round) % 6)),
-                        ],
-                    )
-                    .unwrap();
-                }
-                db.commit(txn).unwrap();
-            }
-        }
-    }
-
-    let mut pp =
-        Propagator::new(&par, start_p, 1.0).with_parallel(ParallelConfig::new(1, 2).exact());
-    pp.drain_all(&par, &mut mp).unwrap();
-    let mut ps = Propagator::new(&ser, start_s, 1.0);
-    ps.drain_all(&ser, &mut ms).unwrap();
-
-    assert_eq!(rows_with_lsn(&par, "R_t"), rows_with_lsn(&ser, "R_t"));
-    assert_eq!(rows_of(&par, "S_t"), rows_of(&ser, "S_t"));
-}
-
-// --- persistent pool: skew, mid-stream barriers, seeded replay -------------
-//
-// The bursts above exercise wide uninterrupted runs. These three tests
-// target the pool machinery itself: lanes of very different lengths
-// (the caller must steal or idle, never misapply), barriers punched
-// into the middle of the stream (every lane must retire at the epoch
-// fence before the barrier record runs), and the seeded placement
-// rotation (`MORPH_POOL_SEED` is the env-var spelling of the same knob
-// for pools the propagator builds internally; tests use
-// `ApplyPool::with_seed` directly so parallel test binaries never race
-// on the process environment).
-
-/// Steal-heavy skew: alternate full-range update rounds (long, evenly
-/// split epochs) with tiny hot-set rounds whose segments — forced into
-/// real epochs by `min_apply_segment = 1` — leave most lanes empty
-/// while the caller fence-waits. Equivalence must survive whatever
-/// stealing the timing produces, and the pool must have genuinely run
-/// (handed-off epochs, not inline fallbacks only).
-#[test]
-fn foj_steal_heavy_skew_under_pool_equals_serial() {
-    const ROWS: i64 = 300;
-    let par = foj_burst_db(ROWS);
-    let ser = foj_burst_db(ROWS);
-
-    let spec = FojSpec::new("R", "S", "T", "c", "c");
-    let mut mp = FojMapping::prepare(&par, &spec).unwrap();
-    let mut ms = FojMapping::prepare(&ser, &spec).unwrap();
-    let (_, start_p, _) = par.write_fuzzy_mark();
-    let (_, start_s, _) = ser.write_fuzzy_mark();
-    TransformOperator::populate_parallel(&mut mp, &par, 64, copy_workers(), 1.0).unwrap();
-    ms.populate(64).unwrap();
-
-    for round in 0..6i64 {
-        // Even rounds touch every row; odd rounds only a 16-key hot
-        // set. Coalescing keeps one record per key and run, so the odd
-        // rounds produce short, skewed epochs.
-        let keys: Vec<i64> = if round % 2 == 0 {
-            (0..ROWS).collect()
-        } else {
-            (0..16).map(|k| (k * 7) % ROWS).collect()
-        };
-        for &a in &keys {
-            for db in [&par, &ser] {
-                let txn = db.begin();
-                db.update(
-                    txn,
-                    "R",
-                    &Key::single(a),
-                    &[(1, Value::Int(round * ROWS + a))],
-                )
-                .unwrap();
-                db.commit(txn).unwrap();
-            }
-        }
-    }
-
-    let mut pp = Propagator::new(&par, start_p, 1.0)
-        .with_parallel(ParallelConfig::new(1, 4).with_min_apply_segment(1).exact())
-        .with_pool(Arc::new(ApplyPool::new(4)));
-    pp.drain_all(&par, &mut mp).unwrap();
-    let stats = pp.pool_stats().expect("pool installed");
-    assert!(stats.epochs > 0, "no epochs ran: {stats:?}");
-    assert!(stats.handoffs > 0, "no lane hand-offs: {stats:?}");
-    pp.shutdown_pool().unwrap();
-
-    let mut ps = Propagator::new(&ser, start_s, 1.0);
-    ps.drain_all(&ser, &mut ms).unwrap();
-
-    assert_eq!(rows_of(&par, "T"), rows_of(&ser, "T"));
-    foj::verify_against_reference(&mp).expect("parallel diverged from reference");
-    foj::verify_against_reference(&ms).expect("serial diverged from reference");
-}
-
-/// Mid-stream barriers: every tenth key does a there-and-back primary
-/// key move (two barrier records) inside an otherwise lane-classified
-/// payload stream. Each barrier forces the preceding short run through
-/// an epoch fence; a lane applying past the fence would see the old
-/// key image and diverge.
-#[test]
-fn split_mid_stream_barriers_under_pool_equals_serial() {
-    const ROWS: i64 = 300;
-    let par = split_burst_db(ROWS);
-    let ser = split_burst_db(ROWS);
-
-    let spec = SplitSpec::new("T", "R_t", "S_t", &["a", "b", "c"], "c", &["d"]);
-    let mut mp = SplitMapping::prepare(&par, &spec).unwrap();
-    let mut ms = SplitMapping::prepare(&ser, &spec).unwrap();
-    let (_, start_p, _) = par.write_fuzzy_mark();
-    let (_, start_s, _) = ser.write_fuzzy_mark();
-    TransformOperator::populate_parallel(&mut mp, &par, 64, copy_workers(), 1.0).unwrap();
-    ms.populate(64).unwrap();
-
-    for round in 0..4i64 {
-        for a in 0..ROWS {
-            for db in [&par, &ser] {
-                let txn = db.begin();
-                if a % 10 == round % 10 {
-                    // Key hop out and back: two pk-move barriers whose
-                    // net effect is a no-op on the key space but whose
-                    // records split the run mid-stream.
-                    db.update(txn, "T", &Key::single(a), &[(0, Value::Int(a + 1000))])
-                        .unwrap();
-                    db.update(txn, "T", &Key::single(a + 1000), &[(0, Value::Int(a))])
-                        .unwrap();
-                } else {
-                    db.update(
-                        txn,
-                        "T",
-                        &Key::single(a),
-                        &[(1, Value::Int(round * ROWS + a))],
-                    )
-                    .unwrap();
-                }
-                db.commit(txn).unwrap();
-            }
-        }
-    }
-
-    let mut pp = Propagator::new(&par, start_p, 1.0)
-        .with_parallel(ParallelConfig::new(1, 4).with_min_apply_segment(1).exact())
-        .with_pool(Arc::new(ApplyPool::new(4)));
-    pp.drain_all(&par, &mut mp).unwrap();
-    let stats = pp.pool_stats().expect("pool installed");
-    assert!(stats.epochs > 0, "no epochs ran: {stats:?}");
-    pp.shutdown_pool().unwrap();
-
-    let mut ps = Propagator::new(&ser, start_s, 1.0);
-    ps.drain_all(&ser, &mut ms).unwrap();
-
-    assert_eq!(rows_with_lsn(&par, "R_t"), rows_with_lsn(&ser, "R_t"));
-    assert_eq!(rows_of(&par, "S_t"), rows_of(&ser, "S_t"));
-    split::verify_against_reference(&mp).expect("parallel diverged from reference");
-    split::verify_against_reference(&ms).expect("serial diverged from reference");
-}
-
-/// Seeded replay: the pool's placement rotation is a pure function of
-/// its seed, so two pools built with `with_seed(width, SEED)` over the
-/// same history must retire the same epochs with the same task
-/// distribution — that is what makes a failure under a logged
-/// `MORPH_POOL_SEED` replayable. Only the handoff/inline *split* may
-/// wobble (overflow depends on how fast workers drain their deques);
-/// the sum is the deterministic task count. A different seed rotates
-/// placement but must not change a row.
-#[test]
-fn pool_seed_replay_is_deterministic() {
-    const ROWS: i64 = 200;
-    const SEED: u64 = 0x5EED_CAFE;
-
-    let run = |seed: u64| {
-        let db = foj_burst_db(ROWS);
-        let spec = FojSpec::new("R", "S", "T", "c", "c");
-        let mut m = FojMapping::prepare(&db, &spec).unwrap();
-        let (_, start, _) = db.write_fuzzy_mark();
-        m.populate(64).unwrap();
-        for round in 0..3i64 {
-            for a in 0..ROWS {
-                let txn = db.begin();
-                db.update(
-                    txn,
-                    "R",
-                    &Key::single(a),
-                    &[(1, Value::Int(round * ROWS + a))],
-                )
-                .unwrap();
-                db.commit(txn).unwrap();
-            }
-        }
-        let mut p = Propagator::new(&db, start, 1.0)
-            .with_parallel(ParallelConfig::new(1, 4).with_min_apply_segment(1).exact())
-            .with_pool(Arc::new(ApplyPool::with_seed(4, seed)));
-        p.drain_all(&db, &mut m).unwrap();
-        let stats = p.pool_stats().expect("pool installed");
-        p.shutdown_pool().unwrap();
-        (rows_of(&db, "T"), stats)
-    };
-
-    let (rows_a, stats_a) = run(SEED);
-    let (rows_b, stats_b) = run(SEED);
-    assert_eq!(rows_a, rows_b, "same seed, different target tables");
-    assert_eq!(
-        stats_a.epochs, stats_b.epochs,
-        "same seed, different epoch count: {stats_a:?} vs {stats_b:?}"
-    );
-    assert_eq!(
-        stats_a.handoffs + stats_a.inline_runs,
-        stats_b.handoffs + stats_b.inline_runs,
-        "same seed, different task count: {stats_a:?} vs {stats_b:?}"
-    );
-
-    let (rows_c, stats_c) = run(SEED ^ 0xFFFF);
-    assert_eq!(rows_a, rows_c, "placement seed leaked into row state");
-    assert_eq!(stats_a.epochs, stats_c.epochs);
 }

@@ -1,25 +1,22 @@
-//! Pool under fire: a declarative migration running the persistent
-//! apply pool while `workload::spawn_updaters` writers hammer the
-//! source, paused and resumed mid-propagation by the orchestrator.
+//! Pause under fire: a declarative migration paused and resumed
+//! mid-propagation by the orchestrator while
+//! `workload::spawn_updaters` writers hammer the source.
 //!
 //! What must hold:
 //!
 //! * **The pause fence is absolute.** A paused migration parks at a
-//!   propagation-iteration boundary; every pool lane retires at the
-//!   epoch fence before the park, so no lane may write a target row
-//!   while the job is parked — even though the writers keep committing
-//!   source updates the whole time (pausing a migration must never
-//!   block clients).
-//! * **The pool parks and unparks cleanly.** Repeated pause/resume
-//!   cycles neither wedge the workers nor lose epochs.
+//!   propagation-iteration boundary; the propagator may not write a
+//!   target row while the job is parked — even though the writers keep
+//!   committing source updates the whole time (pausing a migration
+//!   must never block clients).
 //! * **Final targets ≡ uninterrupted reference.** After the writers
 //!   stop, the resumed migration must converge to exactly the targets
-//!   an uninterrupted serial run produces from the same final source
-//!   state (values, counters, presence — LSNs differ across log
-//!   histories and are compared in `parallel_equivalence.rs`, where
-//!   both pipelines share one).
+//!   an uninterrupted run produces from the same final source state
+//!   (values, counters, presence — LSNs differ across log histories
+//!   and are compared in `parallel_equivalence.rs`, where both
+//!   pipelines share one).
 
-use morphdb::core::{ParallelConfig, ProgressPhase, SplitSpec, TransformOptions, Transformer};
+use morphdb::core::{ProgressPhase, SplitSpec, TransformOptions, Transformer};
 use morphdb::orchestrator::{MigrationHandle, Orchestrator};
 use morphdb::workload::{spawn_updaters, UpdateTarget};
 use morphdb::{ColumnType, Database, Schema, Value};
@@ -68,12 +65,6 @@ fn rows_sans_lsn(db: &Database, name: &str) -> Vec<(morphdb::Key, Vec<Value>, u3
     rows
 }
 
-/// Pool configuration every test here runs: four lanes, every
-/// lane-classified run forced through a real epoch.
-fn pooled() -> ParallelConfig {
-    ParallelConfig::new(2, 4).with_min_apply_segment(1).exact()
-}
-
 const SPLIT_TEXT: &str =
     "ALTER TABLE W SPLIT INTO W_base (k, payload, grp) AND W_groups (grp -> dep)";
 
@@ -102,11 +93,11 @@ fn await_parked(db: &Database, handle: &MigrationHandle) {
 
 /// Pause fence + uninterrupted reference, in one scripted run:
 /// pause lands mid-propagation with a writer-generated backlog, the
-/// parked pool provably applies nothing while clients keep committing,
-/// and after resume the targets equal a serial from-scratch run over
-/// the identical frozen source.
+/// parked propagator provably applies nothing while clients keep
+/// committing, and after resume the targets equal an unpaused
+/// from-scratch run over the identical frozen source.
 #[test]
-fn paused_pool_migration_matches_uninterrupted_reference() {
+fn paused_migration_matches_uninterrupted_reference() {
     let db = Arc::new(Database::new());
     db.create_table("W", grouped_schema()).unwrap();
     seed_grouped(&db, "W", 2000, 20);
@@ -125,7 +116,7 @@ fn paused_pool_migration_matches_uninterrupted_reference() {
             TransformOptions::default()
                 .deadline(Duration::from_secs(120))
                 .retain_sources()
-                .parallel(pooled()),
+                .copy_workers(2),
         )
         .unwrap();
     // Requested before the first propagation iteration: the job
@@ -135,7 +126,8 @@ fn paused_pool_migration_matches_uninterrupted_reference() {
     handle.pause();
     await_parked(&db, &handle);
 
-    // The fence: writers commit on, the parked pool applies nothing.
+    // The fence: writers commit on, the parked propagator applies
+    // nothing.
     let committed_before = writers.committed();
     let base_before = rows_sans_lsn(&db, "W_base");
     let groups_before = rows_sans_lsn(&db, "W_groups");
@@ -143,20 +135,20 @@ fn paused_pool_migration_matches_uninterrupted_reference() {
     assert_eq!(
         rows_sans_lsn(&db, "W_base"),
         base_before,
-        "a pool lane applied a record past the pause fence"
+        "the propagator applied a record past the pause fence"
     );
     assert_eq!(
         rows_sans_lsn(&db, "W_groups"),
         groups_before,
-        "a pool lane applied a record past the pause fence (S side)"
+        "the propagator applied a record past the pause fence (S side)"
     );
     assert!(
         writers.committed() > committed_before,
         "writers must keep committing while the migration is parked"
     );
 
-    // Freeze the source while still parked, then let the pool drain
-    // the full backlog.
+    // Freeze the source while still parked, then let the propagator
+    // drain the full backlog.
     let committed = writers.stop();
     assert!(committed > 0, "the stress produced no source traffic");
     let source_rows = rows_sans_lsn(&db, "W");
@@ -171,8 +163,8 @@ fn paused_pool_migration_matches_uninterrupted_reference() {
         "retained source changed after the writers stopped"
     );
 
-    // Uninterrupted reference: the same split, serial and unpaused,
-    // over a fresh database seeded with the frozen source rows.
+    // Uninterrupted reference: the same split, unpaused, over a fresh
+    // database seeded with the frozen source rows.
     let reference = Arc::new(Database::new());
     reference.create_table("W", grouped_schema()).unwrap();
     let txn = reference.begin();
@@ -197,25 +189,25 @@ fn paused_pool_migration_matches_uninterrupted_reference() {
     assert_eq!(
         rows_sans_lsn(&db, "W_base"),
         rows_sans_lsn(&reference, "W_base"),
-        "paused+pooled R side diverged from the uninterrupted reference"
+        "paused R side diverged from the uninterrupted reference"
     );
     assert_eq!(
         rows_sans_lsn(&db, "W_groups"),
         rows_sans_lsn(&reference, "W_groups"),
-        "paused+pooled S side diverged from the uninterrupted reference"
+        "paused S side diverged from the uninterrupted reference"
     );
 }
 
 /// Unpark into live traffic: where the test above freezes the source
 /// before resuming, this one resumes with the writers still hammering
-/// the table — the woken pool must drain the parked backlog, converge
+/// the table — the woken job must drain the parked backlog, converge
 /// against the live log tail, sync, and cut over, all while updates
 /// keep landing. Exact payloads are then unknowable (writers race the
 /// cutover), so the oracle is structural: the writers never insert or
 /// delete, so row counts, split counters and the grp → dep functional
 /// dependency survive any interleaving.
 #[test]
-fn pool_unparks_into_live_traffic_and_converges() {
+fn migration_unparks_into_live_traffic_and_converges() {
     let db = Arc::new(Database::new());
     db.create_table("W", grouped_schema()).unwrap();
     seed_grouped(&db, "W", 800, 16);
@@ -234,14 +226,14 @@ fn pool_unparks_into_live_traffic_and_converges() {
             TransformOptions::default()
                 .deadline(Duration::from_secs(120))
                 .retain_sources()
-                .parallel(pooled()),
+                .copy_workers(2),
         )
         .unwrap();
     handle.pause();
     await_parked(&db, &handle);
 
     // Fence under fire, as above — then let go without stopping the
-    // writers. The parked window grew the backlog the woken pool now
+    // writers. The parked window grew the backlog the woken job now
     // has to win against.
     let before = rows_sans_lsn(&db, "W_base");
     let committed_before = writers.committed();
@@ -249,7 +241,7 @@ fn pool_unparks_into_live_traffic_and_converges() {
     assert_eq!(
         rows_sans_lsn(&db, "W_base"),
         before,
-        "lane applied past the pause fence"
+        "applied past the pause fence"
     );
     assert!(writers.committed() > committed_before);
 

@@ -11,15 +11,15 @@
 //!    generated histories (including snapshots taken *mid*-transaction)
 //!    pins the visibility rule to the recovery semantics.
 //!
-//! 2. **Readers never block.** While a pooled snapshot-mode split
-//!    migration and four writer threads hammer the source table,
+//! 2. **Readers never block.** While a snapshot-mode split migration
+//!    (two copy workers) and four writer threads hammer the source table,
 //!    reader threads continuously acquire snapshots and scan. Every
 //!    scan must observe a consistent image (exactly the seeded row
 //!    count — writers only update in place), and the per-thread
 //!    lock-wait counter must stay at zero: snapshot reads take no
 //!    transaction locks and wait on nobody, migration or not.
 
-use morphdb::core::{ParallelConfig, SplitSpec, TransformOptions, Transformer};
+use morphdb::core::{SplitSpec, TransformOptions, Transformer};
 use morphdb::engine::recover_into;
 use morphdb::txn::LockManagerConfig;
 use morphdb::wal::{LogManager, LogRecord};
@@ -242,7 +242,7 @@ fn snapshot_readers_never_block_during_pooled_migration() {
         TransformOptions::default()
             .deadline(Duration::from_secs(60))
             .retain_sources()
-            .parallel(ParallelConfig::new(2, 2).exact())
+            .copy_workers(2)
             .transform_mode(TransformMode::Snapshot),
     );
     let report = handle.join().expect("snapshot-mode split under fire");
