@@ -261,7 +261,6 @@ impl PopulationLoop {
         let stop = Arc::new(AtomicBool::new(false));
         let stop2 = Arc::clone(&stop);
         let handle = std::thread::spawn(move || {
-            let mut throttle = morph_core::throttle::Throttle::new(priority);
             let mut rounds = 0usize;
             while !stop2.load(Ordering::Relaxed) {
                 let tag = format!("__bench_pop_{rounds}");
@@ -273,14 +272,16 @@ impl PopulationLoop {
                             op == Op::SplitCc,
                         );
                         let mut m = SplitMapping::prepare(&db, &spec).expect("prepare");
-                        m.populate_throttled(512, &mut throttle).expect("populate");
+                        TransformOperator::populate(&mut m, &db, 512, 1, priority, None)
+                            .expect("populate");
                         let _ = db.catalog().drop_table(&format!("{tag}_r"));
                         let _ = db.catalog().drop_table(&format!("{tag}_s"));
                     }
                     Op::Foj => {
                         let spec = bench_foj_spec(&format!("{tag}_t"));
-                        let m = FojMapping::prepare(&db, &spec).expect("prepare");
-                        m.populate_throttled(512, &mut throttle).expect("populate");
+                        let mut m = FojMapping::prepare(&db, &spec).expect("prepare");
+                        TransformOperator::populate(&mut m, &db, 512, 1, priority, None)
+                            .expect("populate");
                         let _ = db.catalog().drop_table(&format!("{tag}_t"));
                     }
                 }
@@ -299,7 +300,7 @@ impl PopulationLoop {
 }
 
 /// One measured point of the parallel-population sweep (the
-/// `populate_parallel` bench).
+/// `populate_parallel` series of `propagate_batch`).
 pub struct PopulatePoint {
     pub copy_workers: usize,
     pub rows_read: usize,
@@ -348,7 +349,7 @@ pub fn populate_parallel_point(copy_workers: usize, reps: usize) -> PopulatePoin
         let spec = bench_split_spec(&format!("__pp{rep}_r"), &format!("__pp{rep}_s"), false);
         let mut m = SplitMapping::prepare(&db, &spec).expect("prepare");
         let t0 = std::time::Instant::now();
-        let (read, _) = TransformOperator::populate_parallel(&mut m, &db, 256, copy_workers, 1.0)
+        let (read, _) = TransformOperator::populate(&mut m, &db, 256, copy_workers, 1.0, None)
             .expect("populate");
         let ns = t0.elapsed().as_nanos();
         if let Some(r) = runner {
@@ -400,7 +401,7 @@ impl PropagationLoop {
             };
             let (_, start_lsn, _) = db.write_fuzzy_mark();
             let mut prop = Propagator::new(&db, start_lsn, priority);
-            oper.populate(&db, 1_024).expect("populate");
+            oper.populate(&db, 1_024, 1, 1.0, None).expect("populate");
             let abort = AtomicBool::new(false);
             let mut records = 0usize;
             while !stop2.load(Ordering::Relaxed) {

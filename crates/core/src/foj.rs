@@ -29,10 +29,9 @@ use morph_storage::{Row, Table, WriteSession};
 use morph_wal::LogOp;
 use std::collections::BTreeSet;
 use std::sync::Arc;
+use std::time::Instant;
 
-use crate::operator::{
-    scan_source_partitioned, scan_source_throttled, worker_share, TransformOperator,
-};
+use crate::operator::{check_deadline, fan_out, scan_source, worker_share, TransformOperator};
 use crate::spec::FojSpec;
 use crate::throttle::Throttle;
 use morph_storage::shard_stride;
@@ -349,152 +348,84 @@ impl FojMapping {
             .collect()
     }
 
-    /// Initial population (§3.2/§4.1): fuzzy-scan both sources, apply
-    /// the FOJ operator, insert the initial image into T. Returns
-    /// `(rows_read, rows_written)`.
+    /// Initial population at full priority on one scan thread (tests
+    /// and reference builds). Returns `(rows_read, rows_written)`.
     pub fn populate(&self, chunk_size: usize) -> DbResult<(usize, usize)> {
-        self.populate_throttled(chunk_size, &mut Throttle::new(1.0))
+        self.populate_with(None, chunk_size, 1, 1.0, None)
     }
 
-    /// Like [`FojMapping::populate`] but paying the given throttle per
-    /// chunk of work, so a low-priority population interleaves with
-    /// user transactions at fine granularity (§3.3: the transformation
-    /// is "a low priority background process").
-    pub fn populate_throttled(
-        &self,
-        chunk_size: usize,
-        throttle: &mut Throttle,
-    ) -> DbResult<(usize, usize)> {
-        self.populate_with(None, chunk_size, throttle)
-    }
-
-    /// [`FojMapping::populate_throttled`] with the database handle
-    /// threaded through so the fuzzy scan reports per-chunk crash
-    /// points (crash simulation).
-    pub(crate) fn populate_with(
-        &self,
-        db: Option<&Database>,
-        chunk_size: usize,
-        throttle: &mut Throttle,
-    ) -> DbResult<(usize, usize)> {
-        use std::time::Instant;
-        let mut r_rows: Vec<Vec<Value>> = Vec::new();
-        let mut read = scan_source_throttled(db, &self.r, chunk_size, throttle, |batch| {
-            r_rows.extend(batch.into_iter().map(|(_, row)| row.values));
-            Ok(())
-        })?;
-        let mut s_rows: Vec<Vec<Value>> = Vec::new();
-        read += scan_source_throttled(db, &self.s, chunk_size, throttle, |batch| {
-            s_rows.extend(batch.into_iter().map(|(_, row)| row.values));
-            Ok(())
-        })?;
-        // morph-lint: allow(nondet, elapsed-time stats for the report; wall time never enters table or WAL state)
-        let t0 = Instant::now();
-        let image = reference_foj(self, &r_rows, &s_rows);
-        throttle.pay(t0.elapsed());
-        let written = image.len();
-        // Insert the image chunk-wise, one write session per chunk, so
-        // the latch is held only briefly while concurrent writers run.
-        let mut it = image.into_iter().peekable();
-        while it.peek().is_some() {
-            if let Some(db) = db {
-                db.crash_point("populate.chunk")?;
-            }
-            // morph-lint: allow(nondet, elapsed-time stats for the report; wall time never enters table or WAL state)
-            let t0 = Instant::now();
-            let t = Arc::clone(&self.t);
-            let mut ts = t.write_session();
-            for (values, presence) in it.by_ref().take(chunk_size.max(1)) {
-                // Duplicate keys can occur if a concurrent writer
-                // slipped a row into the scans twice-joined; the rules
-                // repair it.
-                let _ = self.insert_t(&mut ts, values, presence, Lsn::ZERO);
-            }
-            drop(ts);
-            throttle.pay(t0.elapsed());
-        }
-        Ok((read, written))
-    }
-
-    /// Parallel initial population: both sources are fuzzy-scanned by
-    /// `workers` threads over disjoint shard classes, the image is
-    /// joined once, then bucketed by T's shard routing and inserted by
-    /// `workers` threads under masked write sessions (each bucket's
+    /// Initial population (§3.2/§4.1): both sources are fuzzy-scanned
+    /// by `workers` threads over disjoint shard classes, the FOJ image
+    /// is joined once, then bucketed by T's shard routing and inserted
+    /// by `workers` threads under masked write sessions (each bucket's
     /// rows live entirely in its worker's shard class, so the sessions
-    /// never contend). Each thread pays [`worker_share`] of the
-    /// priority budget.
-    pub(crate) fn populate_parallel_with(
+    /// never contend). The image goes in chunk-wise, one write session
+    /// per chunk, so the latch is held only briefly while concurrent
+    /// writers run, and every thread pays [`worker_share`] of the
+    /// priority budget per chunk (§3.3: the transformation is "a low
+    /// priority background process"). The database handle is threaded
+    /// through so scan and insert report per-chunk crash points (crash
+    /// simulation).
+    pub(crate) fn populate_with(
         &self,
         db: Option<&Database>,
         chunk_size: usize,
         workers: usize,
         priority: f64,
+        deadline: Option<Instant>,
     ) -> DbResult<(usize, usize)> {
-        use std::time::Instant;
         let workers = shard_stride(workers.max(1));
-        if workers <= 1 {
-            return self.populate_with(db, chunk_size, &mut Throttle::new(priority));
-        }
-        let r_acc: std::sync::Mutex<Vec<Vec<Value>>> = std::sync::Mutex::new(Vec::new());
-        let r_sink = |_w: usize, batch: Vec<(Key, Row)>| {
-            let mut rows: Vec<Vec<Value>> = batch.into_iter().map(|(_, row)| row.values).collect();
-            r_acc
-                .lock()
-                .expect("scan collector poisoned") // morph-lint: allow(panic, std mutex poison implies a scan worker already panicked; that panic is re-raised at the join)
-                .append(&mut rows);
-            Ok(())
+        let scan = |src: &Arc<Table>| -> DbResult<Vec<Vec<Value>>> {
+            let acc: std::sync::Mutex<Vec<Vec<Value>>> = std::sync::Mutex::new(Vec::new());
+            let sink = |_w: usize, batch: Vec<(Key, Row)>| {
+                let mut rows = batch.into_iter().map(|(_, row)| row.values).collect();
+                acc.lock()
+                    .expect("scan collector poisoned") // morph-lint: allow(panic, std mutex poison implies a scan worker already panicked; that panic is re-raised at the join)
+                    .append(&mut rows);
+                Ok(())
+            };
+            scan_source(db, src, chunk_size, workers, priority, deadline, &sink)?;
+            Ok(acc.into_inner().expect("scan collector poisoned")) // morph-lint: allow(panic, into_inner poison implies a scan worker panicked; scan_source already surfaced it)
         };
-        let mut read =
-            scan_source_partitioned(db, &self.r, chunk_size, workers, priority, &r_sink)?;
-        let s_acc: std::sync::Mutex<Vec<Vec<Value>>> = std::sync::Mutex::new(Vec::new());
-        let s_sink = |_w: usize, batch: Vec<(Key, Row)>| {
-            let mut rows: Vec<Vec<Value>> = batch.into_iter().map(|(_, row)| row.values).collect();
-            s_acc
-                .lock()
-                .expect("scan collector poisoned") // morph-lint: allow(panic, std mutex poison implies a scan worker already panicked; that panic is re-raised at the join)
-                .append(&mut rows);
-            Ok(())
-        };
-        read += scan_source_partitioned(db, &self.s, chunk_size, workers, priority, &s_sink)?;
-        let r_rows = r_acc.into_inner().expect("scan collector poisoned"); // morph-lint: allow(panic, into_inner poison implies a scan worker panicked; scan_source_partitioned already surfaced it)
-        let s_rows = s_acc.into_inner().expect("scan collector poisoned"); // morph-lint: allow(panic, into_inner poison implies a scan worker panicked; scan_source_partitioned already surfaced it)
+        let r_rows = scan(&self.r)?;
+        let s_rows = scan(&self.s)?;
+        let read = r_rows.len() + s_rows.len();
+        // morph-lint: allow(nondet, elapsed-time stats for the report; wall time never enters table or WAL state)
+        let t0 = Instant::now();
         let image = reference_foj(self, &r_rows, &s_rows);
+        Throttle::new(priority).pay(t0.elapsed());
         let written = image.len();
-        let schema = self.t.schema();
         let mut buckets: Vec<Vec<(Vec<Value>, Presence)>> =
             (0..workers).map(|_| Vec::new()).collect();
-        for (values, presence) in image {
-            let key = schema.key_of(&values);
-            buckets[self.t.shard_of_key(&key) % workers].push((values, presence));
+        if workers == 1 {
+            // One worker owns every shard: skip the per-row routing hash.
+            buckets[0] = image;
+        } else {
+            let schema = self.t.schema();
+            for (values, presence) in image {
+                let key = schema.key_of(&values);
+                buckets[self.t.shard_of_key(&key) % workers].push((values, presence));
+            }
         }
-        std::thread::scope(|scope| -> DbResult<()> {
-            let handles: Vec<_> = buckets
-                .into_iter()
-                .enumerate()
-                .map(|(w, bucket)| {
-                    let t = Arc::clone(&self.t);
-                    scope.spawn(move || -> DbResult<()> {
-                        let mut throttle = Throttle::new(worker_share(priority, workers));
-                        let mut it = bucket.into_iter().peekable();
-                        while it.peek().is_some() {
-                            if let Some(db) = db {
-                                db.crash_point("populate.chunk")?;
-                            }
-                            // morph-lint: allow(nondet, elapsed-time stats for the report; wall time never enters table or WAL state)
-                            let t0 = Instant::now();
-                            let mut ts = t.write_session_masked(workers, w);
-                            for (values, presence) in it.by_ref().take(chunk_size.max(1)) {
-                                let _ = self.insert_t(&mut ts, values, presence, Lsn::ZERO);
-                            }
-                            drop(ts);
-                            throttle.pay(t0.elapsed());
-                        }
-                        Ok(())
-                    })
-                })
-                .collect();
-            for h in handles {
-                h.join().expect("population worker panicked")?; // morph-lint: allow(panic, re-raises a worker panic at the join point; mapping it to DbError would bury the original panic site)
+        fan_out(buckets.into_iter().enumerate(), |(w, bucket)| {
+            let mut throttle = Throttle::new(worker_share(priority, workers));
+            let mut it = bucket.into_iter().peekable();
+            while it.peek().is_some() {
+                if let Some(db) = db {
+                    db.crash_point("populate.chunk")?;
+                }
+                check_deadline(deadline)?;
+                // morph-lint: allow(nondet, elapsed-time stats for the report; wall time never enters table or WAL state)
+                let t0 = Instant::now();
+                let mut ts = self.t.write_session_masked(workers, w);
+                for (values, presence) in it.by_ref().take(chunk_size.max(1)) {
+                    // Duplicate keys can occur if a concurrent writer
+                    // slipped a row into the scans twice-joined; the
+                    // rules repair it.
+                    let _ = self.insert_t(&mut ts, values, presence, Lsn::ZERO);
+                }
+                drop(ts);
+                throttle.pay(t0.elapsed());
             }
             Ok(())
         })?;
@@ -909,23 +840,15 @@ impl TransformOperator for FojMapping {
         }
     }
 
-    fn populate_throttled(
-        &mut self,
-        db: &Database,
-        chunk: usize,
-        throttle: &mut Throttle,
-    ) -> DbResult<(usize, usize)> {
-        FojMapping::populate_with(self, Some(db), chunk, throttle)
-    }
-
-    fn populate_parallel(
+    fn populate(
         &mut self,
         db: &Database,
         chunk: usize,
         workers: usize,
         priority: f64,
+        deadline: Option<Instant>,
     ) -> DbResult<(usize, usize)> {
-        FojMapping::populate_parallel_with(self, Some(db), chunk, workers, priority)
+        FojMapping::populate_with(self, Some(db), chunk, workers, priority, deadline)
     }
 
     fn target_keys_for(&self, table: TableId, key: &Key) -> Vec<(TableId, Key)> {

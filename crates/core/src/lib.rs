@@ -65,8 +65,7 @@ pub use operator::{CoalescePolicy, TransformOperator};
 pub use progress::{Progress, ProgressHandle, ProgressPhase};
 pub use report::{IterationStats, PopulationStats, SyncStats, TransformReport};
 pub use spec::{
-    FojSpec, NonConvergencePolicy, SplitMode, SplitSpec, SyncStrategy, TransformMode,
-    TransformOptions,
+    FojSpec, NonConvergencePolicy, SplitMode, SplitSpec, SyncStrategy, TransformOptions,
 };
 pub use split::SplitMapping;
 pub use transform::{TransformHandle, TransformJob, TransformPlan, Transformer};

@@ -13,14 +13,14 @@
 //!
 //! | method                  | paper                                            |
 //! |-------------------------|--------------------------------------------------|
-//! | [`populate_throttled`]  | §3.2 initial population by fuzzy read            |
+//! | [`populate`]            | §3.2 initial population by fuzzy read, over      |
+//! |                         | `workers` scan threads sharing one priority      |
 //! | [`apply`]               | §3.3 log propagation: FOJ rules 1–7 are          |
 //! |                         | *content-based* (no LSN gating; they decide from |
 //! |                         | the current T image, §4.2), split rules 8–11 and |
 //! |                         | union are *LSN-gated* (state identifiers, §5.2)  |
 //! | [`apply_batch`]         | batched §3.3 drain: one target-latch acquisition |
 //! |                         | per batch instead of per record                  |
-//! | [`populate_parallel`]   | §3.2 fuzzy copy partitioned over scan threads    |
 //! | [`on_control`]          | §5.3 `CcBegin`/`CcOk` consistency-checker records|
 //! | [`maintenance`]         | §5.3 checker rounds between propagation batches  |
 //! | [`readiness`]           | §5.3 gating: sync may not start while S-records  |
@@ -31,8 +31,7 @@
 //! | [`publish`],            | living as the R-side target, is renamed at sync  |
 //! | [`finalize`]            | and projected down once the old txns drain       |
 //!
-//! [`populate_throttled`]: TransformOperator::populate_throttled
-//! [`populate_parallel`]: TransformOperator::populate_parallel
+//! [`populate`]: TransformOperator::populate
 //! [`apply`]: TransformOperator::apply
 //! [`apply_batch`]: TransformOperator::apply_batch
 //! [`on_control`]: TransformOperator::on_control
@@ -47,7 +46,7 @@
 use crate::cc::Readiness;
 use crate::sync::MirrorMap;
 use crate::throttle::Throttle;
-use morph_common::{DbResult, Key, Lsn, TableId};
+use morph_common::{DbError, DbResult, Key, Lsn, TableId};
 use morph_engine::Database;
 use morph_storage::{shard_stride, Row, Table};
 use morph_wal::{LogOp, LogRecord};
@@ -89,14 +88,14 @@ pub enum CoalescePolicy {
 /// object-safe contract.
 ///
 /// `Propagator` drives [`apply_batch`]/[`on_control`]/[`maintenance`],
-/// `Transformer` drives [`populate_throttled`]/[`readiness`]/
+/// `Transformer` drives [`populate`]/[`readiness`]/
 /// [`finalize`], and the synchronization strategies drive
 /// [`target_keys_for`]/[`mirror_map`]/[`renames_source`]/[`publish`].
 ///
 /// [`apply_batch`]: TransformOperator::apply_batch
 /// [`on_control`]: TransformOperator::on_control
 /// [`maintenance`]: TransformOperator::maintenance
-/// [`populate_throttled`]: TransformOperator::populate_throttled
+/// [`populate`]: TransformOperator::populate
 /// [`readiness`]: TransformOperator::readiness
 /// [`finalize`]: TransformOperator::finalize
 /// [`target_keys_for`]: TransformOperator::target_keys_for
@@ -144,41 +143,23 @@ pub trait TransformOperator: Send {
         Vec::new()
     }
 
-    /// Initial population by fuzzy read (§3.2), paying the priority
-    /// throttle per chunk. Returns `(rows_read, rows_written)`. The
+    /// Initial population by fuzzy read (§3.2) with `workers` scan
+    /// threads over disjoint key-space partitions. The priority budget
+    /// is divided among the workers ([`worker_share`]) so the aggregate
+    /// duty cycle honors `priority` at every worker count, and every
+    /// chunk checks the job's wall-clock `deadline`
+    /// ([`check_deadline`]). Returns `(rows_read, rows_written)`. The
     /// database handle feeds the per-chunk crash point
     /// (`populate.chunk`) that the deterministic crash harness kills
     /// fuzzy copies at.
-    fn populate_throttled(
-        &mut self,
-        db: &Database,
-        chunk: usize,
-        throttle: &mut Throttle,
-    ) -> DbResult<(usize, usize)>;
-
-    /// Unthrottled population (tests and full-priority runs).
-    fn populate(&mut self, db: &Database, chunk: usize) -> DbResult<(usize, usize)> {
-        self.populate_throttled(db, chunk, &mut Throttle::new(1.0))
-    }
-
-    /// Initial population with `workers` scan threads over disjoint
-    /// key-space partitions (§3.2 parallelized). The priority budget is
-    /// divided among the workers ([`worker_share`]) so the aggregate
-    /// duty cycle still honors `priority`. Returns
-    /// `(rows_read, rows_written)`.
-    ///
-    /// The default ignores `workers` and runs the serial populate so
-    /// operators without a parallel implementation stay correct.
-    fn populate_parallel(
+    fn populate(
         &mut self,
         db: &Database,
         chunk: usize,
         workers: usize,
         priority: f64,
-    ) -> DbResult<(usize, usize)> {
-        let _ = (workers, priority);
-        self.populate(db, chunk)
-    }
+        deadline: Option<Instant>,
+    ) -> DbResult<(usize, usize)>;
 
     /// Target keys a record lock on `(table, key)` must be mirrored to
     /// during lock transfer (§3.4). Reads the *transformed* tables, so
@@ -241,51 +222,45 @@ pub fn source_tables(db: &Database, op: &dyn TransformOperator) -> DbResult<Vec<
         .collect()
 }
 
-/// Shared driver for the §3.2 fuzzy population scan: stream one source
-/// table in primary-key chunks, paying the priority throttle for the
-/// work each chunk took. All three operators' `populate_throttled`
-/// implementations are built on this.
+/// The copy's share of the job's wall-clock safety valve
+/// (`TransformOptions::deadline`), checked once per chunk: a
+/// low-priority population sleeps most of its life with the log pinned
+/// behind its propagation cursor, so it must not outlive the budget.
+pub(crate) fn check_deadline(deadline: Option<Instant>) -> DbResult<()> {
+    // morph-lint: allow(nondet, operator deadline guard; wall-time bound on total runtime, never replayed state)
+    if deadline.is_some_and(|d| Instant::now() > d) {
+        return Err(DbError::TransformationAborted(
+            "wall-clock deadline exceeded during population".into(),
+        ));
+    }
+    Ok(())
+}
+
+/// The §3.2 chunk loop, written once: stream partition `part` of
+/// `parts` of one source table in primary-key chunks, sleeping off
+/// the work each chunk took at `priority` (this scan thread's duty
+/// cycle). Returns the rows read.
 ///
 /// With a database handle the scan reports the `populate.chunk` crash
 /// point between chunks (no write session is open there, so the crash
 /// harness may both inject workload and kill the run at that point).
-pub(crate) fn scan_source_throttled(
+pub(crate) fn scan_partition(
     db: Option<&Database>,
     table: &Arc<Table>,
     chunk: usize,
-    throttle: &mut Throttle,
+    (part, parts): (usize, usize),
+    priority: f64,
+    deadline: Option<Instant>,
     mut sink: impl FnMut(Vec<(Key, Row)>) -> DbResult<()>,
 ) -> DbResult<usize> {
-    // Snapshot-mode population (`TransformMode::Snapshot`): a pinned
-    // copy snapshot replaces the fuzzy image with a clean MVCC cut.
-    // Same chunking, same throttle; only the read mechanism differs —
-    // and the propagation that follows starts from the fuzzy mark
-    // either way, so Theorem 1 is untouched (a clean cut is a special
-    // case of a fuzzy image).
-    if let Some(d) = db {
-        if let Some(snap) = d.copy_snapshot_for(table.id()) {
-            let mut scan = table.snapshot_scan(chunk, snap.lsn(), d.commit_table());
-            let mut rows = 0usize;
-            loop {
-                d.crash_point("copy.snapshot_scan")?;
-                // morph-lint: allow(nondet, chunk timing feeds throttle pacing and stats only; wall time never enters table or WAL state)
-                let t0 = Instant::now();
-                let batch = scan.next_chunk();
-                if batch.is_empty() {
-                    return Ok(rows);
-                }
-                rows += batch.len();
-                sink(batch)?;
-                throttle.pay(t0.elapsed());
-            }
-        }
-    }
-    let mut scan = table.fuzzy_scan(chunk);
+    let mut scan = table.fuzzy_scan_partition(chunk, part, parts);
+    let mut throttle = Throttle::new(priority);
     let mut rows = 0usize;
     loop {
         if let Some(db) = db {
             db.crash_point("populate.chunk")?;
         }
+        check_deadline(deadline)?;
         // morph-lint: allow(nondet, chunk timing feeds throttle pacing and stats only; wall time never enters table or WAL state)
         let t0 = Instant::now();
         let batch = scan.next_chunk();
@@ -311,97 +286,59 @@ pub(crate) fn worker_share(priority: f64, workers: usize) -> f64 {
     }
 }
 
-/// Parallel variant of [`scan_source_throttled`]: partition the source's
-/// storage shards into `workers` disjoint classes and stream each class
-/// on its own scoped thread, each worker paying its own
-/// [`worker_share`] of the priority budget. The sink receives
-/// `(worker, chunk)` pairs and must be `Sync`; chunks of different
-/// workers arrive concurrently, chunks of one worker arrive in key
-/// order. Returns the total rows read.
-pub(crate) fn scan_source_partitioned<F>(
+/// Run `work` once per input, one population worker each, and collect
+/// the results in input order. A single input runs inline on the
+/// calling thread (the deterministic crash harness drives one-worker
+/// copies and must see their crash points on its own thread); several
+/// run on scoped threads, all joined before the first error surfaces.
+pub(crate) fn fan_out<I: Send, T: Send>(
+    inputs: impl IntoIterator<Item = I>,
+    work: impl Fn(I) -> DbResult<T> + Sync,
+) -> DbResult<Vec<T>> {
+    let mut inputs: Vec<I> = inputs.into_iter().collect();
+    if inputs.len() == 1 {
+        return Ok(vec![work(inputs.remove(0))?]);
+    }
+    let work = &work;
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = inputs
+            .into_iter()
+            .map(|input| scope.spawn(move || work(input)))
+            .collect();
+        let results: Vec<DbResult<T>> = handles
+            .into_iter()
+            // morph-lint: allow(panic, re-raises a worker panic at the join point; mapping it to DbError would bury the original panic site)
+            .map(|h| h.join().expect("population worker panicked"))
+            .collect();
+        results.into_iter().collect()
+    })
+}
+
+/// Shared driver for the §3.2 fuzzy population scan: partition the
+/// source's storage shards into `workers` disjoint classes and stream
+/// each class through [`scan_partition`] on its own [`fan_out`] worker,
+/// each paying its own [`worker_share`] of the priority budget. The
+/// sink receives `(worker, chunk)` pairs; chunks of different workers
+/// arrive concurrently, chunks of one worker arrive in key order.
+/// Returns the total rows read.
+pub(crate) fn scan_source<F>(
     db: Option<&Database>,
     table: &Arc<Table>,
     chunk: usize,
     workers: usize,
     priority: f64,
+    deadline: Option<Instant>,
     sink: &F,
 ) -> DbResult<usize>
 where
     F: Fn(usize, Vec<(Key, Row)>) -> DbResult<()> + Sync,
 {
     let workers = shard_stride(workers.max(1));
-    if workers <= 1 {
-        let mut throttle = Throttle::new(priority);
-        return scan_source_throttled(db, table, chunk, &mut throttle, |batch| sink(0, batch));
-    }
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|w| {
-                scope.spawn(move || -> DbResult<usize> {
-                    // Snapshot-mode branch, as in `scan_source_throttled`:
-                    // each worker reads its shard class through the same
-                    // pinned clean cut.
-                    if let Some(d) = db {
-                        if let Some(snap) = d.copy_snapshot_for(table.id()) {
-                            let mut scan = table.snapshot_scan_partition(
-                                chunk,
-                                w,
-                                workers,
-                                snap.lsn(),
-                                d.commit_table(),
-                            );
-                            let mut throttle = Throttle::new(worker_share(priority, workers));
-                            let mut rows = 0usize;
-                            loop {
-                                d.crash_point("copy.snapshot_scan")?;
-                                // morph-lint: allow(nondet, chunk timing feeds throttle pacing and stats only; wall time never enters table or WAL state)
-                                let t0 = Instant::now();
-                                let batch = scan.next_chunk();
-                                if batch.is_empty() {
-                                    return Ok(rows);
-                                }
-                                rows += batch.len();
-                                sink(w, batch)?;
-                                throttle.pay(t0.elapsed());
-                            }
-                        }
-                    }
-                    let mut scan = table.fuzzy_scan_partition(chunk, w, workers);
-                    let mut throttle = Throttle::new(worker_share(priority, workers));
-                    let mut rows = 0usize;
-                    loop {
-                        if let Some(db) = db {
-                            db.crash_point("populate.chunk")?;
-                        }
-                        // morph-lint: allow(nondet, chunk timing feeds throttle pacing and stats only; wall time never enters table or WAL state)
-                        let t0 = Instant::now();
-                        let batch = scan.next_chunk();
-                        if batch.is_empty() {
-                            return Ok(rows);
-                        }
-                        rows += batch.len();
-                        sink(w, batch)?;
-                        throttle.pay(t0.elapsed());
-                    }
-                })
-            })
-            .collect();
-        let mut total = 0usize;
-        let mut first_err = None;
-        for h in handles {
-            // morph-lint: allow(panic, re-raises a worker panic at the join point; mapping it to DbError would bury the original panic site)
-            match h.join().expect("population scan worker panicked") {
-                Ok(n) => total += n,
-                Err(e) => {
-                    if first_err.is_none() {
-                        first_err = Some(e);
-                    }
-                }
-            }
-        }
-        match first_err {
-            Some(e) => Err(e),
-            None => Ok(total),
-        }
-    })
+    let share = worker_share(priority, workers);
+    let read = fan_out(0..workers, |w| {
+        scan_partition(db, table, chunk, (w, workers), share, deadline, |batch| {
+            sink(w, batch)
+        })
+    })?;
+    Ok(read.into_iter().sum())
 }

@@ -22,27 +22,6 @@ pub enum SyncStrategy {
     NonBlockingCommit,
 }
 
-/// How initial population reads the source tables.
-///
-/// Both modes write the same fuzzy mark and propagate the log from the
-/// same `start_lsn` — the mark, not the copy mechanism, is what makes
-/// Theorem 1 hold. The modes differ only in the *image* population
-/// copies: a fuzzy image (chunked latched scans racing with writers,
-/// §3.2) or a clean MVCC snapshot cut. A clean cut is a special case
-/// of a fuzzy image, so propagating the log over it is safe for
-/// exactly the §3.2 reasons; what it buys is determinism of the copied
-/// image and zero interference from (and to) concurrent writers —
-/// the ablation axis of the snapshot-vs-log benchmark.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub enum TransformMode {
-    /// Fuzzy copy + log propagation (the paper's mechanism).
-    #[default]
-    LogPropagation,
-    /// MVCC snapshot copy + log propagation from the same fuzzy mark.
-    /// Requires [`Database::enable_mvcc`](../../morph_engine/database/struct.Database.html#method.enable_mvcc).
-    Snapshot,
-}
-
 /// What to do when log propagation cannot converge (§3.3: "the
 /// transformation should either be aborted or get higher priority").
 #[derive(Clone, Copy, PartialEq, Debug)]
@@ -97,8 +76,6 @@ pub struct TransformOptions {
     /// of 1 is the single-threaded copy. Log propagation (§3.3) is
     /// always one sequential applier.
     pub copy_workers: usize,
-    /// How population reads the sources (see [`TransformMode`]).
-    pub mode: TransformMode,
 }
 
 impl Default for TransformOptions {
@@ -115,7 +92,6 @@ impl Default for TransformOptions {
             deadline: None,
             retain_sources: false,
             copy_workers: 1,
-            mode: TransformMode::default(),
         }
     }
 }
@@ -160,13 +136,6 @@ impl TransformOptions {
     #[must_use]
     pub fn copy_workers(mut self, n: usize) -> Self {
         self.copy_workers = n.max(1);
-        self
-    }
-
-    /// Set the population read mode.
-    #[must_use]
-    pub fn transform_mode(mut self, m: TransformMode) -> Self {
-        self.mode = m;
         self
     }
 }

@@ -22,17 +22,15 @@
 //! log.
 
 use crate::cc::{CcState, PendingCc, Readiness};
-use crate::operator::{
-    scan_source_partitioned, scan_source_throttled, CoalescePolicy, TransformOperator,
-};
+use crate::operator::{scan_partition, scan_source, CoalescePolicy, TransformOperator};
 use crate::spec::{SplitMode, SplitSpec};
-use crate::throttle::Throttle;
 use morph_common::{DbError, DbResult, Key, Lsn, Schema, TableId, Value};
 use morph_engine::Database;
 use morph_storage::{shard_stride, ConsistencyFlag, Row, Table, WriteSession};
 use morph_wal::{LogManager, LogOp, LogRecord};
 use std::collections::{BTreeMap, HashMap};
 use std::sync::{Arc, Mutex};
+use std::time::Instant;
 
 /// Column mapping and rule engine for one split transformation.
 pub struct SplitMapping {
@@ -640,37 +638,29 @@ impl SplitMapping {
 
     // --- initial population (§3.2) --------------------------------------------
 
-    /// Fuzzy-scan the source and build the initial images. Returns
-    /// `(rows_read, rows_written)`.
+    /// Fuzzy-scan the source and build the initial images at full
+    /// priority on one scan thread (tests and reference builds).
+    /// Returns `(rows_read, rows_written)`.
     pub fn populate(&mut self, chunk_size: usize) -> DbResult<(usize, usize)> {
-        self.populate_throttled(chunk_size, &mut Throttle::new(1.0))
+        self.populate_with(None, chunk_size, 1, 1.0, None)
     }
 
-    /// Like [`SplitMapping::populate`] but paying the given throttle
-    /// per fuzzy-scan chunk (fine-grained low-priority population).
-    /// Each chunk is written under one R-side and one S write session.
-    pub fn populate_throttled(
-        &mut self,
-        chunk_size: usize,
-        throttle: &mut Throttle,
-    ) -> DbResult<(usize, usize)> {
-        self.populate_with(None, chunk_size, throttle)
-    }
-
-    /// [`SplitMapping::populate_throttled`] with the database handle
-    /// threaded through so the fuzzy scan reports per-chunk crash
-    /// points (crash simulation).
-    pub(crate) fn populate_with(
+    /// Row-wise population on the calling thread: each fuzzy-scan
+    /// chunk is written under one R-side and one S write session,
+    /// through the same rules propagation uses, so the consistency
+    /// checker sees every touch.
+    fn populate_rowwise(
         &mut self,
         db: Option<&Database>,
         chunk_size: usize,
-        throttle: &mut Throttle,
+        priority: f64,
+        deadline: Option<Instant>,
     ) -> DbResult<(usize, usize)> {
         let t = Arc::clone(&self.t);
         let r_side = Arc::clone(self.r_side());
         let s = Arc::clone(&self.s);
         let mut written = 0usize;
-        let read = scan_source_throttled(db, &t, chunk_size, throttle, |chunk| {
+        let read = scan_partition(db, &t, chunk_size, (0, 1), priority, deadline, |chunk| {
             let mut rs = r_side.write_session();
             let mut ss = s.write_session();
             for (_, row) in chunk {
@@ -832,21 +822,24 @@ struct SContrib {
 }
 
 impl SplitMapping {
-    /// Parallel initial population: partitioned fuzzy scan with masked
-    /// R-side writes per worker, plus worker-local S digests merged
-    /// serially afterwards (S rows are shared across subjects, so they
-    /// cannot be written worker-locally). Checking mode falls back to the
-    /// serial path so the checker sees every touch.
-    pub(crate) fn populate_parallel_with(
+    /// Initial population (§3.2) with the database handle threaded
+    /// through so the fuzzy scan reports per-chunk crash points (crash
+    /// simulation). Several workers run a partitioned fuzzy scan with
+    /// masked R-side writes per worker, plus worker-local S digests
+    /// merged serially afterwards (S rows are shared across subjects,
+    /// so they cannot be written worker-locally). One worker, and
+    /// checking mode at any worker count, take the row-wise path.
+    pub(crate) fn populate_with(
         &mut self,
         db: Option<&Database>,
         chunk_size: usize,
         workers: usize,
         priority: f64,
+        deadline: Option<Instant>,
     ) -> DbResult<(usize, usize)> {
         let workers = shard_stride(workers.max(1));
         if workers <= 1 || self.check {
-            return self.populate_with(db, chunk_size, &mut Throttle::new(priority));
+            return self.populate_rowwise(db, chunk_size, priority, deadline);
         }
         let t = Arc::clone(&self.t);
         let r_side = Arc::clone(self.r_side());
@@ -888,7 +881,7 @@ impl SplitMapping {
             }
             Ok(())
         };
-        let read = scan_source_partitioned(db, &t, chunk_size, workers, priority, &sink)?;
+        let read = scan_source(db, &t, chunk_size, workers, priority, deadline, &sink)?;
 
         // Merge the worker digests: the canonical S image is the one
         // from the globally smallest contributor key (= what the
@@ -980,23 +973,15 @@ impl TransformOperator for SplitMapping {
         }
     }
 
-    fn populate_throttled(
-        &mut self,
-        db: &Database,
-        chunk: usize,
-        throttle: &mut Throttle,
-    ) -> DbResult<(usize, usize)> {
-        SplitMapping::populate_with(self, Some(db), chunk, throttle)
-    }
-
-    fn populate_parallel(
+    fn populate(
         &mut self,
         db: &Database,
         chunk: usize,
         workers: usize,
         priority: f64,
+        deadline: Option<Instant>,
     ) -> DbResult<(usize, usize)> {
-        SplitMapping::populate_parallel_with(self, Some(db), chunk, workers, priority)
+        SplitMapping::populate_with(self, Some(db), chunk, workers, priority, deadline)
     }
 
     fn target_keys_for(&self, table: TableId, key: &Key) -> Vec<(TableId, Key)> {

@@ -19,9 +19,7 @@ use crate::operator::TransformOperator;
 use crate::progress::{Progress, ProgressHandle, ProgressPhase};
 use crate::propagate::Propagator;
 use crate::report::{PopulationStats, TransformReport};
-use crate::spec::{
-    FojSpec, NonConvergencePolicy, SplitMode, SplitSpec, TransformMode, TransformOptions,
-};
+use crate::spec::{FojSpec, NonConvergencePolicy, SplitMode, SplitSpec, TransformOptions};
 use crate::split::SplitMapping;
 use crate::sync::synchronize;
 use crate::union::{UnionMapping, UnionSpec};
@@ -240,44 +238,18 @@ impl TransformJob {
         // morph-lint: allow(nondet, phase timing stats for the report; wall time never enters table or WAL state)
         let p0 = Instant::now();
         let (_, start_lsn, _) = self.db.write_fuzzy_mark();
-        if self.options.mode == TransformMode::Snapshot {
-            // Snapshot-mode population: pin one clean MVCC cut, shared
-            // by every source table, for the scan loops to read
-            // through. Taken *after* the fuzzy mark — propagation
-            // still starts at `start_lsn`, so records the cut already
-            // reflects are re-applied idempotently, exactly as over a
-            // fuzzy image; starting propagation at the snapshot
-            // instead would lose updates of transactions active at the
-            // mark (the §3.2 trap the mark exists to close).
-            if !self.db.mvcc_enabled() {
-                self.db.enable_mvcc();
-            }
-            let snap = match self.db.begin_snapshot() {
-                Ok(s) => s,
-                Err(e) => {
-                    self.cleanup();
-                    return Err(e);
-                }
-            };
-            for id in self.oper.source_ids() {
-                self.db.register_copy_snapshot(id, Arc::clone(&snap));
-            }
-        }
         self.prop = Some(Propagator::new(&self.db, start_lsn, self.options.priority));
         // Pin the log at our cursor so concurrent truncation (memory
         // reclamation on long-running systems) never outruns us; the
         // guard self-releases on every exit path.
         self.log_guard = Some(self.db.protect_log(start_lsn));
-        let populated = if self.options.copy_workers > 1 {
-            self.oper.populate_parallel(
-                &self.db,
-                self.options.population_chunk,
-                self.options.copy_workers,
-                self.options.priority,
-            )
-        } else {
-            self.oper.populate(&self.db, self.options.population_chunk)
-        };
+        let populated = self.oper.populate(
+            &self.db,
+            self.options.population_chunk,
+            self.options.copy_workers,
+            self.options.priority,
+            self.deadline,
+        );
         let (rows_read, rows_written) = match populated {
             Ok(v) => v,
             Err(e) => {
@@ -285,8 +257,6 @@ impl TransformJob {
                 return Err(e);
             }
         };
-        // Population is done: release the clean cut (and its GC pin).
-        self.clear_copy_snapshots();
         if let Err(e) = self.db.crash_point("transform.populated") {
             self.cleanup();
             return Err(e);
@@ -544,10 +514,6 @@ impl TransformJob {
     /// interceptor would remain to remove (and it is removed on the
     /// post-sync error paths directly).
     pub fn cleanup(&self) {
-        // Unpin any copy snapshot first (idempotent): a job that dies
-        // during population must not leave a stale snapshot pinning
-        // version GC forever.
-        self.clear_copy_snapshots();
         if self.synced {
             return;
         }
@@ -555,13 +521,6 @@ impl TransformJob {
             let _ = self.db.catalog().drop_table(name);
         }
         self.progress.set_phase(ProgressPhase::Aborted);
-    }
-
-    /// Release the snapshot-mode copy pins for every source table.
-    fn clear_copy_snapshots(&self) {
-        for id in self.oper.source_ids() {
-            self.db.clear_copy_snapshot(id);
-        }
     }
 
     fn remove_interceptor(&mut self) {
@@ -771,62 +730,6 @@ mod tests {
         assert!(report.sync.latch_pause < Duration::from_millis(50));
         let t = db.catalog().get("T").unwrap();
         assert_eq!(t.len(), 100); // every S value matched
-    }
-
-    #[test]
-    fn snapshot_mode_foj_end_to_end() {
-        let db = db_with_sources(100, 10);
-        db.enable_mvcc();
-        let spec = FojSpec::new("R", "S", "T", "c", "c");
-        let report = Transformer::run_foj(
-            &db,
-            spec,
-            opts().transform_mode(crate::spec::TransformMode::Snapshot),
-        )
-        .unwrap();
-        assert!(report.population.rows_read >= 110);
-        assert_eq!(db.catalog().get("T").unwrap().len(), 100);
-        // The copy's clean cut is released once population finishes.
-        assert_eq!(db.live_snapshots(), 0);
-    }
-
-    #[test]
-    fn snapshot_mode_split_under_writers_matches_sources() {
-        let db = db_with_sources(150, 6);
-        db.enable_mvcc();
-        let stop = Arc::new(AtomicBool::new(false));
-        let db2 = Arc::clone(&db);
-        let stop2 = Arc::clone(&stop);
-        let worker = std::thread::spawn(move || {
-            let mut i = 0u64;
-            while !stop2.load(Ordering::Relaxed) {
-                i += 1;
-                let txn = db2.begin();
-                let key = Key::single((i % 150) as i64);
-                match db2.update(txn, "R", &key, &[(1, Value::str(format!("w{i}")))]) {
-                    Ok(()) => {
-                        let _ = db2.commit(txn);
-                    }
-                    Err(_) => {
-                        let _ = db2.abort(txn);
-                    }
-                }
-                std::thread::sleep(Duration::from_micros(50));
-            }
-        });
-        let spec = FojSpec::new("R", "S", "T", "c", "c");
-        let handle = Transformer::spawn_foj(
-            Arc::clone(&db),
-            spec,
-            opts().transform_mode(crate::spec::TransformMode::Snapshot),
-        );
-        let report = handle.join().expect("snapshot-mode transformation");
-        stop.store(true, Ordering::Relaxed);
-        worker.join().unwrap();
-        assert!(report.population.rows_read >= 150);
-        // Propagation over the clean cut caught the concurrent writes.
-        assert!(db.catalog().get("T").unwrap().len() >= 150);
-        assert_eq!(db.live_snapshots(), 0);
     }
 
     #[test]
@@ -1080,6 +983,64 @@ mod tests {
         db.update(txn, "R", &Key::single(0), &[(1, Value::str("after"))])
             .unwrap();
         db.commit(txn).unwrap();
+    }
+
+    /// One 5 k-row split over a fresh database, default single copy
+    /// worker.
+    fn split_5k(options: TransformOptions) -> DbResult<TransformReport> {
+        let db = Arc::new(Database::new());
+        let ts = morph_common::Schema::builder()
+            .column("a", morph_common::ColumnType::Int)
+            .nullable("c", morph_common::ColumnType::Str)
+            .nullable("d", morph_common::ColumnType::Str)
+            .primary_key(&["a"])
+            .build()
+            .unwrap();
+        db.create_table("T", ts).unwrap();
+        let txn = db.begin();
+        for i in 0..5_000i64 {
+            let c = format!("c{}", i % 50);
+            let d = format!("dep-{c}");
+            db.insert(txn, "T", vec![Value::Int(i), Value::str(&c), Value::str(d)])
+                .unwrap();
+        }
+        db.commit(txn).unwrap();
+        let spec = SplitSpec::new("T", "R", "S", &["a", "c"], "c", &["d"]);
+        let result = Transformer::run_split(&db, spec, options.copy_workers(1));
+        assert_eq!(db.catalog().exists("R"), result.is_ok());
+        result
+    }
+
+    /// §3.3's "low priority background process" covers the initial
+    /// population too, at the default single copy worker as much as at
+    /// several: a 5 % duty cycle predicts a ~20× longer copy.
+    #[test]
+    fn copy_honours_priority_at_one_worker() {
+        let population = |priority: f64| {
+            let report = split_5k(opts().priority(priority)).unwrap();
+            assert_eq!(report.population.rows_read, 5_000);
+            report.population.duration
+        };
+        let full = population(1.0);
+        let throttled = population(0.05);
+        assert!(
+            throttled >= full * 3,
+            "population at priority 0.05 took {throttled:?}, at full priority {full:?}"
+        );
+    }
+
+    /// A copy throttled to 0.1 % would sleep ~1000× its work with the
+    /// log pinned behind it; the wall-clock budget must cut it short
+    /// chunk by chunk, not wait for the first propagation iteration.
+    #[test]
+    fn deadline_stops_a_throttled_population() {
+        let options = opts().priority(0.001).deadline(Duration::from_millis(100));
+        match split_5k(options) {
+            Err(DbError::TransformationAborted(why)) => {
+                assert!(why.contains("during population"), "{why}")
+            }
+            other => panic!("expected a population deadline abort, got {other:?}"),
+        }
     }
 
     #[test]

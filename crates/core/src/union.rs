@@ -13,16 +13,14 @@
 //! R side, §5.2) — making union also a minimal, readable template for
 //! implementing further [`TransformOperator`]s.
 
-use crate::operator::{
-    scan_source_partitioned, scan_source_throttled, CoalescePolicy, TransformOperator,
-};
-use crate::throttle::Throttle;
+use crate::operator::{scan_source, CoalescePolicy, TransformOperator};
 use morph_common::{ColumnType, DbError, DbResult, Key, Lsn, Schema, TableId, Value};
 use morph_engine::Database;
 use morph_storage::{shard_stride, Row, Table, WriteSession};
 use morph_wal::LogOp;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
+use std::time::Instant;
 
 /// Specification of a union transformation: R ∪ S → T.
 #[derive(Clone, Debug)]
@@ -180,66 +178,28 @@ impl UnionMapping {
         cols.iter().map(|(i, v)| (*i + 1, v.clone())).collect()
     }
 
-    /// Initial population: fuzzy-scan both sources (unthrottled).
+    /// Initial population at full priority on one scan thread (tests
+    /// and reference builds).
     pub fn populate(&self, chunk_size: usize) -> DbResult<(usize, usize)> {
-        self.populate_throttled(chunk_size, &mut Throttle::new(1.0))
+        self.populate_with(None, chunk_size, 1, 1.0, None)
     }
 
-    /// Initial population paying the given throttle per fuzzy-scan
-    /// chunk; each chunk is written under one target write session.
-    pub fn populate_throttled(
-        &self,
-        chunk_size: usize,
-        throttle: &mut Throttle,
-    ) -> DbResult<(usize, usize)> {
-        self.populate_with(None, chunk_size, throttle)
-    }
-
-    /// [`UnionMapping::populate_throttled`] with the database handle
-    /// threaded through so the fuzzy scan reports per-chunk crash
-    /// points (crash simulation).
+    /// Initial population: each source is scanned by `workers` threads
+    /// over disjoint shard classes, and because T's shard key aligns
+    /// target routing with source routing, each scan worker inserts
+    /// its chunk directly under a masked target session — no
+    /// cross-thread handoff at all. The database handle is threaded
+    /// through so the fuzzy scan reports per-chunk crash points (crash
+    /// simulation).
     pub(crate) fn populate_with(
-        &self,
-        db: Option<&Database>,
-        chunk_size: usize,
-        throttle: &mut Throttle,
-    ) -> DbResult<(usize, usize)> {
-        let t = Arc::clone(&self.t);
-        let mut read = 0;
-        let mut written = 0;
-        for src in [&self.r, &self.s] {
-            let src_id = src.id();
-            read += scan_source_throttled(db, src, chunk_size, throttle, |chunk| {
-                let mut ts = t.write_session();
-                for (_, row) in chunk {
-                    let values = self.t_row(src_id, &row.values);
-                    match ts.insert_row(Row::new(values, row.lsn)) {
-                        Ok(_) | Err(DbError::DuplicateKey(_)) => written += 1,
-                        Err(e) => return Err(e),
-                    }
-                }
-                Ok(())
-            })?;
-        }
-        Ok((read, written))
-    }
-
-    /// Parallel initial population: each source is scanned by `workers`
-    /// threads over disjoint shard classes, and because T's shard key
-    /// aligns target routing with source routing, each scan worker can
-    /// insert its rows directly under a masked target session — no
-    /// cross-thread handoff at all.
-    pub(crate) fn populate_parallel_with(
         &self,
         db: Option<&Database>,
         chunk_size: usize,
         workers: usize,
         priority: f64,
+        deadline: Option<Instant>,
     ) -> DbResult<(usize, usize)> {
         let workers = shard_stride(workers.max(1));
-        if workers <= 1 {
-            return self.populate_with(db, chunk_size, &mut Throttle::new(priority));
-        }
         let t = Arc::clone(&self.t);
         let written = AtomicUsize::new(0);
         let mut read = 0;
@@ -258,7 +218,7 @@ impl UnionMapping {
                 written.fetch_add(n, Ordering::Relaxed);
                 Ok(())
             };
-            read += scan_source_partitioned(db, src, chunk_size, workers, priority, &sink)?;
+            read += scan_source(db, src, chunk_size, workers, priority, deadline, &sink)?;
         }
         Ok((read, written.load(Ordering::Relaxed)))
     }
@@ -351,23 +311,15 @@ impl TransformOperator for UnionMapping {
         CoalescePolicy::Full
     }
 
-    fn populate_throttled(
-        &mut self,
-        db: &Database,
-        chunk: usize,
-        throttle: &mut Throttle,
-    ) -> DbResult<(usize, usize)> {
-        UnionMapping::populate_with(self, Some(db), chunk, throttle)
-    }
-
-    fn populate_parallel(
+    fn populate(
         &mut self,
         db: &Database,
         chunk: usize,
         workers: usize,
         priority: f64,
+        deadline: Option<Instant>,
     ) -> DbResult<(usize, usize)> {
-        UnionMapping::populate_parallel_with(self, Some(db), chunk, workers, priority)
+        UnionMapping::populate_with(self, Some(db), chunk, workers, priority, deadline)
     }
 
     fn target_keys_for(&self, table: TableId, key: &Key) -> Vec<(TableId, Key)> {

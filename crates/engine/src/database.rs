@@ -33,12 +33,11 @@ use crate::counters::Counters;
 use crate::interceptor::OpInterceptor;
 use crate::migrations::MigrationRegistry;
 use crate::registry::{TxnCell, TxnRegistry};
-use morph_common::{DbError, DbResult, Key, Lsn, Schema, TableId, TxnId, Value};
+use morph_common::{DbError, DbResult, Key, Lsn, Schema, TxnId, Value};
 use morph_storage::{Catalog, CommitTable, Snapshot, SnapshotTracker, Table, SYSTEM};
 use morph_txn::{GranularMode, LockManager, LockManagerConfig, LockMode, TableLocks};
 use morph_wal::{LogManager, LogOp, LogRecord};
 use parking_lot::{Mutex, RwLock};
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -185,12 +184,6 @@ pub struct Database {
     /// Multi-version read state (see [`MvccState`]). Inert until
     /// [`Database::enable_mvcc`].
     mvcc: MvccState,
-    /// Snapshots pinned by in-flight snapshot-mode transformations
-    /// ([`morph_storage::Snapshot`] per source table): the copy step
-    /// registers one after writing its fuzzy mark so the population
-    /// scan reads a clean cut instead of a fuzzy image, and clears it
-    /// when population finishes (or the transformation dies).
-    copy_snapshots: RwLock<HashMap<TableId, Arc<Snapshot>>>,
 }
 
 impl Default for Database {
@@ -224,7 +217,6 @@ impl Database {
             has_crash_hook: AtomicBool::new(false),
             migrations: MigrationRegistry::new(),
             mvcc: MvccState::default(),
-            copy_snapshots: RwLock::new(HashMap::new()),
         }
     }
 
@@ -528,8 +520,7 @@ impl Database {
 
     /// The commit table snapshot visibility checks consult. Handed to
     /// [`morph_storage::Table::snapshot_scan`] and friends by callers
-    /// that drive scanners directly (the transformation copy step, the
-    /// benches).
+    /// that drive scanners directly.
     pub fn commit_table(&self) -> Arc<CommitTable> {
         Arc::clone(&self.mvcc.commit)
     }
@@ -625,25 +616,6 @@ impl Database {
             .mvcc_reclaimed
             .fetch_add(reclaimed, Ordering::Relaxed);
         Ok(reclaimed)
-    }
-
-    /// Pin a copy snapshot for `table` (snapshot-mode transformation
-    /// population; see the `copy_snapshots` field).
-    pub fn register_copy_snapshot(&self, table: TableId, snap: Arc<Snapshot>) {
-        self.copy_snapshots.write().insert(table, snap);
-    }
-
-    /// Release the copy snapshot for `table`, if any.
-    pub fn clear_copy_snapshot(&self, table: TableId) {
-        self.copy_snapshots.write().remove(&table);
-    }
-
-    /// The pinned copy snapshot for `table`, if a snapshot-mode
-    /// transformation is populating from it right now. The operator
-    /// scan loops branch on this: `Some` → clean snapshot cut, `None`
-    /// → fuzzy scan.
-    pub fn copy_snapshot_for(&self, table: TableId) -> Option<Arc<Snapshot>> {
-        self.copy_snapshots.read().get(&table).cloned()
     }
 
     /// Register an LSN that log truncation must never cross (a live

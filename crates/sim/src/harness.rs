@@ -39,7 +39,7 @@
 
 use crate::scenario::Scenario;
 use morph_common::{DbError, DbResult, Key, Schema, TableId, Value};
-use morph_core::{SyncStrategy, TransformMode};
+use morph_core::SyncStrategy;
 use morph_engine::{recover_into, CrashHook, Database};
 use morph_storage::row::Presence;
 use morph_storage::ConsistencyFlag;
@@ -86,14 +86,15 @@ pub struct SimConfig {
     /// fallback — serial is the determinism pin; CI forces
     /// `MORPH_WAL_MODE=group` to prove the matrix holds in both.
     pub wal_mode: WalMode,
-    /// Initial-population mode of the transformation under test.
-    /// Defaults to the fuzzy copy + log propagation pipeline (the
-    /// determinism pin: with the default, MVCC stays disabled and the
-    /// trace is byte-identical to pre-MVCC runs). The reference run
-    /// the oracle compares against *always* uses the default, so every
-    /// [`TransformMode::Snapshot`] sim is also a snapshot ≡
-    /// log-propagation equivalence check.
-    pub mode: TransformMode,
+    /// Run the universe with multi-version reads on (off by default,
+    /// the determinism pin: the trace is then byte-identical to
+    /// pre-MVCC runs). The driver holds a snapshot across the whole
+    /// transformation, checks afterwards that the retained sources
+    /// still read through it as they did before, and ends with a GC
+    /// sweep — so the fuzzy copy runs with versioning on, as durable
+    /// deployments ship it. The reference run the oracle compares
+    /// against *always* has MVCC off.
+    pub mvcc: bool,
 }
 
 impl SimConfig {
@@ -105,7 +106,7 @@ impl SimConfig {
             kill: None,
             inject_budget: 40,
             wal_mode: WalMode::from_env(WalMode::Serial),
-            mode: TransformMode::LogPropagation,
+            mvcc: false,
         }
     }
 
@@ -122,11 +123,11 @@ impl SimConfig {
         self
     }
 
-    /// Populate via a clean MVCC snapshot scan instead of the fuzzy
-    /// copy (the reference run stays on the default pipeline).
+    /// Turn multi-version reads on for the database under test (the
+    /// reference run stays MVCC-off).
     #[must_use]
-    pub fn transform_mode(mut self, mode: TransformMode) -> SimConfig {
-        self.mode = mode;
+    pub fn with_mvcc(mut self) -> SimConfig {
+        self.mvcc = true;
         self
     }
 }
@@ -321,6 +322,9 @@ fn build(cfg: &SimConfig) -> Result<SimRun, SimFailure> {
         GroupCommitConfig::default(),
     ));
     let db = Arc::new(Database::with_log(log, LockManagerConfig::default()));
+    if cfg.mvcc {
+        db.enable_mvcc();
+    }
 
     let mut sources = Vec::new();
     for (name, schema) in cfg.scenario.source_schemas() {
@@ -410,23 +414,40 @@ fn check_targets(
     Ok(())
 }
 
+/// Step 4: run the transformation. An MVCC universe brackets it with
+/// a snapshot taken here, by the driver (the hook's re-entrancy guard
+/// keeps points reached from inside an injection out of the census):
+/// whatever the workload and the schema change did in between, the
+/// retained sources must read through that snapshot exactly as they
+/// did when it was taken. The closing GC sweep puts `mvcc.gc_reclaim`
+/// in the census too; with the snapshot released it may reclaim every
+/// archived version up to the durable watermark.
+fn drive(cfg: &SimConfig, run: &SimRun) -> DbResult<()> {
+    if !cfg.mvcc {
+        return cfg.scenario.run(&run.db, cfg.strategy).map(drop);
+    }
+    let snap = run.db.begin_snapshot()?;
+    let mut before = Vec::new();
+    for (_, name, _) in &run.sources {
+        before.push(run.db.snapshot_scan(&snap, name)?);
+    }
+    cfg.scenario.run(&run.db, cfg.strategy)?;
+    for ((_, name, _), before) in run.sources.iter().zip(before) {
+        if run.db.snapshot_scan(&snap, name)? != before {
+            return Err(DbError::Internal(format!(
+                "snapshot of {name} moved under the transformation"
+            )));
+        }
+    }
+    drop(snap);
+    run.db.mvcc_gc()?;
+    Ok(())
+}
+
 /// Run one simulated universe. See module docs for the exact pipeline.
 pub fn run_sim(cfg: &SimConfig) -> Result<SimReport, SimFailure> {
     let run = build(cfg)?;
-    let result = cfg
-        .scenario
-        .run_with_mode(&run.db, cfg.strategy, cfg.mode)
-        .and_then(|report| {
-            // A snapshot-mode universe ends with a GC sweep so that
-            // `mvcc.gc_reclaim` is part of the census (and killable):
-            // the transformation released its snapshot, so the sweep
-            // may reclaim every archived version up to the durable
-            // watermark.
-            if cfg.mode == TransformMode::Snapshot {
-                run.db.mvcc_gc()?;
-            }
-            Ok(report)
-        });
+    let result = drive(cfg, &run);
 
     // Pull the hook's state out; the transformation is done with it.
     run.db.clear_crash_hook();
@@ -455,7 +476,7 @@ pub fn run_sim(cfg: &SimConfig) -> Result<SimReport, SimFailure> {
     };
 
     match result {
-        Ok(_report) => {
+        Ok(()) => {
             // Clean completion (kill absent or never reached): the live
             // transformed tables must already satisfy Theorem 1.
             check_targets(cfg, &run.db, &run.sources, &model, "live")
@@ -513,7 +534,7 @@ pub fn run_sim(cfg: &SimConfig) -> Result<SimReport, SimFailure> {
 
             // ---- oracle 2: restart the transformation from prep ----
             cfg.scenario
-                .run_with_mode(&db2, cfg.strategy, cfg.mode)
+                .run(&db2, cfg.strategy)
                 .map_err(|e| fail(format!("re-transformation failed: {e}"), &trace))?;
             trace.push("re-transformation: ok".to_owned());
 

@@ -13,8 +13,7 @@ use morph_common::{ColumnType, DbResult, Schema, Value};
 use morph_core::foj::figure1_schemas;
 use morph_core::split::example1_schema;
 use morph_core::{
-    FojSpec, SplitSpec, SyncStrategy, TransformMode, TransformOptions, TransformReport,
-    Transformer, UnionSpec,
+    FojSpec, SplitSpec, SyncStrategy, TransformOptions, TransformReport, Transformer, UnionSpec,
 };
 use morph_engine::Database;
 use morph_workload::TableProfile;
@@ -264,25 +263,9 @@ impl Scenario {
         }
     }
 
-    /// Run the scenario's transformation synchronously with the
-    /// default population mode (the determinism pin).
+    /// Run the scenario's transformation synchronously.
     pub fn run(&self, db: &Arc<Database>, strategy: SyncStrategy) -> DbResult<TransformReport> {
-        self.run_with_mode(db, strategy, TransformMode::LogPropagation)
-    }
-
-    /// Run the scenario's transformation under an explicit population
-    /// mode: [`TransformMode::LogPropagation`] is the determinism pin
-    /// (the default everywhere else delegates here), while
-    /// [`TransformMode::Snapshot`] populates from a clean MVCC
-    /// snapshot scan (the `mvcc_matrix` kill sweep drives it).
-    pub fn run_with_mode(
-        &self,
-        db: &Arc<Database>,
-        strategy: SyncStrategy,
-        mode: TransformMode,
-    ) -> DbResult<TransformReport> {
-        let mut options = sim_options(strategy);
-        options.mode = mode;
+        let options = sim_options(strategy);
         match self {
             Scenario::Foj => {
                 Transformer::run_foj(db, FojSpec::new("R", "S", "T", "c", "c"), options)

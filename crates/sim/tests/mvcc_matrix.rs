@@ -1,44 +1,40 @@
-//! Kill matrix for the MVCC snapshot-read path (`mvcc.*` and
-//! `copy.snapshot_scan` crash points).
+//! Kill matrix for the MVCC snapshot-read path (`mvcc.*` crash
+//! points).
 //!
 //! These points are `optional` in the registry because the default sim
-//! census runs `TransformMode::LogPropagation` with MVCC disabled and
-//! never reaches them. This sweep runs the same scenarios under
-//! `TransformMode::Snapshot` — the initial population is a clean
-//! snapshot scan instead of the fuzzy copy — and demands the full
-//! recovery oracle every time: committed user data survives the torn
-//! WAL exactly, and restarting the transformation from preparation
-//! (still in snapshot mode) converges to the tables of an
-//! uninterrupted *log-propagation* reference run. Every cell is
-//! therefore also a snapshot ≡ fuzzy-copy equivalence check
-//! (Theorem 1 does not care how the initial image was taken, only
-//! that propagation starts at the fuzzy mark).
+//! census runs with MVCC disabled and never reaches them. This sweep
+//! runs the same scenarios with `SimConfig::with_mvcc()`: versioning is
+//! on from before the sources are seeded, the driver holds a snapshot
+//! across the whole transformation (and checks the retained sources
+//! still read through it unchanged afterwards), and a GC sweep closes
+//! the run. The fuzzy copy, propagation and synchronization therefore
+//! all run over version-archiving tables — the configuration durable
+//! deployments ship — and the full recovery oracle is demanded every
+//! time: committed user data survives the torn WAL exactly, and
+//! restarting the transformation from preparation converges to the
+//! tables of an uninterrupted *MVCC-off* reference run.
 //!
 //! The kill occurrences are derived from the checked-in registry via
 //! `kill_occurrences` on a census run, exactly like the non-optional
 //! matrix in `crash_matrix.rs` — a hardcoded occurrence list would rot
 //! the moment chunk sizes change.
 
-use morph_core::{SyncStrategy, TransformMode};
+use morph_core::SyncStrategy;
 use morph_sim::points::{kill_occurrences, registry};
 use morph_sim::{run_sim, Scenario, SimConfig, Verdict};
 
-const MVCC_POINTS: [&str; 3] = [
-    "mvcc.snapshot_acquire",
-    "copy.snapshot_scan",
-    "mvcc.gc_reclaim",
-];
+const MVCC_POINTS: [&str; 2] = ["mvcc.snapshot_acquire", "mvcc.gc_reclaim"];
 
 const SCENARIOS: [Scenario; 3] = [Scenario::Foj, Scenario::Split, Scenario::Union];
 
 fn snapshot_cfg(seed: u64, scenario: Scenario, strategy: SyncStrategy) -> SimConfig {
-    SimConfig::new(seed, scenario, strategy).transform_mode(TransformMode::Snapshot)
+    SimConfig::new(seed, scenario, strategy).with_mvcc()
 }
 
-/// Every MVCC point must fire in a snapshot-mode census — otherwise
-/// the kill sweep below would be vacuously green — and the clean run
-/// must already satisfy the Theorem 1 oracle against the
-/// log-propagation reference.
+/// Every MVCC point must fire in an MVCC census — otherwise the kill
+/// sweep below would be vacuously green — and the clean run must
+/// already satisfy the Theorem 1 oracle against the MVCC-off
+/// reference.
 #[test]
 fn snapshot_census_reaches_the_mvcc_points() {
     for scenario in SCENARIOS {
@@ -59,10 +55,10 @@ fn snapshot_census_reaches_the_mvcc_points() {
 /// Kill each MVCC point at its registry-derived occurrences (loops at
 /// first/middle/last, steps at their last firing in the census) and
 /// demand `KilledAndRecovered`: recovery restores committed data
-/// exactly and the restarted snapshot-mode transformation equals the
-/// uninterrupted log-propagation run.
+/// exactly and the restarted transformation equals the uninterrupted
+/// MVCC-off run.
 #[test]
-fn mvcc_points_survive_kills_in_both_transform_modes() {
+fn mvcc_points_survive_kills() {
     for scenario in SCENARIOS {
         let strategy = SyncStrategy::NonBlockingAbort;
         let census = run_sim(&snapshot_cfg(21, scenario, strategy))
@@ -84,31 +80,11 @@ fn mvcc_points_survive_kills_in_both_transform_modes() {
     }
 }
 
-/// The three strategies only differ at synchronization, well after the
-/// snapshot scan — but the sync step also has to work when the initial
-/// image came from a clean snapshot. One mid-scan kill per strategy.
+/// With the default config the MVCC machinery must be completely
+/// inert: no MVCC crash point fires while the fuzzy copy
+/// (`populate.chunk`) runs.
 #[test]
-fn snapshot_mode_holds_across_all_sync_strategies() {
-    for strategy in [
-        SyncStrategy::BlockingCommit,
-        SyncStrategy::NonBlockingAbort,
-        SyncStrategy::NonBlockingCommit,
-    ] {
-        let cfg = snapshot_cfg(22, Scenario::Split, strategy).kill_at("copy.snapshot_scan", 2);
-        let report = run_sim(&cfg).unwrap_or_else(|f| panic!("{}", f.render()));
-        assert_eq!(
-            report.verdict,
-            Verdict::KilledAndRecovered,
-            "{strategy:?}: copy.snapshot_scan#2 never fired"
-        );
-    }
-}
-
-/// With the default `TransformMode::LogPropagation`, the MVCC machinery
-/// must be completely inert: no MVCC crash point fires and the trace
-/// stays on the fuzzy-copy path (`populate.chunk`).
-#[test]
-fn log_propagation_mode_never_touches_mvcc() {
+fn default_config_never_touches_mvcc() {
     for scenario in SCENARIOS {
         let census = run_sim(&SimConfig::new(
             21,
@@ -120,7 +96,7 @@ fn log_propagation_mode_never_touches_mvcc() {
         for point in MVCC_POINTS {
             assert!(
                 !census.point_counts.contains_key(point),
-                "{}: {point} fired in a log-propagation census",
+                "{}: {point} fired in a default census",
                 scenario.tag()
             );
         }
@@ -131,7 +107,7 @@ fn log_propagation_mode_never_touches_mvcc() {
                 .copied()
                 .unwrap_or(0)
                 > 0,
-            "{}: fuzzy copy never ran in the default mode",
+            "{}: fuzzy copy never ran",
             scenario.tag()
         );
     }

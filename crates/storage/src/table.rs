@@ -974,29 +974,6 @@ impl Table {
         }
     }
 
-    /// Snapshot scan over one shard partition (`s % parts == part`),
-    /// the snapshot-mode analogue of [`Table::fuzzy_scan_partition`].
-    pub fn snapshot_scan_partition(
-        self: &Arc<Self>,
-        chunk_size: usize,
-        part: usize,
-        parts: usize,
-        snapshot: Lsn,
-        commit: Arc<CommitTable>,
-    ) -> SnapshotScanner {
-        let parts = shard_stride(parts.max(1));
-        SnapshotScanner {
-            table: Arc::clone(self),
-            commit,
-            snapshot,
-            shards: (0..TABLE_SHARDS)
-                .filter(|s| s % parts == part % parts)
-                .collect(),
-            after: None,
-            chunk_size: chunk_size.max(1),
-        }
-    }
-
     // --- version GC -----------------------------------------------------
 
     /// Reclaim archived versions that no snapshot at or after

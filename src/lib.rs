@@ -32,7 +32,6 @@ pub use morph_workload as workload;
 
 pub use morph_common::{ColumnType, DbError, DbResult, Key, Lsn, Schema, TableId, TxnId, Value};
 pub use morph_core::LazyMigration;
-pub use morph_core::TransformMode;
 pub use morph_engine::Database;
 pub use morph_engine::{ShardCounters, ShardedDatabase};
 pub use morph_orchestrator::{start_lazy_sharded, submit_sharded};

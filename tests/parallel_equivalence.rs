@@ -2,8 +2,8 @@
 //! observationally equivalent to the serial copy.
 //!
 //! Two databases replay byte-identical histories. One populates its
-//! targets with `populate_parallel` over `copy_workers` scan threads,
-//! the other with the single-threaded `populate`; both then drain the
+//! targets with `populate` over `copy_workers` scan threads, the other
+//! with one scan thread; both then drain the
 //! same log tail through the one propagation path, and the target
 //! tables must come out row-for-row identical (and both must match the
 //! reference oracle). Any divergence is the parallel copy's fault: a
@@ -203,7 +203,7 @@ proptest! {
         let (_, start_p, _) = par.write_fuzzy_mark();
         let (_, start_s, _) = ser.write_fuzzy_mark();
         prop_assert_eq!(start_p, start_s);
-        let wp = TransformOperator::populate_parallel(&mut mp, &par, 4, copy_workers(), 1.0)
+        let wp = TransformOperator::populate(&mut mp, &par, 4, copy_workers(), 1.0, None)
             .unwrap();
         let ws = ms.populate(4).unwrap();
         prop_assert_eq!(wp, ws);
@@ -376,7 +376,7 @@ proptest! {
         let (_, start_p, _) = par.write_fuzzy_mark();
         let (_, start_s, _) = ser.write_fuzzy_mark();
         prop_assert_eq!(start_p, start_s);
-        let wp = TransformOperator::populate_parallel(&mut mp, &par, 4, copy_workers(), 1.0)
+        let wp = TransformOperator::populate(&mut mp, &par, 4, copy_workers(), 1.0, None)
             .unwrap();
         let ws = ms.populate(4).unwrap();
         prop_assert_eq!(wp, ws);
@@ -540,7 +540,7 @@ proptest! {
         let (_, start_p, _) = par.write_fuzzy_mark();
         let (_, start_s, _) = ser.write_fuzzy_mark();
         prop_assert_eq!(start_p, start_s);
-        let wp = TransformOperator::populate_parallel(&mut mp, &par, 4, copy_workers(), 1.0)
+        let wp = TransformOperator::populate(&mut mp, &par, 4, copy_workers(), 1.0, None)
             .unwrap();
         let ws = ms.populate(4).unwrap();
         prop_assert_eq!(wp, ws);

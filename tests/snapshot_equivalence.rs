@@ -11,7 +11,7 @@
 //!    generated histories (including snapshots taken *mid*-transaction)
 //!    pins the visibility rule to the recovery semantics.
 //!
-//! 2. **Readers never block.** While a snapshot-mode split migration
+//! 2. **Readers never block.** While a split migration
 //!    (two copy workers) and four writer threads hammer the source table,
 //!    reader threads continuously acquire snapshots and scan. Every
 //!    scan must observe a consistent image (exactly the seeded row
@@ -24,7 +24,7 @@ use morphdb::engine::recover_into;
 use morphdb::txn::LockManagerConfig;
 use morphdb::wal::{LogManager, LogRecord};
 use morphdb::workload::{spawn_updaters, UpdateTarget};
-use morphdb::{thread_lock_waits, ColumnType, Database, Key, Lsn, Schema, TransformMode, Value};
+use morphdb::{thread_lock_waits, ColumnType, Database, Key, Lsn, Schema, Value};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -242,10 +242,9 @@ fn snapshot_readers_never_block_during_pooled_migration() {
         TransformOptions::default()
             .deadline(Duration::from_secs(60))
             .retain_sources()
-            .copy_workers(2)
-            .transform_mode(TransformMode::Snapshot),
+            .copy_workers(2),
     );
-    let report = handle.join().expect("snapshot-mode split under fire");
+    let report = handle.join().expect("split under fire");
     done.store(true, Ordering::Relaxed);
 
     for r in readers {
