@@ -20,8 +20,7 @@
 //! Writes `BENCH_propagation.json` at the repository root with
 //! records/s per batch size, the coalescer's drop counts and the
 //! detected core count (single-CPU numbers must not masquerade as
-//! scaling data). The `wal_commit_rate` series `wal_append` merged
-//! into the file is preserved across a rewrite.
+//! scaling data).
 
 use criterion::{BatchSize, Criterion, Throughput};
 use morph_bench::{detected_cores, populate_parallel_point};
@@ -314,20 +313,9 @@ fn main() {
         ));
     }
 
-    // Keep the series `wal_append` merged into this file (its
-    // commit-rate sweep) across the rewrite, so regenerating the
-    // propagation numbers does not silently drop it.
     let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
         .join("../..")
         .join("BENCH_propagation.json");
-    if let Ok(old) = std::fs::read_to_string(&path) {
-        for line in old.lines() {
-            if line.contains("\"series\": \"wal_commit_rate\"") {
-                entries.push(line.trim_end().trim_end_matches(',').to_owned());
-            }
-        }
-    }
-
     let json = format!(
         "{{\n  \"bench\": \"propagate_batch\",\n  \"cores\": {},\n  \"series\": [\n{}\n  ]\n}}\n",
         detected_cores(),

@@ -50,9 +50,8 @@ const SHARD_MIN_SPEEDUP: f64 = 1.8;
 const MERGED_SERIES: [&str; 3] = ["reader_gate", "shard_gate", "lazy_tail"];
 
 /// Splice this binary's series into `BENCH_propagation.json`,
-/// replacing any previous results (same idiom as `wal_append`'s
-/// commit-rate merge). Inserts a top-level `"cores"` field if the file
-/// predates it.
+/// replacing any previous results. Inserts a top-level `"cores"`
+/// field if the file predates it.
 fn merge_into_bench_json(cores: usize, mut block: Vec<String>) {
     let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
         .join("../..")

@@ -6,9 +6,8 @@
 //! path takes a lock that crosses shards: the router's only shared
 //! state is the immutable shard vector and the per-table routing
 //! specification, both fixed before traffic starts. Threads play the
-//! role of nodes; the single-engine ceiling the benches hit
-//! (wal_commit_rate ~7.4K/s at 8 clients) lifts by running N commit
-//! pipelines that never contend.
+//! role of nodes; one engine's commit rate is bounded by its one
+//! commit pipeline, and N shards run N pipelines that never contend.
 //!
 //! Routing defaults to a stable FNV-1a hash of the primary key. A
 //! table can opt into routing by a column subset
@@ -21,8 +20,7 @@
 use crate::counters::CountersSnapshot;
 use crate::database::Database;
 use morph_common::{DbError, DbResult, Key, Schema, Value};
-use morph_txn::LockManagerConfig;
-use morph_wal::{LogManager, WalMode};
+use morph_wal::WalMode;
 use parking_lot::RwLock;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -80,23 +78,20 @@ pub struct ShardedDatabase {
 }
 
 impl ShardedDatabase {
-    /// N shards, each with its own group-commit WAL (`WalMode::Group`)
-    /// and default lock configuration.
+    /// N shards, each with its own in-memory WAL and default lock
+    /// configuration.
     pub fn new(shards: usize) -> ShardedDatabase {
-        Self::with_wal_mode(shards, WalMode::Group)
+        Self::from_parts(
+            (0..shards.max(1))
+                .map(|_| Arc::new(Database::new()))
+                .collect(),
+        )
     }
 
-    /// N shards with a chosen per-shard WAL mode.
-    pub fn with_wal_mode(shards: usize, mode: WalMode) -> ShardedDatabase {
-        let shards = (0..shards.max(1))
-            .map(|_| {
-                Arc::new(Database::with_log(
-                    Arc::new(LogManager::new_in(mode)),
-                    LockManagerConfig::default(),
-                ))
-            })
-            .collect();
-        Self::from_parts(shards)
+    /// [`ShardedDatabase::new`]; kept only for `benchmark/`'s call
+    /// sites.
+    pub fn with_wal_mode(shards: usize, _mode: WalMode) -> ShardedDatabase {
+        Self::new(shards)
     }
 
     /// Assemble a router from caller-built shards (the crash simulator

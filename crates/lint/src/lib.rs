@@ -14,7 +14,7 @@
 //! 4. `panic`       — no `unwrap()/expect()/panic!` in non-test
 //!    library code without an allow escape.
 //! 5. `wal_bytes`   — backend writes only inside the approved WAL
-//!    manager append/drain functions ("byte order ≡ LSN order").
+//!    manager drain function ("byte order ≡ LSN order").
 //! 6. `atomics`     — every `Atomic*` field declared with a protocol
 //!    role in `manifest/atomics.txt`, and every site's `Ordering` at
 //!    least the role's minimum for that site kind.
@@ -231,10 +231,7 @@ impl Config {
                 "crates/txn/src".into(),
             ],
             panic_exempt: vec!["crates/bench/src".into()],
-            wal_write_fns: vec![
-                ("crates/wal/src/manager.rs".into(), "append_serial".into()),
-                ("crates/wal/src/manager.rs".into(), "drain_staged".into()),
-            ],
+            wal_write_fns: vec![("crates/wal/src/manager.rs".into(), "drain_staged".into())],
             wal_backend_impls: vec![
                 "crates/wal/src/file.rs".into(),
                 "crates/wal/src/fault.rs".into(),

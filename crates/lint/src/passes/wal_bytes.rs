@@ -1,9 +1,8 @@
 //! Pass 5: WAL byte order. Recovery correctness rests on "byte order
 //! ≡ LSN order" (DESIGN.md §11): bytes reach the backend sink only
-//! from the two approved WAL manager functions — `append_serial`
-//! (serial mode, under the order lock) and `drain_staged` (group
-//! mode, under the backend lock in LSN order). Any other `sink.append`
-//! or raw `write_all` in the workspace bypasses that ordering and is
+//! from the one approved WAL manager function, `drain_staged` (under
+//! the backend lock, in LSN order). Any other `sink.append` or raw
+//! `write_all` in the workspace bypasses that ordering and is
 //! flagged. Files that *implement* the `Backend` trait are exempt —
 //! they are below the ordering boundary, not callers of it.
 
@@ -56,8 +55,8 @@ pub fn run(cfg: &Config, files: &[SourceFile]) -> Vec<Finding> {
                     line: t.line,
                     key: name.to_string(),
                     msg: format!(
-                        "backend byte write (`{name}`) outside the approved WAL append/drain \
-                         functions — byte order must equal LSN order (DESIGN.md §11)"
+                        "backend byte write (`{name}`) outside the approved WAL drain \
+                         function — byte order must equal LSN order (DESIGN.md §11)"
                     ),
                 });
             }

@@ -24,7 +24,7 @@ fn fixture_config() -> Config {
         crash_manifest_path: MANIFEST_PATH.to_string(),
         det_zones: vec!["fixtures/".into()],
         panic_exempt: Vec::new(),
-        wal_write_fns: vec![("fixtures/wal_write.rs".into(), "append_serial".into())],
+        wal_write_fns: vec![("fixtures/wal_write.rs".into(), "drain_staged".into())],
         wal_backend_impls: Vec::new(),
         atomics: AtomicsManifest::parse(include_str!("fixtures/atomics.txt")).unwrap(),
         atomics_manifest_path: "crates/lint/tests/fixtures/atomics.txt".to_string(),
@@ -129,7 +129,7 @@ fn every_seeded_defect_is_caught_at_its_line() {
         // An escape that suppresses nothing is itself a finding.
         ("fixtures/stale_allow.rs", 6, "stale_allow"),
         // sink.append outside the approved fn, and a raw write_all;
-        // the same chain inside `append_serial` is silent.
+        // the same chain inside `drain_staged` is silent.
         ("fixtures/wal_write.rs", 10, "wal_bytes"),
         ("fixtures/wal_write.rs", 14, "wal_bytes"),
     ];

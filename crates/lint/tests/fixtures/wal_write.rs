@@ -1,8 +1,8 @@
-//! WAL byte-order fixture: the approved append path plus two
+//! WAL byte-order fixture: the approved drain function plus two
 //! out-of-band backend writes.
 
 impl Log {
-    fn append_serial(&mut self, bytes: &[u8]) {
+    fn drain_staged(&mut self, bytes: &[u8]) {
         self.sink.append(bytes);
     }
 

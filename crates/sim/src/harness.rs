@@ -14,10 +14,11 @@
 //!    is interleaved with fuzzy copy, propagation batches, and every
 //!    step of all three synchronization strategies.
 //! 4. Run the transformation synchronously.
-//! 5. If the kill fired: tear the WAL at a seeded byte offset
-//!    ([`FaultHandle::crash`]), decode the durable prefix, rebuild a
-//!    fresh database, replay the log with `recover_into`, and check
-//!    the **Theorem 1 oracle**:
+//! 5. If the kill fired: [`crash_and_recover`] (drain the staged
+//!    records to the backend, tear its unflushed bytes at a seeded
+//!    offset with [`FaultHandle::crash`], decode the durable prefix,
+//!    rebuild a fresh database, replay the log with `recover_into`),
+//!    then check the **Theorem 1 oracle**:
 //!      * recovered sources ≡ the workload's committed-state model
 //!        (no lost updates — valid because every workload step is a
 //!        complete flushed transaction, so only transformation
@@ -40,11 +41,11 @@
 use crate::scenario::Scenario;
 use morph_common::{DbError, DbResult, Key, Schema, TableId, Value};
 use morph_core::SyncStrategy;
-use morph_engine::{recover_into, CrashHook, Database};
+use morph_engine::{recover_into, CrashHook, Database, RecoveryReport};
 use morph_storage::row::Presence;
 use morph_storage::ConsistencyFlag;
 use morph_txn::LockManagerConfig;
-use morph_wal::{FaultBackend, FaultConfig, FaultHandle, GroupCommitConfig, LogManager, WalMode};
+use morph_wal::{FaultBackend, FaultConfig, FaultHandle, LogManager, LogRecord};
 use morph_workload::{StepStats, StepWorkload};
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
@@ -81,11 +82,6 @@ pub struct SimConfig {
     /// run. Keeps propagation convergent: once the budget is spent the
     /// workload quiesces and the backlog drains.
     pub inject_budget: usize,
-    /// WAL append/flush discipline for the database under test.
-    /// Defaults to `MORPH_WAL_MODE` with a [`WalMode::Serial`]
-    /// fallback — serial is the determinism pin; CI forces
-    /// `MORPH_WAL_MODE=group` to prove the matrix holds in both.
-    pub wal_mode: WalMode,
     /// Run the universe with multi-version reads on (off by default,
     /// the determinism pin: the trace is then byte-identical to
     /// pre-MVCC runs). The driver holds a snapshot across the whole
@@ -105,7 +101,6 @@ impl SimConfig {
             strategy,
             kill: None,
             inject_budget: 40,
-            wal_mode: WalMode::from_env(WalMode::Serial),
             mvcc: false,
         }
     }
@@ -113,13 +108,6 @@ impl SimConfig {
     #[must_use]
     pub fn kill_at(mut self, point: &str, occurrence: usize) -> SimConfig {
         self.kill = Some(Kill::new(point, occurrence));
-        self
-    }
-
-    /// Force a WAL mode regardless of `MORPH_WAL_MODE`.
-    #[must_use]
-    pub fn wal_mode(mut self, mode: WalMode) -> SimConfig {
-        self.wal_mode = mode;
         self
     }
 
@@ -160,6 +148,8 @@ pub struct SimReport {
     /// Log records that survived the simulated crash (0 for clean
     /// runs).
     pub durable_records: usize,
+    /// Unflushed bytes the seeded tear let survive (0 for clean runs).
+    pub tail_bytes: usize,
     pub workload: StepStats,
 }
 
@@ -295,6 +285,58 @@ fn first_diff<V: PartialEq + std::fmt::Debug>(
     None
 }
 
+/// A fresh database whose WAL tees into a seeded [`FaultBackend`],
+/// and the handle that later crashes it.
+pub fn fault_db(seed: u64) -> (Arc<Database>, FaultHandle) {
+    let (backend, fault) = FaultBackend::new(FaultConfig::crash_only(seed));
+    let log = Arc::new(LogManager::with_backend(Box::new(backend)));
+    let db = Arc::new(Database::with_log(log, LockManagerConfig::default()));
+    (db, fault)
+}
+
+/// What [`crash_and_recover`] hands back: the restarted database and
+/// what it restarted from.
+pub struct Recovered {
+    pub db: Arc<Database>,
+    /// Complete records decoded from the surviving byte image.
+    pub durable: Vec<LogRecord>,
+    /// Unflushed bytes the seeded tear let survive.
+    pub tail_bytes: usize,
+    pub report: RecoveryReport,
+}
+
+/// The one crash step every kill test shares: drain, tear, recover.
+///
+/// The drain hands the published-but-unflushed records to the backend
+/// first, which is what a flush leader that died between its drain and
+/// its fsync leaves behind; without it the group pipeline's volatile
+/// buffer is always empty at a crash point and the tear has nothing to
+/// cut. Then [`FaultHandle::crash`] keeps a seeded-random byte prefix
+/// of that buffer, the durable image is decoded (tolerating the torn
+/// tail), and a fresh database with the same table ids replays it.
+pub fn crash_and_recover(
+    db: &Database,
+    fault: &FaultHandle,
+    sources: &[(TableId, String, Schema)],
+) -> DbResult<Recovered> {
+    db.log().drain()?;
+    let tail_bytes = fault.crash();
+    let durable = fault.durable_records()?;
+    let log = Arc::new(LogManager::with_records(durable.clone()));
+    let db2 = Arc::new(Database::with_log(log, LockManagerConfig::default()));
+    for (id, name, schema) in sources {
+        db2.catalog()
+            .create_table_with_id(*id, name, schema.clone())?;
+    }
+    let report = recover_into(&db2, &durable)?;
+    Ok(Recovered {
+        db: db2,
+        durable,
+        tail_bytes,
+        report,
+    })
+}
+
 struct SimRun {
     db: Arc<Database>,
     fault: FaultHandle,
@@ -315,13 +357,7 @@ fn build(cfg: &SimConfig) -> Result<SimRun, SimFailure> {
         trace: Vec::new(),
     };
 
-    let (backend, fault) = FaultBackend::new(FaultConfig::crash_only(cfg.seed));
-    let log = Arc::new(LogManager::with_backend_mode(
-        Box::new(backend),
-        cfg.wal_mode,
-        GroupCommitConfig::default(),
-    ));
-    let db = Arc::new(Database::with_log(log, LockManagerConfig::default()));
+    let (db, fault) = fault_db(cfg.seed);
     if cfg.mvcc {
         db.enable_mvcc();
     }
@@ -491,31 +527,23 @@ pub fn run_sim(cfg: &SimConfig) -> Result<SimReport, SimFailure> {
                 trace,
                 point_counts,
                 durable_records: 0,
+                tail_bytes: 0,
                 workload: stats,
             })
         }
         Err(DbError::SimulatedCrash(_)) => {
-            // ---- the crash ----
-            let durable_bytes = run.fault.crash();
-            let durable = run
-                .fault
-                .durable_records()
-                .map_err(|e| fail(format!("torn durable log failed to decode: {e}"), &trace))?;
+            // ---- the crash, then restart on a fresh database ----
+            let Recovered {
+                db: db2,
+                durable,
+                tail_bytes,
+                report,
+            } = crash_and_recover(&run.db, &run.fault, &run.sources)
+                .map_err(|e| fail(format!("crash recovery failed: {e}"), &trace))?;
             trace.push(format!(
-                "crash: {} records ({durable_bytes} bytes) durable",
+                "crash: {} records ({tail_bytes} bytes) durable",
                 durable.len()
             ));
-
-            // ---- restart: fresh database, same table ids, replay ----
-            let log2 = Arc::new(LogManager::with_records(durable.clone()));
-            let db2 = Arc::new(Database::with_log(log2, LockManagerConfig::default()));
-            for (id, name, schema) in &run.sources {
-                db2.catalog()
-                    .create_table_with_id(*id, name, schema.clone())
-                    .map_err(|e| fail(format!("recreate {name}: {e}"), &trace))?;
-            }
-            let report = recover_into(&db2, &durable)
-                .map_err(|e| fail(format!("recovery failed: {e}"), &trace))?;
             trace.push(format!(
                 "recovered: redone={} losers={} clrs={}",
                 report.redone,
@@ -547,6 +575,7 @@ pub fn run_sim(cfg: &SimConfig) -> Result<SimReport, SimFailure> {
                 trace,
                 point_counts,
                 durable_records: durable.len(),
+                tail_bytes,
                 workload: stats,
             })
         }

@@ -20,6 +20,9 @@
 //!
 //! Entry points:
 //! * [`run_sim`] — one simulated universe from a [`SimConfig`];
+//! * [`fault_db`] / [`crash_and_recover`] — the fault-backed database
+//!   and the one crash step (drain, tear, recover) that `run_sim` and
+//!   every hand-written kill test share;
 //! * [`sweep_cell`] — census + seeded kill runs for one
 //!   `(scenario, strategy, seed)` cell;
 //! * [`minimize`] — shrink and confirm a failing reproduction.
@@ -29,7 +32,10 @@ pub mod points;
 pub mod scenario;
 pub mod sweep;
 
-pub use harness::{run_sim, Kill, SimConfig, SimFailure, SimReport, Verdict};
+pub use harness::{
+    crash_and_recover, fault_db, run_sim, Kill, Recovered, SimConfig, SimFailure, SimReport,
+    Verdict,
+};
 pub use points::{kill_matrix, matrix_points, uncovered};
 pub use scenario::{sim_options, Scenario};
 pub use sweep::{minimize, sweep_cell, SweepSummary};

@@ -27,8 +27,9 @@ const STRATEGIES: [SyncStrategy; 3] = [
 ];
 
 /// Kill `scenario` × `strategy` at every registry point that fired in
-/// the census and verify the oracle each time.
-fn exhaust_cell(seed: u64, scenario: Scenario, strategy: SyncStrategy) {
+/// the census and verify the oracle each time. Returns, per killed
+/// universe, the unflushed bytes that survived the tear.
+fn exhaust_cell(seed: u64, scenario: Scenario, strategy: SyncStrategy) -> Vec<usize> {
     let census = run_sim(&SimConfig::new(seed, scenario, strategy))
         .unwrap_or_else(|f| panic!("{}", f.render()));
     assert_eq!(census.verdict, Verdict::CompletedClean);
@@ -42,6 +43,7 @@ fn exhaust_cell(seed: u64, scenario: Scenario, strategy: SyncStrategy) {
         census.point_counts
     );
 
+    let mut tails = Vec::new();
     for (point, occurrence) in kills {
         let cfg = SimConfig::new(seed, scenario, strategy).kill_at(&point, occurrence);
         let report = run_sim(&cfg).unwrap_or_else(|f| panic!("{}", f.render()));
@@ -52,7 +54,9 @@ fn exhaust_cell(seed: u64, scenario: Scenario, strategy: SyncStrategy) {
             scenario.tag(),
             strategy
         );
+        tails.push(report.tail_bytes);
     }
+    tails
 }
 
 #[test]
@@ -72,14 +76,35 @@ fn split_survives_kills_at_every_point_all_strategies() {
 #[test]
 fn split_with_consistency_check_survives_kills() {
     // The C/U flags and certification rounds add bookkeeping log
-    // records (CcBegin/CcOk) that land in the torn tail; one strategy
-    // suffices on top of the plain-split matrix.
+    // records (CcBegin/CcOk) that land in the torn tail; two
+    // strategies suffice on top of the plain-split matrix.
     exhaust_cell(1, Scenario::SplitCc, SyncStrategy::NonBlockingAbort);
+    exhaust_cell(1, Scenario::SplitCc, SyncStrategy::BlockingCommit);
 }
 
 #[test]
 fn union_survives_kills() {
     exhaust_cell(1, Scenario::Union, SyncStrategy::NonBlockingAbort);
+}
+
+/// The kills above are only a torn-write test if the tear has bytes to
+/// cut. Records appended since the last flush sit staged in the log's
+/// slots, not in the backend, so the crash step drains them first
+/// (`crash_and_recover`); without that drain every universe below
+/// crashes with an empty volatile buffer and this reads 0 of N.
+#[test]
+fn kills_leave_torn_tails_for_recovery_to_survive() {
+    let tails: Vec<usize> = Scenario::ALL
+        .into_iter()
+        .flat_map(|scenario| exhaust_cell(1, scenario, SyncStrategy::NonBlockingAbort))
+        .collect();
+    let torn = tails.iter().filter(|&&bytes| bytes > 0).count();
+    println!("torn tails: {torn} of {} killed universes", tails.len());
+    assert!(
+        torn > 0,
+        "no killed universe of {} kept any unflushed bytes: the tear never cut a record",
+        tails.len()
+    );
 }
 
 /// Aggregate registry coverage: every non-optional point applicable to

@@ -20,14 +20,11 @@
 use morph_common::{DbError, DbResult, Key, Schema, TableId, Value};
 use morph_core::split::example1_schema;
 use morph_core::SyncStrategy;
-use morph_engine::{recover_into, CrashHook, Database};
+use morph_engine::{CrashHook, Database};
 use morph_orchestrator::{Migration, MigrationSpec, Orchestrator};
 use morph_sim::points::registry;
-use morph_sim::sim_options;
-use morph_txn::LockManagerConfig;
-use morph_wal::{
-    FaultBackend, FaultConfig, FaultHandle, GroupCommitConfig, LogManager, MigrationPhase, WalMode,
-};
+use morph_sim::{crash_and_recover, fault_db, sim_options};
+use morph_wal::{FaultHandle, MigrationPhase};
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -148,13 +145,7 @@ struct Universe {
 
 /// Fault-backed database with the seeded source table committed.
 fn build(seed: u64) -> Universe {
-    let (backend, fault) = FaultBackend::new(FaultConfig::crash_only(seed));
-    let log = Arc::new(LogManager::with_backend_mode(
-        Box::new(backend),
-        WalMode::from_env(WalMode::Serial),
-        GroupCommitConfig::default(),
-    ));
-    let db = Arc::new(Database::with_log(log, LockManagerConfig::default()));
+    let (db, fault) = fault_db(seed);
     let t = db.create_table(SOURCE, example1_schema()).unwrap();
     let sources = vec![(t.id(), SOURCE.to_owned(), example1_schema())];
     let model = seed_rows(&db).unwrap();
@@ -168,17 +159,8 @@ fn build(seed: u64) -> Universe {
 
 /// Tear the WAL, rebuild a fresh database, replay the durable prefix.
 fn recover(u: &Universe) -> (Arc<Database>, Vec<morph_wal::LogRecord>) {
-    let _bytes = u.fault.crash();
-    let durable = u.fault.durable_records().unwrap();
-    let log2 = Arc::new(LogManager::with_records(durable.clone()));
-    let db2 = Arc::new(Database::with_log(log2, LockManagerConfig::default()));
-    for (id, name, schema) in &u.sources {
-        db2.catalog()
-            .create_table_with_id(*id, name, schema.clone())
-            .unwrap();
-    }
-    recover_into(&db2, &durable).unwrap();
-    (db2, durable)
+    let r = crash_and_recover(&u.db, &u.fault, &u.sources).unwrap();
+    (r.db, r.durable)
 }
 
 /// Reference: the same migration, uninterrupted, over the same seed

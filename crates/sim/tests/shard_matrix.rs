@@ -17,14 +17,13 @@
 
 use morph_common::{ColumnType, DbError, DbResult, Key, Schema, TableId, Value};
 use morph_core::SyncStrategy;
-use morph_engine::{recover_into, CrashHook, Database, ShardedDatabase};
+use morph_engine::{CrashHook, Database, ShardedDatabase};
 use morph_orchestrator::{
     start_lazy_sharded, submit_sharded, Migration, MigrationSpec, Orchestrator,
 };
 use morph_sim::points::registry;
-use morph_sim::sim_options;
-use morph_txn::LockManagerConfig;
-use morph_wal::{FaultBackend, FaultConfig, FaultHandle, GroupCommitConfig, LogManager, WalMode};
+use morph_sim::{crash_and_recover, fault_db, sim_options};
+use morph_wal::FaultHandle;
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -130,13 +129,7 @@ fn values_of(db: &Database, table: &str) -> DbResult<BTreeMap<Key, Vec<Value>>> 
 fn build(seed: u64) -> RouterUniverse {
     let mut shards = Vec::with_capacity(SHARDS);
     for i in 0..SHARDS {
-        let (backend, fault) = FaultBackend::new(FaultConfig::crash_only(seed + i as u64));
-        let log = Arc::new(LogManager::with_backend_mode(
-            Box::new(backend),
-            WalMode::from_env(WalMode::Serial),
-            GroupCommitConfig::default(),
-        ));
-        let db = Arc::new(Database::with_log(log, LockManagerConfig::default()));
+        let (db, fault) = fault_db(seed + i as u64);
         let mut sources = Vec::new();
         for name in ["r", "s"] {
             let t = db.create_table(name, union_schema()).unwrap();
@@ -165,17 +158,8 @@ fn build(seed: u64) -> RouterUniverse {
 /// Tear the victim's WAL, rebuild a fresh engine, replay the durable
 /// prefix — the other shards' processes are never involved.
 fn recover_shard(u: &ShardUniverse) -> (Arc<Database>, Vec<morph_wal::LogRecord>) {
-    let _bytes = u.fault.crash();
-    let durable = u.fault.durable_records().unwrap();
-    let log2 = Arc::new(LogManager::with_records(durable.clone()));
-    let db2 = Arc::new(Database::with_log(log2, LockManagerConfig::default()));
-    for (id, name, schema) in &u.sources {
-        db2.catalog()
-            .create_table_with_id(*id, name, schema.clone())
-            .unwrap();
-    }
-    recover_into(&db2, &durable).unwrap();
-    (db2, durable)
+    let r = crash_and_recover(&u.db, &u.fault, &u.sources).unwrap();
+    (r.db, r.durable)
 }
 
 /// Uninterrupted eager run over a pristine router with the same key

@@ -1,91 +1,14 @@
-//! Group-commit WAL under the crash simulator.
-//!
-//! `WalMode::Serial` is the determinism pin the rest of the sim suite
-//! runs; this file proves the same universes hold up when the WAL runs
-//! the lock-split, group-commit pipeline instead — and exercises the
-//! new commit/abort crash points that sit around the durability
-//! watermark, which no transformation-phase kill can reach.
+//! The commit/abort crash points that sit around the durability
+//! watermark, which no transformation-phase kill can reach: a commit
+//! killed before its `Commit` record is appended rolls back, one
+//! killed after `wait_durable` returned survives, and an abort killed
+//! after its CLRs are durable stays rolled back.
 
 use morph_common::{ColumnType, DbError, DbResult, Schema, Value};
-use morph_core::SyncStrategy;
-use morph_engine::{recover_into, CrashHook, Database};
-use morph_sim::{run_sim, Scenario, SimConfig, Verdict};
-use morph_txn::LockManagerConfig;
-use morph_wal::{FaultBackend, FaultConfig, GroupCommitConfig, LogManager, WalMode};
+use morph_engine::{CrashHook, Database};
+use morph_sim::{crash_and_recover, fault_db};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-
-fn group_cfg(seed: u64, scenario: Scenario, strategy: SyncStrategy) -> SimConfig {
-    SimConfig::new(seed, scenario, strategy).wal_mode(WalMode::Group)
-}
-
-#[test]
-fn group_mode_census_matches_serial_trace() {
-    // The WAL mode changes durability mechanics, never execution: a
-    // clean census run must produce a byte-identical event trace in
-    // both modes.
-    for scenario in Scenario::ALL {
-        let serial = run_sim(
-            &SimConfig::new(7, scenario, SyncStrategy::NonBlockingAbort).wal_mode(WalMode::Serial),
-        )
-        .unwrap_or_else(|f| panic!("{}", f.render()));
-        let group = run_sim(&group_cfg(7, scenario, SyncStrategy::NonBlockingAbort))
-            .unwrap_or_else(|f| panic!("{}", f.render()));
-        assert_eq!(serial.verdict, Verdict::CompletedClean);
-        assert_eq!(group.verdict, Verdict::CompletedClean);
-        assert_eq!(
-            serial.trace,
-            group.trace,
-            "mode changed execution for {}",
-            scenario.tag()
-        );
-    }
-}
-
-#[test]
-fn group_mode_is_deterministic() {
-    let cfg =
-        group_cfg(7, Scenario::Foj, SyncStrategy::NonBlockingAbort).kill_at("propagate.batch", 5);
-    let a = run_sim(&cfg).unwrap_or_else(|f| panic!("{}", f.render()));
-    let b = run_sim(&cfg).unwrap_or_else(|f| panic!("{}", f.render()));
-    assert_eq!(a.verdict, Verdict::KilledAndRecovered);
-    assert_eq!(a.trace, b.trace, "group-mode killed-run trace diverged");
-    assert_eq!(a.durable_records, b.durable_records);
-}
-
-#[test]
-fn group_mode_survives_kills_across_the_matrix() {
-    // A bounded slice of the crash matrix with group commit on: every
-    // strategy, kills inside the copy and inside propagation, full
-    // Theorem 1 oracle each time.
-    for (scenario, strategy) in [
-        (Scenario::Foj, SyncStrategy::NonBlockingAbort),
-        (Scenario::Split, SyncStrategy::NonBlockingCommit),
-        (Scenario::SplitCc, SyncStrategy::BlockingCommit),
-        (Scenario::Union, SyncStrategy::NonBlockingAbort),
-    ] {
-        let census =
-            run_sim(&group_cfg(5, scenario, strategy)).unwrap_or_else(|f| panic!("{}", f.render()));
-        assert_eq!(census.verdict, Verdict::CompletedClean);
-        for point in ["populate.chunk", "propagate.batch"] {
-            let n = *census
-                .point_counts
-                .get(point)
-                .unwrap_or_else(|| panic!("{point} never fired in census"));
-            let cfg = group_cfg(5, scenario, strategy).kill_at(point, n / 2 + 1);
-            let report = run_sim(&cfg).unwrap_or_else(|f| panic!("{}", f.render()));
-            assert_eq!(
-                report.verdict,
-                Verdict::KilledAndRecovered,
-                "{} {:?} kill at {point}",
-                scenario.tag(),
-                strategy
-            );
-        }
-    }
-}
-
-// --- direct commit/abort crash-point semantics -------------------------
 
 /// Kill the first time execution reaches `point`, once.
 struct KillOnce {
@@ -113,14 +36,8 @@ fn two_col_schema() -> Schema {
 
 /// Crash a commit at `point`, then recover and report whether the
 /// in-flight transaction's row survived.
-fn crashed_commit_row_survives(mode: WalMode, point: &'static str, seed: u64) -> bool {
-    let (backend, handle) = FaultBackend::new(FaultConfig::crash_only(seed));
-    let log = Arc::new(LogManager::with_backend_mode(
-        Box::new(backend),
-        mode,
-        GroupCommitConfig::default(),
-    ));
-    let db = Database::with_log(log, LockManagerConfig::default());
+fn crashed_commit_row_survives(point: &'static str, seed: u64) -> bool {
+    let (db, fault) = fault_db(seed);
     let table = db.create_table("T", two_col_schema()).unwrap();
 
     // A committed base row that must survive every crash below.
@@ -141,32 +58,23 @@ fn crashed_commit_row_survives(mode: WalMode, point: &'static str, seed: u64) ->
         other => panic!("commit should have been killed at {point}, got {other:?}"),
     }
 
-    handle.crash();
-    let durable = handle.durable_records().unwrap();
-    let log2 = Arc::new(LogManager::with_records(durable.clone()));
-    let db2 = Database::with_log(log2, LockManagerConfig::default());
-    db2.catalog()
-        .create_table_with_id(table.id(), "T", two_col_schema())
-        .unwrap();
-    recover_into(&db2, &durable).unwrap();
-
+    let sources = [(table.id(), "T".to_owned(), two_col_schema())];
+    let db2 = crash_and_recover(&db, &fault, &sources).unwrap().db;
     let rows = db2.catalog().get("T").unwrap().snapshot();
     assert!(
         rows.iter().any(|(_, r)| r.values[0] == Value::Int(1)),
-        "committed base row lost after {point} crash ({mode:?})"
+        "committed base row lost after {point} crash"
     );
     rows.iter().any(|(_, r)| r.values[0] == Value::Int(2))
 }
 
 #[test]
 fn kill_before_commit_append_rolls_the_transaction_back() {
-    for mode in [WalMode::Serial, WalMode::Group] {
-        for seed in [3, 17, 91] {
-            assert!(
-                !crashed_commit_row_survives(mode, "commit.wal_append", seed),
-                "txn without a Commit record must be a loser ({mode:?}, seed {seed})"
-            );
-        }
+    for seed in [3, 17, 91] {
+        assert!(
+            !crashed_commit_row_survives("commit.wal_append", seed),
+            "txn without a Commit record must be a loser (seed {seed})"
+        );
     }
 }
 
@@ -176,57 +84,41 @@ fn kill_after_durability_wait_preserves_the_transaction() {
     // storage: the tear cannot reach it, and recovery must redo the
     // transaction — the durability watermark is exactly the point of
     // no return.
-    for mode in [WalMode::Serial, WalMode::Group] {
-        for seed in [3, 17, 91] {
-            assert!(
-                crashed_commit_row_survives(mode, "commit.wal_durable", seed),
-                "durable commit lost ({mode:?}, seed {seed})"
-            );
-        }
+    for seed in [3, 17, 91] {
+        assert!(
+            crashed_commit_row_survives("commit.wal_durable", seed),
+            "durable commit lost (seed {seed})"
+        );
     }
 }
 
 #[test]
 fn killed_abort_after_durable_clrs_stays_rolled_back() {
-    for mode in [WalMode::Serial, WalMode::Group] {
-        let (backend, handle) = FaultBackend::new(FaultConfig::crash_only(23));
-        let log = Arc::new(LogManager::with_backend_mode(
-            Box::new(backend),
-            mode,
-            GroupCommitConfig::default(),
-        ));
-        let db = Database::with_log(log, LockManagerConfig::default());
-        let table = db.create_table("T", two_col_schema()).unwrap();
-        let t0 = db.begin();
-        db.insert(t0, "T", vec![Value::Int(1), Value::str("base")])
-            .unwrap();
-        db.commit(t0).unwrap();
+    let (db, fault) = fault_db(23);
+    let table = db.create_table("T", two_col_schema()).unwrap();
+    let t0 = db.begin();
+    db.insert(t0, "T", vec![Value::Int(1), Value::str("base")])
+        .unwrap();
+    db.commit(t0).unwrap();
 
-        db.set_crash_hook(Arc::new(KillOnce {
-            point: "abort.wal_durable",
-            fired: AtomicBool::new(false),
-        }));
-        let t1 = db.begin();
-        db.insert(t1, "T", vec![Value::Int(2), Value::str("victim")])
-            .unwrap();
-        match db.abort(t1) {
-            Err(DbError::SimulatedCrash(_)) => {}
-            other => panic!("abort should have been killed, got {other:?}"),
-        }
-
-        handle.crash();
-        let durable = handle.durable_records().unwrap();
-        let log2 = Arc::new(LogManager::with_records(durable.clone()));
-        let db2 = Database::with_log(log2, LockManagerConfig::default());
-        db2.catalog()
-            .create_table_with_id(table.id(), "T", two_col_schema())
-            .unwrap();
-        recover_into(&db2, &durable).unwrap();
-        let rows = db2.catalog().get("T").unwrap().snapshot();
-        assert!(rows.iter().any(|(_, r)| r.values[0] == Value::Int(1)));
-        assert!(
-            !rows.iter().any(|(_, r)| r.values[0] == Value::Int(2)),
-            "aborted row resurrected after crash mid-abort ({mode:?})"
-        );
+    db.set_crash_hook(Arc::new(KillOnce {
+        point: "abort.wal_durable",
+        fired: AtomicBool::new(false),
+    }));
+    let t1 = db.begin();
+    db.insert(t1, "T", vec![Value::Int(2), Value::str("victim")])
+        .unwrap();
+    match db.abort(t1) {
+        Err(DbError::SimulatedCrash(_)) => {}
+        other => panic!("abort should have been killed, got {other:?}"),
     }
+
+    let sources = [(table.id(), "T".to_owned(), two_col_schema())];
+    let db2 = crash_and_recover(&db, &fault, &sources).unwrap().db;
+    let rows = db2.catalog().get("T").unwrap().snapshot();
+    assert!(rows.iter().any(|(_, r)| r.values[0] == Value::Int(1)));
+    assert!(
+        !rows.iter().any(|(_, r)| r.values[0] == Value::Int(2)),
+        "aborted row resurrected after crash mid-abort"
+    );
 }

@@ -12,25 +12,17 @@
 //!
 //! ## The append/flush pipeline (DESIGN.md §11)
 //!
-//! The manager runs in one of two disciplines ([`WalMode`]):
-//!
-//! * **Serial** — the reference path: one mutex covers LSN
-//!   assignment, record encoding, the backend tee, and publication.
-//!   Byte order in the backend trivially equals LSN order, and every
-//!   [`flush`](LogManager::flush) maps to exactly one backend flush.
-//!   The deterministic crash simulator runs this mode.
-//! * **Group** — the scalable path. An append *reserves* its LSN with
-//!   one atomic increment, encodes the record outside any lock, fills
-//!   its pre-allocated slot, and *publishes* by advancing the
-//!   gapless-prefix watermark under a short ordering lock. Backend
-//!   bytes are *staged* in the slot and drained to the backend
-//!   strictly in LSN order by whichever thread next needs durability
-//!   — so byte order still equals LSN order, the invariant the crash
-//!   simulator's torn-write model depends on. Durability is a
-//!   watermark: committers call
-//!   [`wait_durable`](LogManager::wait_durable) and a leader performs
-//!   one drain + flush on behalf of every waiter at or below the
-//!   published LSN (group commit).
+//! There is one discipline. An append *reserves* its LSN with one
+//! atomic increment, encodes the record outside any lock, fills its
+//! pre-allocated slot, and *publishes* by advancing the gapless-prefix
+//! watermark under a short ordering lock. Backend bytes are *staged*
+//! in the slot and drained to the backend strictly in LSN order by
+//! whichever thread next needs durability, so byte order equals LSN
+//! order, the invariant the crash simulator's torn-write model depends
+//! on. Durability is a watermark: committers call
+//! [`wait_durable`](LogManager::wait_durable) and a leader performs
+//! one [`drain`](LogManager::drain) + flush on behalf of every waiter
+//! at or below the published LSN (group commit).
 //!
 //! Retained records live in fixed-size chunks of once-written slots.
 //! Readers ([`read`](LogManager::read),
@@ -54,28 +46,15 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Append/flush discipline (see module docs).
+/// The append/flush discipline. One variant is left (PR 21 deleted
+/// `Serial`, DESIGN.md §11); the type, and the three signatures that
+/// take it, exist only because `benchmark/`, which a product PR may
+/// not edit, still names `WalMode::Group`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum WalMode {
-    /// One mutex over assign + encode + tee + publish; flush per call.
-    /// The exact reference path the crash simulator pins.
-    Serial,
     /// Lock-split append with staged backend bytes and group-commit
     /// durability via [`LogManager::wait_durable`].
     Group,
-}
-
-impl WalMode {
-    /// Resolve the mode from `MORPH_WAL_MODE` (`"serial"` /
-    /// `"group"`), falling back to `default`. Lets CI force group
-    /// commit through code paths that default to the serial pin.
-    pub fn from_env(default: WalMode) -> WalMode {
-        match std::env::var("MORPH_WAL_MODE").ok().as_deref() {
-            Some("group") => WalMode::Group,
-            Some("serial") => WalMode::Serial,
-            _ => default,
-        }
-    }
 }
 
 /// Group-commit tuning: how long a flush leader holds the door open
@@ -115,8 +94,8 @@ const CHUNK_RECORDS: u64 = 256;
 #[derive(Default)]
 struct Slot {
     rec: Option<Arc<LogRecord>>,
-    /// Encoded bytes awaiting the backend drain (group mode with a
-    /// backend only).
+    /// Encoded bytes awaiting the backend drain (only with a
+    /// backend).
     staged: Option<Bytes>,
 }
 
@@ -173,9 +152,8 @@ impl ChunkList {
 
 struct BackendState {
     sink: Box<dyn Backend + Send>,
-    /// Highest LSN whose bytes the sink has received. In serial mode
-    /// the tee happens at append, so this tracks the published LSN;
-    /// in group mode it is the drain cursor.
+    /// Highest LSN whose bytes the sink has received: the drain
+    /// cursor.
     drained: u64,
 }
 
@@ -189,11 +167,9 @@ struct GroupState {
 
 /// Append-only, totally ordered log with tail readers.
 pub struct LogManager {
-    mode: WalMode,
     group_cfg: GroupCommitConfig,
     store: RwLock<ChunkList>,
-    /// Highest LSN handed out to an appender (group-mode reservation;
-    /// mirrors `published` in serial mode).
+    /// Highest LSN handed out to an appender.
     reserved: AtomicU64,
     /// Highest readable LSN: every slot at or below it is filled and
     /// immutable. Advanced only under `order`, gaplessly.
@@ -203,10 +179,8 @@ pub struct LogManager {
     /// Highest LSN a successful backend flush covers — the durability
     /// watermark group commit satisfies waiters against.
     durable: AtomicU64,
-    /// Watermark-ordering lock. Group mode holds it only to advance
-    /// `published` over consecutively filled slots; serial mode holds
-    /// it across the whole append (assign + encode + tee + publish),
-    /// reproducing the original single-mutex path exactly.
+    /// Watermark-ordering lock, held only to advance `published` over
+    /// consecutively filled slots.
     order: Mutex<()>,
     /// Serializes truncation (base advance + whole-chunk reclaim).
     trunc: Mutex<()>,
@@ -228,7 +202,6 @@ impl LogManager {
     fn build(
         records: Vec<LogRecord>,
         backend: Option<Box<dyn Backend + Send>>,
-        mode: WalMode,
         group_cfg: GroupCommitConfig,
     ) -> LogManager {
         let mut store = ChunkList::default();
@@ -246,7 +219,6 @@ impl LogManager {
             chunk.slot(lsn).lock().rec = Some(Arc::new(rec));
         }
         LogManager {
-            mode,
             group_cfg,
             store: RwLock::new(store),
             reserved: AtomicU64::new(n),
@@ -262,20 +234,14 @@ impl LogManager {
         }
     }
 
-    /// A purely in-memory log (mode from `MORPH_WAL_MODE`, default
-    /// serial).
+    /// A purely in-memory log.
     pub fn new() -> LogManager {
-        Self::build(
-            Vec::new(),
-            None,
-            WalMode::from_env(WalMode::Serial),
-            GroupCommitConfig::default(),
-        )
+        Self::build(Vec::new(), None, GroupCommitConfig::default())
     }
 
-    /// A purely in-memory log in an explicit mode.
-    pub fn new_in(mode: WalMode) -> LogManager {
-        Self::build(Vec::new(), None, mode, GroupCommitConfig::default())
+    /// [`LogManager::new`]; kept only for `benchmark/`'s call sites.
+    pub fn new_in(_mode: WalMode) -> LogManager {
+        Self::new()
     }
 
     /// A log that also persists every record to `path` (length-prefixed
@@ -288,74 +254,49 @@ impl LogManager {
 
     /// A log that tees every record into an arbitrary [`Backend`] —
     /// the injection point for the crash-simulation harness's
-    /// fault-capable in-memory backend. Mode from `MORPH_WAL_MODE`,
-    /// default serial (the simulator's determinism pin).
+    /// fault-capable in-memory backend.
     pub fn with_backend(backend: Box<dyn Backend + Send>) -> LogManager {
-        Self::with_backend_mode(
-            backend,
-            WalMode::from_env(WalMode::Serial),
-            GroupCommitConfig::default(),
-        )
+        Self::with_backend_config(backend, GroupCommitConfig::default())
     }
 
-    /// A backend-teeing log in an explicit mode with explicit
-    /// group-commit tuning.
-    pub fn with_backend_mode(
+    /// A backend-teeing log with explicit group-commit tuning.
+    pub fn with_backend_config(
         backend: Box<dyn Backend + Send>,
-        mode: WalMode,
         group_cfg: GroupCommitConfig,
     ) -> LogManager {
-        Self::build(Vec::new(), Some(backend), mode, group_cfg)
+        Self::build(Vec::new(), Some(backend), group_cfg)
+    }
+
+    /// [`LogManager::with_backend_config`]; kept only for
+    /// `benchmark/`'s call sites.
+    pub fn with_backend_mode(
+        backend: Box<dyn Backend + Send>,
+        _mode: WalMode,
+        group_cfg: GroupCommitConfig,
+    ) -> LogManager {
+        Self::with_backend_config(backend, group_cfg)
     }
 
     /// Construct a manager pre-loaded with recovered records (restart
     /// recovery replays these before the database goes live).
     pub fn with_records(records: Vec<LogRecord>) -> LogManager {
-        Self::build(
-            records,
-            None,
-            WalMode::from_env(WalMode::Serial),
-            GroupCommitConfig::default(),
-        )
-    }
-
-    /// The append/flush discipline this manager runs.
-    pub fn mode(&self) -> WalMode {
-        self.mode
+        Self::build(records, None, GroupCommitConfig::default())
     }
 
     // --- append ---------------------------------------------------------
 
-    /// Append one record, returning its LSN.
+    /// Append one record, returning its LSN: reserve, encode outside
+    /// any lock, fill the slot, then advance the publish watermark
+    /// over the gapless prefix of filled slots.
+    ///
+    /// The record is readable when this returns. The engine appends
+    /// inside the table shard latch and relies on that: a final drain
+    /// to [`last_lsn`](LogManager::last_lsn) under the exclusive latch
+    /// must have seen every write made under it. So an appender whose
+    /// predecessor is still filling its slot waits for it (the
+    /// predecessor is inside this function too, holds nothing this
+    /// thread could be holding, and publishes both when it is done).
     pub fn append(&self, rec: LogRecord) -> Lsn {
-        match self.mode {
-            WalMode::Serial => self.append_serial(rec),
-            WalMode::Group => self.append_group(rec),
-        }
-    }
-
-    /// The reference path: one critical section covers LSN assignment,
-    /// encoding, the backend tee, and publication, so the backend's
-    /// byte order trivially matches LSN order.
-    fn append_serial(&self, rec: LogRecord) -> Lsn {
-        let _order = self.order.lock();
-        let lsn = self.published.load(Ordering::Relaxed) + 1; // morph-lint: allow(atomics, read under the order mutex that serializes every published-store; the lock is the fence)
-        if let Some(backend) = &self.backend {
-            let mut be = backend.lock();
-            be.sink.append(&codec::encode(&rec));
-            be.drained = lsn;
-        }
-        let chunk = self.ensure_chunk(lsn);
-        chunk.slot(lsn).lock().rec = Some(Arc::new(rec));
-        self.reserved.store(lsn, Ordering::Relaxed);
-        self.published.store(lsn, Ordering::Release);
-        Lsn(lsn)
-    }
-
-    /// The lock-split path: reserve, encode outside any lock, fill the
-    /// slot, then advance the publish watermark over the gapless
-    /// prefix of filled slots.
-    fn append_group(&self, rec: LogRecord) -> Lsn {
         let lsn = self.reserved.fetch_add(1, Ordering::Relaxed) + 1;
         let staged = self.backend.as_ref().map(|_| codec::encode(&rec));
         let chunk = self.ensure_chunk(lsn);
@@ -364,16 +305,21 @@ impl LogManager {
             slot.rec = Some(Arc::new(rec));
             slot.staged = staged;
         }
-        self.publish_filled();
+        let mut published = self.publish_filled();
+        while published < lsn {
+            std::thread::yield_now();
+            published = self.published.load(Ordering::Acquire);
+        }
         Lsn(lsn)
     }
 
-    /// Advance `published` across every consecutively filled slot.
-    /// Every appender calls this after filling its slot, so the last
-    /// filler of any gapless prefix publishes the whole prefix: if the
-    /// slot after the watermark is still empty, its (in-flight)
-    /// appender is guaranteed to run this again after filling it.
-    fn publish_filled(&self) {
+    /// Advance `published` across every consecutively filled slot and
+    /// return it. Every appender calls this after filling its slot, so
+    /// the last filler of any gapless prefix publishes the whole
+    /// prefix: if the slot after the watermark is still empty, its
+    /// (in-flight) appender is guaranteed to run this again after
+    /// filling it.
+    fn publish_filled(&self) -> u64 {
         let _order = self.order.lock();
         let mut p = self.published.load(Ordering::Relaxed); // morph-lint: allow(atomics, read under the order mutex that serializes every published-store; the lock is the fence)
         let reserved = self.reserved.load(Ordering::Relaxed);
@@ -393,6 +339,7 @@ impl LogManager {
             p = next;
         }
         self.published.store(p, Ordering::Release);
+        p
     }
 
     /// Return the chunk holding `lsn`, allocating it (and any
@@ -459,6 +406,20 @@ impl LogManager {
         Ok(())
     }
 
+    /// Hand every published record's staged bytes to the backend, in
+    /// LSN order, *without* flushing, and return the LSN drained up
+    /// to. This is the first half of a flush leader's work; on its
+    /// own it is the state a leader that dies between its drain and
+    /// its fsync leaves behind, which is how the crash simulator gets
+    /// unflushed bytes for its seeded tear to cut (DESIGN.md §9).
+    pub fn drain(&self) -> DbResult<Lsn> {
+        let target = self.published.load(Ordering::Acquire);
+        if let Some(backend) = &self.backend {
+            self.drain_staged(&mut backend.lock(), target)?;
+        }
+        Ok(Lsn(target))
+    }
+
     fn advance_durable(&self, upto: u64) {
         self.durable.fetch_max(upto, Ordering::AcqRel);
     }
@@ -485,28 +446,9 @@ impl LogManager {
         let Some(backend) = &self.backend else {
             return Ok(());
         };
-        // Dirty-flag fast path: a previous flush already covers this
-        // LSN — no backend lock, no fsync.
-        if lsn.0 <= self.durable.load(Ordering::Acquire) {
-            return Ok(());
-        }
-        match self.mode {
-            WalMode::Serial => {
-                let mut be = backend.lock();
-                if lsn.0 <= self.durable.load(Ordering::Acquire) {
-                    return Ok(());
-                }
-                self.flushes.fetch_add(1, Ordering::Relaxed);
-                be.sink.flush()?;
-                self.advance_durable(be.drained);
-                Ok(())
-            }
-            WalMode::Group => self.wait_durable_group(backend, lsn),
-        }
-    }
-
-    fn wait_durable_group(&self, backend: &Mutex<BackendState>, lsn: Lsn) -> DbResult<()> {
         loop {
+            // Dirty-flag fast path: a previous flush already covers
+            // this LSN — no lock, no fsync.
             if lsn.0 <= self.durable.load(Ordering::Acquire) {
                 return Ok(());
             }
@@ -546,29 +488,24 @@ impl LogManager {
             // Everything published when the leader flushes becomes
             // durable — including our own lsn, which was published
             // before we were called.
-            let target = self.published.load(Ordering::Acquire);
-            let result = {
-                let mut be = backend.lock();
-                let drained = self.drain_staged(&mut be, target);
+            let result = self.drain().and_then(|target| {
                 self.flushes.fetch_add(1, Ordering::Relaxed);
-                drained.and_then(|()| be.sink.flush())
-            };
+                backend.lock().sink.flush()?;
+                Ok(target)
+            });
 
             let mut g = self.group.lock();
             g.leader = false;
-            if result.is_ok() {
-                self.advance_durable(target);
+            if let Ok(target) = result {
+                self.advance_durable(target.0);
             }
             self.group_cv.notify_all();
             drop(g);
-            result?;
-            if lsn.0 <= target {
+            if lsn <= result? {
                 return Ok(());
             }
-            // Our record was not yet published when we flushed (an
-            // earlier appender was still filling its slot, holding the
-            // gapless prefix back). Go around: the prefix will pass us
-            // once that appender publishes.
+            // Only an LSN that `append` has not returned yet can be
+            // above the flushed prefix. Go around until it is.
         }
     }
 
@@ -658,13 +595,11 @@ impl LogManager {
         // archive stays complete and in LSN order. A failed drain
         // aborts the truncation with nothing reclaimed: dropping the
         // chunks anyway would tear a hole in the durable archive.
-        if self.mode == WalMode::Group {
-            if let Some(backend) = &self.backend {
-                let chunk_complete = (new_base / CHUNK_RECORDS) * CHUNK_RECORDS;
-                let mut be = backend.lock();
-                let upto = chunk_complete.min(published).max(be.drained);
-                self.drain_staged(&mut be, upto)?;
-            }
+        if let Some(backend) = &self.backend {
+            let chunk_complete = (new_base / CHUNK_RECORDS) * CHUNK_RECORDS;
+            let mut be = backend.lock();
+            let upto = chunk_complete.min(published).max(be.drained);
+            self.drain_staged(&mut be, upto)?;
         }
         self.base.store(new_base, Ordering::Release);
         let mut store = self.store.write();
@@ -858,31 +793,66 @@ mod tests {
 
     #[test]
     fn concurrent_appends_get_unique_lsns() {
-        for mode in [WalMode::Serial, WalMode::Group] {
-            use std::collections::HashSet;
-            let log = std::sync::Arc::new(LogManager::new_in(mode));
-            let mut handles = Vec::new();
-            for t in 0..8u64 {
-                let log = std::sync::Arc::clone(&log);
-                handles.push(std::thread::spawn(move || {
-                    let mut seen = Vec::new();
-                    for _ in 0..500 {
-                        seen.push(log.append(begin(t)));
-                    }
-                    seen
-                }));
-            }
-            let mut all = HashSet::new();
-            for h in handles {
-                for lsn in h.join().unwrap() {
-                    assert!(all.insert(lsn), "duplicate LSN {lsn:?} ({mode:?})");
+        use std::collections::HashSet;
+        let log = std::sync::Arc::new(LogManager::new());
+        let mut handles = Vec::new();
+        for t in 0..8u64 {
+            let log = std::sync::Arc::clone(&log);
+            handles.push(std::thread::spawn(move || {
+                let mut seen = Vec::new();
+                for _ in 0..500 {
+                    seen.push(log.append(begin(t)));
                 }
-            }
-            assert_eq!(all.len(), 4000);
-            assert_eq!(log.last_lsn(), Lsn(4000));
-            // The publish watermark left no gaps behind.
-            assert_eq!(log.read_range(Lsn(1), 5000).len(), 4000);
+                seen
+            }));
         }
+        let mut all = HashSet::new();
+        for h in handles {
+            for lsn in h.join().unwrap() {
+                assert!(all.insert(lsn), "duplicate LSN {lsn:?}");
+            }
+        }
+        assert_eq!(all.len(), 4000);
+        assert_eq!(log.last_lsn(), Lsn(4000));
+        // The publish watermark left no gaps behind.
+        assert_eq!(log.read_range(Lsn(1), 5000).len(), 4000);
+    }
+
+    /// `append` returning means the record is readable. The engine
+    /// relies on it: a writer appends inside the table shard latch, so
+    /// once a schema change holds that latch exclusively its final
+    /// drain to `last_lsn()` has seen every write. An appender stalled
+    /// between reserving its LSN and filling its slot holds the
+    /// watermark below every later LSN, so later appenders wait it out.
+    #[test]
+    fn append_returns_only_once_its_record_is_readable() {
+        let log = Arc::new(LogManager::new());
+        // The stalled appender: LSN 1 reserved, slot not yet filled.
+        assert_eq!(log.reserved.fetch_add(1, Ordering::Relaxed) + 1, 1);
+        let (tx, rx) = std::sync::mpsc::channel();
+        let appender = {
+            let log = Arc::clone(&log);
+            std::thread::spawn(move || {
+                let lsn = log.append(begin(2));
+                tx.send((lsn, log.last_lsn())).unwrap();
+            })
+        };
+        while log.reserved.load(Ordering::Relaxed) < 2 {
+            std::thread::yield_now();
+        }
+        assert!(
+            rx.recv_timeout(Duration::from_millis(50)).is_err(),
+            "append returned with its record behind an unfilled slot"
+        );
+        assert_eq!(log.last_lsn(), Lsn::ZERO);
+        // The stalled appender resumes: fill and publish.
+        log.ensure_chunk(1).slot(1).lock().rec = Some(Arc::new(begin(1)));
+        log.publish_filled();
+        let (lsn, seen) = rx.recv().unwrap();
+        assert_eq!(lsn, Lsn(2));
+        assert!(seen >= lsn);
+        appender.join().unwrap();
+        assert_eq!(log.read_range(Lsn(1), 10).len(), 2);
     }
 
     #[test]
@@ -943,44 +913,44 @@ mod tests {
 
     #[test]
     fn truncation_across_chunk_boundaries() {
-        for mode in [WalMode::Serial, WalMode::Group] {
-            let log = LogManager::new_in(mode);
-            let n = CHUNK_RECORDS * 3 + 17;
-            for i in 0..n {
-                log.append(begin(i));
-            }
-            // Partial-chunk truncation: logical base moves, reads obey it.
-            let cut = CHUNK_RECORDS + 9;
-            assert_eq!(log.truncate_until(Lsn(cut)).unwrap(), (cut - 1) as usize);
-            assert!(log.read(Lsn(cut - 1)).is_none());
-            assert_eq!(*log.read(Lsn(cut)).unwrap(), begin(cut - 1));
-            assert_eq!(log.len(), (n - cut + 1) as usize);
-            // Whole-log truncation then continued appends.
-            assert_eq!(
-                log.truncate_until(Lsn(n + 1)).unwrap(),
-                (n - cut + 1) as usize
-            );
-            assert!(log.is_empty());
-            assert_eq!(log.append(begin(1000)), Lsn(n + 1));
-            assert_eq!(*log.read(Lsn(n + 1)).unwrap(), begin(1000));
-            assert_eq!(log.read_range(Lsn(1), 10)[0].0, Lsn(n + 1));
+        let log = LogManager::new();
+        let n = CHUNK_RECORDS * 3 + 17;
+        for i in 0..n {
+            log.append(begin(i));
         }
+        // Partial-chunk truncation: logical base moves, reads obey it.
+        let cut = CHUNK_RECORDS + 9;
+        assert_eq!(log.truncate_until(Lsn(cut)).unwrap(), (cut - 1) as usize);
+        assert!(log.read(Lsn(cut - 1)).is_none());
+        assert_eq!(*log.read(Lsn(cut)).unwrap(), begin(cut - 1));
+        assert_eq!(log.len(), (n - cut + 1) as usize);
+        // Whole-log truncation then continued appends.
+        assert_eq!(
+            log.truncate_until(Lsn(n + 1)).unwrap(),
+            (n - cut + 1) as usize
+        );
+        assert!(log.is_empty());
+        assert_eq!(log.append(begin(1000)), Lsn(n + 1));
+        assert_eq!(*log.read(Lsn(n + 1)).unwrap(), begin(1000));
+        assert_eq!(log.read_range(Lsn(1), 10)[0].0, Lsn(n + 1));
     }
 
     #[test]
-    fn group_mode_stages_bytes_until_flush() {
+    fn appends_stage_bytes_until_flush() {
         let (backend, handle) = FaultBackend::new(FaultConfig::crash_only(3));
-        let log = LogManager::with_backend_mode(
-            Box::new(backend),
-            WalMode::Group,
-            GroupCommitConfig::default(),
-        );
+        let log = LogManager::with_backend(Box::new(backend));
         let mut last = Lsn::ZERO;
         for i in 0..5 {
             last = log.append(begin(i));
         }
         // Nothing drained yet: appends are staged in the slots.
         assert_eq!(handle.buffered_len(), 0);
+        assert_eq!(log.durable_lsn(), Lsn::ZERO);
+        // A drain alone moves them to the backend's volatile buffer
+        // and makes nothing durable; the flush below must not write
+        // them a second time (`recs.len()` at the end).
+        assert_eq!(log.drain().unwrap(), last);
+        assert!(handle.buffered_len() > 0);
         assert_eq!(log.durable_lsn(), Lsn::ZERO);
         log.wait_durable(last).unwrap();
         assert_eq!(log.durable_lsn(), last);
@@ -995,10 +965,9 @@ mod tests {
     }
 
     #[test]
-    fn serial_flush_fast_path_skips_fsync() {
+    fn flush_with_nothing_new_skips_fsync() {
         let (backend, handle) = FaultBackend::new(FaultConfig::crash_only(3));
         let log = LogManager::with_backend(Box::new(backend));
-        assert_eq!(log.mode(), WalMode::Serial);
         log.append(begin(1));
         log.flush().unwrap();
         assert_eq!(log.flush_count(), 1);
@@ -1019,11 +988,7 @@ mod tests {
         // well below the commit count is not guaranteed determinis-
         // tically, but every waiter must come back durable.
         let (backend, handle) = FaultBackend::new(FaultConfig::crash_only(7));
-        let log = Arc::new(LogManager::with_backend_mode(
-            Box::new(backend),
-            WalMode::Group,
-            GroupCommitConfig::default(),
-        ));
+        let log = Arc::new(LogManager::with_backend(Box::new(backend)));
         let mut handles = Vec::new();
         for t in 0..8u64 {
             let log = Arc::clone(&log);
@@ -1049,7 +1014,7 @@ mod tests {
 
     #[test]
     fn wait_durable_without_backend_is_noop() {
-        let log = LogManager::new_in(WalMode::Group);
+        let log = LogManager::new();
         let lsn = log.append(begin(1));
         log.wait_durable(lsn).unwrap();
         log.flush().unwrap();
@@ -1059,11 +1024,7 @@ mod tests {
     #[test]
     fn group_truncation_drains_reclaimed_chunks_to_backend() {
         let (backend, handle) = FaultBackend::new(FaultConfig::crash_only(5));
-        let log = LogManager::with_backend_mode(
-            Box::new(backend),
-            WalMode::Group,
-            GroupCommitConfig::default(),
-        );
+        let log = LogManager::with_backend(Box::new(backend));
         let n = CHUNK_RECORDS * 2 + 3;
         for i in 0..n {
             log.append(begin(i));
@@ -1090,11 +1051,7 @@ mod tests {
     #[test]
     fn corrupted_staged_slot_errors_instead_of_panicking() {
         let (backend, handle) = FaultBackend::new(FaultConfig::crash_only(9));
-        let log = LogManager::with_backend_mode(
-            Box::new(backend),
-            WalMode::Group,
-            GroupCommitConfig::default(),
-        );
+        let log = LogManager::with_backend(Box::new(backend));
         let mut last = Lsn::ZERO;
         for i in 0..3 {
             last = log.append(begin(i));

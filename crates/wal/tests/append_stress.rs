@@ -1,7 +1,7 @@
-//! Multi-threaded append/crash stress for the lock-split WAL (the
-//! issue's satellite: N appender threads over a seeded `FaultBackend`,
-//! a crash at a seeded-random byte offset, and two invariants on the
-//! surviving image):
+//! Multi-threaded append/crash stress for the lock-split WAL: N
+//! appender threads over a seeded `FaultBackend`, a drain, a crash at
+//! a seeded-random byte offset of the drained bytes, and two
+//! invariants on the surviving image:
 //!
 //! 1. **byte order == LSN order** — the durable prefix decodes to the
 //!    records of `Lsn(1)..=k` in exactly that order, with no gap and
@@ -15,7 +15,7 @@
 //! record came from.
 
 use morph_common::{Lsn, TxnId};
-use morph_wal::{FaultBackend, FaultConfig, GroupCommitConfig, LogManager, LogRecord, WalMode};
+use morph_wal::{FaultBackend, FaultConfig, GroupCommitConfig, LogManager, LogRecord};
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -31,9 +31,9 @@ fn payload(thread: u64, seq: u64) -> TxnId {
 
 /// Run the stress universe, returning nothing: all invariants are
 /// asserted inside.
-fn stress(mode: WalMode, gc: GroupCommitConfig, seed: u64) {
+fn stress(gc: GroupCommitConfig, seed: u64) {
     let (backend, handle) = FaultBackend::new(FaultConfig::crash_only(seed));
-    let log = Arc::new(LogManager::with_backend_mode(Box::new(backend), mode, gc));
+    let log = Arc::new(LogManager::with_backend_config(Box::new(backend), gc));
 
     // lsn -> payload, recorded by whichever thread won that LSN.
     let by_lsn: Arc<Mutex<BTreeMap<u64, TxnId>>> = Arc::new(Mutex::new(BTreeMap::new()));
@@ -69,7 +69,10 @@ fn stress(mode: WalMode, gc: GroupCommitConfig, seed: u64) {
     let by_lsn = by_lsn.lock();
     assert_eq!(by_lsn.len() as u64, total, "duplicate or lost LSNs");
 
-    // The crash keeps a seeded-random byte prefix of unflushed bytes.
+    // Everything past the last acknowledged flush is still staged;
+    // the drain makes it the backend's unflushed bytes, and the crash
+    // keeps a seeded-random byte prefix of those.
+    log.drain().expect("drain failed");
     handle.crash();
     let durable = handle.durable_records().expect("torn image must decode");
     let k = durable.len() as u64;
@@ -78,7 +81,7 @@ fn stress(mode: WalMode, gc: GroupCommitConfig, seed: u64) {
     let acked = max_acked.load(Ordering::Relaxed);
     assert!(
         k >= acked,
-        "wait_durable acked {acked} but only {k} records survived (mode {mode:?}, seed {seed})"
+        "wait_durable acked {acked} but only {k} records survived (seed {seed})"
     );
 
     // Invariant 1: the survivors are exactly Lsn(1)..=k, in order.
@@ -89,7 +92,7 @@ fn stress(mode: WalMode, gc: GroupCommitConfig, seed: u64) {
             LogRecord::Begin { txn } => assert_eq!(
                 *txn, want,
                 "byte position {i} holds the wrong record for {lsn} \
-                 (mode {mode:?}, seed {seed}): byte order != LSN order"
+                 (seed {seed}): byte order != LSN order"
             ),
             other => panic!("unexpected record {other:?} at byte position {i}"),
         }
@@ -97,21 +100,14 @@ fn stress(mode: WalMode, gc: GroupCommitConfig, seed: u64) {
 }
 
 #[test]
-fn serial_mode_survives_concurrent_appends_and_torn_crash() {
+fn concurrent_appends_survive_a_torn_crash() {
     for seed in [1, 42, 777] {
-        stress(WalMode::Serial, GroupCommitConfig::default(), seed);
+        stress(GroupCommitConfig::default(), seed);
     }
 }
 
 #[test]
-fn group_mode_survives_concurrent_appends_and_torn_crash() {
-    for seed in [1, 42, 777] {
-        stress(WalMode::Group, GroupCommitConfig::default(), seed);
-    }
-}
-
-#[test]
-fn group_mode_with_delay_window_survives() {
+fn delay_window_survives_a_torn_crash() {
     // A real batching window: leaders linger up to 200µs for
     // stragglers, so flushes genuinely cover multiple committers.
     let gc = GroupCommitConfig {
@@ -119,20 +115,19 @@ fn group_mode_with_delay_window_survives() {
         max_delay: Duration::from_micros(200),
     };
     for seed in [7, 99] {
-        stress(WalMode::Group, gc, seed);
+        stress(gc, seed);
     }
 }
 
 #[test]
-fn group_mode_flushes_far_fewer_times_than_commits() {
+fn group_commit_flushes_far_fewer_times_than_commits() {
     // The group-commit economy argument, measured: 4 committers × 200
     // commits each, every commit waiting for durability. The flush
     // counter must come in well under the commit count (leaders absorb
-    // followers); serial mode by construction flushes once per commit.
+    // followers).
     let (backend, _handle) = FaultBackend::new(FaultConfig::crash_only(5));
-    let log = Arc::new(LogManager::with_backend_mode(
+    let log = Arc::new(LogManager::with_backend_config(
         Box::new(backend),
-        WalMode::Group,
         GroupCommitConfig {
             max_batch: 16,
             max_delay: Duration::from_micros(100),

@@ -33,8 +33,8 @@ pub use client::{ClientConfig, HotSide};
 pub use drive::{spawn_updaters, UpdateTarget, UpdaterPool};
 pub use runner::{RelativeRun, WindowStats, WorkloadRunner};
 pub use setup::{
-    db_with_wal, setup_dummy, setup_foj_sources, setup_split_source, FOJ_R_ROWS, FOJ_S_ROWS,
-    SPLIT_ROWS, SPLIT_VALUES,
+    setup_dummy, setup_foj_sources, setup_split_source, FOJ_R_ROWS, FOJ_S_ROWS, SPLIT_ROWS,
+    SPLIT_VALUES,
 };
 pub use stats::SharedStats;
 pub use step::{StepOutcome, StepStats, StepWorkload, TableProfile};

@@ -6,24 +6,6 @@
 
 use morph_common::{ColumnType, DbResult, Schema, Value};
 use morph_engine::Database;
-use morph_txn::LockManagerConfig;
-use morph_wal::{Backend, GroupCommitConfig, LogManager, WalMode};
-use std::sync::Arc;
-
-/// Fresh database whose WAL tees into `backend` under the given
-/// append/flush discipline. The commit-rate benches build their
-/// fsync-bound universes through this: a synthetic slow disk plus
-/// either the serial (flush-per-commit) or the group-commit pipeline.
-pub fn db_with_wal(
-    backend: Box<dyn Backend + Send>,
-    mode: WalMode,
-    group: GroupCommitConfig,
-) -> Arc<Database> {
-    Arc::new(Database::with_log(
-        Arc::new(LogManager::with_backend_mode(backend, mode, group)),
-        LockManagerConfig::default(),
-    ))
-}
 
 /// Paper-scale row counts.
 pub const FOJ_R_ROWS: usize = 50_000;

@@ -85,33 +85,22 @@ echo "== sim smoke sweep (SIM_SEEDS=${SIM_SEEDS:-4})"
 SIM_SEEDS="${SIM_SEEDS:-4}" cargo test -q -p morph-sim --test seed_sweep -- --nocapture
 
 # WAL group-commit pipeline (DESIGN.md §11): the multi-threaded
-# append/crash stress test, then the sim smoke sweep again with the
-# lock-split group-commit mode forced on — the crash matrix and the
-# Theorem 1 oracle must hold identically in both WAL modes.
+# append/crash stress test (8 appenders, drain, torn crash).
 echo "== WAL append/crash stress"
 cargo test -q -p morph-wal --test append_stress
 
-echo "== sim smoke sweep, group-commit WAL (SIM_SEEDS=${SIM_SEEDS:-4})"
-MORPH_WAL_MODE=group SIM_SEEDS="${SIM_SEEDS:-4}" \
-    cargo test -q -p morph-sim --test seed_sweep -- --nocapture
-
 # Orchestrator kill matrix (DESIGN.md §13): kill the migration state
 # machine at every registered orchestrator.* transition, tear the WAL,
-# recover, and resume from the durable MigrationState records — run in
-# both WAL modes like the main matrix.
+# recover, and resume from the durable MigrationState records.
 echo "== orchestrator kill matrix"
 cargo test -q -p morph-sim --test orchestrator_matrix
-echo "== orchestrator kill matrix, group-commit WAL"
-MORPH_WAL_MODE=group cargo test -q -p morph-sim --test orchestrator_matrix
 
 # Shard kill matrix (DESIGN.md §15): kill one shard of a fanned-out
 # migration at every orchestrator.* point plus the router.* lazy
 # points, recover just that shard, and require the reassembled router
-# to converge to the uninterrupted reference — both WAL modes.
+# to converge to the uninterrupted reference.
 echo "== shard kill matrix"
 cargo test -q -p morph-sim --test shard_matrix
-echo "== shard kill matrix, group-commit WAL"
-MORPH_WAL_MODE=group cargo test -q -p morph-sim --test shard_matrix
 
 # The repository's benchmark (benchmark/README.md) is a package of its
 # own that builds against this checkout: its fmt, clippy, unit tests and

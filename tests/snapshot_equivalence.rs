@@ -177,7 +177,7 @@ fn grouped_schema() -> Schema {
 /// Readers on MVCC snapshots never block — not on the migration, not
 /// on the writers — and every scan is a consistent image.
 #[test]
-fn snapshot_readers_never_block_during_pooled_migration() {
+fn snapshot_readers_never_block_during_migration() {
     const ROWS: i64 = 400;
     let db = Arc::new(Database::new());
     db.create_table("W", grouped_schema()).unwrap();
