@@ -15,7 +15,10 @@
 //! crash simulator: `crates/sim/tests/crash_matrix.rs` kills
 //! transformations at every instrumented point, recovers from the
 //! torn log, restarts from preparation, and demands equivalence with
-//! an uninterrupted run (see `morph-sim` and DESIGN.md §9).
+//! an uninterrupted run, and `crates/sim/tests/migration_matrix.rs`
+//! does the same for orchestrated and sharded migrations, which
+//! resume from their durable state records (see `morph-sim` and
+//! DESIGN.md §9, §13).
 
 use crate::database::Database;
 use morph_common::{DbResult, Key, Lsn, TxnId, Value};

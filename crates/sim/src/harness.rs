@@ -192,16 +192,77 @@ impl SimFailure {
     }
 }
 
+/// What every kill hook keeps: the armed kill, how often each crash
+/// point has fired, and whether the kill went off.
+#[derive(Default)]
+struct KillState {
+    kill: Option<Kill>,
+    counts: BTreeMap<String, usize>,
+    fired: bool,
+}
+
+impl KillState {
+    /// Count one pass through `point`: its occurrence number, and the
+    /// crash error if this pass is the armed one.
+    fn pass(&mut self, point: &str) -> (usize, DbResult<()>) {
+        let c = self.counts.entry(point.to_owned()).or_insert(0);
+        *c += 1;
+        let n = *c;
+        if self
+            .kill
+            .as_ref()
+            .is_some_and(|k| k.point == point && k.occurrence == n)
+        {
+            self.fired = true;
+            return (n, Err(DbError::SimulatedCrash(format!("{point}#{n}"))));
+        }
+        (n, Ok(()))
+    }
+}
+
+/// A [`CrashHook`] that dies the `occurrence`-th time execution passes
+/// one crash point, for kill tests that drive the engine, the
+/// orchestrator or the router by hand.
+pub struct KillHook {
+    inner: Mutex<KillState>,
+}
+
+impl KillHook {
+    pub fn arm(point: &str, occurrence: usize) -> Arc<KillHook> {
+        Arc::new(KillHook {
+            inner: Mutex::new(KillState {
+                kill: Some(Kill::new(point, occurrence)),
+                ..KillState::default()
+            }),
+        })
+    }
+
+    /// Whether the armed kill went off.
+    pub fn fired(&self) -> bool {
+        self.inner.lock().fired
+    }
+}
+
+impl CrashHook for KillHook {
+    fn at(&self, _db: &Database, point: &str) -> DbResult<()> {
+        // Same re-entrancy guard as `SimHook`.
+        let Some(mut g) = self.inner.try_lock() else {
+            return Ok(());
+        };
+        g.pass(point).1
+    }
+}
+
 struct HookInner {
     rng: StdRng,
     workload: StepWorkload,
-    counts: BTreeMap<String, usize>,
+    kill: KillState,
     trace: Vec<String>,
-    kill: Option<Kill>,
     inject_budget: usize,
 }
 
-/// The [`CrashHook`] installed on the database under test.
+/// The [`CrashHook`] installed on the database under test: a kill hook
+/// that also traces every point and injects workload.
 struct SimHook {
     inner: Mutex<HookInner>,
 }
@@ -217,17 +278,11 @@ impl CrashHook for SimHook {
         let Some(mut g) = self.inner.try_lock() else {
             return Ok(());
         };
-        let n = {
-            let c = g.counts.entry(point.to_owned()).or_insert(0);
-            *c += 1;
-            *c
-        };
+        let (n, verdict) = g.kill.pass(point);
         g.trace.push(format!("point:{point}#{n}"));
-        if let Some(kill) = &g.kill {
-            if kill.point == point && kill.occurrence == n {
-                g.trace.push(format!("KILL:{point}#{n}"));
-                return Err(DbError::SimulatedCrash(format!("{point}#{n}")));
-            }
+        if verdict.is_err() {
+            g.trace.push(format!("KILL:{point}#{n}"));
+            return verdict;
         }
         if g.inject_budget > 0 && crate::points::is_injection_point(point) {
             let steps = g.rng.gen_range(0..=2usize).min(g.inject_budget);
@@ -383,9 +438,11 @@ fn build(cfg: &SimConfig) -> Result<SimRun, SimFailure> {
         inner: Mutex::new(HookInner {
             rng: StdRng::seed_from_u64(cfg.seed ^ 0x5851_f42d_4c95_7f2d),
             workload,
-            counts: BTreeMap::new(),
+            kill: KillState {
+                kill: cfg.kill.clone(),
+                ..KillState::default()
+            },
             trace: Vec::new(),
-            kill: cfg.kill.clone(),
             inject_budget: cfg.inject_budget,
         }),
     });
@@ -499,7 +556,12 @@ pub fn run_sim(cfg: &SimConfig) -> Result<SimReport, SimFailure> {
                 )
             })
             .collect();
-        (g.trace.clone(), g.counts.clone(), model, g.workload.stats)
+        (
+            g.trace.clone(),
+            g.kill.counts.clone(),
+            model,
+            g.workload.stats,
+        )
     };
 
     let fail = |detail: String, trace: &[String]| SimFailure {

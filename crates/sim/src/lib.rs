@@ -20,9 +20,10 @@
 //!
 //! Entry points:
 //! * [`run_sim`] — one simulated universe from a [`SimConfig`];
-//! * [`fault_db`] / [`crash_and_recover`] — the fault-backed database
-//!   and the one crash step (drain, tear, recover) that `run_sim` and
-//!   every hand-written kill test share;
+//! * [`fault_db`] / [`crash_and_recover`] / [`KillHook`] — the
+//!   fault-backed database, the one crash step (drain, tear, recover)
+//!   and the one kill hook that `run_sim` and every hand-written kill
+//!   test share;
 //! * [`sweep_cell`] — census + seeded kill runs for one
 //!   `(scenario, strategy, seed)` cell;
 //! * [`minimize`] — shrink and confirm a failing reproduction.
@@ -33,9 +34,9 @@ pub mod scenario;
 pub mod sweep;
 
 pub use harness::{
-    crash_and_recover, fault_db, run_sim, Kill, Recovered, SimConfig, SimFailure, SimReport,
-    Verdict,
+    crash_and_recover, fault_db, run_sim, Kill, KillHook, Recovered, SimConfig, SimFailure,
+    SimReport, Verdict,
 };
-pub use points::{kill_matrix, matrix_points, uncovered};
+pub use points::{kill_matrix, matrix_points, swept_by, uncovered, Sweep};
 pub use scenario::{sim_options, Scenario};
 pub use sweep::{minimize, sweep_cell, SweepSummary};

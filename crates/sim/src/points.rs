@@ -4,10 +4,12 @@
 //! the single source of truth for every `crash_point("…")` in the
 //! engine: lint pass 3 cross-checks it against the code in both
 //! directions, and this module derives the sim's injection points and
-//! kill matrix from it — so a newly added crash point fails lint until
-//! registered, and once registered is automatically part of the
-//! matrix. A registered point that never fires in any census fails the
-//! aggregate coverage test in `tests/crash_matrix.rs`.
+//! kill lists from it — so a newly added crash point fails lint until
+//! registered, and once registered is automatically killed: a
+//! non-optional point by the census-driven matrix, an `optional` one by
+//! the sweep of its family ([`sweep_of`]). `tests/crash_matrix.rs`
+//! fails on a registered point that never fires in any census, and on
+//! one that no sweep kills.
 
 use std::collections::BTreeMap;
 use std::sync::OnceLock;
@@ -70,17 +72,17 @@ pub fn kill_occurrences(point: &CrashPoint, census_count: usize) -> Vec<usize> {
     }
 }
 
-/// The kill matrix for one `(strategy, census)` cell: every matrix
-/// point that fired in the census, at its [`kill_occurrences`].
-/// Points that did not fire in this cell are skipped here — the
-/// aggregate coverage test demands that each fires in *some* cell, so
-/// silence across the whole matrix is still an error.
+/// The kills for one census: every one of `points` that fired in it,
+/// at its [`kill_occurrences`]. Points that did not fire in this cell
+/// are skipped here — the aggregate coverage test demands that each
+/// matrix point fires in *some* cell, so silence across the whole
+/// matrix is still an error.
 pub fn kill_matrix(
-    strategy: SyncStrategy,
+    points: &[&CrashPoint],
     point_counts: &BTreeMap<String, usize>,
 ) -> Vec<(String, usize)> {
     let mut kills = Vec::new();
-    for point in matrix_points(strategy) {
+    for point in points {
         let Some(&n) = point_counts.get(&point.name) else {
             continue;
         };
@@ -101,5 +103,49 @@ pub fn uncovered(
         .into_iter()
         .filter(|p| !point_counts.contains_key(&p.name))
         .map(|p| p.name.as_str())
+        .collect()
+}
+
+/// The sweep that kills a registered point. The census-driven matrix
+/// takes every non-optional point; an `optional` point is killed by the
+/// hand-driven sweep of its family (the name up to the first dot),
+/// which takes its kill list from [`swept_by`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Sweep {
+    /// `crash_matrix.rs`: every scenario and strategy, from the census.
+    Census,
+    /// `crash_matrix.rs`: a commit or abort killed around the
+    /// durability watermark (`commit.*`, `abort.*`).
+    CommitPath,
+    /// `crash_matrix.rs`: census cells rerun with MVCC on (`mvcc.*`).
+    Mvcc,
+    /// `migration_matrix.rs`: the orchestrator's state-machine
+    /// transitions (`orchestrator.*`).
+    Orchestrator,
+    /// `migration_matrix.rs`: fan-out and the lazy lifecycle
+    /// (`router.*`).
+    Router,
+}
+
+/// The sweep that kills `point`; `None` means nothing would.
+pub fn sweep_of(point: &CrashPoint) -> Option<Sweep> {
+    if !point.optional {
+        return Some(Sweep::Census);
+    }
+    match point.name.split('.').next() {
+        Some("commit" | "abort") => Some(Sweep::CommitPath),
+        Some("mvcc") => Some(Sweep::Mvcc),
+        Some("orchestrator") => Some(Sweep::Orchestrator),
+        Some("router") => Some(Sweep::Router),
+        _ => None,
+    }
+}
+
+/// Registered points `sweep` kills, in manifest order.
+pub fn swept_by(sweep: Sweep) -> Vec<&'static CrashPoint> {
+    registry()
+        .points
+        .iter()
+        .filter(|p| sweep_of(p) == Some(sweep))
         .collect()
 }

@@ -59,48 +59,18 @@ if [ "$quick" != "quick" ]; then
     cargo run -q --release -p morph-bench --bin bench_check
 fi
 
-echo "== cargo test (tier-1)"
-cargo test -q
-
-# Parallel-copy equivalence: the proptests comparing a 4-worker
-# partitioned fuzzy copy against the serial copy record-for-record
-# (tests/parallel_equivalence.rs; see DESIGN.md §10). The env knob
-# widens the sweep to other worker counts.
-echo "== parallel copy equivalence (copy_workers=4)"
-MORPH_PAR_COPY_WORKERS=4 \
-    cargo test -q --test parallel_equivalence
-
-# Sharded-router equivalence: proptests driving the same FOJ/split/
-# union datasets through a ShardedDatabase at 1–4 shards — eager
-# fan-out and SLSM lazy mode both — and through a single engine,
-# comparing target images record-for-record (DESIGN.md §15).
-echo "== sharded equivalence (router, eager + lazy)"
-cargo test -q --test sharded_equivalence
-
-# Bounded crash-simulation smoke sweep (fixed seeds, well under a
-# minute). SIM_SEEDS=N widens the sweep: census + 3 seeded kills per
-# (scenario × strategy × seed) cell, every kill checked against the
-# Theorem 1 recovery oracle. See DESIGN.md §9 / EXPERIMENTS.md.
-echo "== sim smoke sweep (SIM_SEEDS=${SIM_SEEDS:-4})"
-SIM_SEEDS="${SIM_SEEDS:-4}" cargo test -q -p morph-sim --test seed_sweep -- --nocapture
-
-# WAL group-commit pipeline (DESIGN.md §11): the multi-threaded
-# append/crash stress test (8 appenders, drain, torn crash).
-echo "== WAL append/crash stress"
-cargo test -q -p morph-wal --test append_stress
-
-# Orchestrator kill matrix (DESIGN.md §13): kill the migration state
-# machine at every registered orchestrator.* transition, tear the WAL,
-# recover, and resume from the durable MigrationState records.
-echo "== orchestrator kill matrix"
-cargo test -q -p morph-sim --test orchestrator_matrix
-
-# Shard kill matrix (DESIGN.md §15): kill one shard of a fanned-out
-# migration at every orchestrator.* point plus the router.* lazy
-# points, recover just that shard, and require the reassembled router
-# to converge to the uninterrupted reference.
-echo "== shard kill matrix"
-cargo test -q -p morph-sim --test shard_matrix
+# Every test the workspace compiles: the tier-1 root suites
+# (tests/equivalence.rs compares batched drain, parallel copy, partial
+# iterations, rename-in-place and sharded fan-out with the plain
+# pipeline; DESIGN.md §10, §15), every crate's unit tests, the WAL
+# codec/backend properties and append/crash stress (§11), and the
+# crash simulator: the kill matrices keyed off crash_points.txt
+# (crash_matrix.rs, migration_matrix.rs; §9, §13, §15), determinism,
+# and the seed sweep. SIM_SEEDS=N widens the sweep: census + 3 seeded
+# kills per (scenario × strategy × seed) cell, every kill checked
+# against the Theorem 1 recovery oracle (EXPERIMENTS.md).
+echo "== cargo test --workspace (SIM_SEEDS=${SIM_SEEDS:-4})"
+SIM_SEEDS="${SIM_SEEDS:-4}" cargo test -q --workspace
 
 # The repository's benchmark (benchmark/README.md) is a package of its
 # own that builds against this checkout: its fmt, clippy, unit tests and

@@ -2,8 +2,8 @@
 //! §15): first touches racing backfill batches, and a batch abandoned
 //! by a crash in the middle of it.
 //!
-//! The oracle is the one `tests/sharded_equivalence.rs` uses: the same
-//! rows migrated eagerly on a single engine.
+//! The oracle is the one `tests/equivalence.rs`'s sharded variant uses:
+//! the same rows migrated eagerly on a single engine.
 
 use morphdb::core::spec::TransformOptions;
 use morphdb::core::transform::TransformPlan;

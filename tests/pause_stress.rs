@@ -13,7 +13,7 @@
 //!   stop, the resumed migration must converge to exactly the targets
 //!   an uninterrupted run produces from the same final source state
 //!   (values, counters, presence — LSNs differ across log histories
-//!   and are compared in `parallel_equivalence.rs`, where both
+//!   and are compared in `equivalence.rs`, where both
 //!   pipelines share one).
 
 use morphdb::core::{ProgressPhase, SplitSpec, TransformOptions, Transformer};
