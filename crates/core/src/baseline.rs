@@ -39,15 +39,11 @@ pub struct BlockingReport {
 }
 
 fn freeze_and_wait(db: &Database, sources: &[Arc<Table>], deadline: Duration) -> DbResult<()> {
-    let mut holders: HashSet<TxnId> = HashSet::new();
-    for txn in db.active_txns() {
-        if sources
-            .iter()
-            .any(|s| !db.locks().held_keys_in(txn, s.id()).is_empty())
-        {
-            holders.insert(txn);
-        }
-    }
+    let holders: HashSet<TxnId> = db
+        .lock_holders(sources)
+        .into_iter()
+        .map(|h| h.txn)
+        .collect();
     for s in sources {
         s.freeze(holders.clone());
     }

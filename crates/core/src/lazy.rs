@@ -194,20 +194,16 @@ impl LazyMigration {
         // their transform past the rollback.
         let mut old = HashSet::new();
         // morph-lint: allow(lock_order, cutover pause: the coordinator alone holds these exclusive latches and user txns never latch shards while holding registry/side locks, so the rank protocol's reverse order cannot occur concurrently)
-        for txn in db.active_txns() {
-            for src in &sources {
-                let held = db.locks().held_keys_in(txn, src.id());
-                if held.is_empty() {
-                    continue;
-                }
-                old.insert(txn);
+        for holder in db.lock_holders(&sources) {
+            for (src, held) in sources.iter().zip(holder.held) {
                 for (key, mode) in held {
                     if mode == LockMode::Exclusive {
                         residual.track(src.id(), key.clone());
-                        deferred.insert((src.id(), key), txn);
+                        deferred.insert((src.id(), key), holder.txn);
                     }
                 }
             }
+            old.insert(holder.txn);
         }
         for txn in &old {
             db.doom(*txn);

@@ -63,31 +63,18 @@ struct DrainCtx {
     policy: CoalescePolicy,
 }
 
-/// One entry of the accumulated run. Records arriving from the cursor
-/// share the WAL's `Arc<LogRecord>` instead of deep-cloning the
-/// operation (a run of N records used to cost N row clones before the
-/// operator ever saw it); tests and synthetic callers may still hand
-/// the coalescer owned operations.
-enum RunOp {
-    /// A data record straight off the log (guaranteed `rec.op().is_some()`).
-    Shared(Arc<LogRecord>),
-    /// An owned operation (tests, synthetic runs).
-    #[cfg_attr(not(test), allow(dead_code))]
-    Owned(LogOp),
-}
+/// Data records deferred for one coalesce-and-apply step, in log order.
+/// A run shares the WAL's `Arc<LogRecord>`s instead of deep-cloning the
+/// operations.
+type Run = Vec<(Lsn, Arc<LogRecord>)>;
 
-impl RunOp {
-    fn op(&self) -> DbResult<&LogOp> {
-        match self {
-            RunOp::Shared(rec) => rec.op().ok_or_else(|| {
-                DbError::Internal(
-                    "propagation run holds a control record; only data records may be deferred"
-                        .into(),
-                )
-            }),
-            RunOp::Owned(op) => Ok(op),
-        }
-    }
+/// The operation of a run entry (a run holds data records only).
+fn run_op(rec: &LogRecord) -> DbResult<&LogOp> {
+    rec.op().ok_or_else(|| {
+        DbError::Internal(
+            "propagation run holds a control record; only data records may be deferred".into(),
+        )
+    })
 }
 
 impl DrainCtx {
@@ -134,7 +121,7 @@ impl DrainCtx {
 /// * an update touching an operator-declared **barrier column** voids
 ///   its subject's pending records likewise (§4.2 guard columns, shared
 ///   S-record feeds).
-fn coalesce(run: Vec<(Lsn, RunOp)>, ctx: &DrainCtx) -> DbResult<Vec<(Lsn, RunOp)>> {
+fn coalesce(run: Run, ctx: &DrainCtx) -> DbResult<Run> {
     if ctx.policy == CoalescePolicy::None || run.len() < 2 {
         return Ok(run);
     }
@@ -144,8 +131,8 @@ fn coalesce(run: Vec<(Lsn, RunOp)>, ctx: &DrainCtx) -> DbResult<Vec<(Lsn, RunOp)
     // the record's key instead of cloning it into a composite probe
     // key; a subject's key is cloned once, on its first pending entry.
     let mut pending: HashMap<TableId, HashMap<Key, Vec<usize>>> = HashMap::new();
-    for (i, (_, rop)) in run.iter().enumerate() {
-        let op = rop.op()?;
+    for (i, (_, rec)) in run.iter().enumerate() {
+        let op = run_op(rec)?;
         let table = op.table();
         let Some(schema) = ctx.schemas.get(&table) else {
             continue;
@@ -196,7 +183,7 @@ fn coalesce(run: Vec<(Lsn, RunOp)>, ctx: &DrainCtx) -> DbResult<Vec<(Lsn, RunOp)
                 match m.get_mut(key) {
                     Some(slot) => {
                         if ctx.policy == CoalescePolicy::Full {
-                            slot.retain(|&j| match run[j].1.op() {
+                            slot.retain(|&j| match run_op(&run[j].1) {
                                 Ok(LogOp::Update { new: prev, .. })
                                     if prev
                                         .iter()
@@ -321,7 +308,7 @@ impl Propagator {
         &mut self,
         op: &mut dyn TransformOperator,
         ctx: &DrainCtx,
-        run: &mut Vec<(Lsn, RunOp)>,
+        run: &mut Run,
     ) -> DbResult<()> {
         if run.is_empty() {
             return Ok(());
@@ -330,8 +317,8 @@ impl Propagator {
         let batch = coalesce(std::mem::take(run), ctx)?;
         self.coalesced += before - batch.len();
         let mut refs: Vec<(Lsn, &LogOp)> = Vec::with_capacity(batch.len());
-        for (lsn, rop) in &batch {
-            refs.push((*lsn, rop.op()?));
+        for (lsn, rec) in &batch {
+            refs.push((*lsn, run_op(rec)?));
         }
         op.apply_batch(&refs)
     }
@@ -344,13 +331,13 @@ impl Propagator {
         db: &Database,
         op: &mut dyn TransformOperator,
         ctx: &DrainCtx,
-        run: &mut Vec<(Lsn, RunOp)>,
+        run: &mut Run,
         lsn: Lsn,
         rec: &Arc<LogRecord>,
     ) -> DbResult<bool> {
         if let Some(logop) = rec.op() {
             if ctx.schemas.contains_key(&logop.table()) {
-                run.push((lsn, RunOp::Shared(Arc::clone(rec))));
+                run.push((lsn, Arc::clone(rec)));
                 return Ok(true);
             }
             return Ok(false);
@@ -409,7 +396,7 @@ impl Propagator {
         let target = db.log().last_lsn();
         // morph-lint: allow(nondet, elapsed-time stats for the report; wall time never enters table or WAL state)
         let t0 = Instant::now();
-        let mut run: Vec<(Lsn, RunOp)> = Vec::new();
+        let mut run = Run::new();
         let mut records = 0usize;
         let mut relevant = 0usize;
         let mut batches = 0usize;
@@ -478,7 +465,7 @@ impl Propagator {
         batch_size: usize,
     ) -> DbResult<usize> {
         let ctx = self.drain_ctx(db, op);
-        let mut run: Vec<(Lsn, RunOp)> = Vec::new();
+        let mut run = Run::new();
         let mut n = 0usize;
         let target = db.log().last_lsn();
         while self.cursor.next_lsn() <= target {
@@ -647,9 +634,9 @@ mod tests {
         DrainCtx::new(db, m)
     }
 
-    fn owned(run: Vec<(Lsn, LogOp)>) -> Vec<(Lsn, RunOp)> {
+    fn records(run: Vec<(Lsn, LogOp)>) -> Run {
         run.into_iter()
-            .map(|(l, op)| (l, RunOp::Owned(op)))
+            .map(|(l, op)| (l, Arc::new(LogRecord::Op { txn: TxnId(1), op })))
             .collect()
     }
 
@@ -688,9 +675,9 @@ mod tests {
                 },
             ),
         ];
-        let out = coalesce(owned(run), &ctx_for(&db, &m)).unwrap();
+        let out = coalesce(records(run), &ctx_for(&db, &m)).unwrap();
         assert_eq!(out.len(), 1);
-        assert!(matches!(out[0].1.op().unwrap(), LogOp::Delete { .. }));
+        assert!(matches!(run_op(&out[0].1).unwrap(), LogOp::Delete { .. }));
     }
 
     #[test]
@@ -725,7 +712,7 @@ mod tests {
                 },
             ),
         ];
-        let out = coalesce(owned(run), &ctx_for(&db, &m)).unwrap();
+        let out = coalesce(records(run), &ctx_for(&db, &m)).unwrap();
         assert_eq!(out.len(), 3, "nothing may be dropped across the barrier");
     }
 
@@ -762,7 +749,7 @@ mod tests {
                 },
             ),
         ];
-        let out = coalesce(owned(run), &full_ctx(ctx_for(&db, &m))).unwrap();
+        let out = coalesce(records(run), &full_ctx(ctx_for(&db, &m))).unwrap();
         assert_eq!(out.len(), 3);
     }
 
@@ -782,15 +769,15 @@ mod tests {
             )
         };
         let run = vec![upd(1, "a"), upd(2, "b"), upd(3, "c")];
-        let out = coalesce(owned(run), &full_ctx(ctx_for(&db, &m))).unwrap();
+        let out = coalesce(records(run), &full_ctx(ctx_for(&db, &m))).unwrap();
         assert_eq!(out.len(), 1);
-        let LogOp::Update { new, .. } = out[0].1.op().unwrap() else {
+        let LogOp::Update { new, .. } = run_op(&out[0].1).unwrap() else {
             panic!()
         };
         assert_eq!(new[0].1, Value::str("c"));
         // DeleteOnly keeps all three.
         let run = vec![upd(1, "a"), upd(2, "b"), upd(3, "c")];
-        assert_eq!(coalesce(owned(run), &ctx_for(&db, &m)).unwrap().len(), 3);
+        assert_eq!(coalesce(records(run), &ctx_for(&db, &m)).unwrap().len(), 3);
     }
 
     /// Regression: a control record smuggled into a run surfaces as
@@ -801,16 +788,16 @@ mod tests {
         let (db, m) = setup();
         let r_id = db.catalog().get("R").unwrap().id();
         let run = vec![
-            (
-                Lsn(1),
-                RunOp::Shared(Arc::new(LogRecord::Commit { txn: TxnId(7) })),
-            ),
+            (Lsn(1), Arc::new(LogRecord::Commit { txn: TxnId(7) })),
             (
                 Lsn(2),
-                RunOp::Owned(LogOp::Delete {
-                    table: r_id,
-                    key: Key::single(1),
-                    old: r_row(1, "j0"),
+                Arc::new(LogRecord::Op {
+                    txn: TxnId(7),
+                    op: LogOp::Delete {
+                        table: r_id,
+                        key: Key::single(1),
+                        old: r_row(1, "j0"),
+                    },
                 }),
             ),
         ];

@@ -220,12 +220,6 @@ impl SplitMapping {
         self.check
     }
 
-    /// T positions of the columns kept by R (sync uses this to project
-    /// the source in rename-in-place mode).
-    pub fn r_col_positions(&self) -> &[usize] {
-        &self.r_cols
-    }
-
     // --- projections ------------------------------------------------------
 
     /// R-part of a T row (R column order).

@@ -288,13 +288,8 @@ pub(crate) fn transfer_locks(
 ) -> (HashSet<TxnId>, usize) {
     let mut old = HashSet::new();
     let mut transferred = 0usize;
-    for txn in db.active_txns() {
-        for (si, src) in sources.iter().enumerate() {
-            let held = db.locks().held_keys_in(txn, src.id());
-            if held.is_empty() {
-                continue;
-            }
-            old.insert(txn);
+    for holder in db.lock_holders(sources) {
+        for (si, (src, held)) in sources.iter().zip(holder.held).enumerate() {
             let origin = if si == 0 {
                 LockOrigin::SourceR
             } else {
@@ -303,11 +298,12 @@ pub(crate) fn transfer_locks(
             for (key, mode) in held {
                 for (tid, tkey) in oper.target_keys_for(src.id(), &key) {
                     db.locks()
-                        .grant_transferred(proxy_owner(txn), tid, &tkey, mode, origin);
+                        .grant_transferred(proxy_owner(holder.txn), tid, &tkey, mode, origin);
                     transferred += 1;
                 }
             }
         }
+        old.insert(holder.txn);
     }
     (old, transferred)
 }
@@ -442,15 +438,11 @@ fn blocking_commit(
     let t0 = Instant::now();
 
     // Block new transactions; let current lock holders finish.
-    let mut holders: HashSet<TxnId> = HashSet::new();
-    for txn in db.active_txns() {
-        if sources
-            .iter()
-            .any(|s| !db.locks().held_keys_in(txn, s.id()).is_empty())
-        {
-            holders.insert(txn);
-        }
-    }
+    let holders: HashSet<TxnId> = db
+        .lock_holders(&sources)
+        .into_iter()
+        .map(|h| h.txn)
+        .collect();
     for src in &sources {
         src.freeze(holders.clone());
     }

@@ -222,11 +222,6 @@ impl TransformJob {
         &self.names.targets
     }
 
-    /// Source tables this job reads.
-    pub fn source_names(&self) -> &[String] {
-        &self.names.sources
-    }
-
     /// Initial fuzzy population (§3.2): writes the fuzzy mark, pins the
     /// log at the propagation cursor and copies the sources.
     pub fn copy(&mut self) -> DbResult<()> {
@@ -574,28 +569,7 @@ impl Transformer {
         options: TransformOptions,
     ) -> DbResult<TransformReport> {
         let abort = AtomicBool::new(false);
-        Self::run_union_with(db, spec, options, &abort)
-    }
-
-    /// Spawn a union transformation on a background thread.
-    pub fn spawn_union(
-        db: Arc<Database>,
-        spec: UnionSpec,
-        options: TransformOptions,
-    ) -> TransformHandle {
-        let abort = Arc::new(AtomicBool::new(false));
-        let abort2 = Arc::clone(&abort);
-        let join = std::thread::spawn(move || Self::run_union_with(&db, spec, options, &abort2));
-        TransformHandle { join, abort }
-    }
-
-    fn run_union_with(
-        db: &Arc<Database>,
-        spec: UnionSpec,
-        options: TransformOptions,
-        abort: &AtomicBool,
-    ) -> DbResult<TransformReport> {
-        Self::run_plan(db, &TransformPlan::Union(spec), options, abort)
+        Self::run_plan(db, &TransformPlan::Union(spec), options, &abort)
     }
 
     /// Spawn a FOJ transformation on a background thread.

@@ -35,7 +35,7 @@ use crate::migrations::MigrationRegistry;
 use crate::registry::{TxnCell, TxnRegistry};
 use morph_common::{DbError, DbResult, Key, Lsn, Schema, TxnId, Value};
 use morph_storage::{Catalog, CommitTable, Snapshot, SnapshotTracker, Table, SYSTEM};
-use morph_txn::{GranularMode, LockManager, LockManagerConfig, LockMode, TableLocks};
+use morph_txn::{LockManager, LockManagerConfig, LockMode};
 use morph_wal::{LogManager, LogOp, LogRecord};
 use parking_lot::{Mutex, RwLock};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -81,6 +81,16 @@ impl PlannedOp<'_> {
             }
         }
     }
+}
+
+/// One transaction found by [`Database::lock_holders`].
+#[derive(Debug)]
+pub struct LockHolder {
+    /// The holder.
+    pub txn: TxnId,
+    /// Its held keys and modes, one list per asked table, in the order
+    /// the tables were given.
+    pub held: Vec<Vec<(Key, LockMode)>>,
 }
 
 /// Observer of named execution points inside long-running engine and
@@ -166,7 +176,6 @@ pub struct Database {
     catalog: Catalog,
     log: Arc<LogManager>,
     locks: LockManager,
-    table_locks: TableLocks,
     registry: TxnRegistry,
     counters: Counters,
     next_txn: AtomicU64,
@@ -205,7 +214,6 @@ impl Database {
             catalog: Catalog::new(),
             log,
             locks: LockManager::new(lock_config),
-            table_locks: TableLocks::new(lock_config.wait_timeout),
             registry: TxnRegistry::new(),
             counters: Counters::default(),
             next_txn: AtomicU64::new(1),
@@ -265,14 +273,6 @@ impl Database {
         &self.locks
     }
 
-    /// The table-granular (intention) lock manager. Every data
-    /// operation takes IS/IX here before its record lock, so a
-    /// whole-table S/X lock ("multigranularity locking", §4.3 remark)
-    /// waits out record-level activity without polling.
-    pub fn table_locks(&self) -> &TableLocks {
-        &self.table_locks
-    }
-
     /// Engine activity counters.
     pub fn counters(&self) -> &Counters {
         &self.counters
@@ -320,6 +320,9 @@ impl Database {
             Counters::bump(&self.counters.doomed_aborts);
             return Err(DbError::TxnDoomed(txn));
         }
+        // No data record follows: from here on the cutover census
+        // leaves this transaction out (see [`Database::lock_holders`]).
+        cell.mark_ending();
         // Read-only transactions have no redo/undo work: their Commit
         // record need not be durable before they acknowledge (there is
         // nothing to lose), so they skip the durability wait — and with
@@ -346,7 +349,6 @@ impl Database {
         self.crash_point("commit.wal_durable")?;
         self.registry.remove(txn);
         self.locks.release_all(txn);
-        self.table_locks.release_all(txn);
         Counters::bump(&self.counters.commits);
         Ok(())
     }
@@ -382,6 +384,7 @@ impl Database {
                 }
             }
         }
+        cell.mark_ending();
         let end_lsn = self.log.append(LogRecord::AbortEnd { txn });
         if self.mvcc_enabled() {
             // No seal needed: the transaction was invisible while
@@ -401,7 +404,6 @@ impl Database {
         self.crash_point("abort.wal_durable")?;
         self.registry.remove(txn);
         self.locks.release_all(txn);
-        self.table_locks.release_all(txn);
         Counters::bump(&self.counters.aborts);
         match first_err {
             // Dropped table: the compensation target no longer exists;
@@ -459,9 +461,32 @@ impl Database {
         self.registry.is_active(txn)
     }
 
-    /// Ids of all active transactions.
-    pub fn active_txns(&self) -> Vec<TxnId> {
-        self.registry.active_ids()
+    /// The cutover census: every active transaction holding a record
+    /// lock on any of `tables`, with its held keys per table. This is
+    /// how synchronization, the lazy cutover and the blocking baseline
+    /// decide which transactions are *old*.
+    ///
+    /// A transaction that has logged its last data record
+    /// ([`TxnCell::ending`]) is left out. It performs no further
+    /// operation on any table, and its end record may already be behind
+    /// a final drain, so nothing would ever release a caller waiting on
+    /// it. Conversely, a transaction the census does report has not yet
+    /// published its end record to anyone who drained the log first.
+    pub fn lock_holders(&self, tables: &[Arc<Table>]) -> Vec<LockHolder> {
+        let mut out = Vec::new();
+        for cell in self.registry.cells() {
+            if cell.is_ending() {
+                continue;
+            }
+            let held: Vec<_> = tables
+                .iter()
+                .map(|t| self.locks.held_keys_in(cell.id, t.id()))
+                .collect();
+            if held.iter().any(|h| !h.is_empty()) {
+                out.push(LockHolder { txn: cell.id, held });
+            }
+        }
+        out
     }
 
     /// Doom a transaction: its next operation (and commit) fail with
@@ -686,35 +711,6 @@ impl Database {
 
     // --- data operations ----------------------------------------------------
 
-    /// Acquire `mode` on `table` for `txn` unless an already-held mode
-    /// covers it (cached in the transaction cell, so the global
-    /// table-lock manager is consulted roughly twice per transaction
-    /// rather than once per operation).
-    fn ensure_table_lock(
-        &self,
-        cell: &TxnCell,
-        table: morph_common::TableId,
-        mode: GranularMode,
-    ) -> DbResult<()> {
-        {
-            let state = cell.state.lock();
-            if state
-                .table_modes
-                .iter()
-                .any(|(t, m)| *t == table && m.covers(mode))
-            {
-                return Ok(());
-            }
-        }
-        self.table_locks.lock(cell.id, table, mode)?;
-        let mut state = cell.state.lock();
-        match state.table_modes.iter_mut().find(|(t, _)| *t == table) {
-            Some((_, m)) => *m = m.combine(mode),
-            None => state.table_modes.push((table, mode)),
-        }
-        Ok(())
-    }
-
     fn cell_for_op(&self, txn: TxnId) -> DbResult<Arc<TxnCell>> {
         let cell = self.registry.get(txn)?;
         if cell.is_doomed() {
@@ -736,7 +732,6 @@ impl Database {
         let schema = table.schema();
         schema.validate(&values)?;
         let key = schema.key_of(&values);
-        self.ensure_table_lock(&cell, table.id(), GranularMode::IntentionExclusive)?;
         self.locks
             .lock(txn, table.id(), &key, LockMode::Exclusive)?;
         self.run_interceptors(txn, table, &PlannedOp::Insert { values: &values })?;
@@ -787,7 +782,6 @@ impl Database {
     ) -> DbResult<()> {
         let cell = self.cell_for_op(txn)?;
         table.check_access(txn)?;
-        self.ensure_table_lock(&cell, table.id(), GranularMode::IntentionExclusive)?;
         self.locks.lock(txn, table.id(), key, LockMode::Exclusive)?;
 
         // If primary-key columns change, the destination key must be
@@ -852,7 +846,6 @@ impl Database {
     pub fn delete_in(&self, txn: TxnId, table: &Arc<Table>, key: &Key) -> DbResult<()> {
         let cell = self.cell_for_op(txn)?;
         table.check_access(txn)?;
-        self.ensure_table_lock(&cell, table.id(), GranularMode::IntentionExclusive)?;
         self.locks.lock(txn, table.id(), key, LockMode::Exclusive)?;
         self.run_interceptors(txn, table, &PlannedOp::Delete { key })?;
 
@@ -895,9 +888,8 @@ impl Database {
         table: &Arc<Table>,
         key: &Key,
     ) -> DbResult<Option<Vec<Value>>> {
-        let cell = self.cell_for_op(txn)?;
+        self.cell_for_op(txn)?;
         table.check_access(txn)?;
-        self.ensure_table_lock(&cell, table.id(), GranularMode::IntentionShared)?;
         self.locks.lock(txn, table.id(), key, LockMode::Shared)?;
         self.run_interceptors(txn, table, &PlannedOp::Read { key })?;
         Ok(table.get(key).map(|r| r.values))

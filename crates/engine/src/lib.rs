@@ -29,7 +29,7 @@ pub mod registry;
 pub mod router;
 
 pub use counters::{Counters, CountersSnapshot};
-pub use database::{CrashHook, Database, LogProtection, PlannedOp};
+pub use database::{CrashHook, Database, LockHolder, LogProtection, PlannedOp};
 pub use interceptor::OpInterceptor;
 pub use migrations::MigrationRegistry;
 pub use morph_storage::{CommitTable, Snapshot, SnapshotTracker};

@@ -1,8 +1,9 @@
 //! The active-transaction registry.
 //!
 //! Tracks, for every live transaction: its first LSN (fuzzy marks need
-//! the oldest one, §3.2), the undo chain for rollback, and the *doomed*
-//! flag set by non-blocking-abort synchronization (§3.4).
+//! the oldest one, §3.2), the undo chain for rollback, the *doomed*
+//! flag set by non-blocking-abort synchronization (§3.4), and the
+//! *ending* flag the cutover census reads.
 //!
 //! The registry guards a critical ordering invariant: a transaction is
 //! registered (with its first LSN fixed) under the same lock that
@@ -25,10 +26,6 @@ pub struct TxnState {
     /// forward order (rollback walks it backwards). Each entry pairs
     /// the forward record's LSN with the prepared inverse.
     pub undo: Vec<(Lsn, LogOp)>,
-    /// Table-granular lock modes this transaction already holds — a
-    /// local cache that lets the engine skip the (global) table-lock
-    /// manager for the common repeat acquisition within a transaction.
-    pub table_modes: Vec<(morph_common::TableId, morph_txn::GranularMode)>,
 }
 
 /// Shared handle to one transaction's bookkeeping.
@@ -40,7 +37,13 @@ pub struct TxnCell {
     /// Set by non-blocking-abort synchronization: the transaction must
     /// roll back; every further operation returns `TxnDoomed`.
     pub doomed: AtomicBool,
-    /// Undo chain and other mutable state.
+    /// Set once the transaction has logged its last data record and is
+    /// about to append its end record (`Commit` or `AbortEnd`). It stays
+    /// registered, holding its locks, until that record is durable; the
+    /// cutover census ([`Database::lock_holders`](crate::Database::lock_holders))
+    /// skips it.
+    pub ending: AtomicBool,
+    /// Undo chain.
     pub state: Mutex<TxnState>,
 }
 
@@ -48,6 +51,19 @@ impl TxnCell {
     /// Whether the transaction has been doomed.
     pub fn is_doomed(&self) -> bool {
         self.doomed.load(Ordering::Acquire)
+    }
+
+    /// Whether the transaction has logged its last data record (see
+    /// [`TxnCell::ending`]).
+    pub fn is_ending(&self) -> bool {
+        self.ending.load(Ordering::Acquire)
+    }
+
+    /// Mark the transaction as ending. Called before the end record is
+    /// appended, so a reader that has seen that record in the log also
+    /// sees the flag.
+    pub fn mark_ending(&self) {
+        self.ending.store(true, Ordering::Release);
     }
 }
 
@@ -99,6 +115,7 @@ impl TxnRegistry {
             id,
             first_lsn,
             doomed: AtomicBool::new(false),
+            ending: AtomicBool::new(false),
             state: Mutex::new(TxnState::default()),
         });
         map.insert(id, Arc::clone(&cell));
@@ -124,13 +141,13 @@ impl TxnRegistry {
         self.shard_of(id).read().contains_key(&id)
     }
 
-    /// Ids of all active transactions.
-    pub fn active_ids(&self) -> Vec<TxnId> {
-        let mut ids = Vec::new();
+    /// Cells of all active transactions.
+    pub fn cells(&self) -> Vec<Arc<TxnCell>> {
+        let mut cells = Vec::new();
         for shard in &self.shards {
-            ids.extend(shard.read().keys().copied());
+            cells.extend(shard.read().values().cloned());
         }
-        ids
+        cells
     }
 
     /// Number of active transactions.
@@ -237,7 +254,7 @@ mod tests {
             reg.begin_with(TxnId(i), || Lsn(100 + i));
         }
         assert_eq!(reg.active_count(), 40);
-        assert_eq!(reg.active_ids().len(), 40);
+        assert_eq!(reg.cells().len(), 40);
         reg.with_admission_blocked(|active, oldest| {
             assert_eq!(active.len(), 40);
             assert_eq!(oldest, Some(Lsn(100)));

@@ -219,11 +219,7 @@ impl Config {
                 "Database::snapshot_scan".into(),
                 "LazyInterceptor::before_op".into(),
             ],
-            purity_forbidden: vec![
-                "txn.granular".into(),
-                "txn.lock_table".into(),
-                "txn.held".into(),
-            ],
+            purity_forbidden: vec!["txn.lock_table".into(), "txn.held".into()],
             det_zones: vec![
                 "crates/sim/src".into(),
                 "crates/core/src".into(),

@@ -5,10 +5,9 @@
 //! never touch the lock manager. This pass pins that statically: a
 //! breadth-first walk from each configured root over the call graph
 //! must not reach any function that blocking-acquires a lock-manager
-//! class (`txn.lock_table`, `txn.granular`, `txn.held`), whether as a
-//! raw site or through a manifest `fn` summary. Non-blocking peeks
-//! (`try_lock`, manifest `try` fns such as `locks().held_keys_in`)
-//! are exempt — they cannot wait.
+//! class (`txn.lock_table`, `txn.held`), whether as a raw site or
+//! through a manifest `fn` summary. Non-blocking peeks (`try_lock`,
+//! manifest `try` fns) are exempt — they cannot wait.
 //!
 //! When a root can reach an acquire, the finding prints the full call
 //! path so the offending edge is obvious. Name resolution is the

@@ -100,16 +100,6 @@ impl SecondaryIndex {
     pub fn distinct_keys(&self) -> usize {
         self.map.len()
     }
-
-    /// Whether a row image belongs under index key `ik` — the snapshot
-    /// visibility re-check. The index itself tracks inline rows only;
-    /// a snapshot probe resolves candidate primary keys to the version
-    /// visible at the reader's snapshot and must then confirm that the
-    /// *resolved* values still carry the probed index key (the inline
-    /// row may have been re-indexed since the snapshot was taken).
-    pub fn covers(&self, resolved: &[Value], ik: &Key) -> bool {
-        self.key_of(resolved) == *ik
-    }
 }
 
 #[cfg(test)]

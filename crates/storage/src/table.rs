@@ -922,37 +922,6 @@ impl Table {
         resolve_at(&g, key, snapshot, commit)
     }
 
-    /// Rows visible at `snapshot` whose index key equals `ik`, in key
-    /// order. Indexes are unversioned (they track inline rows only), so
-    /// the probe unions the current index entries with the shard's
-    /// archived keys, resolves every candidate through the snapshot and
-    /// re-checks index-key equality on the resolved values.
-    pub fn snapshot_index_rows(
-        &self,
-        idx: usize,
-        ik: &Key,
-        snapshot: Lsn,
-        commit: &CommitTable,
-    ) -> Vec<(Key, Row)> {
-        let guards = self.all_read();
-        let mut out: Vec<(Key, Row)> = Vec::new();
-        for g in &guards {
-            let mut cands: Vec<&Key> = g.indexes[idx].pk_set(ik).into_iter().flatten().collect();
-            cands.extend(g.versions.keys());
-            cands.sort();
-            cands.dedup();
-            for pk in cands {
-                if let Some(r) = resolve_at(g, pk, snapshot, commit) {
-                    if g.indexes[idx].covers(&r.values, ik) {
-                        out.push((pk.clone(), r));
-                    }
-                }
-            }
-        }
-        out.sort_by(|a, b| a.0.cmp(&b.0));
-        out
-    }
-
     /// Begin a snapshot scan: chunked iteration in global primary-key
     /// order over the table *as of* `snapshot`. Unlike the fuzzy scan
     /// this is one consistent cut — concurrent writers keep committing,
@@ -1020,15 +989,6 @@ impl Table {
     }
 
     // --- latches --------------------------------------------------------
-
-    /// Shared latch over every shard: blocks physical writes while held
-    /// (used by the consistency checker's lock-free read of
-    /// contributing rows).
-    pub fn latch_shared(&self) -> TableSharedLatch<'_> {
-        TableSharedLatch {
-            _guards: self.all_read(),
-        }
-    }
 
     /// Exclusive latch over every shard: pauses *all* physical
     /// operations while held — the §3.4 synchronization latch.
@@ -1257,11 +1217,6 @@ fn split_pair<'a, 'g>(
         let (lo, hi) = guards.split_at_mut(a);
         (&mut hi[0], Some(&mut lo[b]))
     }
-}
-
-/// Composite shared latch over all shards of one table.
-pub struct TableSharedLatch<'a> {
-    _guards: [RwLockReadGuard<'a, TableShard>; TABLE_SHARDS],
 }
 
 /// Composite exclusive latch over all shards of one table.

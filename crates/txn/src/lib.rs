@@ -15,13 +15,11 @@
 //! [`origin`] module encodes that matrix literally and tests it against
 //! the paper's figure.
 
-pub mod granular;
 pub mod manager;
 pub mod mode;
 pub mod origin;
 pub mod wait;
 
-pub use granular::{GranularMode, TableLocks};
 pub use manager::{LockManager, LockManagerConfig};
 pub use mode::LockMode;
 pub use origin::LockOrigin;

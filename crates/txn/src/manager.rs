@@ -532,7 +532,7 @@ mod tests {
     }
 
     #[test]
-    fn held_keys_in_reports_table_locks() {
+    fn held_keys_in_reports_only_the_asked_table() {
         let m = mgr();
         m.lock(TxnId(1), T, &Key::single(1), LockMode::Exclusive)
             .unwrap();

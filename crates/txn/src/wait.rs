@@ -1,5 +1,4 @@
-//! Bounded condvar waiting, shared by the record lock manager and the
-//! granular table-lock manager.
+//! Bounded condvar waiting for the record lock manager.
 //!
 //! This module is the *single* place in `crates/txn` that consults the
 //! wall clock (morph-lint pass 2): lock-wait deadlines are inherently

@@ -165,11 +165,6 @@ impl FaultHandle {
         keep
     }
 
-    /// Whether [`FaultHandle::crash`] has fired.
-    pub fn is_wedged(&self) -> bool {
-        self.state.lock().wedged
-    }
-
     /// Snapshot of the durable byte image.
     pub fn durable_bytes(&self) -> Vec<u8> {
         self.state.lock().durable.clone()

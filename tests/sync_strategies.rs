@@ -3,7 +3,8 @@
 //! non-blocking commit strategy.
 
 use morphdb::core::{FojSpec, SyncStrategy, TransformOptions, Transformer};
-use morphdb::{ColumnType, Database, DbError, Key, Schema, Value};
+use morphdb::engine::CrashHook;
+use morphdb::{ColumnType, Database, DbError, DbResult, Key, Schema, Value};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -285,6 +286,99 @@ fn blocking_commit_blocks_then_switches() {
         .any(|(_, row)| row.values[1] == Value::str("held")));
     assert_eq!(report.sync.strategy, SyncStrategy::BlockingCommit);
     assert!(!db.catalog().exists("R"));
+}
+
+/// Parks the first thread that reaches `point` until released.
+struct ParkAt {
+    point: &'static str,
+    armed: AtomicBool,
+    parked: AtomicBool,
+    released: AtomicBool,
+}
+
+impl CrashHook for ParkAt {
+    fn at(&self, _db: &Database, point: &str) -> DbResult<()> {
+        if point == self.point && self.armed.swap(false, Ordering::SeqCst) {
+            self.parked.store(true, Ordering::SeqCst);
+            while !self.released.load(Ordering::SeqCst) {
+                std::thread::sleep(Duration::from_micros(200));
+            }
+        }
+        Ok(())
+    }
+}
+
+/// A client that has appended its end record (`Commit` or `AbortEnd`)
+/// but not yet left the registry is parked at `point`, still holding
+/// its lock on `R`. Every strategy must finish the FOJ without it: the
+/// final drain may already have consumed its end record, so neither
+/// waiting on it (blocking commit) nor grandfathering it (the
+/// non-blocking strategies) can ever end.
+fn sync_with_client_parked_at(point: &'static str) {
+    for strategy in [
+        SyncStrategy::NonBlockingAbort,
+        SyncStrategy::NonBlockingCommit,
+        SyncStrategy::BlockingCommit,
+    ] {
+        let db = Arc::new(Database::new());
+        sources(&db, 50);
+        let hook = Arc::new(ParkAt {
+            point,
+            armed: AtomicBool::new(true),
+            parked: AtomicBool::new(false),
+            released: AtomicBool::new(false),
+        });
+        db.set_crash_hook(hook.clone());
+        let client = {
+            let db = Arc::clone(&db);
+            std::thread::spawn(move || {
+                let txn = db.begin();
+                db.update(txn, "R", &Key::single(1), &[(1, Value::str("parked"))])?;
+                if point == "commit.wal_durable" {
+                    db.commit(txn)
+                } else {
+                    db.abort(txn)
+                }
+            })
+        };
+        let t0 = Instant::now();
+        while !hook.parked.load(Ordering::SeqCst) {
+            assert!(
+                t0.elapsed() < Duration::from_secs(10),
+                "client never parked"
+            );
+            std::thread::sleep(Duration::from_micros(200));
+        }
+        let options = TransformOptions::default()
+            .strategy(strategy)
+            .deadline(Duration::from_secs(2));
+        let outcome = Transformer::run_foj(&db, FojSpec::new("R", "S", "T", "c", "c"), options);
+        hook.released.store(true, Ordering::SeqCst);
+        client.join().unwrap().unwrap();
+        let report =
+            outcome.unwrap_or_else(|e| panic!("{strategy:?}, client parked at {point}: {e}"));
+        assert_eq!(report.sync.old_txns, 0, "{strategy:?}: nothing is old");
+        let t = db.catalog().get("T").unwrap();
+        let seen = t
+            .snapshot()
+            .iter()
+            .any(|(_, row)| row.values[1] == Value::str("parked"));
+        assert_eq!(
+            seen,
+            point == "commit.wal_durable",
+            "{strategy:?} at {point}"
+        );
+    }
+}
+
+#[test]
+fn sync_does_not_wait_on_a_commit_whose_record_is_logged() {
+    sync_with_client_parked_at("commit.wal_durable");
+}
+
+#[test]
+fn sync_does_not_wait_on_an_abort_whose_end_record_is_logged() {
+    sync_with_client_parked_at("abort.wal_durable");
 }
 
 /// Blocking commit honours `retain_sources` like the other strategies:
