@@ -2,13 +2,17 @@
 //! records on first touch.
 //!
 //! The eager §3 pipeline copies and propagates *before* switching; the
-//! lazy alternative inverts the order. Synchronization happens
-//! immediately — sources are latched for one short pause, the locks of
-//! still-active transactions are treated NBA-style (the transactions
-//! are doomed), the sources freeze, and a [`ResidualSet`] of every
-//! not-yet-transformed source key is built under the latch. From that
-//! point new transactions run against the target tables; a record is
-//! transformed on the first read/write that touches it (an
+//! lazy alternative inverts the order. [`LazyMigration::prepare`]
+//! creates the targets; [`PreparedLazy::cut_over`] allocates the
+//! [`ResidualSet`]'s lanes and then synchronizes immediately —
+//! sources are latched for one short pause, the locks of still-active
+//! transactions are treated NBA-style (the transactions are doomed and
+//! their exclusively locked keys mapped into the residual), the sources
+//! freeze, and the residual counts each latched shard's rows. The pause
+//! copies no source key, so its length does not grow with the tables:
+//! the frozen source itself is the set of records still to transform.
+//! From that point new transactions run against the target tables; a
+//! record is transformed on the first read/write that touches it (an
 //! [`OpInterceptor`] in the engine's operation path) while a throttled
 //! background [`backfill`] drains the cold remainder.
 //!
@@ -29,7 +33,8 @@
 //!
 //! There is one transform path, [`LazyMigration::transform`]: a first
 //! touch runs it with a batch of one, the backfill with a batch of up
-//! to `batch` keys of one residual stripe. It holds only what it
+//! to `batch` keys of one residual lane (one source storage shard, walked
+//! from the lane's cursor). It holds only what it
 //! writes — no lock while it reads the frozen rows and builds the
 //! target rows, then (union) a write session over the one target shard
 //! the batch routes to.
@@ -58,7 +63,7 @@ use parking_lot::Mutex;
 use std::borrow::Cow;
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Weak};
+use std::sync::{Arc, OnceLock, Weak};
 use std::time::{Duration, Instant};
 
 /// Sentinel for "no interceptor installed".
@@ -139,10 +144,9 @@ pub struct LazyMigration {
     residual: ResidualSet,
     sources: Vec<Arc<Table>>,
     /// Source keys dirtied by a doomed old transaction, transformable
-    /// only once that transaction's rollback has completed; `None`
-    /// when the cutover found no such writer, so that the common case
-    /// never takes the lock.
-    deferred: Option<Mutex<HashMap<(TableId, Key), TxnId>>>,
+    /// only once that transaction's rollback has completed; set once,
+    /// by the cutover, and only if it found such a writer.
+    deferred: OnceLock<HashMap<(TableId, Key), TxnId>>,
     token: AtomicU64,
 }
 
@@ -169,37 +173,58 @@ impl OpInterceptor for LazyInterceptor {
     }
 }
 
-impl LazyMigration {
-    /// Cut over immediately: latch the sources, doom still-active
-    /// holders NBA-style, freeze the sources, build the residual set,
-    /// and install the on-access hook. Returns with the catalog
-    /// switched and **zero** records transformed.
-    ///
-    /// Rename-in-place split plans are rejected (see [`LazyOper`]).
-    pub fn start(db: &Arc<Database>, plan: &TransformPlan) -> DbResult<Arc<LazyMigration>> {
-        let oper = LazyOper::prepare(db, plan)?;
-        let sources = oper.with(|o| crate::sync::sorted_sources(db, o))?;
-        let residual = ResidualSet::new();
-        for src in &sources {
-            residual.reserve(src.id(), src.len());
-        }
+/// A lazy migration whose targets exist but whose sources are not cut
+/// over yet: [`LazyMigration::prepare`]'s result. A fan-out prepares
+/// every shard before it cuts any over, so that a shard that cannot
+/// prepare leaves no other shard cut over ([`PreparedLazy::discard`]).
+pub struct PreparedLazy {
+    db: Arc<Database>,
+    oper: LazyOper,
+    sources: Vec<Arc<Table>>,
+    targets: Vec<String>,
+}
+
+impl PreparedLazy {
+    /// Cut over: latch the sources, doom still-active holders
+    /// NBA-style, freeze the sources, seed the residual set, and
+    /// install the on-access hook. Returns with the catalog switched
+    /// and **zero** records transformed. The pause copies no key: the
+    /// residual counts each latched shard and maps only the doomed
+    /// writers' exclusively locked keys.
+    pub fn cut_over(self) -> DbResult<Arc<LazyMigration>> {
+        let PreparedLazy {
+            db, oper, sources, ..
+        } = self;
+        // Everything the pause fills is allocated before it: with
+        // clients stalled on the latch, even the allocator's deferred
+        // work (DESIGN.md §15) would be theirs to wait out.
+        let lazy = Arc::new(LazyMigration {
+            db: Arc::clone(&db),
+            oper,
+            residual: ResidualSet::over(&sources),
+            sources,
+            deferred: OnceLock::new(),
+            token: AtomicU64::new(NO_TOKEN),
+        });
+        let sources = &lazy.sources;
         let mut deferred = HashMap::new();
+        let mut dirty = vec![Vec::new(); sources.len()];
 
         // --- the cutover pause: everything below runs under the latch.
         let guards: Vec<_> = sources.iter().map(|t| t.latch_exclusive()).collect();
 
         // Old transactions: anyone holding locks on a source. Their
-        // exclusively-locked keys are dirty — track them (a rolled-back
-        // delete restores a row the snapshot cannot see) and defer
-        // their transform past the rollback.
+        // exclusively-locked keys are dirty — map them (a rolled-back
+        // delete restores a row the latch cannot see) and defer their
+        // transform past the rollback.
         let mut old = HashSet::new();
         // morph-lint: allow(lock_order, cutover pause: the coordinator alone holds these exclusive latches and user txns never latch shards while holding registry/side locks, so the rank protocol's reverse order cannot occur concurrently)
-        for holder in db.lock_holders(&sources) {
-            for (src, held) in sources.iter().zip(holder.held) {
+        for holder in db.lock_holders(sources) {
+            for ((src, held), dirty) in sources.iter().zip(holder.held).zip(&mut dirty) {
                 for (key, mode) in held {
                     if mode == LockMode::Exclusive {
-                        residual.track(src.id(), key.clone());
-                        deferred.insert((src.id(), key), holder.txn);
+                        deferred.insert((src.id(), key.clone()), holder.txn);
+                        dirty.push(key);
                     }
                 }
             }
@@ -208,19 +233,14 @@ impl LazyMigration {
         for txn in &old {
             db.doom(*txn);
         }
-        for (src, guard) in sources.iter().zip(&guards) {
+        for ((src, guard), dirty) in sources.iter().zip(&guards).zip(dirty) {
             // morph-lint: allow(lock_order, cutover pause: freezing under the exclusive latch is the point — nothing else can hold table.meta while every shard latch is ours)
             src.freeze(old.iter().copied().collect());
-            residual.track_latched(src.id(), guard);
+            lazy.residual.seed_latched(src.id(), guard, dirty);
         }
-        let lazy = Arc::new(LazyMigration {
-            db: Arc::clone(db),
-            oper,
-            residual,
-            sources: sources.clone(),
-            deferred: (!deferred.is_empty()).then(|| Mutex::new(deferred)),
-            token: AtomicU64::new(NO_TOKEN),
-        });
+        if !deferred.is_empty() {
+            let _ = lazy.deferred.set(deferred);
+        }
         // morph-lint: allow(lock_order, cutover pause: interceptor registration under the latch is what makes the cut atomic; writers blocked on the latch observe the interceptor the instant they resume)
         let token = db.add_interceptor(Arc::new(LazyInterceptor {
             lazy: Arc::downgrade(&lazy),
@@ -232,6 +252,44 @@ impl LazyMigration {
         }
         drop(guards);
         Ok(lazy)
+    }
+
+    /// Give up before the cutover: drop the targets
+    /// [`LazyMigration::prepare`] created. The sources were never
+    /// touched.
+    pub fn discard(self) {
+        for name in &self.targets {
+            let _ = self.db.catalog().drop_table(name);
+        }
+    }
+}
+
+impl LazyMigration {
+    /// Prepare and cut over at once ([`LazyMigration::prepare`], then
+    /// [`PreparedLazy::cut_over`]).
+    pub fn start(db: &Arc<Database>, plan: &TransformPlan) -> DbResult<Arc<LazyMigration>> {
+        LazyMigration::prepare(db, plan)?.cut_over()
+    }
+
+    /// Create the targets, before anything is latched. Rename-in-place
+    /// split plans are rejected (see [`LazyOper`]).
+    pub fn prepare(db: &Arc<Database>, plan: &TransformPlan) -> DbResult<PreparedLazy> {
+        let mut prepared = PreparedLazy {
+            db: Arc::clone(db),
+            oper: LazyOper::prepare(db, plan)?,
+            sources: Vec::new(),
+            targets: plan.target_tables(),
+        };
+        match prepared.oper.with(|o| crate::sync::sorted_sources(db, o)) {
+            Ok(sources) => {
+                prepared.sources = sources;
+                Ok(prepared)
+            }
+            Err(e) => {
+                prepared.discard();
+                Err(e)
+            }
+        }
     }
 
     /// Keys still awaiting transformation.
@@ -259,7 +317,7 @@ impl LazyMigration {
     }
 
     /// Throttled background backfill: claim and transform pending
-    /// records in batches of up to `batch` keys of one residual stripe
+    /// records in batches of up to `batch` keys of one residual lane
     /// until nothing is pending, paying the priority throttle per batch
     /// so user transactions keep the machine. Returns the number of
     /// records this call transformed; the residual may still hold keys
@@ -384,7 +442,7 @@ impl LazyMigration {
         };
         let mut rows = Vec::with_capacity(guard.keys().len());
         for key in guard.keys() {
-            if let Some(deferred) = &self.deferred {
+            if let Some(deferred) = self.deferred.get() {
                 self.await_rollback(deferred, table, key);
             }
             // A key whose row is gone from the frozen source was a
@@ -423,19 +481,11 @@ impl LazyMigration {
     /// committed image is only back once the rollback finishes. The
     /// wait mirrors eager NBA's transferred proxy locks, which block
     /// access to exactly these rows for exactly this long.
-    fn await_rollback(
-        &self,
-        deferred: &Mutex<HashMap<(TableId, Key), TxnId>>,
-        table: TableId,
-        key: &Key,
-    ) {
-        let entry = (table, key.clone());
-        let owner = deferred.lock().get(&entry).copied(); // morph-lint: rank(core.scratch)
-        if let Some(txn) = owner {
+    fn await_rollback(&self, deferred: &HashMap<(TableId, Key), TxnId>, table: TableId, key: &Key) {
+        if let Some(&txn) = deferred.get(&(table, key.clone())) {
             while self.db.is_active(txn) {
                 std::thread::sleep(Duration::from_micros(100));
             }
-            deferred.lock().remove(&entry); // morph-lint: rank(core.scratch)
         }
     }
 }
@@ -444,9 +494,10 @@ impl LazyMigration {
 mod tests {
     use super::*;
     use crate::union::UnionSpec;
-    use morph_common::{ColumnType, Schema, Value};
+    use morph_common::{ColumnType, Lsn, Schema, Value};
 
-    fn setup_union() -> Arc<Database> {
+    /// Empty union sources `r` and `s`.
+    fn union_sources() -> Arc<Database> {
         let db = Arc::new(Database::new());
         let schema = || {
             Schema::builder()
@@ -458,6 +509,11 @@ mod tests {
         };
         db.create_table("r", schema()).unwrap();
         db.create_table("s", schema()).unwrap();
+        db
+    }
+
+    fn setup_union() -> Arc<Database> {
+        let db = union_sources();
         for i in 0..8 {
             let t = db.begin();
             db.insert(t, "r", vec![Value::Int(i), Value::Int(i * 10)])
@@ -592,6 +648,57 @@ mod tests {
         assert_eq!(backfilled.unwrap(), 2 * ids.len() - 1);
         assert!(lazy.is_drained());
         lazy.finish().unwrap();
+    }
+
+    /// The cutover pause copies no key: over a 100 K-row source the
+    /// residual maps nothing and counts every row. With doomed writers
+    /// it maps exactly their exclusively locked keys, and counts a key
+    /// a doomed delete took out of the source on top.
+    #[test]
+    fn cutover_maps_only_the_doomed_writers_keys() {
+        const ROWS: i64 = 100_000;
+        let db = union_sources();
+        let r = db.catalog().get("r").unwrap();
+        for i in 0..ROWS {
+            r.insert(vec![Value::Int(i), Value::Int(i * 10)], Lsn(1))
+                .unwrap();
+        }
+        let lazy = LazyMigration::start(&db, &union_plan()).unwrap();
+        assert!(lazy.residual().explicit_keys().is_empty());
+        assert_eq!(lazy.remaining(), ROWS as usize);
+
+        let db = setup_union();
+        let (r, s) = (
+            db.catalog().get("r").unwrap(),
+            db.catalog().get("s").unwrap(),
+        );
+        let (ins, upd, del, reader) = (db.begin(), db.begin(), db.begin(), db.begin());
+        db.insert(ins, "r", vec![Value::Int(100), Value::Int(1)])
+            .unwrap();
+        db.update(upd, "s", &Key::single(3), &[(1, Value::Int(-3))])
+            .unwrap();
+        db.delete(del, "r", &Key::single(5)).unwrap();
+        db.read(reader, "s", &Key::single(6)).unwrap();
+        let lazy = LazyMigration::start(&db, &union_plan()).unwrap();
+        let mut want = vec![
+            (r.id(), Key::single(100)),
+            (r.id(), Key::single(5)),
+            (s.id(), Key::single(3)),
+        ];
+        want.sort();
+        assert_eq!(lazy.residual().explicit_keys(), want);
+        assert_eq!(lazy.remaining(), 17);
+
+        for txn in [ins, upd, del, reader] {
+            db.abort(txn).unwrap();
+        }
+        assert_eq!(lazy.drain_now().unwrap(), 17);
+        lazy.finish().unwrap();
+        let t = db.catalog().get("t").unwrap();
+        assert_eq!(t.len(), 16);
+        assert_eq!(t.get(&t_key("r", 5)).unwrap().values[2], Value::Int(50));
+        assert_eq!(t.get(&t_key("s", 3)).unwrap().values[2], Value::Int(300));
+        assert!(t.get(&t_key("r", 100)).is_none());
     }
 
     #[test]

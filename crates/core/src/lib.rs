@@ -60,7 +60,7 @@ pub mod transform;
 pub mod union;
 
 pub use foj::FojMapping;
-pub use lazy::LazyMigration;
+pub use lazy::{LazyMigration, PreparedLazy};
 pub use operator::{CoalescePolicy, TransformOperator};
 pub use progress::{Progress, ProgressHandle, ProgressPhase};
 pub use report::{IterationStats, PopulationStats, SyncStats, TransformReport};

@@ -10,8 +10,9 @@
 //!    completion,
 //! 3. registered [`OpInterceptor`]s run (lock mirroring for
 //!    non-blocking-commit synchronization, trigger baselines),
-//! 4. **atomically under the table latch**: constraint checks, log
-//!    append, physical apply, row LSN stamp.
+//! 4. **atomically under the table latch**: the doomed / frozen checks
+//!    again, constraint checks, log append, physical apply, row LSN
+//!    stamp.
 //!
 //! Step 4's atomicity is load-bearing for the paper's correctness
 //! argument: a fuzzy scan (which takes the same latch per chunk) can
@@ -719,6 +720,18 @@ impl Database {
         Ok(cell)
     }
 
+    /// The entry checks again, under the latch a write holds: a cutover
+    /// may have frozen the table or doomed the transaction since. A
+    /// cutover does both under that same latch, so no write of a
+    /// transaction it dooms lands after it, and a frozen source changes
+    /// afterwards only by the doomed transactions' rollbacks.
+    fn check_latched(cell: &TxnCell, table: &Table) -> DbResult<()> {
+        if cell.is_doomed() {
+            return Err(DbError::TxnDoomed(cell.id));
+        }
+        table.check_access(cell.id)
+    }
+
     /// Insert a row into the named table.
     pub fn insert(&self, txn: TxnId, table: &str, values: Vec<Value>) -> DbResult<Key> {
         let t = self.catalog.get(table)?;
@@ -742,9 +755,7 @@ impl Database {
         };
         let mut lsn = Lsn::ZERO;
         table.insert_with_writer(values.clone(), txn, || {
-            // Re-check access under the latch: a synchronization step
-            // may have frozen the table since the entry check.
-            table.check_access(txn)?;
+            Self::check_latched(&cell, table)?;
             lsn = self.log.append(LogRecord::Op { txn, op });
             Ok(lsn)
         })?;
@@ -811,7 +822,7 @@ impl Database {
 
         let mut lsn = Lsn::ZERO;
         let outcome = table.update_with_writer(key, cols, txn, |plan| {
-            table.check_access(txn)?;
+            Self::check_latched(&cell, table)?;
             lsn = self.log.append(LogRecord::Op {
                 txn,
                 op: LogOp::Update {
@@ -852,7 +863,7 @@ impl Database {
         let mut pre_image = Vec::new();
         let mut lsn = Lsn::ZERO;
         table.delete_with_writer(key, txn, |row| {
-            table.check_access(txn)?;
+            Self::check_latched(&cell, table)?;
             pre_image = row.values.clone();
             lsn = self.log.append(LogRecord::Op {
                 txn,
@@ -1130,6 +1141,46 @@ mod tests {
         db.remove_interceptor(token);
         db.delete(txn, "t", &Key::single(1)).unwrap();
         db.commit(txn).unwrap();
+    }
+
+    /// A transaction doomed after its operation passed the entry checks
+    /// (as a cutover dooms a writer already waiting on the latch) writes
+    /// nothing: the latched re-check refuses it.
+    #[test]
+    fn doom_between_entry_check_and_write_refuses_the_write() {
+        struct DoomMidOp;
+        impl OpInterceptor for DoomMidOp {
+            fn before_op(
+                &self,
+                db: &Database,
+                txn: TxnId,
+                _table: &Table,
+                _op: &PlannedOp<'_>,
+            ) -> DbResult<()> {
+                db.doom(txn);
+                Ok(())
+            }
+        }
+        let (db, t) = db_with_table();
+        let seed = db.begin();
+        db.insert(seed, "t", row(1, "a")).unwrap();
+        db.commit(seed).unwrap();
+        db.add_interceptor(Arc::new(DoomMidOp));
+        for op in 0..3 {
+            let txn = db.begin();
+            let res = match op {
+                0 => db.insert(txn, "t", row(2, "b")).map(|_| ()),
+                1 => db.update(txn, "t", &Key::single(1), &[(1, Value::str("x"))]),
+                _ => db.delete(txn, "t", &Key::single(1)),
+            };
+            assert!(
+                matches!(res, Err(DbError::TxnDoomed(_))),
+                "op {op}: {res:?}"
+            );
+            db.abort(txn).unwrap();
+        }
+        assert_eq!(t.snapshot().len(), 1);
+        assert_eq!(t.get(&Key::single(1)).unwrap().values, row(1, "a"));
     }
 
     #[test]

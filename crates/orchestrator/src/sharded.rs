@@ -26,7 +26,7 @@ use crate::spec::MigrationSpec;
 use morph_common::{DbResult, TableId};
 use morph_core::spec::TransformOptions;
 use morph_core::transform::TransformPlan;
-use morph_core::{LazyMigration, TransformReport};
+use morph_core::{LazyMigration, PreparedLazy, TransformReport};
 use morph_engine::ShardedDatabase;
 use std::sync::Arc;
 
@@ -159,6 +159,12 @@ impl ShardedLazyMigration {
 /// shard, then targets serve immediately with on-access transforms.
 /// Only single-stage migrations can run lazily — a later stage's
 /// source is an earlier stage's target, which has no frozen image yet.
+///
+/// Every shard prepares its targets before any shard cuts over, so a
+/// shard that cannot prepare (its target name is taken, say) fails the
+/// call with every shard's sources still live and no target left
+/// behind. Past that point only a simulated crash at a cutover can
+/// fail the call; the shards not yet cut over then drop their targets.
 pub fn start_lazy_sharded(
     sdb: &ShardedDatabase,
     spec: &MigrationSpec,
@@ -168,10 +174,86 @@ pub fn start_lazy_sharded(
             "lazy sharded migration supports exactly one stage".into(),
         )
     })?;
-    let mut lazies = Vec::with_capacity(sdb.shard_count());
+    let mut prepared = Vec::with_capacity(sdb.shard_count());
     for shard in sdb.shards() {
-        shard.crash_point("router.shard_plan")?;
-        lazies.push(LazyMigration::start(shard, stage)?);
+        match shard
+            .crash_point("router.shard_plan")
+            .and_then(|()| LazyMigration::prepare(shard, stage))
+        {
+            Ok(p) => prepared.push(p),
+            Err(e) => {
+                prepared.into_iter().for_each(PreparedLazy::discard);
+                return Err(e);
+            }
+        }
+    }
+    let mut lazies = Vec::with_capacity(prepared.len());
+    let mut pending = prepared.into_iter();
+    while let Some(p) = pending.next() {
+        match p.cut_over() {
+            Ok(lazy) => lazies.push(lazy),
+            Err(e) => {
+                pending.for_each(PreparedLazy::discard);
+                return Err(e);
+            }
+        }
     }
     Ok(ShardedLazyMigration { lazies })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::spec::Migration;
+    use morph_common::{ColumnType, Key, Schema, Value};
+
+    fn schema() -> Schema {
+        Schema::builder()
+            .column("id", ColumnType::Int)
+            .column("v", ColumnType::Int)
+            .primary_key(&["id"])
+            .build()
+            .unwrap()
+    }
+
+    /// A shard that cannot prepare (its target name is taken) fails the
+    /// fan-out before any shard cuts over: the other shard keeps live
+    /// sources and no target.
+    #[test]
+    fn lazy_fan_out_that_cannot_prepare_cuts_no_shard_over() {
+        let sdb = ShardedDatabase::new(2);
+        for name in ["r", "s"] {
+            sdb.create_table(name, schema()).unwrap();
+            for i in 0..20 {
+                sdb.insert(name, vec![Value::Int(i), Value::Int(i)])
+                    .unwrap();
+            }
+        }
+        sdb.shard(1).create_table("u", schema()).unwrap();
+
+        let spec = Migration::union("r", "s", "u").build();
+        assert!(start_lazy_sharded(&sdb, &spec).is_err());
+
+        let shard0 = sdb.shard(0);
+        assert!(shard0.catalog().get("u").is_err(), "shard 0 kept a target");
+        let key = (0..20)
+            .map(|i| Key::single(Value::Int(i)))
+            .find(|key| sdb.shard_of_key("r", key).unwrap() == 0)
+            .expect("shard 0 owns some r row");
+        for name in ["r", "s"] {
+            sdb.update(name, &key, &[(1, Value::Int(-1))]).unwrap();
+            assert_eq!(
+                sdb.read(name, &key).unwrap(),
+                Some(vec![key.values()[0].clone(), Value::Int(-1)])
+            );
+        }
+        sdb.insert("r", vec![Value::Int(100), Value::Int(0)])
+            .unwrap();
+
+        // With the name freed, the same migration goes through.
+        sdb.shard(1).catalog().drop_table("u").unwrap();
+        let lazy = start_lazy_sharded(&sdb, &spec).unwrap();
+        lazy.drain_now().unwrap();
+        lazy.finish().unwrap();
+    }
 }

@@ -445,6 +445,12 @@ impl Table {
         route_hash(&key.0, self.shard_key.read().as_deref())
     }
 
+    /// The shard-key positions (`None`: the whole key), for callers that
+    /// route many keys of a table whose shard key can no longer change.
+    pub(crate) fn shard_key(&self) -> Option<Arc<[usize]>> {
+        self.shard_key.read().clone()
+    }
+
     fn route(&self, key: &Key) -> usize {
         self.shard_of_key(key)
     }
@@ -888,6 +894,25 @@ impl Table {
         self.shards[self.route(key)].read().rows.contains_key(key)
     }
 
+    /// Up to `max` keys of storage shard `shard` above `after`
+    /// (everything, for `None`), ascending, under that shard's read
+    /// latch alone — the lazy backfill's walk over a frozen source.
+    pub(crate) fn shard_keys_after(
+        &self,
+        shard: usize,
+        after: Option<&Key>,
+        max: usize,
+    ) -> Vec<Key> {
+        let from = after.map_or(Bound::Unbounded, Bound::Excluded);
+        self.shards[shard]
+            .read()
+            .rows
+            .range::<Key, _>((from, Bound::Unbounded))
+            .take(max)
+            .map(|(k, _)| k.clone())
+            .collect()
+    }
+
     /// Number of rows (atomic across shards).
     pub fn len(&self) -> usize {
         self.all_read().iter().map(|g| g.rows.len()).sum()
@@ -994,7 +1019,7 @@ impl Table {
     /// operations while held — the §3.4 synchronization latch.
     pub fn latch_exclusive(&self) -> TableExclusiveLatch<'_> {
         TableExclusiveLatch {
-            _guards: self.all_write(),
+            guards: self.all_write(),
         }
     }
 
@@ -1221,18 +1246,22 @@ fn split_pair<'a, 'g>(
 
 /// Composite exclusive latch over all shards of one table.
 pub struct TableExclusiveLatch<'a> {
-    _guards: [RwLockWriteGuard<'a, TableShard>; TABLE_SHARDS],
+    guards: [RwLockWriteGuard<'a, TableShard>; TABLE_SHARDS],
 }
 
 impl TableExclusiveLatch<'_> {
-    /// Every key currently in the table, read through the held latch,
-    /// shard by shard and ascending within each shard. A lazy cutover
-    /// builds its residual set from this
-    /// ([`ResidualSet::track_latched`](crate::ResidualSet::track_latched))
-    /// — calling [`Table::snapshot`] instead would re-acquire the shard
-    /// locks the latch already holds and self-deadlock.
-    pub(crate) fn keys_by_shard(&self) -> impl Iterator<Item = &Key> {
-        self._guards.iter().flat_map(|g| g.rows.keys())
+    /// Rows in storage shard `shard`, read through the held latch (a
+    /// lazy cutover seeds its residual counts from this — calling
+    /// [`Table::len`] instead would re-acquire the shard locks the latch
+    /// already holds and self-deadlock).
+    pub(crate) fn shard_len(&self, shard: usize) -> usize {
+        self.guards[shard].rows.len()
+    }
+
+    /// Whether storage shard `shard` holds `key`, read through the held
+    /// latch.
+    pub(crate) fn shard_contains(&self, shard: usize, key: &Key) -> bool {
+        self.guards[shard].rows.contains_key(key)
     }
 }
 

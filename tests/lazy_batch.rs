@@ -199,3 +199,94 @@ fn crash_inside_a_batch_abandons_the_whole_batch_and_a_retry_converges() {
     lazy.finish().unwrap();
     assert_eq!(image_of(&db), expected);
 }
+
+/// Composite-key sources routed by their first key column
+/// (`set_shard_key(vec![0])`): the residual's lanes follow the sources'
+/// own storage shards — every batch holds keys of one — and the lazy
+/// result equals the eager reference.
+#[test]
+fn composite_key_sources_routed_by_a_key_prefix_migrate_like_eager() {
+    const A: i64 = 40;
+    const B: i64 = 5;
+    let load = || {
+        let db = Arc::new(Database::new());
+        for (name, scale) in [("r", 10), ("s", 100)] {
+            let schema = Schema::builder()
+                .column("a", ColumnType::Int)
+                .column("b", ColumnType::Int)
+                .column("v", ColumnType::Int)
+                .primary_key(&["a", "b"])
+                .build()
+                .unwrap();
+            let table = db.create_table(name, schema).unwrap();
+            table.set_shard_key(vec![0]).unwrap();
+            let txn = db.begin();
+            for a in 0..A {
+                for b in 0..B {
+                    let row = vec![
+                        Value::Int(a),
+                        Value::Int(b),
+                        Value::Int((a * B + b) * scale),
+                    ];
+                    db.insert(txn, name, row).unwrap();
+                }
+            }
+            db.commit(txn).unwrap();
+        }
+        db
+    };
+    let expected = {
+        let db = load();
+        Orchestrator::new(Arc::clone(&db))
+            .submit(
+                Migration::union("r", "s", "u").build(),
+                TransformOptions::default(),
+            )
+            .unwrap()
+            .join()
+            .unwrap();
+        image_of(&db)
+    };
+
+    let db = load();
+    let lazy = start_lazy(&db);
+    let total = 2 * (A * B) as usize;
+    assert_eq!(lazy.remaining(), total);
+
+    // First touches ahead of any batch.
+    for a in (0..A).step_by(7) {
+        let txn = db.begin();
+        let key = Key::new([Value::str("s"), Value::Int(a), Value::Int(a % B)]);
+        assert!(db.read(txn, "u", &key).unwrap().is_some());
+        db.commit(txn).unwrap();
+    }
+    let touched = total - lazy.remaining();
+
+    // Hold every batch at once (dropping the guards abandons them).
+    let sources = [
+        db.catalog().get("r").unwrap(),
+        db.catalog().get("s").unwrap(),
+    ];
+    let mut held = Vec::new();
+    while let Some(batch) = lazy.residual().claim_batch(16) {
+        let src = sources.iter().find(|t| t.id() == batch.table()).unwrap();
+        let shard = src.shard_of_key(&batch.keys()[0]);
+        assert!(
+            batch
+                .keys()
+                .iter()
+                .all(|key| src.shard_of_key(key) == shard),
+            "a batch crossed the source's storage shards"
+        );
+        held.push(batch);
+    }
+    let claimed: usize = held.iter().map(|batch| batch.keys().len()).sum();
+    assert_eq!(claimed + touched, total);
+    drop(held);
+    assert_eq!(lazy.remaining(), total - touched);
+
+    assert_eq!(lazy.backfill(16, 1.0).unwrap(), total - touched);
+    assert!(lazy.is_drained());
+    lazy.finish().unwrap();
+    assert_eq!(image_of(&db), expected);
+}
