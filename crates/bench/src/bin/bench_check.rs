@@ -12,8 +12,8 @@
 //!    throughput (8 closed-loop clients through the router) and
 //!    aggregate migration throughput (one union fanned out as
 //!    per-shard jobs) at 1, 2, 4 and 8 shards, with the aggregated
-//!    [`ShardCounters`] per point. On ≥ 4 cores the 4-shard commit
-//!    rate must be ≥ 1.8× the 1-shard rate.
+//!    [`morph_engine::ShardCounters`] per point. On ≥ 4 cores the
+//!    4-shard commit rate must be ≥ 1.8× the 1-shard rate.
 //! 3. **`lazy_tail`** — SLSM-style lazy mode: hot-shard p50/p99
 //!    read/write latency mid-migration, eager §3 pipeline vs lazy
 //!    cutover + throttled backfill. On ≥ 4 cores the lazy p99 must

@@ -36,8 +36,6 @@ pub enum DbError {
     DuplicateKey(String),
     /// Update/delete of a primary key that does not exist.
     KeyNotFound(String),
-    /// A declared unique constraint would be violated.
-    UniqueViolation { index: String, key: String },
 
     // --- concurrency control ---
     /// The transaction was chosen as a wait–die victim and must abort.
@@ -118,9 +116,6 @@ impl fmt::Display for DbError {
             }
             DbError::DuplicateKey(k) => write!(f, "duplicate primary key {k}"),
             DbError::KeyNotFound(k) => write!(f, "primary key not found: {k}"),
-            DbError::UniqueViolation { index, key } => {
-                write!(f, "unique constraint {index} violated by key {key}")
-            }
             DbError::Deadlock(t) => write!(f, "transaction {t} chosen as deadlock victim"),
             DbError::TxnNotActive(t) => write!(f, "transaction {t} is not active"),
             DbError::TxnDoomed(t) => {

@@ -117,14 +117,14 @@ impl FojMapping {
 
         let t = db.catalog().create_table(&spec.target, t_schema)?;
         let rpk_names: Vec<&str> = rs.pkey().iter().map(|&p| t_names[p].as_str()).collect();
-        let idx_rpk = t.add_index("__rpk", &rpk_names, false)?;
-        let idx_join = t.add_index("__join", &[&t_names[r_join]], false)?;
+        let idx_rpk = t.add_index("__rpk", &rpk_names)?;
+        let idx_join = t.add_index("__join", &[&t_names[r_join]])?;
         let spk_names: Vec<&str> = ss
             .pkey()
             .iter()
             .map(|&p| t_names[s_to_t[p]].as_str())
             .collect();
-        let idx_spk = t.add_index("__spk", &spk_names, false)?;
+        let idx_spk = t.add_index("__spk", &spk_names)?;
 
         Ok(FojMapping {
             r,

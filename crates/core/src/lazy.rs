@@ -31,7 +31,7 @@
 //!   each record is transformed exactly once ([`ResidualSet`]
 //!   invariants, DESIGN.md §15).
 //!
-//! There is one transform path, [`LazyMigration::transform`]: a first
+//! There is one transform path, `LazyMigration::transform`: a first
 //! touch runs it with a batch of one, the backfill with a batch of up
 //! to `batch` keys of one residual lane (one source storage shard, walked
 //! from the lane's cursor). It holds only what it
@@ -272,7 +272,7 @@ impl LazyMigration {
     }
 
     /// Create the targets, before anything is latched. Rename-in-place
-    /// split plans are rejected (see [`LazyOper`]).
+    /// split plans are rejected (see `LazyOper`).
     pub fn prepare(db: &Arc<Database>, plan: &TransformPlan) -> DbResult<PreparedLazy> {
         let mut prepared = PreparedLazy {
             db: Arc::clone(db),

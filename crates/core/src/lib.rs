@@ -7,7 +7,7 @@
 //!
 //! ## The four steps (§3)
 //!
-//! 1. **Preparation** ([`prepare`] inside [`Transformer`]): create the
+//! 1. **Preparation** ([`TransformJob::prepare`]): create the
 //!    transformed tables — containing at least one candidate key from
 //!    each source — plus the indexes the propagation rules need (join
 //!    attribute, S-key).

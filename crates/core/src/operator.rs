@@ -145,10 +145,10 @@ pub trait TransformOperator: Send {
 
     /// Initial population by fuzzy read (§3.2) with `workers` scan
     /// threads over disjoint key-space partitions. The priority budget
-    /// is divided among the workers ([`worker_share`]) so the aggregate
+    /// is divided among the workers (`worker_share`) so the aggregate
     /// duty cycle honors `priority` at every worker count, and every
     /// chunk checks the job's wall-clock `deadline`
-    /// ([`check_deadline`]). Returns `(rows_read, rows_written)`. The
+    /// (`check_deadline`). Returns `(rows_read, rows_written)`. The
     /// database handle feeds the per-chunk crash point
     /// (`populate.chunk`) that the deterministic crash harness kills
     /// fuzzy copies at.

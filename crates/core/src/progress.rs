@@ -8,7 +8,7 @@
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
-/// Phase indices published through [`Progress::phase`]. Mirrors the
+/// Phase indices published through `Progress::phase`. Mirrors the
 /// orchestrator's state machine; the driver only ever moves forward.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug)]
 pub enum ProgressPhase {

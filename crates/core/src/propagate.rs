@@ -11,7 +11,7 @@
 //! ## The batched pipeline
 //!
 //! Relevant data records are not applied one at a time. The propagator
-//! accumulates them into a *run*, [coalesces](coalesce) records the
+//! accumulates them into a *run*, coalesces (`coalesce`) records the
 //! operator's [`CoalescePolicy`] allows to be dropped, and hands the
 //! survivors to [`TransformOperator::apply_batch`] — which opens one
 //! write session per target table for the whole run, paying one latch

@@ -159,7 +159,7 @@ impl SplitMapping {
             let name = &ts.columns()[split_t].name;
             Some(match t.index_pos("__morph_split") {
                 Some(i) => i,
-                None => t.add_index("__morph_split", &[name], false)?,
+                None => t.add_index("__morph_split", &[name])?,
             })
         } else {
             None

@@ -32,7 +32,7 @@ use std::time::{Duration, Instant};
 
 /// Log records allowed to accumulate behind a transformation's cursor
 /// before in-memory log truncation runs (≈ tens of MB; see
-/// `Transformer::drive`).
+/// [`TransformJob::propagate`]).
 const TRUNCATE_SPAN: u64 = 262_144;
 
 /// Entry points for running transformations.

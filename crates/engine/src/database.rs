@@ -417,44 +417,38 @@ impl Database {
     }
 
     /// Apply one compensation: log the CLR and execute the inverse
-    /// operation atomically under the table latch.
-    fn apply_clr(&self, txn: TxnId, undone_lsn: Lsn, inverse: LogOp) -> DbResult<()> {
-        let table = self.catalog.get_by_id(inverse.table())?;
-        match &inverse {
-            LogOp::Insert { row, .. } => {
-                let row = row.clone();
-                let log = &self.log;
-                let rec = LogRecord::Clr {
-                    txn,
-                    undone_lsn,
-                    op: inverse.clone(),
-                };
-                table.insert_with(row, || Ok(log.append(rec)))?;
-            }
-            LogOp::Delete { key, .. } => {
-                let rec = LogRecord::Clr {
-                    txn,
-                    undone_lsn,
-                    op: inverse.clone(),
-                };
-                let log = &self.log;
-                // The CLR's tombstone is stamped SYSTEM (visible by
-                // LSN order): snapshots taken after the rollback see
-                // the compensated state without consulting the — soon
-                // pruned — aborted writer's outcome.
-                table.delete_with_writer(key, SYSTEM, |_| Ok(log.append(rec)))?;
-            }
-            LogOp::Update { key, new, .. } => {
-                let rec = LogRecord::Clr {
-                    txn,
-                    undone_lsn,
-                    op: inverse.clone(),
-                };
-                let log = &self.log;
-                table.update_with(key, new, |_| Ok(log.append(rec)))?;
-            }
+    /// operation atomically under the table latch (rollback and
+    /// restart undo alike).
+    pub(crate) fn apply_clr(&self, txn: TxnId, undone_lsn: Lsn, inverse: LogOp) -> DbResult<()> {
+        let rec = LogRecord::Clr {
+            txn,
+            undone_lsn,
+            op: inverse.clone(),
+        };
+        self.apply_logged(inverse, || Ok(self.log.append(rec)))
+    }
+
+    /// Apply a logged operation through the table's single-row writes,
+    /// with the LSN `mk_lsn` produces under the latch: the one mapping
+    /// of a [`LogOp`] onto storage, shared by CLRs and restart redo.
+    /// The writes are stamped `SYSTEM` (visible by LSN order):
+    /// snapshots taken after a rollback see the compensated state
+    /// without consulting the — soon pruned — aborted writer's outcome,
+    /// and a recovered log carries no commit-table state to resolve the
+    /// original writers.
+    pub(crate) fn apply_logged(
+        &self,
+        op: LogOp,
+        mk_lsn: impl FnOnce() -> DbResult<Lsn>,
+    ) -> DbResult<()> {
+        let table = self.catalog.get_by_id(op.table())?;
+        match op {
+            LogOp::Insert { row, .. } => table.insert_with(row, SYSTEM, mk_lsn).map(drop),
+            LogOp::Delete { key, .. } => table.delete_with(&key, SYSTEM, |_| mk_lsn()).map(drop),
+            LogOp::Update { key, new, .. } => table
+                .update_with(&key, &new, SYSTEM, |_| mk_lsn())
+                .map(drop),
         }
-        Ok(())
     }
 
     /// Whether `txn` is still active.
@@ -754,7 +748,7 @@ impl Database {
             row: values.clone(),
         };
         let mut lsn = Lsn::ZERO;
-        table.insert_with_writer(values.clone(), txn, || {
+        table.insert_with(values.clone(), txn, || {
             Self::check_latched(&cell, table)?;
             lsn = self.log.append(LogRecord::Op { txn, op });
             Ok(lsn)
@@ -821,7 +815,7 @@ impl Database {
         self.run_interceptors(txn, table, &PlannedOp::Update { key, cols })?;
 
         let mut lsn = Lsn::ZERO;
-        let outcome = table.update_with_writer(key, cols, txn, |plan| {
+        let outcome = table.update_with(key, cols, txn, |plan| {
             Self::check_latched(&cell, table)?;
             lsn = self.log.append(LogRecord::Op {
                 txn,
@@ -862,7 +856,7 @@ impl Database {
 
         let mut pre_image = Vec::new();
         let mut lsn = Lsn::ZERO;
-        table.delete_with_writer(key, txn, |row| {
+        table.delete_with(key, txn, |row| {
             Self::check_latched(&cell, table)?;
             pre_image = row.values.clone();
             lsn = self.log.append(LogRecord::Op {

@@ -22,7 +22,6 @@
 
 use crate::database::Database;
 use morph_common::{DbResult, Key, Lsn, TxnId, Value};
-use morph_storage::Row;
 use morph_wal::{scan_stream, LogOp, LogOpRef, LogRecord, LogRecordRef, ValueRef};
 use std::collections::{HashMap, HashSet};
 
@@ -39,108 +38,33 @@ pub struct RecoveryReport {
 
 /// Replay `records` into `db`. The caller must have re-created the
 /// schema: every table id referenced by the log must resolve in the
-/// catalog, and the tables must be empty.
+/// catalog, and the tables must be empty. Frames the records the way
+/// the file backend stores them and replays them through
+/// [`recover_from_bytes`], the one replay body.
 pub fn recover_into(db: &Database, records: &[LogRecord]) -> DbResult<RecoveryReport> {
-    // --- analysis ---
-    struct TxnInfo {
-        finished: bool,
-        /// Forward ops in order, with their LSNs.
-        ops: Vec<(Lsn, LogOp)>,
-        /// LSNs already compensated by logged CLRs.
-        compensated: HashSet<Lsn>,
-    }
-    let mut txns: HashMap<TxnId, TxnInfo> = HashMap::new();
-    for (i, rec) in records.iter().enumerate() {
-        let lsn = Lsn(i as u64 + 1);
-        match rec {
-            LogRecord::Begin { txn } => {
-                txns.insert(
-                    *txn,
-                    TxnInfo {
-                        finished: false,
-                        ops: Vec::new(),
-                        compensated: HashSet::new(),
-                    },
-                );
-            }
-            LogRecord::Commit { txn } | LogRecord::AbortEnd { txn } => {
-                if let Some(info) = txns.get_mut(txn) {
-                    info.finished = true;
-                }
-            }
-            LogRecord::Op { txn, op } => {
-                if let Some(info) = txns.get_mut(txn) {
-                    info.ops.push((lsn, op.clone()));
-                }
-            }
-            LogRecord::Clr {
-                txn, undone_lsn, ..
-            } => {
-                if let Some(info) = txns.get_mut(txn) {
-                    info.compensated.insert(*undone_lsn);
-                }
-            }
-            _ => {}
-        }
-    }
-
-    // --- redo: replay history exactly as logged ---
-    let mut redone = 0usize;
-    for (i, rec) in records.iter().enumerate() {
-        let lsn = Lsn(i as u64 + 1);
-        if let Some(op) = rec.op() {
-            apply_physical(db, op, lsn)?;
-            redone += 1;
-        }
-    }
-
-    // --- undo losers ---
-    let mut losers: Vec<TxnId> = txns
-        .iter()
-        .filter(|(_, info)| !info.finished)
-        .map(|(id, _)| *id)
-        .collect();
-    losers.sort();
-    let mut clrs_written = 0usize;
-    for txn in &losers {
-        let info = &txns[txn];
-        db.log().append(LogRecord::Abort { txn: *txn });
-        for (lsn, op) in info.ops.iter().rev() {
-            if info.compensated.contains(lsn) {
-                continue;
-            }
-            let inverse = invert_for_undo(db, op)?;
-            let clr_lsn = db.log().append(LogRecord::Clr {
-                txn: *txn,
-                undone_lsn: *lsn,
-                op: inverse.clone(),
-            });
-            apply_physical(db, &inverse, clr_lsn)?;
-            clrs_written += 1;
-        }
-        db.log().append(LogRecord::AbortEnd { txn: *txn });
-    }
-    db.log().flush()?;
-
-    Ok(RecoveryReport {
-        redone,
-        losers,
-        clrs_written,
-    })
+    recover_from_bytes(db, &frame(records))
 }
 
-/// Replay a raw length-prefixed WAL byte stream into `db` without
-/// materializing owned records for the bulk of the log. Behaviorally
-/// identical to decoding the stream and calling [`recover_into`]
-/// (regression-pinned by `recover_from_bytes_matches_recover_into`),
-/// but the analysis and redo passes run on borrowed
-/// [`LogRecordRef`]s: control records, fuzzy marks, checkpoints and
-/// CLR bookkeeping never allocate a single `String`; owned values are
-/// built only for the column images an applied operation actually
-/// writes, and for the (typically few) loser operations the undo pass
-/// must retain past their borrow.
+/// Length-prefix-encode records exactly as the file backend does.
+fn frame(records: &[LogRecord]) -> Vec<u8> {
+    let mut bytes = Vec::new();
+    for rec in records {
+        let body = morph_wal::codec::encode(rec);
+        bytes.extend_from_slice(&(body.len() as u32).to_le_bytes());
+        bytes.extend_from_slice(&body);
+    }
+    bytes
+}
+
+/// Replay a raw length-prefixed WAL byte stream into `db` (same
+/// preconditions as [`recover_into`]). The analysis and redo passes run
+/// on borrowed [`LogRecordRef`]s: control records, fuzzy marks,
+/// checkpoints and CLR bookkeeping never allocate a single `String`;
+/// owned values are built only for the column images an applied
+/// operation actually writes, and for the (typically few) loser
+/// operations the undo pass must retain past their borrow.
 pub fn recover_from_bytes(db: &Database, bytes: &[u8]) -> DbResult<RecoveryReport> {
-    // --- analysis (borrowed): who finished, what was compensated ---
+    // --- analysis: who finished, what was compensated ---
     struct TxnMeta {
         finished: bool,
         compensated: HashSet<Lsn>,
@@ -176,7 +100,8 @@ pub fn recover_from_bytes(db: &Database, bytes: &[u8]) -> DbResult<RecoveryRepor
         Ok(())
     })?;
 
-    // --- redo (borrowed), collecting owned ops only for losers ---
+    // --- redo: replay history exactly as logged (CLRs included),
+    // collecting owned ops only for losers ---
     let is_loser =
         |txns: &HashMap<TxnId, TxnMeta>, txn: TxnId| txns.get(&txn).is_some_and(|m| !m.finished);
     let mut loser_ops: HashMap<TxnId, Vec<(Lsn, LogOp)>> = HashMap::new();
@@ -185,7 +110,7 @@ pub fn recover_from_bytes(db: &Database, bytes: &[u8]) -> DbResult<RecoveryRepor
     scan_stream(bytes, |rec| {
         lsn += 1;
         if let Some(op) = rec.op() {
-            apply_physical_ref(db, op, Lsn(lsn))?;
+            db.apply_logged(redo_image(op), || Ok(Lsn(lsn)))?;
             redone += 1;
             if let LogRecordRef::Op { txn, op } = &rec {
                 if is_loser(&txns, *txn) {
@@ -199,7 +124,7 @@ pub fn recover_from_bytes(db: &Database, bytes: &[u8]) -> DbResult<RecoveryRepor
         Ok(())
     })?;
 
-    // --- undo losers (same protocol as recover_into) ---
+    // --- undo losers, appending fresh CLRs ---
     let mut losers: Vec<TxnId> = txns
         .iter()
         .filter(|(_, meta)| !meta.finished)
@@ -215,13 +140,7 @@ pub fn recover_from_bytes(db: &Database, bytes: &[u8]) -> DbResult<RecoveryRepor
             if meta.compensated.contains(lsn) {
                 continue;
             }
-            let inverse = invert_for_undo(db, op)?;
-            let clr_lsn = db.log().append(LogRecord::Clr {
-                txn: *txn,
-                undone_lsn: *lsn,
-                op: inverse.clone(),
-            });
-            apply_physical(db, &inverse, clr_lsn)?;
+            db.apply_clr(*txn, *lsn, invert_for_undo(db, op)?)?;
             clrs_written += 1;
         }
         db.log().append(LogRecord::AbortEnd { txn: *txn });
@@ -235,49 +154,32 @@ pub fn recover_from_bytes(db: &Database, bytes: &[u8]) -> DbResult<RecoveryRepor
     })
 }
 
-/// Apply one borrowed logged operation physically, stamping `lsn`.
-/// Owned values are built only for the images the write needs: the
-/// pre-images (`old`) riding along for undo are never converted.
-fn apply_physical_ref(db: &Database, op: &LogOpRef<'_>, lsn: Lsn) -> DbResult<()> {
+/// The redo image of a borrowed logged operation: owned values for the
+/// images the write needs. The pre-images riding along for undo are
+/// never converted (they are left empty).
+fn redo_image(op: &LogOpRef<'_>) -> LogOp {
     fn owned(vals: &[ValueRef<'_>]) -> Vec<Value> {
         vals.iter().map(ValueRef::to_owned).collect()
     }
-    let table = db.catalog().get_by_id(op.table())?;
     match op {
-        LogOpRef::Insert { row, .. } => {
-            table.insert_row(Row::new(owned(row), lsn))?;
-        }
-        LogOpRef::Delete { key, .. } => {
-            // SYSTEM-stamped so a replayed delete stays visible by LSN
-            // order under versioning (recovered logs carry no
-            // commit-table state to resolve original writers).
-            table.delete_with_writer(&Key(owned(key)), morph_storage::SYSTEM, |_| Ok(lsn))?;
-        }
-        LogOpRef::Update { key, new, .. } => {
-            let new: Vec<(usize, Value)> = new.iter().map(|(i, v)| (*i, v.to_owned())).collect();
-            table.update(&Key(owned(key)), &new, lsn)?;
-        }
+        LogOpRef::Insert { table, row } => LogOp::Insert {
+            table: *table,
+            row: owned(row),
+        },
+        LogOpRef::Delete { table, key, .. } => LogOp::Delete {
+            table: *table,
+            key: Key(owned(key)),
+            old: Vec::new(),
+        },
+        LogOpRef::Update {
+            table, key, new, ..
+        } => LogOp::Update {
+            table: *table,
+            key: Key(owned(key)),
+            old: Vec::new(),
+            new: new.iter().map(|(i, v)| (*i, v.to_owned())).collect(),
+        },
     }
-    Ok(())
-}
-
-/// Apply one logged operation physically, stamping `lsn`.
-pub fn apply_physical(db: &Database, op: &LogOp, lsn: Lsn) -> DbResult<()> {
-    let table = db.catalog().get_by_id(op.table())?;
-    match op {
-        LogOp::Insert { row, .. } => {
-            table.insert_row(Row::new(row.clone(), lsn))?;
-        }
-        LogOp::Delete { key, .. } => {
-            // See `apply_physical_ref`: SYSTEM stamp, LSN of the
-            // replayed record.
-            table.delete_with_writer(key, morph_storage::SYSTEM, |_| Ok(lsn))?;
-        }
-        LogOp::Update { key, new, .. } => {
-            table.update(key, new, lsn)?;
-        }
-    }
-    Ok(())
 }
 
 /// Build the ready-to-apply inverse of a forward op during recovery
@@ -479,71 +381,58 @@ mod tests {
         });
     }
 
-    /// Length-prefix-encode records exactly as the file backend does.
-    fn to_stream(records: &[LogRecord]) -> Vec<u8> {
-        let mut bytes = Vec::new();
-        for rec in records {
-            let body = morph_wal::codec::encode(rec);
-            bytes.extend_from_slice(&(body.len() as u32).to_le_bytes());
-            bytes.extend_from_slice(&body);
-        }
-        bytes
-    }
-
     #[test]
-    fn recover_from_bytes_matches_recover_into() {
+    fn mixed_log_keeps_committed_work_and_undoes_the_loser() {
         // One committed txn (with a pkey move and strings, so borrowed
         // values matter), one fully-rolled-back txn (CLRs in the log),
         // one loser crashed mid-flight.
-        let db1 = Database::new();
-        db1.create_table("t", schema()).unwrap();
-        let committed = db1.begin();
-        db1.insert(committed, "t", row(1, "alpha")).unwrap();
-        db1.insert(committed, "t", row(2, "beta")).unwrap();
-        db1.update(committed, "t", &Key::single(1), &[(0, Value::Int(10))])
-            .unwrap();
-        db1.commit(committed).unwrap();
-        let aborted = db1.begin();
-        db1.update(aborted, "t", &Key::single(2), &[(1, Value::str("dirty"))])
-            .unwrap();
-        db1.abort(aborted).unwrap();
-        let loser = db1.begin();
-        db1.insert(loser, "t", row(3, "gone")).unwrap();
-        db1.delete(loser, "t", &Key::single(2)).unwrap();
-        // no commit — crash
-
-        let records: Vec<LogRecord> = db1
-            .log()
-            .read_range(Lsn(1), usize::MAX)
-            .into_iter()
-            .map(|(_, r)| (*r).clone())
-            .collect();
-        let bytes = to_stream(&records);
-        let t_id = db1.catalog().get("t").unwrap().id();
-
-        let db_a = Database::new();
-        db_a.catalog()
-            .create_table_with_id(t_id, "t", schema())
-            .unwrap();
-        let report_a = recover_into(&db_a, &records).unwrap();
-
-        let db_b = Database::new();
-        db_b.catalog()
-            .create_table_with_id(t_id, "t", schema())
-            .unwrap();
-        let report_b = recover_from_bytes(&db_b, &bytes).unwrap();
-
-        assert_eq!(report_a, report_b);
-        assert_eq!(table_state(&db_a), table_state(&db_b));
-        // The undo pass must have appended the same records, too.
-        let tail = |db: &Database| -> Vec<LogRecord> {
-            db.log()
-                .read_range(Lsn(1), usize::MAX)
-                .into_iter()
-                .map(|(_, r)| (*r).clone())
-                .collect()
-        };
-        assert_eq!(tail(&db_a), tail(&db_b));
+        let (_db1, db2, report) = crash_and_recover(|db| {
+            let committed = db.begin();
+            db.insert(committed, "t", row(1, "alpha")).unwrap();
+            db.insert(committed, "t", row(2, "beta")).unwrap();
+            db.update(committed, "t", &Key::single(1), &[(0, Value::Int(10))])
+                .unwrap();
+            db.commit(committed).unwrap();
+            let aborted = db.begin();
+            db.update(aborted, "t", &Key::single(2), &[(1, Value::str("dirty"))])
+                .unwrap();
+            db.abort(aborted).unwrap();
+            let loser = db.begin();
+            db.insert(loser, "t", row(3, "gone")).unwrap();
+            db.delete(loser, "t", &Key::single(2)).unwrap();
+            // no commit — crash
+        });
+        assert_eq!(
+            table_state(&db2),
+            vec![
+                (Key::single(2), row(2, "beta")),
+                (Key::single(10), row(10, "alpha")),
+            ]
+        );
+        // Four forward ops of the first two txns, one CLR, two loser ops.
+        assert_eq!(report.redone, 7);
+        assert_eq!(report.losers.len(), 1);
+        assert_eq!(report.clrs_written, 2);
+        // The undo pass appended Abort, a CLR per loser op (newest
+        // first) and AbortEnd.
+        let log = db2.log().read_range(Lsn(1), usize::MAX);
+        let tail: Vec<&LogRecord> = log.iter().rev().take(4).rev().map(|(_, r)| &**r).collect();
+        assert!(matches!(tail[0], LogRecord::Abort { .. }));
+        assert!(matches!(
+            tail[1],
+            LogRecord::Clr {
+                op: LogOp::Insert { .. },
+                ..
+            }
+        ));
+        assert!(matches!(
+            tail[2],
+            LogRecord::Clr {
+                op: LogOp::Delete { .. },
+                ..
+            }
+        ));
+        assert!(matches!(tail[3], LogRecord::AbortEnd { .. }));
     }
 
     #[test]
@@ -559,7 +448,7 @@ mod tests {
             .into_iter()
             .map(|(_, r)| (*r).clone())
             .collect();
-        let mut bytes = to_stream(&records);
+        let mut bytes = frame(&records);
         bytes.extend_from_slice(&(4096u32).to_le_bytes()); // torn append
         bytes.extend_from_slice(&[7, 7]);
 

@@ -7,8 +7,14 @@
 //! an S-record". This module implements those as ordinary non-unique
 //! B-tree secondary indexes mapping an index key to the set of primary
 //! keys carrying it.
+//!
+//! There are no unique secondary indexes. The paper warns (§4.1) that
+//! unique constraints on S-attributes of a FOJ target "should be
+//! avoided since a record in S is likely to occur multiple times in T"
+//! — violating one aborts the transformation — and no operator creates
+//! one, so index maintenance cannot fail (DESIGN.md §8).
 
-use morph_common::{DbError, DbResult, Key, Value};
+use morph_common::{Key, Value};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// A secondary index over one or more columns.
@@ -18,21 +24,15 @@ pub struct SecondaryIndex {
     pub name: String,
     /// Indexed column positions, in key order.
     pub cols: Vec<usize>,
-    /// Whether a UNIQUE constraint is enforced. The paper warns (§4.1)
-    /// that unique constraints on S-attributes of a FOJ target "should
-    /// be avoided since a record in S is likely to occur multiple times
-    /// in T" — violating one aborts the transformation.
-    pub unique: bool,
     map: BTreeMap<Key, BTreeSet<Key>>,
 }
 
 impl SecondaryIndex {
     /// Create an empty index.
-    pub fn new(name: &str, cols: Vec<usize>, unique: bool) -> SecondaryIndex {
+    pub fn new(name: &str, cols: Vec<usize>) -> SecondaryIndex {
         SecondaryIndex {
             name: name.to_owned(),
             cols,
-            unique,
             map: BTreeMap::new(),
         }
     }
@@ -42,23 +42,12 @@ impl SecondaryIndex {
         Key::project(row, &self.cols)
     }
 
-    /// Register `pk` under the index key of `row`. Enforces uniqueness
-    /// if declared.
-    pub fn insert(&mut self, row: &[Value], pk: &Key) -> DbResult<()> {
-        let ik = self.key_of(row);
-        let set = self.map.entry(ik.clone()).or_default();
-        if self.unique && !set.is_empty() && !set.contains(pk) {
-            // Roll back the entry we may have just created.
-            if set.is_empty() {
-                self.map.remove(&ik);
-            }
-            return Err(DbError::UniqueViolation {
-                index: self.name.clone(),
-                key: format!("{ik:?}"),
-            });
-        }
-        set.insert(pk.clone());
-        Ok(())
+    /// Register `pk` under the index key of `row`.
+    pub fn insert(&mut self, row: &[Value], pk: &Key) {
+        self.map
+            .entry(self.key_of(row))
+            .or_default()
+            .insert(pk.clone());
     }
 
     /// Remove `pk` from under the index key of `row`.
@@ -112,10 +101,10 @@ mod tests {
 
     #[test]
     fn insert_lookup_remove() {
-        let mut idx = SecondaryIndex::new("j", vec![1], false);
-        idx.insert(&row(1, 10), &Key::single(1)).unwrap();
-        idx.insert(&row(2, 10), &Key::single(2)).unwrap();
-        idx.insert(&row(3, 20), &Key::single(3)).unwrap();
+        let mut idx = SecondaryIndex::new("j", vec![1]);
+        idx.insert(&row(1, 10), &Key::single(1));
+        idx.insert(&row(2, 10), &Key::single(2));
+        idx.insert(&row(3, 20), &Key::single(3));
 
         assert_eq!(
             idx.lookup(&Key::single(10)),
@@ -132,18 +121,8 @@ mod tests {
     }
 
     #[test]
-    fn unique_violation_detected() {
-        let mut idx = SecondaryIndex::new("u", vec![1], true);
-        idx.insert(&row(1, 10), &Key::single(1)).unwrap();
-        let err = idx.insert(&row(2, 10), &Key::single(2)).unwrap_err();
-        assert!(matches!(err, DbError::UniqueViolation { .. }));
-        // Same pk re-registering is idempotent, not a violation.
-        idx.insert(&row(1, 10), &Key::single(1)).unwrap();
-    }
-
-    #[test]
     fn remove_missing_is_noop() {
-        let mut idx = SecondaryIndex::new("j", vec![1], false);
+        let mut idx = SecondaryIndex::new("j", vec![1]);
         idx.remove(&row(1, 10), &Key::single(1));
         assert_eq!(idx.distinct_keys(), 0);
     }
@@ -152,18 +131,16 @@ mod tests {
     fn null_index_keys_group_together() {
         // FOJ null-extended rows all share the NULL index key, which is
         // how rule lookups find t_null_x records.
-        let mut idx = SecondaryIndex::new("j", vec![1], false);
-        idx.insert(&[Value::Int(1), Value::Null], &Key::single(1))
-            .unwrap();
-        idx.insert(&[Value::Int(2), Value::Null], &Key::single(2))
-            .unwrap();
+        let mut idx = SecondaryIndex::new("j", vec![1]);
+        idx.insert(&[Value::Int(1), Value::Null], &Key::single(1));
+        idx.insert(&[Value::Int(2), Value::Null], &Key::single(2));
         assert_eq!(idx.cardinality(&Key::single(Value::Null)), 2);
     }
 
     #[test]
     fn composite_index_keys() {
-        let mut idx = SecondaryIndex::new("c", vec![0, 1], false);
-        idx.insert(&row(1, 10), &Key::single(1)).unwrap();
+        let mut idx = SecondaryIndex::new("c", vec![0, 1]);
+        idx.insert(&row(1, 10), &Key::single(1));
         assert!(idx.contains(&Key::new([Value::Int(1), Value::Int(10)])));
         assert!(!idx.contains(&Key::new([Value::Int(10), Value::Int(1)])));
     }

@@ -18,6 +18,19 @@
 //! subset of shards — the storage half of the parallel fuzzy copy and
 //! of shard-scoped lazy backfill: workers on disjoint masks write the
 //! same table concurrently without ever sharing a latch.
+//!
+//! # One write path
+//!
+//! Each of insert, delete and update has one body (`TableShard::insert`,
+//! `TableShard::delete`, `WriteSession::update_with`). User
+//! transactions, rollbacks and restart redo reach it through
+//! [`Table`]'s single-row writes; the propagation rules, the population
+//! and [`Table::insert_absent`] through a [`WriteSession`]. The body
+//! validates once, checks the primary key, runs the caller's LSN
+//! closure, then moves the key if it changes, maintains the indexes and
+//! archives the version. Secondary indexes are never unique (see
+//! [`crate::index`]), so no write looks beyond the shard that owns its
+//! row, and the shard its key moves to.
 
 use crate::index::SecondaryIndex;
 use crate::mvcc::{CommitTable, VersionChain, VersionEntry, SYSTEM};
@@ -28,7 +41,7 @@ use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, HashSet};
 use std::hash::{Hash, Hasher};
 use std::ops::Bound;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 /// Number of storage shards per table. A power of two so that worker
@@ -96,74 +109,67 @@ struct TableShard {
 }
 
 impl TableShard {
-    /// Validate + constraint-check an insert; returns the key without
-    /// mutating anything (so a fallible logging closure can run between
-    /// the checks and the mutation). Uniqueness is checked within this
-    /// shard only — callers that hold more shards extend the check.
-    fn check_insert(&self, schema: &Schema, values: &[Value]) -> DbResult<Key> {
-        schema.validate(values)?;
-        let key = schema.key_of(values);
-        if self.rows.contains_key(&key) {
-            return Err(DbError::DuplicateKey(format!("{key:?}")));
-        }
-        check_unique(&self.indexes, values)?;
-        Ok(key)
-    }
-
-    /// Insert an already validated `row` under its `key` unless the key
-    /// exists, in one descent; returns whether it was inserted.
-    fn insert_if_absent(&mut self, key: Key, row: Row) -> DbResult<bool> {
+    /// The insert body. `key` is the primary key of the validated row
+    /// (see [`checked_key`]). Returns `false`, running no closure and
+    /// touching nothing, when the key is taken; otherwise stamps the
+    /// row with the LSN `mk_lsn` produces — after the check, before any
+    /// mutation, so a closure error leaves the shard as it was — and
+    /// registers it in every index, in one B-tree descent.
+    fn insert(
+        &mut self,
+        key: Key,
+        mut row: Row,
+        mk_lsn: impl FnOnce() -> DbResult<Lsn>,
+    ) -> DbResult<bool> {
         let TableShard { rows, indexes, .. } = self;
         let Entry::Vacant(slot) = rows.entry(key) else {
             return Ok(false);
         };
-        check_unique(indexes, &row.values)?;
+        row.lsn = mk_lsn()?;
         for idx in indexes {
-            idx.insert(&row.values, slot.key())
-                .expect("uniqueness pre-checked"); // morph-lint: allow(panic, uniqueness was checked earlier in the same latched section)
+            idx.insert(&row.values, slot.key());
         }
         slot.insert(row);
         Ok(true)
     }
 
-    fn insert_unchecked(&mut self, key: Key, row: Row) -> Key {
-        for idx in &mut self.indexes {
-            idx.insert(&row.values, &key)
-                .expect("uniqueness pre-checked"); // morph-lint: allow(panic, uniqueness was checked earlier in the same latched section)
-        }
-        self.rows.insert(key.clone(), row);
-        key
-    }
-
-    fn insert_with(
+    /// The delete body. `log` sees the pre-image (for undo logging) and
+    /// returns the deleting operation's LSN; it runs after the presence
+    /// check and before any mutation. `ver` is `Some(writer)` for a
+    /// versioned delete: the pre-image and a tombstone stamped with
+    /// that LSN and `writer` are archived, so older snapshots keep
+    /// seeing the row. `None` erases the key's archived history
+    /// instead — a chain without the context of a logged tombstone
+    /// would resurrect stale versions for snapshot readers (an
+    /// unversioned table has no chains to erase).
+    fn delete(
         &mut self,
-        schema: &Schema,
-        values: Vec<Value>,
-        writer: TxnId,
-        mk_lsn: impl FnOnce() -> DbResult<Lsn>,
-    ) -> DbResult<Key> {
-        let key = self.check_insert(schema, &values)?;
-        let lsn = mk_lsn()?;
-        let mut row = Row::new(values, lsn);
-        row.writer = writer;
-        Ok(self.insert_unchecked(key, row))
-    }
-
-    /// Insert a row with explicit metadata in one pass (counter, flag,
-    /// presence and LSN are taken from `row` verbatim).
-    fn insert_row(&mut self, schema: &Schema, row: Row) -> DbResult<Key> {
-        let key = self.check_insert(schema, &row.values)?;
-        Ok(self.insert_unchecked(key, row))
-    }
-
-    fn delete_with(&mut self, key: &Key, log: impl FnOnce(&Row) -> DbResult<()>) -> DbResult<Row> {
-        if !self.rows.contains_key(key) {
-            return Err(DbError::KeyNotFound(format!("{key:?}")));
-        }
-        log(&self.rows[key])?;
+        key: &Key,
+        ver: Option<TxnId>,
+        log: impl FnOnce(&Row) -> DbResult<Lsn>,
+    ) -> DbResult<Row> {
+        let lsn = log(self.rows.get(key).ok_or_else(|| not_found(key))?)?;
         let row = self.rows.remove(key).expect("checked above"); // morph-lint: allow(panic, presence was checked earlier in the same latched section)
         for idx in &mut self.indexes {
             idx.remove(&row.values, key);
+        }
+        match ver {
+            Some(writer) => {
+                let chain = self.versions.entry(key.clone()).or_default();
+                chain.push(VersionEntry {
+                    lsn: row.lsn,
+                    writer: row.writer,
+                    data: Some(row.clone()),
+                });
+                chain.push(VersionEntry {
+                    lsn,
+                    writer,
+                    data: None,
+                });
+            }
+            None => {
+                self.versions.remove(key);
+            }
         }
         Ok(row)
     }
@@ -179,136 +185,23 @@ impl TableShard {
     }
 }
 
-/// The unique-index half of the insert checks, over one shard's index
-/// slices.
-fn check_unique(indexes: &[SecondaryIndex], values: &[Value]) -> DbResult<()> {
-    for idx in indexes {
-        if idx.unique && idx.cardinality(&idx.key_of(values)) > 0 {
-            return Err(DbError::UniqueViolation {
-                index: idx.name.clone(),
-                key: format!("{:?}", idx.key_of(values)),
-            });
-        }
-    }
-    Ok(())
+/// Validate a row image and derive its primary key, once per insert
+/// and before any latch: the key picks the shard.
+fn checked_key(schema: &Schema, values: &[Value]) -> DbResult<Key> {
+    schema.validate(values)?;
+    Ok(schema.key_of(values))
 }
 
-/// Shared core of the update path. `new_shard` is `Some` when a
-/// primary-key change moves the row to a different shard (both shard
-/// latches are then held by the caller). Unique-index pre-checks that
-/// need cross-shard visibility are the caller's responsibility; the
-/// local unique check against the destination shard happens here.
-///
-/// `ver` is `Some(writer)` when the write must maintain version
-/// chains: the displaced inline state is archived at the old key (plus
-/// a tombstone there if the key moves) and the new inline row is
-/// stamped with `writer`. `None` leaves chains and writer stamps
-/// untouched (versioning disabled, or a transformation-internal write
-/// below the snapshot horizon).
-#[allow(clippy::too_many_arguments)]
-fn update_core(
-    old_shard: &mut TableShard,
-    new_shard: Option<&mut TableShard>,
-    pkey_cols: &[usize],
-    arity: usize,
-    key: &Key,
-    cols: &[(usize, Value)],
-    ver: Option<TxnId>,
-    mk_lsn: impl FnOnce(&UpdateOutcome) -> DbResult<Lsn>,
-) -> DbResult<UpdateOutcome> {
-    for (i, _) in cols {
-        if *i >= arity {
-            return Err(DbError::ArityMismatch {
-                expected: arity,
-                got: *i + 1,
-            });
-        }
-    }
-    let row = old_shard
-        .rows
-        .get(key)
-        .ok_or_else(|| DbError::KeyNotFound(format!("{key:?}")))?;
-    let old_lsn = row.lsn;
+fn not_found(key: &Key) -> DbError {
+    DbError::KeyNotFound(format!("{key:?}"))
+}
 
-    let mut new_values = row.values.clone();
-    for (i, v) in cols {
-        new_values[*i] = v.clone();
-    }
-    let new_key = Key::project(&new_values, pkey_cols);
+fn taken(key: &Key) -> DbError {
+    DbError::DuplicateKey(format!("{key:?}"))
+}
 
-    if new_key != *key {
-        let target = new_shard.as_deref().unwrap_or(&*old_shard);
-        if target.rows.contains_key(&new_key) {
-            return Err(DbError::DuplicateKey(format!("{new_key:?}")));
-        }
-    }
-    // Unique-index pre-check for the new image, within the shards at
-    // hand (cross-shard uniqueness is pre-checked by full-table paths).
-    for idx in &old_shard.indexes {
-        if idx.unique {
-            let new_ik = idx.key_of(&new_values);
-            let old_ik = idx.key_of(&old_shard.rows[key].values);
-            if new_ik != old_ik && idx.cardinality(&new_ik) > 0 {
-                return Err(DbError::UniqueViolation {
-                    index: idx.name.clone(),
-                    key: format!("{new_ik:?}"),
-                });
-            }
-        }
-    }
-
-    // Compute the full outcome (pre-images included) before any
-    // mutation, so a closure error is side-effect free.
-    let old_cols: Vec<(usize, Value)> = {
-        let row = &old_shard.rows[key];
-        cols.iter()
-            .map(|(i, _)| (*i, row.values[*i].clone()))
-            .collect()
-    };
-    let outcome = UpdateOutcome {
-        old_cols,
-        old_key: key.clone(),
-        new_key: new_key.clone(),
-        old_lsn,
-    };
-    let lsn = mk_lsn(&outcome)?;
-
-    let mut row = old_shard.rows.remove(key).expect("checked above"); // morph-lint: allow(panic, presence was checked earlier in the same latched section)
-    for idx in &mut old_shard.indexes {
-        idx.remove(&row.values, key);
-    }
-    if let Some(writer) = ver {
-        let chain = old_shard.versions.entry(key.clone()).or_default();
-        chain.push(VersionEntry {
-            lsn: row.lsn,
-            writer: row.writer,
-            data: Some(row.clone()),
-        });
-        if new_key != *key {
-            // The old key ceases to exist as of this operation.
-            chain.push(VersionEntry {
-                lsn,
-                writer,
-                data: None,
-            });
-        }
-    }
-    row.apply_updates(cols);
-    row.lsn = lsn;
-    if let Some(writer) = ver {
-        row.writer = writer;
-    }
-    let target = match new_shard {
-        Some(t) => t,
-        None => old_shard,
-    };
-    for idx in &mut target.indexes {
-        idx.insert(&row.values, &new_key)
-            .expect("uniqueness pre-checked"); // morph-lint: allow(panic, uniqueness was checked earlier in the same latched section)
-    }
-    target.rows.insert(new_key, row);
-
-    Ok(outcome)
+fn outside_mask(shard: usize) -> DbError {
+    DbError::Internal(format!("shard {shard} routed outside the session mask"))
 }
 
 /// Outcome of an update, reporting key movement and the pre-images
@@ -340,10 +233,6 @@ pub struct Table {
     /// Positions *within the primary key* whose values route a row to
     /// its shard; `None` routes by the whole key.
     shard_key: RwLock<Option<Arc<[usize]>>>,
-    /// Number of unique secondary indexes. Uniqueness needs cross-shard
-    /// visibility, so single-key writes fall back to the all-shard path
-    /// while this is non-zero.
-    unique_indexes: AtomicUsize,
     /// Whether single-key writes maintain version chains (MVCC). Off by
     /// default: the unversioned engine pays nothing for the feature.
     versioning: AtomicBool,
@@ -359,7 +248,6 @@ impl Table {
             schema: RwLock::new(schema),
             state: RwLock::new(TableState::Active),
             shard_key: RwLock::new(None),
-            unique_indexes: AtomicUsize::new(0),
             versioning: AtomicBool::new(false),
             shards: std::array::from_fn(|_| {
                 RwLock::new(TableShard {
@@ -513,7 +401,7 @@ impl Table {
     /// are indexed immediately (the preparation step creates indexes on
     /// empty transformed tables, so this is cheap there). Each shard
     /// holds the index slice for its own rows.
-    pub fn add_index(&self, name: &str, columns: &[&str], unique: bool) -> DbResult<usize> {
+    pub fn add_index(&self, name: &str, columns: &[&str]) -> DbResult<usize> {
         let schema = self.schema.read();
         let mut cols = Vec::with_capacity(columns.len());
         for c in columns {
@@ -527,14 +415,11 @@ impl Table {
             )));
         }
         for g in &mut guards {
-            let mut idx = SecondaryIndex::new(name, cols.clone(), unique);
+            let mut idx = SecondaryIndex::new(name, cols.clone());
             for (pk, row) in &g.rows {
-                idx.insert(&row.values, pk)?;
+                idx.insert(&row.values, pk);
             }
             g.indexes.push(idx);
-        }
-        if unique {
-            self.unique_indexes.fetch_add(1, Ordering::Relaxed);
         }
         Ok(guards[0].indexes.len() - 1)
     }
@@ -586,106 +471,41 @@ impl Table {
     }
 
     // --- physical row operations ---------------------------------------
+    //
+    // The `_with` forms take the writing transaction and a fallible
+    // closure that produces the operation's LSN under the shard latch:
+    // the engine re-checks the table's access state and appends the log
+    // record there, so "apply + log + stamp" is atomic with respect to
+    // fuzzy scans and the consistency checker. The closure runs after
+    // every check and before any mutation; on its error nothing is
+    // logged or applied.
 
-    /// Insert a full row (ordinary path: counter 1, consistent flag).
+    /// Insert a full row (counter 1, consistent flag, `SYSTEM` writer).
     pub fn insert(&self, values: Vec<Value>, lsn: Lsn) -> DbResult<Key> {
-        self.insert_row(Row::new(values, lsn))
+        self.insert_with(values, SYSTEM, || Ok(lsn))
     }
 
-    /// Insert with the row's LSN produced *under the shard latch* by
-    /// `mk_lsn` — the engine appends the log record inside the closure,
-    /// making "apply + log + stamp" atomic with respect to fuzzy scans
-    /// and the consistency checker. The closure is fallible so the
-    /// engine can re-check table access state under the latch (closing
-    /// the race against a concurrent synchronization freeze);
-    /// validation, constraint checks and the closure all run before
-    /// anything is mutated, so on failure nothing is logged or applied.
+    /// Insert with the row's LSN produced under the shard latch by
+    /// `mk_lsn`, stamped with `writer` for MVCC visibility. While
+    /// versioning is disabled the stamp is forced to `SYSTEM` — rows
+    /// written before a later [`Table::enable_versioning`] must stay
+    /// visible by LSN order (their writers are not in any commit table).
     pub fn insert_with(
-        &self,
-        values: Vec<Value>,
-        mk_lsn: impl FnOnce() -> DbResult<Lsn>,
-    ) -> DbResult<Key> {
-        self.insert_with_writer(values, SYSTEM, mk_lsn)
-    }
-
-    /// [`Table::insert_with`] with an explicit writing transaction for
-    /// MVCC visibility. While versioning is disabled the stamp is
-    /// forced to `SYSTEM` — rows written before a later
-    /// [`Table::enable_versioning`] must stay visible by LSN order
-    /// (their writers are not in any commit table).
-    pub fn insert_with_writer(
         &self,
         values: Vec<Value>,
         writer: TxnId,
         mk_lsn: impl FnOnce() -> DbResult<Lsn>,
     ) -> DbResult<Key> {
-        let writer = if self.versioning_enabled() {
-            writer
-        } else {
-            SYSTEM
-        };
-        let schema = self.schema.read();
-        schema.validate(&values)?;
-        if self.unique_indexes.load(Ordering::Relaxed) == 0 {
-            let key = schema.key_of(&values);
-            let mut g = self.shards[self.route(&key)].write();
-            g.insert_with(&schema, values, writer, mk_lsn)
-        } else {
-            // Unique constraints need cross-shard visibility: take the
-            // composite latch (rare path; production transformations
-            // only create non-unique indexes).
-            let key = schema.key_of(&values);
-            let target = self.route(&key);
-            let mut guards = self.all_write();
-            for (i, g) in guards.iter().enumerate() {
-                if i == target {
-                    g.check_insert(&schema, &values)?;
-                } else {
-                    for idx in &g.indexes {
-                        if idx.unique && idx.cardinality(&idx.key_of(&values)) > 0 {
-                            return Err(DbError::UniqueViolation {
-                                index: idx.name.clone(),
-                                key: format!("{:?}", idx.key_of(&values)),
-                            });
-                        }
-                    }
-                }
-            }
-            let lsn = mk_lsn()?;
-            let mut row = Row::new(values, lsn);
+        let key = checked_key(&self.schema.read(), &values)?;
+        let mut row = Row::new(values, Lsn::ZERO);
+        if self.versioning_enabled() {
             row.writer = writer;
-            Ok(guards[target].insert_unchecked(key, row))
         }
-    }
-
-    /// Insert a row with explicit metadata (used by the propagator,
-    /// which controls counters, flags and LSN stamping itself). One
-    /// pass under one shard-latch acquisition; the metadata is taken
-    /// from `row` verbatim.
-    pub fn insert_row(&self, row: Row) -> DbResult<Key> {
-        let schema = self.schema.read();
-        schema.validate(&row.values)?;
-        if self.unique_indexes.load(Ordering::Relaxed) == 0 {
-            let key = schema.key_of(&row.values);
-            let mut g = self.shards[self.route(&key)].write();
-            g.insert_row(&schema, row)
+        let mut shard = self.shards[self.route(&key)].write();
+        if shard.insert(key.clone(), row, mk_lsn)? {
+            Ok(key)
         } else {
-            let key = schema.key_of(&row.values);
-            let target = self.route(&key);
-            let mut guards = self.all_write();
-            for (i, g) in guards.iter().enumerate() {
-                if i != target {
-                    for idx in &g.indexes {
-                        if idx.unique && idx.cardinality(&idx.key_of(&row.values)) > 0 {
-                            return Err(DbError::UniqueViolation {
-                                index: idx.name.clone(),
-                                key: format!("{:?}", idx.key_of(&row.values)),
-                            });
-                        }
-                    }
-                }
-            }
-            guards[target].insert_row(&schema, row)
+            Err(taken(&key))
         }
     }
 
@@ -695,183 +515,63 @@ impl Table {
     /// erases the key's archived history (a chain without the context
     /// of a logged tombstone would resurrect stale versions for
     /// snapshot readers). Transactional deletes that must preserve
-    /// history go through [`Table::delete_with_writer`].
+    /// history go through [`Table::delete_with`].
     pub fn delete(&self, key: &Key) -> DbResult<Row> {
-        self.delete_with(key, |_| Ok(()))
+        let mut shard = self.shards[self.route(key)].write();
+        shard.delete(key, None, |row| Ok(row.lsn))
     }
 
-    /// Delete with a fallible logging closure run under the latch after
-    /// the row is found (receives the pre-image for undo logging) and
-    /// before it is removed; a closure error leaves the row untouched.
-    /// Unversioned — see [`Table::delete`].
-    pub fn delete_with(&self, key: &Key, log: impl FnOnce(&Row) -> DbResult<()>) -> DbResult<Row> {
-        let mut g = self.shards[self.route(key)].write();
-        let row = g.delete_with(key, log)?;
-        if self.versioning_enabled() {
-            g.versions.remove(key);
-        }
-        Ok(row)
-    }
-
-    /// Versioned delete: archives the pre-image and a tombstone stamped
-    /// with the deleting operation's LSN (produced under the latch by
-    /// `log`, which sees the pre-image for undo logging). Snapshots
-    /// older than the tombstone keep seeing the row; newer ones see it
-    /// absent. Falls back to plain removal while versioning is off.
-    pub fn delete_with_writer(
+    /// Versioned delete: `log` sees the pre-image (for undo logging)
+    /// and produces the deleting operation's LSN under the latch. With
+    /// versioning on, the pre-image and a tombstone stamped with that
+    /// LSN and `writer` are archived: snapshots older than the
+    /// tombstone keep seeing the row, newer ones see it absent.
+    pub fn delete_with(
         &self,
         key: &Key,
         writer: TxnId,
         log: impl FnOnce(&Row) -> DbResult<Lsn>,
     ) -> DbResult<Row> {
-        let mut g = self.shards[self.route(key)].write();
-        if !g.rows.contains_key(key) {
-            return Err(DbError::KeyNotFound(format!("{key:?}")));
-        }
-        let lsn = log(&g.rows[key])?;
-        let row = g.rows.remove(key).expect("checked above"); // morph-lint: allow(panic, presence was checked earlier in the same latched section)
-        for idx in &mut g.indexes {
-            idx.remove(&row.values, key);
-        }
-        if self.versioning_enabled() {
-            let chain = g.versions.entry(key.clone()).or_default();
-            chain.push(VersionEntry {
-                lsn: row.lsn,
-                writer: row.writer,
-                data: Some(row.clone()),
-            });
-            chain.push(VersionEntry {
-                lsn,
-                writer,
-                data: None,
-            });
-        }
-        Ok(row)
+        let ver = self.versioning_enabled().then_some(writer);
+        let mut shard = self.shards[self.route(key)].write();
+        shard.delete(key, ver, log)
     }
 
-    /// Sparse-column update by primary key. Handles primary-key column
-    /// changes by moving the row. `new_lsn` becomes the row's state
-    /// identifier.
+    /// Sparse-column update by primary key, stamped `new_lsn` (a
+    /// `SYSTEM` write, see [`Table::update_with`]). Handles primary-key
+    /// column changes by moving the row.
     pub fn update(
         &self,
         key: &Key,
         cols: &[(usize, Value)],
         new_lsn: Lsn,
     ) -> DbResult<UpdateOutcome> {
-        self.update_with(key, cols, |_| Ok(new_lsn))
+        self.update_with(key, cols, SYSTEM, |_| Ok(new_lsn))
     }
 
     /// Update with the new LSN produced under the latch by `mk_lsn`,
     /// which receives the update plan (old column values, key movement,
     /// previous LSN) so the engine can append redo+undo information to
-    /// the log atomically with the physical change. The closure runs
-    /// before anything is mutated; on error the row is untouched.
+    /// the log atomically with the physical change. With versioning on,
+    /// the displaced state is archived and the new inline row is
+    /// stamped with `writer`. A primary-key change may move the row to
+    /// another shard, so it latches every shard; any other update
+    /// latches the owning shard alone and changes the row in place.
     pub fn update_with(
-        &self,
-        key: &Key,
-        cols: &[(usize, Value)],
-        mk_lsn: impl FnOnce(&UpdateOutcome) -> DbResult<Lsn>,
-    ) -> DbResult<UpdateOutcome> {
-        self.update_with_writer(key, cols, SYSTEM, mk_lsn)
-    }
-
-    /// [`Table::update_with`] with an explicit writing transaction.
-    /// When versioning is on, the displaced state is archived and the
-    /// new inline row is stamped with `writer` (see [`update_core`]);
-    /// otherwise identical to [`Table::update_with`].
-    pub fn update_with_writer(
         &self,
         key: &Key,
         cols: &[(usize, Value)],
         writer: TxnId,
         mk_lsn: impl FnOnce(&UpdateOutcome) -> DbResult<Lsn>,
     ) -> DbResult<UpdateOutcome> {
-        let ver = if self.versioning_enabled() {
-            Some(writer)
-        } else {
-            None
+        let moves = {
+            let schema = self.schema.read();
+            cols.iter().any(|(i, _)| schema.pkey().contains(i))
         };
-        let schema = self.schema.read().clone();
-        let pkey_cols = schema.pkey();
-        let arity = schema.arity();
-
-        if self.unique_indexes.load(Ordering::Relaxed) > 0 {
-            // Composite-latch path: cross-shard unique pre-check, then
-            // the shared core over split-borrowed shards.
-            let mut guards = self.all_write();
-            let s_old = self.route(key);
-            let (new_key, new_values) = {
-                let row = guards[s_old]
-                    .rows
-                    .get(key)
-                    .ok_or_else(|| DbError::KeyNotFound(format!("{key:?}")))?;
-                let mut nv = row.values.clone();
-                for (i, v) in cols {
-                    if *i >= arity {
-                        return Err(DbError::ArityMismatch {
-                            expected: arity,
-                            got: *i + 1,
-                        });
-                    }
-                    nv[*i] = v.clone();
-                }
-                (Key::project(&nv, pkey_cols), nv)
-            };
-            let old_values = guards[s_old].rows[key].values.clone();
-            for (i, g) in guards.iter().enumerate() {
-                if i == s_old {
-                    continue; // local check happens in update_core
-                }
-                for idx in &g.indexes {
-                    if idx.unique {
-                        let new_ik = idx.key_of(&new_values);
-                        if new_ik != idx.key_of(&old_values) && idx.cardinality(&new_ik) > 0 {
-                            return Err(DbError::UniqueViolation {
-                                index: idx.name.clone(),
-                                key: format!("{new_ik:?}"),
-                            });
-                        }
-                    }
-                }
-            }
-            let s_new = self.route(&new_key);
-            let (old_shard, new_shard) = split_pair(&mut guards, s_old, s_new);
-            return update_core(
-                old_shard, new_shard, pkey_cols, arity, key, cols, ver, mk_lsn,
-            );
-        }
-
-        // Fast path: no primary-key column is touched, so the key (and
-        // with it the shard) cannot change — one shard latch suffices.
-        if !cols.iter().any(|(i, _)| pkey_cols.contains(i)) {
-            let mut g = self.shards[self.route(key)].write();
-            return update_core(&mut g, None, pkey_cols, arity, key, cols, ver, mk_lsn);
-        }
-        // A key column changes: the row may move shards. Take the
-        // composite latch and split-borrow source and destination.
-        let mut guards = self.all_write();
-        let s_old = self.route(key);
-        let s_new = {
-            let row = guards[s_old]
-                .rows
-                .get(key)
-                .ok_or_else(|| DbError::KeyNotFound(format!("{key:?}")))?;
-            let mut nv = row.values.clone();
-            for (i, v) in cols {
-                if *i >= arity {
-                    return Err(DbError::ArityMismatch {
-                        expected: arity,
-                        got: *i + 1,
-                    });
-                }
-                nv[*i] = v.clone();
-            }
-            self.route(&Key::project(&nv, pkey_cols))
-        };
-        let (old_shard, new_shard) = split_pair(&mut guards, s_old, s_new);
-        update_core(
-            old_shard, new_shard, pkey_cols, arity, key, cols, ver, mk_lsn,
-        )
+        let owner = self.route(key);
+        let ver = self.versioning_enabled().then_some(writer);
+        self.session_over(|s| moves || s == owner)
+            .update_with(key, cols, ver, mk_lsn)
     }
 
     /// Mutate a row in place under the latch (propagator-only path for
@@ -1058,10 +758,9 @@ impl Table {
     /// that needs no latch happens first — validation, key derivation,
     /// routing — and only then a write session opens over exactly the
     /// shards those keys route to (ascending, like every composite
-    /// latch), for the uniqueness checks and one B-tree descent per
-    /// row. Shards no row routes to stay writable by others throughout.
-    /// A validation error is raised before anything is written; a
-    /// uniqueness error leaves the rows before it in.
+    /// latch), for one B-tree descent per row. Shards no row routes to
+    /// stay writable by others throughout. A validation error is raised
+    /// before anything is written.
     pub fn insert_absent(&self, rows: impl IntoIterator<Item = Row>) -> DbResult<usize> {
         let mut owns = [false; TABLE_SHARDS];
         let routed = {
@@ -1069,8 +768,7 @@ impl Table {
             let shard_key = self.shard_key.read();
             rows.into_iter()
                 .map(|row| {
-                    schema.validate(&row.values)?;
-                    let key = schema.key_of(&row.values);
+                    let key = checked_key(&schema, &row.values)?;
                     let shard = route_hash(&key.0, shard_key.as_deref());
                     owns[shard] = true;
                     Ok((shard, key, row))
@@ -1080,8 +778,8 @@ impl Table {
         let mut session = self.session_over(|s| owns[s]);
         let mut inserted = 0;
         for (shard, key, row) in routed {
-            session.check_unique_owned(&row.values, shard)?;
-            inserted += session.shard_mut(shard)?.insert_if_absent(key, row)? as usize;
+            let lsn = row.lsn;
+            inserted += session.shard_mut(shard)?.insert(key, row, || Ok(lsn))? as usize;
         }
         Ok(inserted)
     }
@@ -1089,11 +787,9 @@ impl Table {
     fn session_over(&self, owns: impl Fn(usize) -> bool) -> WriteSession<'_> {
         let schema = self.schema.read().clone();
         let shard_key = self.shard_key.read().clone();
-        let versioning = self.versioning_enabled();
         WriteSession {
             schema,
             shard_key,
-            versioning,
             guards: std::array::from_fn(|s| owns(s).then(|| self.shards[s].write())),
         }
     }
@@ -1166,28 +862,22 @@ impl Table {
 
         let mut guards = self.all_write();
         let remap: Vec<usize> = keep.to_vec();
-        let mut dropped_unique = 0usize;
         for g in &mut guards {
             // Rebuild surviving indexes with remapped column positions.
-            let mut new_indexes = Vec::new();
-            for idx in &g.indexes {
-                if let Some(new_cols) = idx
-                    .cols
-                    .iter()
-                    .map(|c| remap.iter().position(|k| k == c))
-                    .collect::<Option<Vec<_>>>()
-                {
-                    new_indexes.push(SecondaryIndex::new(&idx.name, new_cols, idx.unique));
-                } else if idx.unique {
-                    dropped_unique += 1;
-                }
-            }
+            let mut new_indexes: Vec<SecondaryIndex> = g
+                .indexes
+                .iter()
+                .filter_map(|idx| {
+                    let cols = idx.cols.iter().map(|c| remap.iter().position(|k| k == c));
+                    Some(SecondaryIndex::new(&idx.name, cols.collect::<Option<_>>()?))
+                })
+                .collect();
             let old_rows = std::mem::take(&mut g.rows);
             for (_, mut row) in old_rows {
                 row.values = remap.iter().map(|&i| row.values[i].clone()).collect();
                 let key = new_schema.key_of(&row.values);
                 for idx in &mut new_indexes {
-                    idx.insert(&row.values, &key)?;
+                    idx.insert(&row.values, &key);
                 }
                 g.rows.insert(key, row);
             }
@@ -1197,11 +887,6 @@ impl Table {
             // Schema surgery erases history (snapshots that straddle a
             // cutover see the post-surgery state).
             g.versions.clear();
-        }
-        // Every shard drops the same index set; count it once.
-        if dropped_unique > 0 {
-            self.unique_indexes
-                .fetch_sub(dropped_unique / TABLE_SHARDS, Ordering::Relaxed);
         }
         drop(guards);
         *self.schema.write() = new_schema;
@@ -1224,24 +909,6 @@ fn resolve_at(shard: &TableShard, key: &Key, snapshot: Lsn, commit: &CommitTable
         .rev()
         .find(|e| commit.is_visible(e.writer, e.lsn, snapshot))
         .and_then(|e| e.data.clone())
-}
-
-/// Split-borrow two shards from the composite guard vector. With
-/// `a == b` the second borrow is `None` (same-shard update).
-fn split_pair<'a, 'g>(
-    guards: &'a mut [RwLockWriteGuard<'g, TableShard>],
-    a: usize,
-    b: usize,
-) -> (&'a mut TableShard, Option<&'a mut TableShard>) {
-    if a == b {
-        (&mut guards[a], None)
-    } else if a < b {
-        let (lo, hi) = guards.split_at_mut(b);
-        (&mut lo[a], Some(&mut hi[0]))
-    } else {
-        let (lo, hi) = guards.split_at_mut(a);
-        (&mut hi[0], Some(&mut lo[b]))
-    }
 }
 
 /// Composite exclusive latch over all shards of one table.
@@ -1270,20 +937,20 @@ impl TableExclusiveLatch<'_> {
 /// [`Table::write_session_masked`]).
 ///
 /// The method surface mirrors [`Table`]'s propagator-facing operations
-/// (`insert_row`, `delete`, `update`, `with_row_mut`, reads and index
-/// probes) so rule code can be written once against either. On a
-/// masked session every operation is checked against the mask; index
-/// probes see the masked shards only.
+/// (`insert`, `delete`, `update`, `with_row_mut`, reads and index
+/// probes) so rule code can be written once against either, and the
+/// writes reach the same bodies. On a masked session every operation
+/// is checked against the mask; index probes see the masked shards
+/// only.
+///
+/// Session writes do *not* archive versions — they are
+/// transformation-internal physical writes below the snapshot horizon
+/// (pre-cutover target population and propagation) — but on a
+/// versioned table a delete still erases the key's chain so later
+/// snapshot readers cannot resurrect stale history.
 pub struct WriteSession<'a> {
     schema: Schema,
     shard_key: Option<Arc<[usize]>>,
-    /// Snapshot of the table's versioning flag at open. Session writes
-    /// do *not* archive versions — they are transformation-internal
-    /// physical writes below the snapshot horizon (pre-cutover target
-    /// population and propagation) — but on a versioned table a delete
-    /// must still erase the key's chain so later snapshot readers
-    /// cannot resurrect stale history.
-    versioning: bool,
     guards: [Option<RwLockWriteGuard<'a, TableShard>>; TABLE_SHARDS],
 }
 
@@ -1298,37 +965,15 @@ impl WriteSession<'_> {
     }
 
     fn shard(&self, s: usize) -> DbResult<&TableShard> {
-        self.guards[s]
-            .as_deref()
-            .ok_or_else(|| DbError::Internal(format!("shard {s} routed outside the session mask")))
+        self.guards[s].as_deref().ok_or_else(|| outside_mask(s))
     }
 
     fn shard_mut(&mut self, s: usize) -> DbResult<&mut TableShard> {
-        self.guards[s]
-            .as_deref_mut()
-            .ok_or_else(|| DbError::Internal(format!("shard {s} routed outside the session mask")))
+        self.guards[s].as_deref_mut().ok_or_else(|| outside_mask(s))
     }
 
     fn owned(&self) -> impl Iterator<Item = &TableShard> {
         self.guards.iter().filter_map(|g| g.as_deref())
-    }
-
-    fn check_unique_owned(&self, values: &[Value], skip: usize) -> DbResult<()> {
-        for (s, g) in self.guards.iter().enumerate() {
-            let Some(g) = g.as_deref() else { continue };
-            if s == skip {
-                continue;
-            }
-            for idx in &g.indexes {
-                if idx.unique && idx.cardinality(&idx.key_of(values)) > 0 {
-                    return Err(DbError::UniqueViolation {
-                        index: idx.name.clone(),
-                        key: format!("{:?}", idx.key_of(values)),
-                    });
-                }
-            }
-        }
-        Ok(())
     }
 
     /// Insert a full row (ordinary metadata: counter 1, consistent).
@@ -1336,126 +981,144 @@ impl WriteSession<'_> {
         self.insert_row(Row::new(values, lsn))
     }
 
-    /// Insert a row with explicit metadata.
+    /// Insert a row with explicit metadata (counter, flag, presence,
+    /// writer and LSN are taken from `row` verbatim).
     pub fn insert_row(&mut self, row: Row) -> DbResult<Key> {
-        self.schema.validate(&row.values)?;
-        let key = self.schema.key_of(&row.values);
+        let key = checked_key(&self.schema, &row.values)?;
         let s = self.route(&key);
-        self.check_unique_owned(&row.values, s)?;
-        let shard = self.guards[s].as_deref_mut().ok_or_else(|| {
-            DbError::Internal(format!("shard {s} routed outside the session mask"))
-        })?;
-        shard.insert_row(&self.schema, row)
+        let lsn = row.lsn;
+        if self.shard_mut(s)?.insert(key.clone(), row, || Ok(lsn))? {
+            Ok(key)
+        } else {
+            Err(taken(&key))
+        }
     }
 
-    /// Delete by primary key, returning the removed row (unversioned;
-    /// erases the key's archived history, see the `versioning` field).
+    /// Delete by primary key, returning the removed row (unversioned:
+    /// erases the key's archived history).
     pub fn delete(&mut self, key: &Key) -> DbResult<Row> {
         let s = self.route(key);
-        let versioning = self.versioning;
-        let shard = self.shard_mut(s)?;
-        let row = shard.delete_with(key, |_| Ok(()))?;
-        if versioning {
-            shard.versions.remove(key);
-        }
-        Ok(row)
+        self.shard_mut(s)?.delete(key, None, |row| Ok(row.lsn))
     }
 
-    /// Sparse-column update by primary key (moves the row on a
-    /// primary-key change; both the old and the new shard must be
-    /// inside the session mask).
+    /// Sparse-column update by primary key, stamped `new_lsn` (moves
+    /// the row on a primary-key change; both the old and the new shard
+    /// must be inside the session mask). Archives nothing.
     pub fn update(
         &mut self,
         key: &Key,
         cols: &[(usize, Value)],
         new_lsn: Lsn,
     ) -> DbResult<UpdateOutcome> {
-        let s_old = self.route(key);
-        // Fast path: no primary-key column changes and no index covers
-        // a touched column — the row neither moves nor perturbs any
-        // index, so it can be mutated in place instead of going
-        // through the remove/re-insert machinery. This is the shape of
-        // every payload update the propagation rules apply.
+        self.update_with(key, cols, None, |_| Ok(new_lsn))
+    }
+
+    /// The update body. `ver` is `Some(writer)` when the write must
+    /// maintain version chains: the displaced inline state is archived
+    /// at the old key (plus a tombstone there if the key moves) and the
+    /// new inline row is stamped with `writer`. `None` leaves chains and
+    /// writer stamps untouched (versioning disabled, or a
+    /// transformation-internal write below the snapshot horizon).
+    ///
+    /// A row whose primary key stays put is changed in place, moving
+    /// only the entries of the indexes over a touched column; a key
+    /// change moves the row, and every index entry, to the new key's
+    /// shard. `mk_lsn` sees the complete outcome (pre-images included)
+    /// after every check and before any mutation.
+    fn update_with(
+        &mut self,
+        key: &Key,
+        cols: &[(usize, Value)],
+        ver: Option<TxnId>,
+        mk_lsn: impl FnOnce(&UpdateOutcome) -> DbResult<Lsn>,
+    ) -> DbResult<UpdateOutcome> {
         let arity = self.schema.arity();
-        if !cols.iter().any(|(i, _)| self.schema.pkey().contains(i)) {
-            for (i, _) in cols {
-                if *i >= arity {
-                    return Err(DbError::ArityMismatch {
-                        expected: arity,
-                        got: *i + 1,
-                    });
-                }
-            }
-            let shard = self.shard_mut(s_old)?;
-            let untouched_indexes = shard
-                .indexes
-                .iter()
-                .all(|idx| !idx.cols.iter().any(|c| cols.iter().any(|(i, _)| i == c)));
-            if untouched_indexes {
-                let row = shard
-                    .rows
-                    .get_mut(key)
-                    .ok_or_else(|| DbError::KeyNotFound(format!("{key:?}")))?;
-                let outcome = UpdateOutcome {
-                    old_cols: cols
-                        .iter()
-                        .map(|(i, _)| (*i, row.values[*i].clone()))
-                        .collect(),
-                    old_key: key.clone(),
-                    new_key: key.clone(),
-                    old_lsn: row.lsn,
-                };
-                row.apply_updates(cols);
-                row.lsn = new_lsn;
-                return Ok(outcome);
-            }
+        if let Some((i, _)) = cols.iter().find(|(i, _)| *i >= arity) {
+            return Err(DbError::ArityMismatch {
+                expected: arity,
+                got: i + 1,
+            });
         }
-        let s_new = {
-            let shard = self.shard(s_old)?;
-            let row = shard
-                .rows
-                .get(key)
-                .ok_or_else(|| DbError::KeyNotFound(format!("{key:?}")))?;
-            let mut nv = row.values.clone();
-            for (i, v) in cols {
-                if *i >= arity {
-                    return Err(DbError::ArityMismatch {
-                        expected: arity,
-                        got: *i + 1,
-                    });
-                }
-                nv[*i] = v.clone();
-            }
-            let s_new = self.route(&Key::project(&nv, self.schema.pkey()));
-            if self.owned().any(|g| g.indexes.iter().any(|i| i.unique)) {
-                let old_values = shard.rows[key].values.clone();
-                for (s, g) in self.guards.iter().enumerate() {
-                    let Some(g) = g.as_deref() else { continue };
-                    if s == s_old {
-                        continue;
-                    }
-                    for idx in &g.indexes {
-                        if idx.unique {
-                            let new_ik = idx.key_of(&nv);
-                            if new_ik != idx.key_of(&old_values) && idx.cardinality(&new_ik) > 0 {
-                                return Err(DbError::UniqueViolation {
-                                    index: idx.name.clone(),
-                                    key: format!("{new_ik:?}"),
-                                });
-                            }
-                        }
-                    }
-                }
-            }
-            s_new
-        };
-        // Both shards must be owned by this session.
-        self.shard(s_new)?;
-        let (old_shard, new_shard) = split_pair_opt(&mut self.guards, s_old, s_new)?;
         let pkey = self.schema.pkey();
-        update_core(old_shard, new_shard, pkey, arity, key, cols, None, |_| {
-            Ok(new_lsn)
-        })
+        let s_old = self.route(key);
+        let (new_key, s_new) = if cols.iter().any(|(i, _)| pkey.contains(i)) {
+            let row = self.shard(s_old)?.rows.get(key);
+            let mut post = row.ok_or_else(|| not_found(key))?.values.clone();
+            for (i, v) in cols {
+                post[*i] = v.clone();
+            }
+            let new_key = Key::project(&post, pkey);
+            let s_new = self.route(&new_key);
+            (new_key, s_new)
+        } else {
+            (key.clone(), s_old)
+        };
+        let moves = new_key != *key;
+        let (old, new) = split_pair(&mut self.guards, s_old, s_new)?;
+        if moves && new.as_deref().unwrap_or(&*old).rows.contains_key(&new_key) {
+            return Err(taken(&new_key));
+        }
+        let TableShard {
+            rows,
+            indexes,
+            versions,
+        } = old;
+        let row = rows.get_mut(key).ok_or_else(|| not_found(key))?;
+        let outcome = UpdateOutcome {
+            old_cols: cols
+                .iter()
+                .map(|(i, _)| (*i, row.values[*i].clone()))
+                .collect(),
+            old_key: key.clone(),
+            new_key,
+            old_lsn: row.lsn,
+        };
+        let lsn = mk_lsn(&outcome)?;
+
+        if let Some(writer) = ver {
+            let chain = versions.entry(key.clone()).or_default();
+            chain.push(VersionEntry {
+                lsn: row.lsn,
+                writer: row.writer,
+                data: Some(row.clone()),
+            });
+            if moves {
+                // The old key ceases to exist as of this operation.
+                chain.push(VersionEntry {
+                    lsn,
+                    writer,
+                    data: None,
+                });
+            }
+            row.writer = writer;
+        }
+        row.lsn = lsn;
+        if !moves {
+            let touched =
+                |idx: &SecondaryIndex| idx.cols.iter().any(|c| cols.iter().any(|(i, _)| i == c));
+            for idx in indexes.iter_mut().filter(|idx| touched(idx)) {
+                idx.remove(&row.values, key);
+            }
+            row.apply_updates(cols);
+            for idx in indexes.iter_mut().filter(|idx| touched(idx)) {
+                idx.insert(&row.values, key);
+            }
+            return Ok(outcome);
+        }
+        let mut row = rows.remove(key).expect("checked above"); // morph-lint: allow(panic, presence was checked earlier in the same latched section)
+        for idx in indexes.iter_mut() {
+            idx.remove(&row.values, key);
+        }
+        row.apply_updates(cols);
+        let (rows, indexes) = match new {
+            Some(target) => (&mut target.rows, &mut target.indexes),
+            None => (rows, indexes),
+        };
+        for idx in indexes {
+            idx.insert(&row.values, &outcome.new_key);
+        }
+        rows.insert(outcome.new_key.clone(), row);
+        Ok(outcome)
     }
 
     /// Mutate a row in place (counter/flag/LSN maintenance; must not
@@ -1528,29 +1191,29 @@ impl WriteSession<'_> {
     }
 }
 
-/// Split-borrow two (possibly identical) owned shards from a masked
-/// guard vector.
-fn split_pair_opt<'a, 'g>(
+/// Split-borrow the (possibly identical) shards `a` and `b` from a
+/// session's guards; with `a == b` the second borrow is `None`. A shard
+/// outside the session mask is an error.
+fn split_pair<'a, 'g>(
     guards: &'a mut [Option<RwLockWriteGuard<'g, TableShard>>],
     a: usize,
     b: usize,
 ) -> DbResult<(&'a mut TableShard, Option<&'a mut TableShard>)> {
-    let missing =
-        |s: usize| DbError::Internal(format!("shard {s} routed outside the session mask"));
     if a == b {
-        let g = guards[a].as_deref_mut().ok_or_else(|| missing(a))?;
-        Ok((g, None))
-    } else {
-        let (lo_i, hi_i) = if a < b { (a, b) } else { (b, a) };
-        let (lo, hi) = guards.split_at_mut(hi_i);
-        let lo_g = lo[lo_i].as_deref_mut().ok_or_else(|| missing(lo_i))?;
-        let hi_g = hi[0].as_deref_mut().ok_or_else(|| missing(hi_i))?;
-        if a < b {
-            Ok((lo_g, Some(hi_g)))
-        } else {
-            Ok((hi_g, Some(lo_g)))
-        }
+        return Ok((
+            guards[a].as_deref_mut().ok_or_else(|| outside_mask(a))?,
+            None,
+        ));
     }
+    let (lo_i, hi_i) = (a.min(b), a.max(b));
+    let (lo, hi) = guards.split_at_mut(hi_i);
+    let lo_g = lo[lo_i].as_deref_mut().ok_or_else(|| outside_mask(lo_i))?;
+    let hi_g = hi[0].as_deref_mut().ok_or_else(|| outside_mask(hi_i))?;
+    Ok(if a < b {
+        (lo_g, Some(hi_g))
+    } else {
+        (hi_g, Some(lo_g))
+    })
 }
 
 /// Chunked fuzzy scanner (see [`Table::fuzzy_scan`]). Walks its shards
@@ -1808,7 +1471,7 @@ mod tests {
     #[test]
     fn secondary_index_tracks_all_mutations() {
         let t = table();
-        let j = t.add_index("j_idx", &["j"], false).unwrap();
+        let j = t.add_index("j_idx", &["j"]).unwrap();
         t.insert(row(1, 10), Lsn(1)).unwrap();
         t.insert(row(2, 10), Lsn(2)).unwrap();
         t.insert(row(3, 30), Lsn(3)).unwrap();
@@ -1826,34 +1489,33 @@ mod tests {
     }
 
     #[test]
+    fn update_archives_stamps_and_moves_index_entries() {
+        let t = table();
+        t.enable_versioning();
+        let j = t.add_index("j_idx", &["j"]).unwrap();
+        t.insert(row(1, 10), Lsn(1)).unwrap();
+        // In place: the pre-image is archived, the new row carries the writer.
+        t.update_with(&Key::single(1), &[(2, Value::str("x"))], TxnId(7), |_| {
+            Ok(Lsn(2))
+        })
+        .unwrap();
+        assert_eq!(t.version_count(), 1);
+        assert_eq!(t.get(&Key::single(1)).unwrap().writer, TxnId(7));
+        // A key move carries the row's index entries along.
+        t.update(&Key::single(1), &[(0, Value::Int(2))], Lsn(3))
+            .unwrap();
+        assert_eq!(t.index_lookup(j, &Key::single(10)), vec![Key::single(2)]);
+    }
+
+    #[test]
     fn index_on_existing_rows() {
         let t = table();
         t.insert(row(1, 10), Lsn(1)).unwrap();
         t.insert(row(2, 10), Lsn(2)).unwrap();
-        let j = t.add_index("j_idx", &["j"], false).unwrap();
+        let j = t.add_index("j_idx", &["j"]).unwrap();
         assert_eq!(t.index_cardinality(j, &Key::single(10)), 2);
-        assert!(t.add_index("j_idx", &["j"], false).is_err());
-        assert!(t.add_index("bad", &["nope"], false).is_err());
-    }
-
-    #[test]
-    fn unique_index_enforced_on_insert_and_update() {
-        let t = table();
-        t.add_index("u", &["j"], true).unwrap();
-        t.insert(row(1, 10), Lsn(1)).unwrap();
-        assert!(matches!(
-            t.insert(row(2, 10), Lsn(2)),
-            Err(DbError::UniqueViolation { .. })
-        ));
-        assert_eq!(t.len(), 1, "failed insert must not leave residue");
-        t.insert(row(2, 20), Lsn(2)).unwrap();
-        assert!(matches!(
-            t.update(&Key::single(2), &[(1, Value::Int(10))], Lsn(3)),
-            Err(DbError::UniqueViolation { .. })
-        ));
-        // Updating a row's unique value to itself is fine.
-        t.update(&Key::single(2), &[(1, Value::Int(20))], Lsn(4))
-            .unwrap();
+        assert!(t.add_index("j_idx", &["j"]).is_err());
+        assert!(t.add_index("bad", &["nope"]).is_err());
     }
 
     #[test]
@@ -2108,8 +1770,8 @@ mod tests {
     #[test]
     fn project_columns_rewrites_rows_and_schema() {
         let t = table();
-        t.add_index("j_idx", &["j"], false).unwrap();
-        t.add_index("p_idx", &["payload"], false).unwrap();
+        t.add_index("j_idx", &["j"]).unwrap();
+        t.add_index("p_idx", &["payload"]).unwrap();
         for i in 0..5 {
             t.insert(row(i, 10 + i), Lsn(1)).unwrap();
         }
@@ -2134,7 +1796,7 @@ mod tests {
     #[test]
     fn write_session_batches_ops_under_one_latch() {
         let t = table();
-        let j = t.add_index("j_idx", &["j"], false).unwrap();
+        let j = t.add_index("j_idx", &["j"]).unwrap();
         {
             let mut s = t.write_session();
             s.insert(row(1, 10), Lsn(1)).unwrap();

@@ -25,6 +25,11 @@ else
     echo "== cargo clippy unavailable, skipping"
 fi
 
+# Rustdoc must build without warnings: a broken or private intra-doc
+# link fails here instead of rotting silently.
+echo "== cargo doc -D warnings"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
+
 # In-repo static analysis (DESIGN.md §12): interprocedural lock-rank
 # order, replay determinism, crash-point registry, panic audit, WAL
 # byte order, atomics ordering protocol, snapshot-path purity, and the
