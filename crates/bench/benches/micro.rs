@@ -5,7 +5,7 @@
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 use morph_common::{ColumnType, Key, Lsn, Schema, TableId, TxnId, Value};
-use morph_core::{FojMapping, FojSpec, SplitMapping, SplitSpec};
+use morph_core::{FojMapping, FojSpec, SplitMapping, SplitSpec, TransformOperator};
 use morph_engine::Database;
 use morph_storage::Table;
 use morph_txn::{LockManager, LockMode};
@@ -166,7 +166,7 @@ fn bench_split_rules(c: &mut Criterion) {
         .build()
         .unwrap();
     db.create_table("T", ts).unwrap();
-    let mut m = SplitMapping::prepare(
+    let m = SplitMapping::prepare(
         &db,
         &SplitSpec::new("T", "R", "S", &["a", "b", "c"], "c", &["d"]),
     )

@@ -157,7 +157,7 @@ fn setup_split() -> (Arc<Database>, SplitMapping, Lsn) {
     db.commit(txn).unwrap();
 
     let spec = SplitSpec::new("T", "R_b", "S_b", &["a", "b", "c"], "c", &["d"]);
-    let mut m = SplitMapping::prepare(&db, &spec).unwrap();
+    let m = SplitMapping::prepare(&db, &spec).unwrap();
     let (_, start, _) = db.write_fuzzy_mark();
     m.populate(256).unwrap();
 
@@ -210,7 +210,7 @@ fn setup_split() -> (Arc<Database>, SplitMapping, Lsn) {
 /// First drain of a fresh scenario at one cursor batch size.
 fn drain(
     db: &Arc<Database>,
-    m: &mut dyn TransformOperator,
+    m: &dyn TransformOperator,
     start: Lsn,
     batch_size: usize,
 ) -> (usize, usize) {
@@ -241,8 +241,8 @@ fn main() {
             // Probe drain (untimed): record and coalesce counts for
             // this size. The churn stream is deterministic, so every
             // timed sample drains the identical log.
-            let (db, mut m, start) = setup_foj();
-            let (records, coalesced) = drain(&db, &mut m, start, bs);
+            let (db, m, start) = setup_foj();
+            let (records, coalesced) = drain(&db, &m, start, bs);
             series.push(Series {
                 operator: "foj",
                 batch_size: bs,
@@ -253,14 +253,14 @@ fn main() {
             g.bench_function(format!("foj/batch_{bs}"), |b| {
                 b.iter_batched(
                     setup_foj,
-                    |(db, mut m, start)| drain(&db, &mut m, start, bs),
+                    |(db, m, start)| drain(&db, &m, start, bs),
                     BatchSize::PerIteration,
                 );
             });
         }
         for &bs in &sizes {
-            let (db, mut m, start) = setup_split();
-            let (records, coalesced) = drain(&db, &mut m, start, bs);
+            let (db, m, start) = setup_split();
+            let (records, coalesced) = drain(&db, &m, start, bs);
             series.push(Series {
                 operator: "split",
                 batch_size: bs,
@@ -271,7 +271,7 @@ fn main() {
             g.bench_function(format!("split/batch_{bs}"), |b| {
                 b.iter_batched(
                     setup_split,
-                    |(db, mut m, start)| drain(&db, &mut m, start, bs),
+                    |(db, m, start)| drain(&db, &m, start, bs),
                     BatchSize::PerIteration,
                 );
             });

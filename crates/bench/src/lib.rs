@@ -271,16 +271,16 @@ impl PopulationLoop {
                             &format!("{tag}_s"),
                             op == Op::SplitCc,
                         );
-                        let mut m = SplitMapping::prepare(&db, &spec).expect("prepare");
-                        TransformOperator::populate(&mut m, &db, 512, 1, priority, None)
+                        let m = SplitMapping::prepare(&db, &spec).expect("prepare");
+                        TransformOperator::populate(&m, &db, 512, 1, priority, None)
                             .expect("populate");
                         let _ = db.catalog().drop_table(&format!("{tag}_r"));
                         let _ = db.catalog().drop_table(&format!("{tag}_s"));
                     }
                     Op::Foj => {
                         let spec = bench_foj_spec(&format!("{tag}_t"));
-                        let mut m = FojMapping::prepare(&db, &spec).expect("prepare");
-                        TransformOperator::populate(&mut m, &db, 512, 1, priority, None)
+                        let m = FojMapping::prepare(&db, &spec).expect("prepare");
+                        TransformOperator::populate(&m, &db, 512, 1, priority, None)
                             .expect("populate");
                         let _ = db.catalog().drop_table(&format!("{tag}_t"));
                     }
@@ -347,10 +347,10 @@ pub fn populate_parallel_point(copy_workers: usize, reps: usize) -> PopulatePoin
         });
         std::thread::sleep(Duration::from_millis(100));
         let spec = bench_split_spec(&format!("__pp{rep}_r"), &format!("__pp{rep}_s"), false);
-        let mut m = SplitMapping::prepare(&db, &spec).expect("prepare");
+        let m = SplitMapping::prepare(&db, &spec).expect("prepare");
         let t0 = std::time::Instant::now();
-        let (read, _) = TransformOperator::populate(&mut m, &db, 256, copy_workers, 1.0, None)
-            .expect("populate");
+        let (read, _) =
+            TransformOperator::populate(&m, &db, 256, copy_workers, 1.0, None).expect("populate");
         let ns = t0.elapsed().as_nanos();
         if let Some(r) = runner {
             r.stop();
@@ -388,7 +388,7 @@ impl PropagationLoop {
         let ready = Arc::new(AtomicBool::new(false));
         let ready2 = Arc::clone(&ready);
         let handle = std::thread::spawn(move || {
-            let mut oper: Box<dyn TransformOperator> = match op {
+            let oper: Box<dyn TransformOperator> = match op {
                 Op::Split | Op::SplitCc => {
                     let spec =
                         bench_split_spec("__bench_prop_r", "__bench_prop_s", op == Op::SplitCc);
@@ -405,9 +405,7 @@ impl PropagationLoop {
             let abort = AtomicBool::new(false);
             let mut records = 0usize;
             while !stop2.load(Ordering::Relaxed) {
-                let stats = prop
-                    .iterate(&db, &mut *oper, 256, 16, &abort)
-                    .expect("iterate");
+                let stats = prop.iterate(&db, &*oper, 256, 16, &abort).expect("iterate");
                 records += stats.records;
                 if !ready2.load(Ordering::Relaxed) && stats.backlog_after < 2_000 {
                     ready2.store(true, Ordering::Release);

@@ -17,6 +17,7 @@
 //!   *inside the user transaction's critical path*.
 
 use crate::foj::FojMapping;
+use crate::operator::TransformOperator;
 use crate::spec::FojSpec;
 use crate::spec::SplitSpec;
 use crate::split::SplitMapping;
@@ -84,7 +85,7 @@ pub fn blocking_foj(db: &Arc<Database>, spec: &FojSpec) -> DbResult<BlockingRepo
 
 /// Blocking split of T into R and S.
 pub fn blocking_split(db: &Arc<Database>, spec: &SplitSpec) -> DbResult<BlockingReport> {
-    let mut mapping = SplitMapping::prepare(db, spec)?;
+    let mapping = SplitMapping::prepare(db, spec)?;
     let source = Arc::clone(mapping.t_table());
     // morph-lint: allow(nondet, elapsed-time stats for the report; wall time never enters table or WAL state)
     let t0 = Instant::now();

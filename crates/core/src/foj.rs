@@ -23,15 +23,18 @@
 //! "found ⇒ already reflected ⇒ ignore" sound.
 
 use morph_common::{ColumnType, DbError, DbResult, Key, Lsn, Schema, TableId, Value};
-use morph_engine::Database;
+use morph_engine::{Database, PlannedOp};
 use morph_storage::row::Presence;
 use morph_storage::{Row, Table, WriteSession};
+use morph_txn::LockOrigin;
 use morph_wal::LogOp;
 use std::collections::BTreeSet;
 use std::sync::Arc;
 use std::time::Instant;
 
-use crate::operator::{check_deadline, fan_out, scan_source, worker_share, TransformOperator};
+use crate::operator::{
+    check_deadline, fan_out, scan_source, worker_share, LazySource, TransformOperator,
+};
 use crate::spec::FojSpec;
 use crate::throttle::Throttle;
 use morph_storage::shard_stride;
@@ -295,17 +298,6 @@ impl FojMapping {
 
     // --- dispatch ------------------------------------------------------------
 
-    /// Apply one logged source-table operation to T. Operations on
-    /// other tables must be filtered out by the caller. Opens a write
-    /// session on T for the single record; the batched path
-    /// ([`TransformOperator::apply_batch`]) shares one session across a
-    /// whole batch.
-    pub fn apply(&self, lsn: Lsn, op: &LogOp) -> DbResult<()> {
-        let t = Arc::clone(&self.t);
-        let mut ts = t.write_session();
-        self.apply_in(&mut ts, lsn, op)
-    }
-
     /// Rule dispatch against an already-open session on T.
     fn apply_in(&self, ts: &mut WriteSession<'_>, lsn: Lsn, op: &LogOp) -> DbResult<()> {
         if op.table() == self.r.id() {
@@ -323,29 +315,6 @@ impl FojMapping {
         } else {
             Ok(())
         }
-    }
-
-    /// Tables this rule set reads ops for.
-    pub fn source_ids(&self) -> Vec<TableId> {
-        vec![self.r.id(), self.s.id()]
-    }
-
-    /// T keys affected by a lock on a source record — the
-    /// synchronization step transfers source locks through this
-    /// (§3.4/§4.3).
-    pub fn target_keys_for(&self, table: TableId, key: &Key) -> Vec<(TableId, Key)> {
-        let idx = if table == self.r.id() {
-            self.idx_rpk
-        } else if table == self.s.id() {
-            self.idx_spk
-        } else {
-            return Vec::new();
-        };
-        self.t
-            .index_lookup(idx, key)
-            .into_iter()
-            .map(|k| (self.t.id(), k))
-            .collect()
     }
 
     /// Initial population at full priority on one scan thread (tests
@@ -430,23 +399,6 @@ impl FojMapping {
             Ok(())
         })?;
         Ok((read, written))
-    }
-
-    /// Immutable data needed to mirror source-table locks onto T from
-    /// arbitrary threads (the non-blocking-commit interceptor).
-    pub fn mirror_map(&self) -> crate::sync::MirrorMap {
-        crate::sync::MirrorMap::Foj {
-            r_id: self.r.id(),
-            s_id: self.s.id(),
-            t: Arc::clone(&self.t),
-            idx_rpk: self.idx_rpk,
-            idx_join: self.idx_join,
-            idx_spk: self.idx_spk,
-            r_pk: self.r_pk.clone(),
-            r_join: self.r_join,
-            s_join: self.s_join,
-            many: self.many,
-        }
     }
 
     // --- Rule 1: insert r^y_x ------------------------------------------------
@@ -801,20 +753,14 @@ impl FojMapping {
 
 impl TransformOperator for FojMapping {
     fn source_ids(&self) -> Vec<TableId> {
-        FojMapping::source_ids(self)
+        vec![self.r.id(), self.s.id()]
     }
 
-    /// FOJ propagation rules 1–7 (§4.2). Content-based idempotence: no
-    /// LSN gating, decisions come from presence/index lookups on T.
-    fn apply(&mut self, lsn: Lsn, op: &LogOp) -> DbResult<()> {
-        FojMapping::apply(self, lsn, op)
-    }
-
-    /// One write session on T for the whole batch — a single latch
-    /// round trip instead of one per record.
-    fn apply_batch(&mut self, batch: &[(Lsn, &LogOp)]) -> DbResult<()> {
-        let t = Arc::clone(&self.t);
-        let mut ts = t.write_session();
+    /// FOJ propagation rules 1–7 (§4.2) under one write session on T
+    /// for the whole batch. Content-based idempotence: no LSN gating,
+    /// decisions come from presence/index lookups on T.
+    fn apply_batch(&self, batch: &[(Lsn, &LogOp)]) -> DbResult<()> {
+        let mut ts = self.t.write_session();
         for &(lsn, op) in batch {
             self.apply_in(&mut ts, lsn, op)?;
         }
@@ -841,7 +787,7 @@ impl TransformOperator for FojMapping {
     }
 
     fn populate(
-        &mut self,
+        &self,
         db: &Database,
         chunk: usize,
         workers: usize,
@@ -851,12 +797,69 @@ impl TransformOperator for FojMapping {
         FojMapping::populate_with(self, Some(db), chunk, workers, priority, deadline)
     }
 
+    /// T keys affected by a lock on a source record, through T's R-key
+    /// or S-key index.
     fn target_keys_for(&self, table: TableId, key: &Key) -> Vec<(TableId, Key)> {
-        FojMapping::target_keys_for(self, table, key)
+        let idx = if table == self.r.id() {
+            self.idx_rpk
+        } else if table == self.s.id() {
+            self.idx_spk
+        } else {
+            return Vec::new();
+        };
+        self.t
+            .index_lookup(idx, key)
+            .into_iter()
+            .map(|k| (self.t.id(), k))
+            .collect()
     }
 
-    fn mirror_map(&self) -> crate::sync::MirrorMap {
-        FojMapping::mirror_map(self)
+    fn mirror_keys(&self, source: TableId, op: &PlannedOp<'_>) -> Vec<(TableId, Key, LockOrigin)> {
+        let (origin, join_pos) = if source == self.r.id() {
+            (LockOrigin::SourceR, self.r_join)
+        } else if source == self.s.id() {
+            (LockOrigin::SourceS, self.s_join)
+        } else {
+            return Vec::new();
+        };
+        match op {
+            PlannedOp::Insert { values } => {
+                if source == self.r.id() && !self.many {
+                    // Predicted T key: R-pk ⧺ join (as prepared).
+                    let mut cols = self.r_pk.clone();
+                    if !cols.contains(&self.r_join) {
+                        cols.push(self.r_join);
+                    }
+                    vec![(self.t.id(), Key::project(values, &cols), origin)]
+                } else {
+                    // Rows that will absorb / pair with the new record:
+                    // everything on its join value.
+                    let jv = values.get(join_pos).cloned().unwrap_or(Value::Null);
+                    self.t
+                        .index_lookup(self.idx_join, &Key::new([jv]))
+                        .into_iter()
+                        .map(|k| (self.t.id(), k, origin))
+                        .collect()
+                }
+            }
+            PlannedOp::Update { key, .. } | PlannedOp::Delete { key } | PlannedOp::Read { key } => {
+                self.target_keys_for(source, key)
+                    .into_iter()
+                    .map(|(t, k)| (t, k, origin))
+                    .collect()
+            }
+        }
+    }
+
+    /// Every T key pairs rows of both sources, and resolving one may
+    /// need join partners from either side: an access to T waits for
+    /// the whole residual.
+    fn lazy_source(&self, target: TableId, _key: &Key) -> LazySource {
+        if target == self.t.id() {
+            LazySource::Residual
+        } else {
+            LazySource::None
+        }
     }
 }
 

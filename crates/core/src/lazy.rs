@@ -22,8 +22,8 @@
 //!   from an `Insert` of the frozen source row regardless of arrival
 //!   order — FOJ by content checks, split and union by LSN gating
 //!   (Theorem 1). So "transform record r" is simply
-//!   `oper.apply(r.lsn, Insert{r})` (`UnionMapping::apply_frozen` is
-//!   that rule for a whole batch), and a row the workload already
+//!   `oper.apply(r.lsn, Insert{r})` ([`TransformOperator::apply_frozen`]
+//!   is that rule for a batch), and a row the workload already
 //!   re-wrote in the target wins over the stale frozen image.
 //! * The backfill ∥ on-access race is settled by the residual set's
 //!   claims: whoever claims a key (alone, or inside a backfill batch)
@@ -37,7 +37,11 @@
 //! from the lane's cursor). It holds only what it
 //! writes — no lock while it reads the frozen rows and builds the
 //! target rows, then (union) a write session over the one target shard
-//! the batch routes to.
+//! the batch routes to. Which source record an access needs first is
+//! the operator's inverse mapping, [`TransformOperator::lazy_source`]:
+//! one record where a target key mirrors one (union, split's R side),
+//! the whole residual where it aggregates many (split's S side, any FOJ
+//! key) — correct, and documented as the fallback in DESIGN.md §15.
 //!
 //! Rows dirtied by a doomed (grandfathered) transaction are *deferred*:
 //! their transform waits until the transaction's rollback has restored
@@ -47,19 +51,13 @@
 //!
 //! [`backfill`]: LazyMigration::backfill
 
-use crate::foj::FojMapping;
-use crate::operator::TransformOperator;
-use crate::spec::SplitMode;
-use crate::split::SplitMapping;
+use crate::operator::{LazySource, TransformOperator};
 use crate::throttle::Throttle;
-use crate::transform::TransformPlan;
-use crate::union::UnionMapping;
+use crate::transform::{Names, TransformPlan};
 use morph_common::{DbError, DbResult, Key, TableId, TxnId};
 use morph_engine::{Database, OpInterceptor, PlannedOp};
-use morph_storage::{Claim, ClaimGuard, ResidualSet, Row, Table};
+use morph_storage::{Claim, ClaimGuard, ResidualSet, Table};
 use morph_txn::LockMode;
-use morph_wal::LogOp;
-use parking_lot::Mutex;
 use std::borrow::Cow;
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -69,78 +67,11 @@ use std::time::{Duration, Instant};
 /// Sentinel for "no interceptor installed".
 const NO_TOKEN: u64 = u64::MAX;
 
-/// The operator of a lazy migration, held the way its rules allow it to
-/// be shared, together with the inverse key mapping the on-access hook
-/// needs: which frozen source record must exist before an access to a
-/// given target key can proceed. Where a target key identifies exactly
-/// one source record the touch is per-key; where it aggregates many (a
-/// split's S side, any FOJ key) the touch falls back to draining the
-/// whole residual — correct, and documented as the fallback in
-/// DESIGN.md §15.
-enum LazyOper {
-    /// A target row mirrors one source row and lives in the storage
-    /// shard that row's key routes to: per-key touches, shard-scoped
-    /// batches, rules through `&self`.
-    Union(UnionMapping),
-    /// The rules are `&self` but read and write join partners across
-    /// shards: every record goes through a whole-table session.
-    Foj { oper: FojMapping, target: TableId },
-    /// The rules keep consistency-checker state (`&mut self`) and S₂
-    /// records aggregate source rows across shards.
-    Split {
-        oper: Mutex<SplitMapping>,
-        source: TableId,
-        r2: Option<TableId>,
-        s2: TableId,
-    },
-}
-
-impl LazyOper {
-    /// Preparation step (creates the target tables). Rename-in-place
-    /// split plans are rejected: the lazy scheme needs the frozen
-    /// source intact as the transform input, which the in-place rename
-    /// destroys.
-    fn prepare(db: &Database, plan: &TransformPlan) -> DbResult<LazyOper> {
-        Ok(match plan {
-            TransformPlan::Union(spec) => LazyOper::Union(UnionMapping::prepare(db, spec)?),
-            TransformPlan::Foj(spec) => {
-                let oper = FojMapping::prepare(db, spec)?;
-                LazyOper::Foj {
-                    target: oper.t_table().id(),
-                    oper,
-                }
-            }
-            TransformPlan::Split(spec) => {
-                if spec.mode == SplitMode::RenameInPlace {
-                    return Err(DbError::TransformationAborted(
-                        "lazy migration does not support rename-in-place splits".into(),
-                    ));
-                }
-                let oper = SplitMapping::prepare(db, spec)?;
-                LazyOper::Split {
-                    source: oper.t_table().id(),
-                    r2: oper.r_table().map(|t| t.id()),
-                    s2: oper.s_table().id(),
-                    oper: Mutex::new(oper),
-                }
-            }
-        })
-    }
-
-    fn with<R>(&self, f: impl FnOnce(&dyn TransformOperator) -> R) -> R {
-        match self {
-            LazyOper::Union(oper) => f(oper),
-            LazyOper::Foj { oper, .. } => f(oper),
-            LazyOper::Split { oper, .. } => f(&*oper.lock()),
-        }
-    }
-}
-
 /// A lazily-executing migration: catalog already cut over, records
 /// transformed on access and by background backfill.
 pub struct LazyMigration {
     db: Arc<Database>,
-    oper: LazyOper,
+    oper: Arc<dyn TransformOperator>,
     residual: ResidualSet,
     sources: Vec<Arc<Table>>,
     /// Source keys dirtied by a doomed old transaction, transformable
@@ -179,9 +110,9 @@ impl OpInterceptor for LazyInterceptor {
 /// prepare leaves no other shard cut over ([`PreparedLazy::discard`]).
 pub struct PreparedLazy {
     db: Arc<Database>,
-    oper: LazyOper,
+    oper: Arc<dyn TransformOperator>,
     sources: Vec<Arc<Table>>,
-    targets: Vec<String>,
+    names: Names,
 }
 
 impl PreparedLazy {
@@ -247,6 +178,7 @@ impl PreparedLazy {
         }));
         lazy.token.store(token, Ordering::SeqCst);
         if let Err(e) = db.crash_point("router.lazy_cutover") {
+            // morph-lint: allow(lock_order, a failed cut unregisters under the latch it registered under; the interceptor list lock is never held while waiting for a shard latch)
             db.remove_interceptor(token);
             return Err(e);
         }
@@ -258,9 +190,7 @@ impl PreparedLazy {
     /// [`LazyMigration::prepare`] created. The sources were never
     /// touched.
     pub fn discard(self) {
-        for name in &self.targets {
-            let _ = self.db.catalog().drop_table(name);
-        }
+        self.names.drop_prepared(&self.db);
     }
 }
 
@@ -271,22 +201,28 @@ impl LazyMigration {
         LazyMigration::prepare(db, plan)?.cut_over()
     }
 
-    /// Create the targets, before anything is latched. Rename-in-place
-    /// split plans are rejected (see `LazyOper`).
+    /// Create the targets, before anything is latched. Operators that
+    /// rename a source into a target (rename-in-place splits) are
+    /// rejected: the lazy scheme needs the frozen source intact as the
+    /// transform input, which the in-place rename destroys.
     pub fn prepare(db: &Arc<Database>, plan: &TransformPlan) -> DbResult<PreparedLazy> {
-        let mut prepared = PreparedLazy {
-            db: Arc::clone(db),
-            oper: LazyOper::prepare(db, plan)?,
-            sources: Vec::new(),
-            targets: plan.target_tables(),
+        let (oper, names) = plan.prepare_operator(db)?;
+        let sources = if oper.renames_source() {
+            Err(DbError::TransformationAborted(
+                "lazy migration does not support rename-in-place splits".into(),
+            ))
+        } else {
+            crate::sync::sorted_sources(db, &*oper)
         };
-        match prepared.oper.with(|o| crate::sync::sorted_sources(db, o)) {
-            Ok(sources) => {
-                prepared.sources = sources;
-                Ok(prepared)
-            }
+        match sources {
+            Ok(sources) => Ok(PreparedLazy {
+                db: Arc::clone(db),
+                oper,
+                sources,
+                names,
+            }),
             Err(e) => {
-                prepared.discard();
+                names.drop_prepared(db);
                 Err(e)
             }
         }
@@ -359,7 +295,7 @@ impl LazyMigration {
         for src in &self.sources {
             self.db.catalog().drop_table(&src.name())?;
         }
-        self.oper.with(|o| o.finalize(&self.db))
+        self.oper.finalize(&self.db)
     }
 
     /// The interceptor's entry: resolve a target-table access to the
@@ -368,39 +304,10 @@ impl LazyMigration {
         if self.residual.is_drained() {
             return Ok(());
         }
-        match &self.oper {
-            LazyOper::Union(oper) => {
-                if table.id() != oper.t_table().id() {
-                    return Ok(());
-                }
-                match oper.source_of(&Self::op_key(table, op)) {
-                    Some((source, key)) => self.touch(source, &key),
-                    None => Ok(()),
-                }
-            }
-            LazyOper::Split { source, r2, s2, .. } => {
-                if Some(table.id()) == *r2 {
-                    // R₂'s key is the source key verbatim.
-                    self.touch(*source, &Self::op_key(table, op))
-                } else if table.id() == *s2 {
-                    // An S₂ record aggregates many source rows (its
-                    // reference counter sums over them): no single
-                    // source key to touch — drain.
-                    self.drain_for_access()
-                } else {
-                    Ok(())
-                }
-            }
-            LazyOper::Foj { target, .. } => {
-                if table.id() == *target {
-                    // FOJ keys pair rows of both sources; resolving one
-                    // touch may require join partners from either side
-                    // — drain.
-                    self.drain_for_access()
-                } else {
-                    Ok(())
-                }
-            }
+        match self.oper.lazy_source(table.id(), &Self::op_key(table, op)) {
+            LazySource::None => Ok(()),
+            LazySource::Key(source, key) => self.touch(source, &key),
+            LazySource::Residual => self.drain_for_access(),
         }
     }
 
@@ -452,27 +359,7 @@ impl LazyMigration {
                 rows.push(row);
             }
         }
-        let as_insert = |row: Row| {
-            let op = LogOp::Insert {
-                table,
-                row: row.values,
-            };
-            (row.lsn, op)
-        };
-        match &self.oper {
-            LazyOper::Union(oper) => oper.apply_frozen(table, rows)?,
-            LazyOper::Foj { oper, .. } => {
-                for (lsn, op) in rows.into_iter().map(as_insert) {
-                    oper.apply(lsn, &op)?;
-                }
-            }
-            LazyOper::Split { oper, .. } => {
-                let mut oper = oper.lock();
-                for (lsn, op) in rows.into_iter().map(as_insert) {
-                    oper.apply(lsn, &op)?;
-                }
-            }
-        }
+        self.oper.apply_frozen(table, rows)?;
         guard.complete();
         Ok(())
     }
@@ -493,6 +380,7 @@ impl LazyMigration {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::spec::SplitMode;
     use crate::union::UnionSpec;
     use morph_common::{ColumnType, Lsn, Schema, Value};
 

@@ -61,7 +61,7 @@ pub mod union;
 
 pub use foj::FojMapping;
 pub use lazy::{LazyMigration, PreparedLazy};
-pub use operator::{CoalescePolicy, TransformOperator};
+pub use operator::{CoalescePolicy, LazySource, TransformOperator};
 pub use progress::{Progress, ProgressHandle, ProgressPhase};
 pub use report::{IterationStats, PopulationStats, SyncStats, TransformReport};
 pub use spec::{

@@ -15,21 +15,28 @@
 //! |-------------------------|--------------------------------------------------|
 //! | [`populate`]            | §3.2 initial population by fuzzy read, over      |
 //! |                         | `workers` scan threads sharing one priority      |
-//! | [`apply`]               | §3.3 log propagation: FOJ rules 1–7 are          |
+//! | [`apply_batch`]         | §3.3 log propagation: FOJ rules 1–7 are          |
 //! |                         | *content-based* (no LSN gating; they decide from |
 //! |                         | the current T image, §4.2), split rules 8–11 and |
-//! |                         | union are *LSN-gated* (state identifiers, §5.2)  |
-//! | [`apply_batch`]         | batched §3.3 drain: one target-latch acquisition |
-//! |                         | per batch instead of per record                  |
+//! |                         | union are *LSN-gated* (state identifiers, §5.2); |
+//! |                         | one target-latch acquisition per batch           |
+//! | [`apply`]               | the same for one record                          |
 //! | [`on_control`]          | §5.3 `CcBegin`/`CcOk` consistency-checker records|
 //! | [`maintenance`]         | §5.3 checker rounds between propagation batches  |
 //! | [`readiness`]           | §5.3 gating: sync may not start while S-records  |
 //! |                         | remain in the *unknown* state                    |
 //! | [`target_keys_for`],    | §3.4/§4.3 lock transfer: source record locks are |
-//! | [`mirror_map`]          | mirrored onto the transformed tables             |
+//! | [`mirror_keys`]         | mirrored onto the transformed tables             |
+//! | [`lazy_source`],        | lazy mode (SLSM): the inverse mapping a first    |
+//! | [`apply_frozen`]        | touch needs, and the transform of frozen rows    |
 //! | [`renames_source`],     | §5.2 rename-in-place variant: the source keeps   |
 //! | [`publish`],            | living as the R-side target, is renamed at sync  |
 //! | [`finalize`]            | and projected down once the old txns drain       |
+//!
+//! Every method takes `&self`: one operator object is shared, behind an
+//! `Arc`, by the propagator, the synchronization step, the
+//! non-blocking-commit interceptor and a lazy migration's first-touch
+//! and backfill threads.
 //!
 //! [`populate`]: TransformOperator::populate
 //! [`apply`]: TransformOperator::apply
@@ -38,17 +45,19 @@
 //! [`maintenance`]: TransformOperator::maintenance
 //! [`readiness`]: TransformOperator::readiness
 //! [`target_keys_for`]: TransformOperator::target_keys_for
-//! [`mirror_map`]: TransformOperator::mirror_map
+//! [`mirror_keys`]: TransformOperator::mirror_keys
+//! [`lazy_source`]: TransformOperator::lazy_source
+//! [`apply_frozen`]: TransformOperator::apply_frozen
 //! [`renames_source`]: TransformOperator::renames_source
 //! [`publish`]: TransformOperator::publish
 //! [`finalize`]: TransformOperator::finalize
 
 use crate::cc::Readiness;
-use crate::sync::MirrorMap;
 use crate::throttle::Throttle;
 use morph_common::{DbError, DbResult, Key, Lsn, TableId};
-use morph_engine::Database;
+use morph_engine::{Database, PlannedOp};
 use morph_storage::{shard_stride, Row, Table};
+use morph_txn::LockOrigin;
 use morph_wal::{LogOp, LogRecord};
 use std::sync::Arc;
 use std::time::Instant;
@@ -83,14 +92,29 @@ pub enum CoalescePolicy {
     Full,
 }
 
+/// What a lazy migration must transform before an access to one target
+/// key may proceed ([`TransformOperator::lazy_source`]).
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum LazySource {
+    /// The table is not a target of this operator, or the key maps to
+    /// no source record: nothing to transform first.
+    None,
+    /// The target key mirrors exactly this source record.
+    Key(TableId, Key),
+    /// The target key aggregates (or joins) source records from
+    /// anywhere in the frozen sources: transform the whole residual.
+    Residual,
+}
+
 /// A transformation operator pluggable into the framework: the paper's
 /// propagation-rule sets (§4 FOJ, §5 split, §7 others) behind one
 /// object-safe contract.
 ///
 /// `Propagator` drives [`apply_batch`]/[`on_control`]/[`maintenance`],
 /// `Transformer` drives [`populate`]/[`readiness`]/
-/// [`finalize`], and the synchronization strategies drive
-/// [`target_keys_for`]/[`mirror_map`]/[`renames_source`]/[`publish`].
+/// [`finalize`], the synchronization strategies drive
+/// [`target_keys_for`]/[`mirror_keys`]/[`renames_source`]/[`publish`],
+/// and a lazy migration drives [`lazy_source`]/[`apply_frozen`].
 ///
 /// [`apply_batch`]: TransformOperator::apply_batch
 /// [`on_control`]: TransformOperator::on_control
@@ -99,28 +123,26 @@ pub enum CoalescePolicy {
 /// [`readiness`]: TransformOperator::readiness
 /// [`finalize`]: TransformOperator::finalize
 /// [`target_keys_for`]: TransformOperator::target_keys_for
-/// [`mirror_map`]: TransformOperator::mirror_map
+/// [`mirror_keys`]: TransformOperator::mirror_keys
 /// [`renames_source`]: TransformOperator::renames_source
 /// [`publish`]: TransformOperator::publish
-pub trait TransformOperator: Send {
+/// [`lazy_source`]: TransformOperator::lazy_source
+/// [`apply_frozen`]: TransformOperator::apply_frozen
+pub trait TransformOperator: Send + Sync {
     /// Source tables whose log records feed the propagation rules.
     fn source_ids(&self) -> Vec<TableId>;
 
-    /// Apply one relevant log record through the propagation rules
-    /// (§3.3). Must be idempotent with respect to re-application after
-    /// a crash (Theorem 1): FOJ achieves this by content checks, split
-    /// and union by LSN gating.
-    fn apply(&mut self, lsn: Lsn, op: &LogOp) -> DbResult<()>;
+    /// Apply a batch of relevant log records through the propagation
+    /// rules (§3.3), under one write session per target table: one
+    /// latch round trip per batch instead of per record. Must be
+    /// idempotent with respect to re-application after a crash
+    /// (Theorem 1): FOJ achieves this by content checks, split and
+    /// union by LSN gating.
+    fn apply_batch(&self, batch: &[(Lsn, &LogOp)]) -> DbResult<()>;
 
-    /// Apply a batch of relevant records. The default simply loops over
-    /// [`TransformOperator::apply`]; operators override this to open
-    /// one write session per target table for the whole batch, paying
-    /// one latch round trip per batch instead of per record.
-    fn apply_batch(&mut self, batch: &[(Lsn, &LogOp)]) -> DbResult<()> {
-        for &(lsn, op) in batch {
-            self.apply(lsn, op)?;
-        }
-        Ok(())
+    /// Apply one record: a batch of one.
+    fn apply(&self, lsn: Lsn, op: &LogOp) -> DbResult<()> {
+        self.apply_batch(&[(lsn, op)])
     }
 
     /// How much record coalescing this operator's rules tolerate.
@@ -153,7 +175,7 @@ pub trait TransformOperator: Send {
     /// (`populate.chunk`) that the deterministic crash harness kills
     /// fuzzy copies at.
     fn populate(
-        &mut self,
+        &self,
         db: &Database,
         chunk: usize,
         workers: usize,
@@ -166,9 +188,39 @@ pub trait TransformOperator: Send {
     /// it stays correct while the sources are latched.
     fn target_keys_for(&self, table: TableId, key: &Key) -> Vec<(TableId, Key)>;
 
-    /// Closed-form source-op → target-keys mapping for the non-blocking
-    /// commit interceptor (§4.3), usable without reading the sources.
-    fn mirror_map(&self) -> MirrorMap;
+    /// Transformed-table records an operation `op` of a grandfathered
+    /// transaction on `source` must lock first, with the origin to tag
+    /// them with (the §4.3 non-blocking-commit mirror). Runs on client
+    /// threads after synchronization, with no latch held. Best-effort
+    /// for inserts: derived placeholder rows are not pre-locked; the
+    /// propagator is their only writer, and new transactions cannot
+    /// observe them before the lock release anyway.
+    fn mirror_keys(&self, source: TableId, op: &PlannedOp<'_>) -> Vec<(TableId, Key, LockOrigin)>;
+
+    /// The inverse mapping of a lazy migration's on-access hook: what
+    /// must be transformed before an access to `key` of table `target`
+    /// may proceed. The default is the fallback that is correct for any
+    /// operator, at any table: the whole residual.
+    fn lazy_source(&self, _target: TableId, _key: &Key) -> LazySource {
+        LazySource::Residual
+    }
+
+    /// Transform frozen rows of `source` for a lazy migration: each row
+    /// goes through the rules as an `Insert` at its own LSN, one
+    /// [`TransformOperator::apply_batch`] per row, so a target latch is
+    /// held for one record at a time. A row the workload already
+    /// re-wrote in the target wins over the stale frozen image (content
+    /// checks or LSN gates, Theorem 1).
+    fn apply_frozen(&self, source: TableId, rows: Vec<Row>) -> DbResult<()> {
+        for row in rows {
+            let op = LogOp::Insert {
+                table: source,
+                row: row.values,
+            };
+            self.apply_batch(&[(row.lsn, &op)])?;
+        }
+        Ok(())
+    }
 
     /// Whether synchronization may start (§5.3: a checking split is not
     /// ready while any S-record flag is unknown).
@@ -178,13 +230,13 @@ pub trait TransformOperator: Send {
 
     /// Periodic maintenance between propagation batches — the split
     /// consistency checker's certification rounds (§5.3).
-    fn maintenance(&mut self, _db: &Database) -> DbResult<()> {
+    fn maintenance(&self, _db: &Database) -> DbResult<()> {
         Ok(())
     }
 
     /// React to a non-data control record the propagator encountered
     /// (`CcBegin`/`CcOk`, §5.3).
-    fn on_control(&mut self, _lsn: Lsn, _rec: &LogRecord) -> DbResult<()> {
+    fn on_control(&self, _lsn: Lsn, _rec: &LogRecord) -> DbResult<()> {
         Ok(())
     }
 

@@ -304,12 +304,7 @@ impl Propagator {
     }
 
     /// Coalesce and apply the accumulated run.
-    fn flush(
-        &mut self,
-        op: &mut dyn TransformOperator,
-        ctx: &DrainCtx,
-        run: &mut Run,
-    ) -> DbResult<()> {
+    fn flush(&mut self, op: &dyn TransformOperator, ctx: &DrainCtx, run: &mut Run) -> DbResult<()> {
         if run.is_empty() {
             return Ok(());
         }
@@ -329,7 +324,7 @@ impl Propagator {
     fn process(
         &mut self,
         db: &Database,
-        op: &mut dyn TransformOperator,
+        op: &dyn TransformOperator,
         ctx: &DrainCtx,
         run: &mut Run,
         lsn: Lsn,
@@ -387,7 +382,7 @@ impl Propagator {
     pub fn iterate(
         &mut self,
         db: &Database,
-        op: &mut dyn TransformOperator,
+        op: &dyn TransformOperator,
         batch_size: usize,
         cc_interval: usize,
         abort: &AtomicBool,
@@ -450,7 +445,7 @@ impl Propagator {
     /// *after* the observed tail belong to other tables, or to
     /// in-flight operations that the post-sync phase handles).
     /// Returns the number of records processed.
-    pub fn drain_all(&mut self, db: &Database, op: &mut dyn TransformOperator) -> DbResult<usize> {
+    pub fn drain_all(&mut self, db: &Database, op: &dyn TransformOperator) -> DbResult<usize> {
         self.drain_with_batch(db, op, 1024)
     }
 
@@ -461,7 +456,7 @@ impl Propagator {
     pub fn drain_with_batch(
         &mut self,
         db: &Database,
-        op: &mut dyn TransformOperator,
+        op: &dyn TransformOperator,
         batch_size: usize,
     ) -> DbResult<usize> {
         let ctx = self.drain_ctx(db, op);
@@ -513,7 +508,7 @@ mod tests {
 
     #[test]
     fn end_to_end_population_plus_propagation() {
-        let (db, mut m) = setup();
+        let (db, m) = setup();
         // Pre-existing data.
         let txn = db.begin();
         for i in 0..20 {
@@ -539,7 +534,7 @@ mod tests {
         db.commit(txn).unwrap();
 
         let abort = AtomicBool::new(false);
-        let stats = prop.iterate(&db, &mut m, 16, 0, &abort).unwrap();
+        let stats = prop.iterate(&db, &m, 16, 0, &abort).unwrap();
         assert!(stats.records > 0);
         assert!(stats.relevant > 0);
         assert_eq!(prop.backlog(&db), 1, "only the trailing fuzzy mark");
@@ -549,7 +544,7 @@ mod tests {
 
     #[test]
     fn drain_all_catches_up_completely() {
-        let (db, mut m) = setup();
+        let (db, m) = setup();
         let (_, start, _) = db.write_fuzzy_mark();
         m.populate(8).unwrap();
         let txn = db.begin();
@@ -558,7 +553,7 @@ mod tests {
         }
         db.commit(txn).unwrap();
         let mut prop = Propagator::new(&db, start, 1.0);
-        let n = prop.drain_all(&db, &mut m).unwrap();
+        let n = prop.drain_all(&db, &m).unwrap();
         assert!(n >= 52); // begin + 50 ops + commit (+ mark)
         assert_eq!(prop.backlog(&db), 0);
         crate::foj::verify_against_reference(&m).unwrap();
@@ -567,7 +562,7 @@ mod tests {
     #[test]
     fn post_sync_releases_mirrors_on_end_records() {
         use morph_txn::{LockMode, LockOrigin};
-        let (db, mut m) = setup();
+        let (db, m) = setup();
         let (_, start, _) = db.write_fuzzy_mark();
         m.populate(4).unwrap();
         let mut prop = Propagator::new(&db, start, 1.0);
@@ -590,14 +585,14 @@ mod tests {
 
         // Old txn commits; propagator processes the record and releases.
         db.commit(old).unwrap();
-        prop.drain_all(&db, &mut m).unwrap();
+        prop.drain_all(&db, &m).unwrap();
         assert_eq!(prop.outstanding(), 0);
         assert_eq!(db.locks().held_count(proxy_owner(old)), 0);
     }
 
     #[test]
     fn throttled_iteration_still_completes() {
-        let (db, mut m) = setup();
+        let (db, m) = setup();
         let (_, start, _) = db.write_fuzzy_mark();
         m.populate(4).unwrap();
         let txn = db.begin();
@@ -607,14 +602,14 @@ mod tests {
         db.commit(txn).unwrap();
         let mut prop = Propagator::new(&db, start, 0.2);
         let abort = AtomicBool::new(false);
-        let stats = prop.iterate(&db, &mut m, 8, 0, &abort).unwrap();
+        let stats = prop.iterate(&db, &m, 8, 0, &abort).unwrap();
         assert!(stats.records >= 32);
         crate::foj::verify_against_reference(&m).unwrap();
     }
 
     #[test]
     fn abort_flag_stops_iteration_early() {
-        let (db, mut m) = setup();
+        let (db, m) = setup();
         let (_, start, _) = db.write_fuzzy_mark();
         m.populate(4).unwrap();
         let txn = db.begin();
@@ -624,7 +619,7 @@ mod tests {
         db.commit(txn).unwrap();
         let mut prop = Propagator::new(&db, start, 1.0);
         let abort = AtomicBool::new(true); // pre-aborted
-        let stats = prop.iterate(&db, &mut m, 8, 0, &abort).unwrap();
+        let stats = prop.iterate(&db, &m, 8, 0, &abort).unwrap();
         assert_eq!(stats.records, 0);
     }
 
@@ -809,7 +804,7 @@ mod tests {
 
     #[test]
     fn coalesced_batch_converges_to_reference() {
-        let (db, mut m) = setup();
+        let (db, m) = setup();
         let (_, start, _) = db.write_fuzzy_mark();
         m.populate(8).unwrap();
         let txn = db.begin();
@@ -833,7 +828,7 @@ mod tests {
         let mut prop = Propagator::new(&db, start, 1.0);
         let abort = AtomicBool::new(false);
         // One big batch so the coalescer sees the whole churn at once.
-        prop.iterate(&db, &mut m, 4096, 0, &abort).unwrap();
+        prop.iterate(&db, &m, 4096, 0, &abort).unwrap();
         assert!(prop.coalesced() > 0, "churn must have been coalesced");
         crate::foj::verify_against_reference(&m).unwrap();
     }

@@ -22,14 +22,16 @@
 //! log.
 
 use crate::cc::{CcState, PendingCc, Readiness};
-use crate::operator::{scan_source, CoalescePolicy, TransformOperator};
+use crate::operator::{scan_source, CoalescePolicy, LazySource, TransformOperator};
 use crate::spec::{SplitMode, SplitSpec};
 use morph_common::{DbError, DbResult, Key, Lsn, Schema, TableId, Value};
-use morph_engine::Database;
+use morph_engine::{Database, PlannedOp};
 use morph_storage::{shard_stride, ConsistencyFlag, Row, Table, WriteSession};
+use morph_txn::LockOrigin;
 use morph_wal::{LogManager, LogOp, LogRecord};
+use parking_lot::{Mutex, MutexGuard};
 use std::collections::{BTreeMap, HashMap};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Column mapping and rule engine for one split transformation.
@@ -59,8 +61,9 @@ pub struct SplitMapping {
     /// Name the source is renamed to at synchronization
     /// (rename-in-place mode).
     r_target_name: String,
-    /// Consistency-checker state.
-    pub cc: CcState,
+    /// Consistency-checker state, behind a leaf lock: the rules run on
+    /// any thread that shares the operator (see [`SplitMapping::cc`]).
+    cc: Mutex<CcState>,
 }
 
 impl SplitMapping {
@@ -178,7 +181,7 @@ impl SplitMapping {
             check: spec.check_consistency,
             mode: spec.mode,
             r_target_name: spec.r_target.clone(),
-            cc: CcState::default(),
+            cc: Mutex::default(),
         })
     }
 
@@ -218,6 +221,13 @@ impl SplitMapping {
     /// Whether §5.3 consistency checking is active.
     pub fn checking(&self) -> bool {
         self.check
+    }
+
+    /// The checker's state, or `None` — and no lock taken — unless §5.3
+    /// checking is on. A leaf lock: callers hold it for one bookkeeping
+    /// step, never across a latch acquisition or a log append.
+    fn cc(&self) -> Option<MutexGuard<'_, CcState>> {
+        self.check.then(|| self.cc.lock())
     }
 
     // --- projections ------------------------------------------------------
@@ -363,15 +373,15 @@ impl SplitMapping {
     /// Rule 8's S half: absorb one contribution of `s_vals` under split
     /// value `x` (counter ++ or fresh insert).
     fn s_absorb(
-        &mut self,
+        &self,
         ss: &mut WriteSession<'_>,
         x: &Value,
         s_vals: &[Value],
         lsn: Lsn,
     ) -> DbResult<()> {
         let key = self.s_key(x);
-        if self.check {
-            self.cc.note_touch(x);
+        if let Some(mut cc) = self.cc() {
+            cc.note_touch(x);
         }
         let existed = ss.with_row_mut(&key, |row| {
             row.counter += 1;
@@ -387,8 +397,8 @@ impl SplitMapping {
         });
         match existed {
             Some(differs) => {
-                if differs && self.check {
-                    self.cc.mark_unknown(key);
+                if let Some(mut cc) = self.cc().filter(|_| differs) {
+                    cc.mark_unknown(key);
                 }
                 Ok(())
             }
@@ -412,10 +422,10 @@ impl SplitMapping {
     /// by coalescing, or missed by the fuzzy copy): the one-by-one
     /// schedule would have stamped the shared S-record twice (absorb,
     /// then release), so the batched schedule must at least stamp once.
-    fn s_stamp(&mut self, ss: &mut WriteSession<'_>, x: &Value, lsn: Lsn) {
+    fn s_stamp(&self, ss: &mut WriteSession<'_>, x: &Value, lsn: Lsn) {
         let key = self.s_key(x);
-        if self.check {
-            self.cc.note_touch(x);
+        if let Some(mut cc) = self.cc() {
+            cc.note_touch(x);
         }
         let _ = ss.with_row_mut(&key, |row| {
             if row.lsn < lsn {
@@ -425,10 +435,10 @@ impl SplitMapping {
     }
 
     /// Rule 9's S half: release one contribution under split value `x`.
-    fn s_release(&mut self, ss: &mut WriteSession<'_>, x: &Value, lsn: Lsn) -> DbResult<()> {
+    fn s_release(&self, ss: &mut WriteSession<'_>, x: &Value, lsn: Lsn) -> DbResult<()> {
         let key = self.s_key(x);
-        if self.check {
-            self.cc.note_touch(x);
+        if let Some(mut cc) = self.cc() {
+            cc.note_touch(x);
         }
         let drop_row = ss.with_row_mut(&key, |row| {
             row.counter = row.counter.saturating_sub(1);
@@ -443,8 +453,8 @@ impl SplitMapping {
         });
         if drop_row == Some(true) {
             let _ = ss.delete(&key);
-            if self.check {
-                self.cc.mark_consistent(&key); // gone ⇒ no longer unknown
+            if let Some(mut cc) = self.cc() {
+                cc.mark_consistent(&key); // gone ⇒ no longer unknown
             }
         }
         Ok(())
@@ -452,31 +462,11 @@ impl SplitMapping {
 
     // --- dispatch -----------------------------------------------------------
 
-    /// Tables this rule set reads ops for.
-    pub fn source_ids(&self) -> Vec<TableId> {
-        vec![self.t.id()]
-    }
-
-    /// Apply one logged source-table operation (rules 8–11), paying one
-    /// latch round trip per target for this single record. The batched
-    /// path ([`TransformOperator::apply_batch`]) amortizes the sessions
-    /// over a whole batch instead.
-    pub fn apply(&mut self, lsn: Lsn, op: &LogOp) -> DbResult<()> {
-        if op.table() != self.t.id() {
-            return Ok(());
-        }
-        let r_side = Arc::clone(self.r_side());
-        let s = Arc::clone(&self.s);
-        let mut rs = r_side.write_session();
-        let mut ss = s.write_session();
-        self.apply_in(&mut rs, &mut ss, lsn, op)
-    }
-
     /// Rule dispatch within open R-side and S write sessions. Sessions
     /// are always opened in that order (R-side, then S) so concurrent
     /// batch appliers cannot deadlock.
     fn apply_in(
-        &mut self,
+        &self,
         rs: &mut WriteSession<'_>,
         ss: &mut WriteSession<'_>,
         lsn: Lsn,
@@ -494,7 +484,7 @@ impl SplitMapping {
 
     /// Rule 8: insert t^y_x.
     fn rule8_insert(
-        &mut self,
+        &self,
         rs: &mut WriteSession<'_>,
         ss: &mut WriteSession<'_>,
         t_vals: &[Value],
@@ -512,7 +502,7 @@ impl SplitMapping {
 
     /// Rule 9: delete t^y.
     fn rule9_delete(
-        &mut self,
+        &self,
         rs: &mut WriteSession<'_>,
         ss: &mut WriteSession<'_>,
         y: &Key,
@@ -542,7 +532,7 @@ impl SplitMapping {
 
     /// Rules 10 + 11: update t^y.
     fn rule10_11_update(
-        &mut self,
+        &self,
         rs: &mut WriteSession<'_>,
         ss: &mut WriteSession<'_>,
         y: &Key,
@@ -597,8 +587,8 @@ impl SplitMapping {
         // Non-split S update: apply values only if the S-record's own
         // LSN is older (prevents regressing a fresher shared record).
         let key = self.s_key(&x_pre);
-        if self.check {
-            self.cc.note_touch(&x_pre);
+        if let Some(mut cc) = self.cc() {
+            cc.note_touch(&x_pre);
         }
         let all_deps = dep_updates.len() == self.s_cols.len() - 1;
         let flagged = ss.with_row_mut(&key, |row| {
@@ -620,10 +610,10 @@ impl SplitMapping {
                 None
             }
         });
-        if self.check {
+        if let Some(mut cc) = self.cc() {
             match flagged {
-                Some(Some(true)) => self.cc.mark_unknown(key),
-                Some(Some(false)) => self.cc.mark_consistent(&key),
+                Some(Some(true)) => cc.mark_unknown(key),
+                Some(Some(false)) => cc.mark_consistent(&key),
                 _ => {}
             }
         }
@@ -635,7 +625,7 @@ impl SplitMapping {
     /// Fuzzy-scan the source and build the initial images at full
     /// priority on one scan thread (tests and reference builds).
     /// Returns `(rows_read, rows_written)`.
-    pub fn populate(&mut self, chunk_size: usize) -> DbResult<(usize, usize)> {
+    pub fn populate(&self, chunk_size: usize) -> DbResult<(usize, usize)> {
         self.populate_with(None, chunk_size, 1, 1.0, None)
     }
 
@@ -644,30 +634,39 @@ impl SplitMapping {
     /// Run one checker round: pick a U-record, log `CcBegin`, read its
     /// contributors without transaction locks, and log `CcOk` if they
     /// agree. The propagator completes the certification when the
-    /// records come back through [`SplitMapping::on_control`].
-    pub fn run_cc_round(&mut self, log: &LogManager) -> DbResult<()> {
-        if !self.check || self.cc.pending.is_some() {
-            return Ok(());
-        }
-        let Some(key) = self.cc.next_candidate() else {
-            return Ok(());
+    /// records come back through [`TransformOperator::on_control`].
+    pub fn run_cc_round(&self, log: &LogManager) -> DbResult<()> {
+        let key = {
+            let Some(mut cc) = self.cc() else {
+                return Ok(());
+            };
+            if cc.pending.is_some() {
+                return Ok(());
+            }
+            let Some(key) = cc.next_candidate() else {
+                return Ok(());
+            };
+            key
         };
         let begin_lsn = log.append(LogRecord::CcBegin {
             split_key: key.clone(),
         });
-        self.cc.pending = Some(PendingCc {
-            key: key.clone(),
-            begin_lsn,
-            touched: false,
-        });
-        self.cc.rounds += 1;
+        {
+            let mut cc = self.cc.lock();
+            cc.pending = Some(PendingCc {
+                key: key.clone(),
+                begin_lsn,
+                touched: false,
+            });
+            cc.rounds += 1;
+        }
 
         let idx = self.idx_split.expect("checking requires the split index"); // morph-lint: allow(panic, consistency checking is only enabled with the split index installed)
         let contributors = self.t.index_rows(idx, &key);
         if contributors.is_empty() {
             // No contributors (any more): leave it to propagation; the
             // record will be deleted when the counter drains.
-            self.cc.pending = None;
+            self.cc.lock().pending = None;
             return Ok(());
         }
         let image = self.s_part(&contributors[0].1.values);
@@ -682,92 +681,11 @@ impl SplitMapping {
         } else {
             // Contradiction in the source data (paper Example 1): the
             // transformation cannot certify this record.
-            self.cc.pending = None;
-            self.cc.inconsistent.insert(key);
+            let mut cc = self.cc.lock();
+            cc.pending = None;
+            cc.inconsistent.insert(key);
         }
         Ok(())
-    }
-
-    /// Handle checker records coming back through the log stream.
-    pub fn on_control(&mut self, _lsn: Lsn, rec: &LogRecord) -> DbResult<()> {
-        if !self.check {
-            return Ok(());
-        }
-        match rec {
-            LogRecord::CcBegin { split_key }
-                // Normally already pending (we logged it ourselves); on
-                // restart-style replays, re-arm.
-                if self.cc.pending.is_none() => {
-                    self.cc.pending = Some(PendingCc {
-                        key: split_key.clone(),
-                        begin_lsn: _lsn,
-                        touched: false,
-                    });
-                }
-            LogRecord::CcOk { split_key, image } => {
-                let Some(p) = self.cc.pending.take() else {
-                    return Ok(());
-                };
-                if &p.key != split_key {
-                    return Ok(());
-                }
-                if p.touched {
-                    return Ok(()); // voided; retry in a later round
-                }
-                let certified = self.s.with_row_mut(split_key, |row| {
-                    row.values = image.clone();
-                    row.flag = ConsistencyFlag::Consistent;
-                });
-                if certified.is_some() {
-                    self.cc.mark_consistent(split_key);
-                }
-            }
-            _ => {}
-        }
-        Ok(())
-    }
-
-    /// May synchronization start (§5.3: "all records in S should have a
-    /// C-flag before synchronization is started")?
-    pub fn readiness(&self) -> Readiness {
-        self.cc.readiness(self.check)
-    }
-
-    // --- lock transfer ------------------------------------------------------------
-
-    /// Target records affected by a lock on source record `key` — used
-    /// by the synchronization step's lock transfer. In rename-in-place
-    /// mode T keeps its table id through the rename, so R-side locks
-    /// carry over by identity and only the S side needs transferring.
-    ///
-    /// The split value is read from the *target* side (R, or the P
-    /// bookkeeping table), never from the source: the caller holds the
-    /// source's exclusive latch during synchronization, and the final
-    /// drain has just made the targets consistent with it.
-    pub fn target_keys_for(&self, table: TableId, key: &Key) -> Vec<(TableId, Key)> {
-        if table != self.t.id() {
-            return Vec::new();
-        }
-        let mut out = Vec::new();
-        if let Some(r) = &self.r {
-            out.push((r.id(), key.clone()));
-        }
-        if let Some((_, split_val)) = self.r_get(key) {
-            out.push((self.s.id(), self.s_key(&split_val)));
-        }
-        out
-    }
-
-    /// Immutable data needed to mirror source locks from arbitrary
-    /// threads (non-blocking-commit interceptor).
-    pub fn mirror_map(&self) -> crate::sync::MirrorMap {
-        crate::sync::MirrorMap::Split {
-            t: Arc::clone(&self.t),
-            r_id: self.r.as_ref().map(|r| r.id()),
-            s_id: self.s.id(),
-            split_t: self.split_t,
-            t_pk: self.t_pk.clone(),
-        }
     }
 }
 
@@ -809,7 +727,7 @@ impl SplitMapping {
     /// and flags it U — noted for the consistency checker — where the
     /// contributors disagree.
     pub(crate) fn populate_with(
-        &mut self,
+        &self,
         db: Option<&Database>,
         chunk_size: usize,
         workers: usize,
@@ -817,38 +735,35 @@ impl SplitMapping {
         deadline: Option<Instant>,
     ) -> DbResult<(usize, usize)> {
         let workers = shard_stride(workers.max(1));
-        let s = Arc::clone(&self.s);
-        let this = &*self;
         let locals: Vec<Mutex<HashMap<Value, SContrib>>> =
             (0..workers).map(|_| Mutex::new(HashMap::new())).collect();
         let sink = |w: usize, chunk: Vec<(Key, Row)>| {
-            let mut rs = this.r_side().write_session_masked(workers, w);
-            let mut local = locals[w].lock().expect("populate digest poisoned"); // morph-lint: allow(panic, std mutex poison implies a populate worker already panicked; that panic is re-raised at the join)
+            let mut rs = self.r_side().write_session_masked(workers, w);
+            let mut local = locals[w].lock();
             for (key, row) in chunk {
-                this.r_insert(&mut rs, &row.values, row.lsn)?;
+                self.r_insert(&mut rs, &row.values, row.lsn)?;
                 let c = SContrib {
                     first_key: key,
-                    s_vals: this.s_part(&row.values),
+                    s_vals: self.s_part(&row.values),
                     count: 1,
                     max_lsn: row.lsn,
                     uniform: true,
                 };
-                match local.entry(this.split_val(&row.values)) {
+                match local.entry(self.split_val(&row.values)) {
                     std::collections::hash_map::Entry::Occupied(mut e) => e.get_mut().merge(c),
                     std::collections::hash_map::Entry::Vacant(e) => _ = e.insert(c),
                 }
             }
             Ok(())
         };
-        let read = scan_source(db, &this.t, chunk_size, workers, priority, deadline, &sink)?;
+        let read = scan_source(db, &self.t, chunk_size, workers, priority, deadline, &sink)?;
 
         // Merge the worker digests: the canonical S image is the one
         // from the smallest contributing T key (what absorbing the
         // rows in key order would have kept).
         let mut merged: BTreeMap<Value, SContrib> = BTreeMap::new();
         for local in locals {
-            // morph-lint: allow(panic, into_inner poison implies a populate worker panicked; that panic was re-raised at the join)
-            for (x, c) in local.into_inner().expect("populate digest poisoned") {
+            for (x, c) in local.into_inner() {
                 match merged.entry(x) {
                     std::collections::btree_map::Entry::Occupied(mut e) => e.get_mut().merge(c),
                     std::collections::btree_map::Entry::Vacant(e) => _ = e.insert(c),
@@ -856,10 +771,10 @@ impl SplitMapping {
             }
         }
         let s_rows = merged.len();
-        let mut ss = s.write_session();
+        let mut ss = self.s.write_session();
         for (x, c) in merged {
-            if self.check && !c.uniform {
-                self.cc.mark_unknown(self.s_key(&x));
+            if let Some(mut cc) = self.cc().filter(|_| !c.uniform) {
+                cc.mark_unknown(self.s_key(&x));
             }
             ss.insert_row(Row {
                 values: c.s_vals,
@@ -880,18 +795,15 @@ impl SplitMapping {
 
 impl TransformOperator for SplitMapping {
     fn source_ids(&self) -> Vec<TableId> {
-        SplitMapping::source_ids(self)
+        vec![self.t.id()]
     }
 
-    fn apply(&mut self, lsn: Lsn, op: &LogOp) -> DbResult<()> {
-        SplitMapping::apply(self, lsn, op)
-    }
-
-    fn apply_batch(&mut self, batch: &[(Lsn, &LogOp)]) -> DbResult<()> {
-        let r_side = Arc::clone(self.r_side());
-        let s = Arc::clone(&self.s);
-        let mut rs = r_side.write_session();
-        let mut ss = s.write_session();
+    /// Rules 8–11 under one R-side and one S write session for the
+    /// whole batch, always opened in that order so concurrent appliers
+    /// cannot deadlock.
+    fn apply_batch(&self, batch: &[(Lsn, &LogOp)]) -> DbResult<()> {
+        let mut rs = self.r_side().write_session();
+        let mut ss = self.s.write_session();
         for &(lsn, op) in batch {
             self.apply_in(&mut rs, &mut ss, lsn, op)?;
         }
@@ -921,7 +833,7 @@ impl TransformOperator for SplitMapping {
     }
 
     fn populate(
-        &mut self,
+        &self,
         db: &Database,
         chunk: usize,
         workers: usize,
@@ -931,28 +843,131 @@ impl TransformOperator for SplitMapping {
         SplitMapping::populate_with(self, Some(db), chunk, workers, priority, deadline)
     }
 
+    /// In rename-in-place mode T keeps its table id through the rename,
+    /// so R-side locks carry over by identity and only the S side needs
+    /// transferring.
+    ///
+    /// The split value is read from the *target* side (R, or the P
+    /// bookkeeping table), never from the source: the caller holds the
+    /// source's exclusive latch during synchronization, and the final
+    /// drain has just made the targets consistent with it.
     fn target_keys_for(&self, table: TableId, key: &Key) -> Vec<(TableId, Key)> {
-        SplitMapping::target_keys_for(self, table, key)
+        if table != self.t.id() {
+            return Vec::new();
+        }
+        let mut out = Vec::new();
+        if let Some(r) = &self.r {
+            out.push((r.id(), key.clone()));
+        }
+        if let Some((_, split_val)) = self.r_get(key) {
+            out.push((self.s.id(), self.s_key(&split_val)));
+        }
+        out
     }
 
-    fn mirror_map(&self) -> crate::sync::MirrorMap {
-        SplitMapping::mirror_map(self)
+    /// R side by identity key, S side by split value. Unlike
+    /// [`TransformOperator::target_keys_for`] the split value is read
+    /// from the source: the mirror runs after synchronization, with no
+    /// latch held, on the source row the grandfathered transaction is
+    /// about to change.
+    fn mirror_keys(&self, source: TableId, op: &PlannedOp<'_>) -> Vec<(TableId, Key, LockOrigin)> {
+        if source != self.t.id() {
+            return Vec::new();
+        }
+        let r_id = self.r.as_ref().map(|r| r.id());
+        let mut out = Vec::new();
+        match op {
+            PlannedOp::Insert { values } => {
+                if let Some(r) = r_id {
+                    out.push((r, Key::project(values, &self.t_pk), LockOrigin::SourceR));
+                }
+                if let Some(v) = values.get(self.split_t) {
+                    out.push((self.s.id(), self.s_key(v), LockOrigin::SourceS));
+                }
+            }
+            PlannedOp::Update { key, .. } | PlannedOp::Delete { key } | PlannedOp::Read { key } => {
+                if let Some(r) = r_id {
+                    out.push((r, (*key).clone(), LockOrigin::SourceR));
+                }
+                if let Some(row) = self.t.get(key) {
+                    out.push((
+                        self.s.id(),
+                        self.s_key(&row.values[self.split_t]),
+                        LockOrigin::SourceS,
+                    ));
+                }
+            }
+        }
+        out
     }
 
+    /// R's key is the source key verbatim. An S record aggregates many
+    /// source rows (its reference counter sums over them), so it has no
+    /// single source key: an access to S waits for the whole residual.
+    fn lazy_source(&self, target: TableId, key: &Key) -> LazySource {
+        if self.r.as_ref().is_some_and(|r| r.id() == target) {
+            LazySource::Key(self.t.id(), key.clone())
+        } else if target == self.s.id() {
+            LazySource::Residual
+        } else {
+            LazySource::None
+        }
+    }
+
+    /// May synchronization start (§5.3: "all records in S should have a
+    /// C-flag before synchronization is started")?
     fn readiness(&self) -> Readiness {
-        SplitMapping::readiness(self)
+        self.cc().map_or(Readiness::Ready, |cc| cc.readiness(true))
     }
 
-    fn maintenance(&mut self, db: &Database) -> DbResult<()> {
+    fn maintenance(&self, db: &Database) -> DbResult<()> {
         self.run_cc_round(db.log())
     }
 
-    fn on_control(&mut self, lsn: Lsn, rec: &LogRecord) -> DbResult<()> {
-        SplitMapping::on_control(self, lsn, rec)
+    /// Handle checker records coming back through the log stream.
+    fn on_control(&self, lsn: Lsn, rec: &LogRecord) -> DbResult<()> {
+        if !self.check {
+            return Ok(());
+        }
+        match rec {
+            LogRecord::CcBegin { split_key } => {
+                // Normally already pending (we logged it ourselves); on
+                // restart-style replays, re-arm.
+                let mut cc = self.cc.lock();
+                if cc.pending.is_none() {
+                    cc.pending = Some(PendingCc {
+                        key: split_key.clone(),
+                        begin_lsn: lsn,
+                        touched: false,
+                    });
+                }
+            }
+            LogRecord::CcOk { split_key, image } => {
+                let pending = self.cc.lock().pending.take();
+                let Some(p) = pending else {
+                    return Ok(());
+                };
+                if &p.key != split_key {
+                    return Ok(());
+                }
+                if p.touched {
+                    return Ok(()); // voided; retry in a later round
+                }
+                let certified = self.s.with_row_mut(split_key, |row| {
+                    row.values = image.clone();
+                    row.flag = ConsistencyFlag::Consistent;
+                });
+                if certified.is_some() {
+                    self.cc.lock().mark_consistent(split_key);
+                }
+            }
+            _ => {}
+        }
+        Ok(())
     }
 
     fn cc_rounds(&self) -> usize {
-        self.cc.rounds
+        self.cc().map_or(0, |cc| cc.rounds)
     }
 
     fn renames_source(&self) -> bool {
@@ -1299,7 +1314,7 @@ mod tests {
 
     #[test]
     fn rule11_s_lsn_gate_prevents_value_regression() {
-        let (_db, mut m) = setup();
+        let (_db, m) = setup();
         // Initial image is fresh (lsn 10); an older logged dep-update
         // (lsn 5) must update the R LSN but not regress S values.
         m.t.insert(t_row(1, "a", "c1", "dNEW"), Lsn(10)).unwrap();
@@ -1326,7 +1341,7 @@ mod tests {
 
     #[test]
     fn populate_from_fuzzy_scan_builds_counters() {
-        let (_db, mut m) = setup();
+        let (_db, m) = setup();
         for i in 0..10 {
             m.t.insert(
                 t_row(i, "b", if i % 2 == 0 { "even" } else { "odd" }, "dep"),
@@ -1379,7 +1394,7 @@ mod tests {
 
         for check in [false, true] {
             for workers in [1, 2, 8] {
-                let (_db, mut m) = setup_mode(SplitMode::SeparateR, check);
+                let (_db, m) = setup_mode(SplitMode::SeparateR, check);
                 for (r, lsn) in &rows {
                     m.t.insert(r.clone(), Lsn(*lsn)).unwrap();
                 }
@@ -1392,7 +1407,7 @@ mod tests {
                     .map(|(_, s)| (s.values[0].clone(), (s.values, s.counter, s.lsn, s.flag)))
                     .collect();
                 assert_eq!(got, want, "workers={workers} check={check}");
-                let unknowns: Vec<Key> = m.cc.unknowns.iter().cloned().collect();
+                let unknowns: Vec<Key> = m.cc.lock().unknowns.iter().cloned().collect();
                 let expect: Vec<Key> = check.then(|| Key::single("mix")).into_iter().collect();
                 assert_eq!(unknowns, expect, "workers={workers} check={check}");
             }

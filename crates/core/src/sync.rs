@@ -30,7 +30,7 @@ use crate::operator::{source_tables, TransformOperator};
 use crate::propagate::Propagator;
 use crate::report::SyncStats;
 use crate::spec::{SyncStrategy, TransformOptions};
-use morph_common::{DbError, DbResult, Key, TableId, TxnId, Value};
+use morph_common::{DbError, DbResult, TableId, TxnId};
 use morph_engine::{Database, OpInterceptor, PlannedOp};
 use morph_storage::Table;
 use morph_txn::LockOrigin;
@@ -44,179 +44,15 @@ pub fn proxy_owner(txn: TxnId) -> TxnId {
     TxnId(txn.0 | (1 << 63))
 }
 
-/// Immutable mapping data used to mirror source-table locks onto the
-/// transformed tables from arbitrary client threads.
-pub enum MirrorMap {
-    /// FOJ transformation mapping.
-    Foj {
-        r_id: TableId,
-        s_id: TableId,
-        t: Arc<Table>,
-        idx_rpk: usize,
-        idx_join: usize,
-        idx_spk: usize,
-        r_pk: Vec<usize>,
-        r_join: usize,
-        s_join: usize,
-        many: bool,
-    },
-    /// Split transformation mapping.
-    Split {
-        t: Arc<Table>,
-        r_id: Option<TableId>,
-        s_id: TableId,
-        split_t: usize,
-        t_pk: Vec<usize>,
-    },
-    /// Union transformation mapping.
-    Union {
-        r_id: TableId,
-        s_id: TableId,
-        t_id: TableId,
-        r_tag: Value,
-        s_tag: Value,
-        src_pk: Vec<usize>,
-    },
-}
-
-impl MirrorMap {
-    /// Transformed-table records affected by `op` on `source`, with the
-    /// lock origin to tag them with. Best-effort for inserts (derived
-    /// placeholder rows are not pre-locked; the propagator is the only
-    /// writer of those and new transactions cannot observe them before
-    /// the lock release anyway).
-    pub fn targets_for(
-        &self,
-        source: TableId,
-        op: &PlannedOp<'_>,
-    ) -> Vec<(TableId, Key, LockOrigin)> {
-        match self {
-            MirrorMap::Foj {
-                r_id,
-                s_id,
-                t,
-                idx_rpk,
-                idx_join,
-                idx_spk,
-                r_pk,
-                r_join,
-                s_join,
-                many,
-            } => {
-                let (idx, origin, join_pos) = if source == *r_id {
-                    (*idx_rpk, LockOrigin::SourceR, *r_join)
-                } else if source == *s_id {
-                    (*idx_spk, LockOrigin::SourceS, *s_join)
-                } else {
-                    return Vec::new();
-                };
-                match op {
-                    PlannedOp::Insert { values } => {
-                        if source == *r_id && !*many {
-                            // Predicted T key: R-pk ⧺ join (as prepared).
-                            let mut cols = r_pk.clone();
-                            if !cols.contains(r_join) {
-                                cols.push(*r_join);
-                            }
-                            vec![(t.id(), Key::project(values, &cols), origin)]
-                        } else {
-                            // Rows that will absorb / pair with the new
-                            // record: everything on its join value.
-                            let jv = values.get(join_pos).cloned().unwrap_or(Value::Null);
-                            t.index_lookup(*idx_join, &Key::new([jv]))
-                                .into_iter()
-                                .map(|k| (t.id(), k, origin))
-                                .collect()
-                        }
-                    }
-                    PlannedOp::Update { key, .. }
-                    | PlannedOp::Delete { key }
-                    | PlannedOp::Read { key } => t
-                        .index_lookup(idx, key)
-                        .into_iter()
-                        .map(|k| (t.id(), k, origin))
-                        .collect(),
-                }
-            }
-            MirrorMap::Split {
-                t,
-                r_id,
-                s_id,
-                split_t,
-                t_pk,
-            } => {
-                if source != t.id() {
-                    return Vec::new();
-                }
-                let mut out = Vec::new();
-                match op {
-                    PlannedOp::Insert { values } => {
-                        if let Some(r) = r_id {
-                            out.push((*r, Key::project(values, t_pk), LockOrigin::SourceR));
-                        }
-                        if let Some(v) = values.get(*split_t) {
-                            out.push((*s_id, Key::new([v.clone()]), LockOrigin::SourceS));
-                        }
-                    }
-                    PlannedOp::Update { key, .. }
-                    | PlannedOp::Delete { key }
-                    | PlannedOp::Read { key } => {
-                        if let Some(r) = r_id {
-                            out.push((*r, (*key).clone(), LockOrigin::SourceR));
-                        }
-                        if let Some(row) = t.get(key) {
-                            out.push((
-                                *s_id,
-                                Key::new([row.values[*split_t].clone()]),
-                                LockOrigin::SourceS,
-                            ));
-                        }
-                    }
-                }
-                out
-            }
-            MirrorMap::Union {
-                r_id,
-                s_id,
-                t_id,
-                r_tag,
-                s_tag,
-                src_pk,
-            } => {
-                let (tag, origin) = if source == *r_id {
-                    (r_tag, LockOrigin::SourceR)
-                } else if source == *s_id {
-                    (s_tag, LockOrigin::SourceS)
-                } else {
-                    return Vec::new();
-                };
-                let prefix_key = |key: &Key| {
-                    let mut vals = Vec::with_capacity(key.arity() + 1);
-                    vals.push(tag.clone());
-                    vals.extend(key.values().iter().cloned());
-                    Key(vals)
-                };
-                match op {
-                    PlannedOp::Insert { values } => {
-                        vec![(*t_id, prefix_key(&Key::project(values, src_pk)), origin)]
-                    }
-                    PlannedOp::Update { key, .. }
-                    | PlannedOp::Delete { key }
-                    | PlannedOp::Read { key } => vec![(*t_id, prefix_key(key), origin)],
-                }
-            }
-        }
-    }
-}
-
 /// Interceptor installed by non-blocking-commit synchronization: every
 /// further operation by a grandfathered transaction on a source table
 /// first acquires the corresponding origin-tagged locks on the
 /// transformed tables (conflicting with new transactions per Figure 2),
 /// then installs proxy grants so the locks outlive the transaction
-/// until the propagator has caught up.
+/// until the propagator has caught up. The operator's
+/// [`TransformOperator::mirror_keys`] names those locks.
 pub struct MirrorInterceptor {
-    map: MirrorMap,
+    oper: Arc<dyn TransformOperator>,
     old_txns: HashSet<TxnId>,
     sources: Vec<TableId>,
 }
@@ -233,7 +69,7 @@ impl OpInterceptor for MirrorInterceptor {
             return Ok(());
         }
         let mode = op.lock_mode();
-        for (tid, key, origin) in self.map.targets_for(table.id(), op) {
+        for (tid, key, origin) in self.oper.mirror_keys(table.id(), op) {
             // Acquire under the transaction itself (correct wait–die
             // ages against new transactions)…
             db.locks().lock_tagged(txn, tid, &key, mode, origin)?;
@@ -246,29 +82,69 @@ impl OpInterceptor for MirrorInterceptor {
     }
 }
 
+/// The non-blocking-commit mirror's registration, and its one owner:
+/// the interceptor stays installed exactly as long as this value lives,
+/// so every path out of a synchronized transformation — completion or
+/// error — removes it (the [`morph_engine::LogProtection`] pattern).
+pub struct MirrorRegistration {
+    db: Arc<Database>,
+    token: u64,
+}
+
+impl Drop for MirrorRegistration {
+    fn drop(&mut self) {
+        self.db.remove_interceptor(self.token);
+    }
+}
+
 /// Everything the caller learns from synchronization.
 pub struct SyncOutcome {
     /// Timing and counts for the report.
     pub stats: SyncStats,
     /// Grandfathered transactions (empty for blocking commit).
     pub old_txns: HashSet<TxnId>,
-    /// Interceptor registration token (non-blocking commit only);
-    /// removed when the transformation finishes.
-    pub interceptor_token: Option<u64>,
+    /// The lock mirror (non-blocking commit only); dropping it removes
+    /// the interceptor.
+    pub mirror: Option<MirrorRegistration>,
 }
 
 /// Run the synchronization step.
 pub fn synchronize(
     db: &Arc<Database>,
-    oper: &mut dyn TransformOperator,
+    oper: &Arc<dyn TransformOperator>,
     prop: &mut Propagator,
     options: &TransformOptions,
 ) -> DbResult<SyncOutcome> {
+    // Crash-simulation points, named per strategy so the crash matrix
+    // can enumerate kills inside each of the three strategies.
     match options.strategy {
-        SyncStrategy::BlockingCommit => blocking_commit(db, oper, prop, options),
-        SyncStrategy::NonBlockingAbort | SyncStrategy::NonBlockingCommit => {
-            non_blocking(db, oper, prop, options)
-        }
+        SyncStrategy::BlockingCommit => blocking_commit(db, &**oper, prop, options),
+        SyncStrategy::NonBlockingAbort => non_blocking(
+            db,
+            oper,
+            prop,
+            options,
+            [
+                "sync.nba.latched",
+                "sync.nba.drained",
+                "sync.nba.treated",
+                "sync.nba.switched",
+            ],
+            false,
+        ),
+        SyncStrategy::NonBlockingCommit => non_blocking(
+            db,
+            oper,
+            prop,
+            options,
+            [
+                "sync.nbc.latched",
+                "sync.nbc.drained",
+                "sync.nbc.treated",
+                "sync.nbc.switched",
+            ],
+            true,
+        ),
     }
 }
 
@@ -310,12 +186,7 @@ pub(crate) fn transfer_locks(
 
 /// Catalog switch: freeze (or rename) the sources so new transactions
 /// land on the transformed tables.
-fn switch_catalog(
-    _db: &Database,
-    oper: &dyn TransformOperator,
-    sources: &[Arc<Table>],
-    old: &HashSet<TxnId>,
-) -> DbResult<()> {
+fn switch_catalog(oper: &dyn TransformOperator, sources: &[Arc<Table>], old: &HashSet<TxnId>) {
     if oper.renames_source() {
         // The source becomes a target in place (§5.2 rename-in-place).
         // The table stays Active: old transactions keep operating on it
@@ -323,38 +194,27 @@ fn switch_catalog(
         // and new transactions reach it under its new name. The rename
         // itself happens right after the latch is released — it is an
         // O(1) catalog pointer swap either way.
-        return Ok(());
+        return;
     }
     for src in sources {
         src.freeze(old.iter().copied().collect());
     }
-    Ok(())
 }
 
+/// Non-blocking abort (`mirror` false: the old transactions are doomed)
+/// or non-blocking commit (`mirror` true: they continue under the lock
+/// mirror). `points` are the strategy's crash points: latched, drained,
+/// treated, switched.
 fn non_blocking(
     db: &Arc<Database>,
-    oper: &mut dyn TransformOperator,
+    oper: &Arc<dyn TransformOperator>,
     prop: &mut Propagator,
     options: &TransformOptions,
+    points: [&'static str; 4],
+    mirror: bool,
 ) -> DbResult<SyncOutcome> {
-    // Crash-simulation points, named per strategy so the crash matrix
-    // can enumerate kills inside each of the three strategies.
-    let (p_latched, p_drained, p_treated, p_switched) = match options.strategy {
-        SyncStrategy::NonBlockingAbort => (
-            "sync.nba.latched",
-            "sync.nba.drained",
-            "sync.nba.treated",
-            "sync.nba.switched",
-        ),
-        SyncStrategy::NonBlockingCommit => (
-            "sync.nbc.latched",
-            "sync.nbc.drained",
-            "sync.nbc.treated",
-            "sync.nbc.switched",
-        ),
-        SyncStrategy::BlockingCommit => unreachable!("handled elsewhere"), // morph-lint: allow(panic, the BlockingCommit arm is dispatched to its own path before this match)
-    };
-    let sources = sorted_sources(db, oper)?;
+    let [p_latched, p_drained, p_treated, p_switched] = points;
+    let sources = sorted_sources(db, &**oper)?;
     // morph-lint: allow(nondet, elapsed-time stats for the report; wall time never enters table or WAL state)
     let t0 = Instant::now();
     let guards: Vec<_> = sources.iter().map(|t| t.latch_exclusive()).collect();
@@ -363,48 +223,36 @@ fn non_blocking(
     // Final propagation: after this, the transformed tables are in the
     // same state as the (latched) sources.
     // morph-lint: allow(lock_order, cutover pause: the final drain deliberately runs under the exclusive source latches; catalog/meta acquisitions below cannot deadlock because no other thread latches shards while holding those locks — writers are parked on the latch itself)
-    let final_records = prop.drain_all(db, oper)?;
+    let final_records = prop.drain_all(db, &**oper)?;
     db.crash_point(p_drained)?;
 
     // Transfer locks of still-active transactions (§3.4/§4.3).
-    let (old, locks_transferred) = transfer_locks(db, oper, &sources);
+    let (old, locks_transferred) = transfer_locks(db, &**oper, &sources);
 
-    // Strategy-specific treatment of the old transactions.
-    let interceptor_token = match options.strategy {
-        SyncStrategy::NonBlockingAbort => {
-            for txn in &old {
-                db.doom(*txn);
-            }
-            None
+    // Strategy-specific treatment of the old transactions. The mirror's
+    // registration removes the interceptor on every error return below.
+    let registration = if mirror {
+        let token = db.add_interceptor(Arc::new(MirrorInterceptor {
+            oper: Arc::clone(oper),
+            old_txns: old.clone(),
+            sources: sources.iter().map(|t| t.id()).collect(),
+        }));
+        Some(MirrorRegistration {
+            db: Arc::clone(db),
+            token,
+        })
+    } else {
+        for txn in &old {
+            db.doom(*txn);
         }
-        SyncStrategy::NonBlockingCommit => {
-            let token = db.add_interceptor(Arc::new(MirrorInterceptor {
-                map: oper.mirror_map(),
-                old_txns: old.clone(),
-                sources: sources.iter().map(|t| t.id()).collect(),
-            }));
-            Some(token)
-        }
-        SyncStrategy::BlockingCommit => unreachable!("handled elsewhere"), // morph-lint: allow(panic, the BlockingCommit arm is dispatched to its own path before this match)
+        None
     };
-    let un_intercept = |db: &Database, e: DbError| {
-        if let Some(tok) = interceptor_token {
-            db.remove_interceptor(tok);
-        }
-        Err(e)
-    };
-    if let Err(e) = db.crash_point(p_treated) {
-        return un_intercept(db, e);
-    }
+    db.crash_point(p_treated)?;
 
-    if let Err(e) = switch_catalog(db, oper, &sources, &old) {
-        return un_intercept(db, e);
-    }
+    switch_catalog(&**oper, &sources, &old);
     drop(guards);
     let latch_pause = t0.elapsed();
-    if let Err(e) = db.crash_point(p_switched) {
-        return un_intercept(db, e);
-    }
+    db.crash_point(p_switched)?;
 
     // Rename-in-place publishes outside the latch (the rename itself is
     // a catalog pointer swap; doing it after unlatching keeps the pause
@@ -423,13 +271,13 @@ fn non_blocking(
             locks_transferred,
         },
         old_txns: old,
-        interceptor_token,
+        mirror: registration,
     })
 }
 
 fn blocking_commit(
     db: &Arc<Database>,
-    oper: &mut dyn TransformOperator,
+    oper: &dyn TransformOperator,
     prop: &mut Propagator,
     options: &TransformOptions,
 ) -> DbResult<SyncOutcome> {
@@ -496,6 +344,6 @@ fn blocking_commit(
             locks_transferred: 0,
         },
         old_txns: HashSet::new(),
-        interceptor_token: None,
+        mirror: None,
     })
 }

@@ -1,11 +1,14 @@
-//! Unit tests for the synchronization module (lock transfer mapping,
-//! proxy ownership). Lives in a separate file to keep `sync.rs`
-//! focused; included from `lib.rs` under `#[cfg(test)]`.
+//! Unit tests for the synchronization module (each operator's
+//! non-blocking-commit lock mirror, proxy ownership). Lives in a
+//! separate file to keep `sync.rs` focused; included from `lib.rs`
+//! under `#[cfg(test)]`.
 
 use crate::foj::{figure1_schemas, FojMapping};
+use crate::operator::TransformOperator;
 use crate::spec::{FojSpec, SplitSpec};
 use crate::split::SplitMapping;
 use crate::sync::proxy_owner;
+use crate::union::{UnionMapping, UnionSpec};
 use morph_common::{ColumnType, Key, Lsn, Schema, TxnId, Value};
 use morph_engine::{Database, PlannedOp};
 use morph_txn::LockOrigin;
@@ -28,7 +31,7 @@ fn foj_fixture() -> (Database, FojMapping) {
 }
 
 #[test]
-fn foj_mirror_map_routes_keyed_ops() {
+fn foj_mirror_keys_route_keyed_ops() {
     let (db, m) = foj_fixture();
     // Seed T through the rules: r(1,c1) ⟗ s(c1).
     let r_id = db.catalog().get("R").unwrap().id();
@@ -50,10 +53,9 @@ fn foj_mirror_map_routes_keyed_ops() {
     )
     .unwrap();
 
-    let map = m.mirror_map();
     // An update on r^1 maps to the joined T row, tagged SourceR.
     let key = Key::single(1);
-    let targets = map.targets_for(
+    let targets = m.mirror_keys(
         r_id,
         &PlannedOp::Update {
             key: &key,
@@ -66,30 +68,29 @@ fn foj_mirror_map_routes_keyed_ops() {
 
     // An update on s^c1 maps to the same T row, tagged SourceS.
     let skey = Key::single("c1");
-    let targets = map.targets_for(s_id, &PlannedOp::Read { key: &skey });
+    let targets = m.mirror_keys(s_id, &PlannedOp::Read { key: &skey });
     assert_eq!(targets.len(), 1);
     assert_eq!(targets[0].2, LockOrigin::SourceS);
 
     // Ops on unrelated tables map to nothing.
-    assert!(map
-        .targets_for(morph_common::TableId(999), &PlannedOp::Read { key: &key })
+    assert!(m
+        .mirror_keys(morph_common::TableId(999), &PlannedOp::Read { key: &key })
         .is_empty());
 }
 
 #[test]
-fn foj_mirror_map_predicts_insert_keys() {
+fn foj_mirror_keys_predict_insert_keys() {
     let (db, m) = foj_fixture();
     let r_id = db.catalog().get("R").unwrap().id();
-    let map = m.mirror_map();
     let values = vec![Value::Int(7), Value::str("b"), Value::str("cx")];
-    let targets = map.targets_for(r_id, &PlannedOp::Insert { values: &values });
+    let targets = m.mirror_keys(r_id, &PlannedOp::Insert { values: &values });
     // Predicted T key = (r-pk, join) = (7, "cx").
     assert_eq!(targets.len(), 1);
     assert_eq!(targets[0].1, Key::new([Value::Int(7), Value::str("cx")]));
 }
 
 #[test]
-fn split_mirror_map_routes_both_targets() {
+fn split_mirror_keys_route_both_targets() {
     let db = Database::new();
     let ts = Schema::builder()
         .column("a", ColumnType::Int)
@@ -99,7 +100,7 @@ fn split_mirror_map_routes_both_targets() {
         .build()
         .unwrap();
     db.create_table("T", ts).unwrap();
-    let mut m = SplitMapping::prepare(
+    let m = SplitMapping::prepare(
         &db,
         &SplitSpec::new("T", "R", "S", &["a", "c"], "c", &["d"]),
     )
@@ -115,9 +116,8 @@ fn split_mirror_map_routes_both_targets() {
     m.apply(Lsn(1), &morph_wal::LogOp::Insert { table: t_id, row })
         .unwrap();
 
-    let map = m.mirror_map();
     let key = Key::single(1);
-    let targets = map.targets_for(t_id, &PlannedOp::Delete { key: &key });
+    let targets = m.mirror_keys(t_id, &PlannedOp::Delete { key: &key });
     // R side by identity key, S side by split value.
     assert_eq!(targets.len(), 2);
     assert_eq!(targets[0].1, key);
@@ -127,8 +127,65 @@ fn split_mirror_map_routes_both_targets() {
 
     // Insert prediction uses the values directly.
     let values = vec![Value::Int(9), Value::str("c9"), Value::str("d9")];
-    let targets = map.targets_for(t_id, &PlannedOp::Insert { values: &values });
+    let targets = m.mirror_keys(t_id, &PlannedOp::Insert { values: &values });
     assert_eq!(targets.len(), 2);
     assert_eq!(targets[0].1, Key::single(9));
     assert_eq!(targets[1].1, Key::single("c9"));
+}
+
+#[test]
+fn union_mirror_keys_prefix_the_provenance_tag() {
+    let db = Database::new();
+    let schema = || {
+        Schema::builder()
+            .column("id", ColumnType::Int)
+            .nullable("v", ColumnType::Str)
+            .primary_key(&["id"])
+            .build()
+            .unwrap()
+    };
+    db.create_table("eu", schema()).unwrap();
+    db.create_table("us", schema()).unwrap();
+    let m = UnionMapping::prepare(&db, &UnionSpec::new("eu", "us", "all")).unwrap();
+    let (eu, us) = (
+        db.catalog().get("eu").unwrap().id(),
+        db.catalog().get("us").unwrap().id(),
+    );
+    let t_id = m.t_table().id();
+
+    // A keyed op on us#3 maps to ("us", 3), tagged SourceS.
+    let key = Key::single(3);
+    let cols = [(1, Value::str("x"))];
+    let targets = m.mirror_keys(
+        us,
+        &PlannedOp::Update {
+            key: &key,
+            cols: &cols,
+        },
+    );
+    assert_eq!(
+        targets,
+        vec![(
+            t_id,
+            Key::new([Value::str("us"), Value::Int(3)]),
+            LockOrigin::SourceS
+        )]
+    );
+
+    // An insert into eu maps to ("eu", its key), tagged SourceR.
+    let values = vec![Value::Int(9), Value::str("v9")];
+    let targets = m.mirror_keys(eu, &PlannedOp::Insert { values: &values });
+    assert_eq!(
+        targets,
+        vec![(
+            t_id,
+            Key::new([Value::str("eu"), Value::Int(9)]),
+            LockOrigin::SourceR
+        )]
+    );
+
+    // Ops on unrelated tables map to nothing.
+    assert!(m
+        .mirror_keys(t_id, &PlannedOp::Read { key: &key })
+        .is_empty());
 }

@@ -21,7 +21,7 @@ use crate::propagate::Propagator;
 use crate::report::{PopulationStats, TransformReport};
 use crate::spec::{FojSpec, NonConvergencePolicy, SplitMode, SplitSpec, TransformOptions};
 use crate::split::SplitMapping;
-use crate::sync::synchronize;
+use crate::sync::{synchronize, MirrorRegistration};
 use crate::union::{UnionMapping, UnionSpec};
 use morph_common::{DbError, DbResult};
 use morph_engine::Database;
@@ -44,6 +44,15 @@ pub(crate) struct Names {
     targets: Vec<String>,
     /// Internal bookkeeping tables (P) to drop at completion.
     internal: Vec<String>,
+}
+
+impl Names {
+    /// Drop every table the preparation step created.
+    pub(crate) fn drop_prepared(&self, db: &Database) {
+        for name in self.targets.iter().chain(&self.internal) {
+            let _ = db.catalog().drop_table(name);
+        }
+    }
 }
 
 /// A compiled transformation plan: which operator to run, over which
@@ -89,11 +98,13 @@ impl TransformPlan {
     }
 
     /// Prepare the operator (creates target tables) and collect the
-    /// name sets used for cleanup and final drops.
+    /// name sets used for cleanup and final drops. The one place that
+    /// names a concrete operator: everything downstream shares the
+    /// returned object through the [`TransformOperator`] contract.
     pub(crate) fn prepare_operator(
         &self,
         db: &Arc<Database>,
-    ) -> DbResult<(Box<dyn TransformOperator>, Names)> {
+    ) -> DbResult<(Arc<dyn TransformOperator>, Names)> {
         match self {
             TransformPlan::Foj(spec) => {
                 let mapping = FojMapping::prepare(db, spec)?;
@@ -102,7 +113,7 @@ impl TransformPlan {
                     targets: vec![spec.target.clone()],
                     internal: vec![],
                 };
-                Ok((Box::new(mapping), names))
+                Ok((Arc::new(mapping), names))
             }
             TransformPlan::Split(spec) => {
                 let mapping = SplitMapping::prepare(db, spec)?;
@@ -120,7 +131,7 @@ impl TransformPlan {
                     targets,
                     internal,
                 };
-                Ok((Box::new(mapping), names))
+                Ok((Arc::new(mapping), names))
             }
             TransformPlan::Union(spec) => {
                 let mapping = UnionMapping::prepare(db, spec)?;
@@ -129,7 +140,7 @@ impl TransformPlan {
                     targets: vec![spec.target.clone()],
                     internal: vec![],
                 };
-                Ok((Box::new(mapping), names))
+                Ok((Arc::new(mapping), names))
             }
         }
     }
@@ -143,10 +154,11 @@ impl TransformPlan {
 /// The phase sequence is `prepare → copy → propagate → synchronize →
 /// finish`; each method performs exactly the cleanup the monolithic
 /// driver used to perform on its error paths (targets dropped before
-/// synchronization, only the lock interceptor removed after).
+/// synchronization; after it, dropping the job removes the
+/// non-blocking-commit lock mirror).
 pub struct TransformJob {
     db: Arc<Database>,
-    oper: Box<dyn TransformOperator>,
+    oper: Arc<dyn TransformOperator>,
     options: TransformOptions,
     names: Names,
     report: TransformReport,
@@ -154,7 +166,7 @@ pub struct TransformJob {
     deadline: Option<Instant>,
     prop: Option<Propagator>,
     log_guard: Option<morph_engine::LogProtection>,
-    interceptor_token: Option<u64>,
+    mirror: Option<MirrorRegistration>,
     progress: Arc<Progress>,
     synced: bool,
 }
@@ -199,7 +211,7 @@ impl TransformJob {
             deadline,
             prop: None,
             log_guard: None,
-            interceptor_token: None,
+            mirror: None,
             progress,
             synced: false,
         })
@@ -298,25 +310,16 @@ impl TransformJob {
                     "wall-clock deadline exceeded during propagation".into(),
                 ));
             }
-            let iterated = {
-                let TransformJob {
-                    db,
-                    oper,
-                    prop,
-                    options,
-                    ..
-                } = &mut *self;
-                let Some(prop) = prop.as_mut() else {
-                    return Err(DbError::Internal("propagate before copy".into()));
-                };
-                prop.iterate(
-                    db,
-                    &mut **oper,
-                    options.batch_size,
-                    options.cc_interval,
-                    abort,
-                )
+            let Some(prop) = self.prop.as_mut() else {
+                return Err(DbError::Internal("propagate before copy".into()));
             };
+            let iterated = prop.iterate(
+                &self.db,
+                &*self.oper,
+                self.options.batch_size,
+                self.options.cc_interval,
+                abort,
+            );
             let stats = match iterated {
                 Ok(s) => s,
                 Err(e) => {
@@ -396,19 +399,10 @@ impl TransformJob {
             self.cleanup();
             return Err(e);
         }
-        let synced = {
-            let TransformJob {
-                db,
-                oper,
-                prop,
-                options,
-                ..
-            } = &mut *self;
-            let Some(prop) = prop.as_mut() else {
-                return Err(DbError::Internal("synchronize before copy".into()));
-            };
-            synchronize(db, &mut **oper, prop, options)
+        let Some(prop) = self.prop.as_mut() else {
+            return Err(DbError::Internal("synchronize before copy".into()));
         };
+        let synced = synchronize(&self.db, &self.oper, prop, &self.options);
         let outcome = match synced {
             Ok(o) => o,
             Err(e) => {
@@ -417,21 +411,19 @@ impl TransformJob {
             }
         };
         self.report.sync = outcome.stats;
-        self.interceptor_token = outcome.interceptor_token;
+        self.mirror = outcome.mirror;
         self.synced = true;
         // Post-sync crash point: targets are published; the abort path
-        // must no longer delete them, only drop the interceptor.
-        if let Err(e) = self.db.crash_point("transform.synced") {
-            self.remove_interceptor();
-            return Err(e);
-        }
-        Ok(())
+        // must no longer delete them (dropping the job removes the
+        // mirror).
+        self.db.crash_point("transform.synced")
     }
 
     /// Post-synchronization propagation (drain grandfathered
     /// transactions), final catalog cleanup and cutover. Returns the
     /// complete report; the job's only remaining use afterwards is its
-    /// progress handle.
+    /// progress handle. On an error the non-blocking-commit mirror stays
+    /// installed until the job is dropped.
     pub fn finish(&mut self, abort: &AtomicBool) -> DbResult<TransformReport> {
         // morph-lint: allow(nondet, phase timing stats for the report; wall time never enters table or WAL state)
         let post0 = Instant::now();
@@ -442,30 +434,20 @@ impl TransformJob {
             // morph-lint: allow(nondet, operator deadline guard; wall-time bound on total runtime, never replayed state)
             if Instant::now() > post_deadline {
                 let outstanding = self.prop.as_ref().map_or(0, |p| p.outstanding());
-                self.remove_interceptor();
                 return Err(DbError::TransformationAborted(format!(
                     "{outstanding} grandfathered transactions did not finish in time"
                 )));
             }
-            let stats = {
-                let TransformJob {
-                    db,
-                    oper,
-                    prop,
-                    options,
-                    ..
-                } = &mut *self;
-                let Some(prop) = prop.as_mut() else {
-                    return Err(DbError::Internal("finish before copy".into()));
-                };
-                prop.iterate(
-                    db,
-                    &mut **oper,
-                    options.batch_size,
-                    options.cc_interval,
-                    abort,
-                )?
+            let Some(prop) = self.prop.as_mut() else {
+                return Err(DbError::Internal("finish before copy".into()));
             };
+            let stats = prop.iterate(
+                &self.db,
+                &*self.oper,
+                self.options.batch_size,
+                self.options.cc_interval,
+                abort,
+            )?;
             self.report.post_records += stats.records;
             self.progress.add_records(stats.records);
             self.advance_truncation()?;
@@ -473,7 +455,7 @@ impl TransformJob {
                 std::thread::sleep(Duration::from_micros(200));
             }
         }
-        self.remove_interceptor();
+        self.mirror = None;
         self.report.post_duration = post0.elapsed();
         self.db.crash_point("transform.finalizing")?;
 
@@ -506,22 +488,14 @@ impl TransformJob {
     /// transformed tables are deleted" (§6). Sources were never frozen
     /// before synchronization, so nothing else needs undoing. After
     /// synchronization the targets are published and survive; only the
-    /// interceptor would remain to remove (and it is removed on the
-    /// post-sync error paths directly).
+    /// non-blocking-commit mirror remains, and dropping the job removes
+    /// it.
     pub fn cleanup(&self) {
         if self.synced {
             return;
         }
-        for name in self.names.targets.iter().chain(&self.names.internal) {
-            let _ = self.db.catalog().drop_table(name);
-        }
+        self.names.drop_prepared(&self.db);
         self.progress.set_phase(ProgressPhase::Aborted);
-    }
-
-    fn remove_interceptor(&mut self) {
-        if let Some(tok) = self.interceptor_token.take() {
-            self.db.remove_interceptor(tok);
-        }
     }
 
     /// Advance the log-truncation horizon to the propagation cursor and

@@ -13,10 +13,11 @@
 //! R side, §5.2) — making union also a minimal, readable template for
 //! implementing further [`TransformOperator`]s.
 
-use crate::operator::{scan_source, CoalescePolicy, TransformOperator};
+use crate::operator::{scan_source, CoalescePolicy, LazySource, TransformOperator};
 use morph_common::{ColumnType, DbError, DbResult, Key, Lsn, Schema, TableId, Value};
-use morph_engine::Database;
+use morph_engine::{Database, PlannedOp};
 use morph_storage::{shard_stride, Row, Table, WriteSession};
+use morph_txn::LockOrigin;
 use morph_wal::LogOp;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -110,11 +111,6 @@ impl UnionMapping {
         &self.t
     }
 
-    /// Source tables whose log records are relevant.
-    pub fn source_ids(&self) -> Vec<TableId> {
-        vec![self.r.id(), self.s.id()]
-    }
-
     fn tag_for(&self, table: TableId) -> &Value {
         if table == self.r.id() {
             &self.r_tag
@@ -137,40 +133,6 @@ impl UnionMapping {
         vals.push(self.tag_for(table).clone());
         vals.extend(key.values().iter().cloned());
         Key(vals)
-    }
-
-    /// Inverse of [`UnionMapping::t_key`]: the source record a target
-    /// key mirrors (`None` when it carries neither provenance tag) —
-    /// what a lazy migration must have transformed before an access to
-    /// that target key may proceed.
-    pub(crate) fn source_of(&self, t_key: &Key) -> Option<(TableId, Key)> {
-        let (tag, rest) = t_key.values().split_first()?;
-        let source = if *tag == self.r_tag {
-            self.r.id()
-        } else if *tag == self.s_tag {
-            self.s.id()
-        } else {
-            return None;
-        };
-        Some((source, Key(rest.to_vec())))
-    }
-
-    /// Lazy-migration entry (DESIGN.md §15): materialize frozen rows of
-    /// source `table` in T, skipping keys T already holds (a re-run
-    /// after a crash). [`Table::insert_absent`] builds and validates the
-    /// target rows and keys before anything is latched, then inserts
-    /// under a write session over exactly the target shards those keys
-    /// route to — one shard for a residual batch, whose keys share a
-    /// routing hash that T's shard key preserves.
-    pub(crate) fn apply_frozen(&self, table: TableId, rows: Vec<Row>) -> DbResult<()> {
-        let tag = self.tag_for(table);
-        self.t.insert_absent(rows.into_iter().map(|src| {
-            let mut values = Vec::with_capacity(src.values.len() + 1);
-            values.push(tag.clone());
-            values.extend(src.values);
-            Row::new(values, src.lsn)
-        }))?;
-        Ok(())
     }
 
     /// Shift source column positions by the provenance column.
@@ -223,15 +185,8 @@ impl UnionMapping {
         Ok((read, written.load(Ordering::Relaxed)))
     }
 
-    /// Apply one logged source operation (LSN-gated, like the split
-    /// rules' R side).
-    pub fn apply(&self, lsn: Lsn, op: &LogOp) -> DbResult<()> {
-        let t = Arc::clone(&self.t);
-        let mut ts = t.write_session();
-        self.apply_in(&mut ts, lsn, op)
-    }
-
-    /// Rule dispatch within an open target write session.
+    /// Rule dispatch within an open target write session (LSN-gated,
+    /// like the split rules' R side).
     fn apply_in(&self, ts: &mut WriteSession<'_>, lsn: Lsn, op: &LogOp) -> DbResult<()> {
         let table = op.table();
         if table != self.r.id() && table != self.s.id() {
@@ -264,41 +219,15 @@ impl UnionMapping {
             }
         }
     }
-
-    /// Immutable data needed to mirror source locks (non-blocking
-    /// commit interceptor).
-    pub fn mirror_map(&self) -> crate::sync::MirrorMap {
-        crate::sync::MirrorMap::Union {
-            r_id: self.r.id(),
-            s_id: self.s.id(),
-            t_id: self.t.id(),
-            r_tag: self.r_tag.clone(),
-            s_tag: self.s_tag.clone(),
-            src_pk: self.r.schema().pkey().to_vec(),
-        }
-    }
-
-    /// Target records affected by a source-record lock (sync transfer).
-    pub fn target_keys_for(&self, table: TableId, key: &Key) -> Vec<(TableId, Key)> {
-        if table != self.r.id() && table != self.s.id() {
-            return Vec::new();
-        }
-        vec![(self.t.id(), self.t_key(table, key))]
-    }
 }
 
 impl TransformOperator for UnionMapping {
     fn source_ids(&self) -> Vec<TableId> {
-        UnionMapping::source_ids(self)
+        vec![self.r.id(), self.s.id()]
     }
 
-    fn apply(&mut self, lsn: Lsn, op: &LogOp) -> DbResult<()> {
-        UnionMapping::apply(self, lsn, op)
-    }
-
-    fn apply_batch(&mut self, batch: &[(Lsn, &LogOp)]) -> DbResult<()> {
-        let t = Arc::clone(&self.t);
-        let mut ts = t.write_session();
+    fn apply_batch(&self, batch: &[(Lsn, &LogOp)]) -> DbResult<()> {
+        let mut ts = self.t.write_session();
         for &(lsn, op) in batch {
             self.apply_in(&mut ts, lsn, op)?;
         }
@@ -312,7 +241,7 @@ impl TransformOperator for UnionMapping {
     }
 
     fn populate(
-        &mut self,
+        &self,
         db: &Database,
         chunk: usize,
         workers: usize,
@@ -322,12 +251,71 @@ impl TransformOperator for UnionMapping {
         UnionMapping::populate_with(self, Some(db), chunk, workers, priority, deadline)
     }
 
+    /// A source record's one target row: its key under the provenance
+    /// tag.
     fn target_keys_for(&self, table: TableId, key: &Key) -> Vec<(TableId, Key)> {
-        UnionMapping::target_keys_for(self, table, key)
+        if table != self.r.id() && table != self.s.id() {
+            return Vec::new();
+        }
+        vec![(self.t.id(), self.t_key(table, key))]
     }
 
-    fn mirror_map(&self) -> crate::sync::MirrorMap {
-        UnionMapping::mirror_map(self)
+    fn mirror_keys(&self, source: TableId, op: &PlannedOp<'_>) -> Vec<(TableId, Key, LockOrigin)> {
+        let origin = if source == self.r.id() {
+            LockOrigin::SourceR
+        } else if source == self.s.id() {
+            LockOrigin::SourceS
+        } else {
+            return Vec::new();
+        };
+        let key = match op {
+            PlannedOp::Insert { values } => Key::project(values, self.r.schema().pkey()),
+            PlannedOp::Update { key, .. } | PlannedOp::Delete { key } | PlannedOp::Read { key } => {
+                (*key).clone()
+            }
+        };
+        self.target_keys_for(source, &key)
+            .into_iter()
+            .map(|(t, k)| (t, k, origin))
+            .collect()
+    }
+
+    /// Inverse of [`UnionMapping::t_key`]: a target key mirrors the one
+    /// source record under its provenance tag (none when it carries
+    /// neither tag).
+    fn lazy_source(&self, target: TableId, key: &Key) -> LazySource {
+        if target != self.t.id() {
+            return LazySource::None;
+        }
+        let Some((tag, rest)) = key.values().split_first() else {
+            return LazySource::None;
+        };
+        let source = if *tag == self.r_tag {
+            self.r.id()
+        } else if *tag == self.s_tag {
+            self.s.id()
+        } else {
+            return LazySource::None;
+        };
+        LazySource::Key(source, Key(rest.to_vec()))
+    }
+
+    /// Materialize frozen rows of `source` in T, skipping keys T
+    /// already holds (a re-run after a crash). [`Table::insert_absent`]
+    /// builds and validates the target rows and keys before anything is
+    /// latched, then inserts under a write session over exactly the
+    /// target shards those keys route to — one shard for a residual
+    /// batch, whose keys share a routing hash that T's shard key
+    /// preserves.
+    fn apply_frozen(&self, source: TableId, rows: Vec<Row>) -> DbResult<()> {
+        let tag = self.tag_for(source);
+        self.t.insert_absent(rows.into_iter().map(|src| {
+            let mut values = Vec::with_capacity(src.values.len() + 1);
+            values.push(tag.clone());
+            values.extend(src.values);
+            Row::new(values, src.lsn)
+        }))?;
+        Ok(())
     }
 }
 

@@ -581,13 +581,12 @@ impl Database {
     }
 
     /// All rows of `table` as of `snap`, in key order. Lock-free; the
-    /// scan takes each shard latch briefly per chunk, so it neither
-    /// blocks writers for long nor waits on any transaction lock.
+    /// scan takes each shard's read latch once, so it never waits on a
+    /// transaction lock.
     pub fn snapshot_scan(&self, snap: &Snapshot, table: &str) -> DbResult<Vec<(Key, Vec<Value>)>> {
         let t = self.catalog.get(table)?;
         let rows = t
-            .snapshot_scan(256, snap.lsn(), self.commit_table())
-            .collect_all()
+            .snapshot_scan(snap.lsn(), &self.mvcc.commit)
             .into_iter()
             .map(|(k, r)| (k, r.values))
             .collect();

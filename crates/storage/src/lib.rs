@@ -31,6 +31,5 @@ pub use mvcc::{CommitTable, Snapshot, SnapshotTracker, VersionEntry, SYSTEM};
 pub use residual::{Claim, ClaimGuard, ResidualSet};
 pub use row::{ConsistencyFlag, Row};
 pub use table::{
-    shard_stride, FuzzyScanner, SnapshotScanner, Table, TableExclusiveLatch, TableState,
-    WriteSession, TABLE_SHARDS,
+    shard_stride, FuzzyScanner, Table, TableExclusiveLatch, TableState, WriteSession, TABLE_SHARDS,
 };

@@ -647,25 +647,26 @@ impl Table {
         resolve_at(&g, key, snapshot, commit)
     }
 
-    /// Begin a snapshot scan: chunked iteration in global primary-key
-    /// order over the table *as of* `snapshot`. Unlike the fuzzy scan
-    /// this is one consistent cut — concurrent writers keep committing,
-    /// but their effects are invisible to the scan. Lock-free like the
-    /// fuzzy scan: only short shard read latches per chunk.
-    pub fn snapshot_scan(
-        self: &Arc<Self>,
-        chunk_size: usize,
-        snapshot: Lsn,
-        commit: Arc<CommitTable>,
-    ) -> SnapshotScanner {
-        SnapshotScanner {
-            table: Arc::clone(self),
-            commit,
-            snapshot,
-            shards: (0..TABLE_SHARDS).collect(),
-            after: None,
-            chunk_size: chunk_size.max(1),
+    /// Every row of the table *as of* `snapshot`, in primary-key order.
+    /// Unlike the fuzzy scan this is one consistent cut — concurrent
+    /// writers keep committing, but their effects are invisible to the
+    /// scan. One pass per shard under that shard's read latch resolves
+    /// each key of its rows and of its version chains (a key deleted
+    /// after the snapshot lives in the versions map alone); the result
+    /// is sorted once at the end. No transaction locks, ever.
+    pub fn snapshot_scan(&self, snapshot: Lsn, commit: &CommitTable) -> Vec<(Key, Row)> {
+        let mut out = Vec::new();
+        for i in 0..self.shards.len() {
+            let g = self.shards[i].read();
+            let history_only = g.versions.keys().filter(|k| !g.rows.contains_key(*k));
+            for key in g.rows.keys().chain(history_only) {
+                if let Some(row) = resolve_at(&g, key, snapshot, commit) {
+                    out.push((key.clone(), row));
+                }
+            }
         }
+        out.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+        out
     }
 
     // --- version GC -----------------------------------------------------
@@ -1254,111 +1255,6 @@ impl FuzzyScanner {
             }
         }
         Vec::new()
-    }
-}
-
-/// Chunked snapshot scanner (see [`Table::snapshot_scan`]): a merge of
-/// the shard B-trees into global key order, over candidate keys that
-/// include ones existing only as archived history (a key deleted after
-/// the snapshot lives in the versions map alone), filtered through
-/// snapshot visibility.
-pub struct SnapshotScanner {
-    table: Arc<Table>,
-    commit: Arc<CommitTable>,
-    snapshot: Lsn,
-    shards: Vec<usize>,
-    after: Option<Key>,
-    chunk_size: usize,
-}
-
-impl SnapshotScanner {
-    /// Next chunk of snapshot-visible rows, or an empty vector when the
-    /// scan is done. Chunks come out in global primary-key order.
-    pub fn next_chunk(&mut self) -> Vec<(Key, Row)> {
-        let guards: Vec<RwLockReadGuard<'_, TableShard>> = self
-            .shards
-            .iter()
-            .map(|&s| self.table.shards[s].read())
-            .collect();
-        fn ranged<'a, V>(
-            map: &'a BTreeMap<Key, V>,
-            after: &Option<Key>,
-        ) -> std::collections::btree_map::Range<'a, Key, V> {
-            match after {
-                None => map.range::<Key, _>(..),
-                Some(k) => map.range::<Key, _>((Bound::Excluded(k.clone()), Bound::Unbounded)),
-            }
-        }
-        let mut row_iters: Vec<_> = guards
-            .iter()
-            .map(|g| ranged(&g.rows, &self.after).peekable())
-            .collect();
-        let mut ver_iters: Vec<_> = guards
-            .iter()
-            .map(|g| ranged(&g.versions, &self.after).peekable())
-            .collect();
-        let mut chunk: Vec<(Key, Row)> = Vec::new();
-        while chunk.len() < self.chunk_size {
-            // Global minimum over both iterator families. A key lives
-            // in exactly one shard (routing), so at most one row and
-            // one chain iterator can sit at it — both are consumed.
-            let mut best: Option<Key> = None;
-            for it in row_iters.iter_mut() {
-                if let Some(&(k, _)) = it.peek() {
-                    if best.as_ref().is_none_or(|b| k < b) {
-                        best = Some(k.clone());
-                    }
-                }
-            }
-            for it in ver_iters.iter_mut() {
-                if let Some(&(k, _)) = it.peek() {
-                    if best.as_ref().is_none_or(|b| k < b) {
-                        best = Some(k.clone());
-                    }
-                }
-            }
-            let Some(key) = best else { break };
-            let mut inline: Option<&Row> = None;
-            for it in row_iters.iter_mut() {
-                if it.peek().is_some_and(|&(k, _)| *k == key) {
-                    inline = it.next().map(|(_, r)| r);
-                }
-            }
-            let mut chain: Option<&VersionChain> = None;
-            for it in ver_iters.iter_mut() {
-                if it.peek().is_some_and(|&(k, _)| *k == key) {
-                    chain = it.next().map(|(_, c)| c);
-                }
-            }
-            let resolved = match inline {
-                Some(r) if self.commit.is_visible(r.writer, r.lsn, self.snapshot) => {
-                    Some(r.clone())
-                }
-                _ => chain.and_then(|c| {
-                    c.iter()
-                        .rev()
-                        .find(|e| self.commit.is_visible(e.writer, e.lsn, self.snapshot))
-                        .and_then(|e| e.data.clone())
-                }),
-            };
-            self.after = Some(key.clone());
-            if let Some(r) = resolved {
-                chunk.push((key, r));
-            }
-        }
-        chunk
-    }
-
-    /// Drain the remaining chunks into one vector.
-    pub fn collect_all(mut self) -> Vec<(Key, Row)> {
-        let mut out = Vec::new();
-        loop {
-            let chunk = self.next_chunk();
-            if chunk.is_empty() {
-                return out;
-            }
-            out.extend(chunk);
-        }
     }
 }
 

@@ -45,6 +45,19 @@ if [ "$quick" != "quick" ]; then
     echo "== cargo build --release (tier-1)"
     cargo build --release
 
+    # Every example, end to end through the public API. Each exits
+    # non-zero when one of its checks fails; soft_transformation, the
+    # only end-to-end check of the non-blocking-commit lock mirror,
+    # panics if the mirrored lock does not block a new writer. About
+    # 14 s in all on a 2-vCPU host, 10 s of it soft_transformation
+    # waiting out a lock timeout on purpose.
+    echo "== examples (release)"
+    for example in examples/*.rs; do
+        name="$(basename "$example" .rs)"
+        echo "-- $name"
+        cargo run -q --release --example "$name" >/dev/null
+    done
+
     # Bench regression gates (DESIGN.md §14, §15). Three series, all
     # merged into BENCH_propagation.json with a cores field:
     #   reader_gate  — lock-based vs MVCC-snapshot point reads

@@ -326,7 +326,7 @@ impl Mapping {
         }
     }
 
-    fn oper(&mut self) -> &mut dyn TransformOperator {
+    fn oper(&self) -> &dyn TransformOperator {
         match self {
             Mapping::Foj(m) => m,
             Mapping::Split(m) => m,
@@ -345,7 +345,7 @@ impl Mapping {
 
 /// Feed every log record from `start` to the operator one at a time:
 /// the unbatched, uncoalesced baseline.
-fn drain_record_at_a_time(db: &Database, start: Lsn, oper: &mut dyn TransformOperator) {
+fn drain_record_at_a_time(db: &Database, start: Lsn, oper: &dyn TransformOperator) {
     let mut cursor = db.log().tail(start);
     loop {
         let batch = cursor.next_batch(db.log(), 64);
@@ -384,8 +384,8 @@ fn check(op: Op, variant: Variant, pre: &[Txn], post: &[Txn]) -> Result<(), Test
         run_txn(&reference, txn);
         run_txn(&var, txn);
     }
-    let mut mr = Mapping::prepare(&reference, op, false);
-    let mut mv = Mapping::prepare(&var, op, matches!(variant, Variant::RenameInPlace));
+    let mr = Mapping::prepare(&reference, op, false);
+    let mv = Mapping::prepare(&var, op, matches!(variant, Variant::RenameInPlace));
     let (_, start, _) = reference.write_fuzzy_mark();
     let (_, start_v, _) = var.write_fuzzy_mark();
     prop_assert_eq!(start, start_v);

@@ -1,18 +1,18 @@
 //! The lazy data path under contention and under faults (DESIGN.md
-//! §15): first touches racing backfill batches, and a batch abandoned
-//! by a crash in the middle of it.
+//! §15): first touches racing backfill batches — for every operator —
+//! and a batch abandoned by a crash in the middle of it.
 //!
 //! The oracle is the one `tests/equivalence.rs`'s sharded variant uses:
 //! the same rows migrated eagerly on a single engine.
 
-use morphdb::core::spec::TransformOptions;
-use morphdb::core::transform::TransformPlan;
+use morphdb::core::spec::{FojSpec, SplitSpec, TransformOptions};
+use morphdb::core::transform::{TransformPlan, Transformer};
 use morphdb::core::union::UnionSpec;
 use morphdb::engine::CrashHook;
 use morphdb::orchestrator::{Migration, Orchestrator};
 use morphdb::{ColumnType, Database, DbError, DbResult, Key, LazyMigration, Schema, Value};
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Barrier};
 
 const ROWS: i64 = 400;
@@ -152,6 +152,183 @@ fn touches_racing_backfill_batches_transform_every_row_exactly_once() {
     );
     lazy.finish().unwrap();
     assert_eq!(image_of(&db), expected);
+}
+
+/// Rows of every target table: values and reference counter, by table
+/// and key.
+type Images = BTreeMap<(String, Key), (Vec<Value>, u32)>;
+
+fn images(db: &Database, targets: &[&str]) -> Images {
+    let mut out = BTreeMap::new();
+    for &name in targets {
+        for (key, row) in db.catalog().get(name).unwrap().snapshot() {
+            out.insert((name.to_owned(), key), (row.values, row.counter));
+        }
+    }
+    out
+}
+
+/// [`touches_racing_backfill_batches_transform_every_row_exactly_once`]
+/// for any operator: three touchers read every target row of the eager
+/// reference (each from its own offset) while a backfill drains the
+/// residual in batches of 64. Every read sees its row transformed,
+/// every frozen record passes the transform exactly once,
+/// `remaining()` never rises, and the final image is the eager one.
+/// Then, on a fresh migration, one first access before any backfill.
+fn touchers_race_backfill(load: fn() -> Arc<Database>, plan: TransformPlan, targets: &[&str]) {
+    const TOUCHERS: usize = 3;
+    let expected = {
+        let db = load();
+        let options = TransformOptions::default();
+        Transformer::run_plan(&db, &plan, options, &AtomicBool::new(false)).unwrap();
+        images(&db, targets)
+    };
+    let keys: Vec<&(String, Key)> = expected.keys().collect();
+    let db = load();
+    let hook = Arc::new(TouchHook {
+        seen: AtomicUsize::new(0),
+        kill_at: 0,
+    });
+    db.set_crash_hook(hook.clone());
+    let lazy = LazyMigration::start(&db, &plan).unwrap();
+    let total = lazy.remaining();
+
+    let start = Barrier::new(TOUCHERS + 2);
+    std::thread::scope(|s| {
+        for toucher in 0..TOUCHERS {
+            let (db, start, keys, expected) = (&db, &start, &keys, &expected);
+            s.spawn(move || {
+                start.wait();
+                for n in 0..keys.len() {
+                    // The last toucher walks backwards from the end, so
+                    // the last target table is touched early too.
+                    let at = if toucher + 1 == TOUCHERS {
+                        keys.len() - 1 - n
+                    } else {
+                        (n + toucher * keys.len() / TOUCHERS) % keys.len()
+                    };
+                    let (table, key) = keys[at];
+                    let txn = db.begin();
+                    let row = db.read(txn, table, key).unwrap();
+                    db.commit(txn).unwrap();
+                    assert_eq!(
+                        row.as_ref(),
+                        Some(&expected[keys[at]].0),
+                        "a read of {table} {key:?} ran ahead of its transform"
+                    );
+                }
+            });
+        }
+        s.spawn(|| {
+            start.wait();
+            while !lazy.is_drained() {
+                lazy.backfill(64, 1.0).unwrap();
+            }
+        });
+        s.spawn(|| {
+            start.wait();
+            let mut last = total;
+            while last > 0 {
+                let now = lazy.remaining();
+                assert!(now <= last, "remaining() rose from {last} to {now}");
+                last = now;
+                std::thread::yield_now();
+            }
+        });
+    });
+
+    db.clear_crash_hook();
+    assert_eq!(
+        hook.seen.load(Ordering::SeqCst),
+        total,
+        "every record passes the transform exactly once"
+    );
+    lazy.finish().unwrap();
+    assert_eq!(images(&db, targets), expected);
+
+    // Without a race: the first access of a fresh migration, to the
+    // last target key, already reads its eager row.
+    let db = load();
+    let _lazy = LazyMigration::start(&db, &plan).unwrap();
+    let last = keys[keys.len() - 1];
+    let txn = db.begin();
+    let row = db.read(txn, &last.0, &last.1).unwrap();
+    db.commit(txn).unwrap();
+    assert_eq!(row.as_ref(), Some(&expected[last].0));
+}
+
+/// FOJ: an access to any target key waits for the whole residual, so
+/// touchers race each other's drains as well as the backfill.
+#[test]
+fn touches_racing_backfill_batches_transform_every_row_exactly_once_foj() {
+    fn load() -> Arc<Database> {
+        let db = Arc::new(Database::new());
+        let r = Schema::builder()
+            .column("id", ColumnType::Int)
+            .column("v", ColumnType::Int)
+            .nullable("j", ColumnType::Int)
+            .primary_key(&["id"])
+            .build()
+            .unwrap();
+        let s = Schema::builder()
+            .column("j", ColumnType::Int)
+            .column("w", ColumnType::Int)
+            .primary_key(&["j"])
+            .build()
+            .unwrap();
+        db.create_table("r", r).unwrap();
+        db.create_table("s", s).unwrap();
+        let txn = db.begin();
+        for i in 0..ROWS {
+            db.insert(
+                txn,
+                "r",
+                vec![Value::Int(i), Value::Int(i * 10), Value::Int(i % 60)],
+            )
+            .unwrap();
+        }
+        // Join values 0..50 pair up; 50..60 stay R-only, 60..70 S-only.
+        for j in 0..70 {
+            if !(50..60).contains(&j) {
+                db.insert(txn, "s", vec![Value::Int(j), Value::Int(j * 100)])
+                    .unwrap();
+            }
+        }
+        db.commit(txn).unwrap();
+        db
+    }
+    let plan = TransformPlan::Foj(FojSpec::new("r", "s", "u", "j", "j"));
+    touchers_race_backfill(load, plan, &["u"]);
+}
+
+/// Split: R₂ keys touch one source record, S₂ keys the whole residual.
+#[test]
+fn touches_racing_backfill_batches_transform_every_row_exactly_once_split() {
+    fn load() -> Arc<Database> {
+        let db = Arc::new(Database::new());
+        let w = Schema::builder()
+            .column("id", ColumnType::Int)
+            .nullable("g", ColumnType::Int)
+            .nullable("d", ColumnType::Int)
+            .primary_key(&["id"])
+            .build()
+            .unwrap();
+        db.create_table("w", w).unwrap();
+        let txn = db.begin();
+        for i in 0..ROWS {
+            let g = i % 40;
+            db.insert(
+                txn,
+                "w",
+                vec![Value::Int(i), Value::Int(g), Value::Int(g * 7)],
+            )
+            .unwrap();
+        }
+        db.commit(txn).unwrap();
+        db
+    }
+    let plan = TransformPlan::Split(SplitSpec::new("w", "r2", "s2", &["id", "g"], "g", &["d"]));
+    touchers_race_backfill(load, plan, &["r2", "s2"]);
 }
 
 #[test]

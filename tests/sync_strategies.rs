@@ -2,7 +2,9 @@
 //! from the client side, plus the Figure-2 lock behaviour of the
 //! non-blocking commit strategy.
 
-use morphdb::core::{FojSpec, SyncStrategy, TransformOptions, Transformer};
+use morphdb::core::{
+    FojSpec, SyncStrategy, TransformJob, TransformOptions, TransformPlan, Transformer,
+};
 use morphdb::engine::CrashHook;
 use morphdb::{ColumnType, Database, DbError, DbResult, Key, Schema, Value};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -405,4 +407,60 @@ fn blocking_commit_honours_retain_sources() {
             db.abort(txn).unwrap();
         }
     }
+}
+
+/// Fails the first `propagate.batch` it sees with an ordinary error
+/// (not a simulated crash).
+struct FailFirstBatch(AtomicBool);
+
+impl CrashHook for FailFirstBatch {
+    fn at(&self, _db: &Database, point: &str) -> DbResult<()> {
+        if point == "propagate.batch" && !self.0.swap(true, Ordering::SeqCst) {
+            return Err(DbError::Internal("injected post-sync failure".into()));
+        }
+        Ok(())
+    }
+}
+
+/// A post-synchronization propagation error ends `finish` early; the
+/// job that owned the non-blocking-commit lock mirror is then dropped,
+/// and with it the mirror: the grandfathered transaction's next source
+/// update takes no lock on the target.
+#[test]
+fn a_failed_finish_drops_the_lock_mirror_with_the_job() {
+    let db = Arc::new(Database::new());
+    sources(&db, 50);
+    let old = db.begin();
+    db.update(old, "R", &Key::single(1), &[(1, Value::str("v1"))])
+        .unwrap();
+
+    let plan = TransformPlan::Foj(FojSpec::new("R", "S", "T", "c", "c"));
+    let abort = AtomicBool::new(false);
+    let mut job = TransformJob::prepare(&db, &plan, opts(SyncStrategy::NonBlockingCommit)).unwrap();
+    job.copy().unwrap();
+    job.propagate(&abort, None).unwrap();
+    job.synchronize().unwrap();
+    let t = db.catalog().get("T").unwrap().id();
+    // T keys are R's key extended with the join value (a % 10).
+    let t_key = |a: i64| Key::new([Value::Int(a), Value::Int(a % 10)]);
+
+    // The mirror is in place: an update of R#2 locks T's row too, and
+    // logs a record for the post-sync drain to read.
+    db.update(old, "R", &Key::single(2), &[(1, Value::str("v2"))])
+        .unwrap();
+    assert!(!db.locks().holders(t, &t_key(2)).is_empty());
+
+    db.set_crash_hook(Arc::new(FailFirstBatch(AtomicBool::new(false))));
+    assert!(matches!(job.finish(&abort), Err(DbError::Internal(_))));
+    db.clear_crash_hook();
+    drop(job);
+
+    db.update(old, "R", &Key::single(3), &[(1, Value::str("v3"))])
+        .unwrap();
+    assert_eq!(
+        db.locks().holders(t, &t_key(3)),
+        vec![],
+        "a dropped job left its lock mirror installed"
+    );
+    db.commit(old).unwrap();
 }
