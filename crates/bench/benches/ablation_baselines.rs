@@ -18,8 +18,9 @@ use morph_bench::{
     split_client_cfg, threads_for, Csv, Op, PropagationLoop,
 };
 use morph_core::baseline::{blocking_split, TriggerMaintenance};
-use morph_core::{SplitSpec, SyncStrategy, TransformOptions, Transformer};
+use morph_core::{SplitSpec, SyncStrategy, TransformJob, TransformOptions, TransformPlan};
 use morph_workload::WorkloadRunner;
+use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -54,14 +55,13 @@ fn main() {
         let db = db_split(s);
         let runner = WorkloadRunner::start(Arc::clone(&db), split_client_cfg(s, 0.2), threads);
         std::thread::sleep(s.warmup);
-        let report = Transformer::run_split(
-            &db,
-            bench_split_spec("R_out", "S_out", false),
-            TransformOptions::default()
-                .strategy(SyncStrategy::NonBlockingAbort)
-                .deadline(Duration::from_secs(60)),
-        )
-        .expect("non-blocking split");
+        let plan = TransformPlan::Split(bench_split_spec("R_out", "S_out", false));
+        let options = TransformOptions::default()
+            .strategy(SyncStrategy::NonBlockingAbort)
+            .deadline(Duration::from_secs(60));
+        let report = TransformJob::prepare(&db, &plan, options)
+            .and_then(|job| job.run(&AtomicBool::new(false), None, |_| Ok(())))
+            .expect("non-blocking split");
         runner.stop();
         println!(
             "  non-blocking: user-visible pause {:?} (total transformation time {:?})",
@@ -152,12 +152,10 @@ fn main() {
         if in_place {
             spec = spec.rename_in_place();
         }
-        let report = Transformer::run_split(
-            &db,
-            spec,
-            TransformOptions::default().deadline(Duration::from_secs(60)),
-        )
-        .expect("split");
+        let options = TransformOptions::default().deadline(Duration::from_secs(60));
+        let report = TransformJob::prepare(&db, &TransformPlan::Split(spec), options)
+            .and_then(|job| job.run(&AtomicBool::new(false), None, |_| Ok(())))
+            .expect("split");
         runner.stop();
         println!(
             "  {label:>16}: pause {:?}, total {:?}, population wrote {} rows",

@@ -10,8 +10,9 @@
 //! reported as `DNF`.
 
 use morph_bench::{banner, bench_split_spec, db_split, scale, split_client_cfg, threads_for, Csv};
-use morph_core::{NonConvergencePolicy, TransformOptions, Transformer};
+use morph_core::{NonConvergencePolicy, TransformJob, TransformOptions, TransformPlan};
 use morph_workload::WorkloadRunner;
+use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -44,7 +45,7 @@ fn main() {
         std::thread::sleep(s.warmup);
         let baseline = runner.measure(s.window);
 
-        let spec = bench_split_spec("R_out", "S_out", false);
+        let plan = TransformPlan::Split(bench_split_spec("R_out", "S_out", false));
         let options = TransformOptions::default()
             .priority(p)
             .non_convergence(NonConvergencePolicy::Abort)
@@ -55,8 +56,8 @@ fn main() {
         // window would dilute its cost with idle time.
         let before = runner.stats().snapshot();
         let t_start = Instant::now();
-        let handle = Transformer::spawn_split(Arc::clone(&db), spec, options);
-        let result = handle.join();
+        let result = TransformJob::prepare(&db, &plan, options)
+            .and_then(|job| job.run(&AtomicBool::new(false), None, |_| Ok(())));
         let lifespan = t_start.elapsed();
         let delta = runner.stats().snapshot().since(&before);
         let during_tps = delta.committed as f64 / lifespan.as_secs_f64().max(1e-9);

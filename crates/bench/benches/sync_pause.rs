@@ -10,8 +10,9 @@ use morph_bench::{
     banner, bench_foj_spec, bench_split_spec, db_foj, db_split, foj_client_cfg, scale,
     split_client_cfg, threads_for, Csv,
 };
-use morph_core::{SyncStrategy, TransformOptions, Transformer};
+use morph_core::{SyncStrategy, TransformJob, TransformOptions, TransformPlan};
 use morph_workload::WorkloadRunner;
+use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -41,12 +42,14 @@ fn main() {
             let options = TransformOptions::default()
                 .strategy(SyncStrategy::NonBlockingAbort)
                 .deadline(Duration::from_secs(60));
-            let report = if op == "split" {
-                Transformer::run_split(&db, bench_split_spec("R_out", "S_out", false), options)
+            let plan = if op == "split" {
+                TransformPlan::Split(bench_split_spec("R_out", "S_out", false))
             } else {
-                Transformer::run_foj(&db, bench_foj_spec("T_out"), options)
-            }
-            .expect("transformation");
+                TransformPlan::Foj(bench_foj_spec("T_out"))
+            };
+            let report = TransformJob::prepare(&db, &plan, options)
+                .and_then(|job| job.run(&AtomicBool::new(false), None, |_| Ok(())))
+                .expect("transformation");
             runner.stop();
             let us = report.sync.latch_pause.as_micros();
             pauses.push(us);

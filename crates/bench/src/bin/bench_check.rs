@@ -28,7 +28,7 @@
 
 use morph_bench::{bench_split_spec, detected_cores, quick};
 use morph_common::{ColumnType, Key, Schema, Value};
-use morph_core::{TransformOptions, Transformer};
+use morph_core::{TransformJob, TransformOptions, TransformPlan};
 use morph_engine::{Database, ShardedDatabase};
 use morph_orchestrator::{start_lazy_sharded, submit_sharded, Migration};
 use morph_workload::{setup_split_source, spawn_updaters, UpdateTarget};
@@ -146,12 +146,13 @@ fn reader_gate() -> ReaderGate {
         std::thread::spawn(move || {
             let mut rounds = 0usize;
             while !stop.load(Ordering::Relaxed) {
-                let spec = bench_split_spec(
+                let plan = TransformPlan::Split(bench_split_spec(
                     &format!("__rg{rounds}_r"),
                     &format!("__rg{rounds}_s"),
                     false,
-                );
-                Transformer::run_split(&db, spec, migration_options())
+                ));
+                TransformJob::prepare(&db, &plan, migration_options())
+                    .and_then(|job| job.run(&AtomicBool::new(false), None, |_| Ok(())))
                     .expect("reader-gate migration");
                 let _ = db.catalog().drop_table(&format!("__rg{rounds}_r"));
                 let _ = db.catalog().drop_table(&format!("__rg{rounds}_s"));
@@ -278,7 +279,7 @@ fn shard_gate_point(shards: usize) -> ShardPoint {
     let commit_rate = committed.load(Ordering::Relaxed) as f64 / t0.elapsed().as_secs_f64();
 
     let t1 = Instant::now();
-    let (_orchs, mig) = submit_sharded(
+    let mig = submit_sharded(
         &sdb,
         &Migration::union("r", "s", "u").build(),
         &TransformOptions::default()
@@ -410,7 +411,7 @@ fn lazy_tail_eager(rows: i64, samples: usize) -> TailPoint {
         let sdb = Arc::clone(&sdb);
         let done = Arc::clone(&done);
         std::thread::spawn(move || {
-            let (_orchs, mig) = submit_sharded(
+            let mig = submit_sharded(
                 &sdb,
                 &Migration::union("r", "s", "u").build(),
                 // Low duty cycle: the throttled copy stretches the

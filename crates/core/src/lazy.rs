@@ -53,7 +53,7 @@
 
 use crate::operator::{LazySource, TransformOperator};
 use crate::throttle::Throttle;
-use crate::transform::{Names, TransformPlan};
+use crate::transform::{PreparedTables, TransformPlan};
 use morph_common::{DbError, DbResult, Key, TableId, TxnId};
 use morph_engine::{Database, OpInterceptor, PlannedOp};
 use morph_storage::{Claim, ClaimGuard, ResidualSet, Table};
@@ -107,12 +107,13 @@ impl OpInterceptor for LazyInterceptor {
 /// A lazy migration whose targets exist but whose sources are not cut
 /// over yet: [`LazyMigration::prepare`]'s result. A fan-out prepares
 /// every shard before it cuts any over, so that a shard that cannot
-/// prepare leaves no other shard cut over ([`PreparedLazy::discard`]).
+/// prepare leaves no other shard cut over: dropping a `PreparedLazy`
+/// drops its targets. The sources were never touched.
 pub struct PreparedLazy {
     db: Arc<Database>,
     oper: Arc<dyn TransformOperator>,
     sources: Vec<Arc<Table>>,
-    names: Names,
+    tables: PreparedTables,
 }
 
 impl PreparedLazy {
@@ -124,8 +125,12 @@ impl PreparedLazy {
     /// writers' exclusively locked keys.
     pub fn cut_over(self) -> DbResult<Arc<LazyMigration>> {
         let PreparedLazy {
-            db, oper, sources, ..
+            db,
+            oper,
+            sources,
+            mut tables,
         } = self;
+        tables.disarm();
         // Everything the pause fills is allocated before it: with
         // clients stalled on the latch, even the allocator's deferred
         // work (DESIGN.md §15) would be theirs to wait out.
@@ -185,13 +190,6 @@ impl PreparedLazy {
         drop(guards);
         Ok(lazy)
     }
-
-    /// Give up before the cutover: drop the targets
-    /// [`LazyMigration::prepare`] created. The sources were never
-    /// touched.
-    pub fn discard(self) {
-        self.names.drop_prepared(&self.db);
-    }
 }
 
 impl LazyMigration {
@@ -206,26 +204,18 @@ impl LazyMigration {
     /// rejected: the lazy scheme needs the frozen source intact as the
     /// transform input, which the in-place rename destroys.
     pub fn prepare(db: &Arc<Database>, plan: &TransformPlan) -> DbResult<PreparedLazy> {
-        let (oper, names) = plan.prepare_operator(db)?;
-        let sources = if oper.renames_source() {
-            Err(DbError::TransformationAborted(
+        let (oper, tables) = plan.prepare_operator(db)?;
+        if oper.renames_source() {
+            return Err(DbError::TransformationAborted(
                 "lazy migration does not support rename-in-place splits".into(),
-            ))
-        } else {
-            crate::sync::sorted_sources(db, &*oper)
-        };
-        match sources {
-            Ok(sources) => Ok(PreparedLazy {
-                db: Arc::clone(db),
-                oper,
-                sources,
-                names,
-            }),
-            Err(e) => {
-                names.drop_prepared(db);
-                Err(e)
-            }
+            ));
         }
+        Ok(PreparedLazy {
+            db: Arc::clone(db),
+            sources: crate::sync::sorted_sources(db, &*oper)?,
+            oper,
+            tables,
+        })
     }
 
     /// Keys still awaiting transformation.

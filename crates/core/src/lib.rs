@@ -29,16 +29,22 @@
 //! ## Entry points
 //!
 //! ```no_run
-//! use morph_core::{FojSpec, Transformer, TransformOptions};
+//! use morph_core::{FojSpec, TransformJob, TransformOptions, TransformPlan};
 //! # use morph_engine::Database;
+//! # use std::sync::atomic::AtomicBool;
 //! # use std::sync::Arc;
 //! # let db: Arc<Database> = Arc::new(Database::new());
-//! let spec = FojSpec::new("orders", "customers", "orders_denorm", "cust_id", "id");
-//! let handle = Transformer::spawn_foj(Arc::clone(&db), spec, TransformOptions::default());
+//! let plan = TransformPlan::Foj(FojSpec::new("orders", "customers", "orders_denorm", "cust_id", "id"));
+//! let job = TransformJob::prepare(&db, &plan, TransformOptions::default()).unwrap();
+//! let worker = std::thread::spawn(move || job.run(&AtomicBool::new(false), None, |_| Ok(())));
 //! // ... user transactions keep running ...
-//! let report = handle.join().unwrap();
+//! let report = worker.join().unwrap().unwrap();
 //! println!("latch pause: {:?}", report.sync.latch_pause);
 //! ```
+//!
+//! [`TransformJob::run`] drives copy → propagate → synchronize →
+//! finish; `morph-orchestrator` runs the same job on a worker thread
+//! with persisted, crash-recoverable phase transitions.
 //!
 //! [`DbError::CannotConverge`]: morph_common::DbError::CannotConverge
 
@@ -61,12 +67,13 @@ pub mod union;
 
 pub use foj::FojMapping;
 pub use lazy::{LazyMigration, PreparedLazy};
+pub use morph_wal::MigrationPhase;
 pub use operator::{CoalescePolicy, LazySource, TransformOperator};
-pub use progress::{Progress, ProgressHandle, ProgressPhase};
+pub use progress::{Progress, ProgressHandle};
 pub use report::{IterationStats, PopulationStats, SyncStats, TransformReport};
 pub use spec::{
     FojSpec, NonConvergencePolicy, SplitMode, SplitSpec, SyncStrategy, TransformOptions,
 };
 pub use split::SplitMapping;
-pub use transform::{TransformHandle, TransformJob, TransformPlan, Transformer};
+pub use transform::{TransformJob, TransformPlan};
 pub use union::{UnionMapping, UnionSpec};

@@ -5,7 +5,7 @@
 //! concrete transformations into it: full outer join with propagation
 //! rules 1–7 (§4), vertical split with rules 8–11 (§5), and sketches of
 //! further operators (§7). [`TransformOperator`] is that plug point:
-//! everything the framework layers (`Propagator`, `Transformer`, the
+//! everything the framework layers (`Propagator`, `TransformJob`, the
 //! synchronization strategies) need from a transformation, with the
 //! operator-independent machinery written once against the trait.
 //!
@@ -111,7 +111,7 @@ pub enum LazySource {
 /// object-safe contract.
 ///
 /// `Propagator` drives [`apply_batch`]/[`on_control`]/[`maintenance`],
-/// `Transformer` drives [`populate`]/[`readiness`]/
+/// [`TransformJob`](crate::TransformJob) drives [`populate`]/[`readiness`]/
 /// [`finalize`], the synchronization strategies drive
 /// [`target_keys_for`]/[`mirror_keys`]/[`renames_source`]/[`publish`],
 /// and a lazy migration drives [`lazy_source`]/[`apply_frozen`].

@@ -5,62 +5,17 @@
 //! without touching engine locks — a monitor printing an ETA must
 //! never contend with the propagation rules it is observing.
 
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use morph_wal::MigrationPhase;
+use std::sync::atomic::{AtomicU8, AtomicUsize, Ordering};
 use std::sync::Arc;
-
-/// Phase indices published through `Progress::phase`. Mirrors the
-/// orchestrator's state machine; the driver only ever moves forward.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug)]
-pub enum ProgressPhase {
-    /// Not started yet.
-    Pending,
-    /// Preparation: creating target tables.
-    Preparing,
-    /// Initial fuzzy population (§3.2).
-    Copying,
-    /// Log propagation loop (§3.3).
-    Propagating,
-    /// Synchronization (§3.4).
-    Syncing,
-    /// Done: targets published.
-    CutOver,
-    /// Aborted: targets dropped.
-    Aborted,
-}
-
-impl ProgressPhase {
-    fn from_index(i: u64) -> ProgressPhase {
-        match i {
-            0 => ProgressPhase::Pending,
-            1 => ProgressPhase::Preparing,
-            2 => ProgressPhase::Copying,
-            3 => ProgressPhase::Propagating,
-            4 => ProgressPhase::Syncing,
-            5 => ProgressPhase::CutOver,
-            _ => ProgressPhase::Aborted,
-        }
-    }
-
-    /// Human-readable name (progress lines).
-    pub fn name(self) -> &'static str {
-        match self {
-            ProgressPhase::Pending => "pending",
-            ProgressPhase::Preparing => "preparing",
-            ProgressPhase::Copying => "copying",
-            ProgressPhase::Propagating => "propagating",
-            ProgressPhase::Syncing => "syncing",
-            ProgressPhase::CutOver => "cutover",
-            ProgressPhase::Aborted => "aborted",
-        }
-    }
-}
 
 /// Shared atomic counters; written by the transformation thread,
 /// readable from anywhere.
 #[derive(Default, Debug)]
 pub struct Progress {
-    /// Current [`ProgressPhase`] as an index.
-    phase: AtomicU64,
+    /// Current [`MigrationPhase`], as its wire tag; the driver only
+    /// ever moves it forward.
+    phase: AtomicU8,
     /// Rows written by the initial fuzzy copy.
     rows_copied: AtomicUsize,
     /// Log records drained through the propagation rules so far.
@@ -72,14 +27,14 @@ pub struct Progress {
 }
 
 impl Progress {
-    /// Fresh counters in the `Pending` phase.
+    /// Fresh counters in the `Planned` phase.
     pub fn new() -> Arc<Progress> {
         Arc::new(Progress::default())
     }
 
     /// Publish the phase (driver side).
-    pub fn set_phase(&self, phase: ProgressPhase) {
-        self.phase.store(phase as u64, Ordering::Release);
+    pub fn set_phase(&self, phase: MigrationPhase) {
+        self.phase.store(phase.as_u8(), Ordering::Release);
     }
 
     /// Publish the fuzzy-copy row count (driver side).
@@ -114,8 +69,9 @@ impl ProgressHandle {
     }
 
     /// The phase the transformation is currently in.
-    pub fn phase(&self) -> ProgressPhase {
-        ProgressPhase::from_index(self.0.phase.load(Ordering::Acquire))
+    pub fn phase(&self) -> MigrationPhase {
+        MigrationPhase::from_u8(self.0.phase.load(Ordering::Acquire))
+            .unwrap_or(MigrationPhase::Aborted)
     }
 
     /// Rows written by the initial fuzzy copy (0 until copy finishes).
@@ -159,14 +115,14 @@ mod tests {
     fn counters_flow_through_the_handle() {
         let p = Progress::new();
         let h = ProgressHandle::new(Arc::clone(&p));
-        assert_eq!(h.phase(), ProgressPhase::Pending);
-        p.set_phase(ProgressPhase::Copying);
+        assert_eq!(h.phase(), MigrationPhase::Planned);
+        p.set_phase(MigrationPhase::Copying);
         p.set_rows_copied(120);
         p.add_records(40);
         p.add_records(2);
         p.set_backlog(7);
         p.add_iteration();
-        assert_eq!(h.phase(), ProgressPhase::Copying);
+        assert_eq!(h.phase(), MigrationPhase::Copying);
         assert_eq!(h.rows_copied(), 120);
         assert_eq!(h.records_propagated(), 42);
         assert_eq!(h.backlog(), 7);

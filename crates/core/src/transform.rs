@@ -1,22 +1,25 @@
-//! The transformer: orchestrates the four steps end to end.
+//! One migration driver: [`TransformJob`] runs the four steps end to
+//! end.
 //!
 //! ```text
 //! prepare → fuzzy mark → initial population → ⟳ propagate/analyze →
 //! synchronize → post-sync propagation → drop sources
 //! ```
 //!
-//! A transformation normally runs on its own thread
-//! ([`Transformer::spawn_foj`] / [`Transformer::spawn_split`]) as "a
-//! low priority background process" while user transactions keep
-//! executing; the returned [`TransformHandle`] supports waiting and
-//! aborting ("aborting the transformation simply means that log
-//! propagation is stopped, and that the transformed tables are
-//! deleted", §6).
+//! [`TransformJob::prepare`] creates the targets; [`TransformJob::run`]
+//! drives the rest on the calling thread — "a low priority background
+//! process" when that is a thread the caller spawned or the
+//! orchestrator's worker — while user transactions keep executing.
+//! "Aborting the transformation simply means that log propagation is
+//! stopped, and that the transformed tables are deleted" (§6): the
+//! job's `PreparedTables` guard deletes them on every exit before
+//! synchronization, whether a phase fails or the job is dropped
+//! unpublished.
 
 use crate::cc::Readiness;
 use crate::foj::FojMapping;
 use crate::operator::TransformOperator;
-use crate::progress::{Progress, ProgressHandle, ProgressPhase};
+use crate::progress::{Progress, ProgressHandle};
 use crate::propagate::Propagator;
 use crate::report::{PopulationStats, TransformReport};
 use crate::spec::{FojSpec, NonConvergencePolicy, SplitMode, SplitSpec, TransformOptions};
@@ -25,9 +28,9 @@ use crate::sync::{synchronize, MirrorRegistration};
 use crate::union::{UnionMapping, UnionSpec};
 use morph_common::{DbError, DbResult};
 use morph_engine::Database;
+use morph_wal::MigrationPhase;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// Log records allowed to accumulate behind a transformation's cursor
@@ -35,23 +38,39 @@ use std::time::{Duration, Instant};
 /// [`TransformJob::propagate`]).
 const TRUNCATE_SPAN: u64 = 262_144;
 
-/// Entry points for running transformations.
-pub struct Transformer;
-
-/// Names involved in a transformation, for cleanup and final drops.
-pub(crate) struct Names {
-    sources: Vec<String>,
+/// The tables a preparation created, and the one owner of their §6
+/// deletion. Held by a [`TransformJob`] and a
+/// [`PreparedLazy`](crate::PreparedLazy); dropping the guard drops
+/// every table it still owns. Publishing the targets (synchronization,
+/// a lazy cut-over) disarms it: the targets are no longer its to drop,
+/// only the internal bookkeeping tables are. Each drop takes the names,
+/// so a table is dropped at most once — a stale job can never drop a
+/// later job's table of the same name.
+pub(crate) struct PreparedTables {
+    db: Arc<Database>,
     targets: Vec<String>,
-    /// Internal bookkeeping tables (P) to drop at completion.
+    /// Internal bookkeeping tables (P), dropped at completion too.
     internal: Vec<String>,
 }
 
-impl Names {
-    /// Drop every table the preparation step created.
-    pub(crate) fn drop_prepared(&self, db: &Database) {
-        for name in self.targets.iter().chain(&self.internal) {
-            let _ = db.catalog().drop_table(name);
+impl PreparedTables {
+    /// The targets are published: keep only the internal tables.
+    pub(crate) fn disarm(&mut self) {
+        self.targets.clear();
+    }
+
+    /// Drop every table the guard still owns.
+    fn drop_tables(&mut self) {
+        let targets = std::mem::take(&mut self.targets);
+        for name in targets.iter().chain(&std::mem::take(&mut self.internal)) {
+            let _ = self.db.catalog().drop_table(name);
         }
+    }
+}
+
+impl Drop for PreparedTables {
+    fn drop(&mut self) {
+        self.drop_tables();
     }
 }
 
@@ -97,70 +116,65 @@ impl TransformPlan {
         all
     }
 
-    /// Prepare the operator (creates target tables) and collect the
-    /// name sets used for cleanup and final drops. The one place that
-    /// names a concrete operator: everything downstream shares the
-    /// returned object through the [`TransformOperator`] contract.
+    /// Prepare the operator (creates target tables) and hand the
+    /// created tables to their guard. The one place that names a
+    /// concrete operator: everything downstream shares the returned
+    /// object through the [`TransformOperator`] contract.
     pub(crate) fn prepare_operator(
         &self,
         db: &Arc<Database>,
-    ) -> DbResult<(Arc<dyn TransformOperator>, Names)> {
-        match self {
-            TransformPlan::Foj(spec) => {
-                let mapping = FojMapping::prepare(db, spec)?;
-                let names = Names {
-                    sources: vec![spec.r_table.clone(), spec.s_table.clone()],
-                    targets: vec![spec.target.clone()],
-                    internal: vec![],
-                };
-                Ok((Arc::new(mapping), names))
-            }
+    ) -> DbResult<(Arc<dyn TransformOperator>, PreparedTables)> {
+        let (oper, targets, internal): (Arc<dyn TransformOperator>, _, _) = match self {
+            TransformPlan::Foj(spec) => (
+                Arc::new(FojMapping::prepare(db, spec)?),
+                vec![spec.target.clone()],
+                vec![],
+            ),
             TransformPlan::Split(spec) => {
-                let mapping = SplitMapping::prepare(db, spec)?;
-                let (targets, internal) = match spec.mode {
-                    SplitMode::SeparateR => {
-                        (vec![spec.r_target.clone(), spec.s_target.clone()], vec![])
-                    }
+                let mapping = Arc::new(SplitMapping::prepare(db, spec)?);
+                match spec.mode {
+                    SplitMode::SeparateR => (
+                        mapping,
+                        vec![spec.r_target.clone(), spec.s_target.clone()],
+                        vec![],
+                    ),
                     SplitMode::RenameInPlace => (
+                        mapping,
                         vec![spec.s_target.clone()],
                         vec![format!("__morph_p_{}", spec.source)],
                     ),
-                };
-                let names = Names {
-                    sources: vec![spec.source.clone()],
-                    targets,
-                    internal,
-                };
-                Ok((Arc::new(mapping), names))
+                }
             }
-            TransformPlan::Union(spec) => {
-                let mapping = UnionMapping::prepare(db, spec)?;
-                let names = Names {
-                    sources: vec![spec.r_table.clone(), spec.s_table.clone()],
-                    targets: vec![spec.target.clone()],
-                    internal: vec![],
-                };
-                Ok((Arc::new(mapping), names))
-            }
-        }
+            TransformPlan::Union(spec) => (
+                Arc::new(UnionMapping::prepare(db, spec)?),
+                vec![spec.target.clone()],
+                vec![],
+            ),
+        };
+        let tables = PreparedTables {
+            db: Arc::clone(db),
+            targets,
+            internal,
+        };
+        Ok((oper, tables))
     }
 }
 
-/// A transformation broken into its §3 phases, each a separate method,
-/// so a driver (the synchronous [`Transformer`] wrappers or the
-/// crash-recoverable orchestrator) can persist state between phases,
-/// pause between propagation iterations, and publish live progress.
+/// A transformation broken into its §3 phases. [`TransformJob::run`]
+/// drives them in order; the phase methods stay public so a test can
+/// stop between them.
 ///
 /// The phase sequence is `prepare → copy → propagate → synchronize →
-/// finish`; each method performs exactly the cleanup the monolithic
-/// driver used to perform on its error paths (targets dropped before
-/// synchronization; after it, dropping the job removes the
-/// non-blocking-commit lock mirror).
+/// finish`. Until synchronization publishes them the job owns its
+/// targets: a failing phase drops them at once, and so does dropping
+/// the job. After it, dropping the job removes the non-blocking-commit
+/// lock mirror.
 pub struct TransformJob {
     db: Arc<Database>,
     oper: Arc<dyn TransformOperator>,
     options: TransformOptions,
-    names: Names,
+    sources: Vec<String>,
+    tables: PreparedTables,
     report: TransformReport,
     t0: Instant,
     deadline: Option<Instant>,
@@ -168,7 +182,6 @@ pub struct TransformJob {
     log_guard: Option<morph_engine::LogProtection>,
     mirror: Option<MirrorRegistration>,
     progress: Arc<Progress>,
-    synced: bool,
 }
 
 impl TransformJob {
@@ -194,15 +207,16 @@ impl TransformJob {
     ) -> DbResult<TransformJob> {
         // morph-lint: allow(nondet, phase timing stats for the report; wall time never enters table or WAL state)
         let t0 = Instant::now();
-        let (oper, names) = plan.prepare_operator(db)?;
+        let (oper, tables) = plan.prepare_operator(db)?;
         let prepare = t0.elapsed();
         let deadline = options.deadline.map(|d| t0 + d);
-        progress.set_phase(ProgressPhase::Preparing);
+        progress.set_phase(MigrationPhase::Preparing);
         Ok(TransformJob {
             db: Arc::clone(db),
             oper,
             options,
-            names,
+            sources: plan.source_tables(),
+            tables,
             report: TransformReport {
                 prepare,
                 ..Default::default()
@@ -213,7 +227,6 @@ impl TransformJob {
             log_guard: None,
             mirror: None,
             progress,
-            synced: false,
         })
     }
 
@@ -223,65 +236,84 @@ impl TransformJob {
         ProgressHandle::new(Arc::clone(&self.progress))
     }
 
-    /// Whether synchronization has completed (targets are published;
-    /// aborting must no longer delete them).
-    pub fn synced(&self) -> bool {
-        self.synced
+    /// Run the rest of the §3 sequence on the calling thread: copy →
+    /// propagate → synchronize → finish. `on_phase` runs before each of
+    /// the first three — the orchestrator persists its state record
+    /// there — and an error from it ends the run like a failing phase:
+    /// the job is dropped with its targets. `pause` parks propagation
+    /// between iterations; `abort` stops it (§6).
+    pub fn run(
+        mut self,
+        abort: &AtomicBool,
+        pause: Option<&AtomicBool>,
+        mut on_phase: impl FnMut(MigrationPhase) -> DbResult<()>,
+    ) -> DbResult<TransformReport> {
+        on_phase(MigrationPhase::Copying)?;
+        self.copy()?;
+        on_phase(MigrationPhase::Propagating)?;
+        self.propagate(abort, pause)?;
+        on_phase(MigrationPhase::Syncing)?;
+        self.synchronize()?;
+        self.finish(abort)
     }
 
-    /// Target tables this job creates.
-    pub fn target_names(&self) -> &[String] {
-        &self.names.targets
+    /// One pre-synchronization phase: publish it, run it, and on its one
+    /// error exit drop the prepared tables.
+    fn pre_sync<T>(
+        &mut self,
+        phase: MigrationPhase,
+        body: impl FnOnce(&mut Self) -> DbResult<T>,
+    ) -> DbResult<T> {
+        self.progress.set_phase(phase);
+        let result = body(self);
+        if result.is_err() {
+            self.tables.drop_tables();
+        }
+        result
     }
 
     /// Initial fuzzy population (§3.2): writes the fuzzy mark, pins the
     /// log at the propagation cursor and copies the sources.
     pub fn copy(&mut self) -> DbResult<()> {
-        self.progress.set_phase(ProgressPhase::Copying);
-        if let Err(e) = self.db.crash_point("transform.prepared") {
-            self.cleanup();
-            return Err(e);
-        }
-        // morph-lint: allow(nondet, phase timing stats for the report; wall time never enters table or WAL state)
-        let p0 = Instant::now();
-        let (_, start_lsn, _) = self.db.write_fuzzy_mark();
-        self.prop = Some(Propagator::new(&self.db, start_lsn, self.options.priority));
-        // Pin the log at our cursor so concurrent truncation (memory
-        // reclamation on long-running systems) never outruns us; the
-        // guard self-releases on every exit path.
-        self.log_guard = Some(self.db.protect_log(start_lsn));
-        let populated = self.oper.populate(
-            &self.db,
-            self.options.population_chunk,
-            self.options.copy_workers,
-            self.options.priority,
-            self.deadline,
-        );
-        let (rows_read, rows_written) = match populated {
-            Ok(v) => v,
-            Err(e) => {
-                self.cleanup();
-                return Err(e);
-            }
-        };
-        if let Err(e) = self.db.crash_point("transform.populated") {
-            self.cleanup();
-            return Err(e);
-        }
-        self.report.population = PopulationStats {
-            duration: p0.elapsed(),
-            rows_read,
-            rows_written,
-        };
-        self.progress.set_rows_copied(rows_written);
-        Ok(())
+        self.pre_sync(MigrationPhase::Copying, |job| {
+            job.db.crash_point("transform.prepared")?;
+            // morph-lint: allow(nondet, phase timing stats for the report; wall time never enters table or WAL state)
+            let p0 = Instant::now();
+            let (_, start_lsn, _) = job.db.write_fuzzy_mark();
+            job.prop = Some(Propagator::new(&job.db, start_lsn, job.options.priority));
+            // Pin the log at our cursor so concurrent truncation (memory
+            // reclamation on long-running systems) never outruns us; the
+            // guard self-releases on every exit path.
+            job.log_guard = Some(job.db.protect_log(start_lsn));
+            let (rows_read, rows_written) = job.oper.populate(
+                &job.db,
+                job.options.population_chunk,
+                job.options.copy_workers,
+                job.options.priority,
+                job.deadline,
+            )?;
+            job.db.crash_point("transform.populated")?;
+            job.report.population = PopulationStats {
+                duration: p0.elapsed(),
+                rows_read,
+                rows_written,
+            };
+            job.progress.set_rows_copied(rows_written);
+            Ok(())
+        })
     }
 
     /// Log propagation + convergence analysis loop (§3.3). `pause`
     /// parks the job between iterations without releasing anything;
     /// the deadline clock keeps ticking while parked.
     pub fn propagate(&mut self, abort: &AtomicBool, pause: Option<&AtomicBool>) -> DbResult<()> {
-        self.progress.set_phase(ProgressPhase::Propagating);
+        self.pre_sync(MigrationPhase::Propagating, |job| {
+            job.propagate_loop(abort, pause)
+        })
+    }
+
+    fn propagate_loop(&mut self, abort: &AtomicBool, pause: Option<&AtomicBool>) -> DbResult<()> {
+        let aborted = || DbError::TransformationAborted("aborted by request".into());
         let mut prev_backlog = usize::MAX;
         let mut growth_streak = 0u32;
         loop {
@@ -289,23 +321,17 @@ impl TransformJob {
             // iterations; abort still wins while parked.
             while pause.is_some_and(|p| p.load(Ordering::Relaxed)) {
                 if abort.load(Ordering::Relaxed) {
-                    self.cleanup();
-                    return Err(DbError::TransformationAborted("aborted by request".into()));
+                    return Err(aborted());
                 }
                 std::thread::sleep(Duration::from_millis(1));
             }
             // Crash-simulation point *between* propagation iterations.
-            if let Err(e) = self.db.crash_point("transform.iteration") {
-                self.cleanup();
-                return Err(e);
-            }
+            self.db.crash_point("transform.iteration")?;
             if abort.load(Ordering::Relaxed) {
-                self.cleanup();
-                return Err(DbError::TransformationAborted("aborted by request".into()));
+                return Err(aborted());
             }
             // morph-lint: allow(nondet, operator deadline guard; wall-time bound on total runtime, never replayed state)
             if self.deadline.is_some_and(|d| Instant::now() > d) {
-                self.cleanup();
                 return Err(DbError::TransformationAborted(
                     "wall-clock deadline exceeded during propagation".into(),
                 ));
@@ -313,20 +339,13 @@ impl TransformJob {
             let Some(prop) = self.prop.as_mut() else {
                 return Err(DbError::Internal("propagate before copy".into()));
             };
-            let iterated = prop.iterate(
+            let stats = prop.iterate(
                 &self.db,
                 &*self.oper,
                 self.options.batch_size,
                 self.options.cc_interval,
                 abort,
-            );
-            let stats = match iterated {
-                Ok(s) => s,
-                Err(e) => {
-                    self.cleanup();
-                    return Err(e);
-                }
-            };
+            )?;
             let backlog = stats.backlog_after;
             self.progress.add_records(stats.records);
             self.progress.set_backlog(backlog);
@@ -343,12 +362,11 @@ impl TransformJob {
             let readiness = self.oper.readiness();
             if backlog <= self.options.sync_threshold {
                 match readiness {
-                    Readiness::Ready => break,
+                    Readiness::Ready => return Ok(()),
                     Readiness::Inconsistent { keys } => {
                         // Caught up, but the data itself contradicts the
                         // functional dependency (paper Example 1).
                         if self.report.iterations.len() as u32 >= self.options.max_iterations {
-                            self.cleanup();
                             return Err(DbError::InconsistentSplitData {
                                 key: format!("{keys:?}"),
                                 detail: "contributing rows disagree; repair the source data".into(),
@@ -379,7 +397,6 @@ impl TransformJob {
                         growth_streak = 0;
                     }
                     _ => {
-                        self.cleanup();
                         return Err(DbError::CannotConverge {
                             iterations: self.report.iterations.len() as u32,
                             backlog,
@@ -388,31 +405,21 @@ impl TransformJob {
                 }
             }
         }
-        Ok(())
     }
 
     /// Synchronization (§3.4): freeze sources under the configured
     /// strategy and publish the targets.
     pub fn synchronize(&mut self) -> DbResult<()> {
-        self.progress.set_phase(ProgressPhase::Syncing);
-        if let Err(e) = self.db.crash_point("transform.pre_sync") {
-            self.cleanup();
-            return Err(e);
-        }
-        let Some(prop) = self.prop.as_mut() else {
-            return Err(DbError::Internal("synchronize before copy".into()));
-        };
-        let synced = synchronize(&self.db, &self.oper, prop, &self.options);
-        let outcome = match synced {
-            Ok(o) => o,
-            Err(e) => {
-                self.cleanup();
-                return Err(e);
-            }
-        };
+        let outcome = self.pre_sync(MigrationPhase::Syncing, |job| {
+            job.db.crash_point("transform.pre_sync")?;
+            let Some(prop) = job.prop.as_mut() else {
+                return Err(DbError::Internal("synchronize before copy".into()));
+            };
+            synchronize(&job.db, &job.oper, prop, &job.options)
+        })?;
+        self.tables.disarm();
         self.report.sync = outcome.stats;
         self.mirror = outcome.mirror;
-        self.synced = true;
         // Post-sync crash point: targets are published; the abort path
         // must no longer delete them (dropping the job removes the
         // mirror).
@@ -459,16 +466,14 @@ impl TransformJob {
         self.report.post_duration = post0.elapsed();
         self.db.crash_point("transform.finalizing")?;
 
-        // --- final catalog cleanup ---
-        for name in &self.names.internal {
-            let _ = self.db.catalog().drop_table(name);
-        }
+        // --- final catalog cleanup: the internal tables ---
+        self.tables.drop_tables();
         // Final schema surgery — a rename-in-place split projects the
         // dependent columns away now that no old transaction can touch
         // them (briefly latches R); a no-op for the other operators.
         self.oper.finalize(&self.db)?;
         if !self.options.retain_sources {
-            for name in &self.names.sources {
+            for name in &self.sources {
                 // Blocking commit (or a rename) may already have
                 // removed the name.
                 let _ = self.db.catalog().drop_table(name);
@@ -476,26 +481,12 @@ impl TransformJob {
         }
         self.report.cc_rounds = self.oper.cc_rounds();
         self.report.total = self.t0.elapsed();
-        self.progress.set_phase(ProgressPhase::CutOver);
+        self.progress.set_phase(MigrationPhase::CutOver);
         // Release the log pin and propagation state; the report is the
         // job's final product.
         self.log_guard = None;
         self.prop = None;
         Ok(std::mem::take(&mut self.report))
-    }
-
-    /// Abort-path cleanup: "log propagation is stopped, and the
-    /// transformed tables are deleted" (§6). Sources were never frozen
-    /// before synchronization, so nothing else needs undoing. After
-    /// synchronization the targets are published and survive; only the
-    /// non-blocking-commit mirror remains, and dropping the job removes
-    /// it.
-    pub fn cleanup(&self) {
-        if self.synced {
-            return;
-        }
-        self.names.drop_prepared(&self.db);
-        self.progress.set_phase(ProgressPhase::Aborted);
     }
 
     /// Advance the log-truncation horizon to the propagation cursor and
@@ -512,121 +503,6 @@ impl TransformJob {
             self.db.truncate_log()?;
         }
         Ok(())
-    }
-}
-
-impl Transformer {
-    /// Run a FOJ transformation synchronously on the current thread.
-    pub fn run_foj(
-        db: &Arc<Database>,
-        spec: FojSpec,
-        options: TransformOptions,
-    ) -> DbResult<TransformReport> {
-        let abort = AtomicBool::new(false);
-        Self::run_foj_with(db, spec, options, &abort)
-    }
-
-    /// Run a split transformation synchronously on the current thread.
-    pub fn run_split(
-        db: &Arc<Database>,
-        spec: SplitSpec,
-        options: TransformOptions,
-    ) -> DbResult<TransformReport> {
-        let abort = AtomicBool::new(false);
-        Self::run_split_with(db, spec, options, &abort)
-    }
-
-    /// Run a union (horizontal merge) transformation synchronously.
-    pub fn run_union(
-        db: &Arc<Database>,
-        spec: UnionSpec,
-        options: TransformOptions,
-    ) -> DbResult<TransformReport> {
-        let abort = AtomicBool::new(false);
-        Self::run_plan(db, &TransformPlan::Union(spec), options, &abort)
-    }
-
-    /// Spawn a FOJ transformation on a background thread.
-    pub fn spawn_foj(
-        db: Arc<Database>,
-        spec: FojSpec,
-        options: TransformOptions,
-    ) -> TransformHandle {
-        let abort = Arc::new(AtomicBool::new(false));
-        let abort2 = Arc::clone(&abort);
-        let join = std::thread::spawn(move || Self::run_foj_with(&db, spec, options, &abort2));
-        TransformHandle { join, abort }
-    }
-
-    /// Spawn a split transformation on a background thread.
-    pub fn spawn_split(
-        db: Arc<Database>,
-        spec: SplitSpec,
-        options: TransformOptions,
-    ) -> TransformHandle {
-        let abort = Arc::new(AtomicBool::new(false));
-        let abort2 = Arc::clone(&abort);
-        let join = std::thread::spawn(move || Self::run_split_with(&db, spec, options, &abort2));
-        TransformHandle { join, abort }
-    }
-
-    fn run_foj_with(
-        db: &Arc<Database>,
-        spec: FojSpec,
-        options: TransformOptions,
-        abort: &AtomicBool,
-    ) -> DbResult<TransformReport> {
-        Self::run_plan(db, &TransformPlan::Foj(spec), options, abort)
-    }
-
-    fn run_split_with(
-        db: &Arc<Database>,
-        spec: SplitSpec,
-        options: TransformOptions,
-        abort: &AtomicBool,
-    ) -> DbResult<TransformReport> {
-        Self::run_plan(db, &TransformPlan::Split(spec), options, abort)
-    }
-
-    /// Run a compiled [`TransformPlan`] through all phases on the
-    /// current thread — the synchronous equivalent of what the
-    /// orchestrator drives one persisted phase at a time.
-    pub fn run_plan(
-        db: &Arc<Database>,
-        plan: &TransformPlan,
-        options: TransformOptions,
-        abort: &AtomicBool,
-    ) -> DbResult<TransformReport> {
-        let mut job = TransformJob::prepare(db, plan, options)?;
-        job.copy()?;
-        job.propagate(abort, None)?;
-        job.synchronize()?;
-        job.finish(abort)
-    }
-}
-
-/// Handle to a transformation running on a background thread.
-pub struct TransformHandle {
-    join: JoinHandle<DbResult<TransformReport>>,
-    abort: Arc<AtomicBool>,
-}
-
-impl TransformHandle {
-    /// Request the transformation abort at the next batch boundary.
-    pub fn abort(&self) {
-        self.abort.store(true, Ordering::Relaxed);
-    }
-
-    /// Whether the background thread has finished.
-    pub fn is_finished(&self) -> bool {
-        self.join.is_finished()
-    }
-
-    /// Wait for the transformation to finish.
-    pub fn join(self) -> DbResult<TransformReport> {
-        self.join
-            .join()
-            .map_err(|_| DbError::Internal("transformer thread panicked".into()))?
     }
 }
 
@@ -669,11 +545,23 @@ mod tests {
             .retain_sources()
     }
 
+    fn foj() -> TransformPlan {
+        TransformPlan::Foj(FojSpec::new("R", "S", "T", "c", "c"))
+    }
+
+    /// Prepare `plan` and run it to completion on this thread.
+    fn run(
+        db: &Arc<Database>,
+        plan: TransformPlan,
+        options: TransformOptions,
+    ) -> DbResult<TransformReport> {
+        TransformJob::prepare(db, &plan, options)?.run(&AtomicBool::new(false), None, |_| Ok(()))
+    }
+
     #[test]
     fn quiescent_foj_end_to_end() {
         let db = db_with_sources(100, 10);
-        let spec = FojSpec::new("R", "S", "T", "c", "c");
-        let report = Transformer::run_foj(&db, spec, opts()).unwrap();
+        let report = run(&db, foj(), opts()).unwrap();
         assert!(report.population.rows_read >= 110);
         assert!(report.sync.latch_pause < Duration::from_millis(50));
         let t = db.catalog().get("T").unwrap();
@@ -714,12 +602,10 @@ mod tests {
             committed
         });
 
-        let spec = FojSpec::new("R", "S", "T", "c", "c");
         let options = opts()
             .priority(0.8)
             .non_convergence(crate::spec::NonConvergencePolicy::Escalate { factor: 2.0 });
-        let handle = Transformer::spawn_foj(Arc::clone(&db), spec, options);
-        let report = handle.join().expect("transformation");
+        let report = run(&db, foj(), options).expect("transformation");
         stop.store(true, Ordering::Relaxed);
         let committed = worker.join().unwrap();
         assert!(committed > 0, "workload must have made progress");
@@ -784,8 +670,7 @@ mod tests {
         });
 
         let spec = SplitSpec::new("T", "R2", "S2", &["a", "b", "c"], "c", &["d"]);
-        let handle = Transformer::spawn_split(Arc::clone(&db), spec, opts());
-        let report = handle.join().expect("transformation");
+        let report = run(&db, TransformPlan::Split(spec), opts()).expect("transformation");
         stop.store(true, Ordering::Relaxed);
         worker.join().unwrap();
 
@@ -818,10 +703,9 @@ mod tests {
         db.update(old, "R", &Key::single(1), &[(1, Value::str("dirty"))])
             .unwrap();
 
-        let spec = FojSpec::new("R", "S", "T", "c", "c");
-        let db2 = Arc::clone(&db);
-        let handle =
-            Transformer::spawn_foj(db2, spec, opts().strategy(SyncStrategy::NonBlockingAbort));
+        let options = opts().strategy(SyncStrategy::NonBlockingAbort);
+        let job = TransformJob::prepare(&db, &foj(), options).unwrap();
+        let handle = std::thread::spawn(move || job.run(&AtomicBool::new(false), None, |_| Ok(())));
         // Wait until the old transaction is doomed, then roll it back
         // (a real client would see TxnDoomed on its next operation).
         let t0 = Instant::now();
@@ -846,7 +730,7 @@ mod tests {
                 Err(e) => panic!("unexpected: {e}"),
             }
         }
-        let report = handle.join().expect("transformation");
+        let report = handle.join().unwrap().expect("transformation");
         assert!(report.sync.old_txns >= 1);
         // Dirty update was rolled back: T must not contain it.
         let t = db.catalog().get("T").unwrap();
@@ -861,12 +745,9 @@ mod tests {
         db.update(old, "R", &Key::single(1), &[(1, Value::str("survives"))])
             .unwrap();
 
-        let spec = FojSpec::new("R", "S", "T", "c", "c");
-        let handle = Transformer::spawn_foj(
-            Arc::clone(&db),
-            spec,
-            opts().strategy(SyncStrategy::NonBlockingCommit),
-        );
+        let options = opts().strategy(SyncStrategy::NonBlockingCommit);
+        let job = TransformJob::prepare(&db, &foj(), options).unwrap();
+        let handle = std::thread::spawn(move || job.run(&AtomicBool::new(false), None, |_| Ok(())));
         // Wait for sync to pass (the source freezes for others but the
         // old transaction keeps working).
         let t0 = Instant::now();
@@ -881,7 +762,7 @@ mod tests {
             .unwrap();
         db.commit(old).unwrap();
 
-        let report = handle.join().expect("transformation");
+        let report = handle.join().unwrap().expect("transformation");
         assert_eq!(report.sync.strategy, SyncStrategy::NonBlockingCommit);
         let t = db.catalog().get("T").unwrap();
         let rows = t.snapshot();
@@ -896,9 +777,7 @@ mod tests {
     #[test]
     fn blocking_commit_strategy_completes() {
         let db = db_with_sources(40, 4);
-        let spec = FojSpec::new("R", "S", "T", "c", "c");
-        let report =
-            Transformer::run_foj(&db, spec, opts().strategy(SyncStrategy::BlockingCommit)).unwrap();
+        let report = run(&db, foj(), opts().strategy(SyncStrategy::BlockingCommit)).unwrap();
         assert_eq!(report.sync.strategy, SyncStrategy::BlockingCommit);
         assert_eq!(db.catalog().get("T").unwrap().len(), 40);
     }
@@ -906,20 +785,19 @@ mod tests {
     #[test]
     fn abort_deletes_targets_and_leaves_sources_alone() {
         let db = db_with_sources(20_000, 10);
-        let spec = FojSpec::new("R", "S", "T", "c", "c");
         // Low priority plus a tight deadline: the 20k-row population at
         // 1% priority cannot finish within it, so the abort path runs
-        // deterministically (an explicit abort() is raced in as well).
-        let handle = Transformer::spawn_foj(
-            Arc::clone(&db),
-            spec,
-            TransformOptions::default()
-                .priority(0.01)
-                .deadline(Duration::from_millis(250)),
-        );
+        // deterministically (an explicit abort is raced in as well).
+        let options = TransformOptions::default()
+            .priority(0.01)
+            .deadline(Duration::from_millis(250));
+        let job = TransformJob::prepare(&db, &foj(), options).unwrap();
+        let abort = Arc::new(AtomicBool::new(false));
+        let a2 = Arc::clone(&abort);
+        let handle = std::thread::spawn(move || job.run(&a2, None, |_| Ok(())));
         std::thread::sleep(Duration::from_millis(20));
-        handle.abort();
-        let err = handle.join().unwrap_err();
+        abort.store(true, Ordering::Relaxed);
+        let err = handle.join().unwrap().unwrap_err();
         assert!(matches!(
             err,
             DbError::TransformationAborted(_) | DbError::CannotConverge { .. }
@@ -954,7 +832,7 @@ mod tests {
         }
         db.commit(txn).unwrap();
         let spec = SplitSpec::new("T", "R", "S", &["a", "c"], "c", &["d"]);
-        let result = Transformer::run_split(&db, spec, options.copy_workers(1));
+        let result = run(&db, TransformPlan::Split(spec), options.copy_workers(1));
         assert_eq!(db.catalog().exists("R"), result.is_ok());
         result
     }
@@ -994,22 +872,22 @@ mod tests {
     #[test]
     fn phase_methods_drive_a_foj_end_to_end() {
         let db = db_with_sources(80, 8);
-        let plan = TransformPlan::Foj(FojSpec::new("R", "S", "T", "c", "c"));
+        let plan = foj();
         assert_eq!(plan.source_tables(), vec!["R", "S"]);
         assert_eq!(plan.target_tables(), vec!["T"]);
         let mut job = TransformJob::prepare(&db, &plan, opts()).unwrap();
         let h = job.progress();
-        assert_eq!(h.phase(), ProgressPhase::Preparing);
+        assert_eq!(h.phase(), MigrationPhase::Preparing);
         let abort = AtomicBool::new(false);
         job.copy().unwrap();
         assert!(h.rows_copied() >= 80);
         job.propagate(&abort, None).unwrap();
         assert!(h.iterations() >= 1);
-        assert!(!job.synced());
+        assert_eq!(h.phase(), MigrationPhase::Propagating);
         job.synchronize().unwrap();
-        assert!(job.synced());
+        assert_eq!(h.phase(), MigrationPhase::Syncing);
         let report = job.finish(&abort).unwrap();
-        assert_eq!(h.phase(), ProgressPhase::CutOver);
+        assert_eq!(h.phase(), MigrationPhase::CutOver);
         assert!(report.total > Duration::ZERO);
         assert_eq!(db.catalog().get("T").unwrap().len(), 80);
     }
@@ -1017,8 +895,7 @@ mod tests {
     #[test]
     fn pause_parks_propagation_until_released() {
         let db = db_with_sources(60, 6);
-        let plan = TransformPlan::Foj(FojSpec::new("R", "S", "T", "c", "c"));
-        let mut job = TransformJob::prepare(&db, &plan, opts()).unwrap();
+        let mut job = TransformJob::prepare(&db, &foj(), opts()).unwrap();
         let h = job.progress();
         let abort = AtomicBool::new(false);
         job.copy().unwrap();
@@ -1035,7 +912,7 @@ mod tests {
         releaser.join().unwrap();
         job.synchronize().unwrap();
         job.finish(&abort).unwrap();
-        assert_eq!(h.phase(), ProgressPhase::CutOver);
+        assert_eq!(h.phase(), MigrationPhase::CutOver);
     }
 
     #[test]
@@ -1056,6 +933,41 @@ mod tests {
         assert!(matches!(err, DbError::TransformationAborted(_)));
         assert!(!db.catalog().exists("T"), "abort path must drop targets");
         assert!(db.catalog().exists("R") && db.catalog().exists("S"));
+    }
+
+    /// A job dropped before synchronization, prepared or also copied,
+    /// takes its target with it (§6).
+    #[test]
+    fn dropping_an_unpublished_job_drops_its_targets() {
+        let db = db_with_sources(30, 3);
+        let job = TransformJob::prepare(&db, &foj(), opts()).unwrap();
+        assert!(db.catalog().exists("T"));
+        drop(job);
+        assert!(!db.catalog().exists("T"), "a prepared job leaked T");
+
+        let mut job = TransformJob::prepare(&db, &foj(), opts()).unwrap();
+        job.copy().unwrap();
+        drop(job);
+        assert!(!db.catalog().exists("T"), "a copied job leaked T");
+        assert!(db.catalog().exists("R") && db.catalog().exists("S"));
+    }
+
+    /// A failed job dropped its target when it failed; dropping the job
+    /// later must not drop the target a second job has since recreated
+    /// under the same name.
+    #[test]
+    fn a_stale_job_never_drops_a_later_jobs_target() {
+        let db = db_with_sources(30, 3);
+        let mut stale = TransformJob::prepare(&db, &foj(), opts()).unwrap();
+        stale.copy().unwrap();
+        assert!(stale.propagate(&AtomicBool::new(true), None).is_err());
+        assert!(!db.catalog().exists("T"));
+
+        let job = TransformJob::prepare(&db, &foj(), opts()).unwrap();
+        drop(stale);
+        assert!(db.catalog().exists("T"), "the stale job dropped the new T");
+        job.run(&AtomicBool::new(false), None, |_| Ok(())).unwrap();
+        assert_eq!(db.catalog().get("T").unwrap().len(), 30);
     }
 
     #[test]
@@ -1086,7 +998,7 @@ mod tests {
         db.commit(txn).unwrap();
 
         let spec = SplitSpec::new("T", "R", "S", &["a", "c"], "c", &["d"]).rename_in_place();
-        let report = Transformer::run_split(&db, spec, opts()).unwrap();
+        let report = run(&db, TransformPlan::Split(spec), opts()).unwrap();
         assert!(report.total > Duration::ZERO);
         // T is gone (renamed), R has the projected schema, S exists.
         assert!(!db.catalog().exists("T"));

@@ -31,16 +31,16 @@
 //! job re-runs — its targets were lost with the crash, and re-running
 //! restores exactly what the client was promised. A durable `Aborted`
 //! record, by contrast, means the migration was cancelled: resume
-//! only makes sure no target stragglers exist and leaves the job
-//! dead. What the state records buy is job *discovery* (which
+//! leaves the job dead. Its targets were dropped before `Aborted` was
+//! persisted, and recovery restores none, so there is nothing to drop
+//! — and dropping by name could only hit a later table that took the
+//! name. What the state records buy is job *discovery* (which
 //! migrations were in flight, with their full spec), the
 //! aborted-versus-in-flight distinction, and observability.
 
 use crate::spec::{Migration, MigrationSpec};
 use morph_common::{DbError, DbResult};
-use morph_core::{
-    Progress, ProgressHandle, ProgressPhase, TransformJob, TransformOptions, TransformReport,
-};
+use morph_core::{Progress, ProgressHandle, TransformJob, TransformOptions, TransformReport};
 use morph_engine::Database;
 use morph_wal::{LogRecord, MigrationPhase};
 use std::collections::BTreeMap;
@@ -89,10 +89,17 @@ impl Orchestrator {
         spec: MigrationSpec,
         options: TransformOptions,
     ) -> DbResult<MigrationHandle> {
+        let id = self.claim(&spec)?;
+        Ok(self.launch(id, spec, options))
+    }
+
+    /// The first half of [`Orchestrator::submit`]: validate `spec` and
+    /// claim its tables under a fresh job id, starting nothing.
+    pub(crate) fn claim(&self, spec: &MigrationSpec) -> DbResult<u64> {
         spec.validate()?;
         let id = self.db.migrations().next_job_id();
         self.db.migrations().claim(id, &spec.tables())?;
-        Ok(self.launch(id, spec, options))
+        Ok(id)
     }
 
     /// Parse and submit a migration program in the `ALTER TABLE`
@@ -130,8 +137,8 @@ impl Orchestrator {
     /// Resume one recovered job on a freshly recovered database (call
     /// after `recover_into`). Non-`Aborted` jobs are re-executed from
     /// their persisted spec, restarting at preparation per §3.5 (see
-    /// the module docs for why); `Aborted` jobs only get their target
-    /// stragglers dropped and return `None`.
+    /// the module docs for why); `Aborted` jobs stay dead and return
+    /// `None`.
     pub fn resume(
         &self,
         rec: &RecoveredMigration,
@@ -140,9 +147,6 @@ impl Orchestrator {
         let spec = Migration::parse(&rec.spec_text)?;
         self.db.migrations().bump_past(rec.job);
         if rec.phase == MigrationPhase::Aborted {
-            for target in spec.stages.iter().flat_map(|s| s.target_tables()) {
-                let _ = self.db.catalog().drop_table(&target);
-            }
             return Ok(None);
         }
         self.db.migrations().claim(rec.job, &spec.tables())?;
@@ -166,7 +170,14 @@ impl Orchestrator {
         Ok(handles)
     }
 
-    fn launch(&self, id: u64, spec: MigrationSpec, options: TransformOptions) -> MigrationHandle {
+    /// The second half of [`Orchestrator::submit`]: start the state
+    /// machine of the claimed job `id` on a background thread.
+    pub(crate) fn launch(
+        &self,
+        id: u64,
+        spec: MigrationSpec,
+        options: TransformOptions,
+    ) -> MigrationHandle {
         let abort = Arc::new(AtomicBool::new(false));
         let pause = Arc::new(AtomicBool::new(false));
         let progress = Progress::new();
@@ -294,19 +305,22 @@ fn run_job(
         }
         Err((_, e @ DbError::SimulatedCrash(_))) => Err(e),
         Err((stage, e)) => {
-            progress.set_phase(ProgressPhase::Aborted);
+            progress.set_phase(MigrationPhase::Aborted);
             // Best-effort: a failing log backend must not mask the
             // original error.
             let _ = persist(&db, id, stage, MigrationPhase::Aborted, &text);
             db.migrations().release(id);
-            db.crash_point("orchestrator.aborted")?;
+            announce(&db, MigrationPhase::Aborted)?;
             Err(e)
         }
     }
 }
 
 /// The happy path of the state machine; failures return the stage
-/// they happened in so the conclusion can record it.
+/// they happened in so the conclusion can record it. Each stage is one
+/// [`TransformJob::run`], whose phase hook persists the transition and
+/// announces it; a failing hook drops the job, and with it the stage's
+/// targets.
 #[allow(clippy::too_many_arguments)]
 fn run_stages(
     db: &Arc<Database>,
@@ -318,43 +332,98 @@ fn run_stages(
     progress: &Arc<Progress>,
     text: &str,
 ) -> Result<Vec<TransformReport>, (u32, DbError)> {
-    persist(db, id, 0, MigrationPhase::Planned, text).map_err(|e| (0, e))?;
-    db.crash_point("orchestrator.planned").map_err(|e| (0, e))?;
+    let enter = |stage: u32, phase: MigrationPhase| {
+        persist(db, id, stage, phase, text)?;
+        announce(db, phase)
+    };
+    enter(0, MigrationPhase::Planned).map_err(|e| (0, e))?;
     let mut reports = Vec::with_capacity(spec.stages.len());
     for (i, plan) in spec.stages.iter().enumerate() {
         let stage = i as u32;
         let fail = |e: DbError| (stage, e);
-        persist(db, id, stage, MigrationPhase::Preparing, text).map_err(fail)?;
-        db.crash_point("orchestrator.preparing").map_err(fail)?;
-        let mut job =
+        enter(stage, MigrationPhase::Preparing).map_err(fail)?;
+        let job =
             TransformJob::prepare_with_progress(db, plan, options.clone(), Arc::clone(progress))
                 .map_err(fail)?;
-
-        persist(db, id, stage, MigrationPhase::Copying, text).map_err(fail)?;
-        if let Err(e) = db.crash_point("orchestrator.copying") {
-            job.cleanup();
-            return Err(fail(e));
-        }
-        job.copy().map_err(fail)?;
-
-        persist(db, id, stage, MigrationPhase::Propagating, text).map_err(fail)?;
-        if let Err(e) = db.crash_point("orchestrator.propagating") {
-            job.cleanup();
-            return Err(fail(e));
-        }
-        job.propagate(abort, Some(pause)).map_err(fail)?;
-
-        persist(db, id, stage, MigrationPhase::Syncing, text).map_err(fail)?;
-        if let Err(e) = db.crash_point("orchestrator.syncing") {
-            job.cleanup();
-            return Err(fail(e));
-        }
-        job.synchronize().map_err(fail)?;
-        reports.push(job.finish(abort).map_err(fail)?);
+        let report = job.run(abort, Some(pause), |phase| enter(stage, phase));
+        reports.push(report.map_err(fail)?);
     }
     let last = spec.stages.len().saturating_sub(1) as u32;
-    persist(db, id, last, MigrationPhase::CutOver, text).map_err(|e| (last, e))?;
-    db.crash_point("orchestrator.cutover")
-        .map_err(|e| (last, e))?;
+    enter(last, MigrationPhase::CutOver).map_err(|e| (last, e))?;
     Ok(reports)
+}
+
+/// Announce a durable transition at its `orchestrator.<phase>` crash
+/// point.
+fn announce(db: &Database, phase: MigrationPhase) -> DbResult<()> {
+    match phase {
+        MigrationPhase::Planned => db.crash_point("orchestrator.planned"),
+        MigrationPhase::Preparing => db.crash_point("orchestrator.preparing"),
+        MigrationPhase::Copying => db.crash_point("orchestrator.copying"),
+        MigrationPhase::Propagating => db.crash_point("orchestrator.propagating"),
+        MigrationPhase::Syncing => db.crash_point("orchestrator.syncing"),
+        MigrationPhase::CutOver => db.crash_point("orchestrator.cutover"),
+        MigrationPhase::Aborted => db.crash_point("orchestrator.aborted"),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use morph_common::Value;
+    use morph_core::foj::figure1_schemas;
+    use morph_wal::{FaultBackend, FaultConfig, LogManager};
+
+    /// A stage whose `Syncing` record cannot be made durable ends the
+    /// migration with the I/O error and drops the stage's target: the
+    /// sources stay exactly as they were, and nothing is left behind to
+    /// fail a retry with `TableExists`.
+    #[test]
+    fn a_state_record_that_fails_to_persist_drops_the_stage_targets() {
+        let (backend, fault) = FaultBackend::new(FaultConfig::crash_only(3));
+        let log = Arc::new(LogManager::with_backend(Box::new(backend)));
+        let db = Arc::new(Database::with_log(log, Default::default()));
+        let (r, s) = figure1_schemas();
+        db.create_table("R", r).unwrap();
+        db.create_table("S", s).unwrap();
+        let txn = db.begin();
+        for i in 0..2_000i64 {
+            let j = Value::str(format!("j{}", i % 20));
+            db.insert(txn, "R", vec![Value::Int(i), Value::str("b"), j.clone()])
+                .unwrap();
+            if i < 20 {
+                db.insert(txn, "S", vec![j, Value::str("d")]).unwrap();
+            }
+        }
+        db.commit(txn).unwrap();
+        let image = |name: &str| format!("{:?}", db.catalog().get(name).unwrap().snapshot());
+        let sources = (image("R"), image("S"));
+
+        let spec = Migration::join("R", "S", "T", "c", "c").build();
+        let options = TransformOptions::default().deadline(Duration::from_secs(30));
+        let handle = Orchestrator::new(Arc::clone(&db))
+            .submit(spec, options)
+            .unwrap();
+        handle.pause();
+        let t0 = Instant::now();
+        while handle.progress().phase() != MigrationPhase::Propagating {
+            assert!(
+                t0.elapsed() < Duration::from_secs(20),
+                "never reached Propagating"
+            );
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        fault.crash();
+        handle.resume();
+
+        let err = handle
+            .join()
+            .expect_err("the Syncing record cannot be flushed");
+        assert!(matches!(err, DbError::Io(_)), "unexpected error {err}");
+        assert!(
+            !db.catalog().exists("T"),
+            "the failed stage leaked its target"
+        );
+        assert_eq!((image("R"), image("S")), sources);
+    }
 }

@@ -67,23 +67,42 @@ impl ShardedMigration {
 
 /// Submit `spec` to every shard of `sdb` concurrently (eager mode).
 /// Each shard gets its own [`Orchestrator`] and its own WAL-persisted
-/// migration state machine; the caller's orchestrators are returned
-/// alongside the handles so they outlive the submission.
+/// migration state machine.
+///
+/// All shards or none: every shard passes its planning crash point and
+/// claims its tables before any shard's migration starts, so a kill or
+/// a [`MigrationConflict`](morph_common::DbError::MigrationConflict) at
+/// one shard releases the claims already taken and starts nothing.
 pub fn submit_sharded(
     sdb: &ShardedDatabase,
     spec: &MigrationSpec,
     options: &TransformOptions,
-) -> DbResult<(Vec<Orchestrator>, ShardedMigration)> {
-    let mut orchs = Vec::with_capacity(sdb.shard_count());
-    let mut handles = Vec::with_capacity(sdb.shard_count());
-    for (i, shard) in sdb.shards().iter().enumerate() {
-        shard.crash_point("router.shard_plan")?;
-        let orch = Orchestrator::new(Arc::clone(shard));
-        let h = orch.submit(spec.clone(), options.clone())?;
-        orchs.push(orch);
-        handles.push((i, h));
+) -> DbResult<ShardedMigration> {
+    let orchs: Vec<Orchestrator> = sdb
+        .shards()
+        .iter()
+        .map(|shard| Orchestrator::new(Arc::clone(shard)))
+        .collect();
+    let mut claims = Vec::with_capacity(orchs.len());
+    for orch in &orchs {
+        let planned = orch.database().crash_point("router.shard_plan");
+        match planned.and_then(|()| orch.claim(spec)) {
+            Ok(id) => claims.push(id),
+            Err(e) => {
+                for (orch, id) in orchs.iter().zip(claims) {
+                    orch.database().migrations().release(id);
+                }
+                return Err(e);
+            }
+        }
     }
-    Ok((orchs, ShardedMigration { handles }))
+    let handles = orchs
+        .iter()
+        .zip(claims)
+        .map(|(orch, id)| orch.launch(id, spec.clone(), options.clone()))
+        .enumerate()
+        .collect();
+    Ok(ShardedMigration { handles })
 }
 
 /// A lazy migration fanned out over every shard: each shard has cut
@@ -174,30 +193,20 @@ pub fn start_lazy_sharded(
             "lazy sharded migration supports exactly one stage".into(),
         )
     })?;
-    let mut prepared = Vec::with_capacity(sdb.shard_count());
-    for shard in sdb.shards() {
-        match shard
-            .crash_point("router.shard_plan")
-            .and_then(|()| LazyMigration::prepare(shard, stage))
-        {
-            Ok(p) => prepared.push(p),
-            Err(e) => {
-                prepared.into_iter().for_each(PreparedLazy::discard);
-                return Err(e);
-            }
-        }
-    }
-    let mut lazies = Vec::with_capacity(prepared.len());
-    let mut pending = prepared.into_iter();
-    while let Some(p) = pending.next() {
-        match p.cut_over() {
-            Ok(lazy) => lazies.push(lazy),
-            Err(e) => {
-                pending.for_each(PreparedLazy::discard);
-                return Err(e);
-            }
-        }
-    }
+    // A failure drops the shards' remaining `PreparedLazy`s, and each
+    // drops its own targets.
+    let prepared = sdb
+        .shards()
+        .iter()
+        .map(|shard| {
+            shard.crash_point("router.shard_plan")?;
+            LazyMigration::prepare(shard, stage)
+        })
+        .collect::<DbResult<Vec<_>>>()?;
+    let lazies = prepared
+        .into_iter()
+        .map(PreparedLazy::cut_over)
+        .collect::<DbResult<_>>()?;
     Ok(ShardedLazyMigration { lazies })
 }
 

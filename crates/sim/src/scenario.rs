@@ -13,12 +13,14 @@ use morph_common::{ColumnType, DbResult, Schema, Value};
 use morph_core::foj::figure1_schemas;
 use morph_core::split::example1_schema;
 use morph_core::{
-    FojSpec, SplitSpec, SyncStrategy, TransformOptions, TransformReport, Transformer, UnionSpec,
+    FojSpec, SplitSpec, SyncStrategy, TransformJob, TransformOptions, TransformPlan,
+    TransformReport, UnionSpec,
 };
 use morph_engine::Database;
 use morph_workload::TableProfile;
 use rand::rngs::StdRng;
 use rand::Rng;
+use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 
 /// Which transformation the simulation drives.
@@ -263,40 +265,27 @@ impl Scenario {
         }
     }
 
-    /// Run the scenario's transformation synchronously.
+    /// Run the scenario's transformation synchronously, on the calling
+    /// thread (the harness's crash points fire there).
     pub fn run(&self, db: &Arc<Database>, strategy: SyncStrategy) -> DbResult<TransformReport> {
-        let options = sim_options(strategy);
-        match self {
-            Scenario::Foj => {
-                Transformer::run_foj(db, FojSpec::new("R", "S", "T", "c", "c"), options)
-            }
-            Scenario::Split => Transformer::run_split(
-                db,
-                SplitSpec::new(
-                    "C",
-                    "CR",
-                    "CS",
-                    &["customer_id", "name", "postal_code"],
-                    "postal_code",
-                    &["city"],
-                ),
-                options,
-            ),
-            Scenario::SplitCc => Transformer::run_split(
-                db,
-                SplitSpec::new(
-                    "C",
-                    "CR",
-                    "CS",
-                    &["customer_id", "name", "postal_code"],
-                    "postal_code",
-                    &["city"],
-                )
-                .with_consistency_check(),
-                options,
-            ),
-            Scenario::Union => Transformer::run_union(db, UnionSpec::new("A", "B", "U"), options),
-        }
+        let split = || {
+            SplitSpec::new(
+                "C",
+                "CR",
+                "CS",
+                &["customer_id", "name", "postal_code"],
+                "postal_code",
+                &["city"],
+            )
+        };
+        let plan = match self {
+            Scenario::Foj => TransformPlan::Foj(FojSpec::new("R", "S", "T", "c", "c")),
+            Scenario::Split => TransformPlan::Split(split()),
+            Scenario::SplitCc => TransformPlan::Split(split().with_consistency_check()),
+            Scenario::Union => TransformPlan::Union(UnionSpec::new("A", "B", "U")),
+        };
+        let job = TransformJob::prepare(db, &plan, sim_options(strategy))?;
+        job.run(&AtomicBool::new(false), None, |_| Ok(()))
     }
 }
 

@@ -190,7 +190,7 @@ fn reference(row: Row) -> Vec<Tables> {
         sdb.create_table(name, schema).unwrap();
     }
     row.seed_rows(&sdb);
-    let (_orchs, mig) = submit_sharded(&sdb, &row.spec(), &options()).unwrap();
+    let mig = submit_sharded(&sdb, &row.spec(), &options()).unwrap();
     mig.join().unwrap();
     sdb.shards()
         .iter()
@@ -240,7 +240,7 @@ fn migration_survives_kills_at_every_transition() {
             let victim = &u.shards[VICTIM];
             let hook = KillHook::arm(point, 1);
             victim.db.set_crash_hook(hook.clone());
-            let (_orchs, mig) = submit_sharded(&u.sdb, &row.spec(), &options()).unwrap();
+            let mig = submit_sharded(&u.sdb, &row.spec(), &options()).unwrap();
             let err = mig.join().expect_err("armed kill must surface");
             assert!(
                 matches!(err, DbError::SimulatedCrash(_)) && hook.fired(),
@@ -409,32 +409,41 @@ fn kill_during_abort_conclusion_recovers_consistently() {
     }
 }
 
-/// A kill during fan-out planning (`router.shard_plan`, first shard)
-/// starts nothing anywhere; a clean re-submit converges.
+/// A kill during fan-out planning (`router.shard_plan`, at the first
+/// shard or a later one) starts nothing anywhere: the claims the
+/// earlier shards took are released before any job launched. A clean
+/// re-submit converges.
 #[test]
 fn fanout_kill_starts_nothing_and_resubmits_cleanly() {
     let reference = reference(Row::Union);
-    let u = build(Row::Union, 19);
-    let hook = KillHook::arm("router.shard_plan", 1);
-    u.shards[VICTIM].db.set_crash_hook(hook.clone());
-    let err = match submit_sharded(&u.sdb, &Row::Union.spec(), &options()) {
-        Err(e) => e,
-        Ok(_) => panic!("fan-out kill must surface"),
-    };
-    assert!(matches!(err, DbError::SimulatedCrash(_)));
-    assert!(hook.fired());
-    u.shards[VICTIM].db.clear_crash_hook();
+    for killed in [VICTIM, 1] {
+        let u = build(Row::Union, 19);
+        let hook = KillHook::arm("router.shard_plan", 1);
+        u.shards[killed].db.set_crash_hook(hook.clone());
+        let err = match submit_sharded(&u.sdb, &Row::Union.spec(), &options()) {
+            Err(e) => e,
+            Ok(_) => panic!("fan-out kill must surface"),
+        };
+        assert!(matches!(err, DbError::SimulatedCrash(_)));
+        assert!(hook.fired());
+        u.shards[killed].db.clear_crash_hook();
 
-    for (i, s) in u.shards.iter().enumerate() {
-        assert!(
-            s.db.catalog().get("u").is_err(),
-            "shard {i}: no shard may have started"
-        );
-    }
-    let (_orchs, mig) = submit_sharded(&u.sdb, &Row::Union.spec(), &options()).unwrap();
-    mig.join().unwrap();
-    for (i, want) in reference.iter().enumerate() {
-        assert_eq!(&Row::Union.target_tables(u.sdb.shard(i)), want, "shard {i}");
+        let t0 = std::time::Instant::now();
+        while !u.shards[0].db.migrations().active_jobs().is_empty() {
+            assert!(t0.elapsed() < std::time::Duration::from_secs(30));
+            std::thread::sleep(std::time::Duration::from_millis(1));
+        }
+        for (i, s) in u.shards.iter().enumerate() {
+            assert!(
+                s.db.catalog().get("u").is_err(),
+                "kill at shard {killed}: shard {i} started anyway"
+            );
+        }
+        let mig = submit_sharded(&u.sdb, &Row::Union.spec(), &options()).unwrap();
+        mig.join().unwrap();
+        for (i, want) in reference.iter().enumerate() {
+            assert_eq!(&Row::Union.target_tables(u.sdb.shard(i)), want, "shard {i}");
+        }
     }
 }
 

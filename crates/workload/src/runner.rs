@@ -166,7 +166,8 @@ mod tests {
     use super::*;
     use crate::client::HotSide;
     use crate::setup;
-    use morph_core::{FojSpec, SplitSpec, TransformOptions, Transformer};
+    use morph_core::{FojSpec, SplitSpec, TransformJob, TransformOptions, TransformPlan};
+    use std::sync::atomic::AtomicBool;
 
     fn small_split_db() -> Arc<Database> {
         let db = Arc::new(Database::new());
@@ -204,16 +205,15 @@ mod tests {
         let runner = WorkloadRunner::start(Arc::clone(&db), cfg_split(), 4);
         let baseline = runner.measure(Duration::from_millis(150));
 
-        let spec = SplitSpec::new("T", "R", "S", &["a", "b", "c"], "c", &["d"]);
-        let handle = Transformer::spawn_split(
-            Arc::clone(&db),
-            spec,
-            TransformOptions::default()
-                .deadline(Duration::from_secs(30))
-                .copy_workers(4),
-        );
+        let plan =
+            TransformPlan::Split(SplitSpec::new("T", "R", "S", &["a", "b", "c"], "c", &["d"]));
+        let options = TransformOptions::default()
+            .deadline(Duration::from_secs(30))
+            .copy_workers(4);
+        let job = TransformJob::prepare(&db, &plan, options).unwrap();
+        let handle = std::thread::spawn(move || job.run(&AtomicBool::new(false), None, |_| Ok(())));
         let during = runner.measure(Duration::from_millis(150));
-        let report = handle.join().expect("transformation");
+        let report = handle.join().unwrap().expect("transformation");
         // Keep the workload running across the switch, then stop.
         let after = runner.measure(Duration::from_millis(150));
         runner.stop();
@@ -254,15 +254,14 @@ mod tests {
         let runner = WorkloadRunner::start(Arc::clone(&db), cfg, 4);
         let baseline = runner.measure(Duration::from_millis(150));
 
-        let handle = Transformer::spawn_foj(
-            Arc::clone(&db),
-            FojSpec::new("R", "S", "T", "c", "c"),
-            TransformOptions::default()
-                .deadline(Duration::from_secs(30))
-                .copy_workers(4),
-        );
+        let plan = TransformPlan::Foj(FojSpec::new("R", "S", "T", "c", "c"));
+        let options = TransformOptions::default()
+            .deadline(Duration::from_secs(30))
+            .copy_workers(4);
+        let job = TransformJob::prepare(&db, &plan, options).unwrap();
+        let handle = std::thread::spawn(move || job.run(&AtomicBool::new(false), None, |_| Ok(())));
         let during = runner.measure(Duration::from_millis(150));
-        let report = handle.join().expect("transformation");
+        let report = handle.join().unwrap().expect("transformation");
         runner.stop();
 
         assert!(baseline.committed > 0 && during.committed > 0);

@@ -16,8 +16,9 @@
 //! cargo run --example customer_split
 //! ```
 
-use morphdb::core::{SplitSpec, TransformOptions, Transformer};
+use morphdb::core::{SplitSpec, TransformJob, TransformOptions, TransformPlan};
 use morphdb::{ColumnType, Database, DbError, Key, Schema, Value};
+use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -79,7 +80,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     };
 
     println!("attempting the split with §5.3 consistency checking…");
-    match Transformer::run_split(&db, spec(), options.clone()) {
+    let split = |options| {
+        let job = TransformJob::prepare(&db, &TransformPlan::Split(spec()), options)?;
+        job.run(&AtomicBool::new(false), None, |_| Ok(()))
+    };
+    match split(options.clone()) {
         Err(DbError::InconsistentSplitData { key, detail }) => {
             println!("  ✗ transformation refused: inconsistent data at {key}");
             println!("    ({detail})\n");
@@ -98,7 +103,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     db.commit(txn)?;
 
     println!("retrying the split…");
-    let report = Transformer::run_split(&db, spec(), options)?;
+    let report = split(options)?;
     println!(
         "  ✓ completed: {} consistency-checker rounds, sources latched {:?}\n",
         report.cc_rounds, report.sync.latch_pause

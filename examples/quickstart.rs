@@ -5,8 +5,9 @@
 //! cargo run --example quickstart
 //! ```
 
-use morphdb::core::{FojSpec, SplitSpec, TransformOptions, Transformer};
+use morphdb::core::{FojSpec, SplitSpec, TransformJob, TransformOptions, TransformPlan};
 use morphdb::{Database, Value};
+use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -40,11 +41,9 @@ fn foj_figure1() -> Result<(), Box<dyn std::error::Error>> {
     // The transformation runs in the background; user transactions
     // could keep working on R and S the whole time.
     let spec = FojSpec::new("R", "S", "T", "c", "c");
-    let report = Transformer::run_foj(
-        &db,
-        spec,
-        TransformOptions::default().deadline(Duration::from_secs(10)),
-    )?;
+    let options = TransformOptions::default().deadline(Duration::from_secs(10));
+    let job = TransformJob::prepare(&db, &TransformPlan::Foj(spec), options)?;
+    let report = job.run(&AtomicBool::new(false), None, |_| Ok(()))?;
 
     println!("T = R ⟗ S   (rows with r∅ / s∅ are the NULL-extended sides)");
     println!("{}", morphdb::pretty::render(&*db.catalog().get("T")?));
@@ -82,11 +81,9 @@ fn split_figure3() -> Result<(), Box<dyn std::error::Error>> {
     println!("{}", morphdb::pretty::render(&*db.catalog().get("T")?));
 
     let spec = SplitSpec::new("T", "R", "S", &["a", "b", "c"], "c", &["d"]);
-    let report = Transformer::run_split(
-        &db,
-        spec,
-        TransformOptions::default().deadline(Duration::from_secs(10)),
-    )?;
+    let options = TransformOptions::default().deadline(Duration::from_secs(10));
+    let job = TransformJob::prepare(&db, &TransformPlan::Split(spec), options)?;
+    let report = job.run(&AtomicBool::new(false), None, |_| Ok(()))?;
 
     println!("R (keeps T's key; c is the foreign key into S)");
     println!("{}", morphdb::pretty::render(&*db.catalog().get("R")?));

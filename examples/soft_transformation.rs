@@ -16,9 +16,10 @@
 //! cargo run --example soft_transformation
 //! ```
 
-use morphdb::core::{FojSpec, SyncStrategy, TransformOptions, Transformer};
+use morphdb::core::{FojSpec, SyncStrategy, TransformJob, TransformOptions, TransformPlan};
 use morphdb::storage::TableState;
 use morphdb::{ColumnType, Database, DbError, Key, Schema, Value};
+use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -65,13 +66,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("old transaction {old} holds a lock on orders[5]");
 
     println!("launching the FOJ transformation with the non-blocking COMMIT strategy…");
-    let handle = Transformer::spawn_foj(
-        Arc::clone(&db),
-        FojSpec::new("orders", "customers", "orders_denorm", "cust", "cust"),
-        TransformOptions::default()
-            .strategy(SyncStrategy::NonBlockingCommit)
-            .deadline(Duration::from_secs(30)),
-    );
+    let spec = FojSpec::new("orders", "customers", "orders_denorm", "cust", "cust");
+    let options = TransformOptions::default()
+        .strategy(SyncStrategy::NonBlockingCommit)
+        .deadline(Duration::from_secs(30));
+    let job = TransformJob::prepare(&db, &TransformPlan::Foj(spec), options)?;
+    let worker = std::thread::spawn(move || job.run(&AtomicBool::new(false), None, |_| Ok(())));
 
     // Wait for the switch (sources freeze for everyone but `old`).
     let t0 = Instant::now();
@@ -127,7 +127,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "{old} committed on the frozen source; propagation washes its work into the new table"
     );
 
-    let report = handle.join()?;
+    let report = worker.join().expect("transformation thread panicked")?;
     println!(
         "transformation done: {} old transaction(s) carried over, {} locks transferred, latch pause {:?}",
         report.sync.old_txns, report.sync.locks_transferred, report.sync.latch_pause

@@ -21,6 +21,12 @@
 
 pub mod pretty;
 
+/// The README's code blocks, compiled by `cargo test` as doctests so
+/// the library example cannot name an API that no longer exists.
+#[cfg(doctest)]
+#[doc = include_str!("../README.md")]
+pub struct ReadmeDoctests;
+
 pub use morph_common as common;
 pub use morph_core as core;
 pub use morph_engine as engine;

@@ -8,7 +8,9 @@
 //! (propagator writes are not logged) and the other's source records as
 //! foreign tables to skip.
 
-use morphdb::core::{FojSpec, ProgressPhase, SplitSpec, TransformOptions, Transformer};
+use morphdb::core::{
+    FojSpec, MigrationPhase, SplitSpec, TransformJob, TransformOptions, TransformPlan,
+};
 use morphdb::orchestrator::{Migration, Orchestrator};
 use morphdb::workload::{spawn_updaters, UpdateTarget};
 use morphdb::{ColumnType, Database, DbError, Key, Schema, Value};
@@ -136,25 +138,21 @@ fn disjoint_foj_and_split_run_concurrently() {
     let opts = TransformOptions::default()
         .deadline(Duration::from_secs(60))
         .retain_sources();
-    let h1 = Transformer::spawn_foj(
-        Arc::clone(&db),
-        FojSpec::new("R", "S", "T_join", "c", "c"),
-        opts.clone(),
-    );
-    let h2 = Transformer::spawn_split(
-        Arc::clone(&db),
-        SplitSpec::new(
-            "U",
-            "U_base",
-            "U_groups",
-            &["k", "payload", "grp"],
-            "grp",
-            &["dep"],
-        ),
-        opts,
-    );
-    let rep1 = h1.join().expect("FOJ transformation");
-    let rep2 = h2.join().expect("split transformation");
+    let foj = TransformPlan::Foj(FojSpec::new("R", "S", "T_join", "c", "c"));
+    let split = TransformPlan::Split(SplitSpec::new(
+        "U",
+        "U_base",
+        "U_groups",
+        &["k", "payload", "grp"],
+        "grp",
+        &["dep"],
+    ));
+    let [h1, h2] = [foj, split].map(|plan| {
+        let job = TransformJob::prepare(&db, &plan, opts.clone()).unwrap();
+        std::thread::spawn(move || job.run(&AtomicBool::new(false), None, |_| Ok(())))
+    });
+    let rep1 = h1.join().unwrap().expect("FOJ transformation");
+    let rep2 = h2.join().unwrap().expect("split transformation");
     stop.store(true, Ordering::Relaxed);
     for w in workers {
         w.join().unwrap();
@@ -335,7 +333,7 @@ fn split_then_union_chain_converges() {
     let reports = handle.join().expect("split-then-union chain");
     pool.stop();
 
-    assert_eq!(prog.phase(), ProgressPhase::CutOver);
+    assert_eq!(prog.phase(), MigrationPhase::CutOver);
     assert!(prog.rows_copied() >= 500 + 80);
 
     assert_eq!(reports.len(), 2, "one report per chained stage");

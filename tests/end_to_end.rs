@@ -8,17 +8,25 @@
 //! reuse `morph-core`'s reference implementations), so a bug shared by
 //! the rules and their in-crate oracle would still be caught.
 
-use morphdb::core::{FojSpec, SplitSpec, TransformOptions, Transformer};
+use morphdb::core::{
+    FojSpec, SplitSpec, TransformJob, TransformOptions, TransformPlan, TransformReport,
+};
 use morphdb::workload::{
     setup_dummy, setup_foj_sources, setup_split_source, ClientConfig, HotSide, WorkloadRunner,
 };
-use morphdb::{Database, Value};
+use morphdb::{Database, DbResult, Value};
 use std::collections::BTreeMap;
+use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 use std::time::Duration;
 
 const ROWS: usize = 2_000;
 const S_ROWS: usize = 400;
+
+/// Prepare `plan` and run it to completion on this thread.
+fn run(db: &Arc<Database>, plan: TransformPlan) -> DbResult<TransformReport> {
+    TransformJob::prepare(db, &plan, opts())?.run(&AtomicBool::new(false), None, |_| Ok(()))
+}
 
 fn opts() -> TransformOptions {
     TransformOptions::default()
@@ -51,12 +59,8 @@ fn foj_under_live_workload_matches_independent_oracle() {
     );
     std::thread::sleep(Duration::from_millis(100));
 
-    let handle = Transformer::spawn_foj(
-        Arc::clone(&db),
-        FojSpec::new("R", "S", "T", "c", "c"),
-        opts(),
-    );
-    let report = handle.join().expect("transformation");
+    let foj = TransformPlan::Foj(FojSpec::new("R", "S", "T", "c", "c"));
+    let report = run(&db, foj).expect("transformation");
     // Let stragglers drain, then stop the workload.
     std::thread::sleep(Duration::from_millis(100));
     runner.stop();
@@ -140,8 +144,7 @@ fn split_under_live_workload_matches_independent_oracle() {
     std::thread::sleep(Duration::from_millis(100));
 
     let spec = SplitSpec::new("T", "R2", "S2", &["a", "b", "c"], "c", &["d"]);
-    let handle = Transformer::spawn_split(Arc::clone(&db), spec, opts());
-    let report = handle.join().expect("transformation");
+    let report = run(&db, TransformPlan::Split(spec)).expect("transformation");
     std::thread::sleep(Duration::from_millis(100));
     runner.stop();
     assert!(report.sync.latch_pause < Duration::from_millis(500));
@@ -195,7 +198,8 @@ fn workload_is_never_globally_blocked() {
     let runner = WorkloadRunner::start(Arc::clone(&db), cfg(HotSide::SplitSource), 4);
     std::thread::sleep(Duration::from_millis(100));
     let spec = SplitSpec::new("T", "R2", "S2", &["a", "b", "c"], "c", &["d"]);
-    let handle = Transformer::spawn_split(Arc::clone(&db), spec, opts());
+    let job = TransformJob::prepare(&db, &TransformPlan::Split(spec), opts()).unwrap();
+    let handle = std::thread::spawn(move || job.run(&AtomicBool::new(false), None, |_| Ok(())));
 
     // Sample short windows across the transformation's lifetime.
     let mut zero_windows = 0;
@@ -207,7 +211,7 @@ fn workload_is_never_globally_blocked() {
             zero_windows += 1;
         }
     }
-    handle.join().unwrap();
+    handle.join().unwrap().unwrap();
     runner.stop();
     assert!(windows > 0);
     assert_eq!(

@@ -492,8 +492,7 @@ fn check_sharded(op: Op, shards: usize, pre: &[Txn], post: &[Txn]) -> Result<(),
             }
             mig.finish().unwrap();
         } else {
-            let (_orchs, mig) =
-                submit_sharded(&sdb, &op.spec(), &TransformOptions::default()).unwrap();
+            let mig = submit_sharded(&sdb, &op.spec(), &TransformOptions::default()).unwrap();
             mig.join().unwrap();
         }
         for &table in op.targets() {

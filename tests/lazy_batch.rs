@@ -6,7 +6,7 @@
 //! the same rows migrated eagerly on a single engine.
 
 use morphdb::core::spec::{FojSpec, SplitSpec, TransformOptions};
-use morphdb::core::transform::{TransformPlan, Transformer};
+use morphdb::core::transform::{TransformJob, TransformPlan};
 use morphdb::core::union::UnionSpec;
 use morphdb::engine::CrashHook;
 use morphdb::orchestrator::{Migration, Orchestrator};
@@ -179,8 +179,8 @@ fn touchers_race_backfill(load: fn() -> Arc<Database>, plan: TransformPlan, targ
     const TOUCHERS: usize = 3;
     let expected = {
         let db = load();
-        let options = TransformOptions::default();
-        Transformer::run_plan(&db, &plan, options, &AtomicBool::new(false)).unwrap();
+        let job = TransformJob::prepare(&db, &plan, TransformOptions::default()).unwrap();
+        job.run(&AtomicBool::new(false), None, |_| Ok(())).unwrap();
         images(&db, targets)
     };
     let keys: Vec<&(String, Key)> = expected.keys().collect();

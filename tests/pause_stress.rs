@@ -16,10 +16,11 @@
 //!   and are compared in `equivalence.rs`, where both
 //!   pipelines share one).
 
-use morphdb::core::{ProgressPhase, SplitSpec, TransformOptions, Transformer};
+use morphdb::core::{MigrationPhase, SplitSpec, TransformJob, TransformOptions, TransformPlan};
 use morphdb::orchestrator::{MigrationHandle, Orchestrator};
 use morphdb::workload::{spawn_updaters, UpdateTarget};
 use morphdb::{ColumnType, Database, Schema, Value};
+use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -79,7 +80,7 @@ fn await_parked(db: &Database, handle: &MigrationHandle) {
             "migration never parked in Propagating; phase now {:?}",
             handle.progress().phase()
         );
-        if handle.progress().phase() != ProgressPhase::Propagating {
+        if handle.progress().phase() != MigrationPhase::Propagating {
             std::thread::sleep(Duration::from_millis(1));
             continue;
         }
@@ -156,7 +157,7 @@ fn paused_migration_matches_uninterrupted_reference() {
     let progress = handle.progress();
     let reports = handle.join().expect("paused migration must converge");
     assert_eq!(reports.len(), 1);
-    assert_eq!(progress.phase(), ProgressPhase::CutOver);
+    assert_eq!(progress.phase(), MigrationPhase::CutOver);
     assert_eq!(
         rows_sans_lsn(&db, "W"),
         source_rows,
@@ -172,18 +173,20 @@ fn paused_migration_matches_uninterrupted_reference() {
         reference.insert(txn, "W", values.clone()).unwrap();
     }
     reference.commit(txn).unwrap();
-    Transformer::run_split(
+    let plan = TransformPlan::Split(SplitSpec::new(
+        "W",
+        "W_base",
+        "W_groups",
+        &["k", "payload", "grp"],
+        "grp",
+        &["dep"],
+    ));
+    TransformJob::prepare(
         &reference,
-        SplitSpec::new(
-            "W",
-            "W_base",
-            "W_groups",
-            &["k", "payload", "grp"],
-            "grp",
-            &["dep"],
-        ),
+        &plan,
         TransformOptions::default().retain_sources(),
     )
+    .and_then(|job| job.run(&AtomicBool::new(false), None, |_| Ok(())))
     .expect("reference split");
 
     assert_eq!(
@@ -251,7 +254,7 @@ fn migration_unparks_into_live_traffic_and_converges() {
     let committed = writers.stop();
     assert!(committed > 0);
     assert_eq!(reports.len(), 1);
-    assert_eq!(progress.phase(), ProgressPhase::CutOver);
+    assert_eq!(progress.phase(), MigrationPhase::CutOver);
 
     let source_rows = rows_sans_lsn(&db, "W");
     let base = rows_sans_lsn(&db, "W_base");

@@ -11,12 +11,23 @@
 //! Everything runs online, with a light concurrent workload across both
 //! transformations.
 
-use morphdb::core::{FojSpec, SplitSpec, TransformOptions, Transformer};
-use morphdb::{ColumnType, Database, Key, Schema, Value};
+use morphdb::core::{
+    FojSpec, SplitSpec, TransformJob, TransformOptions, TransformPlan, TransformReport,
+};
+use morphdb::{ColumnType, Database, DbResult, Key, Schema, Value};
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
+
+/// Prepare `plan` and run it to completion on this thread.
+fn run(
+    db: &Arc<Database>,
+    plan: TransformPlan,
+    options: TransformOptions,
+) -> DbResult<TransformReport> {
+    TransformJob::prepare(db, &plan, options)?.run(&AtomicBool::new(false), None, |_| Ok(()))
+}
 
 #[test]
 fn foj_then_split_recovers_the_decomposition() {
@@ -115,18 +126,14 @@ fn foj_then_split_recovers_the_decomposition() {
     let opts = TransformOptions::default().deadline(Duration::from_secs(60));
 
     // Denormalize…
-    let report1 = Transformer::run_foj(&db, FojSpec::new("R", "S", "T", "c", "c"), opts.clone())
-        .expect("FOJ transformation");
+    let foj = TransformPlan::Foj(FojSpec::new("R", "S", "T", "c", "c"));
+    let report1 = run(&db, foj, opts.clone()).expect("FOJ transformation");
     assert!(!db.catalog().exists("R") && !db.catalog().exists("S"));
     assert_eq!(db.catalog().get("T").unwrap().len(), 600);
 
     // …and split right back.
-    let report2 = Transformer::run_split(
-        &db,
-        SplitSpec::new("T", "R", "S", &["a", "b", "c"], "c", &["d"]),
-        opts,
-    )
-    .expect("split transformation");
+    let split = TransformPlan::Split(SplitSpec::new("T", "R", "S", &["a", "b", "c"], "c", &["d"]));
+    let report2 = run(&db, split, opts).expect("split transformation");
     stop.store(true, Ordering::Relaxed);
     worker.join().unwrap();
     assert!(!db.catalog().exists("T"));
@@ -197,12 +204,8 @@ fn many_to_many_foj_full_transformation() {
     db.commit(txn).unwrap();
 
     let spec = FojSpec::new("students", "sessions", "timetable", "course", "course").many_to_many();
-    let report = Transformer::run_foj(
-        &db,
-        spec,
-        TransformOptions::default().deadline(Duration::from_secs(30)),
-    )
-    .expect("m2m transformation");
+    let options = TransformOptions::default().deadline(Duration::from_secs(30));
+    let report = run(&db, TransformPlan::Foj(spec), options).expect("m2m transformation");
 
     // 5 courses × (12 students × 3 sessions) pairings.
     let t = db.catalog().get("timetable").unwrap();
@@ -258,9 +261,9 @@ fn union_merge_full_transformation_under_load() {
         }
     });
 
-    let report = Transformer::run_union(
+    let report = run(
         &db,
-        UnionSpec::new("eu", "us", "customers_all"),
+        TransformPlan::Union(UnionSpec::new("eu", "us", "customers_all")),
         TransformOptions::default()
             .deadline(Duration::from_secs(60))
             .retain_sources(),

@@ -19,7 +19,7 @@
 //!    lock-wait counter must stay at zero: snapshot reads take no
 //!    transaction locks and wait on nobody, migration or not.
 
-use morphdb::core::{SplitSpec, TransformOptions, Transformer};
+use morphdb::core::{SplitSpec, TransformJob, TransformOptions, TransformPlan};
 use morphdb::engine::recover_into;
 use morphdb::txn::LockManagerConfig;
 use morphdb::wal::{LogManager, LogRecord};
@@ -232,22 +232,21 @@ fn snapshot_readers_never_block_during_migration() {
         })
         .collect();
 
-    let handle = Transformer::spawn_split(
-        Arc::clone(&db),
-        SplitSpec::new(
-            "W",
-            "W_base",
-            "W_groups",
-            &["k", "payload", "grp"],
-            "grp",
-            &["dep"],
-        ),
-        TransformOptions::default()
-            .deadline(Duration::from_secs(60))
-            .retain_sources()
-            .copy_workers(2),
-    );
-    let report = handle.join().expect("split under fire");
+    let plan = TransformPlan::Split(SplitSpec::new(
+        "W",
+        "W_base",
+        "W_groups",
+        &["k", "payload", "grp"],
+        "grp",
+        &["dep"],
+    ));
+    let options = TransformOptions::default()
+        .deadline(Duration::from_secs(60))
+        .retain_sources()
+        .copy_workers(2);
+    let report = TransformJob::prepare(&db, &plan, options)
+        .and_then(|job| job.run(&AtomicBool::new(false), None, |_| Ok(())))
+        .expect("split under fire");
     done.store(true, Ordering::Relaxed);
 
     for r in readers {

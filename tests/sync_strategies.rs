@@ -3,7 +3,7 @@
 //! non-blocking commit strategy.
 
 use morphdb::core::{
-    FojSpec, SyncStrategy, TransformJob, TransformOptions, TransformPlan, Transformer,
+    FojSpec, SyncStrategy, TransformJob, TransformOptions, TransformPlan, TransformReport,
 };
 use morphdb::engine::CrashHook;
 use morphdb::{ColumnType, Database, DbError, DbResult, Key, Schema, Value};
@@ -49,6 +49,19 @@ fn opts(strategy: SyncStrategy) -> TransformOptions {
         .deadline(Duration::from_secs(30))
 }
 
+fn foj() -> TransformPlan {
+    TransformPlan::Foj(FojSpec::new("R", "S", "T", "c", "c"))
+}
+
+/// Prepare `plan` and run it to completion on this thread.
+fn run(
+    db: &Arc<Database>,
+    plan: TransformPlan,
+    options: TransformOptions,
+) -> DbResult<TransformReport> {
+    TransformJob::prepare(db, &plan, options)?.run(&AtomicBool::new(false), None, |_| Ok(()))
+}
+
 #[test]
 fn non_blocking_abort_dooms_old_and_serves_new() {
     let db = Arc::new(Database::new());
@@ -57,11 +70,8 @@ fn non_blocking_abort_dooms_old_and_serves_new() {
     db.update(old, "R", &Key::single(5), &[(1, Value::str("dirty"))])
         .unwrap();
 
-    let handle = Transformer::spawn_foj(
-        Arc::clone(&db),
-        FojSpec::new("R", "S", "T", "c", "c"),
-        opts(SyncStrategy::NonBlockingAbort),
-    );
+    let job = TransformJob::prepare(&db, &foj(), opts(SyncStrategy::NonBlockingAbort)).unwrap();
+    let handle = std::thread::spawn(move || job.run(&AtomicBool::new(false), None, |_| Ok(())));
 
     // The old transaction gets doomed; a well-behaved client rolls it
     // back and moves to the new table.
@@ -79,7 +89,7 @@ fn non_blocking_abort_dooms_old_and_serves_new() {
             Err(e) => panic!("unexpected error: {e}"),
         }
     }
-    handle.join().unwrap();
+    handle.join().unwrap().unwrap();
 
     // New transactions use T; the doomed transaction's work is absent.
     let t = db.catalog().get("T").unwrap();
@@ -103,11 +113,8 @@ fn non_blocking_commit_blocks_new_txn_until_old_commit_propagates() {
     db.update(old, "R", &Key::single(1), &[(1, Value::str("v1"))])
         .unwrap();
 
-    let handle = Transformer::spawn_foj(
-        Arc::clone(&db),
-        FojSpec::new("R", "S", "T", "c", "c"),
-        opts(SyncStrategy::NonBlockingCommit),
-    );
+    let job = TransformJob::prepare(&db, &foj(), opts(SyncStrategy::NonBlockingCommit)).unwrap();
+    let handle = std::thread::spawn(move || job.run(&AtomicBool::new(false), None, |_| Ok(())));
     // Wait for the switch (R freezes for new transactions).
     let t0 = Instant::now();
     loop {
@@ -138,7 +145,7 @@ fn non_blocking_commit_blocks_new_txn_until_old_commit_propagates() {
     db.commit(old).unwrap();
     // …and once the propagator catches up the transformation finishes
     // and the record becomes writable.
-    handle.join().unwrap();
+    handle.join().unwrap().unwrap();
     let txn = db.begin();
     db.update(txn, "T", &t_key, &[(1, Value::str("after"))])
         .unwrap();
@@ -195,11 +202,9 @@ fn split_sync_with_active_source_lock_holder_does_not_deadlock() {
         .unwrap();
 
     let spec = SplitSpec::new("T", "R2", "S2", &["a", "b", "c"], "c", &["d"]);
-    let handle = morphdb::core::Transformer::spawn_split(
-        Arc::clone(&db),
-        spec,
-        opts(SyncStrategy::NonBlockingAbort),
-    );
+    let options = opts(SyncStrategy::NonBlockingAbort);
+    let job = TransformJob::prepare(&db, &TransformPlan::Split(spec), options).unwrap();
+    let handle = std::thread::spawn(move || job.run(&AtomicBool::new(false), None, |_| Ok(())));
     // Roll the doomed transaction back once the sync fires.
     let t0 = Instant::now();
     loop {
@@ -215,7 +220,7 @@ fn split_sync_with_active_source_lock_holder_does_not_deadlock() {
             Err(e) => panic!("unexpected error: {e}"),
         }
     }
-    let report = handle.join().expect("split transformation");
+    let report = handle.join().unwrap().expect("split transformation");
     assert!(
         report.sync.old_txns >= 1,
         "the holder must be grandfathered"
@@ -267,12 +272,7 @@ fn blocking_commit_blocks_then_switches() {
         }
     });
 
-    let report = Transformer::run_foj(
-        &db,
-        FojSpec::new("R", "S", "T", "c", "c"),
-        opts(SyncStrategy::BlockingCommit),
-    )
-    .unwrap();
+    let report = run(&db, foj(), opts(SyncStrategy::BlockingCommit)).unwrap();
     release.join().unwrap();
     prober.join().unwrap();
 
@@ -354,7 +354,7 @@ fn sync_with_client_parked_at(point: &'static str) {
         let options = TransformOptions::default()
             .strategy(strategy)
             .deadline(Duration::from_secs(2));
-        let outcome = Transformer::run_foj(&db, FojSpec::new("R", "S", "T", "c", "c"), options);
+        let outcome = run(&db, foj(), options);
         hook.released.store(true, Ordering::SeqCst);
         client.join().unwrap().unwrap();
         let report =
@@ -395,7 +395,7 @@ fn blocking_commit_honours_retain_sources() {
         if retain {
             options = options.retain_sources();
         }
-        Transformer::run_foj(&db, FojSpec::new("R", "S", "T", "c", "c"), options).unwrap();
+        run(&db, foj(), options).unwrap();
         assert_eq!(db.catalog().exists("R"), retain, "retain={retain}");
         assert_eq!(db.catalog().exists("S"), retain, "retain={retain}");
         if retain {
@@ -434,9 +434,9 @@ fn a_failed_finish_drops_the_lock_mirror_with_the_job() {
     db.update(old, "R", &Key::single(1), &[(1, Value::str("v1"))])
         .unwrap();
 
-    let plan = TransformPlan::Foj(FojSpec::new("R", "S", "T", "c", "c"));
     let abort = AtomicBool::new(false);
-    let mut job = TransformJob::prepare(&db, &plan, opts(SyncStrategy::NonBlockingCommit)).unwrap();
+    let mut job =
+        TransformJob::prepare(&db, &foj(), opts(SyncStrategy::NonBlockingCommit)).unwrap();
     job.copy().unwrap();
     job.propagate(&abort, None).unwrap();
     job.synchronize().unwrap();
