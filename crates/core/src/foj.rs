@@ -80,6 +80,16 @@ impl FojMapping {
         let ss = s.schema();
         let r_join = rs.require(&spec.r_join_col)?;
         let s_join = ss.require(&spec.s_join_col)?;
+        // An S keyed by the join column would collapse T's m:n key
+        // R-pk ⧺ S-pk onto R-pk ⧺ join, a key an R-only row already
+        // carries, so rule 2's `__spk` lookup would mistake it for s.
+        if spec.many_to_many && ss.pkey() == [s_join] {
+            return Err(DbError::InvalidSchema(format!(
+                "many-to-many join: {}'s primary key is the join column {}, \
+                 so the join is one-to-many",
+                spec.s_table, spec.s_join_col
+            )));
+        }
 
         // T layout: R columns, then S columns minus the join column.
         // Every T column is nullable (outer join NULL-extends).
@@ -989,6 +999,23 @@ mod tests {
         let spec = FojSpec::new("R", "S", "T", "c", "c").many_to_many();
         let m = FojMapping::prepare(&db, &spec).unwrap();
         (db, m)
+    }
+
+    /// Figure 1's S is keyed by its join column: every s matches at
+    /// most one join value, so the join is one-to-many and a
+    /// many-to-many spec over it is rejected before T exists.
+    #[test]
+    fn many_to_many_over_s_keyed_by_the_join_column_is_rejected() {
+        let db = Database::new();
+        let (rs, ss) = figure1_schemas();
+        db.create_table("R", rs).unwrap();
+        db.create_table("S", ss).unwrap();
+        let spec = FojSpec::new("R", "S", "T", "c", "c").many_to_many();
+        assert!(matches!(
+            FojMapping::prepare(&db, &spec),
+            Err(DbError::InvalidSchema(_))
+        ));
+        assert!(!db.catalog().exists("T"));
     }
 
     fn r_row(a: i64, b: &str, c: &str) -> Vec<Value> {

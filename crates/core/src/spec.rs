@@ -163,7 +163,9 @@ pub struct FojSpec {
     /// Join column name in S.
     pub s_join_col: String,
     /// Whether the relation is many-to-many (§4.2). Changes T's key to
-    /// R-pk ⧺ S-pk and switches to the generalized rules.
+    /// R-pk ⧺ S-pk and switches to the generalized rules. S's primary
+    /// key must then be more than the join column: an S keyed by it
+    /// makes the join one-to-many, and preparation rejects it.
     pub many_to_many: bool,
 }
 

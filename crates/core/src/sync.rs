@@ -294,43 +294,16 @@ fn blocking_commit(
     for src in &sources {
         src.freeze(holders.clone());
     }
-    if let Err(e) = db.crash_point("sync.bc.frozen") {
+    let switched = frozen_switch(db, oper, prop, options, &sources, &holders);
+    // The one exit after the freeze. A failure aborts the migration,
+    // never the workload: the sources take new writers again. A renamed
+    // source is a target now, and takes them too.
+    if switched.is_err() || oper.renames_source() {
         for src in &sources {
             src.reactivate();
         }
-        return Err(e);
     }
-    // morph-lint: allow(nondet, drain-wait deadline; wall-time bound on blocking, never replayed state)
-    let wait_deadline = Instant::now() + options.deadline.unwrap_or(Duration::from_secs(60));
-    while holders.iter().any(|t| db.is_active(*t)) {
-        // morph-lint: allow(nondet, drain-wait deadline; wall-time bound on blocking, never replayed state)
-        if Instant::now() > wait_deadline {
-            for src in &sources {
-                src.reactivate();
-            }
-            return Err(DbError::TransformationAborted(
-                "blocking-commit: active transactions did not finish in time".into(),
-            ));
-        }
-        std::thread::sleep(Duration::from_micros(200));
-    }
-
-    db.crash_point("sync.bc.quiesced")?;
-
-    // Final drain under the latch; then either publish the renamed
-    // source or drop the sources outright, unless the caller retains
-    // them (frozen).
-    let guards: Vec<_> = sources.iter().map(|t| t.latch_exclusive()).collect();
-    let final_records = prop.drain_all(db, oper)?;
-    db.crash_point("sync.bc.drained")?;
-    drop(guards);
-    if oper.renames_source() {
-        oper.publish(db)?;
-    } else if !options.retain_sources {
-        for src in &sources {
-            db.catalog().drop_table(&src.name())?;
-        }
-    }
+    let final_records = switched?;
     prop.enter_post_sync(HashSet::new());
 
     Ok(SyncOutcome {
@@ -346,4 +319,44 @@ fn blocking_commit(
         old_txns: HashSet::new(),
         mirror: None,
     })
+}
+
+/// Blocking commit's work on the frozen sources: wait out the lock
+/// holders, drain the log under the latch, then publish the renamed
+/// source or drop the sources, unless the caller retains them (frozen).
+/// Returns the final drain's record count.
+fn frozen_switch(
+    db: &Arc<Database>,
+    oper: &dyn TransformOperator,
+    prop: &mut Propagator,
+    options: &TransformOptions,
+    sources: &[Arc<Table>],
+    holders: &HashSet<TxnId>,
+) -> DbResult<usize> {
+    db.crash_point("sync.bc.frozen")?;
+    // morph-lint: allow(nondet, drain-wait deadline; wall-time bound on blocking, never replayed state)
+    let wait_deadline = Instant::now() + options.deadline.unwrap_or(Duration::from_secs(60));
+    while holders.iter().any(|t| db.is_active(*t)) {
+        // morph-lint: allow(nondet, drain-wait deadline; wall-time bound on blocking, never replayed state)
+        if Instant::now() > wait_deadline {
+            return Err(DbError::TransformationAborted(
+                "blocking-commit: active transactions did not finish in time".into(),
+            ));
+        }
+        std::thread::sleep(Duration::from_micros(200));
+    }
+    db.crash_point("sync.bc.quiesced")?;
+
+    let guards: Vec<_> = sources.iter().map(|t| t.latch_exclusive()).collect();
+    let final_records = prop.drain_all(db, oper)?;
+    db.crash_point("sync.bc.drained")?;
+    drop(guards);
+    if oper.renames_source() {
+        oper.publish(db)?;
+    } else if !options.retain_sources {
+        for src in sources {
+            db.catalog().drop_table(&src.name())?;
+        }
+    }
+    Ok(final_records)
 }

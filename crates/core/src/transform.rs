@@ -418,6 +418,7 @@ impl TransformJob {
             synchronize(&job.db, &job.oper, prop, &job.options)
         })?;
         self.tables.disarm();
+        self.progress.add_records(outcome.stats.final_records);
         self.report.sync = outcome.stats;
         self.mirror = outcome.mirror;
         // Post-sync crash point: targets are published; the abort path
@@ -968,6 +969,26 @@ mod tests {
         assert!(db.catalog().exists("T"), "the stale job dropped the new T");
         job.run(&AtomicBool::new(false), None, |_| Ok(())).unwrap();
         assert_eq!(db.catalog().get("T").unwrap().len(), 30);
+    }
+
+    /// The live count includes the final latched drain: a source write
+    /// committed after propagation is counted once it is drained.
+    #[test]
+    fn progress_counts_every_record_the_report_counts() {
+        let db = db_with_sources(20, 4);
+        let abort = AtomicBool::new(false);
+        let mut job = TransformJob::prepare(&db, &foj(), opts()).unwrap();
+        let progress = job.progress();
+        job.copy().unwrap();
+        job.propagate(&abort, None).unwrap();
+        let txn = db.begin();
+        db.update(txn, "R", &Key::single(1), &[(1, Value::str("late"))])
+            .unwrap();
+        db.commit(txn).unwrap();
+        job.synchronize().unwrap();
+        let report = job.finish(&abort).unwrap();
+        assert!(report.sync.final_records > 0);
+        assert_eq!(progress.records_propagated(), report.records_processed());
     }
 
     #[test]

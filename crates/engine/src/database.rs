@@ -420,12 +420,14 @@ impl Database {
     /// operation atomically under the table latch (rollback and
     /// restart undo alike).
     pub(crate) fn apply_clr(&self, txn: TxnId, undone_lsn: Lsn, inverse: LogOp) -> DbResult<()> {
-        let rec = LogRecord::Clr {
-            txn,
-            undone_lsn,
-            op: inverse.clone(),
-        };
-        self.apply_logged(inverse, || Ok(self.log.append(rec)))
+        let op = inverse.clone();
+        self.apply_logged(&inverse, || {
+            Ok(self.log.append(LogRecord::Clr {
+                txn,
+                undone_lsn,
+                op,
+            }))
+        })
     }
 
     /// Apply a logged operation through the table's single-row writes,
@@ -438,16 +440,16 @@ impl Database {
     /// original writers.
     pub(crate) fn apply_logged(
         &self,
-        op: LogOp,
+        op: &LogOp,
         mk_lsn: impl FnOnce() -> DbResult<Lsn>,
     ) -> DbResult<()> {
         let table = self.catalog.get_by_id(op.table())?;
         match op {
-            LogOp::Insert { row, .. } => table.insert_with(row, SYSTEM, mk_lsn).map(drop),
-            LogOp::Delete { key, .. } => table.delete_with(&key, SYSTEM, |_| mk_lsn()).map(drop),
-            LogOp::Update { key, new, .. } => table
-                .update_with(&key, &new, SYSTEM, |_| mk_lsn())
-                .map(drop),
+            LogOp::Insert { row, .. } => table.insert_with(row.clone(), SYSTEM, mk_lsn).map(drop),
+            LogOp::Delete { key, .. } => table.delete_with(key, SYSTEM, |_| mk_lsn()).map(drop),
+            LogOp::Update { key, new, .. } => {
+                table.update_with(key, new, SYSTEM, |_| mk_lsn()).map(drop)
+            }
         }
     }
 

@@ -5,7 +5,10 @@
 //! genesis: an **analysis** pass classifies transactions, a **redo**
 //! pass re-executes every operation — including CLRs, exactly as they
 //! were logged — and an **undo** pass rolls back loser transactions,
-//! appending fresh CLRs. This is the same discipline the paper assumes
+//! appending fresh CLRs. The three passes run in one body,
+//! [`recover_into`], over a slice of owned [`LogRecord`]s;
+//! [`recover_from_bytes`] decodes a raw frame stream into that slice
+//! first. This is the same discipline the paper assumes
 //! of its substrate ("undo operations produce Compensating Log Records
 //! as described in the ARIES method", §1); the transformation framework
 //! itself is *not* made crash-persistent — an interrupted
@@ -21,8 +24,8 @@
 //! DESIGN.md §9, §13).
 
 use crate::database::Database;
-use morph_common::{DbResult, Key, Lsn, TxnId, Value};
-use morph_wal::{scan_stream, LogOp, LogOpRef, LogRecord, LogRecordRef, ValueRef};
+use morph_common::{DbResult, Lsn, TxnId};
+use morph_wal::{decode_stream, LogOp, LogRecord};
 use std::collections::{HashMap, HashSet};
 
 /// What recovery did.
@@ -36,93 +39,61 @@ pub struct RecoveryReport {
     pub clrs_written: usize,
 }
 
-/// Replay `records` into `db`. The caller must have re-created the
-/// schema: every table id referenced by the log must resolve in the
-/// catalog, and the tables must be empty. Frames the records the way
-/// the file backend stores them and replays them through
-/// [`recover_from_bytes`], the one replay body.
+/// Replay `records`, the log from LSN 1, into `db`: the one replay
+/// body. The caller must have re-created the schema: every table id
+/// referenced by the log must resolve in the catalog, and the tables
+/// must be empty.
 pub fn recover_into(db: &Database, records: &[LogRecord]) -> DbResult<RecoveryReport> {
-    recover_from_bytes(db, &frame(records))
-}
+    let lsn_of = |i: usize| Lsn(i as u64 + 1);
 
-/// Length-prefix-encode records exactly as the file backend does.
-fn frame(records: &[LogRecord]) -> Vec<u8> {
-    let mut bytes = Vec::new();
-    for rec in records {
-        let body = morph_wal::codec::encode(rec);
-        bytes.extend_from_slice(&(body.len() as u32).to_le_bytes());
-        bytes.extend_from_slice(&body);
-    }
-    bytes
-}
-
-/// Replay a raw length-prefixed WAL byte stream into `db` (same
-/// preconditions as [`recover_into`]). The analysis and redo passes run
-/// on borrowed [`LogRecordRef`]s: control records, fuzzy marks,
-/// checkpoints and CLR bookkeeping never allocate a single `String`;
-/// owned values are built only for the column images an applied
-/// operation actually writes, and for the (typically few) loser
-/// operations the undo pass must retain past their borrow.
-pub fn recover_from_bytes(db: &Database, bytes: &[u8]) -> DbResult<RecoveryReport> {
     // --- analysis: who finished, what was compensated ---
     struct TxnMeta {
         finished: bool,
         compensated: HashSet<Lsn>,
     }
     let mut txns: HashMap<TxnId, TxnMeta> = HashMap::new();
-    let mut lsn = 0u64;
-    scan_stream(bytes, |rec| {
-        lsn += 1;
+    for rec in records {
         match rec {
-            LogRecordRef::Begin { txn } => {
+            LogRecord::Begin { txn } => {
                 txns.insert(
-                    txn,
+                    *txn,
                     TxnMeta {
                         finished: false,
                         compensated: HashSet::new(),
                     },
                 );
             }
-            LogRecordRef::Commit { txn } | LogRecordRef::AbortEnd { txn } => {
-                if let Some(meta) = txns.get_mut(&txn) {
+            LogRecord::Commit { txn } | LogRecord::AbortEnd { txn } => {
+                if let Some(meta) = txns.get_mut(txn) {
                     meta.finished = true;
                 }
             }
-            LogRecordRef::Clr {
+            LogRecord::Clr {
                 txn, undone_lsn, ..
             } => {
-                if let Some(meta) = txns.get_mut(&txn) {
-                    meta.compensated.insert(undone_lsn);
+                if let Some(meta) = txns.get_mut(txn) {
+                    meta.compensated.insert(*undone_lsn);
                 }
             }
             _ => {}
         }
-        Ok(())
-    })?;
+    }
 
     // --- redo: replay history exactly as logged (CLRs included),
-    // collecting owned ops only for losers ---
-    let is_loser =
-        |txns: &HashMap<TxnId, TxnMeta>, txn: TxnId| txns.get(&txn).is_some_and(|m| !m.finished);
-    let mut loser_ops: HashMap<TxnId, Vec<(Lsn, LogOp)>> = HashMap::new();
+    // remembering the losers' forward ops ---
+    let is_loser = |txn: &TxnId| txns.get(txn).is_some_and(|m| !m.finished);
+    let mut loser_ops: HashMap<TxnId, Vec<(Lsn, &LogOp)>> = HashMap::new();
     let mut redone = 0usize;
-    let mut lsn = 0u64;
-    scan_stream(bytes, |rec| {
-        lsn += 1;
-        if let Some(op) = rec.op() {
-            db.apply_logged(redo_image(op), || Ok(Lsn(lsn)))?;
-            redone += 1;
-            if let LogRecordRef::Op { txn, op } = &rec {
-                if is_loser(&txns, *txn) {
-                    loser_ops
-                        .entry(*txn)
-                        .or_default()
-                        .push((Lsn(lsn), op.to_owned()));
-                }
+    for (i, rec) in records.iter().enumerate() {
+        let Some(op) = rec.op() else { continue };
+        db.apply_logged(op, || Ok(lsn_of(i)))?;
+        redone += 1;
+        if let LogRecord::Op { txn, .. } = rec {
+            if is_loser(txn) {
+                loser_ops.entry(*txn).or_default().push((lsn_of(i), op));
             }
         }
-        Ok(())
-    })?;
+    }
 
     // --- undo losers, appending fresh CLRs ---
     let mut losers: Vec<TxnId> = txns
@@ -154,32 +125,11 @@ pub fn recover_from_bytes(db: &Database, bytes: &[u8]) -> DbResult<RecoveryRepor
     })
 }
 
-/// The redo image of a borrowed logged operation: owned values for the
-/// images the write needs. The pre-images riding along for undo are
-/// never converted (they are left empty).
-fn redo_image(op: &LogOpRef<'_>) -> LogOp {
-    fn owned(vals: &[ValueRef<'_>]) -> Vec<Value> {
-        vals.iter().map(ValueRef::to_owned).collect()
-    }
-    match op {
-        LogOpRef::Insert { table, row } => LogOp::Insert {
-            table: *table,
-            row: owned(row),
-        },
-        LogOpRef::Delete { table, key, .. } => LogOp::Delete {
-            table: *table,
-            key: Key(owned(key)),
-            old: Vec::new(),
-        },
-        LogOpRef::Update {
-            table, key, new, ..
-        } => LogOp::Update {
-            table: *table,
-            key: Key(owned(key)),
-            old: Vec::new(),
-            new: new.iter().map(|(i, v)| (*i, v.to_owned())).collect(),
-        },
-    }
+/// Replay a raw frame stream, as the file backend stores it, into `db`
+/// (same preconditions as [`recover_into`]): decode it, tolerating a
+/// torn tail, and replay the records.
+pub fn recover_from_bytes(db: &Database, bytes: &[u8]) -> DbResult<RecoveryReport> {
+    recover_into(db, &decode_stream(bytes)?)
 }
 
 /// Build the ready-to-apply inverse of a forward op during recovery
@@ -448,7 +398,7 @@ mod tests {
             .into_iter()
             .map(|(_, r)| (*r).clone())
             .collect();
-        let mut bytes = frame(&records);
+        let mut bytes = morph_wal::encode_stream(&records);
         bytes.extend_from_slice(&(4096u32).to_le_bytes()); // torn append
         bytes.extend_from_slice(&[7, 7]);
 

@@ -17,7 +17,7 @@
 //! same contract as [`FileBackend`](crate::file::FileBackend)), and
 //! flushes can fail outright, leaving the buffered bytes non-durable.
 
-use crate::file::{decode_stream, Backend};
+use crate::file::{decode_stream, write_frame, Backend};
 use crate::record::LogRecord;
 use morph_common::{DbError, DbResult};
 use parking_lot::Mutex;
@@ -118,9 +118,8 @@ impl Backend for FaultBackend {
                 return;
             }
         }
-        let len = (encoded.len() as u32).to_le_bytes();
-        s.buffered.extend_from_slice(&len);
-        s.buffered.extend_from_slice(encoded);
+        // Writing into a Vec cannot fail.
+        let _ = write_frame(&mut s.buffered, encoded);
     }
 
     fn flush(&mut self) -> DbResult<()> {

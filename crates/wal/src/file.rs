@@ -1,18 +1,22 @@
-//! Backends for the write-ahead log.
+//! The on-disk frame format and its backends.
 //!
-//! Records are stored as `u32` little-endian length prefix + encoded
-//! body (see [`crate::codec`]). Appends are buffered; [`flush`]
-//! (called by the engine at commit) pushes bytes to the OS and syncs.
-//! [`read_all`] tolerates a torn final record (a crash mid-append)
-//! by truncating at the last complete record, the standard WAL
-//! recovery convention.
+//! Each record is stored as one frame: a `u32` little-endian length
+//! prefix, then the encoded body (see [`crate::codec`]). This module
+//! owns both directions of that format: `write_frame` is its one
+//! writer, used by every [`Backend`], and [`decode_stream`] its one
+//! reader, used by [`FileBackend::read_all`], the fault backend's
+//! post-crash reads and restart recovery. A final frame whose prefix
+//! promises more bytes than exist is a torn tail (a crash mid-append)
+//! and is ignored, the standard WAL recovery convention; a complete
+//! frame with a corrupt body is an error.
 //!
-//! The [`Backend`] trait abstracts the byte sink so the deterministic
-//! crash harness can substitute an in-memory, fault-injecting
-//! implementation ([`crate::fault::FaultBackend`]) for the real file.
+//! Appends are buffered; [`flush`] (called by the engine at commit)
+//! pushes bytes to the OS and syncs. The [`Backend`] trait abstracts
+//! the byte sink so the deterministic crash harness can substitute an
+//! in-memory, fault-injecting implementation
+//! ([`crate::fault::FaultBackend`]) for the real file.
 //!
 //! [`flush`]: FileBackend::flush
-//! [`read_all`]: FileBackend::read_all
 
 use crate::codec;
 use crate::record::LogRecord;
@@ -25,7 +29,7 @@ use std::path::Path;
 /// makes everything appended so far durable (or reports why it
 /// cannot). Implementations must never lose *flushed* bytes.
 pub trait Backend {
-    /// Buffer one encoded record (length prefix added here). Errors
+    /// Buffer one encoded record as one frame. Errors
     /// are deferred: the in-memory log is the source of truth until a
     /// commit forces durability via [`Backend::flush`].
     fn append(&mut self, encoded: &[u8]);
@@ -35,32 +39,29 @@ pub trait Backend {
     fn flush(&mut self) -> DbResult<()>;
 }
 
-/// Decode a length-prefixed record stream, tolerating a torn tail: a
-/// final record whose length prefix promises more bytes than exist is
-/// ignored (crash mid-append), but a *decodable-length, corrupt-body*
-/// record is an error. Shared by [`FileBackend::read_all`] and the
-/// fault backend's post-crash recovery reads.
-pub fn decode_stream(bytes: &[u8]) -> DbResult<Vec<LogRecord>> {
-    let mut records = Vec::new();
-    scan_stream(bytes, |rec| {
-        records.push(rec.to_owned());
-        Ok(())
-    })?;
-    Ok(records)
+/// Write one frame, the length prefix and then `body`, to `out`.
+pub(crate) fn write_frame(out: &mut impl Write, body: &[u8]) -> std::io::Result<()> {
+    out.write_all(&(body.len() as u32).to_le_bytes())?;
+    out.write_all(body)
 }
 
-/// Walk a length-prefixed record stream without materializing owned
-/// records: `f` is called once per complete record with a borrowed
-/// [`LogRecordRef`] whose string payloads point into `bytes`. Torn-tail
-/// handling is identical to [`decode_stream`] (which is implemented on
-/// top of this). Returns the number of records visited.
-///
-/// [`LogRecordRef`]: codec::LogRecordRef
-pub fn scan_stream(
-    bytes: &[u8],
-    mut f: impl FnMut(codec::LogRecordRef<'_>) -> DbResult<()>,
-) -> DbResult<usize> {
-    let mut count = 0usize;
+/// Encode `records` as a frame stream, the inverse of [`decode_stream`].
+pub fn encode_stream(records: &[LogRecord]) -> Vec<u8> {
+    let mut bytes = Vec::new();
+    for rec in records {
+        // morph-lint: allow(panic, writing into a Vec cannot fail)
+        write_frame(&mut bytes, &codec::encode(rec)).expect("Vec write");
+    }
+    bytes
+}
+
+/// Decode a frame stream into its records, tolerating a torn tail: a
+/// final frame whose length prefix promises more bytes than exist is
+/// ignored (crash mid-append), but a complete frame with a corrupt
+/// body is a [`DbError::CorruptLog`] whose offset counts from the start
+/// of `bytes`.
+pub fn decode_stream(bytes: &[u8]) -> DbResult<Vec<LogRecord>> {
+    let mut records = Vec::new();
     let mut pos = 0usize;
     while pos + 4 <= bytes.len() {
         let len = u32::from_le_bytes([bytes[pos], bytes[pos + 1], bytes[pos + 2], bytes[pos + 3]])
@@ -69,18 +70,17 @@ pub fn scan_stream(
             break; // torn final record: stop here
         }
         let body = &bytes[pos + 4..pos + 4 + len];
-        let rec = codec::decode_ref(body).map_err(|e| match e {
+        let rec = codec::decode(body).map_err(|e| match e {
             DbError::CorruptLog { offset, detail } => DbError::CorruptLog {
                 offset: (pos + 4) as u64 + offset,
                 detail,
             },
             other => other,
         })?;
-        f(rec)?;
-        count += 1;
+        records.push(rec);
         pos += 4 + len;
     }
-    Ok(count)
+    Ok(records)
 }
 
 /// Append-only log file.
@@ -107,11 +107,7 @@ impl FileBackend {
 
     /// Buffer one encoded record.
     pub fn append(&mut self, encoded: &[u8]) {
-        let len = (encoded.len() as u32).to_le_bytes();
-        let res = self
-            .writer
-            .write_all(&len)
-            .and_then(|()| self.writer.write_all(encoded));
+        let res = write_frame(&mut self.writer, encoded);
         if let (Err(e), None) = (res, &self.deferred) {
             // Sticky: keep the *first* failure; later appends into a
             // wedged buffer would only report follow-on noise.
@@ -240,34 +236,17 @@ mod tests {
     }
 
     #[test]
-    fn scan_stream_matches_decode_stream_with_torn_tail() {
-        let mut bytes = Vec::new();
-        for i in 0..4u64 {
-            let body = codec::encode(&LogRecord::Begin { txn: TxnId(i) });
-            bytes.extend_from_slice(&(body.len() as u32).to_le_bytes());
-            bytes.extend_from_slice(&body);
+    fn corrupt_offset_counts_from_the_stream_start() {
+        let mut bytes = encode_stream(&[LogRecord::Begin { txn: TxnId(1) }]);
+        let good = bytes.len() as u64;
+        write_frame(&mut bytes, &[250]).unwrap(); // bogus tag
+        match decode_stream(&bytes) {
+            // The bad tag is read from the second body's first byte
+            // (after its 4-byte prefix); the reader reports the
+            // position just past it.
+            Err(DbError::CorruptLog { offset, .. }) => assert_eq!(offset, good + 4 + 1),
+            other => panic!("expected CorruptLog, got {other:?}"),
         }
-        bytes.extend_from_slice(&(1000u32).to_le_bytes()); // torn tail
-        bytes.extend_from_slice(&[1, 2, 3]);
-        let owned = decode_stream(&bytes).unwrap();
-        let mut scanned = Vec::new();
-        let n = scan_stream(&bytes, |rec| {
-            scanned.push(rec.to_owned());
-            Ok(())
-        })
-        .unwrap();
-        assert_eq!(n, 4);
-        assert_eq!(scanned, owned);
-    }
-
-    #[test]
-    fn scan_stream_propagates_visitor_error() {
-        let mut bytes = Vec::new();
-        let body = codec::encode(&LogRecord::Begin { txn: TxnId(1) });
-        bytes.extend_from_slice(&(body.len() as u32).to_le_bytes());
-        bytes.extend_from_slice(&body);
-        let res = scan_stream(&bytes, |_| Err(DbError::Io("stop".into())));
-        assert!(matches!(res, Err(DbError::Io(_))));
     }
 
     #[test]

@@ -19,6 +19,7 @@
 //! length-prefixed binary backend used by restart recovery: the real
 //! file ([`file::FileBackend`]) or, for deterministic crash
 //! simulation, the seeded fault injector ([`fault::FaultBackend`]).
+//! Every reader decodes to the one owned [`LogRecord`].
 
 pub mod codec;
 pub mod fault;
@@ -26,8 +27,7 @@ pub mod file;
 pub mod manager;
 pub mod record;
 
-pub use codec::{decode_ref, LogOpRef, LogRecordRef, ValueRef};
 pub use fault::{FaultBackend, FaultConfig, FaultHandle};
-pub use file::{decode_stream, scan_stream, Backend, FileBackend};
+pub use file::{decode_stream, encode_stream, Backend, FileBackend};
 pub use manager::{GroupCommitConfig, LogManager, TailCursor, WalMode};
 pub use record::{LogOp, LogRecord, MigrationPhase};

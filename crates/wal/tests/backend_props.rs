@@ -5,7 +5,7 @@
 //! record that was not fully written.
 
 use morph_common::{TableId, TxnId, Value};
-use morph_wal::{codec, decode_stream, Backend, FileBackend, LogOp, LogRecord};
+use morph_wal::{codec, decode_stream, encode_stream, Backend, FileBackend, LogOp, LogRecord};
 use proptest::prelude::*;
 
 fn record_strategy() -> impl Strategy<Value = LogRecord> {
@@ -22,17 +22,6 @@ fn record_strategy() -> impl Strategy<Value = LogRecord> {
     ]
 }
 
-/// Encode `recs` as the backend writes them: length-prefixed frames.
-fn encode_frames(recs: &[LogRecord]) -> Vec<u8> {
-    let mut bytes = Vec::new();
-    for rec in recs {
-        let body = codec::encode(rec);
-        bytes.extend_from_slice(&(body.len() as u32).to_le_bytes());
-        bytes.extend_from_slice(&body);
-    }
-    bytes
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -42,17 +31,17 @@ proptest! {
     fn truncation_at_every_byte_yields_a_clean_prefix(
         recs in prop::collection::vec(record_strategy(), 0..8),
     ) {
-        let bytes = encode_frames(&recs);
+        let bytes = encode_stream(&recs);
         for cut in 0..=bytes.len() {
             let decoded = decode_stream(&bytes[..cut])
                 .expect("torn tail must decode as a prefix, not an error");
             prop_assert!(decoded.len() <= recs.len());
             prop_assert_eq!(&decoded[..], &recs[..decoded.len()]);
             // A record is only resurrected once its whole frame is in.
-            let whole = encode_frames(&recs[..decoded.len()]).len();
+            let whole = encode_stream(&recs[..decoded.len()]).len();
             prop_assert!(cut >= whole);
             if decoded.len() < recs.len() {
-                let next = encode_frames(&recs[..decoded.len() + 1]).len();
+                let next = encode_stream(&recs[..decoded.len() + 1]).len();
                 prop_assert!(cut < next);
             }
         }

@@ -2,7 +2,8 @@
 # Repository CI gate: formatting, lints, tier-1 build + tests.
 #
 #   scripts/ci.sh          # everything
-#   scripts/ci.sh quick    # skip the release build (lints + debug tests)
+#   scripts/ci.sh quick    # skip the release build (lints, benchmark
+#                          # type-check, debug tests)
 #
 # fmt/clippy run only when the toolchain provides them, so the script
 # also works on minimal rust installations.
@@ -40,6 +41,15 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 echo "== morph-lint (self-test + full passes)"
 cargo test -q -p morph-lint
 cargo run -q -p morph-lint -- --json=target/lint/findings.json
+
+# The benchmark (benchmark/, a package of its own) names product APIs
+# (`WalMode`, `codec::decode_ref`, `TransformReport`'s fields).
+# Type-check it in both modes, in the target directory
+# benchmark/check.sh builds in, so a product change that breaks one of
+# those names fails here too, not only after the release build.
+echo "== cargo check benchmark/"
+(cd benchmark && CARGO_TARGET_DIR="${CARGO_TARGET_DIR:-$PWD/../target/morphbench}" \
+    cargo check --offline --all-targets)
 
 if [ "$quick" != "quick" ]; then
     echo "== cargo build --release (tier-1)"

@@ -11,11 +11,14 @@
 //!    the durable log after any record; recovery of each prefix must
 //!    yield exactly the effects of the transactions that committed
 //!    within that prefix — in-flight and aborted ones fully invisible.
+//!    Each prefix is also replayed from its framed bytes
+//!    (`recover_from_bytes`): both entry points share one replay body,
+//!    so they must agree on the tables and on the report.
 
-use morphdb::engine::recover_into;
+use morphdb::engine::{recover_from_bytes, recover_into, RecoveryReport};
 use morphdb::txn::LockManagerConfig;
-use morphdb::wal::{LogManager, LogRecord};
-use morphdb::{ColumnType, Database, Key, Lsn, Schema, Value};
+use morphdb::wal::{encode_stream, LogManager, LogRecord};
+use morphdb::{ColumnType, Database, DbResult, Key, Lsn, Schema, Value};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -134,10 +137,17 @@ fn expected_state(records: &[LogRecord]) -> BTreeMap<Key, Vec<Value>> {
     state
 }
 
-fn recover_fresh(
+fn recover_fresh(records: &[LogRecord], id: morphdb::TableId) -> (Database, RecoveryReport) {
+    recover_fresh_with(records, id, |db| recover_into(db, records))
+}
+
+/// A fresh database whose log holds `records` and whose catalog holds
+/// `t` under `id`, recovered by `replay`.
+fn recover_fresh_with(
     records: &[LogRecord],
     id: morphdb::TableId,
-) -> (Database, morphdb::engine::RecoveryReport) {
+    replay: impl FnOnce(&Database) -> DbResult<RecoveryReport>,
+) -> (Database, RecoveryReport) {
     let db = Database::with_log(
         Arc::new(LogManager::with_records(records.to_vec())),
         LockManagerConfig::default(),
@@ -145,7 +155,7 @@ fn recover_fresh(
     db.catalog()
         .create_table_with_id(id, "t", schema())
         .unwrap();
-    let report = recover_into(&db, records).unwrap();
+    let report = replay(&db).unwrap();
     (db, report)
 }
 
@@ -185,16 +195,25 @@ proptest! {
     }
 
     /// Every record prefix recovers to exactly the committed effects
-    /// within that prefix.
+    /// within that prefix, from its records and from its bytes alike.
     #[test]
     fn every_record_prefix_recovers_consistently(seed in any::<u64>()) {
         let (records, id) = generate_history(seed);
         for cut in 0..=records.len() {
             let prefix = &records[..cut];
-            let (db, _report) = recover_fresh(prefix, id);
+            let (db, report) = recover_fresh(prefix, id);
             let got = state_of(&db);
             let want = expected_state(prefix);
             prop_assert!(got == want, "prefix of {cut} records diverged: got {got:?}, want {want:?}");
+
+            let bytes = encode_stream(prefix);
+            let (db_bytes, report_bytes) =
+                recover_fresh_with(prefix, id, |db| recover_from_bytes(db, &bytes));
+            prop_assert!(state_of(&db_bytes) == got, "bytes path diverged at prefix {cut}");
+            prop_assert!(
+                report_bytes == report,
+                "bytes path reported {report_bytes:?}, records path {report:?}, at prefix {cut}"
+            );
         }
     }
 

@@ -3,7 +3,8 @@
 //! non-blocking commit strategy.
 
 use morphdb::core::{
-    FojSpec, SyncStrategy, TransformJob, TransformOptions, TransformPlan, TransformReport,
+    FojSpec, SplitSpec, SyncStrategy, TransformJob, TransformOptions, TransformPlan,
+    TransformReport,
 };
 use morphdb::engine::CrashHook;
 use morphdb::{ColumnType, Database, DbError, DbResult, Key, Schema, Value};
@@ -463,4 +464,63 @@ fn a_failed_finish_drops_the_lock_mirror_with_the_job() {
         "a dropped job left its lock mirror installed"
     );
     db.commit(old).unwrap();
+}
+
+/// `T(a, c, d)` with the functional dependency `c -> d`.
+fn split_source(db: &Database) {
+    let t = Schema::builder()
+        .column("a", ColumnType::Int)
+        .nullable("c", ColumnType::Str)
+        .nullable("d", ColumnType::Str)
+        .primary_key(&["a"])
+        .build()
+        .unwrap();
+    db.create_table("T", t).unwrap();
+    let txn = db.begin();
+    for i in 0..20i64 {
+        let c = format!("c{}", i % 4);
+        let d = format!("d-{c}");
+        db.insert(txn, "T", vec![Value::Int(i), Value::str(c), Value::str(d)])
+            .unwrap();
+    }
+    db.commit(txn).unwrap();
+}
+
+fn rename_split() -> TransformPlan {
+    TransformPlan::Split(SplitSpec::new("T", "R", "S", &["a", "c"], "c", &["d"]).rename_in_place())
+}
+
+/// Blocking commit freezes the sources before it publishes a
+/// rename-in-place split. A publish that fails (the R name is taken)
+/// aborts the migration, not the workload: T takes new writers again.
+#[test]
+fn a_failed_blocking_commit_publish_reactivates_the_source() {
+    let db = Arc::new(Database::new());
+    split_source(&db);
+    let job =
+        TransformJob::prepare(&db, &rename_split(), opts(SyncStrategy::BlockingCommit)).unwrap();
+    db.create_table("R", db.catalog().get("T").unwrap().schema())
+        .unwrap();
+    assert!(matches!(
+        job.run(&AtomicBool::new(false), None, |_| Ok(())),
+        Err(DbError::TableExists(_))
+    ));
+    let txn = db.begin();
+    db.update(txn, "T", &Key::single(3), &[(2, Value::str("late"))])
+        .expect("the source stayed frozen after a failed synchronization");
+    db.commit(txn).unwrap();
+    assert!(!db.catalog().exists("S"));
+}
+
+/// A blocking-commit rename-in-place split publishes T as R, a target:
+/// new transactions write to it.
+#[test]
+fn blocking_commit_rename_in_place_serves_new_writers() {
+    let db = Arc::new(Database::new());
+    split_source(&db);
+    run(&db, rename_split(), opts(SyncStrategy::BlockingCommit)).unwrap();
+    let txn = db.begin();
+    db.update(txn, "R", &Key::single(3), &[(1, Value::str("c0"))])
+        .expect("the renamed source stayed frozen");
+    db.commit(txn).unwrap();
 }
