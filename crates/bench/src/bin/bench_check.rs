@@ -28,9 +28,9 @@
 
 use morph_bench::{bench_split_spec, detected_cores, quick};
 use morph_common::{ColumnType, Key, Schema, Value};
-use morph_core::{TransformJob, TransformOptions, TransformPlan};
+use morph_core::{MigrationPhase, SyncStrategy, TransformJob, TransformOptions, TransformPlan};
 use morph_engine::{Database, ShardedDatabase};
-use morph_orchestrator::{start_lazy_sharded, submit_sharded, Migration};
+use morph_orchestrator::{submit_sharded, Migration};
 use morph_workload::{setup_split_source, spawn_updaters, UpdateTarget};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -456,20 +456,23 @@ fn lazy_tail_lazy(rows: i64, samples: usize) -> TailPoint {
     // Target keys prepend the provenance tag: route them by suffix so
     // they land on the source row's shard.
     sdb.route_key_suffix("u", 1);
-    let mig = Arc::new(
-        start_lazy_sharded(&sdb, &Migration::union("r", "s", "u").build()).expect("lazy start"),
-    );
-    let drained = Arc::new(AtomicBool::new(false));
-    let backfill = {
-        let mig = Arc::clone(&mig);
-        let drained = Arc::clone(&drained);
-        std::thread::spawn(move || {
-            while !mig.is_drained() {
-                mig.backfill_round(64, TAIL_PRIORITY).expect("backfill");
-            }
-            drained.store(true, Ordering::Relaxed);
-        })
+    let options = TransformOptions {
+        strategy: SyncStrategy::Lazy,
+        batch_size: 64,
+        ..migration_options().priority(TAIL_PRIORITY)
     };
+    let mig = submit_sharded(&sdb, &Migration::union("r", "s", "u").build(), &options)
+        .expect("lazy submit");
+    // Clients address the targets from the cutover on.
+    for (_, handle) in mig.handles() {
+        while matches!(
+            handle.progress().phase(),
+            MigrationPhase::Planned | MigrationPhase::Preparing | MigrationPhase::Syncing
+        ) && !handle.is_finished()
+        {
+            std::thread::sleep(Duration::from_micros(100));
+        }
+    }
 
     let mut read_ns = Vec::with_capacity(samples);
     let mut write_ns = Vec::with_capacity(samples);
@@ -477,7 +480,7 @@ fn lazy_tail_lazy(rows: i64, samples: usize) -> TailPoint {
     for s in 0..samples {
         let id = ids[s % ids.len()];
         let key = Key::new([Value::str("r"), Value::Int(id)]);
-        if !drained.load(Ordering::Relaxed) {
+        if mig.handles().iter().any(|(_, h)| !h.is_finished()) {
             mid += 1;
         }
         let t0 = Instant::now();
@@ -488,8 +491,7 @@ fn lazy_tail_lazy(rows: i64, samples: usize) -> TailPoint {
         write_ns.push(t0.elapsed().as_nanos() as u64);
         std::thread::sleep(TAIL_PACE);
     }
-    backfill.join().expect("backfill thread");
-    mig.finish().expect("lazy finish");
+    mig.join().expect("lazy migration");
     tail_of(read_ns, write_ns, mid)
 }
 

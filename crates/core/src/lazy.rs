@@ -1,20 +1,19 @@
 //! Lazy (SLSM-style) migration: cut the catalog over first, transform
 //! records on first touch.
 //!
-//! The eager §3 pipeline copies and propagates *before* switching; the
-//! lazy alternative inverts the order. [`LazyMigration::prepare`]
-//! creates the targets; [`PreparedLazy::cut_over`] allocates the
-//! [`ResidualSet`]'s lanes and then synchronizes immediately —
-//! sources are latched for one short pause, the locks of still-active
-//! transactions are treated NBA-style (the transactions are doomed and
-//! their exclusively locked keys mapped into the residual), the sources
-//! freeze, and the residual counts each latched shard's rows. The pause
-//! copies no source key, so its length does not grow with the tables:
-//! the frozen source itself is the set of records still to transform.
-//! From that point new transactions run against the target tables; a
-//! record is transformed on the first read/write that touches it (an
-//! [`OpInterceptor`] in the engine's operation path) while a throttled
-//! background [`backfill`] drains the cold remainder.
+//! The eager §3 pipeline copies and propagates *before* switching;
+//! [`SyncStrategy::Lazy`] runs the same [`TransformJob`] in the inverse
+//! order. Its synchronization is the lazy cutover ([`crate::sync`]):
+//! one short latch pause over the sources dooms still-active
+//! transactions NBA-style, maps their exclusively locked keys into the
+//! [`ResidualSet`], freezes the sources and counts each latched shard's
+//! rows. The pause copies no source key, so its length does not grow
+//! with the tables: the frozen source itself is the set of records
+//! still to transform. From that point new transactions run against
+//! the target tables; a record is transformed on the first read/write
+//! that touches it (a [`LazyMigration`] is the [`OpInterceptor`] in the
+//! engine's operation path) while the job's copy phase, a throttled
+//! [`backfill`], drains the cold remainder.
 //!
 //! Correctness rides on two facts:
 //!
@@ -32,16 +31,13 @@
 //!   invariants, DESIGN.md §15).
 //!
 //! There is one transform path, `LazyMigration::transform`: a first
-//! touch runs it with a batch of one, the backfill with a batch of up
-//! to `batch` keys of one residual lane (one source storage shard, walked
-//! from the lane's cursor). It holds only what it
-//! writes — no lock while it reads the frozen rows and builds the
-//! target rows, then (union) a write session over the one target shard
-//! the batch routes to. Which source record an access needs first is
-//! the operator's inverse mapping, [`TransformOperator::lazy_source`]:
-//! one record where a target key mirrors one (union, split's R side),
-//! the whole residual where it aggregates many (split's S side, any FOJ
-//! key) — correct, and documented as the fallback in DESIGN.md §15.
+//! touch runs it with a batch of one, the backfill with up to `batch`
+//! keys of one residual lane (one source storage shard). It holds only
+//! what it writes. Which source record an access needs first is the
+//! operator's inverse mapping, [`TransformOperator::lazy_source`]: one
+//! record where a target key mirrors one (union, split's R side), the
+//! whole residual where it aggregates many (split's S side, any FOJ
+//! key) — the fallback of DESIGN.md §15.
 //!
 //! Rows dirtied by a doomed (grandfathered) transaction are *deferred*:
 //! their transform waits until the transaction's rollback has restored
@@ -50,25 +46,23 @@
 //! exactly those rows until propagation processes the rollback.
 //!
 //! [`backfill`]: LazyMigration::backfill
+//! [`SyncStrategy::Lazy`]: crate::SyncStrategy::Lazy
+//! [`TransformJob`]: crate::TransformJob
 
 use crate::operator::{LazySource, TransformOperator};
 use crate::throttle::Throttle;
-use crate::transform::{PreparedTables, TransformPlan};
-use morph_common::{DbError, DbResult, Key, TableId, TxnId};
-use morph_engine::{Database, OpInterceptor, PlannedOp};
-use morph_storage::{Claim, ClaimGuard, ResidualSet, Table};
+use morph_common::{DbResult, Key, TableId, TxnId};
+use morph_engine::{Database, LockHolder, OpInterceptor, PlannedOp};
+use morph_storage::{Claim, ClaimGuard, ResidualSet, Table, TableExclusiveLatch};
 use morph_txn::LockMode;
 use std::borrow::Cow;
 use std::collections::{HashMap, HashSet};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock, Weak};
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
-/// Sentinel for "no interceptor installed".
-const NO_TOKEN: u64 = u64::MAX;
-
 /// A lazily-executing migration: catalog already cut over, records
-/// transformed on access and by background backfill.
+/// transformed on access (it is its own on-access hook) and by
+/// background backfill.
 pub struct LazyMigration {
     db: Arc<Database>,
     oper: Arc<dyn TransformOperator>,
@@ -78,18 +72,11 @@ pub struct LazyMigration {
     /// only once that transaction's rollback has completed; set once,
     /// by the cutover, and only if it found such a writer.
     deferred: OnceLock<HashMap<(TableId, Key), TxnId>>,
-    token: AtomicU64,
 }
 
 /// On-access hook: resolves the touched target key back to its source
-/// record and transforms it before the operation proceeds. Holds only a
-/// weak reference so a dropped migration leaves a dead no-op hook, not
-/// a leak-cycle through the database.
-struct LazyInterceptor {
-    lazy: Weak<LazyMigration>,
-}
-
-impl OpInterceptor for LazyInterceptor {
+/// record and transforms it before the operation proceeds.
+impl OpInterceptor for LazyMigration {
     fn before_op(
         &self,
         _db: &Database,
@@ -97,66 +84,48 @@ impl OpInterceptor for LazyInterceptor {
         table: &Table,
         op: &PlannedOp<'_>,
     ) -> DbResult<()> {
-        match self.lazy.upgrade() {
-            Some(lazy) => lazy.on_access(table, op),
-            None => Ok(()),
-        }
+        self.on_access(table, op)
     }
 }
 
-/// A lazy migration whose targets exist but whose sources are not cut
-/// over yet: [`LazyMigration::prepare`]'s result. A fan-out prepares
-/// every shard before it cuts any over, so that a shard that cannot
-/// prepare leaves no other shard cut over: dropping a `PreparedLazy`
-/// drops its targets. The sources were never touched.
-pub struct PreparedLazy {
-    db: Arc<Database>,
-    oper: Arc<dyn TransformOperator>,
-    sources: Vec<Arc<Table>>,
-    tables: PreparedTables,
-}
-
-impl PreparedLazy {
-    /// Cut over: latch the sources, doom still-active holders
-    /// NBA-style, freeze the sources, seed the residual set, and
-    /// install the on-access hook. Returns with the catalog switched
-    /// and **zero** records transformed. The pause copies no key: the
-    /// residual counts each latched shard and maps only the doomed
-    /// writers' exclusively locked keys.
-    pub fn cut_over(self) -> DbResult<Arc<LazyMigration>> {
-        let PreparedLazy {
-            db,
-            oper,
-            sources,
-            mut tables,
-        } = self;
-        tables.disarm();
-        // Everything the pause fills is allocated before it: with
-        // clients stalled on the latch, even the allocator's deferred
-        // work (DESIGN.md §15) would be theirs to wait out.
-        let lazy = Arc::new(LazyMigration {
-            db: Arc::clone(&db),
-            oper,
+impl LazyMigration {
+    /// The lazy state over `sources` (sorted), empty until
+    /// [`LazyMigration::seed`]. Allocates everything the cutover pause
+    /// fills, so it is built before the pause.
+    pub(crate) fn over(
+        db: &Arc<Database>,
+        oper: &Arc<dyn TransformOperator>,
+        sources: Vec<Arc<Table>>,
+    ) -> LazyMigration {
+        LazyMigration {
+            db: Arc::clone(db),
+            oper: Arc::clone(oper),
             residual: ResidualSet::over(&sources),
             sources,
             deferred: OnceLock::new(),
-            token: AtomicU64::new(NO_TOKEN),
-        });
-        let sources = &lazy.sources;
-        let mut deferred = HashMap::new();
-        let mut dirty = vec![Vec::new(); sources.len()];
+        }
+    }
 
-        // --- the cutover pause: everything below runs under the latch.
-        let guards: Vec<_> = sources.iter().map(|t| t.latch_exclusive()).collect();
+    /// The frozen sources, in latch order.
+    pub(crate) fn sources(&self) -> &[Arc<Table>] {
+        &self.sources
+    }
 
-        // Old transactions: anyone holding locks on a source. Their
-        // exclusively-locked keys are dirty — map them (a rolled-back
-        // delete restores a row the latch cannot see) and defer their
-        // transform past the rollback.
-        let mut old = HashSet::new();
-        // morph-lint: allow(lock_order, cutover pause: the coordinator alone holds these exclusive latches and user txns never latch shards while holding registry/side locks, so the rank protocol's reverse order cannot occur concurrently)
-        for holder in db.lock_holders(sources) {
-            for ((src, held), dirty) in sources.iter().zip(holder.held).zip(&mut dirty) {
+    /// Seed the residual under the cutover's exclusive latches, one per
+    /// source in [`LazyMigration::sources`] order, from the census of
+    /// their lock `holders`: count every latched row, and map each
+    /// holder's exclusively locked keys (a rolled-back delete restores a
+    /// row the latch cannot see), deferred past its rollback. Returns
+    /// the holders, to doom.
+    pub(crate) fn seed(
+        &self,
+        latches: &[TableExclusiveLatch<'_>],
+        holders: Vec<LockHolder>,
+    ) -> HashSet<TxnId> {
+        let (mut deferred, mut old) = (HashMap::new(), HashSet::new());
+        let mut dirty = vec![Vec::new(); self.sources.len()];
+        for holder in holders {
+            for ((src, held), dirty) in self.sources.iter().zip(holder.held).zip(&mut dirty) {
                 for (key, mode) in held {
                     if mode == LockMode::Exclusive {
                         deferred.insert((src.id(), key.clone()), holder.txn);
@@ -166,56 +135,13 @@ impl PreparedLazy {
             }
             old.insert(holder.txn);
         }
-        for txn in &old {
-            db.doom(*txn);
-        }
-        for ((src, guard), dirty) in sources.iter().zip(&guards).zip(dirty) {
-            // morph-lint: allow(lock_order, cutover pause: freezing under the exclusive latch is the point — nothing else can hold table.meta while every shard latch is ours)
-            src.freeze(old.iter().copied().collect());
-            lazy.residual.seed_latched(src.id(), guard, dirty);
+        for ((src, latch), dirty) in self.sources.iter().zip(latches).zip(dirty) {
+            self.residual.seed_latched(src.id(), latch, dirty);
         }
         if !deferred.is_empty() {
-            let _ = lazy.deferred.set(deferred);
+            let _ = self.deferred.set(deferred);
         }
-        // morph-lint: allow(lock_order, cutover pause: interceptor registration under the latch is what makes the cut atomic; writers blocked on the latch observe the interceptor the instant they resume)
-        let token = db.add_interceptor(Arc::new(LazyInterceptor {
-            lazy: Arc::downgrade(&lazy),
-        }));
-        lazy.token.store(token, Ordering::SeqCst);
-        if let Err(e) = db.crash_point("router.lazy_cutover") {
-            // morph-lint: allow(lock_order, a failed cut unregisters under the latch it registered under; the interceptor list lock is never held while waiting for a shard latch)
-            db.remove_interceptor(token);
-            return Err(e);
-        }
-        drop(guards);
-        Ok(lazy)
-    }
-}
-
-impl LazyMigration {
-    /// Prepare and cut over at once ([`LazyMigration::prepare`], then
-    /// [`PreparedLazy::cut_over`]).
-    pub fn start(db: &Arc<Database>, plan: &TransformPlan) -> DbResult<Arc<LazyMigration>> {
-        LazyMigration::prepare(db, plan)?.cut_over()
-    }
-
-    /// Create the targets, before anything is latched. Operators that
-    /// rename a source into a target (rename-in-place splits) are
-    /// rejected: the lazy scheme needs the frozen source intact as the
-    /// transform input, which the in-place rename destroys.
-    pub fn prepare(db: &Arc<Database>, plan: &TransformPlan) -> DbResult<PreparedLazy> {
-        let (oper, tables) = plan.prepare_operator(db)?;
-        if oper.renames_source() {
-            return Err(DbError::TransformationAborted(
-                "lazy migration does not support rename-in-place splits".into(),
-            ));
-        }
-        Ok(PreparedLazy {
-            db: Arc::clone(db),
-            sources: crate::sync::sorted_sources(db, &*oper)?,
-            oper,
-            tables,
-        })
+        old
     }
 
     /// Keys still awaiting transformation.
@@ -249,9 +175,22 @@ impl LazyMigration {
     /// records this call transformed; the residual may still hold keys
     /// in flight with on-access claimants when it returns.
     pub fn backfill(&self, batch: usize, priority: f64) -> DbResult<usize> {
+        self.backfill_with(batch, priority, || ())
+    }
+
+    /// [`LazyMigration::backfill`], calling `between` before each batch
+    /// (the copy phase parks on its pause flag there and publishes its
+    /// progress).
+    pub(crate) fn backfill_with(
+        &self,
+        batch: usize,
+        priority: f64,
+        mut between: impl FnMut(),
+    ) -> DbResult<usize> {
         let mut throttle = Throttle::new(priority);
         let mut total = 0usize;
         loop {
+            between();
             self.db.crash_point("router.backfill_batch")?;
             // morph-lint: allow(nondet, batch timing feeds throttle pacing only; wall time never enters table or WAL state)
             let t0 = Instant::now();
@@ -262,30 +201,6 @@ impl LazyMigration {
             self.transform(guard)?;
             throttle.pay(t0.elapsed());
         }
-    }
-
-    /// Unthrottled full drain (a backfill at full priority).
-    pub fn drain_now(&self) -> DbResult<usize> {
-        self.backfill(usize::MAX, 1.0)
-    }
-
-    /// Complete the migration: requires a drained residual, removes the
-    /// on-access hook and drops the frozen sources.
-    pub fn finish(&self) -> DbResult<()> {
-        if !self.residual.is_drained() {
-            return Err(DbError::TransformationAborted(
-                "lazy migration finished before the residual set drained".into(),
-            ));
-        }
-        let token = self.token.swap(NO_TOKEN, Ordering::SeqCst);
-        if token != NO_TOKEN {
-            self.db.remove_interceptor(token);
-        }
-        self.db.crash_point("router.lazy_done")?;
-        for src in &self.sources {
-            self.db.catalog().drop_table(&src.name())?;
-        }
-        self.oper.finalize(&self.db)
     }
 
     /// The interceptor's entry: resolve a target-table access to the
@@ -307,7 +222,7 @@ impl LazyMigration {
     /// what that batch writes.
     fn drain_for_access(&self) -> DbResult<()> {
         while !self.residual.is_drained() {
-            if self.drain_now()? == 0 {
+            if self.backfill(usize::MAX, 1.0)? == 0 {
                 std::thread::yield_now();
             }
         }
@@ -370,9 +285,23 @@ impl LazyMigration {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::spec::SplitMode;
+    use crate::spec::{SplitMode, SyncStrategy, TransformOptions};
+    use crate::transform::{TransformJob, TransformPlan};
     use crate::union::UnionSpec;
     use morph_common::{ColumnType, Lsn, Schema, Value};
+    use std::sync::atomic::Ordering;
+
+    /// Prepare a lazy job for `plan` and cut it over.
+    fn start(
+        db: &Arc<Database>,
+        plan: &TransformPlan,
+    ) -> DbResult<(TransformJob, Arc<LazyMigration>)> {
+        let options = TransformOptions::default().strategy(SyncStrategy::Lazy);
+        let mut job = TransformJob::prepare(db, plan, options)?;
+        job.synchronize()?;
+        let lazy = Arc::clone(job.lazy().expect("a synchronized lazy job"));
+        Ok((job, lazy))
+    }
 
     /// Empty union sources `r` and `s`.
     fn union_sources() -> Arc<Database> {
@@ -414,12 +343,12 @@ mod tests {
     #[test]
     fn lazy_union_backfill_drains_and_finishes() {
         let db = setup_union();
-        let lazy = LazyMigration::start(&db, &union_plan()).unwrap();
+        let (mut job, lazy) = start(&db, &union_plan()).unwrap();
         assert_eq!(lazy.remaining(), 16);
         let n = lazy.backfill(4, 1.0).unwrap();
         assert_eq!(n, 16);
         assert!(lazy.is_drained());
-        lazy.finish().unwrap();
+        job.finish().unwrap();
         let t = db.begin();
         let row = db.read(t, "t", &t_key("r", 3)).unwrap().unwrap();
         assert_eq!(row[2], Value::Int(30));
@@ -430,21 +359,21 @@ mod tests {
     #[test]
     fn lazy_union_on_access_transforms_before_read() {
         let db = setup_union();
-        let lazy = LazyMigration::start(&db, &union_plan()).unwrap();
+        let (mut job, lazy) = start(&db, &union_plan()).unwrap();
         // No backfill: the read itself must materialize the record.
         let t = db.begin();
         let row = db.read(t, "t", &t_key("s", 5)).unwrap().unwrap();
         assert_eq!(row[2], Value::Int(500));
         db.commit(t).unwrap();
         assert_eq!(lazy.remaining(), 15);
-        lazy.drain_now().unwrap();
-        lazy.finish().unwrap();
+        lazy.backfill(usize::MAX, 1.0).unwrap();
+        job.finish().unwrap();
     }
 
     #[test]
     fn lazy_union_write_beats_stale_backfill() {
         let db = setup_union();
-        let lazy = LazyMigration::start(&db, &union_plan()).unwrap();
+        let (mut job, lazy) = start(&db, &union_plan()).unwrap();
         // Workload updates a record through the target; the on-access
         // touch transforms it first, then the update lands on top. The
         // later backfill of everything else must not resurrect the
@@ -453,8 +382,8 @@ mod tests {
         let key = t_key("r", 2);
         db.update(t, "t", &key, &[(2, Value::Int(-1))]).unwrap();
         db.commit(t).unwrap();
-        lazy.drain_now().unwrap();
-        lazy.finish().unwrap();
+        lazy.backfill(usize::MAX, 1.0).unwrap();
+        job.finish().unwrap();
         let t = db.begin();
         let row = db.read(t, "t", &key).unwrap().unwrap();
         assert_eq!(row[2], Value::Int(-1));
@@ -493,7 +422,7 @@ mod tests {
         }
         db.commit(t).unwrap();
 
-        let lazy = LazyMigration::start(&db, &union_plan()).unwrap();
+        let (mut job, lazy) = start(&db, &union_plan()).unwrap();
         let target = db.catalog().get("t").unwrap();
         // The target shard is derived from the target key, and the
         // target's shard key makes it the source row's shard.
@@ -525,7 +454,7 @@ mod tests {
         );
         assert_eq!(backfilled.unwrap(), 2 * ids.len() - 1);
         assert!(lazy.is_drained());
-        lazy.finish().unwrap();
+        job.finish().unwrap();
     }
 
     /// The cutover pause copies no key: over a 100 K-row source the
@@ -541,7 +470,7 @@ mod tests {
             r.insert(vec![Value::Int(i), Value::Int(i * 10)], Lsn(1))
                 .unwrap();
         }
-        let lazy = LazyMigration::start(&db, &union_plan()).unwrap();
+        let (_job, lazy) = start(&db, &union_plan()).unwrap();
         assert!(lazy.residual().explicit_keys().is_empty());
         assert_eq!(lazy.remaining(), ROWS as usize);
 
@@ -557,7 +486,7 @@ mod tests {
             .unwrap();
         db.delete(del, "r", &Key::single(5)).unwrap();
         db.read(reader, "s", &Key::single(6)).unwrap();
-        let lazy = LazyMigration::start(&db, &union_plan()).unwrap();
+        let (mut job, lazy) = start(&db, &union_plan()).unwrap();
         let mut want = vec![
             (r.id(), Key::single(100)),
             (r.id(), Key::single(5)),
@@ -570,8 +499,8 @@ mod tests {
         for txn in [ins, upd, del, reader] {
             db.abort(txn).unwrap();
         }
-        assert_eq!(lazy.drain_now().unwrap(), 17);
-        lazy.finish().unwrap();
+        assert_eq!(lazy.backfill(usize::MAX, 1.0).unwrap(), 17);
+        job.finish().unwrap();
         let t = db.catalog().get("t").unwrap();
         assert_eq!(t.len(), 16);
         assert_eq!(t.get(&t_key("r", 5)).unwrap().values[2], Value::Int(50));
@@ -600,7 +529,8 @@ mod tests {
             check_consistency: false,
             mode: SplitMode::RenameInPlace,
         });
-        assert!(LazyMigration::start(&db, &plan).is_err());
+        assert!(start(&db, &plan).is_err());
+        assert!(!db.catalog().exists("g2"), "a rejected job kept its target");
     }
 
     #[test]
@@ -612,7 +542,7 @@ mod tests {
         let old = db.begin();
         db.update(old, "r", &Key::single(4), &[(1, Value::Int(999))])
             .unwrap();
-        let lazy = LazyMigration::start(&db, &union_plan()).unwrap();
+        let (mut job, lazy) = start(&db, &union_plan()).unwrap();
         let done = std::sync::atomic::AtomicBool::new(false);
         std::thread::scope(|s| {
             s.spawn(|| {
@@ -627,7 +557,7 @@ mod tests {
             assert_eq!(row[2], Value::Int(40));
             db.commit(t).unwrap();
         });
-        lazy.drain_now().unwrap();
-        lazy.finish().unwrap();
+        lazy.backfill(usize::MAX, 1.0).unwrap();
+        job.finish().unwrap();
     }
 }

@@ -25,6 +25,8 @@
 //!    *non-blocking abort* or *non-blocking commit* (§3.4), all three
 //!    implemented, including source-to-target lock transfer under the
 //!    Figure-2 compatibility matrix.
+//!    A fourth, [`SyncStrategy::Lazy`] ([`lazy`]), moves it to the
+//!    front and transforms records on first touch.
 //!
 //! ## Entry points
 //!
@@ -43,8 +45,9 @@
 //! ```
 //!
 //! [`TransformJob::run`] drives copy → propagate → synchronize →
-//! finish; `morph-orchestrator` runs the same job on a worker thread
-//! with persisted, crash-recoverable phase transitions.
+//! finish, or synchronize → copy → finish under
+//! [`SyncStrategy::Lazy`]; `morph-orchestrator` runs the same job on a
+//! worker thread with persisted, crash-recoverable phase transitions.
 //!
 //! [`DbError::CannotConverge`]: morph_common::DbError::CannotConverge
 
@@ -66,7 +69,7 @@ pub mod transform;
 pub mod union;
 
 pub use foj::FojMapping;
-pub use lazy::{LazyMigration, PreparedLazy};
+pub use lazy::LazyMigration;
 pub use morph_wal::MigrationPhase;
 pub use operator::{CoalescePolicy, LazySource, TransformOperator};
 pub use progress::{Progress, ProgressHandle};

@@ -13,14 +13,14 @@ use std::sync::Arc;
 /// readable from anywhere.
 #[derive(Default, Debug)]
 pub struct Progress {
-    /// Current [`MigrationPhase`], as its wire tag; the driver only
-    /// ever moves it forward.
+    /// Current [`MigrationPhase`], as its wire tag, in the order the
+    /// driver runs them (lazy: `Syncing` before `Copying`).
     phase: AtomicU8,
-    /// Rows written by the initial fuzzy copy.
+    /// Rows written by the initial fuzzy copy (lazy: transformed).
     rows_copied: AtomicUsize,
     /// Log records drained through the propagation rules so far.
     records_propagated: AtomicUsize,
-    /// Log records still behind the cursor after the last iteration.
+    /// Log records still behind the cursor (lazy: residual keys).
     backlog: AtomicUsize,
     /// Propagation iterations completed.
     iterations: AtomicUsize,

@@ -35,7 +35,7 @@ pub struct IterationStats {
 }
 
 /// Synchronization statistics (§3.4).
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct SyncStats {
     /// Strategy used.
     pub strategy: SyncStrategy,
@@ -48,18 +48,6 @@ pub struct SyncStats {
     pub old_txns: usize,
     /// Record locks transferred to the transformed tables.
     pub locks_transferred: usize,
-}
-
-impl Default for SyncStats {
-    fn default() -> Self {
-        SyncStats {
-            strategy: SyncStrategy::NonBlockingAbort,
-            latch_pause: Duration::ZERO,
-            final_records: 0,
-            old_txns: 0,
-            locks_transferred: 0,
-        }
-    }
 }
 
 /// Full account of one transformation run.

@@ -2,8 +2,9 @@
 
 use std::time::Duration;
 
-/// Synchronization strategy (§3.4).
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+/// Synchronization strategy (§3.4), and with it the phase order:
+/// [`SyncStrategy::Lazy`] synchronizes first, the other three last.
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum SyncStrategy {
     /// Block new transactions on the involved tables, let active ones
     /// finish, then run a final propagation. Simple, violates the
@@ -13,13 +14,18 @@ pub enum SyncStrategy {
     /// transfer locks to the transformed tables, force transactions
     /// that were active on the source tables to abort, and let log
     /// propagation wash their compensations out in the background.
-    /// This is the strategy the paper's prototype measures (<1 ms).
+    /// The paper's prototype measures this one (<1 ms); the default.
+    #[default]
     NonBlockingAbort,
     /// Like non-blocking abort, but old transactions are allowed to run
     /// to completion on the (now frozen-for-others) source tables, with
     /// every subsequent operation mirrored as an origin-tagged lock on
     /// the transformed tables ("soft transformation").
     NonBlockingCommit,
+    /// SLSM-style lazy migration (DESIGN.md §15): synchronize — an
+    /// NBA-style cutover — right after preparation, then transform
+    /// records on first touch while the copy phase backfills the rest.
+    Lazy,
 }
 
 /// What to do when log propagation cannot converge (§3.3: "the
@@ -43,7 +49,7 @@ pub struct TransformOptions {
     /// propagator sleeps `d·(1−p)/p` — the "priority" axis of the
     /// paper's Figure 4(d).
     pub priority: f64,
-    /// Log records fetched per throttle batch.
+    /// Log records (lazy: residual keys) per throttle batch.
     pub batch_size: usize,
     /// Backlog (remaining log records) below which synchronization may
     /// start; the §3.3 analysis threshold.
@@ -86,7 +92,7 @@ impl Default for TransformOptions {
             sync_threshold: 500,
             max_iterations: 1_000,
             population_chunk: 1_024,
-            strategy: SyncStrategy::NonBlockingAbort,
+            strategy: SyncStrategy::default(),
             non_convergence: NonConvergencePolicy::Abort,
             cc_interval: 16,
             deadline: None,

@@ -110,9 +110,14 @@ impl SplitMapping {
             sb = sb.nullable(&c.name, c.ty);
         }
         let s_schema = sb.primary_key(&[&ts.columns()[split_t].name]).build()?;
-        let s = db.catalog().create_table(&spec.s_target, s_schema)?;
-
-        let (r, p) = match spec.mode {
+        // R, or the P of a rename in place; both are keyed like T.
+        let pk_names: Vec<String> = ts
+            .pkey()
+            .iter()
+            .map(|&p| ts.columns()[p].name.clone())
+            .collect();
+        let pk_refs: Vec<&str> = pk_names.iter().map(String::as_str).collect();
+        let (second, second_schema) = match spec.mode {
             SplitMode::SeparateR => {
                 let mut rb = Schema::builder();
                 for &pos in &r_cols {
@@ -123,20 +128,10 @@ impl SplitMapping {
                         rb.column(&c.name, c.ty)
                     };
                 }
-                let pk_names: Vec<String> = ts
-                    .pkey()
-                    .iter()
-                    .map(|&p| ts.columns()[p].name.clone())
-                    .collect();
-                let pk_refs: Vec<&str> = pk_names.iter().map(String::as_str).collect();
-                let r_schema = rb.primary_key(&pk_refs).build()?;
-                (
-                    Some(db.catalog().create_table(&spec.r_target, r_schema)?),
-                    None,
-                )
+                (spec.r_target.clone(), rb.primary_key(&pk_refs).build()?)
             }
             SplitMode::RenameInPlace => {
-                // P: T's key columns + the split value, keyed like T.
+                // P: T's key columns + the split value.
                 let mut pb = Schema::builder();
                 let mut p_cols: Vec<usize> = ts.pkey().to_vec();
                 if !p_cols.contains(&split_t) {
@@ -146,16 +141,24 @@ impl SplitMapping {
                     let c = &ts.columns()[pos];
                     pb = pb.nullable(&c.name, c.ty);
                 }
-                let pk_names: Vec<String> = ts
-                    .pkey()
-                    .iter()
-                    .map(|&p| ts.columns()[p].name.clone())
-                    .collect();
-                let pk_refs: Vec<&str> = pk_names.iter().map(String::as_str).collect();
-                let p_schema = pb.primary_key(&pk_refs).build()?;
-                let p_name = format!("__morph_p_{}", spec.source);
-                (None, Some(db.catalog().create_table(&p_name, p_schema)?))
+                (
+                    format!("__morph_p_{}", spec.source),
+                    pb.primary_key(&pk_refs).build()?,
+                )
             }
+        };
+        let s = db.catalog().create_table(&spec.s_target, s_schema)?;
+        // A failed preparation takes back its S, or a retry trips on it.
+        let second = match db.catalog().create_table(&second, second_schema) {
+            Ok(table) => table,
+            Err(e) => {
+                let _ = db.catalog().drop_table(&spec.s_target);
+                return Err(e);
+            }
+        };
+        let (r, p) = match spec.mode {
+            SplitMode::SeparateR => (Some(second), None),
+            SplitMode::RenameInPlace => (None, Some(second)),
         };
 
         let idx_split = if spec.check_consistency {

@@ -1,6 +1,7 @@
 //! Synchronization strategies (§3.4) and lock transfer (§4.3).
 //!
-//! All three strategies the paper describes are implemented:
+//! All three strategies the paper describes are implemented, plus the
+//! lazy cutover:
 //!
 //! * **Blocking commit** — freeze the source tables for new
 //!   transactions, let current holders finish, final drain, switch.
@@ -15,6 +16,9 @@
 //!   subsequent operation is mirrored onto the transformed tables via
 //!   an [`OpInterceptor`] under the Figure-2 origin-tagged
 //!   compatibility matrix.
+//! * **Lazy** — right after preparation, like non-blocking abort with
+//!   nothing to drain, deferring the doomed writers' keys instead of
+//!   transferring their locks ([`crate::lazy`]).
 //!
 //! ## Proxy lock ownership
 //!
@@ -26,6 +30,7 @@
 //! record (§3.4), which happens strictly later. The proxy owner
 //! decouples the two lifetimes.
 
+use crate::lazy::LazyMigration;
 use crate::operator::{source_tables, TransformOperator};
 use crate::propagate::Propagator;
 use crate::report::SyncStats;
@@ -82,69 +87,42 @@ impl OpInterceptor for MirrorInterceptor {
     }
 }
 
-/// The non-blocking-commit mirror's registration, and its one owner:
-/// the interceptor stays installed exactly as long as this value lives,
-/// so every path out of a synchronized transformation — completion or
-/// error — removes it (the [`morph_engine::LogProtection`] pattern).
-pub struct MirrorRegistration {
+/// An interceptor's registration — the non-blocking-commit lock mirror
+/// or the lazy on-access hook — and its one owner: it stays installed
+/// exactly as long as this value lives, so every path out of a
+/// synchronized transformation removes it (the
+/// [`morph_engine::LogProtection`] pattern).
+pub(crate) struct HookRegistration {
     db: Arc<Database>,
     token: u64,
 }
 
-impl Drop for MirrorRegistration {
+impl Drop for HookRegistration {
     fn drop(&mut self) {
         self.db.remove_interceptor(self.token);
     }
 }
 
-/// Everything the caller learns from synchronization.
-pub struct SyncOutcome {
-    /// Timing and counts for the report.
-    pub stats: SyncStats,
-    /// Grandfathered transactions (empty for blocking commit).
-    pub old_txns: HashSet<TxnId>,
-    /// The lock mirror (non-blocking commit only); dropping it removes
-    /// the interceptor.
-    pub mirror: Option<MirrorRegistration>,
+/// What synchronization leaves the job: the report's stats, the
+/// interceptor it installed, and a lazy cutover's state.
+pub(crate) struct SyncOutcome {
+    pub(crate) stats: SyncStats,
+    pub(crate) hook: Option<HookRegistration>,
+    pub(crate) lazy: Option<Arc<LazyMigration>>,
 }
 
-/// Run the synchronization step.
-pub fn synchronize(
+/// Run the synchronization step; all but the lazy cutover drain `prop`.
+pub(crate) fn synchronize(
     db: &Arc<Database>,
     oper: &Arc<dyn TransformOperator>,
-    prop: &mut Propagator,
+    prop: Option<&mut Propagator>,
     options: &TransformOptions,
 ) -> DbResult<SyncOutcome> {
-    // Crash-simulation points, named per strategy so the crash matrix
-    // can enumerate kills inside each of the three strategies.
-    match options.strategy {
-        SyncStrategy::BlockingCommit => blocking_commit(db, &**oper, prop, options),
-        SyncStrategy::NonBlockingAbort => non_blocking(
-            db,
-            oper,
-            prop,
-            options,
-            [
-                "sync.nba.latched",
-                "sync.nba.drained",
-                "sync.nba.treated",
-                "sync.nba.switched",
-            ],
-            false,
-        ),
-        SyncStrategy::NonBlockingCommit => non_blocking(
-            db,
-            oper,
-            prop,
-            options,
-            [
-                "sync.nbc.latched",
-                "sync.nbc.drained",
-                "sync.nbc.treated",
-                "sync.nbc.switched",
-            ],
-            true,
-        ),
+    match (options.strategy, prop) {
+        (SyncStrategy::Lazy, _) => lazy_cutover(db, oper),
+        (_, None) => Err(DbError::Internal("synchronize before copy".into())),
+        (SyncStrategy::BlockingCommit, Some(prop)) => blocking_commit(db, &**oper, prop, options),
+        (_, Some(prop)) => non_blocking(db, oper, prop, options),
     }
 }
 
@@ -201,19 +179,32 @@ fn switch_catalog(oper: &dyn TransformOperator, sources: &[Arc<Table>], old: &Ha
     }
 }
 
-/// Non-blocking abort (`mirror` false: the old transactions are doomed)
-/// or non-blocking commit (`mirror` true: they continue under the lock
-/// mirror). `points` are the strategy's crash points: latched, drained,
-/// treated, switched.
+/// Non-blocking abort (the old transactions are doomed) or non-blocking
+/// commit (they continue under the lock mirror).
 fn non_blocking(
     db: &Arc<Database>,
     oper: &Arc<dyn TransformOperator>,
     prop: &mut Propagator,
     options: &TransformOptions,
-    points: [&'static str; 4],
-    mirror: bool,
 ) -> DbResult<SyncOutcome> {
-    let [p_latched, p_drained, p_treated, p_switched] = points;
+    let mirror = options.strategy == SyncStrategy::NonBlockingCommit;
+    // Crash-simulation points, named per strategy so the crash matrix
+    // can enumerate kills inside each of them.
+    let [p_latched, p_drained, p_treated, p_switched] = if mirror {
+        [
+            "sync.nbc.latched",
+            "sync.nbc.drained",
+            "sync.nbc.treated",
+            "sync.nbc.switched",
+        ]
+    } else {
+        [
+            "sync.nba.latched",
+            "sync.nba.drained",
+            "sync.nba.treated",
+            "sync.nba.switched",
+        ]
+    };
     let sources = sorted_sources(db, &**oper)?;
     // morph-lint: allow(nondet, elapsed-time stats for the report; wall time never enters table or WAL state)
     let t0 = Instant::now();
@@ -231,15 +222,15 @@ fn non_blocking(
 
     // Strategy-specific treatment of the old transactions. The mirror's
     // registration removes the interceptor on every error return below.
-    let registration = if mirror {
-        let token = db.add_interceptor(Arc::new(MirrorInterceptor {
-            oper: Arc::clone(oper),
-            old_txns: old.clone(),
-            sources: sources.iter().map(|t| t.id()).collect(),
-        }));
-        Some(MirrorRegistration {
+    let hook = if mirror {
+        Some(HookRegistration {
             db: Arc::clone(db),
-            token,
+            // morph-lint: allow(lock_order, cutover pause: the mirror is registered under the latch so old transactions resume into it; the interceptor list lock is never held while waiting for a shard latch)
+            token: db.add_interceptor(Arc::new(MirrorInterceptor {
+                oper: Arc::clone(oper),
+                old_txns: old.clone(),
+                sources: sources.iter().map(|t| t.id()).collect(),
+            })),
         })
     } else {
         for txn in &old {
@@ -270,8 +261,52 @@ fn non_blocking(
             old_txns: old.len(),
             locks_transferred,
         },
-        old_txns: old,
-        mirror: registration,
+        hook,
+        lazy: None,
+    })
+}
+
+/// The lazy cutover: latch the sorted sources, seed the residual from
+/// the `lock_holders` census, doom every holder, freeze the sources,
+/// register the on-access hook. The pause copies no source key: the residual counts
+/// each latched shard and maps only the doomed writers' exclusively
+/// locked keys, deferred past their rollback. Everything it fills is
+/// allocated before it: with clients stalled on the latch, even the
+/// allocator's deferred work (DESIGN.md §15) would be theirs to wait.
+fn lazy_cutover(db: &Arc<Database>, oper: &Arc<dyn TransformOperator>) -> DbResult<SyncOutcome> {
+    let lazy = Arc::new(LazyMigration::over(db, oper, sorted_sources(db, &**oper)?));
+    let sources = lazy.sources();
+    // morph-lint: allow(nondet, elapsed-time stats for the report; wall time never enters table or WAL state)
+    let t0 = Instant::now();
+    let guards: Vec<_> = sources.iter().map(|t| t.latch_exclusive()).collect();
+    // Old transactions: anyone holding locks on a source.
+    // morph-lint: allow(lock_order, cutover pause: the coordinator alone holds these exclusive latches and user txns never latch shards while holding registry/side locks, so the rank protocol's reverse order cannot occur concurrently)
+    let old = lazy.seed(&guards, db.lock_holders(sources));
+    for txn in &old {
+        db.doom(*txn);
+    }
+    for src in sources {
+        // morph-lint: allow(lock_order, cutover pause: freezing under the exclusive latch is the point — nothing else can hold table.meta while every shard latch is ours)
+        src.freeze(old.iter().copied().collect());
+    }
+    // Registered under the latch: writers blocked on it resume into the
+    // hook. A failed cut drops the registration before the latches.
+    let hook = HookRegistration {
+        db: Arc::clone(db),
+        token: db.add_interceptor(lazy.clone()),
+    };
+    db.crash_point("router.lazy_cutover")?;
+    drop(guards);
+    Ok(SyncOutcome {
+        stats: SyncStats {
+            strategy: SyncStrategy::Lazy,
+            latch_pause: t0.elapsed(),
+            final_records: 0,
+            old_txns: old.len(),
+            locks_transferred: 0,
+        },
+        hook: Some(hook),
+        lazy: Some(lazy),
     })
 }
 
@@ -316,8 +351,8 @@ fn blocking_commit(
             old_txns: holders.len(),
             locks_transferred: 0,
         },
-        old_txns: HashSet::new(),
-        mirror: None,
+        hook: None,
+        lazy: None,
     })
 }
 

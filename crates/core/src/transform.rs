@@ -1,9 +1,10 @@
 //! One migration driver: [`TransformJob`] runs the four steps end to
-//! end.
+//! end, in the order its [`SyncStrategy`] names.
 //!
 //! ```text
 //! prepare → fuzzy mark → initial population → ⟳ propagate/analyze →
 //! synchronize → post-sync propagation → drop sources
+//! lazy: prepare → synchronize (cutover) → backfill → drop sources
 //! ```
 //!
 //! [`TransformJob::prepare`] creates the targets; [`TransformJob::run`]
@@ -14,17 +15,21 @@
 //! stopped, and that the transformed tables are deleted" (§6): the
 //! job's `PreparedTables` guard deletes them on every exit before
 //! synchronization, whether a phase fails or the job is dropped
-//! unpublished.
+//! unpublished. Synchronization publishes them, so from there on the
+//! job ignores the abort flag and completes.
 
 use crate::cc::Readiness;
 use crate::foj::FojMapping;
+use crate::lazy::LazyMigration;
 use crate::operator::TransformOperator;
 use crate::progress::{Progress, ProgressHandle};
 use crate::propagate::Propagator;
 use crate::report::{PopulationStats, TransformReport};
-use crate::spec::{FojSpec, NonConvergencePolicy, SplitMode, SplitSpec, TransformOptions};
+use crate::spec::{
+    FojSpec, NonConvergencePolicy, SplitMode, SplitSpec, SyncStrategy, TransformOptions,
+};
 use crate::split::SplitMapping;
-use crate::sync::{synchronize, MirrorRegistration};
+use crate::sync::{synchronize, HookRegistration};
 use crate::union::{UnionMapping, UnionSpec};
 use morph_common::{DbError, DbResult};
 use morph_engine::Database;
@@ -38,14 +43,20 @@ use std::time::{Duration, Instant};
 /// [`TransformJob::propagate`]).
 const TRUNCATE_SPAN: u64 = 262_144;
 
+fn aborted() -> DbError {
+    DbError::TransformationAborted("aborted by request".into())
+}
+
+fn is_crash(e: &DbError) -> bool {
+    matches!(e, DbError::SimulatedCrash(_))
+}
+
 /// The tables a preparation created, and the one owner of their §6
-/// deletion. Held by a [`TransformJob`] and a
-/// [`PreparedLazy`](crate::PreparedLazy); dropping the guard drops
-/// every table it still owns. Publishing the targets (synchronization,
-/// a lazy cut-over) disarms it: the targets are no longer its to drop,
-/// only the internal bookkeeping tables are. Each drop takes the names,
-/// so a table is dropped at most once — a stale job can never drop a
-/// later job's table of the same name.
+/// deletion. Held by a [`TransformJob`]; dropping the guard drops every
+/// table it still owns. Synchronization publishes the targets: they
+/// are no longer its to drop, only the internal bookkeeping tables
+/// are. Each drop takes the names, so a table is dropped at most once —
+/// a stale job can never drop a later job's table of the same name.
 pub(crate) struct PreparedTables {
     db: Arc<Database>,
     targets: Vec<String>,
@@ -54,11 +65,6 @@ pub(crate) struct PreparedTables {
 }
 
 impl PreparedTables {
-    /// The targets are published: keep only the internal tables.
-    pub(crate) fn disarm(&mut self) {
-        self.targets.clear();
-    }
-
     /// Drop every table the guard still owns.
     fn drop_tables(&mut self) {
         let targets = std::mem::take(&mut self.targets);
@@ -165,10 +171,11 @@ impl TransformPlan {
 /// stop between them.
 ///
 /// The phase sequence is `prepare → copy → propagate → synchronize →
-/// finish`. Until synchronization publishes them the job owns its
-/// targets: a failing phase drops them at once, and so does dropping
-/// the job. After it, dropping the job removes the non-blocking-commit
-/// lock mirror.
+/// finish`, or `prepare → synchronize → copy → finish` when lazy. Until
+/// synchronization publishes them the job owns its targets: a failing
+/// phase drops them at once, and so does dropping the job. After it,
+/// dropping the job removes its interceptor (the non-blocking-commit
+/// lock mirror or the lazy on-access hook).
 pub struct TransformJob {
     db: Arc<Database>,
     oper: Arc<dyn TransformOperator>,
@@ -180,13 +187,14 @@ pub struct TransformJob {
     deadline: Option<Instant>,
     prop: Option<Propagator>,
     log_guard: Option<morph_engine::LogProtection>,
-    mirror: Option<MirrorRegistration>,
+    hook: Option<HookRegistration>,
+    lazy: Option<Arc<LazyMigration>>,
     progress: Arc<Progress>,
 }
 
 impl TransformJob {
     /// Compile and prepare a plan: creates target tables and returns a
-    /// job parked before the copy phase.
+    /// job parked before its first phase.
     pub fn prepare(
         db: &Arc<Database>,
         plan: &TransformPlan,
@@ -198,7 +206,8 @@ impl TransformJob {
     /// Like [`TransformJob::prepare`], but publishing into
     /// caller-supplied counters — a multi-stage migration threads one
     /// [`Progress`] through all its stages so observers see a single
-    /// continuous stream.
+    /// continuous stream. A lazy job refuses a rename-in-place split:
+    /// the rename destroys the frozen source it transforms from.
     pub fn prepare_with_progress(
         db: &Arc<Database>,
         plan: &TransformPlan,
@@ -208,6 +217,11 @@ impl TransformJob {
         // morph-lint: allow(nondet, phase timing stats for the report; wall time never enters table or WAL state)
         let t0 = Instant::now();
         let (oper, tables) = plan.prepare_operator(db)?;
+        if options.strategy == SyncStrategy::Lazy && oper.renames_source() {
+            return Err(DbError::TransformationAborted(
+                "lazy migration does not support rename-in-place splits".into(),
+            ));
+        }
         let prepare = t0.elapsed();
         let deadline = options.deadline.map(|d| t0 + d);
         progress.set_phase(MigrationPhase::Preparing);
@@ -225,7 +239,8 @@ impl TransformJob {
             deadline,
             prop: None,
             log_guard: None,
-            mirror: None,
+            hook: None,
+            lazy: None,
             progress,
         })
     }
@@ -236,25 +251,47 @@ impl TransformJob {
         ProgressHandle::new(Arc::clone(&self.progress))
     }
 
+    /// The post-cutover state of a lazy job that has synchronized.
+    pub fn lazy(&self) -> Option<&Arc<LazyMigration>> {
+        self.lazy.as_ref()
+    }
+
     /// Run the rest of the §3 sequence on the calling thread: copy →
-    /// propagate → synchronize → finish. `on_phase` runs before each of
-    /// the first three — the orchestrator persists its state record
-    /// there — and an error from it ends the run like a failing phase:
-    /// the job is dropped with its targets. `pause` parks propagation
-    /// between iterations; `abort` stops it (§6).
+    /// propagate → synchronize → finish, or synchronize → copy → finish
+    /// when lazy. `on_phase` runs before each phase but the last — the
+    /// orchestrator persists its state record there — and an error from
+    /// it ends the run like a failing phase, except after a lazy
+    /// cutover. `pause` parks propagation between iterations and the
+    /// lazy backfill between batches; `abort` stops the job until
+    /// synchronization (§6). Once a lazy job has cut over, only a
+    /// simulated crash ends the run: its targets serve reads and its
+    /// sources are frozen, so it completes.
     pub fn run(
         mut self,
         abort: &AtomicBool,
         pause: Option<&AtomicBool>,
         mut on_phase: impl FnMut(MigrationPhase) -> DbResult<()>,
     ) -> DbResult<TransformReport> {
-        on_phase(MigrationPhase::Copying)?;
-        self.copy()?;
-        on_phase(MigrationPhase::Propagating)?;
-        self.propagate(abort, pause)?;
-        on_phase(MigrationPhase::Syncing)?;
-        self.synchronize()?;
-        self.finish(abort)
+        use MigrationPhase::{Copying, Propagating, Syncing};
+        let order: &[MigrationPhase] = match self.options.strategy {
+            SyncStrategy::Lazy => &[Syncing, Copying],
+            _ => &[Copying, Propagating, Syncing],
+        };
+        for &phase in order {
+            match on_phase(phase) {
+                // A state record is for discovery: the durable phase
+                // stays `Syncing`, which recovery re-runs the same way.
+                Err(e) if self.lazy.is_none() || is_crash(&e) => return Err(e),
+                _ => {}
+            }
+            match phase {
+                Copying => self.copy(pause)?,
+                Propagating => self.propagate(abort, pause)?,
+                _ if abort.load(Ordering::Relaxed) => return Err(aborted()),
+                _ => self.synchronize()?,
+            }
+        }
+        self.finish()
     }
 
     /// One pre-synchronization phase: publish it, run it, and on its one
@@ -273,8 +310,12 @@ impl TransformJob {
     }
 
     /// Initial fuzzy population (§3.2): writes the fuzzy mark, pins the
-    /// log at the propagation cursor and copies the sources.
-    pub fn copy(&mut self) -> DbResult<()> {
+    /// log at the propagation cursor and copies the sources; `pause` is
+    /// for the lazy copy, the backfill.
+    pub fn copy(&mut self, pause: Option<&AtomicBool>) -> DbResult<()> {
+        if self.options.strategy == SyncStrategy::Lazy {
+            return self.backfill(pause);
+        }
         self.pre_sync(MigrationPhase::Copying, |job| {
             job.db.crash_point("transform.prepared")?;
             // morph-lint: allow(nondet, phase timing stats for the report; wall time never enters table or WAL state)
@@ -303,6 +344,45 @@ impl TransformJob {
         })
     }
 
+    /// The lazy copy: throttled backfill batches until the residual
+    /// drains, parked on `pause` between them. Progress shows the
+    /// residual as backlog and the records transformed as rows copied.
+    /// A batch that fails returns its keys to the residual, where first
+    /// touches still find them, and is retried; only a simulated crash
+    /// ends the copy.
+    fn backfill(&mut self, pause: Option<&AtomicBool>) -> DbResult<()> {
+        let Some(lazy) = self.lazy.clone() else {
+            return Err(DbError::Internal("backfill before synchronize".into()));
+        };
+        self.progress.set_phase(MigrationPhase::Copying);
+        // morph-lint: allow(nondet, phase timing stats for the report; wall time never enters table or WAL state)
+        let p0 = Instant::now();
+        let (progress, total) = (Arc::clone(&self.progress), self.report.population.rows_read);
+        let (batch, priority) = (self.options.batch_size, self.options.priority);
+        let mut backfilled = 0;
+        // A call may return with keys in flight with first touches.
+        while !lazy.is_drained() {
+            let round = lazy.backfill_with(batch, priority, || {
+                progress.set_backlog(lazy.remaining());
+                progress.set_rows_copied(total.saturating_sub(lazy.remaining()));
+                while pause.is_some_and(|p| p.load(Ordering::Relaxed)) {
+                    std::thread::sleep(Duration::from_millis(1));
+                }
+            });
+            match round {
+                Ok(n) => backfilled += n,
+                Err(e) if is_crash(&e) => return Err(e),
+                Err(_) => std::thread::sleep(Duration::from_millis(1)),
+            }
+            std::thread::yield_now();
+        }
+        progress.set_backlog(0);
+        progress.set_rows_copied(total);
+        self.report.population.duration = p0.elapsed();
+        self.report.population.rows_written = backfilled;
+        Ok(())
+    }
+
     /// Log propagation + convergence analysis loop (§3.3). `pause`
     /// parks the job between iterations without releasing anything;
     /// the deadline clock keeps ticking while parked.
@@ -313,7 +393,6 @@ impl TransformJob {
     }
 
     fn propagate_loop(&mut self, abort: &AtomicBool, pause: Option<&AtomicBool>) -> DbResult<()> {
-        let aborted = || DbError::TransformationAborted("aborted by request".into());
         let mut prev_backlog = usize::MAX;
         let mut growth_streak = 0u32;
         loop {
@@ -408,53 +487,58 @@ impl TransformJob {
     }
 
     /// Synchronization (§3.4): freeze sources under the configured
-    /// strategy and publish the targets.
+    /// strategy and publish the targets; when lazy, cut over.
     pub fn synchronize(&mut self) -> DbResult<()> {
         let outcome = self.pre_sync(MigrationPhase::Syncing, |job| {
             job.db.crash_point("transform.pre_sync")?;
-            let Some(prop) = job.prop.as_mut() else {
-                return Err(DbError::Internal("synchronize before copy".into()));
-            };
-            synchronize(&job.db, &job.oper, prop, &job.options)
+            synchronize(&job.db, &job.oper, job.prop.as_mut(), &job.options)
         })?;
-        self.tables.disarm();
+        self.tables.targets.clear();
         self.progress.add_records(outcome.stats.final_records);
+        if let Some(lazy) = &outcome.lazy {
+            self.report.population.rows_read = lazy.remaining();
+            self.progress.set_backlog(lazy.remaining());
+        }
         self.report.sync = outcome.stats;
-        self.mirror = outcome.mirror;
+        self.hook = outcome.hook;
+        self.lazy = outcome.lazy;
         // Post-sync crash point: targets are published; the abort path
-        // must no longer delete them (dropping the job removes the
-        // mirror).
+        // must no longer delete them.
         self.db.crash_point("transform.synced")
     }
 
     /// Post-synchronization propagation (drain grandfathered
-    /// transactions), final catalog cleanup and cutover. Returns the
-    /// complete report; the job's only remaining use afterwards is its
-    /// progress handle. On an error the non-blocking-commit mirror stays
-    /// installed until the job is dropped.
-    pub fn finish(&mut self, abort: &AtomicBool) -> DbResult<TransformReport> {
+    /// transactions; lazy: require a drained residual), final catalog
+    /// cleanup and cutover. Ignores the abort flag: the targets are
+    /// published. Returns the complete report; the job's only remaining
+    /// use afterwards is its progress handle. On an error the
+    /// interceptor stays installed until the job is dropped.
+    pub fn finish(&mut self) -> DbResult<TransformReport> {
+        if self.lazy.as_ref().is_some_and(|lazy| !lazy.is_drained()) {
+            return Err(DbError::TransformationAborted(
+                "lazy migration finished before the residual set drained".into(),
+            ));
+        }
         // morph-lint: allow(nondet, phase timing stats for the report; wall time never enters table or WAL state)
         let post0 = Instant::now();
         let post_deadline = self
             .deadline
             .unwrap_or_else(|| post0 + Duration::from_secs(60));
-        while self.prop.as_ref().is_some_and(|p| p.outstanding() > 0) {
+        while let Some(prop) = self.prop.as_mut().filter(|p| p.outstanding() > 0) {
             // morph-lint: allow(nondet, operator deadline guard; wall-time bound on total runtime, never replayed state)
             if Instant::now() > post_deadline {
-                let outstanding = self.prop.as_ref().map_or(0, |p| p.outstanding());
                 return Err(DbError::TransformationAborted(format!(
-                    "{outstanding} grandfathered transactions did not finish in time"
+                    "{} grandfathered transactions did not finish in time",
+                    prop.outstanding()
                 )));
             }
-            let Some(prop) = self.prop.as_mut() else {
-                return Err(DbError::Internal("finish before copy".into()));
-            };
+            let never = AtomicBool::new(false);
             let stats = prop.iterate(
                 &self.db,
                 &*self.oper,
                 self.options.batch_size,
                 self.options.cc_interval,
-                abort,
+                &never,
             )?;
             self.report.post_records += stats.records;
             self.progress.add_records(stats.records);
@@ -463,9 +547,13 @@ impl TransformJob {
                 std::thread::sleep(Duration::from_micros(200));
             }
         }
-        self.mirror = None;
+        self.hook = None;
         self.report.post_duration = post0.elapsed();
-        self.db.crash_point("transform.finalizing")?;
+        if self.lazy.is_some() {
+            self.db.crash_point("router.lazy_done")?;
+        } else {
+            self.db.crash_point("transform.finalizing")?;
+        }
 
         // --- final catalog cleanup: the internal tables ---
         self.tables.drop_tables();
@@ -511,7 +599,6 @@ impl TransformJob {
 mod tests {
     use super::*;
     use crate::foj::figure1_schemas;
-    use crate::spec::SyncStrategy;
     use morph_common::{Key, Value};
 
     fn db_with_sources(rows_r: usize, rows_s: usize) -> Arc<Database> {
@@ -880,14 +967,14 @@ mod tests {
         let h = job.progress();
         assert_eq!(h.phase(), MigrationPhase::Preparing);
         let abort = AtomicBool::new(false);
-        job.copy().unwrap();
+        job.copy(None).unwrap();
         assert!(h.rows_copied() >= 80);
         job.propagate(&abort, None).unwrap();
         assert!(h.iterations() >= 1);
         assert_eq!(h.phase(), MigrationPhase::Propagating);
         job.synchronize().unwrap();
         assert_eq!(h.phase(), MigrationPhase::Syncing);
-        let report = job.finish(&abort).unwrap();
+        let report = job.finish().unwrap();
         assert_eq!(h.phase(), MigrationPhase::CutOver);
         assert!(report.total > Duration::ZERO);
         assert_eq!(db.catalog().get("T").unwrap().len(), 80);
@@ -899,7 +986,7 @@ mod tests {
         let mut job = TransformJob::prepare(&db, &foj(), opts()).unwrap();
         let h = job.progress();
         let abort = AtomicBool::new(false);
-        job.copy().unwrap();
+        job.copy(None).unwrap();
         let pause = Arc::new(AtomicBool::new(true));
         let p2 = Arc::clone(&pause);
         let releaser = std::thread::spawn(move || {
@@ -912,7 +999,7 @@ mod tests {
         assert!(t0.elapsed() >= Duration::from_millis(100));
         releaser.join().unwrap();
         job.synchronize().unwrap();
-        job.finish(&abort).unwrap();
+        job.finish().unwrap();
         assert_eq!(h.phase(), MigrationPhase::CutOver);
     }
 
@@ -921,7 +1008,7 @@ mod tests {
         let db = db_with_sources(30, 3);
         let plan = TransformPlan::Foj(FojSpec::new("R", "S", "T", "c", "c"));
         let mut job = TransformJob::prepare(&db, &plan, opts()).unwrap();
-        job.copy().unwrap();
+        job.copy(None).unwrap();
         let abort = Arc::new(AtomicBool::new(false));
         let pause = Arc::new(AtomicBool::new(true));
         let a2 = Arc::clone(&abort);
@@ -947,7 +1034,7 @@ mod tests {
         assert!(!db.catalog().exists("T"), "a prepared job leaked T");
 
         let mut job = TransformJob::prepare(&db, &foj(), opts()).unwrap();
-        job.copy().unwrap();
+        job.copy(None).unwrap();
         drop(job);
         assert!(!db.catalog().exists("T"), "a copied job leaked T");
         assert!(db.catalog().exists("R") && db.catalog().exists("S"));
@@ -960,7 +1047,7 @@ mod tests {
     fn a_stale_job_never_drops_a_later_jobs_target() {
         let db = db_with_sources(30, 3);
         let mut stale = TransformJob::prepare(&db, &foj(), opts()).unwrap();
-        stale.copy().unwrap();
+        stale.copy(None).unwrap();
         assert!(stale.propagate(&AtomicBool::new(true), None).is_err());
         assert!(!db.catalog().exists("T"));
 
@@ -979,14 +1066,14 @@ mod tests {
         let abort = AtomicBool::new(false);
         let mut job = TransformJob::prepare(&db, &foj(), opts()).unwrap();
         let progress = job.progress();
-        job.copy().unwrap();
+        job.copy(None).unwrap();
         job.propagate(&abort, None).unwrap();
         let txn = db.begin();
         db.update(txn, "R", &Key::single(1), &[(1, Value::str("late"))])
             .unwrap();
         db.commit(txn).unwrap();
         job.synchronize().unwrap();
-        let report = job.finish(&abort).unwrap();
+        let report = job.finish().unwrap();
         assert!(report.sync.final_records > 0);
         assert_eq!(progress.records_propagated(), report.records_processed());
     }
@@ -1028,5 +1115,159 @@ mod tests {
         assert_eq!(r.len(), 50);
         assert_eq!(db.catalog().get("S").unwrap().len(), 5);
         assert!(!db.catalog().exists("__morph_p_T"));
+    }
+
+    /// An abort requested after synchronization has nothing left to
+    /// stop: the targets are published. The post-sync drain ignores the
+    /// flag and completes instead of spinning out its deadline.
+    #[test]
+    fn abort_after_synchronization_is_ignored() {
+        let db = db_with_sources(50, 5);
+        let old = db.begin();
+        db.update(old, "R", &Key::single(1), &[(1, Value::str("dirty"))])
+            .unwrap();
+        let options = opts().deadline(Duration::from_secs(3));
+        let job = TransformJob::prepare(&db, &foj(), options).unwrap();
+        let abort = Arc::new(AtomicBool::new(false));
+        let a2 = Arc::clone(&abort);
+        let handle = std::thread::spawn(move || job.run(&a2, None, |_| Ok(())));
+        let r = db.catalog().get("R").unwrap();
+        let t0 = Instant::now();
+        while r.state() == morph_storage::TableState::Active {
+            assert!(
+                t0.elapsed() < Duration::from_secs(20),
+                "sync never happened"
+            );
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        abort.store(true, Ordering::Relaxed);
+        db.abort(old).unwrap();
+        let report = handle
+            .join()
+            .unwrap()
+            .expect("a synchronized job completes");
+        assert_eq!(report.sync.old_txns, 1);
+        assert_eq!(db.catalog().get("T").unwrap().len(), 50);
+    }
+
+    /// A split whose second table's name is taken fails to prepare and
+    /// leaves nothing behind, so a retry with the name free succeeds.
+    #[test]
+    fn a_split_that_cannot_prepare_leaves_no_target() {
+        for in_place in [false, true] {
+            let db = Arc::new(Database::new());
+            let ts = morph_common::Schema::builder()
+                .column("a", morph_common::ColumnType::Int)
+                .nullable("c", morph_common::ColumnType::Str)
+                .nullable("d", morph_common::ColumnType::Str)
+                .primary_key(&["a"])
+                .build()
+                .unwrap();
+            db.create_table("W", ts.clone()).unwrap();
+            let mut spec = SplitSpec::new("W", "R2", "S2", &["a", "c"], "c", &["d"]);
+            let taken = if in_place {
+                spec = spec.rename_in_place();
+                "__morph_p_W"
+            } else {
+                "R2"
+            };
+            db.create_table(taken, ts).unwrap();
+            let plan = TransformPlan::Split(spec);
+            let err = TransformJob::prepare(&db, &plan, opts()).err();
+            assert!(matches!(err, Some(DbError::TableExists(_))), "{err:?}");
+            assert!(!db.catalog().exists("S2"), "in place {in_place}: S2 leaked");
+            assert!(db.catalog().exists(taken));
+            db.catalog().drop_table(taken).unwrap();
+            run(&db, plan, opts()).unwrap();
+        }
+    }
+
+    /// Union sources `A` and `B`, `rows` rows each.
+    fn union_db(rows: i64) -> Arc<Database> {
+        let db = Arc::new(Database::new());
+        for name in ["A", "B"] {
+            let schema = morph_common::Schema::builder()
+                .column("id", morph_common::ColumnType::Int)
+                .column("v", morph_common::ColumnType::Int)
+                .primary_key(&["id"])
+                .build()
+                .unwrap();
+            db.create_table(name, schema).unwrap();
+            let txn = db.begin();
+            for i in 0..rows {
+                db.insert(txn, name, vec![Value::Int(i), Value::Int(i * 10)])
+                    .unwrap();
+            }
+            db.commit(txn).unwrap();
+        }
+        db
+    }
+
+    fn union() -> TransformPlan {
+        TransformPlan::Union(UnionSpec::new("A", "B", "U"))
+    }
+
+    /// A lazy job parked by `pause` transforms nothing in the
+    /// background, while a first touch still transforms its row;
+    /// progress shows the residual as backlog. Released, the backfill
+    /// transforms the rest and the job reports like an eager one.
+    #[test]
+    fn a_paused_lazy_job_transforms_only_first_touches() {
+        let db = union_db(20);
+        let options = opts().strategy(SyncStrategy::Lazy);
+        let job = TransformJob::prepare(&db, &union(), options).unwrap();
+        let progress = job.progress();
+        let pause = Arc::new(AtomicBool::new(true));
+        let p2 = Arc::clone(&pause);
+        let worker =
+            std::thread::spawn(move || job.run(&AtomicBool::new(false), Some(&p2), |_| Ok(())));
+        let t0 = Instant::now();
+        while progress.phase() != MigrationPhase::Copying {
+            assert!(t0.elapsed() < Duration::from_secs(20), "never cut over");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        std::thread::sleep(Duration::from_millis(20));
+        let u = db.catalog().get("U").unwrap();
+        assert_eq!(u.len(), 0, "a paused backfill transformed rows");
+        assert_eq!(progress.backlog(), 40);
+
+        let txn = db.begin();
+        let key = Key::new([Value::str("A"), Value::Int(3)]);
+        let row = db.read(txn, "U", &key).unwrap().unwrap();
+        db.commit(txn).unwrap();
+        assert_eq!(row[2], Value::Int(30));
+        assert_eq!(u.len(), 1);
+
+        pause.store(false, Ordering::Relaxed);
+        let report = worker.join().unwrap().unwrap();
+        assert_eq!(report.sync.strategy, SyncStrategy::Lazy);
+        assert_eq!(report.population.rows_read, 40);
+        assert_eq!(report.population.rows_written, 39);
+        assert_eq!(progress.phase(), MigrationPhase::CutOver);
+        assert_eq!((progress.backlog(), progress.rows_copied()), (0, 40));
+        assert_eq!(u.len(), 40);
+        // retain_sources: the frozen sources stay, as under eager.
+        assert!(db.catalog().exists("A") && db.catalog().exists("B"));
+    }
+
+    /// An abort before the lazy cutover drops the targets and leaves
+    /// the sources live; a rename-in-place split cannot run lazily.
+    #[test]
+    fn abort_before_a_lazy_cutover_drops_the_targets() {
+        let db = union_db(5);
+        let options = opts().strategy(SyncStrategy::Lazy);
+        let job = TransformJob::prepare(&db, &union(), options.clone()).unwrap();
+        assert!(db.catalog().exists("U"));
+        let err = job
+            .run(&AtomicBool::new(true), None, |_| Ok(()))
+            .unwrap_err();
+        assert!(matches!(err, DbError::TransformationAborted(_)), "{err}");
+        assert!(!db.catalog().exists("U"), "abort kept the target");
+        let txn = db.begin();
+        db.update(txn, "A", &Key::single(1), &[(1, Value::Int(-1))])
+            .unwrap();
+        db.commit(txn).unwrap();
+        run(&db, union(), options).unwrap();
+        assert_eq!(db.catalog().get("U").unwrap().len(), 10);
     }
 }

@@ -217,7 +217,7 @@ impl Config {
                 "Database::begin_snapshot".into(),
                 "Database::snapshot_read".into(),
                 "Database::snapshot_scan".into(),
-                "LazyInterceptor::before_op".into(),
+                "LazyMigration::before_op".into(),
             ],
             purity_forbidden: vec!["txn.lock_table".into(), "txn.held".into()],
             det_zones: vec![

@@ -9,6 +9,7 @@
 //! ```text
 //! Planned → Preparing → Copying → Propagating → Syncing → CutOver
 //!                └──────────┴──────────┴──────────┴→ Aborted
+//! lazy: Planned → Preparing → Syncing → Copying → CutOver
 //! ```
 //!
 //! Each transition is persisted through the WAL

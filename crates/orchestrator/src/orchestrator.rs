@@ -9,13 +9,17 @@
 //!            └──────────────────────────────────────────────────────────────┘
 //!                 │              │             │            │
 //!                 └──────────────┴─────────────┴────────────┴──▶ Aborted
+//!
+//! lazy, one stage: Planned ─▶ Preparing ─▶ Syncing ─▶ Copying ─▶ CutOver
 //! ```
 //!
 //! Every transition is persisted as a [`LogRecord::MigrationState`]
 //! and forced durable *before* the work of the new phase starts, then
 //! announced through a named crash point (`orchestrator.<phase>`), so
 //! the deterministic crash simulator can kill the orchestrator at
-//! every transition and verify recovery.
+//! every transition and verify recovery. A sharded fan-out begins
+//! every shard's job — `Planned`, first stage prepared — before it
+//! starts any worker.
 //!
 //! ## Recovery semantics (§3.5 of the paper)
 //!
@@ -40,7 +44,9 @@
 
 use crate::spec::{Migration, MigrationSpec};
 use morph_common::{DbError, DbResult};
-use morph_core::{Progress, ProgressHandle, TransformJob, TransformOptions, TransformReport};
+use morph_core::{
+    Progress, ProgressHandle, SyncStrategy, TransformJob, TransformOptions, TransformReport,
+};
 use morph_engine::Database;
 use morph_wal::{LogRecord, MigrationPhase};
 use std::collections::BTreeMap;
@@ -89,17 +95,8 @@ impl Orchestrator {
         spec: MigrationSpec,
         options: TransformOptions,
     ) -> DbResult<MigrationHandle> {
-        let id = self.claim(&spec)?;
-        Ok(self.launch(id, spec, options))
-    }
-
-    /// The first half of [`Orchestrator::submit`]: validate `spec` and
-    /// claim its tables under a fresh job id, starting nothing.
-    pub(crate) fn claim(&self, spec: &MigrationSpec) -> DbResult<u64> {
-        spec.validate()?;
         let id = self.db.migrations().next_job_id();
-        self.db.migrations().claim(id, &spec.tables())?;
-        Ok(id)
+        Ok(self.job(id, spec, options)?.launch(None))
     }
 
     /// Parse and submit a migration program in the `ALTER TABLE`
@@ -138,7 +135,8 @@ impl Orchestrator {
     /// after `recover_into`). Non-`Aborted` jobs are re-executed from
     /// their persisted spec, restarting at preparation per §3.5 (see
     /// the module docs for why); `Aborted` jobs stay dead and return
-    /// `None`.
+    /// `None`. The state records do not carry the strategy: it comes
+    /// from `options`.
     pub fn resume(
         &self,
         rec: &RecoveredMigration,
@@ -149,8 +147,7 @@ impl Orchestrator {
         if rec.phase == MigrationPhase::Aborted {
             return Ok(None);
         }
-        self.db.migrations().claim(rec.job, &spec.tables())?;
-        Ok(Some(self.launch(rec.job, spec, options)))
+        Ok(Some(self.job(rec.job, spec, options)?.launch(None)))
     }
 
     /// Scan `records` and resume every recovered job (convenience
@@ -170,23 +167,63 @@ impl Orchestrator {
         Ok(handles)
     }
 
-    /// The second half of [`Orchestrator::submit`]: start the state
-    /// machine of the claimed job `id` on a background thread.
-    pub(crate) fn launch(
+    /// Validate `spec` and claim its tables as job `id`, starting
+    /// nothing ([`Job::launch`] does). A lazy migration has one stage: a
+    /// later stage would have no frozen source to transform from.
+    pub(crate) fn job(
         &self,
         id: u64,
         spec: MigrationSpec,
         options: TransformOptions,
-    ) -> MigrationHandle {
-        let abort = Arc::new(AtomicBool::new(false));
-        let pause = Arc::new(AtomicBool::new(false));
-        let progress = Progress::new();
-        let db = Arc::clone(&self.db);
-        let abort2 = Arc::clone(&abort);
-        let pause2 = Arc::clone(&pause);
-        let progress2 = Arc::clone(&progress);
-        let join =
-            std::thread::spawn(move || run_job(db, id, spec, options, abort2, pause2, progress2));
+    ) -> DbResult<Job> {
+        spec.validate()?;
+        if options.strategy == SyncStrategy::Lazy && spec.stages.len() != 1 {
+            return Err(DbError::TransformationAborted(
+                "lazy migration supports exactly one stage".into(),
+            ));
+        }
+        self.db.migrations().claim(id, &spec.tables())?;
+        Ok(Job {
+            db: Arc::clone(&self.db),
+            id,
+            text: spec.to_text(),
+            spec,
+            options,
+            progress: Progress::new(),
+        })
+    }
+}
+
+/// A claimed job: what its state machine persists and runs.
+pub(crate) struct Job {
+    db: Arc<Database>,
+    id: u64,
+    spec: MigrationSpec,
+    text: String,
+    options: TransformOptions,
+    progress: Arc<Progress>,
+}
+
+impl Job {
+    /// Persist `Planned` and prepare the first stage.
+    pub(crate) fn begin(&self) -> DbResult<TransformJob> {
+        self.enter(0, MigrationPhase::Planned)?;
+        self.prepare(0)
+    }
+
+    /// Run the state machine on a background thread, from `first` if
+    /// the caller has begun the job already.
+    pub(crate) fn launch(self, first: Option<DbResult<TransformJob>>) -> MigrationHandle {
+        let (abort, pause) = (Arc::<AtomicBool>::default(), Arc::<AtomicBool>::default());
+        let (id, progress) = (self.id, Arc::clone(&self.progress));
+        let (abort2, pause2) = (Arc::clone(&abort), Arc::clone(&pause));
+        let join = std::thread::spawn(move || {
+            let result = first
+                .unwrap_or_else(|| self.begin())
+                .map_err(|e| (0, e))
+                .and_then(|job| self.run_stages(job, &abort2, &pause2));
+            self.conclude(result)
+        });
         MigrationHandle {
             id,
             join,
@@ -194,6 +231,110 @@ impl Orchestrator {
             pause,
             progress,
             started: Instant::now(),
+        }
+    }
+
+    /// The happy path of the state machine; failures return the stage
+    /// they happened in so the conclusion can record it. Each stage is
+    /// one [`TransformJob::run`], whose phase hook persists the
+    /// transition and announces it.
+    fn run_stages(
+        &self,
+        first: TransformJob,
+        abort: &AtomicBool,
+        pause: &AtomicBool,
+    ) -> Result<Vec<TransformReport>, (u32, DbError)> {
+        let stages = self.spec.stages.len() as u32;
+        let mut first = Some(first);
+        let mut reports = Vec::with_capacity(stages as usize);
+        for stage in 0..stages {
+            let job = match first.take() {
+                Some(job) => job,
+                None => self.prepare(stage).map_err(|e| (stage, e))?,
+            };
+            let report = job.run(abort, Some(pause), |phase| self.enter(stage, phase));
+            reports.push(report.map_err(|e| (stage, e))?);
+        }
+        let last = stages.saturating_sub(1);
+        self.enter_published(last, MigrationPhase::CutOver)
+            .map_err(|e| (last, e))?;
+        Ok(reports)
+    }
+
+    /// A lazy first stage up to its backfill, for
+    /// [`start_lazy_sharded`](crate::start_lazy_sharded): the phases
+    /// [`TransformJob::run`] walks before its copy, with the same hook.
+    pub(crate) fn cut_over(&self, stage: &mut TransformJob) -> DbResult<()> {
+        self.enter(0, MigrationPhase::Syncing)?;
+        stage.synchronize()?;
+        self.enter_published(0, MigrationPhase::Copying)
+    }
+
+    /// Complete a lazy first stage that [`Job::cut_over`] cut over:
+    /// drain what the caller left, finish, record `CutOver` and
+    /// release the claim.
+    pub(crate) fn complete(&self, mut stage: Box<TransformJob>) -> DbResult<()> {
+        let done = stage.copy(None).and_then(|()| stage.finish());
+        let done = done.and_then(|_| self.enter_published(0, MigrationPhase::CutOver));
+        self.conclude(done.map_err(|e| (0, e)))
+    }
+
+    /// Persist `stage`'s `Preparing` state, then prepare it.
+    fn prepare(&self, stage: u32) -> DbResult<TransformJob> {
+        self.enter(stage, MigrationPhase::Preparing)?;
+        let plan = &self.spec.stages[stage as usize];
+        let progress = Arc::clone(&self.progress);
+        TransformJob::prepare_with_progress(&self.db, plan, self.options.clone(), progress)
+    }
+
+    /// Persist a transition durably before the new phase's work starts,
+    /// then announce it. The record is for discovery and observability,
+    /// not replay: redo/undo skip it.
+    fn enter(&self, stage: u32, phase: MigrationPhase) -> DbResult<()> {
+        self.persist(stage, phase)?;
+        announce(&self.db, phase)
+    }
+
+    /// [`Job::enter`] once the stage has published its targets: the
+    /// record is for discovery, and recovery re-runs a job whose last
+    /// durable phase is earlier just the same, so only a crash fails it.
+    fn enter_published(&self, stage: u32, phase: MigrationPhase) -> DbResult<()> {
+        match self.enter(stage, phase) {
+            Err(e @ DbError::SimulatedCrash(_)) => Err(e),
+            _ => Ok(()),
+        }
+    }
+
+    fn persist(&self, stage: u32, phase: MigrationPhase) -> DbResult<()> {
+        let lsn = self.db.log().append(LogRecord::MigrationState {
+            job: self.id,
+            stage,
+            phase,
+            spec: self.text.clone(),
+        });
+        self.db.log().wait_durable(lsn)
+    }
+
+    /// Conclude the job: release its claim on success, or persist
+    /// `Aborted` first on a clean failure. A simulated crash is *not*
+    /// an abort: the "process" is dead, so no further state is written
+    /// (exactly like a real kill).
+    pub(crate) fn conclude<T>(&self, result: Result<T, (u32, DbError)>) -> DbResult<T> {
+        match result {
+            Ok(value) => {
+                self.db.migrations().release(self.id);
+                Ok(value)
+            }
+            Err((_, e @ DbError::SimulatedCrash(_))) => Err(e),
+            Err((stage, e)) => {
+                self.progress.set_phase(MigrationPhase::Aborted);
+                // Best-effort: a failing log backend must not mask the
+                // original error.
+                let _ = self.persist(stage, MigrationPhase::Aborted);
+                self.db.migrations().release(self.id);
+                announce(&self.db, MigrationPhase::Aborted)?;
+                Err(e)
+            }
         }
     }
 }
@@ -214,9 +355,10 @@ impl MigrationHandle {
         self.id
     }
 
-    /// Park the migration at the next propagation-iteration boundary.
-    /// Nothing is released while parked (log pin, claims and targets
-    /// stay); the wall-clock deadline, if any, keeps ticking.
+    /// Park the migration at the next propagation-iteration boundary
+    /// (lazy: backfill batch). Nothing is released while parked (log
+    /// pin, claims and targets stay); the wall-clock deadline, if any,
+    /// keeps ticking.
     pub fn pause(&self) {
         self.pause.store(true, Ordering::Relaxed);
     }
@@ -226,14 +368,10 @@ impl MigrationHandle {
         self.pause.store(false, Ordering::Relaxed);
     }
 
-    /// Whether a pause is currently requested.
-    pub fn is_paused(&self) -> bool {
-        self.pause.load(Ordering::Relaxed)
-    }
-
     /// Request an abort: the in-flight stage stops at its next batch
-    /// boundary and deletes its targets (§6); already cut-over stages
-    /// are final. The durable `Aborted` state is written by the worker.
+    /// boundary and deletes its targets (§6), unless it has synchronized
+    /// (a lazy stage: cut over) and so published them. The durable
+    /// `Aborted` state is written by the worker.
     pub fn abort(&self) {
         self.abort.store(true, Ordering::Relaxed);
     }
@@ -270,89 +408,6 @@ impl MigrationHandle {
     }
 }
 
-/// Persist one state transition and force it durable before the new
-/// phase's work starts. The record is transparent to redo/undo (see
-/// `morph-wal`): it exists for discovery and observability, not
-/// replay.
-fn persist(db: &Database, job: u64, stage: u32, phase: MigrationPhase, spec: &str) -> DbResult<()> {
-    let lsn = db.log().append(LogRecord::MigrationState {
-        job,
-        stage,
-        phase,
-        spec: spec.to_owned(),
-    });
-    db.log().wait_durable(lsn)
-}
-
-/// Worker-thread body: run all stages, then conclude — releasing
-/// claims on success, or persisting `Aborted` on a clean failure. A
-/// simulated crash is *not* an abort: the "process" is dead, so no
-/// further state is written (exactly like a real kill).
-fn run_job(
-    db: Arc<Database>,
-    id: u64,
-    spec: MigrationSpec,
-    options: TransformOptions,
-    abort: Arc<AtomicBool>,
-    pause: Arc<AtomicBool>,
-    progress: Arc<Progress>,
-) -> DbResult<Vec<TransformReport>> {
-    let text = spec.to_text();
-    match run_stages(&db, id, &spec, &options, &abort, &pause, &progress, &text) {
-        Ok(reports) => {
-            db.migrations().release(id);
-            Ok(reports)
-        }
-        Err((_, e @ DbError::SimulatedCrash(_))) => Err(e),
-        Err((stage, e)) => {
-            progress.set_phase(MigrationPhase::Aborted);
-            // Best-effort: a failing log backend must not mask the
-            // original error.
-            let _ = persist(&db, id, stage, MigrationPhase::Aborted, &text);
-            db.migrations().release(id);
-            announce(&db, MigrationPhase::Aborted)?;
-            Err(e)
-        }
-    }
-}
-
-/// The happy path of the state machine; failures return the stage
-/// they happened in so the conclusion can record it. Each stage is one
-/// [`TransformJob::run`], whose phase hook persists the transition and
-/// announces it; a failing hook drops the job, and with it the stage's
-/// targets.
-#[allow(clippy::too_many_arguments)]
-fn run_stages(
-    db: &Arc<Database>,
-    id: u64,
-    spec: &MigrationSpec,
-    options: &TransformOptions,
-    abort: &AtomicBool,
-    pause: &AtomicBool,
-    progress: &Arc<Progress>,
-    text: &str,
-) -> Result<Vec<TransformReport>, (u32, DbError)> {
-    let enter = |stage: u32, phase: MigrationPhase| {
-        persist(db, id, stage, phase, text)?;
-        announce(db, phase)
-    };
-    enter(0, MigrationPhase::Planned).map_err(|e| (0, e))?;
-    let mut reports = Vec::with_capacity(spec.stages.len());
-    for (i, plan) in spec.stages.iter().enumerate() {
-        let stage = i as u32;
-        let fail = |e: DbError| (stage, e);
-        enter(stage, MigrationPhase::Preparing).map_err(fail)?;
-        let job =
-            TransformJob::prepare_with_progress(db, plan, options.clone(), Arc::clone(progress))
-                .map_err(fail)?;
-        let report = job.run(abort, Some(pause), |phase| enter(stage, phase));
-        reports.push(report.map_err(fail)?);
-    }
-    let last = spec.stages.len().saturating_sub(1) as u32;
-    enter(last, MigrationPhase::CutOver).map_err(|e| (last, e))?;
-    Ok(reports)
-}
-
 /// Announce a durable transition at its `orchestrator.<phase>` crash
 /// point.
 fn announce(db: &Database, phase: MigrationPhase) -> DbResult<()> {
@@ -370,9 +425,11 @@ fn announce(db: &Database, phase: MigrationPhase) -> DbResult<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use morph_common::Value;
+    use morph_common::{ColumnType, Key, Schema, Value};
     use morph_core::foj::figure1_schemas;
+    use morph_engine::CrashHook;
     use morph_wal::{FaultBackend, FaultConfig, LogManager};
+    use std::sync::atomic::AtomicUsize;
 
     /// A stage whose `Syncing` record cannot be made durable ends the
     /// migration with the I/O error and drops the stage's target: the
@@ -425,5 +482,139 @@ mod tests {
             "the failed stage leaked its target"
         );
         assert_eq!((image("R"), image("S")), sources);
+    }
+
+    /// A lazy job persists its phases in the order it runs them, and
+    /// the claim refuses a lazy migration of more than one stage.
+    #[test]
+    fn a_lazy_job_persists_sync_before_copy() {
+        let db = Arc::new(Database::new());
+        let (r, s) = figure1_schemas();
+        db.create_table("R", r).unwrap();
+        db.create_table("S", s).unwrap();
+        let txn = db.begin();
+        for i in 0..50i64 {
+            let j = Value::str(format!("j{}", i % 5));
+            db.insert(txn, "R", vec![Value::Int(i), Value::str("b"), j.clone()])
+                .unwrap();
+            if i < 5 {
+                db.insert(txn, "S", vec![j, Value::str("d")]).unwrap();
+            }
+        }
+        db.commit(txn).unwrap();
+
+        let orch = Orchestrator::new(Arc::clone(&db));
+        let lazy = TransformOptions::default().strategy(SyncStrategy::Lazy);
+        let two_stages = Migration::join("R", "S", "T", "c", "c")
+            .then_union("T", "R", "U")
+            .build();
+        assert!(orch.submit(two_stages, lazy.clone()).is_err());
+        assert!(db.migrations().active_jobs().is_empty());
+
+        let spec = Migration::join("R", "S", "T", "c", "c").build();
+        let reports = orch.submit(spec, lazy).unwrap().join().unwrap();
+        assert_eq!(reports[0].sync.strategy, SyncStrategy::Lazy);
+        assert_eq!(db.catalog().get("T").unwrap().len(), 50);
+        let records: Vec<LogRecord> = db
+            .log()
+            .read_range(morph_common::Lsn(0), usize::MAX)
+            .into_iter()
+            .map(|(_, rec)| (*rec).clone())
+            .collect();
+        let phases: Vec<MigrationPhase> = records
+            .iter()
+            .filter_map(|rec| match rec {
+                LogRecord::MigrationState { phase, .. } => Some(*phase),
+                _ => None,
+            })
+            .collect();
+        use MigrationPhase::*;
+        assert_eq!(phases, [Planned, Preparing, Syncing, Copying, CutOver]);
+        let states = Orchestrator::scan_states(&records);
+        assert_eq!(states.len(), 1);
+        assert_eq!(states[0].phase, CutOver);
+    }
+
+    /// Fails every backfill batch while `failing` is set.
+    struct FailingBackfill {
+        failing: AtomicBool,
+        failures: AtomicUsize,
+    }
+
+    impl CrashHook for FailingBackfill {
+        fn at(&self, _db: &Database, point: &str) -> DbResult<()> {
+            if point == "router.backfill_batch" && self.failing.load(Ordering::SeqCst) {
+                self.failures.fetch_add(1, Ordering::SeqCst);
+                return Err(DbError::Io("injected backfill fault".into()));
+            }
+            Ok(())
+        }
+    }
+
+    /// A lazy copy that fails after the cutover does not end the job:
+    /// each failed batch returns its keys to the residual, a read
+    /// through the target still transforms the row it asks for, and
+    /// once the fault clears the backfill completes. No `Aborted` is
+    /// recorded for the published stage.
+    #[test]
+    fn a_failing_lazy_copy_keeps_its_targets_readable_and_completes() {
+        let db = Arc::new(Database::new());
+        for name in ["r", "s"] {
+            let schema = Schema::builder()
+                .column("id", ColumnType::Int)
+                .column("v", ColumnType::Int)
+                .primary_key(&["id"])
+                .build()
+                .unwrap();
+            db.create_table(name, schema).unwrap();
+            let txn = db.begin();
+            for i in 0..20 {
+                db.insert(txn, name, vec![Value::Int(i), Value::Int(i * 10)])
+                    .unwrap();
+            }
+            db.commit(txn).unwrap();
+        }
+        let hook = Arc::new(FailingBackfill {
+            failing: AtomicBool::new(true),
+            failures: AtomicUsize::new(0),
+        });
+        db.set_crash_hook(hook.clone());
+
+        let lazy = TransformOptions::default().strategy(SyncStrategy::Lazy);
+        let handle = Orchestrator::new(Arc::clone(&db))
+            .submit(Migration::union("r", "s", "u").build(), lazy)
+            .unwrap();
+        let t0 = Instant::now();
+        while hook.failures.load(Ordering::SeqCst) < 3 {
+            assert!(t0.elapsed() < Duration::from_secs(20), "the copy gave up");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let txn = db.begin();
+        let row = db.read(txn, "u", &Key::new([Value::str("s"), Value::Int(7)]));
+        db.commit(txn).unwrap();
+        assert_eq!(
+            row.unwrap(),
+            Some(vec![Value::str("s"), Value::Int(7), Value::Int(70)])
+        );
+        assert!(!handle.is_finished(), "the job ended while its copy failed");
+
+        hook.failing.store(false, Ordering::SeqCst);
+        let reports = handle.join().unwrap();
+        assert_eq!(reports[0].sync.strategy, SyncStrategy::Lazy);
+        assert_eq!(db.catalog().get("u").unwrap().len(), 40);
+        let aborted = db
+            .log()
+            .read_range(morph_common::Lsn(0), usize::MAX)
+            .into_iter()
+            .any(|(_, rec)| {
+                matches!(
+                    *rec,
+                    LogRecord::MigrationState {
+                        phase: MigrationPhase::Aborted,
+                        ..
+                    }
+                )
+            });
+        assert!(!aborted, "a published stage was recorded as aborted");
     }
 }

@@ -14,9 +14,10 @@
 //!   [`Orchestrator::recover`] re-executes any non-`Aborted` job from
 //!   preparation and converges to the uninterrupted run, while a
 //!   durably `Aborted` job stays dead (no handle, no target stragglers);
-//! * in lazy mode the residual set is rebuilt after recovery and the
-//!   first on-access read already serves the correctly transformed
-//!   row, before any backfill runs.
+//! * in lazy mode ([`SyncStrategy::Lazy`], through the same
+//!   `submit_sharded` and recovery) the resumed job cuts over again
+//!   over the recovered sources, and an on-access read after that
+//!   cutover already serves the correctly transformed row.
 //!
 //! The transition matrix has two rows: split on a one-shard router
 //! (the single-engine orchestrator: `submit_sharded` over one shard is
@@ -25,17 +26,16 @@
 //! ([`swept_by`]), so a new transition or router point joins the
 //! matrix the moment it is registered.
 
-use morph_common::{ColumnType, DbError, Key, Schema, TableId, Value};
+use morph_common::{ColumnType, DbError, DbResult, Key, Schema, TableId, Value};
 use morph_core::split::example1_schema;
 use morph_core::SyncStrategy;
 use morph_core::TransformOptions;
-use morph_engine::{Database, ShardedDatabase};
-use morph_orchestrator::{
-    start_lazy_sharded, submit_sharded, Migration, MigrationSpec, Orchestrator,
-};
+use morph_engine::{CrashHook, Database, ShardedDatabase};
+use morph_orchestrator::{submit_sharded, Migration, MigrationHandle, MigrationSpec, Orchestrator};
 use morph_sim::{crash_and_recover, fault_db, sim_options, swept_by, KillHook, Sweep};
 use morph_wal::{FaultHandle, MigrationPhase};
 use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 /// The shard every kill lands on; the others are survivors.
@@ -464,114 +464,188 @@ fn target_key(tag: &str, id: i64) -> Key {
     Key::new([Value::str(tag), Value::Int(id)])
 }
 
-/// Lazy matrix: kill the victim at every `router.*` point — during
-/// fan-out, at the cutover pause, inside an on-access touch, inside a
-/// backfill batch, at completion. After recovery the residual set is
-/// rebuilt, the first on-access read serves the correctly transformed
-/// row before any backfill, and both shards converge to the
-/// uninterrupted reference.
+/// Wait until `handle`'s job has cut over (lazy: reached its copy
+/// phase) or ended.
+fn await_cutover(handle: &MigrationHandle) {
+    let t0 = std::time::Instant::now();
+    while matches!(
+        handle.progress().phase(),
+        MigrationPhase::Planned | MigrationPhase::Preparing | MigrationPhase::Syncing
+    ) && !handle.is_finished()
+    {
+        assert!(t0.elapsed() < std::time::Duration::from_secs(30));
+        std::thread::sleep(std::time::Duration::from_millis(1));
+    }
+}
+
+/// The lazy cell's hook: holds every backfill batch until released, so
+/// nothing is backfilled before the test's own reads, and kills at the
+/// armed point. Once the kill has fired every later point dies too:
+/// the process is dead, its worker included.
+struct HeldKill {
+    kill: Arc<KillHook>,
+    held: AtomicBool,
+}
+
+impl HeldKill {
+    fn arm(point: &str) -> Arc<HeldKill> {
+        Arc::new(HeldKill {
+            kill: KillHook::arm(point, 1),
+            held: AtomicBool::new(true),
+        })
+    }
+
+    fn release(&self) {
+        self.held.store(false, Ordering::SeqCst);
+    }
+}
+
+impl CrashHook for HeldKill {
+    fn at(&self, db: &Database, point: &str) -> DbResult<()> {
+        while point == "router.backfill_batch" && self.held.load(Ordering::SeqCst) {
+            std::thread::sleep(std::time::Duration::from_millis(1));
+        }
+        if self.kill.fired() {
+            return Err(DbError::SimulatedCrash(format!("{point} after the kill")));
+        }
+        self.kill.at(db, point)
+    }
+}
+
+/// Read `key` of `u` through the lazy hook on `db`.
+fn read_u(db: &Database, key: &Key) -> DbResult<Option<Vec<Value>>> {
+    let txn = db.begin();
+    let got = db.read(txn, "u", key);
+    let _ = db.abort(txn);
+    got
+}
+
+/// Lazy matrix: the union row under [`SyncStrategy::Lazy`], driven by
+/// `submit_sharded` and killed on the victim at every `router.*` point
+/// — during fan-out, at the cutover pause, inside a client's on-access
+/// read, inside a backfill batch, at completion — and at every
+/// `orchestrator.*` transition the lazy order reaches. The victim's
+/// backfill is held at its first batch until the test releases it.
+/// After recovery [`Orchestrator::scan_states`] finds the lazy job,
+/// [`Orchestrator::recover`] re-runs it lazily, the first read after
+/// its cutover serves the correctly transformed row before any
+/// backfill runs, and both shards converge to the uninterrupted eager
+/// reference.
 #[test]
 fn lazy_shard_kill_between_cutover_and_backfill_recovers() {
     let row = Row::Union;
     let reference = reference(row);
+    let lazy = sim_options(SyncStrategy::Lazy);
     let survivor = 1 - VICTIM;
-    for point in swept_by(Sweep::Router) {
-        let point = point.name.as_str();
+    let points = swept_by(Sweep::Router)
+        .into_iter()
+        .chain(swept_by(Sweep::Orchestrator))
+        .map(|p| p.name.as_str())
+        // The lazy order has no propagation phase, and the happy path
+        // never aborts.
+        .filter(|p| !matches!(*p, "orchestrator.propagating" | "orchestrator.aborted"));
+    for point in points {
         let u = build(row, 23);
         let victim = &u.shards[VICTIM];
-        let hook = KillHook::arm(point, 1);
+        let key = target_key("r", victim_r_id(&u));
+        let hook = HeldKill::arm(point);
         victim.db.set_crash_hook(hook.clone());
 
-        // Drive lazy mode until the armed kill surfaces. Pre-crash
-        // activity is reads/touches only — in lazy mode target state
-        // is rebuilt from the frozen sources, never from the WAL.
-        let survivor_started = match start_lazy_sharded(&u.sdb, &row.spec()) {
-            // The victim is first in the fan-out: a kill while planning
-            // or cutting it over surfaces before the survivor is
-            // reached.
+        // Only a kill while claiming fails the fan-out itself, and it
+        // starts nothing anywhere; any later kill surfaces from the
+        // victim's worker, and the survivor completes on its own.
+        let survivor_done = match submit_sharded(&u.sdb, &row.spec(), &lazy) {
             Err(err) => {
                 assert!(matches!(err, DbError::SimulatedCrash(_)), "{point}: {err}");
                 false
             }
             Ok(mig) => {
-                let err = match point {
-                    "router.lazy_touch" => {
-                        // The first on-access touch dies inside the
-                        // record transform.
-                        let txn = victim.db.begin();
-                        let key = target_key("r", victim_r_id(&u));
-                        let e = victim.db.read(txn, "u", &key).expect_err("touch kill");
-                        let _ = victim.db.abort(txn);
-                        e
-                    }
-                    "router.backfill_batch" => mig.shards()[VICTIM]
-                        .backfill(4, 1.0)
-                        .expect_err("backfill kill"),
-                    "router.lazy_done" => {
-                        mig.shards()[VICTIM].drain_now().unwrap();
-                        mig.shards()[VICTIM].finish().expect_err("finish kill")
-                    }
-                    other => panic!("{other}: no lazy driver reaches this point"),
-                };
+                if point == "router.lazy_touch" {
+                    // The victim has cut over and waits at its first
+                    // batch: the client's read dies inside its touch.
+                    let handle = &mig.handles()[VICTIM].1;
+                    await_cutover(handle);
+                    assert!(!handle.is_finished(), "{point}: victim never cut over");
+                    let err = read_u(&victim.db, &key).expect_err("touch kill");
+                    assert!(matches!(err, DbError::SimulatedCrash(_)), "{point}: {err}");
+                }
+                hook.release();
+                let err = mig.join().expect_err("armed kill must surface");
                 assert!(matches!(err, DbError::SimulatedCrash(_)), "{point}: {err}");
-                // The survivor shard drains and finishes, unaffected.
-                mig.shards()[survivor].drain_now().unwrap();
-                mig.shards()[survivor].finish().unwrap();
                 true
             }
         };
-        assert!(hook.fired(), "{point}: kill never fired");
+        assert!(hook.kill.fired(), "{point}: kill never fired");
         victim.db.clear_crash_hook();
+        let survivor_db = &u.shards[survivor].db;
+        if survivor_done {
+            assert_eq!(
+                row.target_tables(survivor_db),
+                reference[survivor],
+                "{point}: survivor diverged"
+            );
+        }
 
-        // Victim: tear + recover. Theorem-1 oracle on the sources; any
-        // recovered target shell is dropped before the re-run (its
-        // contents never reach the WAL).
-        let (db2, _durable) = recover(victim);
+        // Victim: tear + recover. Theorem-1 oracle on the sources; no
+        // target survives (its contents never reach the WAL).
+        let (db2, durable) = recover(victim);
         assert_eq!(
             row.source_tables(&db2),
             u.models[VICTIM],
             "{point}: committed source rows lost on the victim"
         );
-        if db2.catalog().get("u").is_ok() {
-            db2.catalog().drop_table("u").unwrap();
+        assert!(db2.catalog().get("u").is_err(), "{point}: u survived");
+
+        // The durable state records rediscover the lazy job, and
+        // recovery re-runs it from preparation, lazily, its backfill
+        // held again.
+        let states = Orchestrator::scan_states(&durable);
+        let held = HeldKill::arm("no kill");
+        db2.set_crash_hook(held.clone());
+        let handles = Orchestrator::new(Arc::clone(&db2))
+            .recover(&durable, &lazy)
+            .unwrap();
+        if survivor_done {
+            assert_eq!(states.len(), 1, "{point}: expected one job");
+            assert_ne!(states[0].phase, MigrationPhase::Aborted, "{point}");
+            assert_eq!(handles.len(), 1, "{point}: resume must relaunch");
+            let handle = handles.into_iter().next().unwrap();
+
+            // The first read after the resumed cutover, before any
+            // backfill, transforms and serves the row it asks for, and
+            // only that row.
+            await_cutover(&handle);
+            assert!(!handle.is_finished(), "{point}: resumed job never cut over");
+            let got = read_u(&db2, &key).unwrap();
+            assert_eq!(
+                got.as_ref(),
+                reference[VICTIM]["u"].get(&key),
+                "{point}: on-access row wrong after recovery"
+            );
+            assert_eq!(db2.catalog().get("u").unwrap().len(), 1, "{point}");
+            held.release();
+            let reports = handle.join().unwrap();
+            assert_eq!(reports.len(), 1, "{point}: one stage, one report");
+            assert_eq!(reports[0].sync.strategy, SyncStrategy::Lazy);
+        } else {
+            assert!(states.is_empty() && handles.is_empty(), "{point}");
+            held.release();
+            let router =
+                ShardedDatabase::from_parts(vec![Arc::clone(&db2), Arc::clone(survivor_db)]);
+            submit_sharded(&router, &row.spec(), &lazy)
+                .unwrap()
+                .join()
+                .unwrap();
         }
+        db2.clear_crash_hook();
 
-        // Re-run lazy on the recovered victim: cutover rebuilds the
-        // residual from the recovered sources.
-        let victim_router = ShardedDatabase::from_parts(vec![Arc::clone(&db2)]);
-        let mig2 = start_lazy_sharded(&victim_router, &row.spec()).unwrap();
-
-        // On-access before any backfill: the very first read must
-        // already serve the correctly transformed row.
-        let key = target_key("r", victim_r_id(&u));
-        let txn = db2.begin();
-        let got = db2.read(txn, "u", &key).unwrap().unwrap();
-        db2.commit(txn).unwrap();
-        assert_eq!(
-            Some(&got),
-            reference[VICTIM]["u"].get(&key),
-            "{point}: on-access row wrong after recovery"
-        );
-        mig2.drain_now().unwrap();
-        mig2.finish().unwrap();
-
-        if !survivor_started {
-            let survivor_router =
-                ShardedDatabase::from_parts(vec![Arc::clone(&u.shards[survivor].db)]);
-            let m = start_lazy_sharded(&survivor_router, &row.spec()).unwrap();
-            m.drain_now().unwrap();
-            m.finish().unwrap();
+        for (i, db) in [(VICTIM, &db2), (survivor, survivor_db)] {
+            assert_eq!(
+                row.target_tables(db),
+                reference[i],
+                "{point}: shard {i} diverged after lazy recovery"
+            );
+            assert_eq!(row.source_tables(db), u.models[i], "{point}: shard {i}");
         }
-
-        assert_eq!(
-            row.target_tables(&db2),
-            reference[VICTIM],
-            "{point}: victim diverged after lazy recovery"
-        );
-        assert_eq!(
-            row.target_tables(&u.shards[survivor].db),
-            reference[survivor],
-            "{point}: survivor diverged"
-        );
     }
 }

@@ -12,20 +12,24 @@ use morph_common::{Key, Lsn, TableId, TxnId, Value};
 ///
 /// Persisted in [`LogRecord::MigrationState`] entries so a crashed
 /// orchestrator can find the last durable state of every job. The
-/// ordering mirrors the paper's pipeline: prepare → fuzzy copy → log
-/// propagation → synchronization → cutover, with `Aborted` as the
-/// terminal failure state.
+/// declaration order mirrors the paper's pipeline: prepare → fuzzy copy
+/// → log propagation → synchronization → cutover, with `Aborted` as
+/// the terminal failure state. It is not the order every job runs in:
+/// a lazy job synchronizes before it copies (`Preparing → Syncing →
+/// Copying → CutOver`), so a phase's rank says nothing about progress.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug)]
 pub enum MigrationPhase {
     /// Spec accepted and registered; nothing executed yet.
     Planned,
     /// Preparation: target tables being created (§3.1).
     Preparing,
-    /// Initial fuzzy population running (§3.2).
+    /// Initial fuzzy population running (§3.2); for a lazy job, the
+    /// backfill.
     Copying,
     /// Log propagation loop running (§3.3).
     Propagating,
-    /// Synchronization step running (§3.4).
+    /// Synchronization step running (§3.4); for a lazy job, the
+    /// cutover.
     Syncing,
     /// Stage complete: targets published, sources retired.
     CutOver,

@@ -41,13 +41,14 @@
 
 use morphdb::core::foj::{self, FojMapping};
 use morphdb::core::propagate::Propagator;
-use morphdb::core::spec::TransformOptions;
+use morphdb::core::spec::{SyncStrategy, TransformOptions};
 use morphdb::core::split::{self, SplitMapping};
 use morphdb::core::union::{self, UnionMapping};
+use morphdb::core::MigrationPhase;
 use morphdb::core::{FojSpec, SplitSpec, TransformOperator, UnionSpec};
-use morphdb::orchestrator::{Migration, MigrationSpec, Orchestrator};
+use morphdb::orchestrator::{Migration, MigrationSpec, Orchestrator, ShardedMigration};
 use morphdb::storage::row::Presence;
-use morphdb::{start_lazy_sharded, submit_sharded, ShardedDatabase};
+use morphdb::{submit_sharded, ShardedDatabase};
 use morphdb::{ColumnType, Database, DbResult, Key, Lsn, Schema, Value};
 use proptest::prelude::*;
 use std::sync::atomic::AtomicBool;
@@ -473,28 +474,28 @@ fn check_sharded(op: Op, shards: usize, pre: &[Txn], post: &[Txn]) -> Result<(),
                 sdb.insert(name, row.clone()).unwrap();
             }
         }
-        if lazy {
-            let mig = start_lazy_sharded(&sdb, &op.spec()).unwrap();
-            // Touch a few union targets through the engines before any
-            // backfill, so the interceptor transforms them on access.
-            if let Op::Union = op {
-                for shard in sdb.shards() {
-                    for row in sources[0].1.iter().take(3) {
-                        let t = shard.begin();
-                        let key = Key::new([Value::str("A"), row[0].clone()]);
-                        shard.read(t, "U", &key).unwrap();
-                        shard.commit(t).unwrap();
-                    }
+        let strategy = if lazy {
+            SyncStrategy::Lazy
+        } else {
+            SyncStrategy::NonBlockingAbort
+        };
+        let options = TransformOptions::default().strategy(strategy);
+        let mig = submit_sharded(&sdb, &op.spec(), &options).unwrap();
+        // Touch a few union targets through the engines once they are
+        // cut over, so the interceptor transforms them on access unless
+        // the backfill got there first.
+        if let (true, Op::Union) = (lazy, op) {
+            await_lazy_cutover(&mig);
+            for shard in sdb.shards() {
+                for row in sources[0].1.iter().take(3) {
+                    let t = shard.begin();
+                    let key = Key::new([Value::str("A"), row[0].clone()]);
+                    shard.read(t, "U", &key).unwrap();
+                    shard.commit(t).unwrap();
                 }
             }
-            while !mig.is_drained() {
-                mig.backfill_round(4, 1.0).unwrap();
-            }
-            mig.finish().unwrap();
-        } else {
-            let mig = submit_sharded(&sdb, &op.spec(), &TransformOptions::default()).unwrap();
-            mig.join().unwrap();
         }
+        mig.join().unwrap();
         for &table in op.targets() {
             let want = image(std::slice::from_ref(&reference), table, false);
             let got = image(sdb.shards(), table, false);
@@ -617,6 +618,22 @@ proptest! {
     }
 }
 
+/// Wait until every shard of a lazy fan-out has cut over.
+fn await_lazy_cutover(mig: &ShardedMigration) {
+    for (_, handle) in mig.handles() {
+        while matches!(
+            handle.progress().phase(),
+            MigrationPhase::Planned | MigrationPhase::Preparing | MigrationPhase::Syncing
+        ) {
+            assert!(
+                !handle.is_finished(),
+                "a lazy shard ended before its cutover"
+            );
+            std::thread::sleep(std::time::Duration::from_millis(1));
+        }
+    }
+}
+
 /// Four-shard lazy union with writes through the router's own
 /// single-shot ops racing the backfill: a touch transforms first, the
 /// write lands on top, and the later backfill must not resurrect the
@@ -629,15 +646,14 @@ fn lazy_union_write_through_router_wins_over_backfill() {
         sdb.insert("A", vec![Value::Int(i), text("a", i)]).unwrap();
         sdb.insert("B", vec![Value::Int(i), text("b", i)]).unwrap();
     }
-    let mig = start_lazy_sharded(&sdb, &Op::Union.spec()).unwrap();
+    let options = TransformOptions::default().strategy(SyncStrategy::Lazy);
+    let mig = submit_sharded(&sdb, &Op::Union.spec(), &options).unwrap();
+    await_lazy_cutover(&mig);
     let key = |i| Key::new([Value::str("A"), Value::Int(i)]);
     for i in 0..8 {
         sdb.update("U", &key(i), &[(2, text("w", i))]).unwrap();
     }
-    while !mig.is_drained() {
-        mig.backfill_round(4, 1.0).unwrap();
-    }
-    mig.finish().unwrap();
+    mig.join().unwrap();
     for i in 0..16 {
         let row = sdb.read("U", &key(i)).unwrap().unwrap();
         assert_eq!(row[2], if i < 8 { text("w", i) } else { text("a", i) });

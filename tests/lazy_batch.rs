@@ -5,7 +5,7 @@
 //! The oracle is the one `tests/equivalence.rs`'s sharded variant uses:
 //! the same rows migrated eagerly on a single engine.
 
-use morphdb::core::spec::{FojSpec, SplitSpec, TransformOptions};
+use morphdb::core::spec::{FojSpec, SplitSpec, SyncStrategy, TransformOptions};
 use morphdb::core::transform::{TransformJob, TransformPlan};
 use morphdb::core::union::UnionSpec;
 use morphdb::engine::CrashHook;
@@ -63,8 +63,18 @@ fn eager_reference() -> BTreeMap<Key, Vec<Value>> {
     image_of(&db)
 }
 
-fn start_lazy(db: &Arc<Database>) -> Arc<LazyMigration> {
-    LazyMigration::start(db, &TransformPlan::Union(UnionSpec::new("r", "s", "u"))).unwrap()
+/// Prepare a lazy job for `plan` and cut it over, leaving its copy
+/// phase to the test: the job's lazy state takes touches and batches.
+fn cut_over(db: &Arc<Database>, plan: &TransformPlan) -> (TransformJob, Arc<LazyMigration>) {
+    let options = TransformOptions::default().strategy(SyncStrategy::Lazy);
+    let mut job = TransformJob::prepare(db, plan, options).unwrap();
+    job.synchronize().unwrap();
+    let lazy = Arc::clone(job.lazy().unwrap());
+    (job, lazy)
+}
+
+fn start_lazy(db: &Arc<Database>) -> (TransformJob, Arc<LazyMigration>) {
+    cut_over(db, &TransformPlan::Union(UnionSpec::new("r", "s", "u")))
 }
 
 /// Counts the records that pass `router.lazy_touch` and kills the run
@@ -95,7 +105,7 @@ fn touches_racing_backfill_batches_transform_every_row_exactly_once() {
         kill_at: 0,
     });
     db.set_crash_hook(hook.clone());
-    let lazy = start_lazy(&db);
+    let (mut job, lazy) = start_lazy(&db);
     let total = lazy.remaining();
     assert_eq!(total, 2 * ROWS as usize);
 
@@ -150,7 +160,7 @@ fn touches_racing_backfill_batches_transform_every_row_exactly_once() {
         total,
         "every record passes the transform exactly once"
     );
-    lazy.finish().unwrap();
+    job.finish().unwrap();
     assert_eq!(image_of(&db), expected);
 }
 
@@ -190,7 +200,7 @@ fn touchers_race_backfill(load: fn() -> Arc<Database>, plan: TransformPlan, targ
         kill_at: 0,
     });
     db.set_crash_hook(hook.clone());
-    let lazy = LazyMigration::start(&db, &plan).unwrap();
+    let (mut job, lazy) = cut_over(&db, &plan);
     let total = lazy.remaining();
 
     let start = Barrier::new(TOUCHERS + 2);
@@ -243,13 +253,13 @@ fn touchers_race_backfill(load: fn() -> Arc<Database>, plan: TransformPlan, targ
         total,
         "every record passes the transform exactly once"
     );
-    lazy.finish().unwrap();
+    job.finish().unwrap();
     assert_eq!(images(&db, targets), expected);
 
     // Without a race: the first access of a fresh migration, to the
     // last target key, already reads its eager row.
     let db = load();
-    let _lazy = LazyMigration::start(&db, &plan).unwrap();
+    let _job = cut_over(&db, &plan);
     let last = keys[keys.len() - 1];
     let txn = db.begin();
     let row = db.read(txn, &last.0, &last.1).unwrap();
@@ -336,7 +346,7 @@ fn crash_inside_a_batch_abandons_the_whole_batch_and_a_retry_converges() {
     const BATCH: usize = 16;
     let expected = eager_reference();
     let db = source_db();
-    let lazy = start_lazy(&db);
+    let (mut job, lazy) = start_lazy(&db);
     let total = lazy.remaining();
     let u = db.catalog().get("u").unwrap();
 
@@ -373,7 +383,7 @@ fn crash_inside_a_batch_abandons_the_whole_batch_and_a_retry_converges() {
 
     assert_eq!(lazy.backfill(BATCH, 1.0).unwrap(), total - first_len);
     assert!(lazy.is_drained());
-    lazy.finish().unwrap();
+    job.finish().unwrap();
     assert_eq!(image_of(&db), expected);
 }
 
@@ -426,7 +436,7 @@ fn composite_key_sources_routed_by_a_key_prefix_migrate_like_eager() {
     };
 
     let db = load();
-    let lazy = start_lazy(&db);
+    let (mut job, lazy) = start_lazy(&db);
     let total = 2 * (A * B) as usize;
     assert_eq!(lazy.remaining(), total);
 
@@ -464,6 +474,6 @@ fn composite_key_sources_routed_by_a_key_prefix_migrate_like_eager() {
 
     assert_eq!(lazy.backfill(16, 1.0).unwrap(), total - touched);
     assert!(lazy.is_drained());
-    lazy.finish().unwrap();
+    job.finish().unwrap();
     assert_eq!(image_of(&db), expected);
 }

@@ -438,7 +438,7 @@ fn a_failed_finish_drops_the_lock_mirror_with_the_job() {
     let abort = AtomicBool::new(false);
     let mut job =
         TransformJob::prepare(&db, &foj(), opts(SyncStrategy::NonBlockingCommit)).unwrap();
-    job.copy().unwrap();
+    job.copy(None).unwrap();
     job.propagate(&abort, None).unwrap();
     job.synchronize().unwrap();
     let t = db.catalog().get("T").unwrap().id();
@@ -452,7 +452,7 @@ fn a_failed_finish_drops_the_lock_mirror_with_the_job() {
     assert!(!db.locks().holders(t, &t_key(2)).is_empty());
 
     db.set_crash_hook(Arc::new(FailFirstBatch(AtomicBool::new(false))));
-    assert!(matches!(job.finish(&abort), Err(DbError::Internal(_))));
+    assert!(matches!(job.finish(), Err(DbError::Internal(_))));
     db.clear_crash_hook();
     drop(job);
 
