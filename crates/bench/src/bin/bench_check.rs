@@ -1,4 +1,6 @@
-//! CI regression gates merged into `BENCH_propagation.json`:
+//! CI regression gates merged into a copy of `BENCH_propagation.json`
+//! at `target/bench/BENCH_propagation.json` (the tracked file is only
+//! read, so a CI run leaves the tree as it found it):
 //!
 //! 1. **`reader_gate`** — MVCC snapshot reads: p50/p99 latency of
 //!    lock-based point reads versus snapshot reads, interleaved on the
@@ -49,15 +51,20 @@ const SHARD_MIN_SPEEDUP: f64 = 1.8;
 /// (previous results are stripped before the fresh block is spliced).
 const MERGED_SERIES: [&str; 3] = ["reader_gate", "shard_gate", "lazy_tail"];
 
-/// Splice this binary's series into `BENCH_propagation.json`,
-/// replacing any previous results. Inserts a top-level `"cores"`
-/// field if the file predates it.
+/// Splice this binary's series into a copy of the tracked
+/// `BENCH_propagation.json` under `target/bench/`, replacing any
+/// previous results. Inserts a top-level `"cores"` field if the file
+/// predates it.
 fn merge_into_bench_json(cores: usize, mut block: Vec<String>) {
-    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("../..")
-        .join("BENCH_propagation.json");
-    let Ok(text) = std::fs::read_to_string(&path) else {
-        println!("no {} to merge into (run the bench first)", path.display());
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let tracked = root.join("BENCH_propagation.json");
+    let dir = root.join("target/bench");
+    let path = dir.join("BENCH_propagation.json");
+    let Ok(text) = std::fs::read_to_string(&tracked) else {
+        println!(
+            "no {} to merge into (run the bench first)",
+            tracked.display()
+        );
         return;
     };
     let mut lines: Vec<String> = text
@@ -89,6 +96,7 @@ fn merge_into_bench_json(cores: usize, mut block: Vec<String>) {
             }
         }
         lines.splice(close..close, block);
+        std::fs::create_dir_all(&dir).expect("create target/bench");
         std::fs::write(&path, lines.join("\n") + "\n").expect("merge propagation json");
         println!("merged {:?} series into {}", MERGED_SERIES, path.display());
     }

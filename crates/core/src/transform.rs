@@ -433,9 +433,11 @@ impl TransformJob {
             // Advance the truncation horizon and reclaim log memory the
             // workload no longer needs (bounded-memory operation; the
             // §3.3 background process may run for a long time). The
-            // reclamation itself is amortized: it briefly blocks
-            // transaction admission and memmoves the retained log, so
-            // it only runs once a sizable span has accumulated.
+            // reclamation is amortized: it briefly blocks transaction
+            // admission to find the oldest active transaction, then
+            // frees whole log chunks on this thread outside every WAL
+            // lock, so it only runs once a sizable span has
+            // accumulated.
             self.advance_truncation()?;
 
             let readiness = self.oper.readiness();

@@ -24,7 +24,9 @@ use std::collections::{HashMap, HashSet};
 use std::hash::{Hash, Hasher};
 use std::time::Duration;
 
+/// At most 64, so `release_all` can mark the shards to wake in a `u64`.
 const LOCK_SHARDS: usize = 64;
+const _: () = assert!(LOCK_SHARDS <= 64);
 const HELD_SHARDS: usize = 16;
 
 /// Fully qualified record-lock name.
@@ -48,9 +50,32 @@ struct LockEntry {
     grants: Vec<Grant>,
 }
 
+#[derive(Default)]
+struct ShardState {
+    map: HashMap<LockKey, LockEntry>,
+    /// Threads parked on the shard's condvar. A release notifies only
+    /// when it is nonzero: a notify is a syscall even with no waiter.
+    waiters: usize,
+}
+
 struct Shard {
-    map: Mutex<HashMap<LockKey, LockEntry>>,
+    state: Mutex<ShardState>,
     cv: Condvar,
+}
+
+impl Shard {
+    /// Drop `txn`'s grants on `lk` and report whether anyone waits on
+    /// this shard.
+    fn release(&self, lk: &LockKey, txn: TxnId) -> bool {
+        let mut state = self.state.lock();
+        if let Some(entry) = state.map.get_mut(lk) {
+            entry.grants.retain(|g| g.txn != txn);
+            if entry.grants.is_empty() {
+                state.map.remove(lk);
+            }
+        }
+        state.waiters > 0
+    }
 }
 
 /// Tuning knobs for the lock manager.
@@ -94,7 +119,7 @@ impl LockManager {
         LockManager {
             shards: (0..LOCK_SHARDS)
                 .map(|_| Shard {
-                    map: Mutex::new(HashMap::new()),
+                    state: Mutex::new(ShardState::default()),
                     cv: Condvar::new(),
                 })
                 .collect(),
@@ -111,10 +136,14 @@ impl LockManager {
         self.waits.load(std::sync::atomic::Ordering::Relaxed)
     }
 
-    fn shard_of(&self, lk: &LockKey) -> &Shard {
+    fn shard_index(lk: &LockKey) -> usize {
         let mut h = DefaultHasher::new();
         lk.hash(&mut h);
-        &self.shards[(h.finish() as usize) % LOCK_SHARDS]
+        (h.finish() as usize) % LOCK_SHARDS
+    }
+
+    fn shard_of(&self, lk: &LockKey) -> &Shard {
+        &self.shards[Self::shard_index(lk)]
     }
 
     fn held_shard(&self, txn: TxnId) -> &Mutex<HashMap<TxnId, HashSet<LockKey>>> {
@@ -151,9 +180,9 @@ impl LockManager {
         };
         let shard = self.shard_of(&lk);
         let deadline = Deadline::after(self.config.wait_timeout);
-        let mut map = shard.map.lock();
+        let mut state = shard.state.lock();
         loop {
-            let entry = map.entry(lk.clone()).or_default();
+            let entry = state.map.entry(lk.clone()).or_default();
 
             // Re-entrant: an existing grant that covers the request (or
             // can be upgraded without conflict) is enough.
@@ -192,7 +221,7 @@ impl LockManager {
                     .collect();
                 if conflicting.is_empty() {
                     entry.grants.push(Grant { txn, mode, origin });
-                    drop(map);
+                    drop(state);
                     self.note_held(txn, lk);
                     return Ok(());
                 }
@@ -206,7 +235,10 @@ impl LockManager {
             // Wait for a release, bounded by the timeout.
             self.waits
                 .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-            if deadline.wait_on(&shard.cv, &mut map) {
+            state.waiters += 1;
+            let timed_out = deadline.wait_on(&shard.cv, &mut state);
+            state.waiters -= 1;
+            if timed_out {
                 return Err(DbError::LockTimeout(txn));
             }
         }
@@ -227,8 +259,8 @@ impl LockManager {
             key: key.clone(),
         };
         let shard = self.shard_of(&lk);
-        let mut map = shard.map.lock();
-        let entry = map.entry(lk.clone()).or_default();
+        let mut state = shard.state.lock();
+        let entry = state.map.entry(lk.clone()).or_default();
         if let Some(own) = entry
             .grants
             .iter()
@@ -255,7 +287,7 @@ impl LockManager {
             return false;
         }
         entry.grants.push(Grant { txn, mode, origin });
-        drop(map);
+        drop(state);
         self.note_held(txn, lk);
         true
     }
@@ -277,8 +309,8 @@ impl LockManager {
         };
         let shard = self.shard_of(&lk);
         {
-            let mut map = shard.map.lock();
-            let entry = map.entry(lk.clone()).or_default();
+            let mut state = shard.state.lock();
+            let entry = state.map.entry(lk.clone()).or_default();
             if let Some(own) = entry
                 .grants
                 .iter()
@@ -301,17 +333,18 @@ impl LockManager {
             let mut held = self.held_shard(txn).lock();
             held.remove(&txn).unwrap_or_default()
         };
+        // One bit per shard with a parked waiter: each is notified
+        // once, after every key is released.
+        let mut wake: u64 = 0;
         for lk in keys {
-            let shard = self.shard_of(&lk);
-            let mut map = shard.map.lock();
-            if let Some(entry) = map.get_mut(&lk) {
-                entry.grants.retain(|g| g.txn != txn);
-                if entry.grants.is_empty() {
-                    map.remove(&lk);
-                }
+            let i = Self::shard_index(&lk);
+            if self.shards[i].release(&lk, txn) {
+                wake |= 1 << i;
             }
-            drop(map);
-            shard.cv.notify_all();
+        }
+        while wake != 0 {
+            self.shards[wake.trailing_zeros() as usize].cv.notify_all();
+            wake &= wake - 1;
         }
     }
 
@@ -329,15 +362,9 @@ impl LockManager {
             }
         }
         let shard = self.shard_of(&lk);
-        let mut map = shard.map.lock();
-        if let Some(entry) = map.get_mut(&lk) {
-            entry.grants.retain(|g| g.txn != txn);
-            if entry.grants.is_empty() {
-                map.remove(&lk);
-            }
+        if shard.release(&lk, txn) {
+            shard.cv.notify_all();
         }
-        drop(map);
-        shard.cv.notify_all();
     }
 
     /// Current grants on a record (diagnostics and tests).
@@ -347,8 +374,10 @@ impl LockManager {
             key: key.clone(),
         };
         let shard = self.shard_of(&lk);
-        let map = shard.map.lock();
-        map.get(&lk)
+        let state = shard.state.lock();
+        state
+            .map
+            .get(&lk)
             .map(|e| e.grants.iter().map(|g| (g.txn, g.mode, g.origin)).collect())
             .unwrap_or_default()
     }
@@ -373,8 +402,8 @@ impl LockManager {
         let mut out = Vec::new();
         for lk in names {
             let shard = self.shard_of(&lk);
-            let map = shard.map.lock();
-            if let Some(entry) = map.get(&lk) {
+            let state = shard.state.lock();
+            if let Some(entry) = state.map.get(&lk) {
                 if let Some(g) = entry.grants.iter().find(|g| g.txn == txn) {
                     out.push((lk.key.clone(), g.mode));
                 }
@@ -571,6 +600,87 @@ mod tests {
         for t in 0..8u64 {
             assert_eq!(m.held_count(TxnId(t)), 0);
         }
+    }
+
+    /// `release_all` notifies a shard only when it counts a parked
+    /// waiter, and once per shard however many of the keys share it. A
+    /// transaction holds `KEYS` keys with one older waiter parked on
+    /// each; its commit must wake every waiter, every iteration. A
+    /// missed wakeup shows up as a lock timeout. Odd iterations release
+    /// without waiting for the waiters to park, so some arrive after
+    /// the release and take the lock without waiting.
+    #[test]
+    fn commit_wakes_every_waiter_on_every_key() {
+        const KEYS: usize = 16;
+        const ITERATIONS: u64 = 300;
+        let m = Arc::new(LockManager::new(LockManagerConfig {
+            wait_timeout: Duration::from_secs(5),
+        }));
+        let keys: Vec<Key> = (0..KEYS as i64).map(Key::single).collect();
+        let shards: HashSet<usize> = keys
+            .iter()
+            .map(|k| {
+                LockManager::shard_index(&LockKey {
+                    table: T,
+                    key: k.clone(),
+                })
+            })
+            .collect();
+        assert!(shards.len() < KEYS, "some keys must share a shard");
+        let barrier = Arc::new(std::sync::Barrier::new(KEYS + 1));
+        let failures = Arc::new(std::sync::atomic::AtomicU64::new(0));
+        let workers: Vec<_> = keys
+            .iter()
+            .enumerate()
+            .map(|(w, k)| {
+                let (m, barrier, failures, k) = (
+                    Arc::clone(&m),
+                    Arc::clone(&barrier),
+                    Arc::clone(&failures),
+                    k.clone(),
+                );
+                std::thread::spawn(move || {
+                    let waiter = TxnId(w as u64 + 1);
+                    for _ in 0..ITERATIONS {
+                        barrier.wait();
+                        match m.lock(waiter, T, &k, LockMode::Exclusive) {
+                            Ok(()) => m.release_all(waiter),
+                            Err(_) => {
+                                failures.fetch_add(1, Ordering::SeqCst);
+                            }
+                        }
+                        barrier.wait();
+                    }
+                })
+            })
+            .collect();
+        for it in 0..ITERATIONS {
+            let holder = TxnId(1_000 + it);
+            for k in &keys {
+                m.lock(holder, T, k, LockMode::Exclusive).unwrap();
+            }
+            let parked = m.waits() + KEYS as u64;
+            barrier.wait();
+            if it % 2 == 0 {
+                // `waits` is counted under the shard mutex the waiter
+                // parks with, so once it reads `parked` every waiter
+                // is inside its condvar wait.
+                while m.waits() < parked {
+                    std::thread::yield_now();
+                }
+            }
+            m.release_all(holder);
+            barrier.wait();
+            assert_eq!(
+                failures.load(Ordering::SeqCst),
+                0,
+                "a waiter missed its wakeup in iteration {it}"
+            );
+        }
+        for w in workers {
+            w.join().unwrap();
+        }
+        assert_eq!(m.held_count(TxnId(1)), 0);
     }
 
     #[test]

@@ -33,7 +33,10 @@
 //! [`backlog`](LogManager::backlog), [`len`](LogManager::len) and
 //! [`is_empty`](LogManager::is_empty) are plain atomic loads (the
 //! propagator polls them every iteration). Truncation moves a logical
-//! base atomically and reclaims memory a whole chunk at a time.
+//! base atomically and reclaims memory a whole chunk at a time: it
+//! detaches the retired chunks under the store lock (pointer moves
+//! only) and frees them on the truncating thread after every WAL lock
+//! is released, so a large free never stalls an appender or a reader.
 
 use crate::codec;
 use crate::file::{Backend, FileBackend};
@@ -578,17 +581,33 @@ impl LogManager {
     /// deployments (a propagation cursor must never be truncated
     /// past, which [`morph-engine`]'s wrapper enforces).
     ///
+    /// The retired chunks are freed on the calling thread after every
+    /// WAL lock is released, so appenders and readers run on while a
+    /// large log is freed (DESIGN.md §11).
+    ///
     /// [`morph-engine`]: ../morph_engine/index.html
     pub fn truncate_until(&self, lsn: Lsn) -> DbResult<usize> {
+        let (discarded, retired) = self.detach_until(lsn)?;
+        drop(retired);
+        Ok(discarded)
+    }
+
+    /// The locked half of [`truncate_until`](LogManager::truncate_until):
+    /// drain the staged bytes of whole chunks below `lsn`, move the
+    /// base, then pop those chunks off the list under the store lock
+    /// (pointer moves only). Returns the number of records discarded
+    /// and the retired chunks; every lock is released on return, and
+    /// the caller frees the chunks by dropping the list.
+    fn detach_until(&self, lsn: Lsn) -> DbResult<(usize, Vec<Arc<Chunk>>)> {
         let _trunc = self.trunc.lock();
         let base = self.base.load(Ordering::Acquire);
         if lsn.0 <= base + 1 {
-            return Ok(0);
+            return Ok((0, Vec::new()));
         }
         let published = self.published.load(Ordering::Acquire);
         let new_base = (lsn.0 - 1).min(published);
         if new_base <= base {
-            return Ok(0);
+            return Ok((0, Vec::new()));
         }
         // Whole chunks about to be reclaimed may still hold staged
         // bytes the backend has not seen; hand them over first so the
@@ -602,15 +621,21 @@ impl LogManager {
             self.drain_staged(&mut be, upto)?;
         }
         self.base.store(new_base, Ordering::Release);
+        // Sized before the lock, so the lock covers no allocation (a
+        // growing list could pay glibc's consolidation inside it). The
+        // front chunk holds `base + 1`, so at most this many chunks end
+        // at or below `new_base`.
+        let mut retired =
+            Vec::with_capacity((new_base / CHUNK_RECORDS - base / CHUNK_RECORDS) as usize);
         let mut store = self.store.write();
         while store
             .chunks
             .front()
             .is_some_and(|front| front.last() <= new_base)
         {
-            store.chunks.pop_front();
+            retired.extend(store.chunks.pop_front());
         }
-        Ok((new_base - base) as usize)
+        Ok(((new_base - base) as usize, retired))
     }
 
     /// Whether the log is empty.
@@ -933,6 +958,57 @@ mod tests {
         assert_eq!(log.append(begin(1000)), Lsn(n + 1));
         assert_eq!(*log.read(Lsn(n + 1)).unwrap(), begin(1000));
         assert_eq!(log.read_range(Lsn(1), 10)[0].0, Lsn(n + 1));
+    }
+
+    /// Truncation frees its chunks outside every WAL lock. The detach
+    /// step hands back the retired chunks holding their last reference
+    /// (so dropping the list is the free) with the store, truncation
+    /// and backend locks already released, and appends and reads
+    /// complete while the list is alive. A drop moved back under the
+    /// store lock leaves the list empty and fails here.
+    #[test]
+    fn truncation_frees_retired_chunks_outside_every_lock() {
+        let (backend, _handle) = FaultBackend::new(FaultConfig::crash_only(11));
+        let log = Arc::new(LogManager::with_backend(Box::new(backend)));
+        let n = CHUNK_RECORDS * 3 + 5;
+        for i in 0..n {
+            log.append(begin(i));
+        }
+        let cut = CHUNK_RECORDS * 2 + 10;
+        let (discarded, retired) = log.detach_until(Lsn(cut)).unwrap();
+        assert_eq!(discarded, (cut - 1) as usize);
+        assert_eq!(retired.len(), 2, "both whole chunks below the cut retire");
+        assert!(
+            retired.iter().all(|c| Arc::strong_count(c) == 1),
+            "the retired list holds the last reference to each chunk"
+        );
+        assert!(log.store.try_write().is_some(), "store lock held");
+        assert!(log.trunc.try_lock().is_some(), "truncation lock held");
+        assert!(
+            log.backend.as_ref().unwrap().try_lock().is_some(),
+            "backend lock held"
+        );
+        let (tx, rx) = std::sync::mpsc::channel();
+        let client = {
+            let log = Arc::clone(&log);
+            std::thread::spawn(move || {
+                let lsn = log.append(begin(n));
+                let own = log.read(lsn).map(|r| (*r).clone());
+                let retained = log.read_range(Lsn(1), usize::MAX);
+                tx.send((lsn, own, retained.len(), retained[0].0)).unwrap();
+            })
+        };
+        let (lsn, own, retained, first) = rx
+            .recv_timeout(Duration::from_secs(10))
+            .expect("append and reads complete while retired chunks are alive");
+        client.join().unwrap();
+        assert_eq!(lsn, Lsn(n + 1));
+        assert_eq!(own, Some(begin(n)));
+        assert_eq!(first, Lsn(cut));
+        assert_eq!(retained as u64, n + 2 - cut);
+        drop(retired);
+        assert_eq!(log.truncate_until(Lsn(n + 2)).unwrap(), retained);
+        assert!(log.is_empty());
     }
 
     #[test]

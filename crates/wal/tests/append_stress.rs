@@ -1,14 +1,17 @@
 //! Multi-threaded append/crash stress for the lock-split WAL: N
-//! appender threads over a seeded `FaultBackend`, a drain, a crash at
-//! a seeded-random byte offset of the drained bytes, and two
-//! invariants on the surviving image:
+//! appender threads and one truncating thread over a seeded
+//! `FaultBackend`, a drain, a crash at a seeded-random byte offset of
+//! the drained bytes, and three invariants:
 //!
 //! 1. **byte order == LSN order** — the durable prefix decodes to the
 //!    records of `Lsn(1)..=k` in exactly that order, with no gap and
 //!    no reordering, regardless of which threads raced which;
 //! 2. **the watermark never lies** — every LSN a thread saw
 //!    acknowledged by `wait_durable` before the crash is inside the
-//!    surviving prefix.
+//!    surviving prefix;
+//! 3. **truncation loses nothing it keeps** — every LSN above the
+//!    truncation base still reads the record its appender wrote, while
+//!    the truncator frees chunks beside the appenders.
 //!
 //! The `TxnId` payload of each record encodes (thread, sequence), so
 //! the decoded prefix identifies exactly which append each durable
@@ -18,12 +21,14 @@ use morph_common::{Lsn, TxnId};
 use morph_wal::{FaultBackend, FaultConfig, GroupCommitConfig, LogManager, LogRecord};
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
 const THREADS: u64 = 8;
 const APPENDS_PER_THREAD: u64 = 400;
+/// Records the truncating thread leaves behind the published tail.
+const TRUNCATE_KEEP: u64 = 64;
 
 fn payload(thread: u64, seq: u64) -> TxnId {
     TxnId(thread * 1_000_000 + seq)
@@ -39,6 +44,28 @@ fn stress(gc: GroupCommitConfig, seed: u64) {
     let by_lsn: Arc<Mutex<BTreeMap<u64, TxnId>>> = Arc::new(Mutex::new(BTreeMap::new()));
     // Highest LSN any thread saw wait_durable acknowledge.
     let max_acked = Arc::new(AtomicU64::new(0));
+
+    // Truncates to a short window behind the tail for as long as the
+    // appenders run, and once more after they finish.
+    let appending = Arc::new(AtomicBool::new(true));
+    let truncator = {
+        let log = Arc::clone(&log);
+        let appending = Arc::clone(&appending);
+        std::thread::spawn(move || {
+            let mut discarded = 0;
+            loop {
+                let last_round = !appending.load(Ordering::Acquire);
+                let keep_from = log.last_lsn().0.saturating_sub(TRUNCATE_KEEP);
+                discarded += log
+                    .truncate_until(Lsn(keep_from))
+                    .expect("truncation failed");
+                if last_round {
+                    return discarded;
+                }
+                std::thread::yield_now();
+            }
+        })
+    };
 
     let mut handles = Vec::new();
     for t in 0..THREADS {
@@ -63,11 +90,27 @@ fn stress(gc: GroupCommitConfig, seed: u64) {
     for h in handles {
         h.join().unwrap();
     }
+    appending.store(false, Ordering::Release);
+    let discarded = truncator.join().unwrap();
 
     let total = THREADS * APPENDS_PER_THREAD;
     assert_eq!(log.last_lsn(), Lsn(total), "publish watermark incomplete");
     let by_lsn = by_lsn.lock();
     assert_eq!(by_lsn.len() as u64, total, "duplicate or lost LSNs");
+
+    // Invariant 3: every retained LSN reads its own record.
+    let base = log.truncated_until().0;
+    assert_eq!(discarded as u64, base, "discarded count != truncation base");
+    assert!(base > 0, "the truncator never truncated (seed {seed})");
+    assert!(log.read(Lsn(base)).is_none(), "record below the base");
+    for lsn in base + 1..=total {
+        let rec = log.read(Lsn(lsn)).expect("retained record missing");
+        assert_eq!(
+            *rec,
+            LogRecord::Begin { txn: by_lsn[&lsn] },
+            "retained LSN {lsn} reads another record (seed {seed})"
+        );
+    }
 
     // Everything past the last acknowledged flush is still staged;
     // the drain makes it the backend's unflushed bytes, and the crash

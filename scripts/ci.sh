@@ -12,6 +12,20 @@ cd "$(dirname "$0")/.."
 
 quick="${1:-}"
 
+# CI leaves the tree as it found it: every step writes under target/,
+# never into a tracked file. The snapshot covers the status of every
+# path git sees and the content of tracked changes, so a step that
+# rewrites an already modified file is caught too.
+tree_state() {
+    git status --porcelain
+    git diff --no-ext-diff HEAD | git hash-object --stdin
+}
+in_git=false
+if git rev-parse --is-inside-work-tree >/dev/null 2>&1; then
+    in_git=true
+    tree_before="$(tree_state)"
+fi
+
 if cargo fmt --version >/dev/null 2>&1; then
     echo "== cargo fmt --check"
     cargo fmt --all -- --check
@@ -74,7 +88,8 @@ if [ "$quick" != "quick" ]; then
     done
 
     # Bench regression gates (DESIGN.md §14, §15). Three series, all
-    # merged into BENCH_propagation.json with a cores field:
+    # merged with a cores field into target/bench/BENCH_propagation.json,
+    # a copy of the tracked file:
     #   reader_gate  — lock-based vs MVCC-snapshot point reads
     #                  interleaved under four pacing writers and a
     #                  looping split migration; snapshot p50 must be
@@ -113,6 +128,16 @@ SIM_SEEDS="${SIM_SEEDS:-4}" cargo test -q --workspace
 if [ "$quick" != "quick" ]; then
     echo "== benchmark self-check (benchmark/check.sh)"
     benchmark/check.sh
+fi
+
+if $in_git; then
+    echo "== tree unchanged"
+    tree_after="$(tree_state)"
+    if [ "$tree_before" != "$tree_after" ]; then
+        echo "CI changed the working tree:" >&2
+        diff <(echo "$tree_before") <(echo "$tree_after") >&2 || true
+        exit 1
+    fi
 fi
 
 echo "CI OK"
