@@ -225,7 +225,7 @@ fn bench_population(c: &mut Criterion) {
                 let m = FojMapping::prepare(&db, &FojSpec::new("R", "S", "T", "c", "c")).unwrap();
                 (db, m)
             },
-            |(_db, m)| m.populate(1_024).unwrap(),
+            |(db, m)| m.populate(&db, 1_024, 1.0, None).unwrap(),
             BatchSize::PerIteration,
         );
     });

@@ -14,16 +14,13 @@
 //! background process actually performs — not the idempotent-replay
 //! guard path.
 //!
-//! The file also embeds the `populate_parallel` worker-count sweep,
-//! the one parallel stage of the pipeline.
-//!
 //! Writes `BENCH_propagation.json` at the repository root with
 //! records/s per batch size, the coalescer's drop counts and the
 //! detected core count (single-CPU numbers must not masquerade as
 //! scaling data).
 
 use criterion::{BatchSize, Criterion, Throughput};
-use morph_bench::{detected_cores, populate_parallel_point};
+use morph_bench::detected_cores;
 use morph_common::{ColumnType, Key, Lsn, Schema, Value};
 use morph_core::foj::{figure1_schemas, FojMapping};
 use morph_core::propagate::Propagator;
@@ -82,7 +79,7 @@ fn setup_foj() -> (Arc<Database>, FojMapping, Lsn) {
 
     let m = FojMapping::prepare(&db, &FojSpec::new("R", "S", "T", "c", "c")).unwrap();
     let (_, start, _) = db.write_fuzzy_mark();
-    m.populate(256).unwrap();
+    m.populate(&db, 256, 1.0, None).unwrap();
 
     let mut rng = Lcg(7);
     for t in 0..CHURN_TXNS {
@@ -159,7 +156,7 @@ fn setup_split() -> (Arc<Database>, SplitMapping, Lsn) {
     let spec = SplitSpec::new("T", "R_b", "S_b", &["a", "b", "c"], "c", &["d"]);
     let m = SplitMapping::prepare(&db, &spec).unwrap();
     let (_, start, _) = db.write_fuzzy_mark();
-    m.populate(256).unwrap();
+    m.populate(&db, 256, 1.0, None).unwrap();
 
     let mut rng = Lcg(13);
     for t in 0..CHURN_TXNS {
@@ -279,14 +276,6 @@ fn main() {
         g.finish();
     }
 
-    // Parallel fuzzy-copy sweep (untimed by criterion; wall-clock of
-    // one populate under a saturating workload, best of `reps`).
-    let pop_reps = if morph_bench::quick() { 1 } else { 2 };
-    let pop_points: Vec<_> = [1usize, 2, 4, 8]
-        .iter()
-        .map(|&w| populate_parallel_point(w, pop_reps))
-        .collect();
-
     let measurements = c.measurements();
     let mut entries: Vec<String> = Vec::new();
     for (i, meas) in measurements.iter().enumerate() {
@@ -301,18 +290,6 @@ fn main() {
             meas.per_second().unwrap_or(0.0),
         ));
     }
-    let pop_base = pop_points.first().map_or(1.0, |p| p.rows_per_sec);
-    for p in &pop_points {
-        entries.push(format!(
-            "    {{ \"series\": \"populate_parallel\", \"copy_workers\": {}, \"rows_read\": {}, \"ns\": {}, \"rows_per_sec\": {:.0}, \"speedup_vs_1\": {:.2} }}",
-            p.copy_workers,
-            p.rows_read,
-            p.ns,
-            p.rows_per_sec,
-            p.rows_per_sec / pop_base,
-        ));
-    }
-
     let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
         .join("../..")
         .join("BENCH_propagation.json");

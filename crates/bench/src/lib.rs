@@ -272,7 +272,7 @@ impl PopulationLoop {
                             op == Op::SplitCc,
                         );
                         let m = SplitMapping::prepare(&db, &spec).expect("prepare");
-                        TransformOperator::populate(&m, &db, 512, 1, priority, None)
+                        TransformOperator::populate(&m, &db, 512, priority, None)
                             .expect("populate");
                         let _ = db.catalog().drop_table(&format!("{tag}_r"));
                         let _ = db.catalog().drop_table(&format!("{tag}_s"));
@@ -280,7 +280,7 @@ impl PopulationLoop {
                     Op::Foj => {
                         let spec = bench_foj_spec(&format!("{tag}_t"));
                         let m = FojMapping::prepare(&db, &spec).expect("prepare");
-                        TransformOperator::populate(&m, &db, 512, 1, priority, None)
+                        TransformOperator::populate(&m, &db, 512, priority, None)
                             .expect("populate");
                         let _ = db.catalog().drop_table(&format!("{tag}_t"));
                     }
@@ -296,75 +296,6 @@ impl PopulationLoop {
     pub fn stop(self) -> usize {
         self.stop.store(true, Ordering::Relaxed);
         self.handle.join().expect("population loop")
-    }
-}
-
-/// One measured point of the parallel-population sweep (the
-/// `populate_parallel` series of `propagate_batch`).
-pub struct PopulatePoint {
-    pub copy_workers: usize,
-    pub rows_read: usize,
-    pub ns: u128,
-    pub rows_per_sec: f64,
-}
-
-/// Populate a fresh split target with `copy_workers` partition
-/// scanners at full priority while an *unpaced* hot workload saturates
-/// the server — the fuzzy copy's actual operating regime (§3.2
-/// population always runs against live traffic; an idle-machine copy
-/// is the offline case the paper argues against benchmarking).
-///
-/// Contention is where extra scan workers pay off: each worker is an
-/// independently schedulable unit, so the copy's share of a saturated
-/// host grows with the worker count instead of staying pinned to a
-/// single thread's timeslice — on multi-core additionally through real
-/// concurrency. Runs `reps` times and keeps the fastest (least
-/// scheduler-noise) repetition.
-pub fn populate_parallel_point(copy_workers: usize, reps: usize) -> PopulatePoint {
-    let s = scale();
-    let mut best: Option<(usize, u128)> = None;
-    for rep in 0..reps.max(1) {
-        let db = db_split(s);
-        // Saturate the host with dummy-table traffic (the paper's load
-        // device): the copy must steal CPU from live transactions, but
-        // never blocks on a preempted source-shard lock holder — on a
-        // single CPU that convoy swamps the scheduling share the extra
-        // workers are buying (hot source traffic belongs to the
-        // propagation benches, not the copy-rate sweep).
-        // MORPH_PP_CLIENTS overrides the client thread count
-        // (0 = unloaded, for overhead measurement).
-        let clients = std::env::var("MORPH_PP_CLIENTS")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(8usize);
-        let runner = (clients > 0).then(|| {
-            let mut cfg = split_client_cfg(s, 0.0);
-            cfg.pacing = None;
-            // Long transactions commit (and hence serialize on the WAL)
-            // 10x less often, keeping every client runnable.
-            cfg.updates_per_txn = 100;
-            WorkloadRunner::start(Arc::clone(&db), cfg, clients)
-        });
-        std::thread::sleep(Duration::from_millis(100));
-        let spec = bench_split_spec(&format!("__pp{rep}_r"), &format!("__pp{rep}_s"), false);
-        let m = SplitMapping::prepare(&db, &spec).expect("prepare");
-        let t0 = std::time::Instant::now();
-        let (read, _) =
-            TransformOperator::populate(&m, &db, 256, copy_workers, 1.0, None).expect("populate");
-        let ns = t0.elapsed().as_nanos();
-        if let Some(r) = runner {
-            r.stop();
-        }
-        if best.is_none_or(|(_, b)| ns < b) {
-            best = Some((read, ns));
-        }
-    }
-    let (rows_read, ns) = best.expect("reps >= 1");
-    PopulatePoint {
-        copy_workers,
-        rows_read,
-        ns,
-        rows_per_sec: rows_read as f64 * 1e9 / ns as f64,
     }
 }
 
@@ -401,7 +332,7 @@ impl PropagationLoop {
             };
             let (_, start_lsn, _) = db.write_fuzzy_mark();
             let mut prop = Propagator::new(&db, start_lsn, priority);
-            oper.populate(&db, 1_024, 1, 1.0, None).expect("populate");
+            oper.populate(&db, 1_024, 1.0, None).expect("populate");
             let abort = AtomicBool::new(false);
             let mut records = 0usize;
             while !stop2.load(Ordering::Relaxed) {

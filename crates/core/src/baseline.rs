@@ -73,7 +73,7 @@ pub fn blocking_foj(db: &Arc<Database>, spec: &FojSpec) -> DbResult<BlockingRepo
     let t0 = Instant::now();
     freeze_and_wait(db, &sources, Duration::from_secs(30))?;
     // Sources are quiescent: the "fuzzy" scan is now an exact scan.
-    let (_, rows_written) = mapping.populate(4096)?;
+    let (_, rows_written) = mapping.populate(db, 4096, 1.0, None)?;
     for s in &sources {
         db.catalog().drop_table(&s.name())?;
     }
@@ -90,7 +90,7 @@ pub fn blocking_split(db: &Arc<Database>, spec: &SplitSpec) -> DbResult<Blocking
     // morph-lint: allow(nondet, elapsed-time stats for the report; wall time never enters table or WAL state)
     let t0 = Instant::now();
     freeze_and_wait(db, std::slice::from_ref(&source), Duration::from_secs(30))?;
-    let (_, rows_written) = mapping.populate(4096)?;
+    let (_, rows_written) = mapping.populate(db, 4096, 1.0, None)?;
     db.catalog().drop_table(&source.name())?;
     Ok(BlockingReport {
         blocked: t0.elapsed(),
@@ -177,7 +177,7 @@ impl TriggerMaintenance {
             mapping: Arc::clone(&mapping),
             gate: Mutex::new(()),
         }));
-        mapping.populate(4096)?;
+        mapping.populate(db, 4096, 1.0, None)?;
         Ok(TriggerMaintenance { mapping, token })
     }
 

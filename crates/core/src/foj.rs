@@ -32,12 +32,9 @@ use std::collections::BTreeSet;
 use std::sync::Arc;
 use std::time::Instant;
 
-use crate::operator::{
-    check_deadline, fan_out, scan_source, worker_share, LazySource, TransformOperator,
-};
+use crate::operator::{check_deadline, scan_source, LazySource, TransformOperator};
 use crate::spec::FojSpec;
 use crate::throttle::Throttle;
-use morph_storage::shard_stride;
 
 const LEFT: Presence = Presence {
     left: true,
@@ -325,90 +322,6 @@ impl FojMapping {
         } else {
             Ok(())
         }
-    }
-
-    /// Initial population at full priority on one scan thread (tests
-    /// and reference builds). Returns `(rows_read, rows_written)`.
-    pub fn populate(&self, chunk_size: usize) -> DbResult<(usize, usize)> {
-        self.populate_with(None, chunk_size, 1, 1.0, None)
-    }
-
-    /// Initial population (§3.2/§4.1): both sources are fuzzy-scanned
-    /// by `workers` threads over disjoint shard classes, the FOJ image
-    /// is joined once, then bucketed by T's shard routing and inserted
-    /// by `workers` threads under masked write sessions (each bucket's
-    /// rows live entirely in its worker's shard class, so the sessions
-    /// never contend). The image goes in chunk-wise, one write session
-    /// per chunk, so the latch is held only briefly while concurrent
-    /// writers run, and every thread pays [`worker_share`] of the
-    /// priority budget per chunk (§3.3: the transformation is "a low
-    /// priority background process"). The database handle is threaded
-    /// through so scan and insert report per-chunk crash points (crash
-    /// simulation).
-    pub(crate) fn populate_with(
-        &self,
-        db: Option<&Database>,
-        chunk_size: usize,
-        workers: usize,
-        priority: f64,
-        deadline: Option<Instant>,
-    ) -> DbResult<(usize, usize)> {
-        let workers = shard_stride(workers.max(1));
-        let scan = |src: &Arc<Table>| -> DbResult<Vec<Vec<Value>>> {
-            let acc: std::sync::Mutex<Vec<Vec<Value>>> = std::sync::Mutex::new(Vec::new());
-            let sink = |_w: usize, batch: Vec<(Key, Row)>| {
-                let mut rows = batch.into_iter().map(|(_, row)| row.values).collect();
-                acc.lock()
-                    .expect("scan collector poisoned") // morph-lint: allow(panic, std mutex poison implies a scan worker already panicked; that panic is re-raised at the join)
-                    .append(&mut rows);
-                Ok(())
-            };
-            scan_source(db, src, chunk_size, workers, priority, deadline, &sink)?;
-            Ok(acc.into_inner().expect("scan collector poisoned")) // morph-lint: allow(panic, into_inner poison implies a scan worker panicked; scan_source already surfaced it)
-        };
-        let r_rows = scan(&self.r)?;
-        let s_rows = scan(&self.s)?;
-        let read = r_rows.len() + s_rows.len();
-        // morph-lint: allow(nondet, elapsed-time stats for the report; wall time never enters table or WAL state)
-        let t0 = Instant::now();
-        let image = reference_foj(self, &r_rows, &s_rows);
-        Throttle::new(priority).pay(t0.elapsed());
-        let written = image.len();
-        let mut buckets: Vec<Vec<(Vec<Value>, Presence)>> =
-            (0..workers).map(|_| Vec::new()).collect();
-        if workers == 1 {
-            // One worker owns every shard: skip the per-row routing hash.
-            buckets[0] = image;
-        } else {
-            let schema = self.t.schema();
-            for (values, presence) in image {
-                let key = schema.key_of(&values);
-                buckets[self.t.shard_of_key(&key) % workers].push((values, presence));
-            }
-        }
-        fan_out(buckets.into_iter().enumerate(), |(w, bucket)| {
-            let mut throttle = Throttle::new(worker_share(priority, workers));
-            let mut it = bucket.into_iter().peekable();
-            while it.peek().is_some() {
-                if let Some(db) = db {
-                    db.crash_point("populate.chunk")?;
-                }
-                check_deadline(deadline)?;
-                // morph-lint: allow(nondet, elapsed-time stats for the report; wall time never enters table or WAL state)
-                let t0 = Instant::now();
-                let mut ts = self.t.write_session_masked(workers, w);
-                for (values, presence) in it.by_ref().take(chunk_size.max(1)) {
-                    // Duplicate keys can occur if a concurrent writer
-                    // slipped a row into the scans twice-joined; the
-                    // rules repair it.
-                    let _ = self.insert_t(&mut ts, values, presence, Lsn::ZERO);
-                }
-                drop(ts);
-                throttle.pay(t0.elapsed());
-            }
-            Ok(())
-        })?;
-        Ok((read, written))
     }
 
     // --- Rule 1: insert r^y_x ------------------------------------------------
@@ -796,15 +709,54 @@ impl TransformOperator for FojMapping {
         }
     }
 
+    /// Initial population (§3.2/§4.1): both sources are fuzzy-scanned,
+    /// the FOJ image is joined once and inserted chunk-wise, one write
+    /// session per chunk, so the latch is held only briefly while
+    /// concurrent writers run. The join and every insert chunk pay the
+    /// priority budget like the scans do (§3.3: the transformation is
+    /// "a low priority background process"), and every insert chunk
+    /// reports the `populate.chunk` crash point.
     fn populate(
         &self,
         db: &Database,
         chunk: usize,
-        workers: usize,
         priority: f64,
         deadline: Option<Instant>,
     ) -> DbResult<(usize, usize)> {
-        FojMapping::populate_with(self, Some(db), chunk, workers, priority, deadline)
+        let scan = |src: &Arc<Table>| -> DbResult<Vec<Vec<Value>>> {
+            let mut rows = Vec::new();
+            scan_source(db, src, chunk, priority, deadline, |batch| {
+                rows.extend(batch.into_iter().map(|(_, row)| row.values));
+                Ok(())
+            })?;
+            Ok(rows)
+        };
+        let r_rows = scan(&self.r)?;
+        let s_rows = scan(&self.s)?;
+        let read = r_rows.len() + s_rows.len();
+        let mut throttle = Throttle::new(priority);
+        // morph-lint: allow(nondet, elapsed-time stats for the report; wall time never enters table or WAL state)
+        let t0 = Instant::now();
+        let image = reference_foj(self, &r_rows, &s_rows);
+        throttle.pay(t0.elapsed());
+        let written = image.len();
+        let mut it = image.into_iter().peekable();
+        while it.peek().is_some() {
+            db.crash_point("populate.chunk")?;
+            check_deadline(deadline)?;
+            // morph-lint: allow(nondet, elapsed-time stats for the report; wall time never enters table or WAL state)
+            let t0 = Instant::now();
+            let mut ts = self.t.write_session();
+            for (values, presence) in it.by_ref().take(chunk.max(1)) {
+                // Duplicate keys can occur if a concurrent writer
+                // slipped a row into the scans twice-joined; the
+                // rules repair it.
+                let _ = self.insert_t(&mut ts, values, presence, Lsn::ZERO);
+            }
+            drop(ts);
+            throttle.pay(t0.elapsed());
+        }
+        Ok((read, written))
     }
 
     /// T keys affected by a lock on a source record, through T's R-key

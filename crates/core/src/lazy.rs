@@ -391,11 +391,10 @@ mod tests {
     }
 
     /// A transform latches only the target shard it writes: with shard
-    /// A held by this thread, a first touch and a backfill of keys that
-    /// all route elsewhere run to completion on a worker.
+    /// A held by another thread, a first touch and a backfill of keys
+    /// that all route elsewhere run to completion on a worker.
     #[test]
     fn lazy_union_transform_latches_only_the_shard_it_writes() {
-        use morph_storage::TABLE_SHARDS;
         const HELD: usize = 0;
         let db = Arc::new(Database::new());
         let schema = || {
@@ -433,9 +432,25 @@ mod tests {
             );
         }
 
-        let held = target.write_session_masked(TABLE_SHARDS, HELD);
+        // Hold the target's shard HELD: an insert routed there waits,
+        // under that shard's latch, for the release and then fails.
+        let held_key = (0..)
+            .find(|&i| r.shard_of_key(&Key::single(i)) == HELD)
+            .unwrap();
+        let holder = Arc::clone(&target);
+        let (held_tx, held_rx) = std::sync::mpsc::channel();
+        let (release_tx, release_rx) = std::sync::mpsc::channel::<()>();
         let (tx, rx) = std::sync::mpsc::channel();
         let outcome = std::thread::scope(|s| {
+            s.spawn(move || {
+                let row = vec![Value::str("r"), Value::Int(held_key), Value::Int(0)];
+                holder.insert_with(row, morph_storage::SYSTEM, || {
+                    held_tx.send(()).unwrap();
+                    let _ = release_rx.recv();
+                    Err(morph_common::DbError::Internal("latch held".into()))
+                })
+            });
+            held_rx.recv().unwrap();
             s.spawn(|| {
                 let txn = db.begin();
                 let touched = db.read(txn, "t", &t_key("r", ids[7]));
@@ -443,7 +458,7 @@ mod tests {
                 tx.send((touched, lazy.backfill(64, 1.0))).unwrap();
             });
             let outcome = rx.recv_timeout(Duration::from_secs(20));
-            drop(held); // a transform stuck on the held shard ends here
+            drop(release_tx); // a transform stuck on the held shard ends here
             outcome
         });
         let (touched, backfilled) =

@@ -13,8 +13,8 @@
 //!
 //! | method                  | paper                                            |
 //! |-------------------------|--------------------------------------------------|
-//! | [`populate`]            | §3.2 initial population by fuzzy read, over      |
-//! |                         | `workers` scan threads sharing one priority      |
+//! | [`populate`]            | §3.2 initial population by fuzzy read, on the    |
+//! |                         | job's thread at the job's priority               |
 //! | [`apply_batch`]         | §3.3 log propagation: FOJ rules 1–7 are          |
 //! |                         | *content-based* (no LSN gating; they decide from |
 //! |                         | the current T image, §4.2), split rules 8–11 and |
@@ -56,7 +56,7 @@ use crate::cc::Readiness;
 use crate::throttle::Throttle;
 use morph_common::{DbError, DbResult, Key, Lsn, TableId};
 use morph_engine::{Database, PlannedOp};
-use morph_storage::{shard_stride, Row, Table};
+use morph_storage::{Row, Table};
 use morph_txn::LockOrigin;
 use morph_wal::{LogOp, LogRecord};
 use std::sync::Arc;
@@ -165,20 +165,16 @@ pub trait TransformOperator: Send + Sync {
         Vec::new()
     }
 
-    /// Initial population by fuzzy read (§3.2) with `workers` scan
-    /// threads over disjoint key-space partitions. The priority budget
-    /// is divided among the workers (`worker_share`) so the aggregate
-    /// duty cycle honors `priority` at every worker count, and every
-    /// chunk checks the job's wall-clock `deadline`
-    /// (`check_deadline`). Returns `(rows_read, rows_written)`. The
-    /// database handle feeds the per-chunk crash point
-    /// (`populate.chunk`) that the deterministic crash harness kills
-    /// fuzzy copies at.
+    /// Initial population by fuzzy read (§3.2), on the calling thread:
+    /// every chunk pays its share of the `priority` duty cycle and
+    /// checks the job's wall-clock `deadline` (`check_deadline`).
+    /// Returns `(rows_read, rows_written)`. The database handle feeds
+    /// the per-chunk crash point (`populate.chunk`) that the
+    /// deterministic crash harness kills fuzzy copies at.
     fn populate(
         &self,
         db: &Database,
         chunk: usize,
-        workers: usize,
         priority: f64,
         deadline: Option<Instant>,
     ) -> DbResult<(usize, usize)>;
@@ -288,92 +284,37 @@ pub(crate) fn check_deadline(deadline: Option<Instant>) -> DbResult<()> {
     Ok(())
 }
 
-/// Per-worker priority share for an `n`-way parallel fuzzy copy: the
-/// duty cycles sum to the configured priority, so `n` workers at
-/// `p / n` interfere with user transactions no more than one worker at
-/// `p`. Full priority stays full per worker — there is no budget to
-/// divide when the transformation may use the whole machine.
-pub(crate) fn worker_share(priority: f64, workers: usize) -> f64 {
-    if priority >= 1.0 {
-        1.0
-    } else {
-        (priority / workers.max(1) as f64).max(1e-4)
-    }
-}
-
-/// Run `work` once per input, one population worker each, and collect
-/// the results in input order. A single input runs inline on the
-/// calling thread (the deterministic crash harness drives one-worker
-/// copies and must see their crash points on its own thread); several
-/// run on scoped threads, all joined before the first error surfaces.
-pub(crate) fn fan_out<I: Send, T: Send>(
-    inputs: impl IntoIterator<Item = I>,
-    work: impl Fn(I) -> DbResult<T> + Sync,
-) -> DbResult<Vec<T>> {
-    let mut inputs: Vec<I> = inputs.into_iter().collect();
-    if inputs.len() == 1 {
-        return Ok(vec![work(inputs.remove(0))?]);
-    }
-    let work = &work;
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = inputs
-            .into_iter()
-            .map(|input| scope.spawn(move || work(input)))
-            .collect();
-        let results: Vec<DbResult<T>> = handles
-            .into_iter()
-            // morph-lint: allow(panic, re-raises a worker panic at the join point; mapping it to DbError would bury the original panic site)
-            .map(|h| h.join().expect("population worker panicked"))
-            .collect();
-        results.into_iter().collect()
-    })
-}
-
-/// The §3.2 fuzzy population scan, written once: partition the
-/// source's storage shards into `workers` disjoint classes and stream
-/// each class on its own [`fan_out`] worker, one shard per chunk
-/// ([`Table::fuzzy_scan_partition`]). Each worker sleeps off the work
-/// each chunk took at its [`worker_share`] of the priority budget. The
-/// sink receives `(worker, chunk)` pairs; chunks of different workers
-/// arrive concurrently, and a chunk's rows are in key order within
-/// their shard. Returns the total rows read.
+/// The §3.2 fuzzy population scan, written once: stream the source
+/// shard by shard ([`Table::fuzzy_scan`]), one shard's rows per chunk
+/// in key order, and sleep off the work each chunk took at the
+/// `priority` duty cycle under one [`Throttle`]. The sink receives
+/// the chunks in scan order. Returns the rows read.
 ///
-/// With a database handle the scan reports the `populate.chunk` crash
-/// point between chunks (no write session is open there, so the crash
-/// harness may both inject workload and kill the run at that point).
-pub(crate) fn scan_source<F>(
-    db: Option<&Database>,
+/// The scan reports the `populate.chunk` crash point between chunks
+/// (no write session is open there, so the crash harness may both
+/// inject workload and kill the run at that point).
+pub(crate) fn scan_source(
+    db: &Database,
     table: &Arc<Table>,
     chunk: usize,
-    workers: usize,
     priority: f64,
     deadline: Option<Instant>,
-    sink: &F,
-) -> DbResult<usize>
-where
-    F: Fn(usize, Vec<(Key, Row)>) -> DbResult<()> + Sync,
-{
-    let workers = shard_stride(workers.max(1));
-    let share = worker_share(priority, workers);
-    let read = fan_out(0..workers, |w| {
-        let mut scan = table.fuzzy_scan_partition(chunk, w, workers);
-        let mut throttle = Throttle::new(share);
-        let mut rows = 0usize;
-        loop {
-            if let Some(db) = db {
-                db.crash_point("populate.chunk")?;
-            }
-            check_deadline(deadline)?;
-            // morph-lint: allow(nondet, chunk timing feeds throttle pacing and stats only; wall time never enters table or WAL state)
-            let t0 = Instant::now();
-            let batch = scan.next_chunk();
-            if batch.is_empty() {
-                return Ok(rows);
-            }
-            rows += batch.len();
-            sink(w, batch)?;
-            throttle.pay(t0.elapsed());
+    mut sink: impl FnMut(Vec<(Key, Row)>) -> DbResult<()>,
+) -> DbResult<usize> {
+    let mut scan = table.fuzzy_scan(chunk);
+    let mut throttle = Throttle::new(priority);
+    let mut rows = 0usize;
+    loop {
+        db.crash_point("populate.chunk")?;
+        check_deadline(deadline)?;
+        // morph-lint: allow(nondet, chunk timing feeds throttle pacing and stats only; wall time never enters table or WAL state)
+        let t0 = Instant::now();
+        let batch = scan.next_chunk();
+        if batch.is_empty() {
+            return Ok(rows);
         }
-    })?;
-    Ok(read.into_iter().sum())
+        rows += batch.len();
+        sink(batch)?;
+        throttle.pay(t0.elapsed());
+    }
 }

@@ -402,7 +402,7 @@ impl Propagator {
             // Crash-simulation point *inside* a propagation iteration,
             // between cursor batches (no write session open here).
             db.crash_point("propagate.batch")?;
-            let batch = self.cursor.next_batch(db.log(), batch_size);
+            let batch = self.cursor.next_batch(db.log(), batch_size.max(1));
             if batch.is_empty() {
                 break;
             }
@@ -523,7 +523,7 @@ mod tests {
 
         let (_, start, _) = db.write_fuzzy_mark();
         let mut prop = Propagator::new(&db, start, 1.0);
-        m.populate(8).unwrap();
+        m.populate(&db, 8, 1.0, None).unwrap();
 
         // Concurrent-ish updates after the fuzzy read.
         let txn = db.begin();
@@ -546,7 +546,7 @@ mod tests {
     fn drain_all_catches_up_completely() {
         let (db, m) = setup();
         let (_, start, _) = db.write_fuzzy_mark();
-        m.populate(8).unwrap();
+        m.populate(&db, 8, 1.0, None).unwrap();
         let txn = db.begin();
         for i in 0..50 {
             db.insert(txn, "R", r_row(i, "j0")).unwrap();
@@ -564,7 +564,7 @@ mod tests {
         use morph_txn::{LockMode, LockOrigin};
         let (db, m) = setup();
         let (_, start, _) = db.write_fuzzy_mark();
-        m.populate(4).unwrap();
+        m.populate(&db, 4, 1.0, None).unwrap();
         let mut prop = Propagator::new(&db, start, 1.0);
 
         // A transaction that will be "old" at sync.
@@ -594,7 +594,7 @@ mod tests {
     fn throttled_iteration_still_completes() {
         let (db, m) = setup();
         let (_, start, _) = db.write_fuzzy_mark();
-        m.populate(4).unwrap();
+        m.populate(&db, 4, 1.0, None).unwrap();
         let txn = db.begin();
         for i in 0..30 {
             db.insert(txn, "R", r_row(i, "j1")).unwrap();
@@ -611,7 +611,7 @@ mod tests {
     fn abort_flag_stops_iteration_early() {
         let (db, m) = setup();
         let (_, start, _) = db.write_fuzzy_mark();
-        m.populate(4).unwrap();
+        m.populate(&db, 4, 1.0, None).unwrap();
         let txn = db.begin();
         for i in 0..100 {
             db.insert(txn, "R", r_row(i, "j1")).unwrap();
@@ -806,7 +806,7 @@ mod tests {
     fn coalesced_batch_converges_to_reference() {
         let (db, m) = setup();
         let (_, start, _) = db.write_fuzzy_mark();
-        m.populate(8).unwrap();
+        m.populate(&db, 8, 1.0, None).unwrap();
         let txn = db.begin();
         for i in 0..10 {
             db.insert(txn, "R", r_row(i, "j0")).unwrap();

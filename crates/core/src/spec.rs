@@ -41,6 +41,12 @@ pub enum NonConvergencePolicy {
     },
 }
 
+/// How long each wait on other transactions lasts when
+/// [`TransformOptions::deadline`] is `None`: blocking commit's wait for
+/// the source lock holders (§3.4) and the post-sync drain of the
+/// grandfathered transactions.
+pub const UNBOUNDED_WAIT_LIMIT: Duration = Duration::from_secs(60);
+
 /// Knobs shared by all transformations.
 #[derive(Clone, Debug)]
 pub struct TransformOptions {
@@ -65,23 +71,17 @@ pub struct TransformOptions {
     /// Split-with-consistency-checking: run the checker after every
     /// N propagation batches.
     pub cc_interval: usize,
-    /// Safety valve: overall wall-clock budget for the transformation
-    /// (`None` = unbounded). Exceeding it aborts with
-    /// `TransformationAborted`.
+    /// Safety valve: overall wall-clock budget for the transformation.
+    /// Exceeding it aborts with `TransformationAborted`. `None` leaves
+    /// the copy and the propagation unbounded, but each wait on other
+    /// transactions (blocking commit's lock holders, the post-sync
+    /// drain) still gives up after [`UNBOUNDED_WAIT_LIMIT`].
     pub deadline: Option<Duration>,
     /// Keep the (frozen) source tables in the catalog instead of
     /// dropping them at the very end. Tests and verification harnesses
     /// use this to compare the transformed tables against the final
     /// source state.
     pub retain_sources: bool,
-    /// Threads scanning disjoint source partitions during the initial
-    /// fuzzy copy (§3.2): the key space is partitioned into disjoint
-    /// storage-shard classes, one scan thread per class, with the
-    /// priority budget divided among the workers so the aggregate duty
-    /// cycle still honors [`TransformOptions::priority`]. The default
-    /// of 1 is the single-threaded copy. Log propagation (§3.3) is
-    /// always one sequential applier.
-    pub copy_workers: usize,
 }
 
 impl Default for TransformOptions {
@@ -97,7 +97,6 @@ impl Default for TransformOptions {
             cc_interval: 16,
             deadline: None,
             retain_sources: false,
-            copy_workers: 1,
         }
     }
 }
@@ -135,13 +134,6 @@ impl TransformOptions {
     #[must_use]
     pub fn retain_sources(mut self) -> Self {
         self.retain_sources = true;
-        self
-    }
-
-    /// Set the number of fuzzy-copy scan threads (at least 1).
-    #[must_use]
-    pub fn copy_workers(mut self, n: usize) -> Self {
-        self.copy_workers = n.max(1);
         self
     }
 }

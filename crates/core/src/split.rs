@@ -26,11 +26,11 @@ use crate::operator::{scan_source, CoalescePolicy, LazySource, TransformOperator
 use crate::spec::{SplitMode, SplitSpec};
 use morph_common::{DbError, DbResult, Key, Lsn, Schema, TableId, Value};
 use morph_engine::{Database, PlannedOp};
-use morph_storage::{shard_stride, ConsistencyFlag, Row, Table, WriteSession};
+use morph_storage::{ConsistencyFlag, Row, Table, WriteSession};
 use morph_txn::LockOrigin;
 use morph_wal::{LogManager, LogOp, LogRecord};
 use parking_lot::{Mutex, MutexGuard};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -623,15 +623,6 @@ impl SplitMapping {
         Ok(())
     }
 
-    // --- initial population (§3.2) --------------------------------------------
-
-    /// Fuzzy-scan the source and build the initial images at full
-    /// priority on one scan thread (tests and reference builds).
-    /// Returns `(rows_read, rows_written)`.
-    pub fn populate(&self, chunk_size: usize) -> DbResult<(usize, usize)> {
-        self.populate_with(None, chunk_size, 1, 1.0, None)
-    }
-
     // --- consistency checker (§5.3) ---------------------------------------------
 
     /// Run one checker round: pick a U-record, log `CcBegin`, read its
@@ -692,8 +683,8 @@ impl SplitMapping {
     }
 }
 
-// Worker-local digest of one worker's S contributions during
-// population; merged serially into the real S rows afterwards.
+/// Digest of the T rows contributing to one S record during
+/// population, written as the S row once the scan is done.
 struct SContrib {
     /// Smallest T key among the contributors seen so far; the S image
     /// is taken from the smallest one overall.
@@ -706,93 +697,15 @@ struct SContrib {
 }
 
 impl SContrib {
-    /// Fold another digest of the same split value into this one.
-    fn merge(&mut self, other: SContrib) {
-        self.count += other.count;
-        self.max_lsn = self.max_lsn.max(other.max_lsn);
-        self.uniform &= other.uniform && other.s_vals == self.s_vals;
-        if other.first_key < self.first_key {
-            self.first_key = other.first_key;
-            self.s_vals = other.s_vals;
+    /// Fold one more contributing T row into the digest.
+    fn add(&mut self, key: Key, s_vals: Vec<Value>, lsn: Lsn) {
+        self.count += 1;
+        self.max_lsn = self.max_lsn.max(lsn);
+        self.uniform &= s_vals == self.s_vals;
+        if key < self.first_key {
+            self.first_key = key;
+            self.s_vals = s_vals;
         }
-    }
-}
-
-impl SplitMapping {
-    /// Initial population (§3.2) with the database handle threaded
-    /// through so the fuzzy scan reports per-chunk crash points (crash
-    /// simulation). The workers run a partitioned fuzzy scan with
-    /// masked R-side writes per worker, plus worker-local S digests
-    /// merged serially afterwards (S rows are shared across subjects,
-    /// so they cannot be written worker-locally). The merge gives each
-    /// S record the image of its smallest contributing T key, the
-    /// number of contributors as its counter and their largest LSN,
-    /// and flags it U — noted for the consistency checker — where the
-    /// contributors disagree.
-    pub(crate) fn populate_with(
-        &self,
-        db: Option<&Database>,
-        chunk_size: usize,
-        workers: usize,
-        priority: f64,
-        deadline: Option<Instant>,
-    ) -> DbResult<(usize, usize)> {
-        let workers = shard_stride(workers.max(1));
-        let locals: Vec<Mutex<HashMap<Value, SContrib>>> =
-            (0..workers).map(|_| Mutex::new(HashMap::new())).collect();
-        let sink = |w: usize, chunk: Vec<(Key, Row)>| {
-            let mut rs = self.r_side().write_session_masked(workers, w);
-            let mut local = locals[w].lock();
-            for (key, row) in chunk {
-                self.r_insert(&mut rs, &row.values, row.lsn)?;
-                let c = SContrib {
-                    first_key: key,
-                    s_vals: self.s_part(&row.values),
-                    count: 1,
-                    max_lsn: row.lsn,
-                    uniform: true,
-                };
-                match local.entry(self.split_val(&row.values)) {
-                    std::collections::hash_map::Entry::Occupied(mut e) => e.get_mut().merge(c),
-                    std::collections::hash_map::Entry::Vacant(e) => _ = e.insert(c),
-                }
-            }
-            Ok(())
-        };
-        let read = scan_source(db, &self.t, chunk_size, workers, priority, deadline, &sink)?;
-
-        // Merge the worker digests: the canonical S image is the one
-        // from the smallest contributing T key (what absorbing the
-        // rows in key order would have kept).
-        let mut merged: BTreeMap<Value, SContrib> = BTreeMap::new();
-        for local in locals {
-            for (x, c) in local.into_inner() {
-                match merged.entry(x) {
-                    std::collections::btree_map::Entry::Occupied(mut e) => e.get_mut().merge(c),
-                    std::collections::btree_map::Entry::Vacant(e) => _ = e.insert(c),
-                }
-            }
-        }
-        let s_rows = merged.len();
-        let mut ss = self.s.write_session();
-        for (x, c) in merged {
-            if let Some(mut cc) = self.cc().filter(|_| !c.uniform) {
-                cc.mark_unknown(self.s_key(&x));
-            }
-            ss.insert_row(Row {
-                values: c.s_vals,
-                lsn: c.max_lsn,
-                counter: c.count,
-                flag: if c.uniform {
-                    ConsistencyFlag::Consistent
-                } else {
-                    ConsistencyFlag::Unknown
-                },
-                writer: morph_storage::SYSTEM,
-                presence: Default::default(),
-            })?;
-        }
-        Ok((read, read + s_rows))
     }
 }
 
@@ -835,15 +748,69 @@ impl TransformOperator for SplitMapping {
         }
     }
 
+    /// Initial population (§3.2): each fuzzy-scanned chunk goes into
+    /// the R side under one write session, and its S contributions
+    /// fold into one digest per split value, written once the scan is
+    /// done (the scan reads shard by shard, so the contributors of an
+    /// S record arrive out of key order). Each S record gets the image
+    /// of its smallest contributing T key (what absorbing the rows in
+    /// key order would have kept), the number of contributors as its
+    /// counter and their largest LSN, and is flagged U — noted for the
+    /// consistency checker — where the contributors disagree.
     fn populate(
         &self,
         db: &Database,
         chunk: usize,
-        workers: usize,
         priority: f64,
         deadline: Option<Instant>,
     ) -> DbResult<(usize, usize)> {
-        SplitMapping::populate_with(self, Some(db), chunk, workers, priority, deadline)
+        let mut digests: HashMap<Value, SContrib> = HashMap::new();
+        let read = scan_source(db, &self.t, chunk, priority, deadline, |batch| {
+            let mut rs = self.r_side().write_session();
+            for (key, row) in batch {
+                self.r_insert(&mut rs, &row.values, row.lsn)?;
+                let s_vals = self.s_part(&row.values);
+                match digests.entry(self.split_val(&row.values)) {
+                    std::collections::hash_map::Entry::Occupied(mut e) => {
+                        e.get_mut().add(key, s_vals, row.lsn)
+                    }
+                    std::collections::hash_map::Entry::Vacant(e) => {
+                        e.insert(SContrib {
+                            first_key: key,
+                            s_vals,
+                            count: 1,
+                            max_lsn: row.lsn,
+                            uniform: true,
+                        });
+                    }
+                }
+            }
+            Ok(())
+        })?;
+        // In split-value order, so that every run writes the S rows and
+        // notes the U records alike.
+        let mut digests: Vec<(Value, SContrib)> = digests.into_iter().collect();
+        digests.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+        let s_rows = digests.len();
+        let mut ss = self.s.write_session();
+        for (x, c) in digests {
+            if let Some(mut cc) = self.cc().filter(|_| !c.uniform) {
+                cc.mark_unknown(self.s_key(&x));
+            }
+            ss.insert_row(Row {
+                values: c.s_vals,
+                lsn: c.max_lsn,
+                counter: c.count,
+                flag: if c.uniform {
+                    ConsistencyFlag::Consistent
+                } else {
+                    ConsistencyFlag::Unknown
+                },
+                writer: morph_storage::SYSTEM,
+                presence: Default::default(),
+            })?;
+        }
+        Ok((read, read + s_rows))
     }
 
     /// In rename-in-place mode T keeps its table id through the rename,
@@ -1089,6 +1056,7 @@ pub fn example1_schema() -> Schema {
 mod tests {
     use super::*;
     use morph_common::ColumnType;
+    use std::collections::BTreeMap;
 
     fn setup_mode(mode: SplitMode, check: bool) -> (Database, SplitMapping) {
         let db = Database::new();
@@ -1317,11 +1285,11 @@ mod tests {
 
     #[test]
     fn rule11_s_lsn_gate_prevents_value_regression() {
-        let (_db, m) = setup();
+        let (db, m) = setup();
         // Initial image is fresh (lsn 10); an older logged dep-update
         // (lsn 5) must update the R LSN but not regress S values.
         m.t.insert(t_row(1, "a", "c1", "dNEW"), Lsn(10)).unwrap();
-        let (read, _) = m.populate(16).unwrap();
+        let (read, _) = m.populate(&db, 16, 1.0, None).unwrap();
         assert_eq!(read, 1);
         // Stale log record: r copy in image has lsn 10 ≥ 5 → fully
         // ignored by the rule-10 gate.
@@ -1344,7 +1312,7 @@ mod tests {
 
     #[test]
     fn populate_from_fuzzy_scan_builds_counters() {
-        let (_db, m) = setup();
+        let (db, m) = setup();
         for i in 0..10 {
             m.t.insert(
                 t_row(i, "b", if i % 2 == 0 { "even" } else { "odd" }, "dep"),
@@ -1352,7 +1320,7 @@ mod tests {
             )
             .unwrap();
         }
-        let (read, written) = m.populate(3).unwrap();
+        let (read, written) = m.populate(&db, 3, 1.0, None).unwrap();
         assert_eq!(read, 10);
         assert!(written >= 10);
         verify(&m);
@@ -1363,18 +1331,17 @@ mod tests {
     /// population: from hand-built T rows, every S record must carry
     /// the image of its smallest contributing T key, a counter equal to
     /// its contributors, their largest LSN, and a C flag exactly when
-    /// they agree — at every worker count, with and without the
-    /// consistency checker, which must note exactly the U records.
+    /// they agree — with and without the consistency checker, which
+    /// must note exactly the U records.
     #[test]
     fn populate_matches_hand_built_oracle() {
         let probe = setup().1;
         let shard = |a: i64| probe.t.shard_of_key(&Key::single(a));
         // The smallest "mix" key lives on a later shard than a larger
-        // one of the same two-worker partition, so every scan reads
-        // the larger key first.
+        // one, so the shard-by-shard scan reads the larger key first.
         let (lo, hi) = (100..200i64)
             .flat_map(|lo| (lo + 1..200).map(move |hi| (lo, hi)))
-            .find(|&(lo, hi)| shard(lo) > shard(hi) && shard(lo) % 2 == shard(hi) % 2)
+            .find(|&(lo, hi)| shard(lo) > shard(hi))
             .unwrap();
         let rows = [
             (t_row(1, "b", "same", "dA"), 5),
@@ -1396,24 +1363,22 @@ mod tests {
         ]);
 
         for check in [false, true] {
-            for workers in [1, 2, 8] {
-                let (_db, m) = setup_mode(SplitMode::SeparateR, check);
-                for (r, lsn) in &rows {
-                    m.t.insert(r.clone(), Lsn(*lsn)).unwrap();
-                }
-                let copied = m.populate_with(None, 2, workers, 1.0, None).unwrap();
-                assert_eq!(copied, (7, 10));
-                let got: BTreeMap<_, _> = m
-                    .s_table()
-                    .snapshot()
-                    .into_iter()
-                    .map(|(_, s)| (s.values[0].clone(), (s.values, s.counter, s.lsn, s.flag)))
-                    .collect();
-                assert_eq!(got, want, "workers={workers} check={check}");
-                let unknowns: Vec<Key> = m.cc.lock().unknowns.iter().cloned().collect();
-                let expect: Vec<Key> = check.then(|| Key::single("mix")).into_iter().collect();
-                assert_eq!(unknowns, expect, "workers={workers} check={check}");
+            let (db, m) = setup_mode(SplitMode::SeparateR, check);
+            for (r, lsn) in &rows {
+                m.t.insert(r.clone(), Lsn(*lsn)).unwrap();
             }
+            let copied = m.populate(&db, 2, 1.0, None).unwrap();
+            assert_eq!(copied, (7, 10));
+            let got: BTreeMap<_, _> = m
+                .s_table()
+                .snapshot()
+                .into_iter()
+                .map(|(_, s)| (s.values[0].clone(), (s.values, s.counter, s.lsn, s.flag)))
+                .collect();
+            assert_eq!(got, want, "check={check}");
+            let unknowns: Vec<Key> = m.cc.lock().unknowns.iter().cloned().collect();
+            let expect: Vec<Key> = check.then(|| Key::single("mix")).into_iter().collect();
+            assert_eq!(unknowns, expect, "check={check}");
         }
     }
 

@@ -34,7 +34,7 @@ use crate::lazy::LazyMigration;
 use crate::operator::{source_tables, TransformOperator};
 use crate::propagate::Propagator;
 use crate::report::SyncStats;
-use crate::spec::{SyncStrategy, TransformOptions};
+use crate::spec::{SyncStrategy, TransformOptions, UNBOUNDED_WAIT_LIMIT};
 use morph_common::{DbError, DbResult, TableId, TxnId};
 use morph_engine::{Database, OpInterceptor, PlannedOp};
 use morph_storage::Table;
@@ -370,7 +370,7 @@ fn frozen_switch(
 ) -> DbResult<usize> {
     db.crash_point("sync.bc.frozen")?;
     // morph-lint: allow(nondet, drain-wait deadline; wall-time bound on blocking, never replayed state)
-    let wait_deadline = Instant::now() + options.deadline.unwrap_or(Duration::from_secs(60));
+    let wait_deadline = Instant::now() + options.deadline.unwrap_or(UNBOUNDED_WAIT_LIMIT);
     while holders.iter().any(|t| db.is_active(*t)) {
         // morph-lint: allow(nondet, drain-wait deadline; wall-time bound on blocking, never replayed state)
         if Instant::now() > wait_deadline {

@@ -27,6 +27,7 @@ use crate::propagate::Propagator;
 use crate::report::{PopulationStats, TransformReport};
 use crate::spec::{
     FojSpec, NonConvergencePolicy, SplitMode, SplitSpec, SyncStrategy, TransformOptions,
+    UNBOUNDED_WAIT_LIMIT,
 };
 use crate::split::SplitMapping;
 use crate::sync::{synchronize, HookRegistration};
@@ -329,7 +330,6 @@ impl TransformJob {
             let (rows_read, rows_written) = job.oper.populate(
                 &job.db,
                 job.options.population_chunk,
-                job.options.copy_workers,
                 job.options.priority,
                 job.deadline,
             )?;
@@ -525,7 +525,7 @@ impl TransformJob {
         let post0 = Instant::now();
         let post_deadline = self
             .deadline
-            .unwrap_or_else(|| post0 + Duration::from_secs(60));
+            .unwrap_or_else(|| post0 + UNBOUNDED_WAIT_LIMIT);
         while let Some(prop) = self.prop.as_mut().filter(|p| p.outstanding() > 0) {
             // morph-lint: allow(nondet, operator deadline guard; wall-time bound on total runtime, never replayed state)
             if Instant::now() > post_deadline {
@@ -646,6 +646,28 @@ mod tests {
         options: TransformOptions,
     ) -> DbResult<TransformReport> {
         TransformJob::prepare(db, &plan, options)?.run(&AtomicBool::new(false), None, |_| Ok(()))
+    }
+
+    /// A batch size of 0 reads one record per batch, like every other
+    /// cursor read, rather than nothing: a backlog above the sync
+    /// threshold still drains and propagation converges.
+    #[test]
+    fn zero_batch_size_still_propagates() {
+        let db = db_with_sources(20, 4);
+        let mut options = opts();
+        options.batch_size = 0;
+        let mut job = TransformJob::prepare(&db, &foj(), options).unwrap();
+        job.copy(None).unwrap();
+        let txn = db.begin();
+        for i in 0..(2 * job.options.sync_threshold) as i64 {
+            let key = Key::single(i % 20);
+            db.update(txn, "R", &key, &[(1, Value::str(format!("u{i}")))])
+                .unwrap();
+        }
+        db.commit(txn).unwrap();
+        job.propagate(&AtomicBool::new(false), None).unwrap();
+        let last = job.report.iterations.last().unwrap();
+        assert!(last.backlog_after <= job.options.sync_threshold);
     }
 
     #[test]
@@ -901,8 +923,7 @@ mod tests {
         db.commit(txn).unwrap();
     }
 
-    /// One 5 k-row split over a fresh database, default single copy
-    /// worker.
+    /// One 5 k-row split over a fresh database.
     fn split_5k(options: TransformOptions) -> DbResult<TransformReport> {
         let db = Arc::new(Database::new());
         let ts = morph_common::Schema::builder()
@@ -922,16 +943,15 @@ mod tests {
         }
         db.commit(txn).unwrap();
         let spec = SplitSpec::new("T", "R", "S", &["a", "c"], "c", &["d"]);
-        let result = run(&db, TransformPlan::Split(spec), options.copy_workers(1));
+        let result = run(&db, TransformPlan::Split(spec), options);
         assert_eq!(db.catalog().exists("R"), result.is_ok());
         result
     }
 
     /// §3.3's "low priority background process" covers the initial
-    /// population too, at the default single copy worker as much as at
-    /// several: a 5 % duty cycle predicts a ~20× longer copy.
+    /// population too: a 5 % duty cycle predicts a ~20× longer copy.
     #[test]
-    fn copy_honours_priority_at_one_worker() {
+    fn copy_honours_priority() {
         let population = |priority: f64| {
             let report = split_5k(opts().priority(priority)).unwrap();
             assert_eq!(report.population.rows_read, 5_000);

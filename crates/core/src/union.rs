@@ -16,10 +16,9 @@
 use crate::operator::{scan_source, CoalescePolicy, LazySource, TransformOperator};
 use morph_common::{ColumnType, DbError, DbResult, Key, Lsn, Schema, TableId, Value};
 use morph_engine::{Database, PlannedOp};
-use morph_storage::{shard_stride, Row, Table, WriteSession};
+use morph_storage::{Row, Table, WriteSession};
 use morph_txn::LockOrigin;
 use morph_wal::LogOp;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -93,9 +92,8 @@ impl UnionMapping {
         let t = db.catalog().create_table(&spec.target, t_schema)?;
         // Shard T by the source-key suffix (skipping the provenance
         // tag): a source row and its target row then route to the same
-        // shard index, which both the parallel fuzzy copy (partitioned
-        // source scans writing under masked target sessions) and the
-        // lazy backfill's shard-scoped batches rely on.
+        // shard index, which the lazy backfill's shard-scoped batches
+        // rely on.
         t.set_shard_key((1..=src_schema.pkey().len()).collect())?;
         Ok(UnionMapping {
             r_tag: Value::str(spec.r_table.clone()),
@@ -138,51 +136,6 @@ impl UnionMapping {
     /// Shift source column positions by the provenance column.
     fn t_cols(cols: &[(usize, Value)]) -> Vec<(usize, Value)> {
         cols.iter().map(|(i, v)| (*i + 1, v.clone())).collect()
-    }
-
-    /// Initial population at full priority on one scan thread (tests
-    /// and reference builds).
-    pub fn populate(&self, chunk_size: usize) -> DbResult<(usize, usize)> {
-        self.populate_with(None, chunk_size, 1, 1.0, None)
-    }
-
-    /// Initial population: each source is scanned by `workers` threads
-    /// over disjoint shard classes, and because T's shard key aligns
-    /// target routing with source routing, each scan worker inserts
-    /// its chunk directly under a masked target session — no
-    /// cross-thread handoff at all. The database handle is threaded
-    /// through so the fuzzy scan reports per-chunk crash points (crash
-    /// simulation).
-    pub(crate) fn populate_with(
-        &self,
-        db: Option<&Database>,
-        chunk_size: usize,
-        workers: usize,
-        priority: f64,
-        deadline: Option<Instant>,
-    ) -> DbResult<(usize, usize)> {
-        let workers = shard_stride(workers.max(1));
-        let t = Arc::clone(&self.t);
-        let written = AtomicUsize::new(0);
-        let mut read = 0;
-        for src in [&self.r, &self.s] {
-            let src_id = src.id();
-            let sink = |w: usize, chunk: Vec<(Key, Row)>| {
-                let mut ts = t.write_session_masked(workers, w);
-                let mut n = 0usize;
-                for (_, row) in chunk {
-                    let values = self.t_row(src_id, &row.values);
-                    match ts.insert_row(Row::new(values, row.lsn)) {
-                        Ok(_) | Err(DbError::DuplicateKey(_)) => n += 1,
-                        Err(e) => return Err(e),
-                    }
-                }
-                written.fetch_add(n, Ordering::Relaxed);
-                Ok(())
-            };
-            read += scan_source(db, src, chunk_size, workers, priority, deadline, &sink)?;
-        }
-        Ok((read, written.load(Ordering::Relaxed)))
     }
 
     /// Rule dispatch within an open target write session (LSN-gated,
@@ -240,15 +193,32 @@ impl TransformOperator for UnionMapping {
         CoalescePolicy::Full
     }
 
+    /// Initial population: each fuzzy-scanned chunk of either source
+    /// goes into T under one write session, a row that is already
+    /// there counting as written.
     fn populate(
         &self,
         db: &Database,
         chunk: usize,
-        workers: usize,
         priority: f64,
         deadline: Option<Instant>,
     ) -> DbResult<(usize, usize)> {
-        UnionMapping::populate_with(self, Some(db), chunk, workers, priority, deadline)
+        let (mut read, mut written) = (0, 0);
+        for src in [&self.r, &self.s] {
+            let src_id = src.id();
+            read += scan_source(db, src, chunk, priority, deadline, |batch| {
+                let mut ts = self.t.write_session();
+                for (_, row) in batch {
+                    let values = self.t_row(src_id, &row.values);
+                    match ts.insert_row(Row::new(values, row.lsn)) {
+                        Ok(_) | Err(DbError::DuplicateKey(_)) => written += 1,
+                        Err(e) => return Err(e),
+                    }
+                }
+                Ok(())
+            })?;
+        }
+        Ok((read, written))
     }
 
     /// A source record's one target row: its key under the provenance
@@ -409,7 +379,7 @@ mod tests {
             .unwrap()
             .insert(vec![Value::Int(1), Value::str("new")], Lsn(10))
             .unwrap();
-        m.populate(4).unwrap();
+        m.populate(&db, 4, 1.0, None).unwrap();
         // A stale logged update must not regress the fresher image.
         m.apply(
             Lsn(5),

@@ -285,7 +285,6 @@ impl Database {
     pub fn counters_snapshot(&self) -> crate::counters::CountersSnapshot {
         let mut s = self.counters.full_snapshot();
         s.wal_flushes = self.log.flush_count();
-        s.wal_records = self.log.len() as u64;
         s.lock_waits = self.locks.waits();
         s
     }
@@ -308,7 +307,6 @@ impl Database {
         let id = TxnId(self.next_txn.fetch_add(1, Ordering::Relaxed));
         self.registry
             .begin_with(id, || self.log.append(LogRecord::Begin { txn: id }));
-        Counters::bump(&self.counters.begins);
         id
     }
 
@@ -318,7 +316,6 @@ impl Database {
         let cell = self.registry.get(txn)?;
         if cell.is_doomed() {
             self.rollback_cell(&cell)?;
-            Counters::bump(&self.counters.doomed_aborts);
             return Err(DbError::TxnDoomed(txn));
         }
         // No data record follows: from here on the cutover census
@@ -357,12 +354,7 @@ impl Database {
     /// Roll the transaction back, emitting CLRs.
     pub fn abort(&self, txn: TxnId) -> DbResult<()> {
         let cell = self.registry.get(txn)?;
-        let was_doomed = cell.is_doomed();
-        self.rollback_cell(&cell)?;
-        if was_doomed {
-            Counters::bump(&self.counters.doomed_aborts);
-        }
-        Ok(())
+        self.rollback_cell(&cell)
     }
 
     fn rollback_cell(&self, cell: &Arc<TxnCell>) -> DbResult<()> {
@@ -405,7 +397,6 @@ impl Database {
         self.crash_point("abort.wal_durable")?;
         self.registry.remove(txn);
         self.locks.release_all(txn);
-        Counters::bump(&self.counters.aborts);
         match first_err {
             // Dropped table: the compensation target no longer exists;
             // the rollback is trivially complete for it.
@@ -512,16 +503,6 @@ impl Database {
         })
     }
 
-    /// Append a checkpoint record: the active transactions and their
-    /// first LSNs. Restart recovery replays the whole log regardless
-    /// (the engine is main-memory), but checkpoints let log-shipping
-    /// and diagnostic tooling bound their scans, and keep the log
-    /// format compatible with disk-based consumers.
-    pub fn write_checkpoint(&self) -> Lsn {
-        self.registry
-            .with_checkpoint_snapshot(|active| self.log.append(LogRecord::Checkpoint { active }))
-    }
-
     // --- MVCC snapshot reads ----------------------------------------------
 
     /// Switch multi-version reads on: every table (current and future)
@@ -617,9 +598,7 @@ impl Database {
             return Ok(0);
         }
         let durable = self.log.durability_watermark();
-        let oldest_txn = self
-            .registry
-            .with_checkpoint_snapshot(|active| active.iter().map(|(_, l)| *l).min());
+        let oldest_txn = self.registry.with_admission_blocked(|_, oldest| oldest);
         let mut watermark = durable;
         if let Some(l) = oldest_txn {
             watermark = watermark.min(l);
@@ -660,8 +639,7 @@ impl Database {
     /// any, keeps the complete archive for restart recovery.
     pub fn truncate_log(&self) -> DbResult<usize> {
         let oldest_protected = self.protected_lsns.read().values().copied().min();
-        let keep = self.registry.with_checkpoint_snapshot(|active| {
-            let oldest_txn = active.iter().map(|(_, l)| *l).min();
+        let keep = self.registry.with_admission_blocked(|_, oldest_txn| {
             match (oldest_txn, oldest_protected) {
                 (Some(a), Some(b)) => a.min(b),
                 (Some(a), None) => a,
@@ -762,7 +740,6 @@ impl Database {
                 old: values,
             },
         ));
-        Counters::bump(&self.counters.ops);
         Ok(key)
     }
 
@@ -838,7 +815,6 @@ impl Database {
                 new: outcome.old_cols,
             },
         ));
-        Counters::bump(&self.counters.ops);
         Ok(())
     }
 
@@ -877,7 +853,6 @@ impl Database {
                 row: pre_image,
             },
         ));
-        Counters::bump(&self.counters.ops);
         Ok(())
     }
 
@@ -1006,7 +981,6 @@ mod tests {
         // Commit performed the rollback.
         assert!(t.get(&Key::single(1)).is_none());
         assert!(!db.is_active(txn));
-        assert_eq!(Counters::get(&db.counters().doomed_aborts), 1);
     }
 
     #[test]
@@ -1229,33 +1203,6 @@ mod tests {
         let txn = db.begin();
         db.insert(txn, "t", row(200, "z")).unwrap();
         db.commit(txn).unwrap();
-    }
-
-    #[test]
-    fn checkpoint_records_active_txns() {
-        let (db, _t) = db_with_table();
-        let t1 = db.begin();
-        db.insert(t1, "t", row(1, "a")).unwrap();
-        let lsn = db.write_checkpoint();
-        match &*db.log().read(lsn).unwrap() {
-            LogRecord::Checkpoint { active } => {
-                assert_eq!(active.len(), 1);
-                assert_eq!(active[0].0, t1);
-                // First LSN points at the Begin record.
-                assert_eq!(
-                    *db.log().read(active[0].1).unwrap(),
-                    LogRecord::Begin { txn: t1 }
-                );
-            }
-            other => panic!("expected checkpoint, got {other:?}"),
-        }
-        db.commit(t1).unwrap();
-        // Quiescent checkpoint is empty; recovery replays across it.
-        let lsn = db.write_checkpoint();
-        match &*db.log().read(lsn).unwrap() {
-            LogRecord::Checkpoint { active } => assert!(active.is_empty()),
-            other => panic!("expected checkpoint, got {other:?}"),
-        }
     }
 
     #[test]

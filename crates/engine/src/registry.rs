@@ -75,9 +75,9 @@ const REGISTRY_SHARDS: usize = 16;
 
 /// Registry of active transactions, sharded by transaction id so that
 /// concurrent begin/get/remove traffic from updater threads does not
-/// serialize on one map lock. Whole-set
-/// operations (fuzzy mark, checkpoint) take every shard's write lock
-/// in index order — same-class nesting in a canonical order, exactly
+/// serialize on one map lock. Whole-set operations (fuzzy mark, log
+/// truncation, MVCC GC) take every shard's write lock in index order —
+/// same-class nesting in a canonical order, exactly
 /// like the storage shard latches — which still blocks admission
 /// globally, preserving the Theorem-1 premise.
 pub struct TxnRegistry {
@@ -170,18 +170,6 @@ impl TxnRegistry {
         f(active, oldest)
     }
 
-    /// Run `f` with the active transactions and their first LSNs while
-    /// blocking admission (checkpointing). Same all-shards protocol as
-    /// [`TxnRegistry::with_admission_blocked`].
-    pub fn with_checkpoint_snapshot<R>(&self, f: impl FnOnce(Vec<(TxnId, Lsn)>) -> R) -> R {
-        let guards: Vec<_> = self.shards.iter().map(|shard| shard.write()).collect();
-        let entries: Vec<(TxnId, Lsn)> = guards
-            .iter()
-            .flat_map(|g| g.values().map(|c| (c.id, c.first_lsn)))
-            .collect();
-        f(entries)
-    }
-
     /// Doom a transaction (non-blocking abort synchronization). Returns
     /// `false` if it is no longer active.
     pub fn doom(&self, id: TxnId) -> bool {
@@ -258,12 +246,6 @@ mod tests {
         reg.with_admission_blocked(|active, oldest| {
             assert_eq!(active.len(), 40);
             assert_eq!(oldest, Some(Lsn(100)));
-        });
-        reg.with_checkpoint_snapshot(|entries| {
-            assert_eq!(entries.len(), 40);
-            assert!(entries
-                .iter()
-                .any(|&(id, lsn)| id == TxnId(39) && lsn == Lsn(139)));
         });
         for i in 0..40u64 {
             reg.remove(TxnId(i));

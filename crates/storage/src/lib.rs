@@ -30,6 +30,4 @@ pub use index::SecondaryIndex;
 pub use mvcc::{CommitTable, Snapshot, SnapshotTracker, VersionEntry, SYSTEM};
 pub use residual::{Claim, ClaimGuard, ResidualSet};
 pub use row::{ConsistencyFlag, Row};
-pub use table::{
-    shard_stride, FuzzyScanner, Table, TableExclusiveLatch, TableState, WriteSession, TABLE_SHARDS,
-};
+pub use table::{FuzzyScanner, Table, TableExclusiveLatch, TableState, WriteSession, TABLE_SHARDS};

@@ -12,12 +12,12 @@
 //! union target routes by the source-key suffix, skipping the
 //! provenance tag).
 //!
-//! Single-key operations latch only the owning shard, scans and
-//! whole-table latches compose all shard latches in ascending order,
-//! and [`Table::write_session_masked`] opens a session over a strided
-//! subset of shards — the storage half of the parallel fuzzy copy and
-//! of shard-scoped lazy backfill: workers on disjoint masks write the
-//! same table concurrently without ever sharing a latch.
+//! Single-key operations latch only the owning shard, whole-table
+//! latches and write sessions compose all shard latches in ascending
+//! order, and [`Table::insert_absent`] opens a session over just the
+//! shards its rows route to, so a lazy transform and a writer on
+//! another shard never share a latch. The fuzzy scan reads one shard
+//! at a time under that shard's read latch.
 //!
 //! # One write path
 //!
@@ -44,19 +44,9 @@ use std::ops::Bound;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-/// Number of storage shards per table. A power of two so that worker
-/// strides {1, 2, 4, 8} tile the shard space exactly.
+/// Number of storage shards per table: the unit of latching, of the
+/// fuzzy scan's chunks and of the lazy residual's stripes and lanes.
 pub const TABLE_SHARDS: usize = 8;
-
-/// Largest stride that tiles the shard space and does not exceed `n`
-/// (the usable worker count for a requested parallelism of `n`).
-pub fn shard_stride(n: usize) -> usize {
-    let mut s = 1;
-    while s * 2 <= n.min(TABLE_SHARDS) {
-        s *= 2;
-    }
-    s
-}
 
 /// Deterministic routing hash: the same values route to the same shard
 /// in every process (SipHash with fixed keys), which keeps crash-sim
@@ -308,10 +298,10 @@ impl Table {
     /// primary key* instead of the whole key. Must be called while the
     /// table is empty (preparation time): rows are never re-homed.
     ///
-    /// Choosing the columns a transformation's rules cluster on (the
-    /// join component of a FOJ target) makes every row such a rule can
-    /// touch live in one shard, which is what lets masked write
-    /// sessions apply disjoint rule groups concurrently.
+    /// Choosing the key columns a target row shares with its source
+    /// row (a union target's source-key suffix) routes the two to the
+    /// same shard index, so a lazy transform of one source shard
+    /// latches one target shard ([`Table::insert_absent`]).
     pub fn set_shard_key(&self, positions: Vec<usize>) -> DbResult<()> {
         let key_len = self.schema.read().pkey().len();
         if positions.iter().any(|&p| p >= key_len) {
@@ -735,22 +725,7 @@ impl Table {
     /// every access to this table from the owning thread must go
     /// through the session — the latches are not re-entrant.
     pub fn write_session(&self) -> WriteSession<'_> {
-        self.write_session_masked(1, 0)
-    }
-
-    /// Open a write session over the shards `s` with
-    /// `s % stride == offset` only. Sessions with the same stride and
-    /// different offsets hold disjoint latch sets, so parallel copy
-    /// workers can write the same table concurrently. Operations that
-    /// route outside the mask fail with an internal error rather than
-    /// touching unlatched state — partitioning bugs surface as hard
-    /// errors, not silent corruption.
-    ///
-    /// `stride` must tile the shard space (see [`shard_stride`]).
-    pub fn write_session_masked(&self, stride: usize, offset: usize) -> WriteSession<'_> {
-        let stride = shard_stride(stride.max(1));
-        let offset = offset % stride;
-        self.session_over(|s| s % stride == offset)
+        self.session_over(|_| true)
     }
 
     /// Insert every row of `rows` whose key the table does not hold
@@ -785,6 +760,9 @@ impl Table {
         Ok(inserted)
     }
 
+    /// A write session over the shards `owns` accepts only. Operations
+    /// that route outside them fail with an internal error rather than
+    /// touching unlatched state.
     fn session_over(&self, owns: impl Fn(usize) -> bool) -> WriteSession<'_> {
         let schema = self.schema.read().clone();
         let shard_key = self.shard_key.read().clone();
@@ -802,30 +780,24 @@ impl Table {
     /// shard. Writers interleave between chunks, so the result may mix
     /// states — by design (§2.2, §3.2).
     pub fn fuzzy_scan(self: &Arc<Self>, chunk_size: usize) -> FuzzyScanner {
-        self.fuzzy_scan_partition(chunk_size, 0, 1)
-    }
-
-    /// Begin a fuzzy scan over one partition of the key space: the
-    /// shards `s` with `s % parts == part`. The `parts` partitions are
-    /// disjoint and jointly cover the table, so `parts` workers each
-    /// scanning one partition read every row exactly once — the
-    /// parallel fuzzy copy. `parts` is normalized via [`shard_stride`].
-    pub fn fuzzy_scan_partition(
-        self: &Arc<Self>,
-        chunk_size: usize,
-        part: usize,
-        parts: usize,
-    ) -> FuzzyScanner {
-        let parts = shard_stride(parts.max(1));
         FuzzyScanner {
             table: Arc::clone(self),
-            shards: (0..TABLE_SHARDS)
-                .filter(|s| s % parts == part % parts)
-                .collect(),
-            current: 0,
+            shard: 0,
             after: None,
             chunk_size: chunk_size.max(1),
         }
+    }
+
+    /// [`Table::fuzzy_scan`] under the name `benchmark/src/probes.rs`
+    /// calls it by, as `(chunk, 0, 1)`: it scans the whole table
+    /// whatever `part` and `parts` say.
+    pub fn fuzzy_scan_partition(
+        self: &Arc<Self>,
+        chunk: usize,
+        _: usize,
+        _: usize,
+    ) -> FuzzyScanner {
+        self.fuzzy_scan(chunk)
     }
 
     // --- schema surgery (rename-in-place split variant, §5.2) -----------
@@ -934,15 +906,15 @@ impl TableExclusiveLatch<'_> {
 }
 
 /// An open write session on one table: shard latches held across many
-/// physical operations (see [`Table::write_session`] and
-/// [`Table::write_session_masked`]).
+/// physical operations (see [`Table::write_session`]).
 ///
 /// The method surface mirrors [`Table`]'s propagator-facing operations
 /// (`insert`, `delete`, `update`, `with_row_mut`, reads and index
 /// probes) so rule code can be written once against either, and the
-/// writes reach the same bodies. On a masked session every operation
-/// is checked against the mask; index probes see the masked shards
-/// only.
+/// writes reach the same bodies. A session over some shards only
+/// ([`Table::insert_absent`], a non-moving [`Table::update_with`])
+/// checks every operation against them; index probes see those
+/// shards only.
 ///
 /// Session writes do *not* archive versions — they are
 /// transformation-internal physical writes below the snapshot horizon
@@ -1217,15 +1189,14 @@ fn split_pair<'a, 'g>(
     })
 }
 
-/// Chunked fuzzy scanner (see [`Table::fuzzy_scan`]). Walks its shards
+/// Chunked fuzzy scanner (see [`Table::fuzzy_scan`]). Walks the shards
 /// one at a time: a chunk is up to `chunk_size` rows of one shard in
 /// key order, read under that shard's read latch alone, so a writer
 /// waits on the copy only if it writes the shard being read.
 pub struct FuzzyScanner {
     table: Arc<Table>,
-    shards: Vec<usize>,
-    /// Index into `shards` of the shard being read.
-    current: usize,
+    /// The shard being read.
+    shard: usize,
     /// Last key returned from the current shard.
     after: Option<Key>,
     chunk_size: usize,
@@ -1235,9 +1206,9 @@ impl FuzzyScanner {
     /// Next chunk of rows, or an empty vector when the scan is done.
     /// Every key of one chunk routes to the same shard.
     pub fn next_chunk(&mut self) -> Vec<(Key, Row)> {
-        while let Some(&s) = self.shards.get(self.current) {
+        while self.shard < TABLE_SHARDS {
             let from = self.after.take().map_or(Bound::Unbounded, Bound::Excluded);
-            let chunk: Vec<(Key, Row)> = self.table.shards[s]
+            let chunk: Vec<(Key, Row)> = self.table.shards[self.shard]
                 .read()
                 .rows
                 .range((from, Bound::Unbounded))
@@ -1246,7 +1217,7 @@ impl FuzzyScanner {
                 .collect();
             if chunk.len() < self.chunk_size {
                 // The shard ran dry under its latch: move on.
-                self.current += 1;
+                self.shard += 1;
             } else {
                 self.after = chunk.last().map(|(k, _)| k.clone());
             }
@@ -1460,34 +1431,29 @@ mod tests {
         assert!(keys.contains(&3000), "inserted-ahead row appears");
     }
 
-    /// Scan `t` as `parts` partitions in chunks of `chunk`, asserting
-    /// the scanner contract on the way: a chunk's keys route to one
-    /// shard of its partition and are in key order, and a partition
-    /// reads its shards one after another in ascending order, each in
-    /// key order. Returns every row read, in scan order.
-    fn scan_checked(t: &Arc<Table>, chunk: usize, parts: usize) -> Vec<(Key, Row)> {
+    /// Scan `t` in chunks of `chunk`, asserting the scanner contract on
+    /// the way: a chunk's keys route to one shard and are in key order,
+    /// and the scan reads the shards one after another in ascending
+    /// order, each in key order. Returns every row read, in scan order.
+    fn scan_checked(t: &Arc<Table>, chunk: usize) -> Vec<(Key, Row)> {
         let mut seen = Vec::new();
-        for p in 0..parts {
-            let mut scan = t.fuzzy_scan_partition(chunk, p, parts);
-            let mut last: Option<(usize, Key)> = None;
-            loop {
-                let c = scan.next_chunk();
-                if c.is_empty() {
-                    break;
-                }
-                assert!(c.len() <= chunk);
-                let shard = t.shard_of_key(&c[0].0);
-                assert_eq!(shard % parts, p, "chunk outside its partition");
-                assert!(c.iter().all(|(k, _)| t.shard_of_key(k) == shard));
-                assert!(c.windows(2).all(|w| w[0].0 < w[1].0));
-                if let Some((s, k)) = &last {
-                    assert!(*s < shard || (*s == shard && *k < c[0].0), "shard order");
-                }
-                last = c.last().map(|(k, _)| (shard, k.clone()));
-                seen.extend(c);
+        let mut scan = t.fuzzy_scan(chunk);
+        let mut last: Option<(usize, Key)> = None;
+        loop {
+            let c = scan.next_chunk();
+            if c.is_empty() {
+                return seen;
             }
+            assert!(c.len() <= chunk);
+            let shard = t.shard_of_key(&c[0].0);
+            assert!(c.iter().all(|(k, _)| t.shard_of_key(k) == shard));
+            assert!(c.windows(2).all(|w| w[0].0 < w[1].0));
+            if let Some((s, k)) = &last {
+                assert!(*s < shard || (*s == shard && *k < c[0].0), "shard order");
+            }
+            last = c.last().map(|(k, _)| (shard, k.clone()));
+            seen.extend(c);
         }
-        seen
     }
 
     #[test]
@@ -1496,7 +1462,7 @@ mod tests {
         for i in (0..500).rev() {
             t.insert(row(i, 0), Lsn(1)).unwrap();
         }
-        assert_eq!(scan_checked(&t, 13, 1).len(), 500);
+        assert_eq!(scan_checked(&t, 13).len(), 500);
     }
 
     #[test]
@@ -1506,22 +1472,9 @@ mod tests {
             t.insert(row(i, 0), Lsn(1)).unwrap();
         }
         for chunk in [1, 8, 64] {
-            let mut scanned = scan_checked(&t, chunk, 1);
+            let mut scanned = scan_checked(&t, chunk);
             scanned.sort_by(|a, b| a.0.cmp(&b.0));
             assert_eq!(scanned, t.snapshot(), "chunk={chunk}");
-        }
-    }
-
-    #[test]
-    fn partitioned_scans_tile_the_table() {
-        let t = table();
-        for i in 0..200 {
-            t.insert(row(i, 0), Lsn(1)).unwrap();
-        }
-        for parts in [1usize, 2, 4, 8] {
-            let mut seen = scan_checked(&t, 16, parts);
-            seen.sort_by(|a, b| a.0.cmp(&b.0));
-            assert_eq!(seen, t.snapshot(), "parts={parts} must cover exactly");
         }
     }
 
@@ -1560,21 +1513,7 @@ mod tests {
     }
 
     #[test]
-    fn masked_sessions_cover_disjoint_shards() {
-        let t = table();
-        for i in 0..100i64 {
-            t.insert(row(i, 0), Lsn(1)).unwrap();
-        }
-        let mut covered = 0usize;
-        for lane in 0..4 {
-            let s = t.write_session_masked(4, lane);
-            covered += s.len();
-        }
-        assert_eq!(covered, 100, "masks must tile the row space");
-    }
-
-    #[test]
-    fn masked_session_rejects_foreign_keys() {
+    fn partial_session_rejects_foreign_keys() {
         let t = table();
         for i in 0..64i64 {
             t.insert(row(i, 0), Lsn(1)).unwrap();
@@ -1586,7 +1525,7 @@ mod tests {
         let foreign: i64 = (0..64)
             .find(|&i| !t.shard_of_key(&Key::single(i)).is_multiple_of(4))
             .unwrap();
-        let mut s = t.write_session_masked(4, 0);
+        let mut s = t.session_over(|s| s % 4 == 0);
         assert!(s.get(&Key::single(own)).is_some());
         assert!(s.get(&Key::single(foreign)).is_none());
         assert!(matches!(
@@ -1607,7 +1546,7 @@ mod tests {
             .filter(|&i| t.shard_of_key(&Key::single(i)) != held_shard)
             .take(20)
             .collect();
-        let held = t.write_session_masked(TABLE_SHARDS, held_shard);
+        let held = t.session_over(|s| s == held_shard);
         let n = t
             .insert_absent(elsewhere.iter().map(|&i| Row::new(row(i, 0), Lsn(2))))
             .unwrap();
@@ -1629,15 +1568,15 @@ mod tests {
     }
 
     #[test]
-    fn masked_sessions_write_concurrently() {
-        // Two lanes insert into the same table at the same time; a
-        // full session would deadlock this test.
+    fn disjoint_sessions_write_concurrently() {
+        // Two sessions over disjoint shards insert into the same table
+        // at the same time; a full session would deadlock this test.
         let t = table();
         std::thread::scope(|scope| {
             for lane in 0..2 {
                 let t = Arc::clone(&t);
                 scope.spawn(move || {
-                    let mut s = t.write_session_masked(2, lane);
+                    let mut s = t.session_over(|s| s % 2 == lane);
                     for i in 0..2000i64 {
                         let key = Key::single(i);
                         if t.shard_of_key(&key) % 2 == lane {
@@ -1762,17 +1701,5 @@ mod tests {
         h.join().unwrap();
         assert!(done.load(Ordering::SeqCst));
         assert_eq!(t.len(), 2);
-    }
-
-    #[test]
-    fn shard_stride_tiles() {
-        assert_eq!(shard_stride(0), 1);
-        assert_eq!(shard_stride(1), 1);
-        assert_eq!(shard_stride(2), 2);
-        assert_eq!(shard_stride(3), 2);
-        assert_eq!(shard_stride(4), 4);
-        assert_eq!(shard_stride(7), 4);
-        assert_eq!(shard_stride(8), 8);
-        assert_eq!(shard_stride(64), TABLE_SHARDS);
     }
 }

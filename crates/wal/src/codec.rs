@@ -25,7 +25,8 @@ const T_CLR: u8 = 6;
 const T_FUZZY: u8 = 7;
 const T_CC_BEGIN: u8 = 8;
 const T_CC_OK: u8 = 9;
-const T_CHECKPOINT: u8 = 10;
+// Tag 10 was the checkpoint record, which nothing consumed; it stays
+// unassigned so a log written with it never decodes as another record.
 const T_MIGRATION: u8 = 11;
 
 // Op tags.
@@ -95,14 +96,6 @@ pub fn encode_into(rec: &LogRecord, b: &mut BytesMut) {
             b.put_u8(T_CC_OK);
             encode_values(&split_key.0, b);
             encode_values(image, b);
-        }
-        LogRecord::Checkpoint { active } => {
-            b.put_u8(T_CHECKPOINT);
-            b.put_u32_le(active.len() as u32);
-            for (t, l) in active {
-                b.put_u64_le(t.0);
-                b.put_u64_le(l.0);
-            }
         }
         LogRecord::MigrationState {
             job,
@@ -299,14 +292,6 @@ fn decode_record(r: &mut Reader<'_>) -> DbResult<LogRecord> {
             split_key: Key(decode_values(r)?),
             image: decode_values(r)?,
         },
-        T_CHECKPOINT => {
-            let n = r.u32()? as usize;
-            let mut active = Vec::with_capacity(n.min(1024));
-            for _ in 0..n {
-                active.push((TxnId(r.u64()?), Lsn(r.u64()?)));
-            }
-            LogRecord::Checkpoint { active }
-        }
         T_MIGRATION => {
             let job = r.u64()?;
             let stage = r.u32()?;
@@ -440,9 +425,6 @@ mod tests {
         roundtrip(LogRecord::CcOk {
             split_key: Key::single("7050"),
             image: vec![Value::str("7050"), Value::str("Trondheim")],
-        });
-        roundtrip(LogRecord::Checkpoint {
-            active: vec![(TxnId(4), Lsn(9)), (TxnId(5), Lsn(11))],
         });
     }
 

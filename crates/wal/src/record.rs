@@ -211,9 +211,6 @@ pub enum LogRecord {
     /// upgrades the S-record's flag to Consistent iff nothing touched
     /// it between `CcBegin` and this record.
     CcOk { split_key: Key, image: Vec<Value> },
-    /// Checkpoint: active transactions and their last LSNs (used by
-    /// restart recovery to bound the redo pass).
-    Checkpoint { active: Vec<(TxnId, Lsn)> },
     /// Orchestrator state transition: migration job `job` reached
     /// `phase` while executing pipeline stage `stage`. `spec` is the
     /// job's declarative text form (`ALTER TABLE …`), logged on every

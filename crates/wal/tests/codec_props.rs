@@ -73,11 +73,6 @@ fn record_strategy() -> impl Strategy<Value = LogRecord> {
             split_key: Key(k),
             image,
         }),
-        prop::collection::vec((any::<u64>(), any::<u64>()), 0..6).prop_map(|v| {
-            LogRecord::Checkpoint {
-                active: v.into_iter().map(|(t, l)| (TxnId(t), Lsn(l))).collect(),
-            }
-        }),
     ]
 }
 

@@ -207,9 +207,7 @@ mod tests {
 
         let plan =
             TransformPlan::Split(SplitSpec::new("T", "R", "S", &["a", "b", "c"], "c", &["d"]));
-        let options = TransformOptions::default()
-            .deadline(Duration::from_secs(30))
-            .copy_workers(4);
+        let options = TransformOptions::default().deadline(Duration::from_secs(30));
         let job = TransformJob::prepare(&db, &plan, options).unwrap();
         let handle = std::thread::spawn(move || job.run(&AtomicBool::new(false), None, |_| Ok(())));
         let during = runner.measure(Duration::from_millis(150));
@@ -255,9 +253,7 @@ mod tests {
         let baseline = runner.measure(Duration::from_millis(150));
 
         let plan = TransformPlan::Foj(FojSpec::new("R", "S", "T", "c", "c"));
-        let options = TransformOptions::default()
-            .deadline(Duration::from_secs(30))
-            .copy_workers(4);
+        let options = TransformOptions::default().deadline(Duration::from_secs(30));
         let job = TransformJob::prepare(&db, &plan, options).unwrap();
         let handle = std::thread::spawn(move || job.run(&AtomicBool::new(false), None, |_| Ok(())));
         let during = runner.measure(Duration::from_millis(150));

@@ -60,8 +60,9 @@ cargo run -q -p morph-lint -- --json=target/lint/findings.json
 # that survive as documented aliases until the next benchmark change:
 # `WalMode`, `codec::decode_ref`, `LogManager::{new_in,
 # with_backend_mode}`, `ShardedDatabase::with_wal_mode`,
-# `start_lazy_sharded` and `ShardedLazyMigration::{is_drained,
-# backfill_round, drain_now, touch_on, finish}`; it also reads
+# `Table::fuzzy_scan_partition`, `start_lazy_sharded` and
+# `ShardedLazyMigration::{is_drained, backfill_round, drain_now,
+# touch_on, finish}`; it also reads
 # `TransformReport`'s fields. Type-check it in both modes, in the
 # target directory
 # benchmark/check.sh builds in, so a product change that breaks one of
@@ -108,8 +109,8 @@ if [ "$quick" != "quick" ]; then
 fi
 
 # Every test the workspace compiles: the tier-1 root suites
-# (tests/equivalence.rs compares batched drain, parallel copy, partial
-# iterations, rename-in-place and sharded fan-out with the plain
+# (tests/equivalence.rs compares batched drain, partial iterations,
+# rename-in-place and sharded fan-out with the plain
 # pipeline; DESIGN.md §10, §15), every crate's unit tests, the WAL
 # codec/backend properties and append/crash stress (§11), and the
 # crash simulator: the kill matrices keyed off crash_points.txt

@@ -21,8 +21,6 @@
 //! * **batched drain**: the reference feeds every log record to the
 //!   operator one at a time instead of through the batched, coalescing
 //!   pipeline; any divergence is an unsound coalesce;
-//! * **parallel copy**: the variant populates with 2–4 copy workers,
-//!   the reference with one;
 //! * **partial iterations**: the variant runs `iterate(…, 8, …)` calls
 //!   between post-history transactions;
 //! * **rename-in-place**: the variant materializes the split in place
@@ -31,9 +29,8 @@
 //!   orchestrator over 1–3 shards, against one engine.
 //!
 //! Row LSNs are compared only where both sides share one log and the
-//! LSN is a state identifier: split R and S under record-at-a-time
-//! drain, split R under parallel copy (S-record stamps are only a `>=`
-//! gate) and union under parallel copy. FOJ LSNs are never compared
+//! LSN is a state identifier: split R and S and union under
+//! record-at-a-time drain. FOJ LSNs are never compared
 //! (the FOJ rules document them as not a state identifier), partial
 //! iterations write extra fuzzy marks into the variant's log, and the
 //! rename-in-place and sharded variants compare values, counters and
@@ -289,8 +286,6 @@ enum Variant {
     /// The reference drains record at a time; the variant through the
     /// batched, coalescing pipeline.
     Batched,
-    /// The variant copies with this many workers; the reference with one.
-    Parallel(usize),
     /// The variant runs partial iterations during the post-history.
     Iterate,
     /// The variant materializes the split in place.
@@ -390,12 +385,8 @@ fn check(op: Op, variant: Variant, pre: &[Txn], post: &[Txn]) -> Result<(), Test
     let (_, start, _) = reference.write_fuzzy_mark();
     let (_, start_v, _) = var.write_fuzzy_mark();
     prop_assert_eq!(start, start_v);
-    let workers = match variant {
-        Variant::Parallel(n) => n,
-        _ => 1,
-    };
-    let copied = mr.oper().populate(&reference, 4, 1, 1.0, None).unwrap();
-    let copied_v = mv.oper().populate(&var, 4, workers, 1.0, None).unwrap();
+    let copied = mr.oper().populate(&reference, 4, 1.0, None).unwrap();
+    let copied_v = mv.oper().populate(&var, 4, 1.0, None).unwrap();
     prop_assert_eq!(copied, copied_v);
 
     let mut prop_v = Propagator::new(&var, start, 1.0);
@@ -421,7 +412,6 @@ fn check(op: Op, variant: Variant, pre: &[Txn], post: &[Txn]) -> Result<(), Test
             // In-place mode has no separate R.
             (_, Variant::RenameInPlace) if table == "R_t" => continue,
             (_, Variant::RenameInPlace) => false,
-            (Op::Split, Variant::Parallel(_)) => table == "R_t",
             _ => true,
         };
         let (want, got) = (
@@ -526,36 +516,13 @@ proptest! {
     ) {
         check(Op::Split, Variant::Batched, &pre, &post)?;
     }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(16))]
 
     #[test]
-    fn foj_parallel_pipeline_equals_serial(
-        pre in history(Op::Foj, 20),
-        post in history(Op::Foj, 40),
-        workers in 2usize..5,
-    ) {
-        check(Op::Foj, Variant::Parallel(workers), &pre, &post)?;
-    }
-
-    #[test]
-    fn split_parallel_pipeline_equals_serial(
-        pre in history(Op::Split, 20),
-        post in history(Op::Split, 40),
-        workers in 2usize..5,
-    ) {
-        check(Op::Split, Variant::Parallel(workers), &pre, &post)?;
-    }
-
-    #[test]
-    fn union_parallel_pipeline_equals_serial(
+    fn union_batched_drain_equals_record_at_a_time(
         pre in history(Op::Union, 20),
         post in history(Op::Union, 40),
-        workers in 2usize..5,
     ) {
-        check(Op::Union, Variant::Parallel(workers), &pre, &post)?;
+        check(Op::Union, Variant::Batched, &pre, &post)?;
     }
 }
 

@@ -116,8 +116,7 @@ fn paused_migration_matches_uninterrupted_reference() {
             SPLIT_TEXT,
             TransformOptions::default()
                 .deadline(Duration::from_secs(120))
-                .retain_sources()
-                .copy_workers(2),
+                .retain_sources(),
         )
         .unwrap();
     // Requested before the first propagation iteration: the job
@@ -228,8 +227,7 @@ fn migration_unparks_into_live_traffic_and_converges() {
             SPLIT_TEXT,
             TransformOptions::default()
                 .deadline(Duration::from_secs(120))
-                .retain_sources()
-                .copy_workers(2),
+                .retain_sources(),
         )
         .unwrap();
     handle.pause();

@@ -12,7 +12,7 @@
 //!    pins the visibility rule to the recovery semantics.
 //!
 //! 2. **Readers never block.** While a split migration
-//!    (two copy workers) and four writer threads hammer the source table,
+//!    and four writer threads hammer the source table,
 //!    reader threads continuously acquire snapshots and scan. Every
 //!    scan must observe a consistent image (exactly the seeded row
 //!    count — writers only update in place), and the per-thread
@@ -242,8 +242,7 @@ fn snapshot_readers_never_block_during_migration() {
     ));
     let options = TransformOptions::default()
         .deadline(Duration::from_secs(60))
-        .retain_sources()
-        .copy_workers(2);
+        .retain_sources();
     let report = TransformJob::prepare(&db, &plan, options)
         .and_then(|job| job.run(&AtomicBool::new(false), None, |_| Ok(())))
         .expect("split under fire");
