@@ -82,8 +82,6 @@ pub enum DbError {
     /// running migration job (the orchestrator serializes overlapping
     /// table sets; disjoint jobs run concurrently).
     MigrationConflict { table: String, job: u64 },
-    /// Operation on a migration job id the registry does not know.
-    NoSuchMigration(u64),
 
     // --- I/O (WAL file backend) ---
     /// Underlying file I/O failure, stringified (io::Error is not
@@ -153,7 +151,6 @@ impl fmt::Display for DbError {
                 f,
                 "table {table} is already claimed by running migration job {job}"
             ),
-            DbError::NoSuchMigration(id) => write!(f, "no such migration job: {id}"),
             DbError::Io(m) => write!(f, "I/O error: {m}"),
             DbError::CorruptLog { offset, detail } => {
                 write!(f, "corrupt log at offset {offset}: {detail}")

@@ -3,11 +3,12 @@
 //!
 //! The eager §3 pipeline copies and propagates *before* switching;
 //! [`SyncStrategy::Lazy`] runs the same [`TransformJob`] in the inverse
-//! order. Its synchronization is the lazy cutover ([`crate::sync`]):
-//! one short latch pause over the sources dooms still-active
-//! transactions NBA-style, maps their exclusively locked keys into the
-//! [`ResidualSet`], freezes the sources and counts each latched shard's
-//! rows. The pause copies no source key, so its length does not grow
+//! order. Its synchronization is the lazy variant of the one cutover
+//! ([`crate::sync`]): one short latch pause over the sources, with no
+//! final drain, dooms still-active transactions NBA-style, maps their
+//! exclusively locked keys into the [`ResidualSet`], counts each
+//! latched shard's rows, registers the on-access hook and freezes the
+//! sources. The pause copies no source key, so its length does not grow
 //! with the tables: the frozen source itself is the set of records
 //! still to transform. From that point new transactions run against
 //! the target tables; a record is transformed on the first read/write
@@ -106,13 +107,8 @@ impl LazyMigration {
         }
     }
 
-    /// The frozen sources, in latch order.
-    pub(crate) fn sources(&self) -> &[Arc<Table>] {
-        &self.sources
-    }
-
     /// Seed the residual under the cutover's exclusive latches, one per
-    /// source in [`LazyMigration::sources`] order, from the census of
+    /// source in [`LazyMigration::over`]'s order, from the census of
     /// their lock `holders`: count every latched row, and map each
     /// holder's exclusively locked keys (a rolled-back delete restores a
     /// row the latch cannot see), deferred past its rollback. Returns

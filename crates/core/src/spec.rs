@@ -71,11 +71,13 @@ pub struct TransformOptions {
     /// Split-with-consistency-checking: run the checker after every
     /// N propagation batches.
     pub cc_interval: usize,
-    /// Safety valve: overall wall-clock budget for the transformation.
-    /// Exceeding it aborts with `TransformationAborted`. `None` leaves
-    /// the copy and the propagation unbounded, but each wait on other
-    /// transactions (blocking commit's lock holders, the post-sync
-    /// drain) still gives up after [`UNBOUNDED_WAIT_LIMIT`].
+    /// Safety valve: overall wall-clock budget for the transformation,
+    /// counted from `prepare`. Every phase stops at that one deadline
+    /// with `TransformationAborted`: the copy, the propagation,
+    /// blocking commit's wait for the source lock holders and the
+    /// post-sync drain. `None` leaves the copy and the propagation
+    /// unbounded, but each wait on other transactions still gives up
+    /// [`UNBOUNDED_WAIT_LIMIT`] after it starts.
     pub deadline: Option<Duration>,
     /// Keep the (frozen) source tables in the catalog instead of
     /// dropping them at the very end. Tests and verification harnesses

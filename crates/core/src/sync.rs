@@ -1,24 +1,35 @@
-//! Synchronization strategies (§3.4) and lock transfer (§4.3).
+//! Synchronization (§3.4) and lock transfer (§4.3): one latched
+//! cutover, in the paper's three variants plus the lazy one.
 //!
-//! All three strategies the paper describes are implemented, plus the
-//! lazy cutover:
+//! One body, `synchronize` (the phase
+//! [`crate::TransformJob::synchronize`]), latches the sources, runs the
+//! final propagation (the eager strategies), takes the census of the
+//! transactions that hold source locks and treats them by strategy,
+//! registers the strategy's interceptor, freezes the sources and
+//! unlatches:
 //!
-//! * **Blocking commit** — freeze the source tables for new
-//!   transactions, let current holders finish, final drain, switch.
-//! * **Non-blocking abort** — latch the sources for one final (very
-//!   short) drain, transfer the locks of still-active transactions to
-//!   the transformed tables, doom those transactions, switch; their
-//!   compensations wash out through continued background propagation,
-//!   which releases the transferred locks as it processes each
-//!   transaction's rollback-complete record.
-//! * **Non-blocking commit** — like non-blocking abort, but the old
+//! * **Blocking commit** — first freezes the sources for new
+//!   transactions and waits out the current lock holders within the
+//!   job's deadline, so the latched census normally finds none. Its
+//!   pause is the whole freeze window.
+//! * **Non-blocking abort** — transfers the locks of the still-active
+//!   transactions to the transformed tables and dooms those
+//!   transactions; their compensations wash out through continued
+//!   background propagation, which releases the transferred locks as it
+//!   processes each transaction's rollback-complete record.
+//! * **Non-blocking commit** — transfers the locks too, but the old
 //!   transactions continue to completion on the frozen sources; every
 //!   subsequent operation is mirrored onto the transformed tables via
 //!   an [`OpInterceptor`] under the Figure-2 origin-tagged
 //!   compatibility matrix.
-//! * **Lazy** — right after preparation, like non-blocking abort with
-//!   nothing to drain, deferring the doomed writers' keys instead of
-//!   transferring their locks ([`crate::lazy`]).
+//! * **Lazy** — runs right after preparation, with nothing to drain:
+//!   the census seeds the residual and dooms the holders, deferring
+//!   their exclusively locked keys instead of transferring their locks,
+//!   and the interceptor is the on-access transform ([`crate::lazy`]).
+//!
+//! A failure after a freeze reactivates the sources: it aborts the
+//! migration, never the workload. The sources are dropped only by
+//! [`crate::TransformJob::finish`].
 //!
 //! ## Proxy lock ownership
 //!
@@ -34,9 +45,9 @@ use crate::lazy::LazyMigration;
 use crate::operator::{source_tables, TransformOperator};
 use crate::propagate::Propagator;
 use crate::report::SyncStats;
-use crate::spec::{SyncStrategy, TransformOptions, UNBOUNDED_WAIT_LIMIT};
+use crate::spec::{SyncStrategy, UNBOUNDED_WAIT_LIMIT};
 use morph_common::{DbError, DbResult, TableId, TxnId};
-use morph_engine::{Database, OpInterceptor, PlannedOp};
+use morph_engine::{Database, LockHolder, OpInterceptor, PlannedOp};
 use morph_storage::Table;
 use morph_txn::LockOrigin;
 use std::collections::HashSet;
@@ -111,38 +122,198 @@ pub(crate) struct SyncOutcome {
     pub(crate) lazy: Option<Arc<LazyMigration>>,
 }
 
-/// Run the synchronization step; all but the lazy cutover drain `prop`.
-pub(crate) fn synchronize(
-    db: &Arc<Database>,
-    oper: &Arc<dyn TransformOperator>,
-    prop: Option<&mut Propagator>,
-    options: &TransformOptions,
-) -> DbResult<SyncOutcome> {
-    match (options.strategy, prop) {
-        (SyncStrategy::Lazy, _) => lazy_cutover(db, oper),
-        (_, None) => Err(DbError::Internal("synchronize before copy".into())),
-        (SyncStrategy::BlockingCommit, Some(prop)) => blocking_commit(db, &**oper, prop, options),
-        (_, Some(prop)) => non_blocking(db, oper, prop, options),
+/// The step's crash-simulation points, named per strategy so the crash
+/// matrix can enumerate kills inside each: `[latched, drained, treated,
+/// switched]`, `None` where a strategy has no point. Blocking commit's
+/// `sync.bc.frozen` and `sync.bc.quiesced` bracket its wait.
+fn crash_points(strategy: SyncStrategy) -> [Option<&'static str>; 4] {
+    match strategy {
+        SyncStrategy::BlockingCommit => [None, Some("sync.bc.drained"), None, None],
+        SyncStrategy::NonBlockingAbort => [
+            Some("sync.nba.latched"),
+            Some("sync.nba.drained"),
+            Some("sync.nba.treated"),
+            Some("sync.nba.switched"),
+        ],
+        SyncStrategy::NonBlockingCommit => [
+            Some("sync.nbc.latched"),
+            Some("sync.nbc.drained"),
+            Some("sync.nbc.treated"),
+            Some("sync.nbc.switched"),
+        ],
+        SyncStrategy::Lazy => [None, None, Some("router.lazy_cutover"), None],
     }
 }
 
-pub(crate) fn sorted_sources(
-    db: &Database,
-    oper: &dyn TransformOperator,
-) -> DbResult<Vec<Arc<Table>>> {
-    let mut sources = source_tables(db, oper)?;
-    sources.sort_by_key(|t| t.id());
-    Ok(sources)
+/// Reactivates the sources when dropped armed: a synchronization that
+/// fails after freezing them aborts the migration, never the workload
+/// (reactivating an active source changes nothing).
+struct Thaw<'a> {
+    sources: &'a [Arc<Table>],
+    armed: bool,
 }
 
-pub(crate) fn transfer_locks(
+impl Drop for Thaw<'_> {
+    fn drop(&mut self) {
+        if self.armed {
+            for src in self.sources {
+                src.reactivate();
+            }
+        }
+    }
+}
+
+/// Run the synchronization step under `strategy`; the eager strategies
+/// drain `prop`, and blocking commit waits for the source lock holders
+/// until the job's `deadline` (or [`UNBOUNDED_WAIT_LIMIT`] from the
+/// start of the wait when it has none).
+pub(crate) fn synchronize(
+    db: &Arc<Database>,
+    oper: &Arc<dyn TransformOperator>,
+    mut prop: Option<&mut Propagator>,
+    strategy: SyncStrategy,
+    deadline: Option<Instant>,
+) -> DbResult<SyncOutcome> {
+    if strategy != SyncStrategy::Lazy && prop.is_none() {
+        return Err(DbError::Internal("synchronize before copy".into()));
+    }
+    let mut sources = source_tables(db, &**oper)?;
+    sources.sort_by_key(|t| t.id());
+    // Everything the lazy pause fills is allocated before it: with
+    // clients stalled on the latch, even the allocator's deferred work
+    // (DESIGN.md §15) would be theirs to wait.
+    let lazy = (strategy == SyncStrategy::Lazy)
+        .then(|| Arc::new(LazyMigration::over(db, oper, sources.clone())));
+    let mut thaw = Thaw {
+        sources: &sources,
+        armed: true,
+    };
+    // morph-lint: allow(nondet, elapsed-time stats for the report; wall time never enters table or WAL state)
+    let t0 = Instant::now();
+    let mut waited = 0;
+    if strategy == SyncStrategy::BlockingCommit {
+        // Block new transactions; let the current lock holders finish.
+        let holders: HashSet<TxnId> = db
+            .lock_holders(&sources)
+            .into_iter()
+            .map(|h| h.txn)
+            .collect();
+        for src in &sources {
+            src.freeze(holders.clone());
+        }
+        db.crash_point("sync.bc.frozen")?;
+        // morph-lint: allow(nondet, drain-wait deadline; wall-time bound on blocking, never replayed state)
+        let wait_deadline = deadline.unwrap_or_else(|| Instant::now() + UNBOUNDED_WAIT_LIMIT);
+        while holders.iter().any(|t| db.is_active(*t)) {
+            // morph-lint: allow(nondet, drain-wait deadline; wall-time bound on blocking, never replayed state)
+            if Instant::now() > wait_deadline {
+                return Err(DbError::TransformationAborted(
+                    "blocking-commit: active transactions did not finish in time".into(),
+                ));
+            }
+            std::thread::sleep(Duration::from_micros(200));
+        }
+        db.crash_point("sync.bc.quiesced")?;
+        waited = holders.len();
+    }
+
+    let [p_latched, p_drained, p_treated, p_switched] = crash_points(strategy);
+    let point = |p: Option<&str>| p.map_or(Ok(()), |p| db.crash_point(p));
+    let guards: Vec<_> = sources.iter().map(|t| t.latch_exclusive()).collect();
+    point(p_latched)?;
+    // Final propagation: after this, the transformed tables are in the
+    // same state as the (latched) sources.
+    let final_records = match prop.as_deref_mut() {
+        // morph-lint: allow(lock_order, cutover pause: the final drain deliberately runs under the exclusive source latches; catalog/meta acquisitions below cannot deadlock because no other thread latches shards while holding those locks — writers are parked on the latch itself)
+        Some(prop) => prop.drain_all(db, &**oper)?,
+        None => 0,
+    };
+    point(p_drained)?;
+
+    // The old transactions: every holder of a source lock (§3.4/§4.3).
+    // morph-lint: allow(lock_order, cutover pause: the coordinator alone holds these exclusive latches and user txns never latch shards while holding registry/side locks, so the rank protocol's reverse order cannot occur concurrently)
+    let holders = db.lock_holders(&sources);
+    let (old, locks_transferred) = match &lazy {
+        Some(lazy) => (lazy.seed(&guards, holders), 0),
+        None => transfer_locks(db, &**oper, &sources, holders),
+    };
+    // Treat them: the mirror lets them run on (NBC); every other
+    // strategy dooms them. Blocking commit's census finds only a
+    // transaction that took its first lock between its first census
+    // and the freeze, and treats it as non-blocking abort does.
+    let interceptor: Option<Arc<dyn OpInterceptor>> = match strategy {
+        SyncStrategy::NonBlockingCommit => Some(Arc::new(MirrorInterceptor {
+            oper: Arc::clone(oper),
+            old_txns: old.clone(),
+            sources: sources.iter().map(|t| t.id()).collect(),
+        })),
+        _ => {
+            for txn in &old {
+                db.doom(*txn);
+            }
+            lazy.clone().map(|lazy| lazy as Arc<dyn OpInterceptor>)
+        }
+    };
+    // Registered under the latch: old transactions and writers blocked
+    // on it resume into the interceptor. A failed cut drops the
+    // registration before the latches.
+    let hook = interceptor.map(|interceptor| HookRegistration {
+        db: Arc::clone(db),
+        // morph-lint: allow(lock_order, cutover pause: the interceptor is registered under the latch so parked transactions resume into it; the interceptor list lock is never held while waiting for a shard latch)
+        token: db.add_interceptor(interceptor),
+    });
+    point(p_treated)?;
+
+    // Catalog switch: new transactions land on the transformed tables.
+    // A rename-in-place source (§5.2) is not frozen: old transactions
+    // keep operating on it (their log records still resolve by table
+    // id), and new ones reach it under its new name once published.
+    if !oper.renames_source() {
+        for src in &sources {
+            // morph-lint: allow(lock_order, cutover pause: freezing under the exclusive latch is the point — nothing else can hold table.meta while every shard latch is ours)
+            src.freeze(old.iter().copied().collect());
+        }
+    }
+    drop(guards);
+    let latch_pause = t0.elapsed();
+    point(p_switched)?;
+
+    // The rename is a catalog pointer swap, atomic either way; doing it
+    // after unlatching keeps the pause honest.
+    if oper.renames_source() {
+        oper.publish(db)?;
+    }
+    // A renamed source is a target now and takes new writers, also
+    // after blocking commit's freeze; every other source stays frozen.
+    thaw.armed = oper.renames_source();
+    let old_txns = waited + old.len();
+    if let Some(prop) = prop {
+        prop.enter_post_sync(old);
+    }
+    Ok(SyncOutcome {
+        stats: SyncStats {
+            strategy,
+            latch_pause,
+            final_records,
+            old_txns,
+            locks_transferred,
+        },
+        hook,
+        lazy,
+    })
+}
+
+/// Install proxy grants on the transformed tables for every source lock
+/// the census `holders` hold; returns the holders and the grant count.
+fn transfer_locks(
     db: &Database,
     oper: &dyn TransformOperator,
     sources: &[Arc<Table>],
+    holders: Vec<LockHolder>,
 ) -> (HashSet<TxnId>, usize) {
     let mut old = HashSet::new();
     let mut transferred = 0usize;
-    for holder in db.lock_holders(sources) {
+    for holder in holders {
         for (si, (src, held)) in sources.iter().zip(holder.held).enumerate() {
             let origin = if si == 0 {
                 LockOrigin::SourceR
@@ -160,238 +331,4 @@ pub(crate) fn transfer_locks(
         old.insert(holder.txn);
     }
     (old, transferred)
-}
-
-/// Catalog switch: freeze (or rename) the sources so new transactions
-/// land on the transformed tables.
-fn switch_catalog(oper: &dyn TransformOperator, sources: &[Arc<Table>], old: &HashSet<TxnId>) {
-    if oper.renames_source() {
-        // The source becomes a target in place (§5.2 rename-in-place).
-        // The table stays Active: old transactions keep operating on it
-        // legitimately (their log records still resolve by table id),
-        // and new transactions reach it under its new name. The rename
-        // itself happens right after the latch is released — it is an
-        // O(1) catalog pointer swap either way.
-        return;
-    }
-    for src in sources {
-        src.freeze(old.iter().copied().collect());
-    }
-}
-
-/// Non-blocking abort (the old transactions are doomed) or non-blocking
-/// commit (they continue under the lock mirror).
-fn non_blocking(
-    db: &Arc<Database>,
-    oper: &Arc<dyn TransformOperator>,
-    prop: &mut Propagator,
-    options: &TransformOptions,
-) -> DbResult<SyncOutcome> {
-    let mirror = options.strategy == SyncStrategy::NonBlockingCommit;
-    // Crash-simulation points, named per strategy so the crash matrix
-    // can enumerate kills inside each of them.
-    let [p_latched, p_drained, p_treated, p_switched] = if mirror {
-        [
-            "sync.nbc.latched",
-            "sync.nbc.drained",
-            "sync.nbc.treated",
-            "sync.nbc.switched",
-        ]
-    } else {
-        [
-            "sync.nba.latched",
-            "sync.nba.drained",
-            "sync.nba.treated",
-            "sync.nba.switched",
-        ]
-    };
-    let sources = sorted_sources(db, &**oper)?;
-    // morph-lint: allow(nondet, elapsed-time stats for the report; wall time never enters table or WAL state)
-    let t0 = Instant::now();
-    let guards: Vec<_> = sources.iter().map(|t| t.latch_exclusive()).collect();
-    db.crash_point(p_latched)?;
-
-    // Final propagation: after this, the transformed tables are in the
-    // same state as the (latched) sources.
-    // morph-lint: allow(lock_order, cutover pause: the final drain deliberately runs under the exclusive source latches; catalog/meta acquisitions below cannot deadlock because no other thread latches shards while holding those locks — writers are parked on the latch itself)
-    let final_records = prop.drain_all(db, &**oper)?;
-    db.crash_point(p_drained)?;
-
-    // Transfer locks of still-active transactions (§3.4/§4.3).
-    let (old, locks_transferred) = transfer_locks(db, &**oper, &sources);
-
-    // Strategy-specific treatment of the old transactions. The mirror's
-    // registration removes the interceptor on every error return below.
-    let hook = if mirror {
-        Some(HookRegistration {
-            db: Arc::clone(db),
-            // morph-lint: allow(lock_order, cutover pause: the mirror is registered under the latch so old transactions resume into it; the interceptor list lock is never held while waiting for a shard latch)
-            token: db.add_interceptor(Arc::new(MirrorInterceptor {
-                oper: Arc::clone(oper),
-                old_txns: old.clone(),
-                sources: sources.iter().map(|t| t.id()).collect(),
-            })),
-        })
-    } else {
-        for txn in &old {
-            db.doom(*txn);
-        }
-        None
-    };
-    db.crash_point(p_treated)?;
-
-    switch_catalog(&**oper, &sources, &old);
-    drop(guards);
-    let latch_pause = t0.elapsed();
-    db.crash_point(p_switched)?;
-
-    // Rename-in-place publishes outside the latch (the rename itself is
-    // a catalog pointer swap; doing it after unlatching keeps the pause
-    // honest — the name flip is atomic either way).
-    if oper.renames_source() {
-        oper.publish(db)?;
-    }
-
-    prop.enter_post_sync(old.clone());
-    Ok(SyncOutcome {
-        stats: SyncStats {
-            strategy: options.strategy,
-            latch_pause,
-            final_records,
-            old_txns: old.len(),
-            locks_transferred,
-        },
-        hook,
-        lazy: None,
-    })
-}
-
-/// The lazy cutover: latch the sorted sources, seed the residual from
-/// the `lock_holders` census, doom every holder, freeze the sources,
-/// register the on-access hook. The pause copies no source key: the residual counts
-/// each latched shard and maps only the doomed writers' exclusively
-/// locked keys, deferred past their rollback. Everything it fills is
-/// allocated before it: with clients stalled on the latch, even the
-/// allocator's deferred work (DESIGN.md §15) would be theirs to wait.
-fn lazy_cutover(db: &Arc<Database>, oper: &Arc<dyn TransformOperator>) -> DbResult<SyncOutcome> {
-    let lazy = Arc::new(LazyMigration::over(db, oper, sorted_sources(db, &**oper)?));
-    let sources = lazy.sources();
-    // morph-lint: allow(nondet, elapsed-time stats for the report; wall time never enters table or WAL state)
-    let t0 = Instant::now();
-    let guards: Vec<_> = sources.iter().map(|t| t.latch_exclusive()).collect();
-    // Old transactions: anyone holding locks on a source.
-    // morph-lint: allow(lock_order, cutover pause: the coordinator alone holds these exclusive latches and user txns never latch shards while holding registry/side locks, so the rank protocol's reverse order cannot occur concurrently)
-    let old = lazy.seed(&guards, db.lock_holders(sources));
-    for txn in &old {
-        db.doom(*txn);
-    }
-    for src in sources {
-        // morph-lint: allow(lock_order, cutover pause: freezing under the exclusive latch is the point — nothing else can hold table.meta while every shard latch is ours)
-        src.freeze(old.iter().copied().collect());
-    }
-    // Registered under the latch: writers blocked on it resume into the
-    // hook. A failed cut drops the registration before the latches.
-    let hook = HookRegistration {
-        db: Arc::clone(db),
-        token: db.add_interceptor(lazy.clone()),
-    };
-    db.crash_point("router.lazy_cutover")?;
-    drop(guards);
-    Ok(SyncOutcome {
-        stats: SyncStats {
-            strategy: SyncStrategy::Lazy,
-            latch_pause: t0.elapsed(),
-            final_records: 0,
-            old_txns: old.len(),
-            locks_transferred: 0,
-        },
-        hook: Some(hook),
-        lazy: Some(lazy),
-    })
-}
-
-fn blocking_commit(
-    db: &Arc<Database>,
-    oper: &dyn TransformOperator,
-    prop: &mut Propagator,
-    options: &TransformOptions,
-) -> DbResult<SyncOutcome> {
-    let sources = sorted_sources(db, oper)?;
-    // morph-lint: allow(nondet, elapsed-time stats for the report; wall time never enters table or WAL state)
-    let t0 = Instant::now();
-
-    // Block new transactions; let current lock holders finish.
-    let holders: HashSet<TxnId> = db
-        .lock_holders(&sources)
-        .into_iter()
-        .map(|h| h.txn)
-        .collect();
-    for src in &sources {
-        src.freeze(holders.clone());
-    }
-    let switched = frozen_switch(db, oper, prop, options, &sources, &holders);
-    // The one exit after the freeze. A failure aborts the migration,
-    // never the workload: the sources take new writers again. A renamed
-    // source is a target now, and takes them too.
-    if switched.is_err() || oper.renames_source() {
-        for src in &sources {
-            src.reactivate();
-        }
-    }
-    let final_records = switched?;
-    prop.enter_post_sync(HashSet::new());
-
-    Ok(SyncOutcome {
-        stats: SyncStats {
-            strategy: SyncStrategy::BlockingCommit,
-            // For the blocking strategy the user-visible pause is the
-            // whole freeze window, not just the latch.
-            latch_pause: t0.elapsed(),
-            final_records,
-            old_txns: holders.len(),
-            locks_transferred: 0,
-        },
-        hook: None,
-        lazy: None,
-    })
-}
-
-/// Blocking commit's work on the frozen sources: wait out the lock
-/// holders, drain the log under the latch, then publish the renamed
-/// source or drop the sources, unless the caller retains them (frozen).
-/// Returns the final drain's record count.
-fn frozen_switch(
-    db: &Arc<Database>,
-    oper: &dyn TransformOperator,
-    prop: &mut Propagator,
-    options: &TransformOptions,
-    sources: &[Arc<Table>],
-    holders: &HashSet<TxnId>,
-) -> DbResult<usize> {
-    db.crash_point("sync.bc.frozen")?;
-    // morph-lint: allow(nondet, drain-wait deadline; wall-time bound on blocking, never replayed state)
-    let wait_deadline = Instant::now() + options.deadline.unwrap_or(UNBOUNDED_WAIT_LIMIT);
-    while holders.iter().any(|t| db.is_active(*t)) {
-        // morph-lint: allow(nondet, drain-wait deadline; wall-time bound on blocking, never replayed state)
-        if Instant::now() > wait_deadline {
-            return Err(DbError::TransformationAborted(
-                "blocking-commit: active transactions did not finish in time".into(),
-            ));
-        }
-        std::thread::sleep(Duration::from_micros(200));
-    }
-    db.crash_point("sync.bc.quiesced")?;
-
-    let guards: Vec<_> = sources.iter().map(|t| t.latch_exclusive()).collect();
-    let final_records = prop.drain_all(db, oper)?;
-    db.crash_point("sync.bc.drained")?;
-    drop(guards);
-    if oper.renames_source() {
-        oper.publish(db)?;
-    } else if !options.retain_sources {
-        for src in sources {
-            db.catalog().drop_table(&src.name())?;
-        }
-    }
-    Ok(final_records)
 }

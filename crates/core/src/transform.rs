@@ -493,7 +493,13 @@ impl TransformJob {
     pub fn synchronize(&mut self) -> DbResult<()> {
         let outcome = self.pre_sync(MigrationPhase::Syncing, |job| {
             job.db.crash_point("transform.pre_sync")?;
-            synchronize(&job.db, &job.oper, job.prop.as_mut(), &job.options)
+            synchronize(
+                &job.db,
+                &job.oper,
+                job.prop.as_mut(),
+                job.options.strategy,
+                job.deadline,
+            )
         })?;
         self.tables.targets.clear();
         self.progress.add_records(outcome.stats.final_records);
@@ -511,7 +517,8 @@ impl TransformJob {
 
     /// Post-synchronization propagation (drain grandfathered
     /// transactions; lazy: require a drained residual), final catalog
-    /// cleanup and cutover. Ignores the abort flag: the targets are
+    /// cleanup and cutover; the one place the sources are dropped,
+    /// unless retained. Ignores the abort flag: the targets are
     /// published. Returns the complete report; the job's only remaining
     /// use afterwards is its progress handle. On an error the
     /// interceptor stays installed until the job is dropped.
@@ -565,8 +572,8 @@ impl TransformJob {
         self.oper.finalize(&self.db)?;
         if !self.options.retain_sources {
             for name in &self.sources {
-                // Blocking commit (or a rename) may already have
-                // removed the name.
+                // A renamed source no longer has its name: the drop
+                // finds nothing.
                 let _ = self.db.catalog().drop_table(name);
             }
         }

@@ -30,7 +30,7 @@
 //! forward operations, which is how aborted work is washed out of
 //! transformed tables without ever scanning backwards.
 
-use crate::counters::Counters;
+use crate::counters::CountersSnapshot;
 use crate::interceptor::OpInterceptor;
 use crate::migrations::MigrationRegistry;
 use crate::registry::{TxnCell, TxnRegistry};
@@ -178,7 +178,10 @@ pub struct Database {
     log: Arc<LogManager>,
     locks: LockManager,
     registry: TxnRegistry,
-    counters: Counters,
+    /// Transactions committed.
+    commits: AtomicU64,
+    /// Archived row versions reclaimed by MVCC garbage collection.
+    mvcc_reclaimed: AtomicU64,
     next_txn: AtomicU64,
     interceptors: RwLock<InterceptorList>,
     next_interceptor: AtomicU64,
@@ -216,7 +219,8 @@ impl Database {
             log,
             locks: LockManager::new(lock_config),
             registry: TxnRegistry::new(),
-            counters: Counters::default(),
+            commits: AtomicU64::new(0),
+            mvcc_reclaimed: AtomicU64::new(0),
             next_txn: AtomicU64::new(1),
             interceptors: RwLock::new(Arc::new([])),
             next_interceptor: AtomicU64::new(1),
@@ -274,19 +278,16 @@ impl Database {
         &self.locks
     }
 
-    /// Engine activity counters.
-    pub fn counters(&self) -> &Counters {
-        &self.counters
-    }
-
-    /// Point-in-time snapshot of this engine's counters with the WAL
-    /// and lock-manager figures folded in — the per-shard leaf of
+    /// Point-in-time snapshot of this engine's counters, the WAL's and
+    /// the lock manager's included — the per-shard leaf of
     /// [`ShardedDatabase::counters`](crate::router::ShardedDatabase::counters).
-    pub fn counters_snapshot(&self) -> crate::counters::CountersSnapshot {
-        let mut s = self.counters.full_snapshot();
-        s.wal_flushes = self.log.flush_count();
-        s.lock_waits = self.locks.waits();
-        s
+    pub fn counters_snapshot(&self) -> CountersSnapshot {
+        CountersSnapshot {
+            commits: self.commits.load(Ordering::Relaxed),
+            mvcc_reclaimed: self.mvcc_reclaimed.load(Ordering::Relaxed),
+            wal_flushes: self.log.flush_count(),
+            lock_waits: self.locks.waits(),
+        }
     }
 
     /// Table claims of running migration jobs (see
@@ -347,7 +348,7 @@ impl Database {
         self.crash_point("commit.wal_durable")?;
         self.registry.remove(txn);
         self.locks.release_all(txn);
-        Counters::bump(&self.counters.commits);
+        self.commits.fetch_add(1, Ordering::Relaxed);
         Ok(())
     }
 
@@ -612,9 +613,7 @@ impl Database {
             reclaimed += t.gc_versions(watermark, &self.mvcc.commit);
         }
         self.mvcc.commit.prune(watermark);
-        self.counters
-            .mvcc_reclaimed
-            .fetch_add(reclaimed, Ordering::Relaxed);
+        self.mvcc_reclaimed.fetch_add(reclaimed, Ordering::Relaxed);
         Ok(reclaimed)
     }
 
@@ -911,7 +910,7 @@ mod tests {
         db.insert(txn, "t", row(1, "a")).unwrap();
         db.commit(txn).unwrap();
         assert_eq!(t.get(&Key::single(1)).unwrap().values, row(1, "a"));
-        assert_eq!(Counters::get(&db.counters().commits), 1);
+        assert_eq!(db.counters_snapshot().commits, 1);
         // Log: Begin, Op, Commit.
         assert_eq!(db.log().len(), 3);
     }
@@ -1295,7 +1294,7 @@ mod tests {
         let reclaimed = db.mvcc_gc().unwrap();
         assert!(reclaimed > 0, "unpinned history must be reclaimed");
         assert_eq!(t.version_count(), 0);
-        assert_eq!(Counters::get(&db.counters().mvcc_reclaimed), reclaimed);
+        assert_eq!(db.counters_snapshot().mvcc_reclaimed, reclaimed);
         // Current state is untouched.
         let now = db.begin_snapshot().unwrap();
         assert_eq!(

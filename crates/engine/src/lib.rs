@@ -28,7 +28,7 @@ pub mod recovery;
 pub mod registry;
 pub mod router;
 
-pub use counters::{Counters, CountersSnapshot};
+pub use counters::CountersSnapshot;
 pub use database::{CrashHook, Database, LockHolder, LogProtection, PlannedOp};
 pub use interceptor::OpInterceptor;
 pub use migrations::MigrationRegistry;

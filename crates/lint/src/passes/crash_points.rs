@@ -5,10 +5,12 @@
 //! and the per-point site counts must match so a copy-pasted literal
 //! cannot silently double-count a census.
 //!
-//! Points whose names are built dynamically (the `sync.nba.*` /
-//! `sync.nbc.*` families selected per strategy) are covered by the
-//! literal-occurrence check: the name must appear as a string literal
-//! somewhere in non-test code, wherever the selection table lives.
+//! Points passed to `crash_point` through a variable (the one
+//! synchronization step looks up `sync.bc.drained`, the `sync.nba.*` /
+//! `sync.nbc.*` families and `router.lazy_cutover` per strategy in
+//! `sync::crash_points`) are covered by the literal-occurrence check:
+//! the name must appear as a string literal somewhere in non-test
+//! code, wherever the selection table lives.
 
 use std::collections::HashMap;
 

@@ -244,54 +244,6 @@ impl LockManager {
         }
     }
 
-    /// Non-blocking acquire: `Ok(true)` if granted, `Ok(false)` if a
-    /// conflicting grant exists.
-    pub fn try_lock_tagged(
-        &self,
-        txn: TxnId,
-        table: TableId,
-        key: &Key,
-        mode: LockMode,
-        origin: LockOrigin,
-    ) -> bool {
-        let lk = LockKey {
-            table,
-            key: key.clone(),
-        };
-        let shard = self.shard_of(&lk);
-        let mut state = shard.state.lock();
-        let entry = state.map.entry(lk.clone()).or_default();
-        if let Some(own) = entry
-            .grants
-            .iter()
-            .position(|g| g.txn == txn && g.origin == origin)
-        {
-            if entry.grants[own].mode.covers(mode) {
-                return true;
-            }
-            let conflict = entry.grants.iter().any(|g| {
-                let own = g.txn == txn && g.origin == origin;
-                !own && !compatible((g.origin, g.mode), (origin, mode))
-            });
-            if !conflict {
-                entry.grants[own].mode = LockMode::Exclusive;
-                return true;
-            }
-            return false;
-        }
-        let conflict = entry
-            .grants
-            .iter()
-            .any(|g| g.txn != txn && !compatible((g.origin, g.mode), (origin, mode)));
-        if conflict {
-            return false;
-        }
-        entry.grants.push(Grant { txn, mode, origin });
-        drop(state);
-        self.note_held(txn, lk);
-        true
-    }
-
     /// Unconditionally install a transferred grant (synchronization
     /// step, §3.4). See the module docs for why this is sound.
     pub fn grant_transferred(
@@ -345,25 +297,6 @@ impl LockManager {
         while wake != 0 {
             self.shards[wake.trailing_zeros() as usize].cv.notify_all();
             wake &= wake - 1;
-        }
-    }
-
-    /// Release one specific lock early (used by the propagator when it
-    /// retires a mirrored lock).
-    pub fn release_one(&self, txn: TxnId, table: TableId, key: &Key) {
-        let lk = LockKey {
-            table,
-            key: key.clone(),
-        };
-        {
-            let mut held = self.held_shard(txn).lock();
-            if let Some(set) = held.get_mut(&txn) {
-                set.remove(&lk);
-            }
-        }
-        let shard = self.shard_of(&lk);
-        if shard.release(&lk, txn) {
-            shard.cv.notify_all();
         }
     }
 
@@ -516,21 +449,6 @@ mod tests {
     }
 
     #[test]
-    fn try_lock_does_not_block() {
-        let m = mgr();
-        let k = Key::single(1);
-        m.lock(TxnId(1), T, &k, LockMode::Exclusive).unwrap();
-        assert!(!m.try_lock_tagged(TxnId(2), T, &k, LockMode::Shared, LockOrigin::Native));
-        assert!(m.try_lock_tagged(
-            TxnId(2),
-            T,
-            &Key::single(2),
-            LockMode::Shared,
-            LockOrigin::Native
-        ));
-    }
-
-    #[test]
     fn transferred_grants_ignore_each_other() {
         let m = mgr();
         let k = Key::single(1);
@@ -548,16 +466,6 @@ mod tests {
         let k2 = Key::single(2);
         m.grant_transferred(TxnId(1), T, &k2, LockMode::Shared, LockOrigin::SourceR);
         m.lock(TxnId(9), T, &k2, LockMode::Shared).unwrap();
-    }
-
-    #[test]
-    fn release_one_unblocks_record() {
-        let m = mgr();
-        let k = Key::single(1);
-        m.grant_transferred(TxnId(1), T, &k, LockMode::Exclusive, LockOrigin::SourceR);
-        assert!(!m.try_lock_tagged(TxnId(5), T, &k, LockMode::Exclusive, LockOrigin::Native));
-        m.release_one(TxnId(1), T, &k);
-        assert!(m.try_lock_tagged(TxnId(5), T, &k, LockMode::Exclusive, LockOrigin::Native));
     }
 
     #[test]

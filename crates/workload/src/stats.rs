@@ -80,9 +80,9 @@ pub struct StatsSnapshot {
 }
 
 impl StatsSnapshot {
-    /// Delta between two snapshots (self = later).
-    pub fn since(&self, earlier: &StatsSnapshot) -> StatsDelta {
-        StatsDelta {
+    /// Difference over a window (self = later).
+    pub fn since(&self, earlier: &StatsSnapshot) -> StatsSnapshot {
+        StatsSnapshot {
             committed: self.committed - earlier.committed,
             aborted: self.aborted - earlier.aborted,
             schema_events: self.schema_events - earlier.schema_events,
@@ -90,20 +90,9 @@ impl StatsSnapshot {
             buckets: std::array::from_fn(|i| self.buckets[i] - earlier.buckets[i]),
         }
     }
-}
 
-/// Difference of two snapshots over a window.
-#[derive(Clone, Debug)]
-pub struct StatsDelta {
-    pub committed: u64,
-    pub aborted: u64,
-    pub schema_events: u64,
-    pub latency_sum_ns: u64,
-    buckets: [u64; BUCKETS],
-}
-
-impl StatsDelta {
-    /// Mean latency over the window.
+    /// Mean commit latency over what the snapshot counts (a window,
+    /// when it comes from [`StatsSnapshot::since`]).
     pub fn mean_latency_ns(&self) -> f64 {
         if self.committed == 0 {
             return 0.0;

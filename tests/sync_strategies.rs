@@ -410,14 +410,26 @@ fn blocking_commit_honours_retain_sources() {
     }
 }
 
-/// Fails the first `propagate.batch` it sees with an ordinary error
-/// (not a simulated crash).
-struct FailFirstBatch(AtomicBool);
+/// Fails the first time it sees `point` with an ordinary error (not a
+/// simulated crash).
+struct FailFirst {
+    point: &'static str,
+    fired: AtomicBool,
+}
 
-impl CrashHook for FailFirstBatch {
+impl FailFirst {
+    fn new(point: &'static str) -> Arc<FailFirst> {
+        Arc::new(FailFirst {
+            point,
+            fired: AtomicBool::new(false),
+        })
+    }
+}
+
+impl CrashHook for FailFirst {
     fn at(&self, _db: &Database, point: &str) -> DbResult<()> {
-        if point == "propagate.batch" && !self.0.swap(true, Ordering::SeqCst) {
-            return Err(DbError::Internal("injected post-sync failure".into()));
+        if point == self.point && !self.fired.swap(true, Ordering::SeqCst) {
+            return Err(DbError::Internal(format!("injected failure at {point}")));
         }
         Ok(())
     }
@@ -451,7 +463,7 @@ fn a_failed_finish_drops_the_lock_mirror_with_the_job() {
         .unwrap();
     assert!(!db.locks().holders(t, &t_key(2)).is_empty());
 
-    db.set_crash_hook(Arc::new(FailFirstBatch(AtomicBool::new(false))));
+    db.set_crash_hook(FailFirst::new("propagate.batch"));
     assert!(matches!(job.finish(), Err(DbError::Internal(_))));
     db.clear_crash_hook();
     drop(job);
@@ -510,6 +522,61 @@ fn a_failed_blocking_commit_publish_reactivates_the_source() {
         .expect("the source stayed frozen after a failed synchronization");
     db.commit(txn).unwrap();
     assert!(!db.catalog().exists("S"));
+}
+
+/// A blocking-commit synchronization that fails after its freeze — here
+/// an ordinary error at the final drain — aborts the migration, not the
+/// workload: the sources take new writers again and the target is gone.
+#[test]
+fn a_failed_blocking_commit_drain_reactivates_the_sources() {
+    let db = Arc::new(Database::new());
+    sources(&db, 50);
+    db.set_crash_hook(FailFirst::new("sync.bc.drained"));
+    assert!(matches!(
+        run(&db, foj(), opts(SyncStrategy::BlockingCommit)),
+        Err(DbError::Internal(_))
+    ));
+    db.clear_crash_hook();
+    let txn = db.begin();
+    db.update(txn, "R", &Key::single(3), &[(1, Value::str("late"))])
+        .expect("the source stayed frozen after a failed synchronization");
+    db.commit(txn).unwrap();
+    assert!(!db.catalog().exists("T"));
+}
+
+/// Blocking commit's wait for the source lock holders ends at the job's
+/// deadline, counted from `prepare`, not a fresh budget counted from
+/// the start of the wait.
+#[test]
+fn blocking_commit_wait_ends_at_the_job_deadline() {
+    let db = Arc::new(Database::new());
+    sources(&db, 50);
+    let options = TransformOptions::default()
+        .strategy(SyncStrategy::BlockingCommit)
+        .deadline(Duration::from_secs(1));
+    let t0 = Instant::now();
+    let mut job = TransformJob::prepare(&db, &foj(), options).unwrap();
+    job.copy(None).unwrap();
+    job.propagate(&AtomicBool::new(false), None).unwrap();
+    let holder = db.begin();
+    db.update(holder, "R", &Key::single(0), &[(1, Value::str("held"))])
+        .unwrap();
+
+    std::thread::sleep(Duration::from_millis(900).saturating_sub(t0.elapsed()));
+    let call = Instant::now();
+    let synced = job.synchronize();
+    let waited = call.elapsed();
+    assert!(
+        matches!(synced, Err(DbError::TransformationAborted(_))),
+        "expected a deadline abort, got {synced:?}"
+    );
+    assert!(
+        waited < Duration::from_millis(500),
+        "the wait overran the job's deadline: {waited:?}"
+    );
+    // The holder finishes on the reactivated source.
+    db.commit(holder).unwrap();
+    assert!(!db.catalog().exists("T"));
 }
 
 /// A blocking-commit rename-in-place split publishes T as R, a target:
