@@ -39,7 +39,7 @@ use crate::sync::proxy_owner;
 use crate::throttle::Throttle;
 use morph_common::{DbError, DbResult, Key, Lsn, Schema, TableId, TxnId};
 use morph_engine::Database;
-use morph_wal::{LogOp, LogRecord, TailCursor};
+use morph_wal::{LogOp, LogRecord, Peek, RecordKind, TailCursor};
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -64,9 +64,8 @@ struct DrainCtx {
 }
 
 /// Data records deferred for one coalesce-and-apply step, in log order.
-/// A run shares the WAL's `Arc<LogRecord>`s instead of deep-cloning the
-/// operations.
-type Run = Vec<(Lsn, Arc<LogRecord>)>;
+/// Each is the reader's own decode of the WAL's bytes, moved in.
+type Run = Vec<(Lsn, LogRecord)>;
 
 /// The operation of a run entry (a run holds data records only).
 fn run_op(rec: &LogRecord) -> DbResult<&LogOp> {
@@ -318,6 +317,34 @@ impl Propagator {
         op.apply_batch(&refs)
     }
 
+    /// Whether [`Propagator::process`] can act on a record, judged
+    /// from its [`Peek`] alone: the cursor decodes only these. An op on
+    /// a table that is not a source, and every begin, abort-start, mark
+    /// and unguarded end record, is skipped undecoded.
+    fn wants(&self, ctx: &DrainCtx, peek: &Peek) -> bool {
+        match peek.kind {
+            RecordKind::Op | RecordKind::Clr => {
+                peek.table.is_some_and(|t| ctx.schemas.contains_key(&t))
+            }
+            RecordKind::CcBegin | RecordKind::CcOk => true,
+            RecordKind::Commit | RecordKind::AbortEnd => self
+                .post
+                .as_ref()
+                .is_some_and(|p| peek.txn.is_some_and(|t| p.old_txns.contains(&t))),
+            _ => false,
+        }
+    }
+
+    /// Scan the next at most `max` records, decoding only those
+    /// [`Propagator::wants`]. Returns the number scanned and the kept
+    /// ones.
+    fn next_batch(&mut self, db: &Database, ctx: &DrainCtx, max: usize) -> DbResult<(usize, Run)> {
+        let mut cursor = self.cursor;
+        let batch = cursor.next_batch_where(db.log(), max, |peek| self.wants(ctx, peek));
+        self.cursor = cursor;
+        batch
+    }
+
     /// Handle one log record: defer relevant data ops into `run`, flush
     /// and react to control / transaction-end records. Returns whether
     /// the record was relevant to this transformation.
@@ -328,21 +355,21 @@ impl Propagator {
         ctx: &DrainCtx,
         run: &mut Run,
         lsn: Lsn,
-        rec: &Arc<LogRecord>,
+        rec: LogRecord,
     ) -> DbResult<bool> {
         if let Some(logop) = rec.op() {
             if ctx.schemas.contains_key(&logop.table()) {
-                run.push((lsn, Arc::clone(rec)));
+                run.push((lsn, rec));
                 return Ok(true);
             }
             return Ok(false);
         }
-        match &**rec {
+        match &rec {
             LogRecord::CcBegin { .. } | LogRecord::CcOk { .. } => {
                 // The checker must observe every prior touch before a
                 // certification is judged (§5.3).
                 self.flush(op, ctx, run)?;
-                op.on_control(lsn, rec)?;
+                op.on_control(lsn, &rec)?;
                 Ok(true)
             }
             LogRecord::Commit { txn } | LogRecord::AbortEnd { txn } => {
@@ -402,15 +429,15 @@ impl Propagator {
             // Crash-simulation point *inside* a propagation iteration,
             // between cursor batches (no write session open here).
             db.crash_point("propagate.batch")?;
-            let batch = self.cursor.next_batch(db.log(), batch_size.max(1));
-            if batch.is_empty() {
+            let (scanned, batch) = self.next_batch(db, &ctx, batch_size.max(1))?;
+            if scanned == 0 {
                 break;
             }
             // morph-lint: allow(nondet, elapsed-time stats for the report; wall time never enters table or WAL state)
             let b0 = Instant::now();
-            for (lsn, rec) in &batch {
-                records += 1;
-                if self.process(db, op, &ctx, &mut run, *lsn, rec)? {
+            records += scanned;
+            for (lsn, rec) in batch {
+                if self.process(db, op, &ctx, &mut run, lsn, rec)? {
                     relevant += 1;
                 }
             }
@@ -469,15 +496,13 @@ impl Propagator {
             // Never read past the target: the cursor must not skip
             // records it has not processed.
             let remaining = (target.0 - self.cursor.next_lsn().0 + 1) as usize;
-            let batch = self
-                .cursor
-                .next_batch(db.log(), remaining.min(batch_size.max(1)));
-            if batch.is_empty() {
+            let (scanned, batch) = self.next_batch(db, &ctx, remaining.min(batch_size.max(1)))?;
+            if scanned == 0 {
                 break;
             }
-            for (lsn, rec) in &batch {
-                n += 1;
-                self.process(db, op, &ctx, &mut run, *lsn, rec)?;
+            n += scanned;
+            for (lsn, rec) in batch {
+                self.process(db, op, &ctx, &mut run, lsn, rec)?;
             }
             self.flush(op, &ctx, &mut run)?;
         }
@@ -631,7 +656,7 @@ mod tests {
 
     fn records(run: Vec<(Lsn, LogOp)>) -> Run {
         run.into_iter()
-            .map(|(l, op)| (l, Arc::new(LogRecord::Op { txn: TxnId(1), op })))
+            .map(|(l, op)| (l, LogRecord::Op { txn: TxnId(1), op }))
             .collect()
     }
 
@@ -783,17 +808,17 @@ mod tests {
         let (db, m) = setup();
         let r_id = db.catalog().get("R").unwrap().id();
         let run = vec![
-            (Lsn(1), Arc::new(LogRecord::Commit { txn: TxnId(7) })),
+            (Lsn(1), LogRecord::Commit { txn: TxnId(7) }),
             (
                 Lsn(2),
-                Arc::new(LogRecord::Op {
+                LogRecord::Op {
                     txn: TxnId(7),
                     op: LogOp::Delete {
                         table: r_id,
                         key: Key::single(1),
                         old: r_row(1, "j0"),
                     },
-                }),
+                },
             ),
         ];
         let Err(err) = coalesce(run, &ctx_for(&db, &m)) else {

@@ -75,6 +75,9 @@ pub struct FnFacts {
     pub acquires: Vec<AcquireFact>,
     pub calls: Vec<CallFact>,
     pub unranked: Vec<UnrankedSite>,
+    /// Lines of the `site` and `fn` entries of `lock_ranks.txt` that
+    /// attributed an acquisition here (the stale-entry check).
+    pub manifest_lines: Vec<usize>,
 }
 
 /// Where a class in a function's entry set came from.
@@ -200,7 +203,8 @@ fn extract_fn(
                         None => chain.clone(),
                     };
                     match resolve_class(cfg, f, line, &recv) {
-                        Ok(class) => {
+                        Ok((class, manifest_line)) => {
+                            facts.manifest_lines.extend(manifest_line);
                             facts.acquires.push(AcquireFact {
                                 class,
                                 line,
@@ -225,6 +229,7 @@ fn extract_fn(
                     if let Some(pat) = m.fns.iter().find(|p| chain_matches(&chain, &p.call)) {
                         // Manifest fn summary: acquisition at the call
                         // site, no graph edge.
+                        facts.manifest_lines.push(pat.line);
                         facts.acquires.push(AcquireFact {
                             class: pat.class,
                             line: toks[i].line,
@@ -264,15 +269,16 @@ fn extract_fn(
     facts
 }
 
-/// Class of a raw lock site: an explicit `// morph-lint: rank(class)`
-/// annotation wins; otherwise the site patterns keyed by file and
-/// receiver suffix.
+/// Class of a raw lock site, with the manifest line of the `site`
+/// pattern that resolved it: an explicit `// morph-lint: rank(class)`
+/// annotation wins (no manifest line); otherwise the site patterns
+/// keyed by file and receiver suffix.
 pub fn resolve_class(
     cfg: &Config,
     f: &SourceFile,
     line: usize,
     recv: &str,
-) -> Result<usize, String> {
+) -> Result<(usize, Option<usize>), String> {
     let m = &cfg.lock_ranks;
     if let Some(d) = f
         .lexed
@@ -282,12 +288,13 @@ pub fn resolve_class(
     {
         return m
             .class_idx(&d.arg)
+            .map(|class| (class, None))
             .ok_or_else(|| format!("rank({}) names an unknown lock class", d.arg));
     }
     m.sites
         .iter()
         .find(|s| f.rel.contains(&s.file_sub) && chain_matches(recv, &s.recv))
-        .map(|s| s.class)
+        .map(|s| (s.class, Some(s.line)))
         .ok_or_else(|| {
             format!(
                 "unranked lock site (receiver `{recv}`): add a `site` pattern to \

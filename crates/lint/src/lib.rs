@@ -157,6 +157,8 @@ pub fn load_workspace(root: &Path) -> Result<Vec<SourceFile>, String> {
 /// the fixture tests can point the same passes at synthetic trees.
 pub struct Config {
     pub lock_ranks: manifest::LockRanks,
+    /// Path the lock-rank manifest was loaded from (for findings).
+    pub lock_ranks_path: String,
     pub crash_points: manifest::CrashManifest,
     /// Path the crash manifest was loaded from (for findings).
     pub crash_manifest_path: String,
@@ -202,6 +204,7 @@ impl Config {
             .map_err(|e| format!("read {}: {e}", atomics_path.display()))?;
         Ok(Config {
             lock_ranks: manifest::LockRanks::parse(&ranks)?,
+            lock_ranks_path: "crates/lint/manifest/lock_ranks.txt".to_string(),
             crash_points: manifest::CrashManifest::parse(&points)?,
             crash_manifest_path: "crates/lint/manifest/crash_points.txt".to_string(),
             atomics: manifest::AtomicsManifest::parse(&atomics)?,

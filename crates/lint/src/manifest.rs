@@ -17,6 +17,8 @@
 //! to the class that callee acquires internally — `guard` if a `let`
 //! binding of its result keeps the lock held, `try` if the acquisition
 //! is non-blocking (exempt from inversion checks, still tracked).
+//! A `site` line that resolves no lock expression, and a `fn` line
+//! that matches no call, are stale and reported as findings.
 //!
 //! `manifest/crash_points.txt` — the crash-point registry (pass 3 and
 //! the sim kill matrix). Grammar:
@@ -53,6 +55,8 @@ pub struct SitePattern {
     pub file_sub: String,
     /// Dotted receiver suffix, e.g. `shard.map` or `self.shards[]`.
     pub recv: String,
+    /// 1-based line in the manifest file, for stale-entry findings.
+    pub line: usize,
 }
 
 #[derive(Debug, Clone)]
@@ -64,6 +68,8 @@ pub struct FnPattern {
     pub guard: bool,
     /// Non-blocking acquisition: tracked but exempt from order checks.
     pub non_blocking: bool,
+    /// 1-based line in the manifest file, for stale-entry findings.
+    pub line: usize,
 }
 
 #[derive(Debug, Default)]
@@ -119,6 +125,7 @@ impl LockRanks {
                         class,
                         file_sub: file_sub.to_string(),
                         recv: recv.to_string(),
+                        line: ln + 1,
                     });
                 }
                 Some("fn") => {
@@ -141,6 +148,7 @@ impl LockRanks {
                         call: call.to_string(),
                         guard,
                         non_blocking,
+                        line: ln + 1,
                     });
                 }
                 Some(other) => {

@@ -17,6 +17,11 @@
 //! Non-blocking acquisitions (`try_*`, manifest `try` fns) cannot
 //! participate in a deadlock cycle's wait edge, so they are tracked
 //! as held but never reported as inversions themselves.
+//!
+//! A manifest `site` line that attributes no lock expression, or a
+//! `fn` line that matches no call, is stale: the code it described is
+//! gone or renamed, and the rank it claims is checked nowhere. Each is
+//! a finding on the manifest line, as stale `atomics.txt` entries are.
 
 use crate::callgraph::CallGraph;
 use crate::dataflow::{self, FnFacts};
@@ -31,7 +36,47 @@ pub fn run(
     let mut out = Vec::new();
     intraprocedural(cfg, files, graph, facts, &mut out);
     interprocedural(cfg, files, graph, facts, &mut out);
+    stale_entries(cfg, facts, &mut out);
     out
+}
+
+/// Reports every `site` and `fn` line of the rank manifest that
+/// attributed no acquisition anywhere in the linted files.
+fn stale_entries(cfg: &Config, facts: &[FnFacts], out: &mut Vec<Finding>) {
+    let used: std::collections::HashSet<usize> = facts
+        .iter()
+        .flat_map(|ff| ff.manifest_lines.iter().copied())
+        .collect();
+    let m = &cfg.lock_ranks;
+    let sites = m.sites.iter().map(|s| {
+        (
+            s.line,
+            format!("site {} {} {}", m.classes[s.class].name, s.file_sub, s.recv),
+            "resolves no lock expression",
+        )
+    });
+    let fns = m.fns.iter().map(|f| {
+        (
+            f.line,
+            format!("fn {} {}", m.classes[f.class].name, f.call),
+            "matches no call",
+        )
+    });
+    for (line, entry, what) in sites.chain(fns) {
+        if used.contains(&line) {
+            continue;
+        }
+        out.push(Finding {
+            pass: "lock_order",
+            file: cfg.lock_ranks_path.clone(),
+            line,
+            key: "stale".to_string(),
+            msg: format!(
+                "stale manifest entry `{entry}` {what} in non-test code — remove it or fix \
+                 its pattern"
+            ),
+        });
+    }
 }
 
 /// Checks every acquisition against the guards lexically held at that

@@ -16,10 +16,12 @@ use morph_lint::manifest::{AtomicsManifest, CrashManifest, LockRanks};
 use morph_lint::{run_all, Config, SourceFile};
 
 const MANIFEST_PATH: &str = "crates/lint/tests/fixtures/crash_points.txt";
+const RANKS_PATH: &str = "crates/lint/tests/fixtures/lock_ranks.txt";
 
 fn fixture_config() -> Config {
     Config {
         lock_ranks: LockRanks::parse(include_str!("fixtures/lock_ranks.txt")).unwrap(),
+        lock_ranks_path: RANKS_PATH.to_string(),
         crash_points: CrashManifest::parse(include_str!("fixtures/crash_points.txt")).unwrap(),
         crash_manifest_path: MANIFEST_PATH.to_string(),
         det_zones: vec!["fixtures/".into()],
@@ -154,6 +156,9 @@ fn clean_fixtures_are_silent_on_every_pass() {
     cfg.crash_points = CrashManifest::parse("").unwrap();
     cfg.atomics = AtomicsManifest::parse("").unwrap();
     cfg.purity_roots = Vec::new();
+    // Rank entries only the other fixtures match would be stale here.
+    cfg.lock_ranks.sites.retain(|s| s.recv != "shards[]");
+    cfg.lock_ranks.fns.retain(|f| f.call == "take_inner");
     let files = vec![
         SourceFile::from_source("fixtures/clean.rs", include_str!("fixtures/clean.rs")),
         SourceFile::from_source(
@@ -226,4 +231,33 @@ fn finding_ids_are_stable_and_json_escapes() {
     );
     // Every finding appears exactly once.
     assert_eq!(json.matches("\"id\"").count(), findings.len());
+}
+
+/// A rank-manifest line that matches nothing is a finding at that
+/// line: one dead `fn` line gives exactly one more finding, and so
+/// does one dead `site` line. The real manifest stays at zero through
+/// the workspace lint run.
+#[test]
+fn stale_rank_manifest_entries_are_findings() {
+    let base = run_all(&fixture_config(), &fixture_files());
+    assert!(
+        base.iter().all(|f| f.file != RANKS_PATH),
+        "the fixture manifest has no stale entry"
+    );
+    let ranks = include_str!("fixtures/lock_ranks.txt");
+    let dead_line = ranks.lines().count() + 1;
+    for (dead, what) in [
+        ("fn inner never_called_anywhere", "matches no call"),
+        ("site inner fixtures/ self.no_such_lock", "resolves no lock"),
+    ] {
+        let mut cfg = fixture_config();
+        cfg.lock_ranks = LockRanks::parse(&format!("{ranks}{dead}\n")).unwrap();
+        let findings = run_all(&cfg, &fixture_files());
+        let stale: Vec<_> = findings.iter().filter(|f| f.file == RANKS_PATH).collect();
+        assert_eq!(stale.len(), 1, "{dead}: {findings:?}");
+        assert_eq!(findings.len(), base.len() + 1);
+        assert_eq!(stale[0].line, dead_line);
+        assert_eq!(stale[0].pass, "lock_order");
+        assert!(stale[0].msg.contains(what), "{}", stale[0].msg);
+    }
 }

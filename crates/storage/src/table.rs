@@ -785,6 +785,8 @@ impl Table {
             shard: 0,
             after: None,
             chunk_size: chunk_size.max(1),
+            #[cfg(test)]
+            latches: 0,
         }
     }
 
@@ -1189,10 +1191,16 @@ fn split_pair<'a, 'g>(
     })
 }
 
+/// Rows a fuzzy scan copies under one shard read latch. A chunk is
+/// read as slices of at most this many rows, latching the shard once
+/// per slice, so a writer of the shard being read waits for one
+/// slice's clones, not a whole chunk's.
+const SCAN_SLICE: usize = 64;
+
 /// Chunked fuzzy scanner (see [`Table::fuzzy_scan`]). Walks the shards
 /// one at a time: a chunk is up to `chunk_size` rows of one shard in
-/// key order, read under that shard's read latch alone, so a writer
-/// waits on the copy only if it writes the shard being read.
+/// key order, read slice by slice (64 rows, `SCAN_SLICE`, per read
+/// latch), each slice continuing after the last key of the one before.
 pub struct FuzzyScanner {
     table: Arc<Table>,
     /// The shard being read.
@@ -1200,6 +1208,9 @@ pub struct FuzzyScanner {
     /// Last key returned from the current shard.
     after: Option<Key>,
     chunk_size: usize,
+    /// Shard read latches taken so far.
+    #[cfg(test)]
+    latches: usize,
 }
 
 impl FuzzyScanner {
@@ -1207,19 +1218,34 @@ impl FuzzyScanner {
     /// Every key of one chunk routes to the same shard.
     pub fn next_chunk(&mut self) -> Vec<(Key, Row)> {
         while self.shard < TABLE_SHARDS {
-            let from = self.after.take().map_or(Bound::Unbounded, Bound::Excluded);
-            let chunk: Vec<(Key, Row)> = self.table.shards[self.shard]
-                .read()
-                .rows
-                .range((from, Bound::Unbounded))
-                .take(self.chunk_size)
-                .map(|(k, r)| (k.clone(), r.clone()))
-                .collect();
-            if chunk.len() < self.chunk_size {
-                // The shard ran dry under its latch: move on.
-                self.shard += 1;
-            } else {
+            let mut chunk: Vec<(Key, Row)> = Vec::new();
+            let mut dry = false;
+            while chunk.len() < self.chunk_size {
+                let want = SCAN_SLICE.min(self.chunk_size - chunk.len());
+                let from = self.after.take().map_or(Bound::Unbounded, Bound::Excluded);
+                let before = chunk.len();
+                chunk.extend(
+                    self.table.shards[self.shard]
+                        .read()
+                        .rows
+                        .range((from, Bound::Unbounded))
+                        .take(want)
+                        .map(|(k, r)| (k.clone(), r.clone())),
+                );
+                #[cfg(test)]
+                {
+                    self.latches += 1;
+                }
                 self.after = chunk.last().map(|(k, _)| k.clone());
+                if chunk.len() - before < want {
+                    // The shard ran dry under its latch.
+                    dry = true;
+                    break;
+                }
+            }
+            if dry {
+                self.shard += 1;
+                self.after = None;
             }
             if !chunk.is_empty() {
                 return chunk;
@@ -1701,5 +1727,54 @@ mod tests {
         h.join().unwrap();
         assert!(done.load(Ordering::SeqCst));
         assert_eq!(t.len(), 2);
+    }
+
+    /// A chunk is read a slice at a time: a full chunk takes at least
+    /// `chunk / SCAN_SLICE` latches, never one. Keys come out exactly
+    /// once and in key order within each shard, across slice and chunk
+    /// boundaries (a chunk of 100 is a 64-row and a 36-row slice).
+    #[test]
+    fn fuzzy_scan_latches_a_slice_at_a_time() {
+        let t = table();
+        let n = 250 * TABLE_SHARDS as i64;
+        for i in 0..n {
+            t.insert(row(i, 0), Lsn(1)).unwrap();
+        }
+        let chunk_size = 100;
+        let mut scan = t.fuzzy_scan(chunk_size);
+        let mut seen: Vec<Key> = Vec::new();
+        let mut full_chunks = 0;
+        loop {
+            let latches = scan.latches;
+            let chunk = scan.next_chunk();
+            if chunk.is_empty() {
+                break;
+            }
+            let taken = scan.latches - latches;
+            assert!(
+                taken >= chunk.len().div_ceil(SCAN_SLICE),
+                "{} rows under {taken} latches",
+                chunk.len()
+            );
+            if chunk.len() == chunk_size {
+                assert!(taken > 1, "a full chunk was read under one latch");
+                full_chunks += 1;
+            }
+            let shard = t.route(&chunk[0].0);
+            assert!(chunk.iter().all(|(k, _)| t.route(k) == shard));
+            assert!(chunk.windows(2).all(|w| w[0].0 < w[1].0));
+            if let Some(prev) = seen.last() {
+                if t.route(prev) == shard {
+                    assert!(*prev < chunk[0].0, "a slice repeated or skipped back");
+                }
+            }
+            seen.extend(chunk.into_iter().map(|(k, _)| k));
+        }
+        assert!(full_chunks > 0);
+        let mut sorted = seen.clone();
+        sorted.sort();
+        sorted.dedup();
+        assert_eq!(sorted.len(), seen.len(), "a key was read twice");
+        assert_eq!(seen.len() as i64, n, "a key was missed");
     }
 }

@@ -8,10 +8,13 @@
 //!
 //! There is one decoded form, the owned [`LogRecord`] that the log,
 //! propagation and restart recovery all use: [`decode`] builds it
-//! directly from the bytes. The frame around each encoded record (its
-//! length prefix) belongs to [`crate::file`].
+//! directly from the bytes. These bytes are also the one form the log
+//! keeps a record in (DESIGN.md §11), so [`peek`] reads a record's
+//! kind, transaction and table from fixed offsets without decoding
+//! the rest. The frame around each encoded record (its length prefix)
+//! belongs to [`crate::file`].
 
-use crate::record::{LogOp, LogRecord, MigrationPhase};
+use crate::record::{LogOp, LogRecord, MigrationPhase, RecordKind};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use morph_common::{DbError, DbResult, Key, Lsn, TableId, TxnId, Value};
 
@@ -47,7 +50,7 @@ pub fn encode(rec: &LogRecord) -> Bytes {
 }
 
 /// Encode a record, appending to `b`.
-pub fn encode_into(rec: &LogRecord, b: &mut BytesMut) {
+pub fn encode_into(rec: &LogRecord, b: &mut impl BufMut) {
     match rec {
         LogRecord::Begin { txn } => {
             b.put_u8(T_BEGIN);
@@ -113,7 +116,7 @@ pub fn encode_into(rec: &LogRecord, b: &mut BytesMut) {
     }
 }
 
-fn encode_op(op: &LogOp, b: &mut BytesMut) {
+fn encode_op(op: &LogOp, b: &mut impl BufMut) {
     match op {
         LogOp::Insert { table, row } => {
             b.put_u8(O_INSERT);
@@ -141,14 +144,14 @@ fn encode_op(op: &LogOp, b: &mut BytesMut) {
     }
 }
 
-fn encode_values(vals: &[Value], b: &mut BytesMut) {
+fn encode_values(vals: &[Value], b: &mut impl BufMut) {
     b.put_u32_le(vals.len() as u32);
     for v in vals {
         encode_value(v, b);
     }
 }
 
-fn encode_cols(cols: &[(usize, Value)], b: &mut BytesMut) {
+fn encode_cols(cols: &[(usize, Value)], b: &mut impl BufMut) {
     b.put_u32_le(cols.len() as u32);
     for (i, v) in cols {
         b.put_u32_le(*i as u32);
@@ -156,7 +159,7 @@ fn encode_cols(cols: &[(usize, Value)], b: &mut BytesMut) {
     }
 }
 
-fn encode_value(v: &Value, b: &mut BytesMut) {
+fn encode_value(v: &Value, b: &mut impl BufMut) {
     match v {
         Value::Null => b.put_u8(V_NULL),
         Value::Int(i) => {
@@ -169,6 +172,57 @@ fn encode_value(v: &Value, b: &mut BytesMut) {
             b.put_slice(s.as_bytes());
         }
     }
+}
+
+/// A record's kind, transaction and table, read without decoding it.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub struct Peek {
+    /// The record's variant.
+    pub kind: RecordKind,
+    /// [`LogRecord::txn`].
+    pub txn: Option<TxnId>,
+    /// The table of an `Op` or `Clr` record's operation.
+    pub table: Option<TableId>,
+}
+
+/// Read the [`Peek`] of an encoded record from fixed offsets: the tag
+/// at byte 0, a transaction id at byte 1, and an operation's table at
+/// byte 10 (`Op`: tag, txn, op tag) or byte 18 (`Clr`: tag, txn,
+/// undone LSN, op tag). Nothing past those fields is checked, so a
+/// record that peeks cleanly can still fail to [`decode`].
+pub fn peek(buf: &[u8]) -> DbResult<Peek> {
+    let mut r = Reader { buf, pos: 0 };
+    let kind = match r.u8()? {
+        T_BEGIN => RecordKind::Begin,
+        T_COMMIT => RecordKind::Commit,
+        T_ABORT => RecordKind::Abort,
+        T_ABORT_END => RecordKind::AbortEnd,
+        T_OP => RecordKind::Op,
+        T_CLR => RecordKind::Clr,
+        T_FUZZY => RecordKind::FuzzyMark,
+        T_CC_BEGIN => RecordKind::CcBegin,
+        T_CC_OK => RecordKind::CcOk,
+        T_MIGRATION => RecordKind::MigrationState,
+        other => return Err(r.corrupt(&format!("unknown record tag {other}"))),
+    };
+    let txn = match kind {
+        RecordKind::FuzzyMark
+        | RecordKind::CcBegin
+        | RecordKind::CcOk
+        | RecordKind::MigrationState => None,
+        _ => Some(TxnId(r.u64()?)),
+    };
+    let table = match kind {
+        RecordKind::Op | RecordKind::Clr => {
+            if kind == RecordKind::Clr {
+                r.u64()?; // undone LSN
+            }
+            r.u8()?; // op tag
+            Some(TableId(r.u32()?))
+        }
+        _ => None,
+    };
+    Ok(Peek { kind, txn, table })
 }
 
 /// Decoding context: tracks the byte offset for error reporting.

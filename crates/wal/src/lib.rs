@@ -19,7 +19,8 @@
 //! length-prefixed binary backend used by restart recovery: the real
 //! file ([`file::FileBackend`]) or, for deterministic crash
 //! simulation, the seeded fault injector ([`fault::FaultBackend`]).
-//! Every reader decodes to the one owned [`LogRecord`].
+//! The log keeps each record only as its codec bytes, and every
+//! reader decodes to the one owned [`LogRecord`].
 
 pub mod codec;
 pub mod fault;
@@ -27,7 +28,8 @@ pub mod file;
 pub mod manager;
 pub mod record;
 
+pub use codec::Peek;
 pub use fault::{FaultBackend, FaultConfig, FaultHandle};
 pub use file::{decode_stream, encode_stream, Backend, FileBackend};
 pub use manager::{GroupCommitConfig, LogManager, TailCursor, WalMode};
-pub use record::{LogOp, LogRecord, MigrationPhase};
+pub use record::{LogOp, LogRecord, MigrationPhase, RecordKind};

@@ -13,10 +13,10 @@
 //! ## The append/flush pipeline (DESIGN.md §11)
 //!
 //! There is one discipline. An append *reserves* its LSN with one
-//! atomic increment, encodes the record outside any lock, fills its
-//! pre-allocated slot, and *publishes* by advancing the gapless-prefix
-//! watermark under a short ordering lock. Backend bytes are *staged*
-//! in the slot and drained to the backend strictly in LSN order by
+//! atomic increment, encodes the record outside any lock, copies the
+//! bytes into its pre-allocated slot, and *publishes* by advancing the
+//! gapless-prefix watermark under a short ordering lock. The backend
+//! is fed from the same slot bytes, drained strictly in LSN order by
 //! whichever thread next needs durability, so byte order equals LSN
 //! order, the invariant the crash simulator's torn-write model depends
 //! on. Durability is a watermark: committers call
@@ -24,12 +24,22 @@
 //! one [`drain`](LogManager::drain) + flush on behalf of every waiter
 //! at or below the published LSN (group commit).
 //!
-//! Retained records live in fixed-size chunks of once-written slots.
-//! Readers ([`read`](LogManager::read),
-//! [`read_range`](LogManager::read_range), [`TailCursor`]) consult
-//! the atomic published watermark and then touch only per-slot locks
-//! that no appender holds any more — tail reads never contend with
-//! the append path. [`last_lsn`](LogManager::last_lsn),
+//! ## One stored form
+//!
+//! A retained record is kept only as its [`codec`] bytes, written
+//! inline in its slot of a fixed-size chunk; a record longer than the
+//! inline capacity spills to one buffer of its own. The appender's
+//! [`LogRecord`] is dropped on the appending thread, so truncation
+//! frees one allocation per chunk (plus any spills), not the records'
+//! heap trees, and the backend receives exactly the bytes readers
+//! decode. Readers ([`read`](LogManager::read),
+//! [`read_range`](LogManager::read_range), [`TailCursor`]) decode on
+//! their own thread; [`TailCursor::next_batch_where`] first
+//! [`peek`](codec::peek)s each record and decodes only those its
+//! caller keeps. Readers consult the atomic published watermark and
+//! then touch only per-slot locks that no appender holds any more:
+//! tail reads never contend with the append path.
+//! [`last_lsn`](LogManager::last_lsn),
 //! [`backlog`](LogManager::backlog), [`len`](LogManager::len) and
 //! [`is_empty`](LogManager::is_empty) are plain atomic loads (the
 //! propagator polls them every iteration). Truncation moves a logical
@@ -38,10 +48,10 @@
 //! only) and frees them on the truncating thread after every WAL lock
 //! is released, so a large free never stalls an appender or a reader.
 
-use crate::codec;
+use crate::codec::{self, Peek};
 use crate::file::{Backend, FileBackend};
 use crate::record::LogRecord;
-use bytes::Bytes;
+use bytes::BufMut;
 use morph_common::{DbError, DbResult, Lsn};
 use parking_lot::{Condvar, Mutex, RwLock};
 use std::collections::VecDeque;
@@ -88,18 +98,72 @@ impl Default for GroupCommitConfig {
 /// relative to LSN 1, so chunk lookup is pure index arithmetic.
 const CHUNK_RECORDS: u64 = 256;
 
-/// One record's cell: written once by its appender before the publish
-/// watermark passes it, immutable afterwards except for the staged
-/// bytes, which the drain step takes (in LSN order, under the backend
-/// lock). The per-slot mutex is never contended on the hot path: the
-/// appender is done with it before readers may look, and the drainer
-/// holds it for one `take`.
-#[derive(Default)]
+/// Encoded bytes a slot holds inline. Most records fit (an update of
+/// one short column is about 70 bytes); a longer one spills to one
+/// buffer of its own. Sized so that a slot, lock included, is 128
+/// bytes (`slot_is_128_bytes_with_its_lock`).
+const INLINE_BYTES: usize = 88;
+
+/// One record's cell: its codec bytes, written once by its appender
+/// before the publish watermark passes it and immutable afterwards
+/// except for the `drained` flag, which the drain step sets (in LSN
+/// order, under the backend lock). The per-slot mutex is never
+/// contended on the hot path: the appender is done with it before
+/// readers may look, and the drainer holds it for one backend append.
 struct Slot {
-    rec: Option<Arc<LogRecord>>,
-    /// Encoded bytes awaiting the backend drain (only with a
-    /// backend).
-    staged: Option<Bytes>,
+    /// Encoded length; zero until the appender fills the slot (no
+    /// record encodes to zero bytes).
+    len: u32,
+    /// The backend has received these bytes (only with a backend).
+    drained: bool,
+    inline: [u8; INLINE_BYTES],
+    /// All the bytes of a record longer than [`INLINE_BYTES`]; empty
+    /// (unallocated) otherwise.
+    spill: Vec<u8>,
+}
+
+impl Slot {
+    const EMPTY: Slot = Slot {
+        len: 0,
+        drained: false,
+        inline: [0; INLINE_BYTES],
+        spill: Vec::new(),
+    };
+
+    /// A filled slot holding `rec`'s codec bytes.
+    fn encode(rec: &LogRecord) -> Slot {
+        let mut slot = Slot::EMPTY;
+        codec::encode_into(rec, &mut slot);
+        slot
+    }
+
+    /// The record's bytes; `None` until the appender filled the slot.
+    fn bytes(&self) -> Option<&[u8]> {
+        match self.len as usize {
+            0 => None,
+            _ if !self.spill.is_empty() => Some(&self.spill),
+            n => Some(&self.inline[..n]),
+        }
+    }
+}
+
+/// The codec writes straight into a fresh slot: inline until the
+/// record outgrows [`INLINE_BYTES`], then into the spill buffer.
+impl BufMut for Slot {
+    fn put_slice(&mut self, src: &[u8]) {
+        let len = self.len as usize;
+        let end = len + src.len();
+        if self.spill.is_empty() && end <= INLINE_BYTES {
+            self.inline[len..end].copy_from_slice(src);
+        } else {
+            if self.spill.is_empty() {
+                self.spill.reserve(end.max(2 * INLINE_BYTES));
+                self.spill.extend_from_slice(&self.inline[..len]);
+            }
+            self.spill.extend_from_slice(src);
+        }
+        self.len = end as u32;
+    }
 }
 
 struct Chunk {
@@ -113,7 +177,7 @@ impl Chunk {
         Chunk {
             first,
             slots: (0..CHUNK_RECORDS)
-                .map(|_| Mutex::new(Slot::default()))
+                .map(|_| Mutex::new(Slot::EMPTY))
                 .collect(),
         }
     }
@@ -219,7 +283,7 @@ impl LogManager {
                     c
                 }
             };
-            chunk.slot(lsn).lock().rec = Some(Arc::new(rec));
+            *chunk.slot(lsn).lock() = Slot::encode(&rec);
         }
         LogManager {
             group_cfg,
@@ -289,8 +353,9 @@ impl LogManager {
     // --- append ---------------------------------------------------------
 
     /// Append one record, returning its LSN: reserve, encode outside
-    /// any lock, fill the slot, then advance the publish watermark
-    /// over the gapless prefix of filled slots.
+    /// any lock, copy the bytes into the slot, then advance the
+    /// publish watermark over the gapless prefix of filled slots. The
+    /// record itself is dropped here, on the appending thread.
     ///
     /// The record is readable when this returns. The engine appends
     /// inside the table shard latch and relies on that: a final drain
@@ -301,13 +366,10 @@ impl LogManager {
     /// thread could be holding, and publishes both when it is done).
     pub fn append(&self, rec: LogRecord) -> Lsn {
         let lsn = self.reserved.fetch_add(1, Ordering::Relaxed) + 1;
-        let staged = self.backend.as_ref().map(|_| codec::encode(&rec));
+        let filled = Slot::encode(&rec);
+        drop(rec);
         let chunk = self.ensure_chunk(lsn);
-        {
-            let mut slot = chunk.slot(lsn).lock();
-            slot.rec = Some(Arc::new(rec));
-            slot.staged = staged;
-        }
+        *chunk.slot(lsn).lock() = filled;
         let mut published = self.publish_filled();
         while published < lsn {
             std::thread::yield_now();
@@ -336,7 +398,7 @@ impl LogManager {
                     None => break,
                 },
             };
-            if cur.slot(next).lock().rec.is_none() {
+            if cur.slot(next).lock().len == 0 {
                 break;
             }
             p = next;
@@ -374,12 +436,13 @@ impl LogManager {
 
     // --- durability -----------------------------------------------------
 
-    /// Hand every staged byte up to `upto` to the backend, strictly in
-    /// LSN order. Caller holds the backend lock; the per-slot locks it
-    /// takes are uncontended (appenders are done with published slots).
+    /// Hand the slot bytes of every LSN up to `upto` to the backend,
+    /// strictly in LSN order, and mark each slot drained. Caller holds
+    /// the backend lock; the per-slot locks it takes are uncontended
+    /// (appenders are done with published slots).
     ///
-    /// A reclaimed chunk or a published slot with its staged bytes
-    /// already gone means the truncation / staging invariants were
+    /// A reclaimed chunk, or a published slot that is empty or already
+    /// drained, means the truncation / drain-once invariants were
     /// violated; the drain surfaces that as [`DbError::Internal`]
     /// (leaving `drained` at the last good LSN) rather than panicking
     /// under the backend lock, which would poison every later commit.
@@ -398,18 +461,23 @@ impl LogManager {
                     &*chunk.insert(c)
                 }
             };
-            let bytes = cur.slot(next).lock().staged.take().ok_or_else(|| {
-                DbError::Internal(format!(
-                    "WAL drain: published LSN {next} lost its staged bytes before the drain"
-                ))
-            })?;
-            be.sink.append(&bytes);
+            let mut slot = cur.slot(next).lock();
+            match slot.bytes() {
+                Some(bytes) if !slot.drained => be.sink.append(bytes),
+                _ => {
+                    return Err(DbError::Internal(format!(
+                        "WAL drain: published LSN {next} has no staged bytes left to drain \
+                         (empty, or drained before)"
+                    )))
+                }
+            }
+            slot.drained = true;
             be.drained = next;
         }
         Ok(())
     }
 
-    /// Hand every published record's staged bytes to the backend, in
+    /// Hand every published record's bytes to the backend, in
     /// LSN order, *without* flushing, and return the LSN drained up
     /// to. This is the first half of a flush leader's work; on its
     /// own it is the state a leader that dies between its drain and
@@ -427,13 +495,16 @@ impl LogManager {
         self.durable.fetch_max(upto, Ordering::AcqRel);
     }
 
-    /// Test-only corruption seam: steal a published slot's staged
-    /// bytes so the drain's invariant check has something to catch.
+    /// Test-only corruption seam: mark a published slot drained
+    /// behind the drain cursor's back, so the drain-once check has
+    /// something to catch. Returns whether the slot was undrained.
     #[cfg(test)]
-    fn steal_staged_for_test(&self, lsn: Lsn) -> Option<Bytes> {
-        let chunk = self.store.read().chunk_for(lsn.0)?;
-        let stolen = chunk.slot(lsn.0).lock().staged.take();
-        stolen
+    fn mark_drained_for_test(&self, lsn: Lsn) -> bool {
+        let Some(chunk) = self.store.read().chunk_for(lsn.0) else {
+            return false;
+        };
+        let mut slot = chunk.slot(lsn.0).lock();
+        !std::mem::replace(&mut slot.drained, true)
     }
 
     /// Block until the record at `lsn` is durable (its bytes and all
@@ -593,7 +664,7 @@ impl LogManager {
     }
 
     /// The locked half of [`truncate_until`](LogManager::truncate_until):
-    /// drain the staged bytes of whole chunks below `lsn`, move the
+    /// drain the undrained bytes of whole chunks below `lsn`, move the
     /// base, then pop those chunks off the list under the store lock
     /// (pointer moves only). Returns the number of records discarded
     /// and the retired chunks; every lock is released on return, and
@@ -609,8 +680,8 @@ impl LogManager {
         if new_base <= base {
             return Ok((0, Vec::new()));
         }
-        // Whole chunks about to be reclaimed may still hold staged
-        // bytes the backend has not seen; hand them over first so the
+        // Whole chunks about to be reclaimed may still hold bytes the
+        // backend has not seen; hand them over first so the
         // archive stays complete and in LSN order. A failed drain
         // aborts the truncation with nothing reclaimed: dropping the
         // chunks anyway would tear a hole in the durable archive.
@@ -643,9 +714,10 @@ impl LogManager {
         self.len() == 0
     }
 
-    /// Fetch a single record by LSN (`None` if out of range or
-    /// truncated away). Touches only the published watermark, the
-    /// chunk index, and the record's own slot — never the append path.
+    /// Fetch a single record by LSN (`None` if out of range,
+    /// truncated away, or undecodable). Touches only the published
+    /// watermark, the chunk index, and the record's own slot, never
+    /// the append path; the decode runs on the calling thread.
     pub fn read(&self, lsn: Lsn) -> Option<Arc<LogRecord>> {
         if lsn.is_zero()
             || lsn.0 <= self.base.load(Ordering::Acquire)
@@ -654,39 +726,76 @@ impl LogManager {
             return None;
         }
         let chunk = self.store.read().chunk_for(lsn.0)?;
-        let rec = chunk.slot(lsn.0).lock().rec.clone();
-        rec
+        let slot = chunk.slot(lsn.0).lock();
+        codec::decode(slot.bytes()?).ok().map(Arc::new)
     }
 
     /// Read up to `max` records starting at `from` (inclusive). Returns
     /// records paired with their LSNs; an empty result means the caller
-    /// has caught up with the tail.
+    /// has caught up with the tail. A record that fails to decode ends
+    /// the batch before it; [`TailCursor::next_batch_where`] surfaces
+    /// that as an error instead.
     pub fn read_range(&self, from: Lsn, max: usize) -> Vec<(Lsn, Arc<LogRecord>)> {
+        let mut out = Vec::with_capacity(max.min(self.len()));
+        // An error only ends the batch early (see above).
+        let _ = self.scan(
+            from,
+            max,
+            |_| true,
+            |lsn, rec| out.push((lsn, Arc::new(rec))),
+        );
+        out
+    }
+
+    /// Visit the retained records from `from` (inclusive), at most
+    /// `max` of them, in LSN order: `keep` sees each record's
+    /// [`Peek`], and only the records it keeps are decoded and handed
+    /// to `emit`, on the calling thread. Returns how many records were
+    /// scanned, the LSN to scan next, and the error of a record that
+    /// failed to peek or decode (scanning stops before it). A record
+    /// truncated away under the scan also ends it, without an error.
+    fn scan(
+        &self,
+        from: Lsn,
+        max: usize,
+        mut keep: impl FnMut(&Peek) -> bool,
+        mut emit: impl FnMut(Lsn, LogRecord),
+    ) -> (usize, Lsn, DbResult<()>) {
         // Reads below the truncation point start at the first retained
         // record (callers that must never miss records — propagation
         // cursors — are protected by the truncation guard upstream).
         let start = from.0.max(1).max(self.base.load(Ordering::Acquire) + 1);
         let published = self.published.load(Ordering::Acquire);
         if start > published || max == 0 {
-            return Vec::new();
+            return (0, from, Ok(()));
         }
         let end = published.min(start.saturating_add(max as u64 - 1));
-        let mut out = Vec::with_capacity((end - start + 1) as usize);
         let mut lsn = start;
+        let mut result = Ok(());
         'scan: while lsn <= end {
             let Some(chunk) = self.store.read().chunk_for(lsn) else {
                 break; // lost a race with truncation: return what we have
             };
             let chunk_end = end.min(chunk.last());
             while lsn <= chunk_end {
-                match chunk.slot(lsn).lock().rec.clone() {
-                    Some(rec) => out.push((Lsn(lsn), rec)),
-                    None => break 'scan,
+                let slot = chunk.slot(lsn).lock();
+                let Some(bytes) = slot.bytes() else {
+                    break 'scan;
+                };
+                let visited = codec::peek(bytes).and_then(|peek| {
+                    if keep(&peek) {
+                        emit(Lsn(lsn), codec::decode(bytes)?);
+                    }
+                    Ok(())
+                });
+                if visited.is_err() {
+                    result = visited;
+                    break 'scan;
                 }
                 lsn += 1;
             }
         }
-        out
+        ((lsn - start) as usize, Lsn(lsn), result)
     }
 
     /// How many records exist at or after `from` — the propagation
@@ -727,6 +836,25 @@ impl TailCursor {
         batch
     }
 
+    /// Scan the next at most `max` records, decoding only those whose
+    /// [`Peek`] `keep` accepts; the cursor moves past every record
+    /// scanned, kept or not. Returns how many records were scanned
+    /// (zero once the cursor has caught up with the tail) and the kept
+    /// ones. A record that cannot be peeked or decoded is an error,
+    /// and the cursor stays on it.
+    pub fn next_batch_where(
+        &mut self,
+        log: &LogManager,
+        max: usize,
+        keep: impl FnMut(&Peek) -> bool,
+    ) -> DbResult<(usize, Vec<(Lsn, LogRecord)>)> {
+        let mut kept = Vec::new();
+        let (scanned, next, result) =
+            log.scan(self.next, max, keep, |lsn, rec| kept.push((lsn, rec)));
+        self.next = next;
+        result.map(|()| (scanned, kept))
+    }
+
     /// The LSN the next batch will start from.
     pub fn next_lsn(&self) -> Lsn {
         self.next
@@ -747,6 +875,38 @@ mod tests {
 
     fn begin(n: u64) -> LogRecord {
         LogRecord::Begin { txn: TxnId(n) }
+    }
+
+    /// A chunk is `CHUNK_RECORDS` slots in one allocation: 32 KB.
+    #[test]
+    fn slot_is_128_bytes_with_its_lock() {
+        assert_eq!(std::mem::size_of::<Mutex<Slot>>(), 128);
+    }
+
+    /// A record longer than the inline bytes spills whole; one that
+    /// fits stays inline. Both read back.
+    #[test]
+    fn long_records_spill_and_short_ones_stay_inline() {
+        let spec = |n: usize| LogRecord::MigrationState {
+            job: 1,
+            stage: 0,
+            phase: crate::record::MigrationPhase::Planned,
+            spec: "s".repeat(n),
+        };
+        // 18 header bytes + the spec.
+        let fits = spec(INLINE_BYTES - 18);
+        let spills = spec(INLINE_BYTES - 17);
+        let short = Slot::encode(&fits);
+        assert!(short.spill.is_empty());
+        assert_eq!(short.bytes().unwrap().len(), INLINE_BYTES);
+        let long = Slot::encode(&spills);
+        assert_eq!(long.spill.len(), INLINE_BYTES + 1);
+        assert_eq!(long.bytes().unwrap(), &codec::encode(&spills)[..]);
+        let log = LogManager::new();
+        log.append(fits.clone());
+        log.append(spills.clone());
+        assert_eq!(*log.read(Lsn(1)).unwrap(), fits);
+        assert_eq!(*log.read(Lsn(2)).unwrap(), spills);
     }
 
     #[test]
@@ -871,7 +1031,7 @@ mod tests {
         );
         assert_eq!(log.last_lsn(), Lsn::ZERO);
         // The stalled appender resumes: fill and publish.
-        log.ensure_chunk(1).slot(1).lock().rec = Some(Arc::new(begin(1)));
+        *log.ensure_chunk(1).slot(1).lock() = Slot::encode(&begin(1));
         log.publish_filled();
         let (lsn, seen) = rx.recv().unwrap();
         assert_eq!(lsn, Lsn(2));
@@ -1119,8 +1279,8 @@ mod tests {
         }
     }
 
-    /// Regression: a drain that finds a published slot without its
-    /// staged bytes (a staging-invariant violation) must surface
+    /// Regression: a drain that finds a published slot whose bytes
+    /// were already drained (a drain-once violation) must surface
     /// `DbError::Internal` to the committer instead of panicking under
     /// the backend lock — a panic there poisons the group-commit path
     /// for every later committer.
@@ -1132,7 +1292,7 @@ mod tests {
         for i in 0..3 {
             last = log.append(begin(i));
         }
-        assert!(log.steal_staged_for_test(Lsn(2)).is_some());
+        assert!(log.mark_drained_for_test(Lsn(2)));
         let Err(err) = log.wait_durable(last) else {
             panic!("drain over a corrupted slot must fail")
         };

@@ -234,7 +234,39 @@ pub enum LogRecord {
     },
 }
 
+/// The variant of a [`LogRecord`], without its payload: what
+/// [`codec::peek`](crate::codec::peek) reads from the tag byte.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum RecordKind {
+    Begin,
+    Commit,
+    Abort,
+    AbortEnd,
+    Op,
+    Clr,
+    FuzzyMark,
+    CcBegin,
+    CcOk,
+    MigrationState,
+}
+
 impl LogRecord {
+    /// This record's variant.
+    pub fn kind(&self) -> RecordKind {
+        match self {
+            LogRecord::Begin { .. } => RecordKind::Begin,
+            LogRecord::Commit { .. } => RecordKind::Commit,
+            LogRecord::Abort { .. } => RecordKind::Abort,
+            LogRecord::AbortEnd { .. } => RecordKind::AbortEnd,
+            LogRecord::Op { .. } => RecordKind::Op,
+            LogRecord::Clr { .. } => RecordKind::Clr,
+            LogRecord::FuzzyMark { .. } => RecordKind::FuzzyMark,
+            LogRecord::CcBegin { .. } => RecordKind::CcBegin,
+            LogRecord::CcOk { .. } => RecordKind::CcOk,
+            LogRecord::MigrationState { .. } => RecordKind::MigrationState,
+        }
+    }
+
     /// The transaction this record belongs to, if any.
     pub fn txn(&self) -> Option<TxnId> {
         match self {

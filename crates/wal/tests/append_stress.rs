@@ -15,10 +15,12 @@
 //!
 //! The `TxnId` payload of each record encodes (thread, sequence), so
 //! the decoded prefix identifies exactly which append each durable
-//! record came from.
+//! record came from. Every fourth record is an insert of a long
+//! string, too long for a log slot's inline bytes, so spilled records
+//! race the truncator's chunk frees beside inline ones.
 
-use morph_common::{Lsn, TxnId};
-use morph_wal::{FaultBackend, FaultConfig, GroupCommitConfig, LogManager, LogRecord};
+use morph_common::{Lsn, TableId, TxnId, Value};
+use morph_wal::{FaultBackend, FaultConfig, GroupCommitConfig, LogManager, LogOp, LogRecord};
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -32,6 +34,22 @@ const TRUNCATE_KEEP: u64 = 64;
 
 fn payload(thread: u64, seq: u64) -> TxnId {
     TxnId(thread * 1_000_000 + seq)
+}
+
+/// The record appended for `txn`: a begin, or every fourth one an
+/// insert of a 150–213 byte string.
+fn record(txn: TxnId) -> LogRecord {
+    if txn.0 % 4 != 3 {
+        return LogRecord::Begin { txn };
+    }
+    let row = vec![Value::str("x".repeat(150 + (txn.0 % 64) as usize))];
+    LogRecord::Op {
+        txn,
+        op: LogOp::Insert {
+            table: TableId(1),
+            row,
+        },
+    }
 }
 
 /// Run the stress universe, returning nothing: all invariants are
@@ -75,7 +93,7 @@ fn stress(gc: GroupCommitConfig, seed: u64) {
         handles.push(std::thread::spawn(move || {
             for i in 0..APPENDS_PER_THREAD {
                 let txn = payload(t, i);
-                let lsn = log.append(LogRecord::Begin { txn });
+                let lsn = log.append(record(txn));
                 by_lsn.lock().insert(lsn.0, txn);
                 // Every 16th append acts like a committer and demands
                 // durability; the rest just race the append path.
@@ -107,7 +125,7 @@ fn stress(gc: GroupCommitConfig, seed: u64) {
         let rec = log.read(Lsn(lsn)).expect("retained record missing");
         assert_eq!(
             *rec,
-            LogRecord::Begin { txn: by_lsn[&lsn] },
+            record(by_lsn[&lsn]),
             "retained LSN {lsn} reads another record (seed {seed})"
         );
     }
@@ -130,15 +148,12 @@ fn stress(gc: GroupCommitConfig, seed: u64) {
     // Invariant 1: the survivors are exactly Lsn(1)..=k, in order.
     for (i, rec) in durable.iter().enumerate() {
         let lsn = i as u64 + 1;
-        let want = by_lsn[&lsn];
-        match rec {
-            LogRecord::Begin { txn } => assert_eq!(
-                *txn, want,
-                "byte position {i} holds the wrong record for {lsn} \
-                 (seed {seed}): byte order != LSN order"
-            ),
-            other => panic!("unexpected record {other:?} at byte position {i}"),
-        }
+        assert_eq!(
+            *rec,
+            record(by_lsn[&lsn]),
+            "byte position {i} holds the wrong record for {lsn} \
+             (seed {seed}): byte order != LSN order"
+        );
     }
 }
 

@@ -1,80 +1,12 @@
 //! Property tests of the log-record codec: every representable record
-//! round-trips, and no byte-level corruption can cause a panic (only
-//! `CorruptLog` errors).
+//! round-trips, [`codec::peek`] agrees with the full decode, and no
+//! byte-level corruption can cause a panic (only `CorruptLog` errors).
 
-use morph_common::{Key, Lsn, TableId, TxnId, Value};
-use morph_wal::{codec, LogOp, LogRecord};
+mod strategies;
+
+use morph_wal::codec;
 use proptest::prelude::*;
-
-fn value_strategy() -> impl Strategy<Value = Value> {
-    prop_oneof![
-        Just(Value::Null),
-        any::<i64>().prop_map(Value::Int),
-        ".{0,12}".prop_map(Value::Str),
-    ]
-}
-
-fn values_strategy() -> impl Strategy<Value = Vec<Value>> {
-    prop::collection::vec(value_strategy(), 0..6)
-}
-
-fn cols_strategy() -> impl Strategy<Value = Vec<(usize, Value)>> {
-    prop::collection::vec((0usize..16, value_strategy()), 0..5)
-}
-
-fn op_strategy() -> impl Strategy<Value = LogOp> {
-    prop_oneof![
-        (any::<u32>(), values_strategy()).prop_map(|(t, row)| LogOp::Insert {
-            table: TableId(t),
-            row,
-        }),
-        (any::<u32>(), values_strategy(), values_strategy()).prop_map(|(t, k, old)| {
-            LogOp::Delete {
-                table: TableId(t),
-                key: Key(k),
-                old,
-            }
-        }),
-        (
-            any::<u32>(),
-            values_strategy(),
-            cols_strategy(),
-            cols_strategy()
-        )
-            .prop_map(|(t, k, old, new)| LogOp::Update {
-                table: TableId(t),
-                key: Key(k),
-                old,
-                new,
-            }),
-    ]
-}
-
-fn record_strategy() -> impl Strategy<Value = LogRecord> {
-    prop_oneof![
-        any::<u64>().prop_map(|t| LogRecord::Begin { txn: TxnId(t) }),
-        any::<u64>().prop_map(|t| LogRecord::Commit { txn: TxnId(t) }),
-        any::<u64>().prop_map(|t| LogRecord::Abort { txn: TxnId(t) }),
-        any::<u64>().prop_map(|t| LogRecord::AbortEnd { txn: TxnId(t) }),
-        (any::<u64>(), op_strategy()).prop_map(|(t, op)| LogRecord::Op { txn: TxnId(t), op }),
-        (any::<u64>(), any::<u64>(), op_strategy()).prop_map(|(t, l, op)| LogRecord::Clr {
-            txn: TxnId(t),
-            undone_lsn: Lsn(l),
-            op,
-        }),
-        (prop::collection::vec(any::<u64>(), 0..8), any::<u64>()).prop_map(|(a, l)| {
-            LogRecord::FuzzyMark {
-                active: a.into_iter().map(TxnId).collect(),
-                start_lsn: Lsn(l),
-            }
-        }),
-        values_strategy().prop_map(|k| LogRecord::CcBegin { split_key: Key(k) }),
-        (values_strategy(), values_strategy()).prop_map(|(k, image)| LogRecord::CcOk {
-            split_key: Key(k),
-            image,
-        }),
-    ]
-}
+use strategies::record_strategy;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
@@ -84,6 +16,16 @@ proptest! {
         let bytes = codec::encode(&rec);
         let back = codec::decode(&bytes).expect("decode own encoding");
         prop_assert_eq!(back, rec);
+    }
+
+    /// The fixed-offset peek reads the same kind, transaction and
+    /// table as the full decode, for every record kind.
+    #[test]
+    fn peek_agrees_with_decode(rec in record_strategy()) {
+        let peek = codec::peek(&codec::encode(&rec)).expect("peek own encoding");
+        prop_assert_eq!(peek.kind, rec.kind());
+        prop_assert_eq!(peek.txn, rec.txn());
+        prop_assert_eq!(peek.table, rec.op().map(|op| op.table()));
     }
 
     /// Arbitrary mutations of valid encodings never panic — they either
