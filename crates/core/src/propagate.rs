@@ -319,7 +319,7 @@ impl Propagator {
 
     /// Whether [`Propagator::process`] can act on a record, judged
     /// from its [`Peek`] alone: the cursor decodes only these. An op on
-    /// a table that is not a source, and every begin, abort-start, mark
+    /// a table that is not a source, and every abort-start, mark
     /// and unguarded end record, is skipped undecoded.
     fn wants(&self, ctx: &DrainCtx, peek: &Peek) -> bool {
         match peek.kind {

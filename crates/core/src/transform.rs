@@ -693,6 +693,7 @@ mod tests {
         let stop = Arc::new(AtomicBool::new(false));
         let db2 = Arc::clone(&db);
         let stop2 = Arc::clone(&stop);
+        let (first_commit, first_committed) = std::sync::mpsc::channel();
         let worker = std::thread::spawn(move || {
             let mut i = 0u64;
             let mut committed = 0u32;
@@ -705,6 +706,9 @@ mod tests {
                     Ok(()) => {
                         if db2.commit(txn).is_ok() {
                             committed += 1;
+                            if committed == 1 {
+                                let _ = first_commit.send(());
+                            }
                         }
                     }
                     Err(_) => {
@@ -721,6 +725,11 @@ mod tests {
             committed
         });
 
+        // Start the migration only once the writer is running: a writer
+        // that gets no CPU before the cutover freezes R commits nothing.
+        first_committed
+            .recv_timeout(Duration::from_secs(30))
+            .expect("the writer's first commit");
         let options = opts()
             .priority(0.8)
             .non_convergence(crate::spec::NonConvergencePolicy::Escalate { factor: 2.0 });

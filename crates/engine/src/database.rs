@@ -303,11 +303,11 @@ impl Database {
 
     // --- transaction lifecycle ------------------------------------------
 
-    /// Begin a transaction.
+    /// Begin a transaction. It logs nothing: its first record is its
+    /// first data record (DESIGN.md §11).
     pub fn begin(&self) -> TxnId {
         let id = TxnId(self.next_txn.fetch_add(1, Ordering::Relaxed));
-        self.registry
-            .begin_with(id, || self.log.append(LogRecord::Begin { txn: id }));
+        self.registry.begin_with(id, || self.log.last_lsn().next());
         id
     }
 
@@ -319,15 +319,18 @@ impl Database {
             self.rollback_cell(&cell)?;
             return Err(DbError::TxnDoomed(txn));
         }
+        let wrote = !cell.state.lock().undo.is_empty();
         // No data record follows: from here on the cutover census
         // leaves this transaction out (see [`Database::lock_holders`]).
-        cell.mark_ending();
-        // Read-only transactions have no redo/undo work: their Commit
-        // record need not be durable before they acknowledge (there is
-        // nothing to lose), so they skip the durability wait — and with
-        // it the fsync — entirely. Writers wait on the group-commit
-        // watermark: one backend flush may cover many committers.
-        let wrote = !cell.state.lock().undo.is_empty();
+        // One that wrote nothing logs nothing, unless a census reported
+        // it: a propagator waits for its Commit.
+        let reported = cell.end();
+        if !wrote && !reported {
+            self.registry.remove(txn);
+            self.locks.release_all(txn);
+            self.commits.fetch_add(1, Ordering::Relaxed);
+            return Ok(());
+        }
         self.crash_point("commit.wal_append")?;
         let commit_lsn = if self.mvcc_enabled() {
             // Atomic with respect to snapshot acquisition: a snapshot
@@ -342,6 +345,10 @@ impl Database {
         } else {
             self.log.append(LogRecord::Commit { txn })
         };
+        // A reader's Commit need not be durable before it acknowledges
+        // (there is nothing to lose), so it skips the durability wait —
+        // and with it the fsync. Writers wait on the group-commit
+        // watermark: one backend flush may cover many committers.
         if wrote {
             self.log.wait_durable(commit_lsn)?;
         }
@@ -360,9 +367,15 @@ impl Database {
 
     fn rollback_cell(&self, cell: &Arc<TxnCell>) -> DbResult<()> {
         let txn = cell.id;
-        self.log.append(LogRecord::Abort { txn });
         let undo = std::mem::take(&mut cell.state.lock().undo);
         let wrote = !undo.is_empty();
+        // Nothing to undo: like a commit, log nothing unless reported.
+        if !wrote && !cell.end() {
+            self.registry.remove(txn);
+            self.locks.release_all(txn);
+            return Ok(());
+        }
+        self.log.append(LogRecord::Abort { txn });
         let mut first_err = None;
         for (undone_lsn, inverse) in undo.into_iter().rev() {
             // Rollback must run to completion no matter what: skipping
@@ -378,7 +391,8 @@ impl Database {
                 }
             }
         }
-        cell.mark_ending();
+        // A writer ends after its last CLR, and logs AbortEnd either way.
+        cell.end();
         let end_lsn = self.log.append(LogRecord::AbortEnd { txn });
         if self.mvcc_enabled() {
             // No seal needed: the transaction was invisible while
@@ -457,21 +471,19 @@ impl Database {
     ///
     /// A transaction that has logged its last data record
     /// ([`TxnCell::ending`]) is left out. It performs no further
-    /// operation on any table, and its end record may already be behind
-    /// a final drain, so nothing would ever release a caller waiting on
-    /// it. Conversely, a transaction the census does report has not yet
-    /// published its end record to anyone who drained the log first.
+    /// operation on any table, and its end record, if any, may already
+    /// be behind a final drain, so nothing would ever release a caller
+    /// waiting on it. Conversely, a transaction the census does report
+    /// logs an end record even if it wrote nothing ([`TxnCell::report`]),
+    /// and has not yet published it to anyone who drained the log first.
     pub fn lock_holders(&self, tables: &[Arc<Table>]) -> Vec<LockHolder> {
         let mut out = Vec::new();
         for cell in self.registry.cells() {
-            if cell.is_ending() {
-                continue;
-            }
             let held: Vec<_> = tables
                 .iter()
                 .map(|t| self.locks.held_keys_in(cell.id, t.id()))
                 .collect();
-            if held.iter().any(|h| !h.is_empty()) {
+            if held.iter().any(|h| !h.is_empty()) && cell.report() {
                 out.push(LockHolder { txn: cell.id, held });
             }
         }
@@ -911,8 +923,148 @@ mod tests {
         db.commit(txn).unwrap();
         assert_eq!(t.get(&Key::single(1)).unwrap().values, row(1, "a"));
         assert_eq!(db.counters_snapshot().commits, 1);
-        // Log: Begin, Op, Commit.
-        assert_eq!(db.log().len(), 3);
+        // Log: Op, Commit — no begin record.
+        assert_eq!(db.log().len(), 2);
+    }
+
+    /// A transaction that writes nothing logs nothing, whether it
+    /// commits or aborts; a writer logs its ops and one Commit.
+    #[test]
+    fn only_writers_log_records() {
+        let (db, _t) = db_with_table();
+        let setup = db.begin();
+        db.insert(setup, "t", row(1, "a")).unwrap();
+        db.commit(setup).unwrap();
+        let tail = db.log().last_lsn();
+        for commit in [true, false] {
+            let txn = db.begin();
+            assert_eq!(
+                db.read(txn, "t", &Key::single(1)).unwrap(),
+                Some(row(1, "a"))
+            );
+            if commit {
+                db.commit(txn).unwrap();
+            } else {
+                db.abort(txn).unwrap();
+            }
+            assert!(!db.is_active(txn));
+            assert_eq!(db.locks().held_count(txn), 0);
+            assert_eq!(db.log().last_lsn(), tail, "commit = {commit}");
+        }
+        let w = db.begin();
+        db.update(w, "t", &Key::single(1), &[(1, Value::str("b"))])
+            .unwrap();
+        db.insert(w, "t", row(2, "c")).unwrap();
+        db.commit(w).unwrap();
+        let logged: Vec<_> = db
+            .log()
+            .read_range(tail.next(), usize::MAX)
+            .into_iter()
+            .map(|(_, r)| (*r).clone())
+            .collect();
+        assert_eq!(logged.len(), 3);
+        assert!(logged[..2]
+            .iter()
+            .all(|r| matches!(r, LogRecord::Op { txn, .. } if *txn == w)));
+        assert_eq!(logged[2], LogRecord::Commit { txn: w });
+    }
+
+    /// A reader the census reported logs its end record: a Commit, or
+    /// an Abort and AbortEnd when it rolls back.
+    #[test]
+    fn a_reported_reader_logs_its_end_record() {
+        let (db, t) = db_with_table();
+        let setup = db.begin();
+        db.insert(setup, "t", row(1, "a")).unwrap();
+        db.commit(setup).unwrap();
+        for commit in [true, false] {
+            let tail = db.log().last_lsn();
+            let txn = db.begin();
+            db.read(txn, "t", &Key::single(1)).unwrap();
+            let holders = db.lock_holders(std::slice::from_ref(&t));
+            assert_eq!(holders.iter().map(|h| h.txn).collect::<Vec<_>>(), [txn]);
+            if commit {
+                db.commit(txn).unwrap();
+            } else {
+                db.abort(txn).unwrap();
+            }
+            let logged: Vec<_> = db
+                .log()
+                .read_range(tail.next(), usize::MAX)
+                .into_iter()
+                .map(|(_, r)| (*r).clone())
+                .collect();
+            let expect = if commit {
+                vec![LogRecord::Commit { txn }]
+            } else {
+                vec![LogRecord::Abort { txn }, LogRecord::AbortEnd { txn }]
+            };
+            assert_eq!(logged, expect);
+        }
+        // An ending transaction is not reported, and a census that
+        // finds no lock marks nobody.
+        let idle = db.begin();
+        assert!(db.lock_holders(std::slice::from_ref(&t)).is_empty());
+        let tail = db.log().last_lsn();
+        db.commit(idle).unwrap();
+        assert_eq!(db.log().last_lsn(), tail);
+    }
+
+    /// The census handshake under concurrency: readers commit read-only
+    /// transactions while the census runs, and every transaction the
+    /// census reported has an end record in the log once it is gone.
+    #[test]
+    fn every_reported_reader_logs_an_end_record() {
+        let (db, t) = db_with_table();
+        let db = Arc::new(db);
+        let setup = db.begin();
+        for i in 0..4 {
+            db.insert(setup, "t", row(i, "a")).unwrap();
+        }
+        db.commit(setup).unwrap();
+        let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
+        let readers: Vec<_> = (0..2i64)
+            .map(|r| {
+                let (db, stop) = (Arc::clone(&db), Arc::clone(&stop));
+                std::thread::spawn(move || {
+                    let mut i = r;
+                    while !stop.load(Ordering::Relaxed) {
+                        let txn = db.begin();
+                        db.read(txn, "t", &Key::single(i % 4)).unwrap();
+                        db.commit(txn).unwrap();
+                        i += 2;
+                    }
+                })
+            })
+            .collect();
+        let mut reported = std::collections::HashSet::new();
+        let t0 = std::time::Instant::now();
+        while reported.len() < 200 && t0.elapsed() < std::time::Duration::from_secs(5) {
+            for holder in db.lock_holders(std::slice::from_ref(&t)) {
+                reported.insert(holder.txn);
+            }
+        }
+        stop.store(true, Ordering::Relaxed);
+        for r in readers {
+            r.join().unwrap();
+        }
+        assert!(!reported.is_empty(), "the census never caught a reader");
+        let ended: std::collections::HashSet<TxnId> = db
+            .log()
+            .read_range(Lsn(1), usize::MAX)
+            .into_iter()
+            .filter_map(|(_, r)| match *r {
+                LogRecord::Commit { txn } => Some(txn),
+                _ => None,
+            })
+            .collect();
+        let missing: Vec<_> = reported.difference(&ended).collect();
+        assert!(
+            missing.is_empty(),
+            "{} of {} reported readers logged no Commit: {missing:?}",
+            missing.len(),
+            reported.len()
+        );
     }
 
     #[test]
@@ -1047,10 +1199,13 @@ mod tests {
         db.insert(txn, "t", row(1, "a")).unwrap();
         let (mark2, start2, active2) = db.write_fuzzy_mark();
         assert_eq!(active2, vec![txn]);
-        // Start points at the Begin record of the active txn, which
-        // precedes its op and the mark.
+        // Start points at the active txn's first record, its op, which
+        // precedes the mark.
         assert!(start2 < mark2);
-        assert_eq!(*db.log().read(start2).unwrap(), LogRecord::Begin { txn });
+        assert!(matches!(
+            *db.log().read(start2).unwrap(),
+            LogRecord::Op { txn: t, .. } if t == txn
+        ));
         db.commit(txn).unwrap();
     }
 
@@ -1179,7 +1334,7 @@ mod tests {
         db.commit(setup).unwrap();
         let total = db.log().len();
 
-        // An active transaction pins the log at its Begin record.
+        // An active transaction pins the log at its first LSN.
         let active = db.begin();
         db.insert(active, "t", row(100, "y")).unwrap();
         let dropped = db.truncate_log().unwrap();

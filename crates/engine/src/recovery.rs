@@ -46,34 +46,22 @@ pub struct RecoveryReport {
 pub fn recover_into(db: &Database, records: &[LogRecord]) -> DbResult<RecoveryReport> {
     let lsn_of = |i: usize| Lsn(i as u64 + 1);
 
-    // --- analysis: who finished, what was compensated ---
+    // --- analysis: who finished, what was compensated. A transaction
+    // has no begin record: it is known from its first record of any
+    // kind, and one that logged nothing needs no recovery ---
+    #[derive(Default)]
     struct TxnMeta {
         finished: bool,
         compensated: HashSet<Lsn>,
     }
     let mut txns: HashMap<TxnId, TxnMeta> = HashMap::new();
     for rec in records {
+        let Some(txn) = rec.txn() else { continue };
+        let meta = txns.entry(txn).or_default();
         match rec {
-            LogRecord::Begin { txn } => {
-                txns.insert(
-                    *txn,
-                    TxnMeta {
-                        finished: false,
-                        compensated: HashSet::new(),
-                    },
-                );
-            }
-            LogRecord::Commit { txn } | LogRecord::AbortEnd { txn } => {
-                if let Some(meta) = txns.get_mut(txn) {
-                    meta.finished = true;
-                }
-            }
-            LogRecord::Clr {
-                txn, undone_lsn, ..
-            } => {
-                if let Some(meta) = txns.get_mut(txn) {
-                    meta.compensated.insert(*undone_lsn);
-                }
+            LogRecord::Commit { .. } | LogRecord::AbortEnd { .. } => meta.finished = true,
+            LogRecord::Clr { undone_lsn, .. } => {
+                meta.compensated.insert(*undone_lsn);
             }
             _ => {}
         }
@@ -266,6 +254,57 @@ mod tests {
         assert_eq!(state[0].1, row(1, "keep"));
         assert_eq!(report.losers.len(), 1);
         assert_eq!(report.clrs_written, 2);
+    }
+
+    /// With no begin record, a transaction is known from its first
+    /// record: one with ops and no end record is a loser.
+    #[test]
+    fn a_transaction_without_a_begin_record_is_a_loser() {
+        let db1 = Database::new();
+        let t = db1.create_table("t", schema()).unwrap();
+        let op = |txn: u64, id: i64| LogRecord::Op {
+            txn: TxnId(txn),
+            op: LogOp::Insert {
+                table: t.id(),
+                row: row(id, "x"),
+            },
+        };
+        let records = vec![op(1, 1), op(2, 2), LogRecord::Commit { txn: TxnId(2) }];
+        let db2 = Database::new();
+        db2.catalog()
+            .create_table_with_id(t.id(), "t", schema())
+            .unwrap();
+        let report = recover_into(&db2, &records).unwrap();
+        assert_eq!(report.losers, vec![TxnId(1)]);
+        assert_eq!(report.clrs_written, 1);
+        assert_eq!(table_state(&db2), vec![(Key::single(2), row(2, "x"))]);
+    }
+
+    /// A reader a cutover census reported logs only its Commit; recovery
+    /// counts it a winner and rolls back only the writer in flight.
+    #[test]
+    fn a_reported_reader_with_only_a_commit_is_a_winner() {
+        let (_db1, db2, report) = crash_and_recover(|db| {
+            let setup = db.begin();
+            db.insert(setup, "t", row(1, "keep")).unwrap();
+            db.commit(setup).unwrap();
+            let reader = db.begin();
+            db.read(reader, "t", &Key::single(1)).unwrap();
+            let t = db.catalog().get("t").unwrap();
+            assert_eq!(db.lock_holders(&[t]).len(), 1);
+            db.commit(reader).unwrap();
+            let loser = db.begin();
+            db.insert(loser, "t", row(2, "gone")).unwrap();
+        });
+        let reader_records = db2
+            .log()
+            .read_range(Lsn(1), usize::MAX)
+            .into_iter()
+            .filter(|(_, r)| r.txn() == Some(TxnId(2)))
+            .count();
+        assert_eq!(reader_records, 1, "the reader logged its Commit only");
+        assert_eq!(report.losers, vec![TxnId(3)]);
+        assert_eq!(table_state(&db2), vec![(Key::single(1), row(1, "keep"))]);
     }
 
     #[test]

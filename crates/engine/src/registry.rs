@@ -1,12 +1,14 @@
 //! The active-transaction registry.
 //!
-//! Tracks, for every live transaction: its first LSN (fuzzy marks need
-//! the oldest one, §3.2), the undo chain for rollback, the *doomed*
-//! flag set by non-blocking-abort synchronization (§3.4), and the
-//! *ending* flag the cutover census reads.
+//! Tracks, for every live transaction: a lower bound on its LSNs (fuzzy
+//! marks need the oldest one, §3.2), the undo chain for rollback, the
+//! *doomed* flag set by non-blocking-abort synchronization (§3.4), and
+//! the *ending* and *reported* flags through which a transaction and
+//! the cutover census agree on whether it logs an end record.
 //!
 //! The registry guards a critical ordering invariant: a transaction is
-//! registered (with its first LSN fixed) under the same lock that
+//! registered, with its first LSN read from the log tail (there is no
+//! begin record), under the same lock that
 //! [`write_fuzzy_mark`](crate::Database::write_fuzzy_mark) takes, so a
 //! fuzzy mark can never miss an in-flight transaction whose operations
 //! might not be reflected in the fuzzy read — the premise of the
@@ -32,17 +34,21 @@ pub struct TxnState {
 pub struct TxnCell {
     /// The transaction id.
     pub id: TxnId,
-    /// LSN of the Begin record (immutable after creation).
+    /// The log tail's successor when the transaction registered
+    /// (immutable): a lower bound on every LSN it appends.
     pub first_lsn: Lsn,
     /// Set by non-blocking-abort synchronization: the transaction must
     /// roll back; every further operation returns `TxnDoomed`.
     pub doomed: AtomicBool,
-    /// Set once the transaction has logged its last data record and is
-    /// about to append its end record (`Commit` or `AbortEnd`). It stays
-    /// registered, holding its locks, until that record is durable; the
-    /// cutover census ([`Database::lock_holders`](crate::Database::lock_holders))
+    /// Set once the transaction has logged its last data record, before
+    /// any end record (`Commit` or `AbortEnd`). It stays registered,
+    /// holding its locks, until that record is durable; the cutover
+    /// census ([`Database::lock_holders`](crate::Database::lock_holders))
     /// skips it.
     pub ending: AtomicBool,
+    /// Set by a cutover census that reported the transaction: it then
+    /// logs an end record even if it wrote nothing.
+    pub reported: AtomicBool,
     /// Undo chain.
     pub state: Mutex<TxnState>,
 }
@@ -53,17 +59,21 @@ impl TxnCell {
         self.doomed.load(Ordering::Acquire)
     }
 
-    /// Whether the transaction has logged its last data record (see
-    /// [`TxnCell::ending`]).
-    pub fn is_ending(&self) -> bool {
-        self.ending.load(Ordering::Acquire)
+    /// Mark the transaction as ending (see [`TxnCell::ending`]) before
+    /// any end record is appended, and return whether a census reported
+    /// it, so that it logs an end record though it wrote nothing. Store
+    /// then load, against [`TxnCell::report`]'s store then load, all
+    /// `SeqCst`: at least one side sees the other's flag.
+    pub fn end(&self) -> bool {
+        self.ending.store(true, Ordering::SeqCst);
+        self.reported.load(Ordering::SeqCst)
     }
 
-    /// Mark the transaction as ending. Called before the end record is
-    /// appended, so a reader that has seen that record in the log also
-    /// sees the flag.
-    pub fn mark_ending(&self) {
-        self.ending.store(true, Ordering::Release);
+    /// The census side of [`TxnCell::end`]: mark the transaction as
+    /// reported, and return whether it has not begun to end.
+    pub fn report(&self) -> bool {
+        self.reported.store(true, Ordering::SeqCst);
+        !self.ending.load(Ordering::SeqCst)
     }
 }
 
@@ -104,18 +114,18 @@ impl TxnRegistry {
         &self.shards[(id.0 as usize) % self.shards.len()]
     }
 
-    /// Register a transaction. `log_begin` must append the Begin record
-    /// and return its LSN; it runs under the transaction's shard write
-    /// lock so that fuzzy marks (which hold *all* shard write locks)
-    /// serialize against transaction admission.
-    pub fn begin_with(&self, id: TxnId, log_begin: impl FnOnce() -> Lsn) -> Arc<TxnCell> {
+    /// Register a transaction. `first_lsn` reads the log tail; it runs
+    /// under the transaction's shard write lock so that fuzzy marks
+    /// (which hold *all* shard write locks) serialize against
+    /// transaction admission.
+    pub fn begin_with(&self, id: TxnId, first_lsn: impl FnOnce() -> Lsn) -> Arc<TxnCell> {
         let mut map = self.shard_of(id).write();
-        let first_lsn = log_begin();
         let cell = Arc::new(TxnCell {
             id,
-            first_lsn,
+            first_lsn: first_lsn(),
             doomed: AtomicBool::new(false),
             ending: AtomicBool::new(false),
+            reported: AtomicBool::new(false),
             state: Mutex::new(TxnState::default()),
         });
         map.insert(id, Arc::clone(&cell));
@@ -231,6 +241,20 @@ mod tests {
         assert!(reg.doom(TxnId(1)));
         assert!(cell.is_doomed());
         assert!(!reg.doom(TxnId(99)));
+    }
+
+    #[test]
+    fn census_and_end_see_each_other() {
+        let reg = TxnRegistry::new();
+        // Reported first: the census keeps it, and it learns it was
+        // reported when it ends.
+        let cell = reg.begin_with(TxnId(1), || Lsn(1));
+        assert!(cell.report());
+        assert!(cell.end());
+        // Ending first: the census skips it, and it was not reported.
+        let cell = reg.begin_with(TxnId(2), || Lsn(1));
+        assert!(!cell.end());
+        assert!(!cell.report());
     }
 
     #[test]

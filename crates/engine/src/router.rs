@@ -277,6 +277,27 @@ mod tests {
             .unwrap()
     }
 
+    /// A routed read logs nothing; a routed update logs its op and a
+    /// Commit.
+    #[test]
+    fn routed_reads_log_nothing_and_updates_two_records() {
+        let sdb = ShardedDatabase::new(2);
+        sdb.create_table("t", schema()).unwrap();
+        for i in 0..8i64 {
+            sdb.insert("t", vec![Value::Int(i), Value::str("a")])
+                .unwrap();
+        }
+        let logged = || -> u64 { sdb.shards().iter().map(|db| db.log().last_lsn().0).sum() };
+        let before = logged();
+        for i in 0..8i64 {
+            assert!(sdb.read("t", &Key::single(i)).unwrap().is_some());
+        }
+        assert_eq!(logged(), before);
+        sdb.update("t", &Key::single(3), &[(1, Value::str("b"))])
+            .unwrap();
+        assert_eq!(logged(), before + 2);
+    }
+
     #[test]
     fn routing_is_stable_and_total() {
         let sdb = ShardedDatabase::new(4);

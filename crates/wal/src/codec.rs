@@ -18,8 +18,9 @@ use crate::record::{LogOp, LogRecord, MigrationPhase, RecordKind};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use morph_common::{DbError, DbResult, Key, Lsn, TableId, TxnId, Value};
 
-// Record tags.
-const T_BEGIN: u8 = 1;
+// Record tags. Tag 1 was the begin record, which a transaction no
+// longer logs (its first record is its first data record); it stays
+// unassigned, like tag 10 below.
 const T_COMMIT: u8 = 2;
 const T_ABORT: u8 = 3;
 const T_ABORT_END: u8 = 4;
@@ -52,10 +53,6 @@ pub fn encode(rec: &LogRecord) -> Bytes {
 /// Encode a record, appending to `b`.
 pub fn encode_into(rec: &LogRecord, b: &mut impl BufMut) {
     match rec {
-        LogRecord::Begin { txn } => {
-            b.put_u8(T_BEGIN);
-            b.put_u64_le(txn.0);
-        }
         LogRecord::Commit { txn } => {
             b.put_u8(T_COMMIT);
             b.put_u64_le(txn.0);
@@ -193,7 +190,6 @@ pub struct Peek {
 pub fn peek(buf: &[u8]) -> DbResult<Peek> {
     let mut r = Reader { buf, pos: 0 };
     let kind = match r.u8()? {
-        T_BEGIN => RecordKind::Begin,
         T_COMMIT => RecordKind::Commit,
         T_ABORT => RecordKind::Abort,
         T_ABORT_END => RecordKind::AbortEnd,
@@ -307,9 +303,6 @@ pub fn decode_ref(buf: &[u8]) -> DbResult<LogRecord> {
 fn decode_record(r: &mut Reader<'_>) -> DbResult<LogRecord> {
     let tag = r.u8()?;
     Ok(match tag {
-        T_BEGIN => LogRecord::Begin {
-            txn: TxnId(r.u64()?),
-        },
         T_COMMIT => LogRecord::Commit {
             txn: TxnId(r.u64()?),
         },
@@ -426,7 +419,6 @@ mod tests {
 
     #[test]
     fn roundtrip_control_records() {
-        roundtrip(LogRecord::Begin { txn: TxnId(1) });
         roundtrip(LogRecord::Commit {
             txn: TxnId(u64::MAX),
         });
@@ -562,7 +554,7 @@ mod tests {
 
     #[test]
     fn trailing_garbage_rejected() {
-        let mut bytes = encode(&LogRecord::Begin { txn: TxnId(1) }).to_vec();
+        let mut bytes = encode(&LogRecord::Commit { txn: TxnId(1) }).to_vec();
         bytes.push(0xAB);
         assert!(matches!(decode(&bytes), Err(DbError::CorruptLog { .. })));
     }
@@ -570,6 +562,14 @@ mod tests {
     #[test]
     fn unknown_tags_rejected() {
         assert!(matches!(decode(&[99]), Err(DbError::CorruptLog { .. })));
+        // The retired begin and checkpoint tags decode as nothing.
+        for tag in [1u8, 10] {
+            let mut b = BytesMut::new();
+            b.put_u8(tag);
+            b.put_u64_le(1);
+            assert!(matches!(decode(&b), Err(DbError::CorruptLog { .. })));
+            assert!(matches!(peek(&b), Err(DbError::CorruptLog { .. })));
+        }
         // Op with bad op tag.
         let mut b = BytesMut::new();
         b.put_u8(T_OP);

@@ -195,7 +195,7 @@ mod tests {
     use morph_common::TxnId;
 
     fn rec(i: u64) -> LogRecord {
-        LogRecord::Begin { txn: TxnId(i) }
+        LogRecord::Commit { txn: TxnId(i) }
     }
 
     #[test]

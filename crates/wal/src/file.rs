@@ -168,13 +168,13 @@ mod tests {
         {
             let mut be = FileBackend::open(&path).unwrap();
             for i in 0..5 {
-                be.append(&codec::encode(&LogRecord::Begin { txn: TxnId(i) }));
+                be.append(&codec::encode(&LogRecord::Commit { txn: TxnId(i) }));
             }
             be.flush().unwrap();
         }
         let recs = FileBackend::read_all(&path).unwrap();
         assert_eq!(recs.len(), 5);
-        assert_eq!(recs[4], LogRecord::Begin { txn: TxnId(4) });
+        assert_eq!(recs[4], LogRecord::Commit { txn: TxnId(4) });
         std::fs::remove_file(&path).unwrap();
     }
 
@@ -183,7 +183,7 @@ mod tests {
         let path = tmp("torn");
         {
             let mut be = FileBackend::open(&path).unwrap();
-            be.append(&codec::encode(&LogRecord::Begin { txn: TxnId(1) }));
+            be.append(&codec::encode(&LogRecord::Commit { txn: TxnId(1) }));
             be.flush().unwrap();
         }
         // Simulate a crash mid-append: a length prefix promising more
@@ -225,7 +225,7 @@ mod tests {
         let path = tmp("manager");
         {
             let log = crate::LogManager::with_file(&path).unwrap();
-            log.append(LogRecord::Begin { txn: TxnId(9) });
+            log.append(LogRecord::Commit { txn: TxnId(8) });
             log.append(LogRecord::Commit { txn: TxnId(9) });
             log.flush().unwrap();
         }
@@ -237,7 +237,7 @@ mod tests {
 
     #[test]
     fn corrupt_offset_counts_from_the_stream_start() {
-        let mut bytes = encode_stream(&[LogRecord::Begin { txn: TxnId(1) }]);
+        let mut bytes = encode_stream(&[LogRecord::Commit { txn: TxnId(1) }]);
         let good = bytes.len() as u64;
         write_frame(&mut bytes, &[250]).unwrap(); // bogus tag
         match decode_stream(&bytes) {
@@ -262,7 +262,7 @@ mod tests {
             writer: BufWriter::with_capacity(8, file),
             deferred: None,
         };
-        let rec = codec::encode(&LogRecord::Begin { txn: TxnId(1) });
+        let rec = codec::encode(&LogRecord::Commit { txn: TxnId(1) });
         for _ in 0..64 {
             be.append(&rec); // spills the 8-byte buffer → write fails
         }

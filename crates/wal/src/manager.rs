@@ -873,8 +873,8 @@ mod tests {
     use crate::record::LogRecord;
     use morph_common::TxnId;
 
-    fn begin(n: u64) -> LogRecord {
-        LogRecord::Begin { txn: TxnId(n) }
+    fn commit(n: u64) -> LogRecord {
+        LogRecord::Commit { txn: TxnId(n) }
     }
 
     /// A chunk is `CHUNK_RECORDS` slots in one allocation: 32 KB.
@@ -913,8 +913,8 @@ mod tests {
     fn lsns_are_sequential_from_one() {
         let log = LogManager::new();
         assert!(log.is_empty());
-        assert_eq!(log.append(begin(1)), Lsn(1));
-        assert_eq!(log.append(begin(2)), Lsn(2));
+        assert_eq!(log.append(commit(1)), Lsn(1));
+        assert_eq!(log.append(commit(2)), Lsn(2));
         assert_eq!(log.last_lsn(), Lsn(2));
         assert_eq!(log.len(), 2);
     }
@@ -922,8 +922,8 @@ mod tests {
     #[test]
     fn read_by_lsn() {
         let log = LogManager::new();
-        log.append(begin(7));
-        assert_eq!(*log.read(Lsn(1)).unwrap(), begin(7));
+        log.append(commit(7));
+        assert_eq!(*log.read(Lsn(1)).unwrap(), commit(7));
         assert!(log.read(Lsn(2)).is_none());
         assert!(log.read(Lsn::ZERO).is_none());
     }
@@ -932,7 +932,7 @@ mod tests {
     fn read_range_clamps() {
         let log = LogManager::new();
         for i in 0..10 {
-            log.append(begin(i));
+            log.append(commit(i));
         }
         let batch = log.read_range(Lsn(8), 100);
         assert_eq!(batch.len(), 3);
@@ -947,7 +947,7 @@ mod tests {
     fn backlog_counts_inclusive() {
         let log = LogManager::new();
         for i in 0..5 {
-            log.append(begin(i));
+            log.append(commit(i));
         }
         assert_eq!(log.backlog(Lsn(1)), 5);
         assert_eq!(log.backlog(Lsn(5)), 1);
@@ -959,7 +959,7 @@ mod tests {
     fn tail_cursor_drains_incrementally() {
         let log = LogManager::new();
         for i in 0..7 {
-            log.append(begin(i));
+            log.append(commit(i));
         }
         let mut cur = log.tail(Lsn(1));
         let b1 = cur.next_batch(&log, 3);
@@ -970,10 +970,10 @@ mod tests {
         assert_eq!(b2.len(), 4);
         assert!(cur.next_batch(&log, 10).is_empty());
         // New appends become visible to the same cursor.
-        log.append(begin(99));
+        log.append(commit(99));
         let b3 = cur.next_batch(&log, 10);
         assert_eq!(b3.len(), 1);
-        assert_eq!(*b3[0].1, begin(99));
+        assert_eq!(*b3[0].1, commit(99));
     }
 
     #[test]
@@ -986,7 +986,7 @@ mod tests {
             handles.push(std::thread::spawn(move || {
                 let mut seen = Vec::new();
                 for _ in 0..500 {
-                    seen.push(log.append(begin(t)));
+                    seen.push(log.append(commit(t)));
                 }
                 seen
             }));
@@ -1018,7 +1018,7 @@ mod tests {
         let appender = {
             let log = Arc::clone(&log);
             std::thread::spawn(move || {
-                let lsn = log.append(begin(2));
+                let lsn = log.append(commit(2));
                 tx.send((lsn, log.last_lsn())).unwrap();
             })
         };
@@ -1031,7 +1031,7 @@ mod tests {
         );
         assert_eq!(log.last_lsn(), Lsn::ZERO);
         // The stalled appender resumes: fill and publish.
-        *log.ensure_chunk(1).slot(1).lock() = Slot::encode(&begin(1));
+        *log.ensure_chunk(1).slot(1).lock() = Slot::encode(&commit(1));
         log.publish_filled();
         let (lsn, seen) = rx.recv().unwrap();
         assert_eq!(lsn, Lsn(2));
@@ -1044,7 +1044,7 @@ mod tests {
     fn truncation_discards_prefix_only() {
         let log = LogManager::new();
         for i in 0..10 {
-            log.append(begin(i));
+            log.append(commit(i));
         }
         assert_eq!(log.truncate_until(Lsn(5)).unwrap(), 4);
         assert_eq!(log.truncated_until(), Lsn(4));
@@ -1052,10 +1052,10 @@ mod tests {
         assert_eq!(log.last_lsn(), Lsn(10));
         // Truncated records are gone; retained ones keep their LSNs.
         assert!(log.read(Lsn(4)).is_none());
-        assert_eq!(*log.read(Lsn(5)).unwrap(), begin(4));
-        assert_eq!(*log.read(Lsn(10)).unwrap(), begin(9));
+        assert_eq!(*log.read(Lsn(5)).unwrap(), commit(4));
+        assert_eq!(*log.read(Lsn(10)).unwrap(), commit(9));
         // Appends continue in sequence.
-        assert_eq!(log.append(begin(99)), Lsn(11));
+        assert_eq!(log.append(commit(99)), Lsn(11));
         // Idempotent / below-base truncation is a no-op.
         assert_eq!(log.truncate_until(Lsn(3)).unwrap(), 0);
         assert_eq!(log.truncate_until(Lsn(5)).unwrap(), 0);
@@ -1065,7 +1065,7 @@ mod tests {
     fn read_range_after_truncation_clamps_to_base() {
         let log = LogManager::new();
         for i in 0..10 {
-            log.append(begin(i));
+            log.append(commit(i));
         }
         log.truncate_until(Lsn(7)).unwrap();
         let batch = log.read_range(Lsn(1), 100);
@@ -1080,20 +1080,20 @@ mod tests {
     fn truncate_everything_then_keep_appending() {
         let log = LogManager::new();
         for i in 0..5 {
-            log.append(begin(i));
+            log.append(commit(i));
         }
         assert_eq!(log.truncate_until(Lsn(6)).unwrap(), 5);
         assert!(log.is_empty());
         assert_eq!(log.last_lsn(), Lsn(5));
-        assert_eq!(log.append(begin(7)), Lsn(6));
-        assert_eq!(*log.read(Lsn(6)).unwrap(), begin(7));
+        assert_eq!(log.append(commit(7)), Lsn(6));
+        assert_eq!(*log.read(Lsn(6)).unwrap(), commit(7));
     }
 
     #[test]
     fn with_records_preloads() {
-        let log = LogManager::with_records(vec![begin(1), begin(2)]);
+        let log = LogManager::with_records(vec![commit(1), commit(2)]);
         assert_eq!(log.last_lsn(), Lsn(2));
-        assert_eq!(*log.read(Lsn(2)).unwrap(), begin(2));
+        assert_eq!(*log.read(Lsn(2)).unwrap(), commit(2));
     }
 
     #[test]
@@ -1101,13 +1101,13 @@ mod tests {
         let log = LogManager::new();
         let n = CHUNK_RECORDS * 3 + 17;
         for i in 0..n {
-            log.append(begin(i));
+            log.append(commit(i));
         }
         // Partial-chunk truncation: logical base moves, reads obey it.
         let cut = CHUNK_RECORDS + 9;
         assert_eq!(log.truncate_until(Lsn(cut)).unwrap(), (cut - 1) as usize);
         assert!(log.read(Lsn(cut - 1)).is_none());
-        assert_eq!(*log.read(Lsn(cut)).unwrap(), begin(cut - 1));
+        assert_eq!(*log.read(Lsn(cut)).unwrap(), commit(cut - 1));
         assert_eq!(log.len(), (n - cut + 1) as usize);
         // Whole-log truncation then continued appends.
         assert_eq!(
@@ -1115,8 +1115,8 @@ mod tests {
             (n - cut + 1) as usize
         );
         assert!(log.is_empty());
-        assert_eq!(log.append(begin(1000)), Lsn(n + 1));
-        assert_eq!(*log.read(Lsn(n + 1)).unwrap(), begin(1000));
+        assert_eq!(log.append(commit(1000)), Lsn(n + 1));
+        assert_eq!(*log.read(Lsn(n + 1)).unwrap(), commit(1000));
         assert_eq!(log.read_range(Lsn(1), 10)[0].0, Lsn(n + 1));
     }
 
@@ -1132,7 +1132,7 @@ mod tests {
         let log = Arc::new(LogManager::with_backend(Box::new(backend)));
         let n = CHUNK_RECORDS * 3 + 5;
         for i in 0..n {
-            log.append(begin(i));
+            log.append(commit(i));
         }
         let cut = CHUNK_RECORDS * 2 + 10;
         let (discarded, retired) = log.detach_until(Lsn(cut)).unwrap();
@@ -1152,7 +1152,7 @@ mod tests {
         let client = {
             let log = Arc::clone(&log);
             std::thread::spawn(move || {
-                let lsn = log.append(begin(n));
+                let lsn = log.append(commit(n));
                 let own = log.read(lsn).map(|r| (*r).clone());
                 let retained = log.read_range(Lsn(1), usize::MAX);
                 tx.send((lsn, own, retained.len(), retained[0].0)).unwrap();
@@ -1163,7 +1163,7 @@ mod tests {
             .expect("append and reads complete while retired chunks are alive");
         client.join().unwrap();
         assert_eq!(lsn, Lsn(n + 1));
-        assert_eq!(own, Some(begin(n)));
+        assert_eq!(own, Some(commit(n)));
         assert_eq!(first, Lsn(cut));
         assert_eq!(retained as u64, n + 2 - cut);
         drop(retired);
@@ -1177,7 +1177,7 @@ mod tests {
         let log = LogManager::with_backend(Box::new(backend));
         let mut last = Lsn::ZERO;
         for i in 0..5 {
-            last = log.append(begin(i));
+            last = log.append(commit(i));
         }
         // Nothing drained yet: appends are staged in the slots.
         assert_eq!(handle.buffered_len(), 0);
@@ -1197,14 +1197,14 @@ mod tests {
         assert_eq!(log.flush_count(), 1);
         let recs = handle.durable_records().unwrap();
         assert_eq!(recs.len(), 5);
-        assert_eq!(recs[4], begin(4));
+        assert_eq!(recs[4], commit(4));
     }
 
     #[test]
     fn flush_with_nothing_new_skips_fsync() {
         let (backend, handle) = FaultBackend::new(FaultConfig::crash_only(3));
         let log = LogManager::with_backend(Box::new(backend));
-        log.append(begin(1));
+        log.append(commit(1));
         log.flush().unwrap();
         assert_eq!(log.flush_count(), 1);
         // No bytes since the last flush: no backend flush happens.
@@ -1212,7 +1212,7 @@ mod tests {
         log.flush().unwrap();
         assert_eq!(log.flush_count(), 1);
         assert_eq!(handle.counts().1, 1);
-        log.append(begin(2));
+        log.append(commit(2));
         log.flush().unwrap();
         assert_eq!(log.flush_count(), 2);
     }
@@ -1231,7 +1231,7 @@ mod tests {
             handles.push(std::thread::spawn(move || {
                 let mut acked = Lsn::ZERO;
                 for i in 0..50 {
-                    let lsn = log.append(begin(t * 1000 + i));
+                    let lsn = log.append(commit(t * 1000 + i));
                     log.wait_durable(lsn).unwrap();
                     assert!(log.durable_lsn() >= lsn);
                     acked = lsn;
@@ -1251,7 +1251,7 @@ mod tests {
     #[test]
     fn wait_durable_without_backend_is_noop() {
         let log = LogManager::new();
-        let lsn = log.append(begin(1));
+        let lsn = log.append(commit(1));
         log.wait_durable(lsn).unwrap();
         log.flush().unwrap();
         assert_eq!(log.flush_count(), 0);
@@ -1263,7 +1263,7 @@ mod tests {
         let log = LogManager::with_backend(Box::new(backend));
         let n = CHUNK_RECORDS * 2 + 3;
         for i in 0..n {
-            log.append(begin(i));
+            log.append(commit(i));
         }
         // Truncate past the first two chunks without ever flushing:
         // their staged bytes must reach the backend buffer anyway.
@@ -1275,7 +1275,7 @@ mod tests {
         // is drained by the flush.
         assert_eq!(recs.len(), n as usize);
         for (i, r) in recs.iter().enumerate() {
-            assert_eq!(*r, begin(i as u64), "byte order == LSN order");
+            assert_eq!(*r, commit(i as u64), "byte order == LSN order");
         }
     }
 
@@ -1290,7 +1290,7 @@ mod tests {
         let log = LogManager::with_backend(Box::new(backend));
         let mut last = Lsn::ZERO;
         for i in 0..3 {
-            last = log.append(begin(i));
+            last = log.append(commit(i));
         }
         assert!(log.mark_drained_for_test(Lsn(2)));
         let Err(err) = log.wait_durable(last) else {

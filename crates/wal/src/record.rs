@@ -2,9 +2,11 @@
 //!
 //! A [`LogOp`] is the physical, redoable description of one data
 //! operation; a [`LogRecord`] wraps operations with the transaction
-//! control records (`Begin`/`Commit`/`Abort`/`AbortEnd`), CLRs, fuzzy
-//! marks and consistency-checker records that the transformation
-//! framework consumes.
+//! end records (`Commit`/`Abort`/`AbortEnd`), CLRs, fuzzy marks and
+//! consistency-checker records that the transformation framework
+//! consumes. There is no begin record: a transaction's first record is
+//! its first data record, and one that wrote nothing logs nothing
+//! unless a cutover census reported it (DESIGN.md §11).
 
 use morph_common::{Key, Lsn, TableId, TxnId, Value};
 
@@ -167,8 +169,6 @@ impl LogOp {
 /// One record of the write-ahead log.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub enum LogRecord {
-    /// Transaction began.
-    Begin { txn: TxnId },
     /// Transaction committed. The log propagator releases the
     /// transaction's mirrored locks on transformed tables when it
     /// processes this record (§4.3).
@@ -238,7 +238,6 @@ pub enum LogRecord {
 /// [`codec::peek`](crate::codec::peek) reads from the tag byte.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum RecordKind {
-    Begin,
     Commit,
     Abort,
     AbortEnd,
@@ -254,7 +253,6 @@ impl LogRecord {
     /// This record's variant.
     pub fn kind(&self) -> RecordKind {
         match self {
-            LogRecord::Begin { .. } => RecordKind::Begin,
             LogRecord::Commit { .. } => RecordKind::Commit,
             LogRecord::Abort { .. } => RecordKind::Abort,
             LogRecord::AbortEnd { .. } => RecordKind::AbortEnd,
@@ -270,8 +268,7 @@ impl LogRecord {
     /// The transaction this record belongs to, if any.
     pub fn txn(&self) -> Option<TxnId> {
         match self {
-            LogRecord::Begin { txn }
-            | LogRecord::Commit { txn }
+            LogRecord::Commit { txn }
             | LogRecord::Abort { txn }
             | LogRecord::AbortEnd { txn }
             | LogRecord::Op { txn, .. }
@@ -288,12 +285,6 @@ impl LogRecord {
             LogRecord::Op { op, .. } | LogRecord::Clr { op, .. } => Some(op),
             _ => None,
         }
-    }
-
-    /// Whether this record ends its transaction (commit or rollback
-    /// complete). Lock mirrors are released at these records.
-    pub fn ends_txn(&self) -> bool {
-        matches!(self, LogRecord::Commit { .. } | LogRecord::AbortEnd { .. })
     }
 }
 
@@ -352,14 +343,10 @@ mod tests {
         };
         assert_eq!(rec.txn(), Some(TxnId(5)));
         assert!(rec.op().is_some());
-        assert!(!rec.ends_txn());
 
         let commit = LogRecord::Commit { txn: TxnId(5) };
-        assert!(commit.ends_txn());
+        assert_eq!(commit.txn(), Some(TxnId(5)));
         assert!(commit.op().is_none());
-
-        let abort_end = LogRecord::AbortEnd { txn: TxnId(5) };
-        assert!(abort_end.ends_txn());
 
         let mark = LogRecord::FuzzyMark {
             active: vec![TxnId(1)],
@@ -378,7 +365,6 @@ mod tests {
         };
         assert_eq!(rec.txn(), None);
         assert!(rec.op().is_none());
-        assert!(!rec.ends_txn());
     }
 
     #[test]

@@ -36,11 +36,11 @@ fn payload(thread: u64, seq: u64) -> TxnId {
     TxnId(thread * 1_000_000 + seq)
 }
 
-/// The record appended for `txn`: a begin, or every fourth one an
+/// The record appended for `txn`: a commit, or every fourth one an
 /// insert of a 150–213 byte string.
 fn record(txn: TxnId) -> LogRecord {
     if txn.0 % 4 != 3 {
-        return LogRecord::Begin { txn };
+        return LogRecord::Commit { txn };
     }
     let row = vec![Value::str("x".repeat(150 + (txn.0 % 64) as usize))];
     LogRecord::Op {
@@ -196,7 +196,7 @@ fn group_commit_flushes_far_fewer_times_than_commits() {
         let log = Arc::clone(&log);
         handles.push(std::thread::spawn(move || {
             for i in 0..200 {
-                let lsn = log.append(LogRecord::Begin { txn: payload(t, i) });
+                let lsn = log.append(LogRecord::Commit { txn: payload(t, i) });
                 log.wait_durable(lsn).unwrap();
             }
         }));

@@ -10,7 +10,6 @@ use proptest::prelude::*;
 
 fn record_strategy() -> impl Strategy<Value = LogRecord> {
     prop_oneof![
-        any::<u64>().prop_map(|t| LogRecord::Begin { txn: TxnId(t) }),
         any::<u64>().prop_map(|t| LogRecord::Commit { txn: TxnId(t) }),
         (any::<u64>(), any::<u32>(), ".{0,20}").prop_map(|(t, table, s)| LogRecord::Op {
             txn: TxnId(t),

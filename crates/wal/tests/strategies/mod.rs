@@ -59,7 +59,6 @@ fn op_strategy() -> impl Strategy<Value = LogOp> {
 
 pub fn record_strategy() -> impl Strategy<Value = LogRecord> {
     prop_oneof![
-        any::<u64>().prop_map(|t| LogRecord::Begin { txn: TxnId(t) }),
         any::<u64>().prop_map(|t| LogRecord::Commit { txn: TxnId(t) }),
         any::<u64>().prop_map(|t| LogRecord::Abort { txn: TxnId(t) }),
         any::<u64>().prop_map(|t| LogRecord::AbortEnd { txn: TxnId(t) }),

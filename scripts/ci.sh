@@ -91,12 +91,14 @@ if [ "$quick" != "quick" ]; then
     # Bench regression gates (DESIGN.md §14, §15). Three series, all
     # merged with a cores field into target/bench/BENCH_propagation.json,
     # a copy of the tracked file:
-    #   reader_gate  — lock-based vs MVCC-snapshot point reads
-    #                  interleaved under four pacing writers and a
-    #                  looping split migration; snapshot p50 must be
-    #                  ≥1.2× better than the locked read path (cores
-    #                  ≥ 2 only). The p99 ratio is recorded, not
-    #                  enforced: it swings 1.2–3.2× run to run here.
+    #   reader_gate  — lock-based vs MVCC-snapshot point reads under
+    #                  four pacing writers and a looping split
+    #                  migration; with a key held X-locked by the
+    #                  gate's own writer, a snapshot read must be ≥1.2×
+    #                  faster than a locked read that retries until the
+    #                  writer commits (median of 50 pairs, cores ≥ 2
+    #                  only). Random-key p50/p99 are recorded, not
+    #                  enforced.
     #   shard_gate   — aggregate router commit + migration throughput
     #                  at shards 1/2/4/8 under 8 clients; ≥1.8×
     #                  aggregate speedup at 4 shards (cores ≥ 4 only).

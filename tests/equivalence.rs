@@ -14,7 +14,7 @@
 //! database and a variant database, then compares the target row
 //! images and runs `verify_against_reference` on both sides. Everything
 //! goes through `Database` transactions, so the log the propagator
-//! sees (Begin/Op/Commit/Abort/CLR interleavings, fuzzy-mark placement,
+//! sees (Op/Commit/Abort/CLR interleavings, fuzzy-mark placement,
 //! the §3.2 start-LSN contract) is the production one.
 //!
 //! The variants:

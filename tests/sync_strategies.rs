@@ -7,6 +7,7 @@ use morphdb::core::{
     TransformReport,
 };
 use morphdb::engine::CrashHook;
+use morphdb::wal::LogRecord;
 use morphdb::{ColumnType, Database, DbError, DbResult, Key, Schema, Value};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -382,6 +383,67 @@ fn sync_does_not_wait_on_a_commit_whose_record_is_logged() {
 #[test]
 fn sync_does_not_wait_on_an_abort_whose_end_record_is_logged() {
     sync_with_client_parked_at("abort.wal_durable");
+}
+
+/// A read-only transaction holds an S lock on a source key across a
+/// cutover that grandfathers it, then ends. It wrote nothing, yet the
+/// census reported it, so it logs an end record: the propagator waits
+/// for that record and releases the proxy grant on the mirrored target
+/// key there, after which a new writer of the key gets its X lock.
+fn grandfathered_reader_releases_its_proxy_grant(strategy: SyncStrategy) {
+    let db = Arc::new(Database::new());
+    sources(&db, 50);
+    let old = db.begin();
+    assert!(db.read(old, "R", &Key::single(1)).unwrap().is_some());
+
+    let options = TransformOptions::default()
+        .strategy(strategy)
+        .deadline(Duration::from_secs(5));
+    let mut job = TransformJob::prepare(&db, &foj(), options).unwrap();
+    job.copy(None).unwrap();
+    job.propagate(&AtomicBool::new(false), None).unwrap();
+    job.synchronize().unwrap();
+    let t = db.catalog().get("T").unwrap().id();
+    let t_key = Key::new([Value::Int(1), Value::Int(1)]);
+    assert!(
+        !db.locks().holders(t, &t_key).is_empty(),
+        "{strategy:?}: the reader's S lock is transferred"
+    );
+
+    // Non-blocking commit lets the reader commit; non-blocking abort
+    // doomed it, so its commit rolls it back.
+    let end = match strategy {
+        SyncStrategy::NonBlockingAbort => {
+            assert!(matches!(db.commit(old), Err(DbError::TxnDoomed(_))));
+            LogRecord::AbortEnd { txn: old }
+        }
+        _ => {
+            db.commit(old).unwrap();
+            LogRecord::Commit { txn: old }
+        }
+    };
+    let logged = db.log().read(db.log().last_lsn()).unwrap();
+
+    let report = job
+        .finish()
+        .unwrap_or_else(|e| panic!("{strategy:?}: the propagator never saw the end record: {e}"));
+    assert_eq!(report.sync.old_txns, 1);
+    assert!(db.locks().holders(t, &t_key).is_empty(), "{strategy:?}");
+    let writer = db.begin();
+    db.update(writer, "T", &t_key, &[(1, Value::str("after"))])
+        .unwrap_or_else(|e| panic!("{strategy:?}: the new writer is still blocked: {e}"));
+    db.commit(writer).unwrap();
+    assert_eq!(*logged, end, "{strategy:?}: the reader's last record");
+}
+
+#[test]
+fn non_blocking_commit_releases_a_grandfathered_readers_lock_at_its_commit() {
+    grandfathered_reader_releases_its_proxy_grant(SyncStrategy::NonBlockingCommit);
+}
+
+#[test]
+fn non_blocking_abort_releases_a_doomed_readers_lock_at_its_abort_end() {
+    grandfathered_reader_releases_its_proxy_grant(SyncStrategy::NonBlockingAbort);
 }
 
 /// Blocking commit honours `retain_sources` like the other strategies:
