@@ -10,7 +10,7 @@
 //! reported as `DNF`.
 
 use morph_bench::{banner, bench_split_spec, db_split, scale, split_client_cfg, threads_for, Csv};
-use morph_core::{NonConvergencePolicy, TransformJob, TransformOptions, TransformPlan};
+use morph_core::{TransformJob, TransformOptions, TransformPlan};
 use morph_workload::WorkloadRunner;
 use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
@@ -46,10 +46,7 @@ fn main() {
         let baseline = runner.measure(s.window);
 
         let plan = TransformPlan::Split(bench_split_spec("R_out", "S_out", false));
-        let options = TransformOptions::default()
-            .priority(p)
-            .non_convergence(NonConvergencePolicy::Abort)
-            .deadline(budget);
+        let options = TransformOptions::default().priority(p).deadline(budget);
         // Interference is measured over the transformation's *actual*
         // lifetime (spawn → join), not a fixed window: at high priority
         // the change completes in a fraction of a second and a fixed

@@ -10,8 +10,10 @@
 //!    faster than a locked read that retries its wait-die deaths until
 //!    the writer commits (median of the per-pair ratios, enforced on
 //!    ≥ 2 cores). The p50/p99 of random-key locked and snapshot reads
-//!    of the migrating source are recorded, not gated: a locked read
-//!    logs nothing, so neither mode is cheaper by design.
+//!    of the migrating source are recorded, not gated. The migration
+//!    loop thaws the retained source after each round, so a locked
+//!    read fails (`TableFrozen`, counted) only between a round's
+//!    cutover and its end.
 //! 2. **`shard_gate`** — shared-nothing router: aggregate commit
 //!    throughput (8 closed-loop clients through the router) and
 //!    aggregate migration throughput (one union fanned out as
@@ -232,6 +234,10 @@ fn reader_gate() -> ReaderGate {
                 TransformJob::prepare(&db, &plan, migration_options())
                     .and_then(|job| job.run(&AtomicBool::new(false), None, |_| Ok(())))
                     .expect("reader-gate migration");
+                // The retained source stays frozen after the cutover;
+                // thaw it first, so that readers and writers use it
+                // again and the next round migrates a live table.
+                db.catalog().get("T").expect("source T").reactivate();
                 let _ = db.catalog().drop_table(&format!("__rg{rounds}_r"));
                 let _ = db.catalog().drop_table(&format!("__rg{rounds}_s"));
                 rounds += 1;

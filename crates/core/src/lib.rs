@@ -74,9 +74,7 @@ pub use morph_wal::MigrationPhase;
 pub use operator::{CoalescePolicy, LazySource, TransformOperator};
 pub use progress::{Progress, ProgressHandle};
 pub use report::{IterationStats, PopulationStats, SyncStats, TransformReport};
-pub use spec::{
-    FojSpec, NonConvergencePolicy, SplitMode, SplitSpec, SyncStrategy, TransformOptions,
-};
+pub use spec::{FojSpec, SplitMode, SplitSpec, SyncStrategy, TransformOptions};
 pub use split::SplitMapping;
 pub use transform::{TransformJob, TransformPlan};
 pub use union::{UnionMapping, UnionSpec};

@@ -277,16 +277,6 @@ impl Propagator {
         self.cursor.next_lsn()
     }
 
-    /// Current priority.
-    pub fn priority(&self) -> f64 {
-        self.throttle.priority()
-    }
-
-    /// Raise priority (non-convergence escalation).
-    pub fn escalate(&mut self, factor: f64) {
-        self.throttle.escalate(factor);
-    }
-
     /// Records dropped by the coalescer so far.
     pub fn coalesced(&self) -> usize {
         self.coalesced

@@ -28,19 +28,6 @@ pub enum SyncStrategy {
     Lazy,
 }
 
-/// What to do when log propagation cannot converge (§3.3: "the
-/// transformation should either be aborted or get higher priority").
-#[derive(Clone, Copy, PartialEq, Debug)]
-pub enum NonConvergencePolicy {
-    /// Abort the transformation and delete the transformed tables.
-    Abort,
-    /// Multiply the priority by the factor (clamped to 1.0) and retry.
-    Escalate {
-        /// Priority multiplier applied per escalation.
-        factor: f64,
-    },
-}
-
 /// How long each wait on other transactions lasts when
 /// [`TransformOptions::deadline`] is `None`: blocking commit's wait for
 /// the source lock holders (§3.4) and the post-sync drain of the
@@ -60,14 +47,10 @@ pub struct TransformOptions {
     /// Backlog (remaining log records) below which synchronization may
     /// start; the §3.3 analysis threshold.
     pub sync_threshold: usize,
-    /// Propagation iterations before declaring non-convergence.
-    pub max_iterations: u32,
     /// Rows copied per fuzzy-scan chunk during initial population.
     pub population_chunk: usize,
     /// Synchronization strategy.
     pub strategy: SyncStrategy,
-    /// Non-convergence policy.
-    pub non_convergence: NonConvergencePolicy,
     /// Split-with-consistency-checking: run the checker after every
     /// N propagation batches.
     pub cc_interval: usize,
@@ -92,10 +75,8 @@ impl Default for TransformOptions {
             priority: 1.0,
             batch_size: 256,
             sync_threshold: 500,
-            max_iterations: 1_000,
             population_chunk: 1_024,
             strategy: SyncStrategy::default(),
-            non_convergence: NonConvergencePolicy::Abort,
             cc_interval: 16,
             deadline: None,
             retain_sources: false,
@@ -115,13 +96,6 @@ impl TransformOptions {
     #[must_use]
     pub fn strategy(mut self, s: SyncStrategy) -> Self {
         self.strategy = s;
-        self
-    }
-
-    /// Set the non-convergence policy.
-    #[must_use]
-    pub fn non_convergence(mut self, p: NonConvergencePolicy) -> Self {
-        self.non_convergence = p;
         self
     }
 

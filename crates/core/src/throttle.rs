@@ -32,16 +32,6 @@ impl Throttle {
         }
     }
 
-    /// Current priority.
-    pub fn priority(&self) -> f64 {
-        self.priority
-    }
-
-    /// Raise the priority (non-convergence escalation). Clamped to 1.
-    pub fn escalate(&mut self, factor: f64) {
-        self.priority = (self.priority * factor).clamp(1e-4, 1.0);
-    }
-
     /// Record `busy` seconds of work; sleeps if enough debt has
     /// accumulated. Returns the time actually slept.
     pub fn pay(&mut self, busy: Duration) -> Duration {
@@ -99,14 +89,5 @@ mod tests {
         // Two more pushes it over the threshold.
         let slept = t.pay(Duration::from_micros(150));
         assert!(slept > Duration::ZERO);
-    }
-
-    #[test]
-    fn escalation_raises_priority() {
-        let mut t = Throttle::new(0.1);
-        t.escalate(2.0);
-        assert!((t.priority() - 0.2).abs() < 1e-9);
-        t.escalate(100.0);
-        assert_eq!(t.priority(), 1.0);
     }
 }

@@ -26,8 +26,7 @@ use crate::progress::{Progress, ProgressHandle};
 use crate::propagate::Propagator;
 use crate::report::{PopulationStats, TransformReport};
 use crate::spec::{
-    FojSpec, NonConvergencePolicy, SplitMode, SplitSpec, SyncStrategy, TransformOptions,
-    UNBOUNDED_WAIT_LIMIT,
+    FojSpec, SplitMode, SplitSpec, SyncStrategy, TransformOptions, UNBOUNDED_WAIT_LIMIT,
 };
 use crate::split::SplitMapping;
 use crate::sync::{synchronize, HookRegistration};
@@ -43,6 +42,15 @@ use std::time::{Duration, Instant};
 /// before in-memory log truncation runs (≈ tens of MB; see
 /// [`TransformJob::propagate`]).
 const TRUNCATE_SPAN: u64 = 262_144;
+
+/// §3.3 give-up rule: propagation iterations in a row whose backlog,
+/// above the sync threshold, did not shrink.
+const GROWTH_STREAK_LIMIT: u32 = 5;
+
+/// §3.3 give-up rule: propagation iterations before a job that has
+/// not synchronized gives up, with `CannotConverge`, or, when caught
+/// up but blocked by inconsistent split data, `InconsistentSplitData`.
+const MAX_ITERATIONS: u32 = 1_000;
 
 fn aborted() -> DbError {
     DbError::TransformationAborted("aborted by request".into())
@@ -440,6 +448,7 @@ impl TransformJob {
             // accumulated.
             self.advance_truncation()?;
 
+            let iterations = self.report.iterations.len() as u32;
             let readiness = self.oper.readiness();
             if backlog <= self.options.sync_threshold {
                 match readiness {
@@ -447,7 +456,7 @@ impl TransformJob {
                     Readiness::Inconsistent { keys } => {
                         // Caught up, but the data itself contradicts the
                         // functional dependency (paper Example 1).
-                        if self.report.iterations.len() as u32 >= self.options.max_iterations {
+                        if iterations >= MAX_ITERATIONS {
                             return Err(DbError::InconsistentSplitData {
                                 key: format!("{keys:?}"),
                                 detail: "contributing rows disagree; repair the source data".into(),
@@ -460,30 +469,18 @@ impl TransformJob {
 
             // Convergence analysis (§3.3): if the backlog refuses to
             // shrink, the workload outruns the propagator at this
-            // priority.
+            // priority, and the job gives up.
             if backlog > self.options.sync_threshold && backlog >= prev_backlog {
                 growth_streak += 1;
             } else {
                 growth_streak = 0;
             }
             prev_backlog = backlog;
-            let exhausted = self.report.iterations.len() as u32 >= self.options.max_iterations;
-            if growth_streak >= 5 || exhausted {
-                let priority = self.prop.as_ref().map_or(1.0, |p| p.priority());
-                match self.options.non_convergence {
-                    NonConvergencePolicy::Escalate { factor } if priority < 1.0 => {
-                        if let Some(p) = self.prop.as_mut() {
-                            p.escalate(factor);
-                        }
-                        growth_streak = 0;
-                    }
-                    _ => {
-                        return Err(DbError::CannotConverge {
-                            iterations: self.report.iterations.len() as u32,
-                            backlog,
-                        });
-                    }
-                }
+            if growth_streak >= GROWTH_STREAK_LIMIT || iterations >= MAX_ITERATIONS {
+                return Err(DbError::CannotConverge {
+                    iterations,
+                    backlog,
+                });
             }
         }
     }
@@ -609,6 +606,8 @@ mod tests {
     use super::*;
     use crate::foj::figure1_schemas;
     use morph_common::{Key, Value};
+    use morph_engine::CrashHook;
+    use std::sync::atomic::AtomicUsize;
 
     fn db_with_sources(rows_r: usize, rows_s: usize) -> Arc<Database> {
         let db = Arc::new(Database::new());
@@ -730,10 +729,7 @@ mod tests {
         first_committed
             .recv_timeout(Duration::from_secs(30))
             .expect("the writer's first commit");
-        let options = opts()
-            .priority(0.8)
-            .non_convergence(crate::spec::NonConvergencePolicy::Escalate { factor: 2.0 });
-        let report = run(&db, foj(), options).expect("transformation");
+        let report = run(&db, foj(), opts()).expect("transformation");
         stop.store(true, Ordering::Relaxed);
         let committed = worker.join().unwrap();
         assert!(committed > 0, "workload must have made progress");
@@ -926,10 +922,7 @@ mod tests {
         std::thread::sleep(Duration::from_millis(20));
         abort.store(true, Ordering::Relaxed);
         let err = handle.join().unwrap().unwrap_err();
-        assert!(matches!(
-            err,
-            DbError::TransformationAborted(_) | DbError::CannotConverge { .. }
-        ));
+        assert!(matches!(err, DbError::TransformationAborted(_)), "{err:?}");
         assert!(!db.catalog().exists("T"), "targets must be deleted");
         assert!(db.catalog().exists("R") && db.catalog().exists("S"));
         // Sources stay fully usable.
@@ -937,6 +930,103 @@ mod tests {
         db.update(txn, "R", &Key::single(0), &[(1, Value::str("after"))])
             .unwrap();
         db.commit(txn).unwrap();
+    }
+
+    /// Commits one transaction of R updates at every propagation batch,
+    /// each more than the sync threshold and one more than the last,
+    /// so the workload outruns the propagator at any priority.
+    struct OutrunPropagation {
+        /// Updates in the first transaction.
+        updates: usize,
+        calls: AtomicUsize,
+    }
+
+    impl CrashHook for OutrunPropagation {
+        fn at(&self, db: &Database, point: &str) -> DbResult<()> {
+            // The populated point seeds the backlog that the first
+            // iteration drains, so a batch point is reached at all.
+            let updates = match point {
+                "transform.populated" => 1,
+                "propagate.batch" => self.updates + self.calls.fetch_add(1, Ordering::Relaxed),
+                _ => return Ok(()),
+            };
+            let txn = db.begin();
+            for i in 0..updates {
+                let key = Key::single((i % 20) as i64);
+                db.update(txn, "R", &key, &[(1, Value::str(format!("o{i}")))])?;
+            }
+            db.commit(txn)
+        }
+    }
+
+    /// §3.3's give-up rule: a backlog above the sync threshold that
+    /// does not shrink for five iterations in a row ends a job at full
+    /// priority with `CannotConverge`, drops its target and leaves the
+    /// sources writable.
+    #[test]
+    fn a_backlog_that_keeps_growing_cannot_converge() {
+        let db = db_with_sources(20, 4);
+        let mut options = opts().deadline(Duration::from_secs(10));
+        options.batch_size = 32;
+        options.sync_threshold = 32;
+        db.set_crash_hook(Arc::new(OutrunPropagation {
+            updates: options.sync_threshold + options.batch_size,
+            calls: AtomicUsize::new(0),
+        }));
+        let result = run(&db, foj(), options);
+        db.clear_crash_hook();
+        match result {
+            Err(DbError::CannotConverge {
+                iterations,
+                backlog,
+            }) => {
+                assert_eq!(iterations, 6, "five growing iterations after the first");
+                assert!(backlog > 32, "{backlog}");
+            }
+            other => panic!("expected CannotConverge, got {other:?}"),
+        }
+        assert!(!db.catalog().exists("T"), "targets must be deleted");
+        let txn = db.begin();
+        db.update(txn, "R", &Key::single(0), &[(1, Value::str("after"))])
+            .unwrap();
+        db.commit(txn).unwrap();
+    }
+
+    /// §5.3: a checked split over rows that break the functional
+    /// dependency, with nothing repairing them, catches up and then
+    /// gives up with `InconsistentSplitData` once the iteration bound
+    /// is reached, well inside its deadline.
+    #[test]
+    fn an_unrepaired_fd_violation_refuses_the_split() {
+        let db = Arc::new(Database::new());
+        let ts = morph_common::Schema::builder()
+            .column("a", morph_common::ColumnType::Int)
+            .nullable("c", morph_common::ColumnType::Str)
+            .nullable("d", morph_common::ColumnType::Str)
+            .primary_key(&["a"])
+            .build()
+            .unwrap();
+        db.create_table("T", ts).unwrap();
+        let txn = db.begin();
+        for (a, c, d) in [
+            (1, "7050", "Trondheim"),
+            (2, "5020", "Bergen"),
+            (3, "7050", "Trnodheim"),
+        ] {
+            db.insert(txn, "T", vec![Value::Int(a), Value::str(c), Value::str(d)])
+                .unwrap();
+        }
+        db.commit(txn).unwrap();
+        let spec = SplitSpec::new("T", "R", "S", &["a", "c"], "c", &["d"]).with_consistency_check();
+        let result = run(&db, TransformPlan::Split(spec), opts());
+        match result {
+            Err(DbError::InconsistentSplitData { key, .. }) => {
+                assert!(key.contains("7050"), "{key}")
+            }
+            other => panic!("expected InconsistentSplitData, got {other:?}"),
+        }
+        assert!(!db.catalog().exists("R") && !db.catalog().exists("S"));
+        assert!(db.catalog().exists("T"));
     }
 
     /// One 5 k-row split over a fresh database.

@@ -57,7 +57,6 @@ use parking_lot::{Condvar, Mutex, RwLock};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
 /// The append/flush discipline. One variant is left (PR 21 deleted
 /// `Serial`, DESIGN.md §11); the type, and the three signatures that
@@ -70,29 +69,14 @@ pub enum WalMode {
     Group,
 }
 
-/// Group-commit tuning: how long a flush leader holds the door open
-/// for more committers before paying the fsync.
-#[derive(Clone, Copy, Debug)]
-pub struct GroupCommitConfig {
-    /// Stop waiting once this many committers (leader included) are
-    /// aboard. `<= 1` disables the wait window.
-    pub max_batch: usize,
-    /// Longest the leader delays its flush waiting for stragglers.
-    /// [`Duration::ZERO`] (the default) skips the window entirely:
-    /// batching then comes only from committers piling up behind an
-    /// in-flight flush, which adds no latency and keeps
-    /// single-threaded runs (the simulator) deterministic.
-    pub max_delay: Duration,
-}
-
-impl Default for GroupCommitConfig {
-    fn default() -> Self {
-        GroupCommitConfig {
-            max_batch: 64,
-            max_delay: Duration::ZERO,
-        }
-    }
-}
+/// Group commit has no tuning: batching comes only from committers
+/// piling up behind an in-flight flush (DESIGN.md §11). The fieldless
+/// type exists only because `benchmark/`, which a product PR may not
+/// edit, still passes `GroupCommitConfig::default()` to
+/// [`LogManager::with_backend_mode`]; it has braces, not a unit
+/// struct's `;`, because clippy rejects `default()` on a unit struct.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct GroupCommitConfig {}
 
 /// Records per chunk. Power of two; chunk boundaries are fixed
 /// relative to LSN 1, so chunk lookup is pure index arithmetic.
@@ -224,17 +208,8 @@ struct BackendState {
     drained: u64,
 }
 
-#[derive(Default)]
-struct GroupState {
-    /// A leader is currently draining + flushing.
-    leader: bool,
-    /// Committers parked behind the leader.
-    waiters: usize,
-}
-
 /// Append-only, totally ordered log with tail readers.
 pub struct LogManager {
-    group_cfg: GroupCommitConfig,
     store: RwLock<ChunkList>,
     /// Highest LSN handed out to an appender.
     reserved: AtomicU64,
@@ -252,7 +227,9 @@ pub struct LogManager {
     /// Serializes truncation (base advance + whole-chunk reclaim).
     trunc: Mutex<()>,
     backend: Option<Mutex<BackendState>>,
-    group: Mutex<GroupState>,
+    /// Set while a group-commit leader drains + flushes; committers
+    /// that find it set park on `group_cv`.
+    group: Mutex<bool>,
     group_cv: Condvar,
     /// Backend flushes attempted — the "fsync count" the group-commit
     /// benchmarks compare against the commit count.
@@ -266,11 +243,7 @@ impl Default for LogManager {
 }
 
 impl LogManager {
-    fn build(
-        records: Vec<LogRecord>,
-        backend: Option<Box<dyn Backend + Send>>,
-        group_cfg: GroupCommitConfig,
-    ) -> LogManager {
+    fn build(records: Vec<LogRecord>, backend: Option<Box<dyn Backend + Send>>) -> LogManager {
         let mut store = ChunkList::default();
         let n = records.len() as u64;
         for (i, rec) in records.into_iter().enumerate() {
@@ -286,7 +259,6 @@ impl LogManager {
             *chunk.slot(lsn).lock() = Slot::encode(&rec);
         }
         LogManager {
-            group_cfg,
             store: RwLock::new(store),
             reserved: AtomicU64::new(n),
             published: AtomicU64::new(n),
@@ -295,7 +267,7 @@ impl LogManager {
             order: Mutex::new(()),
             trunc: Mutex::new(()),
             backend: backend.map(|sink| Mutex::new(BackendState { sink, drained: n })),
-            group: Mutex::new(GroupState::default()),
+            group: Mutex::new(false),
             group_cv: Condvar::new(),
             flushes: AtomicU64::new(0),
         }
@@ -303,7 +275,7 @@ impl LogManager {
 
     /// A purely in-memory log.
     pub fn new() -> LogManager {
-        Self::build(Vec::new(), None, GroupCommitConfig::default())
+        Self::build(Vec::new(), None)
     }
 
     /// [`LogManager::new`]; kept only for `benchmark/`'s call sites.
@@ -323,31 +295,23 @@ impl LogManager {
     /// the injection point for the crash-simulation harness's
     /// fault-capable in-memory backend.
     pub fn with_backend(backend: Box<dyn Backend + Send>) -> LogManager {
-        Self::with_backend_config(backend, GroupCommitConfig::default())
+        Self::build(Vec::new(), Some(backend))
     }
 
-    /// A backend-teeing log with explicit group-commit tuning.
-    pub fn with_backend_config(
-        backend: Box<dyn Backend + Send>,
-        group_cfg: GroupCommitConfig,
-    ) -> LogManager {
-        Self::build(Vec::new(), Some(backend), group_cfg)
-    }
-
-    /// [`LogManager::with_backend_config`]; kept only for
-    /// `benchmark/`'s call sites.
+    /// [`LogManager::with_backend`]; kept only for `benchmark/`'s call
+    /// sites.
     pub fn with_backend_mode(
         backend: Box<dyn Backend + Send>,
         _mode: WalMode,
-        group_cfg: GroupCommitConfig,
+        _group: GroupCommitConfig,
     ) -> LogManager {
-        Self::with_backend_config(backend, group_cfg)
+        Self::with_backend(backend)
     }
 
     /// Construct a manager pre-loaded with recovered records (restart
     /// recovery replays these before the database goes live).
     pub fn with_records(records: Vec<LogRecord>) -> LogManager {
-        Self::build(records, None, GroupCommitConfig::default())
+        Self::build(records, None)
     }
 
     // --- append ---------------------------------------------------------
@@ -526,38 +490,20 @@ impl LogManager {
             if lsn.0 <= self.durable.load(Ordering::Acquire) {
                 return Ok(());
             }
-            let mut g = self.group.lock();
+            let mut leader = self.group.lock();
             if lsn.0 <= self.durable.load(Ordering::Acquire) {
                 return Ok(());
             }
-            if g.leader {
+            if *leader {
                 // Follower: park until the in-flight flush completes,
                 // then re-check the watermark (the leader's flush
                 // covers us unless it failed, in which case we retry
                 // as leader and surface the backend's error ourselves).
-                g.waiters += 1;
-                if g.waiters + 1 >= self.group_cfg.max_batch {
-                    // The batch is full — wake a leader dawdling in
-                    // its delay window.
-                    self.group_cv.notify_all();
-                }
-                self.group_cv.wait(&mut g);
-                g.waiters -= 1;
+                self.group_cv.wait(&mut leader);
                 continue;
             }
-            g.leader = true;
-            if self.group_cfg.max_delay > Duration::ZERO && self.group_cfg.max_batch > 1 {
-                // Hold the door: absorb committers that arrive within
-                // the window so one fsync covers them all.
-                // morph-lint: allow(nondet, group-commit delay window; sim configs set max_delay to zero so replay never waits on wall time)
-                let deadline = Instant::now() + self.group_cfg.max_delay;
-                while g.waiters + 1 < self.group_cfg.max_batch {
-                    if self.group_cv.wait_until(&mut g, deadline).timed_out() {
-                        break;
-                    }
-                }
-            }
-            drop(g);
+            *leader = true;
+            drop(leader);
 
             // Everything published when the leader flushes becomes
             // durable — including our own lsn, which was published
@@ -568,13 +514,13 @@ impl LogManager {
                 Ok(target)
             });
 
-            let mut g = self.group.lock();
-            g.leader = false;
+            let mut leader = self.group.lock();
+            *leader = false;
             if let Ok(target) = result {
                 self.advance_durable(target.0);
             }
             self.group_cv.notify_all();
-            drop(g);
+            drop(leader);
             if lsn <= result? {
                 return Ok(());
             }
@@ -872,6 +818,7 @@ mod tests {
     use crate::fault::{FaultBackend, FaultConfig};
     use crate::record::LogRecord;
     use morph_common::TxnId;
+    use std::time::Duration;
 
     fn commit(n: u64) -> LogRecord {
         LogRecord::Commit { txn: TxnId(n) }

@@ -19,8 +19,8 @@
 //! string, too long for a log slot's inline bytes, so spilled records
 //! race the truncator's chunk frees beside inline ones.
 
-use morph_common::{Lsn, TableId, TxnId, Value};
-use morph_wal::{FaultBackend, FaultConfig, GroupCommitConfig, LogManager, LogOp, LogRecord};
+use morph_common::{DbResult, Lsn, TableId, TxnId, Value};
+use morph_wal::{Backend, FaultBackend, FaultConfig, LogManager, LogOp, LogRecord};
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -54,9 +54,9 @@ fn record(txn: TxnId) -> LogRecord {
 
 /// Run the stress universe, returning nothing: all invariants are
 /// asserted inside.
-fn stress(gc: GroupCommitConfig, seed: u64) {
+fn stress(seed: u64) {
     let (backend, handle) = FaultBackend::new(FaultConfig::crash_only(seed));
-    let log = Arc::new(LogManager::with_backend_config(Box::new(backend), gc));
+    let log = Arc::new(LogManager::with_backend(Box::new(backend)));
 
     // lsn -> payload, recorded by whichever thread won that LSN.
     let by_lsn: Arc<Mutex<BTreeMap<u64, TxnId>>> = Arc::new(Mutex::new(BTreeMap::new()));
@@ -160,37 +160,30 @@ fn stress(gc: GroupCommitConfig, seed: u64) {
 #[test]
 fn concurrent_appends_survive_a_torn_crash() {
     for seed in [1, 42, 777] {
-        stress(GroupCommitConfig::default(), seed);
+        stress(seed);
     }
 }
 
-#[test]
-fn delay_window_survives_a_torn_crash() {
-    // A real batching window: leaders linger up to 200µs for
-    // stragglers, so flushes genuinely cover multiple committers.
-    let gc = GroupCommitConfig {
-        max_batch: 8,
-        max_delay: Duration::from_micros(200),
-    };
-    for seed in [7, 99] {
-        stress(gc, seed);
+/// A backend whose flush costs about as much as a fast device's fsync.
+struct SlowFlush;
+
+impl Backend for SlowFlush {
+    fn append(&mut self, _encoded: &[u8]) {}
+
+    fn flush(&mut self) -> DbResult<()> {
+        std::thread::sleep(Duration::from_micros(150));
+        Ok(())
     }
 }
 
 #[test]
 fn group_commit_flushes_far_fewer_times_than_commits() {
     // The group-commit economy argument, measured: 4 committers × 200
-    // commits each, every commit waiting for durability. The flush
-    // counter must come in well under the commit count (leaders absorb
-    // followers).
-    let (backend, _handle) = FaultBackend::new(FaultConfig::crash_only(5));
-    let log = Arc::new(LogManager::with_backend_config(
-        Box::new(backend),
-        GroupCommitConfig {
-            max_batch: 16,
-            max_delay: Duration::from_micros(100),
-        },
-    ));
+    // commits each, every commit waiting for durability on a backend
+    // whose flush takes ~150 µs. Committers that arrive during a flush
+    // pile up behind it and share the next one, so the flush counter
+    // must come in well under the commit count.
+    let log = Arc::new(LogManager::with_backend(Box::new(SlowFlush)));
     let mut handles = Vec::new();
     for t in 0..4u64 {
         let log = Arc::clone(&log);

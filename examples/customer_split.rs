@@ -69,15 +69,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         )
         .with_consistency_check()
     };
-    let options = TransformOptions::default()
-        .deadline(Duration::from_secs(10))
-        // Give the checker a few rounds, then give up and report.
-        .priority(1.0);
-    let options = {
-        let mut o = options;
-        o.max_iterations = 50;
-        o
-    };
+    let options = TransformOptions::default().deadline(Duration::from_secs(10));
 
     println!("attempting the split with §5.3 consistency checking…");
     let split = |options| {

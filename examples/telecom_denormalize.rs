@@ -15,9 +15,7 @@
 //! cargo run --release --example telecom_denormalize
 //! ```
 
-use morphdb::core::{
-    FojSpec, NonConvergencePolicy, SyncStrategy, TransformJob, TransformOptions, TransformPlan,
-};
+use morphdb::core::{FojSpec, SyncStrategy, TransformJob, TransformOptions, TransformPlan};
 use morphdb::workload::{setup_dummy, ClientConfig, HotSide, WorkloadRunner};
 use morphdb::{ColumnType, Database, Schema, Value};
 use std::sync::atomic::AtomicBool;
@@ -90,11 +88,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("launching online denormalization: subscribers ⟗ plans → subscriber_plans");
     let spec = FojSpec::new("R", "S", "subscriber_plans", "plan_id", "plan_id");
     let options = TransformOptions::default()
-        // Start as a half-priority background process; if the
-        // workload outruns propagation (§3.3), escalate rather
-        // than abort.
         .priority(0.5)
-        .non_convergence(NonConvergencePolicy::Escalate { factor: 1.5 })
         .strategy(SyncStrategy::NonBlockingAbort)
         .deadline(Duration::from_secs(120));
     let job = TransformJob::prepare(&db, &TransformPlan::Foj(spec), options)?;

@@ -59,7 +59,8 @@ cargo run -q -p morph-lint -- --json=target/lint/findings.json
 # The benchmark (benchmark/, a package of its own) names product APIs
 # that survive as documented aliases until the next benchmark change:
 # `WalMode`, `codec::decode_ref`, `LogManager::{new_in,
-# with_backend_mode}`, `ShardedDatabase::with_wal_mode`,
+# with_backend_mode}`, `GroupCommitConfig` (fieldless; group commit has
+# no tuning), `ShardedDatabase::with_wal_mode`,
 # `Table::fuzzy_scan_partition`, `start_lazy_sharded` and
 # `ShardedLazyMigration::{is_drained, backfill_round, drain_now,
 # touch_on, finish}`; it also reads
