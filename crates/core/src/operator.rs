@@ -171,13 +171,28 @@ pub trait TransformOperator: Send + Sync {
     /// Returns `(rows_read, rows_written)`. The database handle feeds
     /// the per-chunk crash point (`populate.chunk`) that the
     /// deterministic crash harness kills fuzzy copies at.
+    ///
+    /// The provided body is the lazy transform run eagerly: each
+    /// fuzzy-scanned chunk of every source goes through
+    /// [`TransformOperator::apply_frozen`], and every row read counts as
+    /// written. FOJ and split override it with bulk copies of their own
+    /// (DESIGN.md §10).
     fn populate(
         &self,
         db: &Database,
         chunk: usize,
         priority: f64,
         deadline: Option<Instant>,
-    ) -> DbResult<(usize, usize)>;
+    ) -> DbResult<(usize, usize)> {
+        let mut read = 0;
+        for id in self.source_ids() {
+            let source = db.catalog().get_by_id(id)?;
+            read += scan_source(db, &source, chunk, priority, deadline, |batch| {
+                self.apply_frozen(id, batch.into_iter().map(|(_, row)| row).collect())
+            })?;
+        }
+        Ok((read, read))
+    }
 
     /// Target keys a record lock on `(table, key)` must be mirrored to
     /// during lock transfer (§3.4). Reads the *transformed* tables, so

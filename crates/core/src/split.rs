@@ -686,9 +686,7 @@ impl SplitMapping {
 /// Digest of the T rows contributing to one S record during
 /// population, written as the S row once the scan is done.
 struct SContrib {
-    /// Smallest T key among the contributors seen so far; the S image
-    /// is taken from the smallest one overall.
-    first_key: Key,
+    /// The S image of the first contributor in scan order.
     s_vals: Vec<Value>,
     count: u32,
     max_lsn: Lsn,
@@ -698,14 +696,10 @@ struct SContrib {
 
 impl SContrib {
     /// Fold one more contributing T row into the digest.
-    fn add(&mut self, key: Key, s_vals: Vec<Value>, lsn: Lsn) {
+    fn add(&mut self, s_vals: &[Value], lsn: Lsn) {
         self.count += 1;
         self.max_lsn = self.max_lsn.max(lsn);
         self.uniform &= s_vals == self.s_vals;
-        if key < self.first_key {
-            self.first_key = key;
-            self.s_vals = s_vals;
-        }
     }
 }
 
@@ -751,10 +745,9 @@ impl TransformOperator for SplitMapping {
     /// Initial population (§3.2): each fuzzy-scanned chunk goes into
     /// the R side under one write session, and its S contributions
     /// fold into one digest per split value, written once the scan is
-    /// done (the scan reads shard by shard, so the contributors of an
-    /// S record arrive out of key order). Each S record gets the image
-    /// of its smallest contributing T key (what absorbing the rows in
-    /// key order would have kept), the number of contributors as its
+    /// done. Each S record gets the image of its first contributor in
+    /// scan order (what rule 8's absorb keeps when the lazy backfill
+    /// feeds it the same rows), the number of contributors as its
     /// counter and their largest LSN, and is flagged U — noted for the
     /// consistency checker — where the contributors disagree.
     fn populate(
@@ -767,16 +760,15 @@ impl TransformOperator for SplitMapping {
         let mut digests: HashMap<Value, SContrib> = HashMap::new();
         let read = scan_source(db, &self.t, chunk, priority, deadline, |batch| {
             let mut rs = self.r_side().write_session();
-            for (key, row) in batch {
+            for (_, row) in batch {
                 self.r_insert(&mut rs, &row.values, row.lsn)?;
                 let s_vals = self.s_part(&row.values);
                 match digests.entry(self.split_val(&row.values)) {
                     std::collections::hash_map::Entry::Occupied(mut e) => {
-                        e.get_mut().add(key, s_vals, row.lsn)
+                        e.get_mut().add(&s_vals, row.lsn)
                     }
                     std::collections::hash_map::Entry::Vacant(e) => {
                         e.insert(SContrib {
-                            first_key: key,
                             s_vals,
                             count: 1,
                             max_lsn: row.lsn,
@@ -1329,16 +1321,16 @@ mod tests {
 
     /// Population against an oracle of its own, not against another
     /// population: from hand-built T rows, every S record must carry
-    /// the image of its smallest contributing T key, a counter equal to
-    /// its contributors, their largest LSN, and a C flag exactly when
-    /// they agree — with and without the consistency checker, which
-    /// must note exactly the U records.
+    /// the image of its first contributor in scan order, a counter
+    /// equal to its contributors, their largest LSN, and a C flag
+    /// exactly when they agree — with and without the consistency
+    /// checker, which must note exactly the U records.
     #[test]
     fn populate_matches_hand_built_oracle() {
         let probe = setup().1;
         let shard = |a: i64| probe.t.shard_of_key(&Key::single(a));
         // The smallest "mix" key lives on a later shard than a larger
-        // one, so the shard-by-shard scan reads the larger key first.
+        // one, so the shard-by-shard scan reads a "d-hi" row first.
         let (lo, hi) = (100..200i64)
             .flat_map(|lo| (lo + 1..200).map(move |hi| (lo, hi)))
             .find(|&(lo, hi)| shard(lo) > shard(hi))
@@ -1358,7 +1350,7 @@ mod tests {
         };
         let want = BTreeMap::from([
             s("same", "dA", 3, 9, ConsistencyFlag::Consistent),
-            s("mix", "d-lo", 3, 7, ConsistencyFlag::Unknown),
+            s("mix", "d-hi", 3, 7, ConsistencyFlag::Unknown),
             s("solo", "dS", 1, 4, ConsistencyFlag::Consistent),
         ]);
 

@@ -1245,6 +1245,64 @@ mod tests {
         assert!(!db.catalog().exists("__morph_p_T"));
     }
 
+    /// On a quiescent source an eager and a lazy split of the same rows
+    /// build the same S rows (image, counter, flag). The "mix" record's
+    /// contributors disagree, and its smallest key sits on a later shard
+    /// than a larger one, so the scan meets the larger key first: both
+    /// copies keep the image of the first contributor they meet.
+    #[test]
+    fn eager_and_lazy_splits_build_the_same_s_rows() {
+        let s_rows = |options: TransformOptions| {
+            let db = Arc::new(Database::new());
+            let ts = morph_common::Schema::builder()
+                .column("a", morph_common::ColumnType::Int)
+                .nullable("b", morph_common::ColumnType::Str)
+                .nullable("c", morph_common::ColumnType::Str)
+                .nullable("d", morph_common::ColumnType::Str)
+                .primary_key(&["a"])
+                .build()
+                .unwrap();
+            let t = db.create_table("T", ts).unwrap();
+            let shard = |a: i64| t.shard_of_key(&Key::single(a));
+            let (lo, hi) = (100..200i64)
+                .flat_map(|lo| (lo + 1..200).map(move |hi| (lo, hi)))
+                .find(|&(lo, hi)| shard(lo) > shard(hi))
+                .unwrap();
+            let rows = [
+                (1, "same", "dA"),
+                (2, "same", "dA"),
+                (3, "same", "dA"),
+                (lo, "mix", "d-lo"),
+                (hi, "mix", "d-hi"),
+                (hi + 1, "mix", "d-hi"),
+                (50, "solo", "dS"),
+            ];
+            let txn = db.begin();
+            for (a, c, d) in rows {
+                let row = vec![Value::Int(a), Value::str("b"), Value::str(c), Value::str(d)];
+                db.insert(txn, "T", row).unwrap();
+            }
+            db.commit(txn).unwrap();
+            let spec = SplitSpec::new("T", "R", "S", &["a", "b", "c"], "c", &["d"]);
+            run(&db, TransformPlan::Split(spec), options).unwrap();
+            db.catalog()
+                .get("S")
+                .unwrap()
+                .snapshot()
+                .into_iter()
+                .map(|(_, s)| (s.values, s.counter, s.flag))
+                .collect::<Vec<_>>()
+        };
+        let eager = s_rows(opts());
+        assert_eq!(eager, s_rows(opts().strategy(SyncStrategy::Lazy)));
+        let mix = (
+            vec![Value::str("mix"), Value::str("d-hi")],
+            3,
+            morph_storage::ConsistencyFlag::Unknown,
+        );
+        assert!(eager.contains(&mix), "{eager:?}");
+    }
+
     /// An abort requested after synchronization has nothing left to
     /// stop: the targets are published. The post-sync drain ignores the
     /// flag and completes instead of spinning out its deadline.

@@ -13,14 +13,13 @@
 //! R side, §5.2) — making union also a minimal, readable template for
 //! implementing further [`TransformOperator`]s.
 
-use crate::operator::{scan_source, CoalescePolicy, LazySource, TransformOperator};
+use crate::operator::{CoalescePolicy, LazySource, TransformOperator};
 use morph_common::{ColumnType, DbError, DbResult, Key, Lsn, Schema, TableId, Value};
 use morph_engine::{Database, PlannedOp};
 use morph_storage::{Row, Table, WriteSession};
 use morph_txn::LockOrigin;
 use morph_wal::LogOp;
 use std::sync::Arc;
-use std::time::Instant;
 
 /// Specification of a union transformation: R ∪ S → T.
 #[derive(Clone, Debug)]
@@ -191,34 +190,6 @@ impl TransformOperator for UnionMapping {
         // Purely LSN-gated, one target row per source row: an update may
         // swallow earlier same-column updates, a delete everything.
         CoalescePolicy::Full
-    }
-
-    /// Initial population: each fuzzy-scanned chunk of either source
-    /// goes into T under one write session, a row that is already
-    /// there counting as written.
-    fn populate(
-        &self,
-        db: &Database,
-        chunk: usize,
-        priority: f64,
-        deadline: Option<Instant>,
-    ) -> DbResult<(usize, usize)> {
-        let (mut read, mut written) = (0, 0);
-        for src in [&self.r, &self.s] {
-            let src_id = src.id();
-            read += scan_source(db, src, chunk, priority, deadline, |batch| {
-                let mut ts = self.t.write_session();
-                for (_, row) in batch {
-                    let values = self.t_row(src_id, &row.values);
-                    match ts.insert_row(Row::new(values, row.lsn)) {
-                        Ok(_) | Err(DbError::DuplicateKey(_)) => written += 1,
-                        Err(e) => return Err(e),
-                    }
-                }
-                Ok(())
-            })?;
-        }
-        Ok((read, written))
     }
 
     /// A source record's one target row: its key under the provenance

@@ -23,12 +23,14 @@
 //!
 //! ## Rollback
 //!
-//! Rollback applies prepared inverse operations in reverse order, each
-//! logged as a CLR ([`LogRecord::Clr`]) *before* … strictly: atomically
-//! with … its physical application, then writes
-//! [`LogRecord::AbortEnd`]. The log propagator treats CLRs exactly like
-//! forward operations, which is how aborted work is washed out of
-//! transformed tables without ever scanning backwards.
+//! Rollback walks the undo chain, the transaction's forward operations
+//! as logged, backwards: each is compensated by its [`LogOp::undo`],
+//! logged as a CLR ([`LogRecord::Clr`]) atomically with its physical
+//! application, and then [`LogRecord::AbortEnd`] is written. Restart
+//! recovery rolls its losers back through the same body. The log
+//! propagator treats CLRs exactly like forward operations, which is how
+//! aborted work is washed out of transformed tables without ever
+//! scanning backwards.
 
 use crate::counters::CountersSnapshot;
 use crate::interceptor::OpInterceptor;
@@ -377,7 +379,7 @@ impl Database {
         }
         self.log.append(LogRecord::Abort { txn });
         let mut first_err = None;
-        for (undone_lsn, inverse) in undo.into_iter().rev() {
+        for (undone_lsn, forward) in undo.into_iter().rev() {
             // Rollback must run to completion no matter what: skipping
             // the lock release or leaving the transaction registered
             // would wedge every future accessor of its records. A
@@ -385,7 +387,7 @@ impl Database {
             // was dropped after the fact (a completed schema change
             // discarding a source table), in which case the physical
             // state no longer matters.
-            if let Err(e) = self.apply_clr(txn, undone_lsn, inverse) {
+            if let Err(e) = self.apply_clr(txn, undone_lsn, &forward) {
                 if first_err.is_none() {
                     first_err = Some(e);
                 }
@@ -422,18 +424,36 @@ impl Database {
         }
     }
 
-    /// Apply one compensation: log the CLR and execute the inverse
-    /// operation atomically under the table latch (rollback and
-    /// restart undo alike).
-    pub(crate) fn apply_clr(&self, txn: TxnId, undone_lsn: Lsn, inverse: LogOp) -> DbResult<()> {
-        let op = inverse.clone();
-        self.apply_logged(&inverse, || {
+    /// Compensate one logged forward operation: log the CLR carrying
+    /// its [`LogOp::undo`] and execute that atomically under the table
+    /// latch.
+    fn apply_clr(&self, txn: TxnId, undone_lsn: Lsn, forward: &LogOp) -> DbResult<()> {
+        let op = forward.undo(&self.catalog.get_by_id(forward.table())?.schema());
+        self.apply_logged(&op, || {
             Ok(self.log.append(LogRecord::Clr {
                 txn,
                 undone_lsn,
-                op,
+                op: op.clone(),
             }))
         })
+    }
+
+    /// Raise the transaction-id counter above `max`: restart recovery
+    /// reserves every id in the log, so no transaction begun after a
+    /// restart reuses one.
+    pub(crate) fn reserve_txn_ids(&self, max: TxnId) {
+        self.next_txn.fetch_max(max.0 + 1, Ordering::Relaxed);
+    }
+
+    /// Roll back a loser of restart recovery the way every rollback
+    /// runs: register it with `undo`, its forward operations not yet
+    /// compensated, as its chain. It is marked reported, so a loser
+    /// with nothing left to compensate still logs Abort and AbortEnd.
+    pub(crate) fn undo_loser(&self, txn: TxnId, undo: Vec<(Lsn, LogOp)>) -> DbResult<()> {
+        let cell = self.registry.begin_with(txn, || self.log.last_lsn().next());
+        cell.state.lock().undo = undo;
+        cell.report();
+        self.rollback_cell(&cell)
     }
 
     /// Apply a logged operation through the table's single-row writes,
@@ -532,13 +552,6 @@ impl Database {
     /// Whether [`Database::enable_mvcc`] has been called.
     pub fn mvcc_enabled(&self) -> bool {
         self.mvcc.enabled.load(Ordering::Acquire)
-    }
-
-    /// The commit table snapshot visibility checks consult. Handed to
-    /// [`morph_storage::Table::snapshot_scan`] and friends by callers
-    /// that drive scanners directly.
-    pub fn commit_table(&self) -> Arc<CommitTable> {
-        Arc::clone(&self.mvcc.commit)
     }
 
     /// Number of snapshots currently live (tests and GC diagnostics).
@@ -719,38 +732,29 @@ impl Database {
     /// Insert a row into the named table.
     pub fn insert(&self, txn: TxnId, table: &str, values: Vec<Value>) -> DbResult<Key> {
         let t = self.catalog.get(table)?;
-        self.insert_in(txn, &t, values)
-    }
-
-    /// Insert a row into a resolved table.
-    pub fn insert_in(&self, txn: TxnId, table: &Arc<Table>, values: Vec<Value>) -> DbResult<Key> {
         let cell = self.cell_for_op(txn)?;
-        table.check_access(txn)?;
-        let schema = table.schema();
+        t.check_access(txn)?;
+        let schema = t.schema();
         schema.validate(&values)?;
         let key = schema.key_of(&values);
-        self.locks
-            .lock(txn, table.id(), &key, LockMode::Exclusive)?;
-        self.run_interceptors(txn, table, &PlannedOp::Insert { values: &values })?;
+        self.locks.lock(txn, t.id(), &key, LockMode::Exclusive)?;
+        self.run_interceptors(txn, &t, &PlannedOp::Insert { values: &values })?;
 
         let op = LogOp::Insert {
-            table: table.id(),
+            table: t.id(),
             row: values.clone(),
         };
+        let logged = LogRecord::Op {
+            txn,
+            op: op.clone(),
+        };
         let mut lsn = Lsn::ZERO;
-        table.insert_with(values.clone(), txn, || {
-            Self::check_latched(&cell, table)?;
-            lsn = self.log.append(LogRecord::Op { txn, op });
+        t.insert_with(values, txn, || {
+            Self::check_latched(&cell, &t)?;
+            lsn = self.log.append(logged);
             Ok(lsn)
         })?;
-        cell.state.lock().undo.push((
-            lsn,
-            LogOp::Delete {
-                table: table.id(),
-                key: key.clone(),
-                old: values,
-            },
-        ));
+        cell.state.lock().undo.push((lsn, op));
         Ok(key)
     }
 
@@ -763,30 +767,19 @@ impl Database {
         cols: &[(usize, Value)],
     ) -> DbResult<()> {
         let t = self.catalog.get(table)?;
-        self.update_in(txn, &t, key, cols)
-    }
-
-    /// Update columns of the row at `key` in a resolved table.
-    pub fn update_in(
-        &self,
-        txn: TxnId,
-        table: &Arc<Table>,
-        key: &Key,
-        cols: &[(usize, Value)],
-    ) -> DbResult<()> {
         let cell = self.cell_for_op(txn)?;
-        table.check_access(txn)?;
-        self.locks.lock(txn, table.id(), key, LockMode::Exclusive)?;
+        t.check_access(txn)?;
+        self.locks.lock(txn, t.id(), key, LockMode::Exclusive)?;
 
         // If primary-key columns change, the destination key must be
         // locked too before anything is logged.
-        let schema = table.schema();
+        let schema = t.schema();
         let pkey_changes = schema
             .pkey()
             .iter()
             .any(|p| cols.iter().any(|(i, _)| i == p));
         if pkey_changes {
-            let row = table
+            let row = t
                 .get(key)
                 .ok_or_else(|| DbError::KeyNotFound(format!("{key:?}")))?;
             let mut new_values = row.values.clone();
@@ -798,18 +791,18 @@ impl Database {
             let new_key = schema.key_of(&new_values);
             if new_key != *key {
                 self.locks
-                    .lock(txn, table.id(), &new_key, LockMode::Exclusive)?;
+                    .lock(txn, t.id(), &new_key, LockMode::Exclusive)?;
             }
         }
-        self.run_interceptors(txn, table, &PlannedOp::Update { key, cols })?;
+        self.run_interceptors(txn, &t, &PlannedOp::Update { key, cols })?;
 
         let mut lsn = Lsn::ZERO;
-        let outcome = table.update_with(key, cols, txn, |plan| {
-            Self::check_latched(&cell, table)?;
+        let outcome = t.update_with(key, cols, txn, |plan| {
+            Self::check_latched(&cell, &t)?;
             lsn = self.log.append(LogRecord::Op {
                 txn,
                 op: LogOp::Update {
-                    table: table.id(),
+                    table: t.id(),
                     key: key.clone(),
                     old: plan.old_cols.clone(),
                     new: cols.to_vec(),
@@ -820,10 +813,10 @@ impl Database {
         cell.state.lock().undo.push((
             lsn,
             LogOp::Update {
-                table: table.id(),
-                key: outcome.new_key,
-                old: cols.to_vec(),
-                new: outcome.old_cols,
+                table: t.id(),
+                key: outcome.old_key,
+                old: outcome.old_cols,
+                new: cols.to_vec(),
             },
         ));
         Ok(())
@@ -832,25 +825,18 @@ impl Database {
     /// Delete the row at `key` in the named table.
     pub fn delete(&self, txn: TxnId, table: &str, key: &Key) -> DbResult<()> {
         let t = self.catalog.get(table)?;
-        self.delete_in(txn, &t, key)
-    }
-
-    /// Delete the row at `key` in a resolved table.
-    pub fn delete_in(&self, txn: TxnId, table: &Arc<Table>, key: &Key) -> DbResult<()> {
         let cell = self.cell_for_op(txn)?;
-        table.check_access(txn)?;
-        self.locks.lock(txn, table.id(), key, LockMode::Exclusive)?;
-        self.run_interceptors(txn, table, &PlannedOp::Delete { key })?;
+        t.check_access(txn)?;
+        self.locks.lock(txn, t.id(), key, LockMode::Exclusive)?;
+        self.run_interceptors(txn, &t, &PlannedOp::Delete { key })?;
 
-        let mut pre_image = Vec::new();
         let mut lsn = Lsn::ZERO;
-        table.delete_with(key, txn, |row| {
-            Self::check_latched(&cell, table)?;
-            pre_image = row.values.clone();
+        let row = t.delete_with(key, txn, |row| {
+            Self::check_latched(&cell, &t)?;
             lsn = self.log.append(LogRecord::Op {
                 txn,
                 op: LogOp::Delete {
-                    table: table.id(),
+                    table: t.id(),
                     key: key.clone(),
                     old: row.values.clone(),
                 },
@@ -859,9 +845,10 @@ impl Database {
         })?;
         cell.state.lock().undo.push((
             lsn,
-            LogOp::Insert {
-                table: table.id(),
-                row: pre_image,
+            LogOp::Delete {
+                table: t.id(),
+                key: key.clone(),
+                old: row.values,
             },
         ));
         Ok(())
@@ -870,21 +857,11 @@ impl Database {
     /// Read the row at `key` under a shared lock.
     pub fn read(&self, txn: TxnId, table: &str, key: &Key) -> DbResult<Option<Vec<Value>>> {
         let t = self.catalog.get(table)?;
-        self.read_in(txn, &t, key)
-    }
-
-    /// Read the row at `key` in a resolved table under a shared lock.
-    pub fn read_in(
-        &self,
-        txn: TxnId,
-        table: &Arc<Table>,
-        key: &Key,
-    ) -> DbResult<Option<Vec<Value>>> {
         self.cell_for_op(txn)?;
-        table.check_access(txn)?;
-        self.locks.lock(txn, table.id(), key, LockMode::Shared)?;
-        self.run_interceptors(txn, table, &PlannedOp::Read { key })?;
-        Ok(table.get(key).map(|r| r.values))
+        t.check_access(txn)?;
+        self.locks.lock(txn, t.id(), key, LockMode::Shared)?;
+        self.run_interceptors(txn, &t, &PlannedOp::Read { key })?;
+        Ok(t.get(key).map(|r| r.values))
     }
 
     /// Lock-free dirty read (the consistency checker's "read without

@@ -2,16 +2,20 @@
 //!
 //! Because morphdb keeps all data in memory, a restart loses every
 //! materialized row; recovery therefore replays the *entire* log from
-//! genesis: an **analysis** pass classifies transactions, a **redo**
-//! pass re-executes every operation — including CLRs, exactly as they
-//! were logged — and an **undo** pass rolls back loser transactions,
-//! appending fresh CLRs. The three passes run in one body,
-//! [`recover_into`], over a slice of owned [`LogRecord`]s;
-//! [`recover_from_bytes`] decodes a raw frame stream into that slice
-//! first. This is the same discipline the paper assumes
-//! of its substrate ("undo operations produce Compensating Log Records
-//! as described in the ARIES method", §1); the transformation framework
-//! itself is *not* made crash-persistent — an interrupted
+//! genesis: an **analysis** pass classifies transactions and reserves
+//! every transaction id in the log, so that no transaction begun after
+//! the restart reuses one; a **redo** pass re-executes every operation
+//! — including CLRs, exactly as they were logged — and an **undo** pass
+//! rolls each loser back. Undo is a rollback: the loser is registered
+//! with its uncompensated forward operations as its undo chain and
+//! rolled back by the body [`Database::abort`] runs, which logs
+//! `Abort`, a CLR per operation (each [`LogOp::undo`]) and `AbortEnd`.
+//! The three passes run in one body, [`recover_into`], over a slice of
+//! owned [`LogRecord`]s; [`recover_from_bytes`] decodes a raw frame
+//! stream into that slice first. This is the same discipline the paper
+//! assumes of its substrate ("undo operations produce Compensating Log
+//! Records as described in the ARIES method", §1); the transformation
+//! framework itself is *not* made crash-persistent — an interrupted
 //! transformation simply restarts from its preparation step, which is
 //! safe because transformed tables are invisible to users until
 //! synchronization completes. That claim is regression-pinned by the
@@ -66,24 +70,33 @@ pub fn recover_into(db: &Database, records: &[LogRecord]) -> DbResult<RecoveryRe
             _ => {}
         }
     }
+    // Every id in the log stays taken: a transaction begun after the
+    // restart must not pass for one of these in a later recovery.
+    if let Some(max) = txns.keys().max() {
+        db.reserve_txn_ids(*max);
+    }
 
     // --- redo: replay history exactly as logged (CLRs included),
-    // remembering the losers' forward ops ---
-    let is_loser = |txn: &TxnId| txns.get(txn).is_some_and(|m| !m.finished);
-    let mut loser_ops: HashMap<TxnId, Vec<(Lsn, &LogOp)>> = HashMap::new();
+    // collecting each loser's uncompensated forward ops, in log order,
+    // as its undo chain ---
+    let mut chains: HashMap<TxnId, Vec<(Lsn, LogOp)>> = HashMap::new();
     let mut redone = 0usize;
     for (i, rec) in records.iter().enumerate() {
         let Some(op) = rec.op() else { continue };
         db.apply_logged(op, || Ok(lsn_of(i)))?;
         redone += 1;
         if let LogRecord::Op { txn, .. } = rec {
-            if is_loser(txn) {
-                loser_ops.entry(*txn).or_default().push((lsn_of(i), op));
+            let meta = &txns[txn];
+            if !meta.finished && !meta.compensated.contains(&lsn_of(i)) {
+                chains
+                    .entry(*txn)
+                    .or_default()
+                    .push((lsn_of(i), op.clone()));
             }
         }
     }
 
-    // --- undo losers, appending fresh CLRs ---
+    // --- undo: each loser rolls back as a live transaction does ---
     let mut losers: Vec<TxnId> = txns
         .iter()
         .filter(|(_, meta)| !meta.finished)
@@ -92,17 +105,9 @@ pub fn recover_into(db: &Database, records: &[LogRecord]) -> DbResult<RecoveryRe
     losers.sort();
     let mut clrs_written = 0usize;
     for txn in &losers {
-        let meta = &txns[txn];
-        let ops = loser_ops.remove(txn).unwrap_or_default();
-        db.log().append(LogRecord::Abort { txn: *txn });
-        for (lsn, op) in ops.iter().rev() {
-            if meta.compensated.contains(lsn) {
-                continue;
-            }
-            db.apply_clr(*txn, *lsn, invert_for_undo(db, op)?)?;
-            clrs_written += 1;
-        }
-        db.log().append(LogRecord::AbortEnd { txn: *txn });
+        let chain = chains.remove(txn).unwrap_or_default();
+        clrs_written += chain.len();
+        db.undo_loser(*txn, chain)?;
     }
     db.log().flush()?;
 
@@ -120,53 +125,10 @@ pub fn recover_from_bytes(db: &Database, bytes: &[u8]) -> DbResult<RecoveryRepor
     recover_into(db, &decode_stream(bytes)?)
 }
 
-/// Build the ready-to-apply inverse of a forward op during recovery
-/// undo. For updates this must target the row's *current* key, which
-/// may differ from the logged (pre-image) key if primary-key columns
-/// were updated.
-fn invert_for_undo(db: &Database, op: &LogOp) -> DbResult<LogOp> {
-    match op {
-        LogOp::Insert { table, row } => {
-            let t = db.catalog().get_by_id(*table)?;
-            Ok(LogOp::Delete {
-                table: *table,
-                key: t.schema().key_of(row),
-                old: row.clone(),
-            })
-        }
-        LogOp::Delete { table, old, .. } => Ok(LogOp::Insert {
-            table: *table,
-            row: old.clone(),
-        }),
-        LogOp::Update {
-            table,
-            key,
-            old,
-            new,
-        } => {
-            let t = db.catalog().get_by_id(*table)?;
-            let schema = t.schema();
-            // Post-image key: substitute updated primary-key columns.
-            let mut post = key.clone();
-            for (kpos, col) in schema.pkey().iter().enumerate() {
-                if let Some((_, v)) = new.iter().find(|(i, _)| i == col) {
-                    post.0[kpos] = v.clone();
-                }
-            }
-            Ok(LogOp::Update {
-                table: *table,
-                key: post,
-                old: new.clone(),
-                new: old.clone(),
-            })
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use morph_common::{ColumnType, DbError, Key, Schema, Value};
+    use morph_common::{ColumnType, DbError, Key, Schema, TableId, Value};
     use morph_txn::LockManagerConfig;
     use morph_wal::LogManager;
     use std::sync::Arc;
@@ -184,30 +146,48 @@ mod tests {
         vec![Value::Int(id), Value::str(v)]
     }
 
+    /// Every record of `db`'s log, from LSN 1.
+    fn log_of(db: &Database) -> Vec<LogRecord> {
+        db.log()
+            .read_range(Lsn(1), usize::MAX)
+            .into_iter()
+            .map(|(_, r)| (*r).clone())
+            .collect()
+    }
+
+    /// A fresh database whose log holds `records` and whose catalog
+    /// holds `t` under `id`, recovered from those records.
+    fn recover(records: Vec<LogRecord>, id: TableId) -> (Database, RecoveryReport) {
+        let db = Database::with_log(
+            Arc::new(LogManager::with_records(records.clone())),
+            LockManagerConfig::default(),
+        );
+        db.catalog()
+            .create_table_with_id(id, "t", schema())
+            .unwrap();
+        let report = recover_into(&db, &records).unwrap();
+        (db, report)
+    }
+
     /// Run `work` against a fresh DB, then "crash": replay the log into
     /// a second DB with the same schema and return both.
     fn crash_and_recover(work: impl FnOnce(&Database)) -> (Database, Database, RecoveryReport) {
         let db1 = Database::new();
-        db1.create_table("t", schema()).unwrap();
+        let id = db1.create_table("t", schema()).unwrap().id();
         work(&db1);
-        let records: Vec<LogRecord> = db1
-            .log()
-            .read_range(Lsn(1), usize::MAX)
-            .into_iter()
-            .map(|(_, r)| (*r).clone())
-            .collect();
-
-        let db2 = Database::with_log(
-            Arc::new(LogManager::with_records(records.clone())),
-            LockManagerConfig::default(),
-        );
-        // Recreate schema with the same table id.
-        let orig = db1.catalog().get("t").unwrap();
-        db2.catalog()
-            .create_table_with_id(orig.id(), "t", schema())
-            .unwrap();
-        let report = recover_into(&db2, &records).unwrap();
+        let (db2, report) = recover(log_of(&db1), id);
         (db1, db2, report)
+    }
+
+    /// The CLRs of `db`'s log as `(undone_lsn, op)` pairs, in log order.
+    fn clrs(db: &Database) -> Vec<(Lsn, LogOp)> {
+        log_of(db)
+            .into_iter()
+            .filter_map(|r| match r {
+                LogRecord::Clr { undone_lsn, op, .. } => Some((undone_lsn, op)),
+                _ => None,
+            })
+            .collect()
     }
 
     fn table_state(db: &Database) -> Vec<(Key, Vec<Value>)> {
@@ -347,27 +327,10 @@ mod tests {
             let loser = db.begin();
             db.insert(loser, "t", row(5, "x")).unwrap();
         });
-        let records: Vec<LogRecord> = db2
-            .log()
-            .read_range(Lsn(1), usize::MAX)
-            .into_iter()
-            .map(|(_, r)| (*r).clone())
-            .collect();
-        let db3 = Database::new();
-        db3.catalog()
-            .create_table_with_id(db2.catalog().get("t").unwrap().id(), "t", schema())
-            .unwrap();
-        let report2 = recover_into(&db3, &records).unwrap();
+        let id = db2.catalog().get("t").unwrap().id();
+        let (db3, report2) = recover(log_of(&db2), id);
         assert!(report2.losers.is_empty());
-        assert_eq!(table_state(&db2), {
-            db3.catalog()
-                .get("t")
-                .unwrap()
-                .snapshot()
-                .into_iter()
-                .map(|(k, r)| (k, r.values))
-                .collect::<Vec<_>>()
-        });
+        assert_eq!(table_state(&db2), table_state(&db3));
     }
 
     #[test]
@@ -431,12 +394,7 @@ mod tests {
         let txn = db1.begin();
         db1.insert(txn, "t", row(1, "keep")).unwrap();
         db1.commit(txn).unwrap();
-        let records: Vec<LogRecord> = db1
-            .log()
-            .read_range(Lsn(1), usize::MAX)
-            .into_iter()
-            .map(|(_, r)| (*r).clone())
-            .collect();
+        let records = log_of(&db1);
         let mut bytes = morph_wal::encode_stream(&records);
         bytes.extend_from_slice(&(4096u32).to_le_bytes()); // torn append
         bytes.extend_from_slice(&[7, 7]);
@@ -457,16 +415,108 @@ mod tests {
         let txn = db1.begin();
         db1.insert(txn, "t", row(1, "a")).unwrap();
         db1.commit(txn).unwrap();
-        let records: Vec<LogRecord> = db1
-            .log()
-            .read_range(Lsn(1), usize::MAX)
-            .into_iter()
-            .map(|(_, r)| (*r).clone())
-            .collect();
+        let records = log_of(&db1);
         let db2 = Database::new(); // no table created
         assert!(matches!(
             recover_into(&db2, &records),
             Err(DbError::NoSuchTableId(_))
         ));
+    }
+
+    /// Recovery reserves every transaction id in the log: the next
+    /// transaction gets an id above all of them.
+    #[test]
+    fn begin_after_recovery_gets_an_id_above_every_logged_id() {
+        let db1 = Database::new();
+        let t = db1.create_table("t", schema()).unwrap();
+        let op = |txn: u64, id: i64| LogRecord::Op {
+            txn: TxnId(txn),
+            op: LogOp::Insert {
+                table: t.id(),
+                row: row(id, "x"),
+            },
+        };
+        let records = vec![
+            op(7, 1),
+            LogRecord::Commit { txn: TxnId(7) },
+            op(3, 2),
+            LogRecord::Commit { txn: TxnId(3) },
+        ];
+        let (db2, _report) = recover(records, t.id());
+        assert!(db2.begin() > TxnId(7));
+    }
+
+    /// One transaction that inserts, moves a primary key and deletes,
+    /// rolled back live on one database and undone by recovery on a
+    /// twin that crashed with its ops logged: the same table contents
+    /// and the same CLRs, compensation for compensation.
+    #[test]
+    fn live_rollback_and_restart_undo_log_the_same_compensations() {
+        let work = |db: &Database| {
+            let setup = db.begin();
+            db.insert(setup, "t", row(1, "a")).unwrap();
+            db.insert(setup, "t", row(2, "b")).unwrap();
+            db.commit(setup).unwrap();
+            let txn = db.begin();
+            db.insert(txn, "t", row(3, "c")).unwrap();
+            db.update(
+                txn,
+                "t",
+                &Key::single(1),
+                &[(0, Value::Int(9)), (1, Value::str("a9"))],
+            )
+            .unwrap();
+            db.delete(txn, "t", &Key::single(2)).unwrap();
+            txn
+        };
+        let live = Database::new();
+        live.create_table("t", schema()).unwrap();
+        let txn = work(&live);
+        live.abort(txn).unwrap();
+
+        let (_twin, restarted, report) = crash_and_recover(|db| {
+            work(db);
+        });
+        assert_eq!(report.losers, vec![txn]);
+        assert_eq!(table_state(&restarted), table_state(&live));
+        assert_eq!(
+            table_state(&live),
+            vec![(Key::single(1), row(1, "a")), (Key::single(2), row(2, "b"))]
+        );
+        let compensations = clrs(&live);
+        assert_eq!(compensations.len(), 3);
+        assert_eq!(clrs(&restarted), compensations);
+    }
+
+    /// A loser killed between its last CLR and its AbortEnd has nothing
+    /// left to compensate: recovery logs one Abort and one AbortEnd for
+    /// it and no CLR, and a second recovery finds no loser.
+    #[test]
+    fn a_loser_compensated_before_the_crash_logs_only_its_end() {
+        let db1 = Database::new();
+        let id = db1.create_table("t", schema()).unwrap().id();
+        let setup = db1.begin();
+        db1.insert(setup, "t", row(1, "keep")).unwrap();
+        db1.commit(setup).unwrap();
+        let txn = db1.begin();
+        db1.insert(txn, "t", row(2, "gone")).unwrap();
+        db1.update(txn, "t", &Key::single(1), &[(1, Value::str("dirty"))])
+            .unwrap();
+        db1.abort(txn).unwrap();
+        let mut records = log_of(&db1);
+        assert_eq!(records.pop(), Some(LogRecord::AbortEnd { txn }));
+
+        let (db2, report) = recover(records.clone(), id);
+        assert_eq!(report.losers, vec![txn]);
+        assert_eq!(report.clrs_written, 0);
+        assert_eq!(
+            log_of(&db2)[records.len()..],
+            [LogRecord::Abort { txn }, LogRecord::AbortEnd { txn }]
+        );
+        assert_eq!(table_state(&db2), vec![(Key::single(1), row(1, "keep"))]);
+
+        let (db3, report) = recover(log_of(&db2), id);
+        assert!(report.losers.is_empty());
+        assert_eq!(table_state(&db3), table_state(&db2));
     }
 }

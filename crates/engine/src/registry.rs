@@ -24,9 +24,9 @@ use std::sync::Arc;
 /// Mutable per-transaction state.
 #[derive(Default)]
 pub struct TxnState {
-    /// Inverse operations ready to apply, one per forward op, in
-    /// forward order (rollback walks it backwards). Each entry pairs
-    /// the forward record's LSN with the prepared inverse.
+    /// The forward operations exactly as logged, each with its LSN, in
+    /// forward order. Rollback walks it backwards and compensates each
+    /// entry with its [`LogOp::undo`].
     pub undo: Vec<(Lsn, LogOp)>,
 }
 

@@ -106,11 +106,6 @@ impl ShardedDatabase {
         }
     }
 
-    /// Number of shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
     /// Direct handle to one shard's engine.
     pub fn shard(&self, i: usize) -> &Arc<Database> {
         &self.shards[i]

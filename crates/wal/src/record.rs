@@ -8,7 +8,7 @@
 //! its first data record, and one that wrote nothing logs nothing
 //! unless a cutover census reported it (DESIGN.md §11).
 
-use morph_common::{Key, Lsn, TableId, TxnId, Value};
+use morph_common::{Key, Lsn, Schema, TableId, TxnId, Value};
 
 /// Phase of a migration job's state machine (the orchestrator layer).
 ///
@@ -132,19 +132,17 @@ impl LogOp {
         }
     }
 
-    /// The logical inverse of this operation, used to build CLRs during
-    /// rollback. Inverting an update swaps old and new column lists.
+    /// The compensation of this forward operation, as a rollback
+    /// executes and logs it in a CLR: an insert undoes to a delete at
+    /// the row's key, a delete to an insert of its pre-image, and an
+    /// update to the swapped column lists at its post-image key (which
+    /// differs from the logged key when primary-key columns changed).
     #[must_use]
-    pub fn inverse(&self) -> LogOp {
+    pub fn undo(&self, schema: &Schema) -> LogOp {
         match self {
             LogOp::Insert { table, row } => LogOp::Delete {
                 table: *table,
-                // The key is recomputed by the engine, which knows the
-                // schema; here we only need the structural inverse. The
-                // engine always builds CLRs via its own schema-aware
-                // path, so this variant stores an empty key that the
-                // engine replaces.
-                key: Key(vec![]),
+                key: schema.key_of(row),
                 old: row.clone(),
             },
             LogOp::Delete { table, old, .. } => LogOp::Insert {
@@ -156,12 +154,20 @@ impl LogOp {
                 key,
                 old,
                 new,
-            } => LogOp::Update {
-                table: *table,
-                key: key.clone(),
-                old: new.clone(),
-                new: old.clone(),
-            },
+            } => {
+                let mut post = key.clone();
+                for (kpos, col) in schema.pkey().iter().enumerate() {
+                    if let Some((_, v)) = new.iter().find(|(i, _)| i == col) {
+                        post.0[kpos] = v.clone();
+                    }
+                }
+                LogOp::Update {
+                    table: *table,
+                    key: post,
+                    old: new.clone(),
+                    new: old.clone(),
+                }
+            }
         }
     }
 }
@@ -182,7 +188,8 @@ pub enum LogRecord {
     /// A forward data operation executed under `txn`.
     Op { txn: TxnId, op: LogOp },
     /// Compensating Log Record: during rollback, `undone_lsn` was
-    /// undone by physically executing `op` (the inverse operation).
+    /// undone by physically executing `op`, its forward op's
+    /// [`LogOp::undo`].
     /// Redoing a CLR re-executes the compensation, which is what makes
     /// fuzzy-copy repair purely forward (§2.2).
     Clr {
@@ -291,6 +298,7 @@ impl LogRecord {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use morph_common::ColumnType;
 
     fn sample_update() -> LogOp {
         LogOp::Update {
@@ -301,11 +309,37 @@ mod tests {
         }
     }
 
+    fn schema() -> Schema {
+        Schema::builder()
+            .column("id", ColumnType::Int)
+            .column("val", ColumnType::Str)
+            .primary_key(&["id"])
+            .build()
+            .unwrap()
+    }
+
     #[test]
-    fn inverse_of_update_swaps_images() {
-        let inv = sample_update().inverse();
-        match inv {
-            LogOp::Update { old, new, .. } => {
+    fn undo_of_insert_is_a_delete_at_the_rows_key() {
+        let row = vec![Value::Int(4), Value::str("x")];
+        let op = LogOp::Insert {
+            table: TableId(1),
+            row: row.clone(),
+        };
+        assert_eq!(
+            op.undo(&schema()),
+            LogOp::Delete {
+                table: TableId(1),
+                key: Key::single(4),
+                old: row,
+            }
+        );
+    }
+
+    #[test]
+    fn undo_of_update_swaps_images() {
+        match sample_update().undo(&schema()) {
+            LogOp::Update { key, old, new, .. } => {
+                assert_eq!(key, Key::single(7));
                 assert_eq!(old, vec![(1, Value::str("b"))]);
                 assert_eq!(new, vec![(1, Value::str("a"))]);
             }
@@ -313,26 +347,46 @@ mod tests {
         }
     }
 
+    /// An update that moves the primary key undoes at the row's
+    /// post-image key, moving it back.
     #[test]
-    fn inverse_roundtrip_for_update() {
-        let op = sample_update();
-        assert_eq!(op.inverse().inverse(), op);
+    fn undo_of_a_key_moving_update_targets_the_post_image_key() {
+        let op = LogOp::Update {
+            table: TableId(3),
+            key: Key::single(7),
+            old: vec![(0, Value::Int(7)), (1, Value::str("a"))],
+            new: vec![(0, Value::Int(9)), (1, Value::str("b"))],
+        };
+        assert_eq!(
+            op.undo(&schema()),
+            LogOp::Update {
+                table: TableId(3),
+                key: Key::single(9),
+                old: vec![(0, Value::Int(9)), (1, Value::str("b"))],
+                new: vec![(0, Value::Int(7)), (1, Value::str("a"))],
+            }
+        );
+        assert_eq!(op.undo(&schema()).undo(&schema()), op);
     }
 
     #[test]
-    fn inverse_of_delete_is_insert() {
-        let op = LogOp::Delete {
+    fn undo_roundtrips_for_updates_and_deletes() {
+        let s = schema();
+        let op = sample_update();
+        assert_eq!(op.undo(&s).undo(&s), op);
+        let delete = LogOp::Delete {
             table: TableId(1),
             key: Key::single(1),
             old: vec![Value::Int(1), Value::str("x")],
         };
-        match op.inverse() {
-            LogOp::Insert { table, row } => {
-                assert_eq!(table, TableId(1));
-                assert_eq!(row, vec![Value::Int(1), Value::str("x")]);
+        assert_eq!(
+            delete.undo(&s),
+            LogOp::Insert {
+                table: TableId(1),
+                row: vec![Value::Int(1), Value::str("x")],
             }
-            other => panic!("expected insert, got {other:?}"),
-        }
+        );
+        assert_eq!(delete.undo(&s).undo(&s), delete);
     }
 
     #[test]

@@ -121,8 +121,11 @@ fi
 # and the seed sweep. SIM_SEEDS=N widens the sweep: census + 3 seeded
 # kills per (scenario × strategy × seed) cell, every kill checked
 # against the Theorem 1 recovery oracle (EXPERIMENTS.md).
+# The output is kept in target/ci/cargo-test.log, so a rare failure
+# can be read after the fact; pipefail keeps cargo's exit status.
 echo "== cargo test --workspace (SIM_SEEDS=${SIM_SEEDS:-4})"
-SIM_SEEDS="${SIM_SEEDS:-4}" cargo test -q --workspace
+mkdir -p target/ci
+SIM_SEEDS="${SIM_SEEDS:-4}" cargo test -q --workspace 2>&1 | tee target/ci/cargo-test.log
 
 # The repository's benchmark (benchmark/README.md) is a package of its
 # own that builds against this checkout: its fmt, clippy, unit tests and

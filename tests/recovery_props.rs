@@ -17,7 +17,7 @@
 
 use morphdb::engine::{recover_from_bytes, recover_into, RecoveryReport};
 use morphdb::txn::LockManagerConfig;
-use morphdb::wal::{encode_stream, LogManager, LogRecord};
+use morphdb::wal::{encode_stream, file::FileBackend, LogManager, LogRecord};
 use morphdb::{ColumnType, Database, DbResult, Key, Lsn, Schema, Value};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -167,6 +167,49 @@ fn state_of(db: &Database) -> BTreeMap<Key, Vec<Value>> {
         .into_iter()
         .map(|(k, r)| (k, r.values))
         .collect()
+}
+
+/// Three lives of one log file. The second recovers, begins a
+/// transaction, writes, flushes and dies without committing; the third
+/// must roll that write back. Were the second life's transaction to
+/// reuse an id the first life committed under, the third recovery
+/// would count it a winner.
+#[test]
+fn a_second_restart_undoes_an_uncommitted_write() {
+    let path = std::env::temp_dir().join(format!("morphdb-restart-{}.wal", std::process::id()));
+    let _ = std::fs::remove_file(&path);
+    let on_file = || {
+        let log = Arc::new(LogManager::with_file(&path).unwrap());
+        Database::with_log(log, LockManagerConfig::default())
+    };
+    let row = |id: i64| vec![Value::Int(id), Value::str("v")];
+
+    let db = on_file();
+    let id = db.create_table("t", schema()).unwrap().id();
+    let txn = db.begin();
+    db.insert(txn, "t", row(1)).unwrap();
+    db.commit(txn).unwrap();
+    drop(db);
+
+    let records = FileBackend::read_all(&path).unwrap();
+    let db = on_file();
+    db.catalog()
+        .create_table_with_id(id, "t", schema())
+        .unwrap();
+    recover_into(&db, &records).unwrap();
+    let uncommitted = db.begin();
+    db.insert(uncommitted, "t", row(2)).unwrap();
+    db.log().flush().unwrap();
+    drop(db);
+
+    let records = FileBackend::read_all(&path).unwrap();
+    let _ = std::fs::remove_file(&path);
+    let (db, report) = recover_fresh(&records, id);
+    assert_eq!(report.losers, vec![uncommitted]);
+    assert_eq!(
+        state_of(&db).into_keys().collect::<Vec<_>>(),
+        vec![Key::single(1)]
+    );
 }
 
 proptest! {
