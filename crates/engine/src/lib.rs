@@ -33,5 +33,5 @@ pub use database::{CrashHook, Database, LockHolder, LogProtection, PlannedOp};
 pub use interceptor::OpInterceptor;
 pub use migrations::MigrationRegistry;
 pub use morph_storage::{CommitTable, Snapshot, SnapshotTracker};
-pub use recovery::{recover_from_bytes, recover_into, RecoveryReport};
+pub use recovery::{recover, recover_from_bytes, RecoveryReport};
 pub use router::{ShardCounters, ShardedDatabase};

@@ -2,20 +2,25 @@
 //!
 //! Because morphdb keeps all data in memory, a restart loses every
 //! materialized row; recovery therefore replays the *entire* log from
-//! genesis: an **analysis** pass classifies transactions and reserves
-//! every transaction id in the log, so that no transaction begun after
-//! the restart reuses one; a **redo** pass re-executes every operation
-//! — including CLRs, exactly as they were logged — and an **undo** pass
-//! rolls each loser back. Undo is a rollback: the loser is registered
-//! with its uncompensated forward operations as its undo chain and
-//! rolled back by the body [`Database::abort`] runs, which logs
-//! `Abort`, a CLR per operation (each [`LogOp::undo`]) and `AbortEnd`.
-//! The three passes run in one body, [`recover_into`], over a slice of
-//! owned [`LogRecord`]s; [`recover_from_bytes`] decodes a raw frame
-//! stream into that slice first. This is the same discipline the paper
-//! assumes of its substrate ("undo operations produce Compensating Log
-//! Records as described in the ARIES method", §1); the transformation
-//! framework itself is *not* made crash-persistent — an interrupted
+//! genesis. Its one input is the database's own log, which a restart
+//! onto a file reopens with
+//! [`LogManager::with_file`](morph_wal::LogManager::with_file) at the
+//! file's own LSNs, so a CLR's `undone_lsn` names the same record in
+//! every life. [`recover`] reads that log from LSN 1 through a
+//! [`TailCursor`](morph_wal::TailCursor) in one pass that is both
+//! **analysis** (classify transactions; reserve every transaction id
+//! in the log, so that no transaction begun after the restart reuses
+//! one) and **redo** (re-execute every operation, CLRs included,
+//! exactly as logged). An **undo** pass then rolls each loser back.
+//! Undo is a rollback: the loser is registered with its uncompensated
+//! forward operations as its undo chain and rolled back by the body
+//! [`Database::abort`] runs, which appends `Abort`, a CLR per operation
+//! (each [`LogOp::undo`]) and `AbortEnd` to the same log.
+//! [`recover_from_bytes`] appends a raw frame stream to an empty log
+//! first. This is the same discipline the paper assumes of its
+//! substrate ("undo operations produce Compensating Log Records as
+//! described in the ARIES method", §1); the transformation framework
+//! itself is *not* made crash-persistent — an interrupted
 //! transformation simply restarts from its preparation step, which is
 //! safe because transformed tables are invisible to users until
 //! synchronization completes. That claim is regression-pinned by the
@@ -28,9 +33,12 @@
 //! DESIGN.md §9, §13).
 
 use crate::database::Database;
-use morph_common::{DbResult, Lsn, TxnId};
-use morph_wal::{decode_stream, LogOp, LogRecord};
+use morph_common::{DbError, DbResult, Lsn, TxnId};
+use morph_wal::{decode_stream, LogOp, LogRecord, RecordKind};
 use std::collections::{HashMap, HashSet};
+
+/// Records recovery reads per batch.
+const REPLAY_BATCH: usize = 4096;
 
 /// What recovery did.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -43,73 +51,77 @@ pub struct RecoveryReport {
     pub clrs_written: usize,
 }
 
-/// Replay `records`, the log from LSN 1, into `db`: the one replay
+/// Replay `db`'s log, from LSN 1 to its tail, into `db`: the one replay
 /// body. The caller must have re-created the schema: every table id
 /// referenced by the log must resolve in the catalog, and the tables
-/// must be empty.
-pub fn recover_into(db: &Database, records: &[LogRecord]) -> DbResult<RecoveryReport> {
-    let lsn_of = |i: usize| Lsn(i as u64 + 1);
+/// must be empty. A log truncated past LSN 1 or a record that cannot be
+/// read is an error; the replay never stops short. The undo pass
+/// appends to the same log and flushes it.
+pub fn recover(db: &Database) -> DbResult<RecoveryReport> {
+    let log = db.log();
+    let end = log.last_lsn();
 
-    // --- analysis: who finished, what was compensated. A transaction
+    // --- analysis and redo, in one pass over the log. A transaction
     // has no begin record: it is known from its first record of any
-    // kind, and one that logged nothing needs no recovery ---
-    #[derive(Default)]
-    struct TxnMeta {
-        finished: bool,
-        compensated: HashSet<Lsn>,
-    }
-    let mut txns: HashMap<TxnId, TxnMeta> = HashMap::new();
-    for rec in records {
-        let Some(txn) = rec.txn() else { continue };
-        let meta = txns.entry(txn).or_default();
-        match rec {
-            LogRecord::Commit { .. } | LogRecord::AbortEnd { .. } => meta.finished = true,
-            LogRecord::Clr { undone_lsn, .. } => {
-                meta.compensated.insert(*undone_lsn);
+    // kind, and one that logged nothing needs no recovery. Every
+    // operation is replayed exactly as logged (CLRs included), and a
+    // transaction that has not ended keeps its forward ops, in log
+    // order, as its undo chain; a CLR's undone LSN leaves it later ---
+    let mut ended: HashMap<TxnId, bool> = HashMap::new();
+    let mut chains: HashMap<TxnId, Vec<(Lsn, LogOp)>> = HashMap::new();
+    let mut compensated: HashSet<Lsn> = HashSet::new();
+    let mut redone = 0usize;
+    let mut cursor = log.tail(Lsn(1));
+    while cursor.next_lsn() <= end {
+        let from = cursor.next_lsn();
+        let max = ((end.0 + 1 - from.0) as usize).min(REPLAY_BATCH);
+        let (scanned, ops) = cursor.next_batch_where(log, max, |peek| {
+            if let Some(txn) = peek.txn {
+                *ended.entry(txn).or_default() |=
+                    matches!(peek.kind, RecordKind::Commit | RecordKind::AbortEnd);
             }
-            _ => {}
+            matches!(peek.kind, RecordKind::Op | RecordKind::Clr)
+        })?;
+        if scanned == 0 || cursor.next_lsn() != Lsn(from.0 + scanned as u64) {
+            return Err(DbError::Internal(format!(
+                "recovery replays the log from LSN 1 to {end}, but LSN {from} is no longer in it"
+            )));
         }
+        for (lsn, rec) in ops {
+            let Some(op) = rec.op() else { continue };
+            db.apply_logged(op, || Ok(lsn))?;
+            redone += 1;
+            match rec {
+                LogRecord::Op { txn, op } => chains.entry(txn).or_default().push((lsn, op)),
+                LogRecord::Clr { undone_lsn, .. } => {
+                    compensated.insert(undone_lsn);
+                }
+                _ => {}
+            }
+        }
+        chains.retain(|txn, _| !ended[txn]);
     }
     // Every id in the log stays taken: a transaction begun after the
     // restart must not pass for one of these in a later recovery.
-    if let Some(max) = txns.keys().max() {
+    if let Some(max) = ended.keys().max() {
         db.reserve_txn_ids(*max);
     }
 
-    // --- redo: replay history exactly as logged (CLRs included),
-    // collecting each loser's uncompensated forward ops, in log order,
-    // as its undo chain ---
-    let mut chains: HashMap<TxnId, Vec<(Lsn, LogOp)>> = HashMap::new();
-    let mut redone = 0usize;
-    for (i, rec) in records.iter().enumerate() {
-        let Some(op) = rec.op() else { continue };
-        db.apply_logged(op, || Ok(lsn_of(i)))?;
-        redone += 1;
-        if let LogRecord::Op { txn, .. } = rec {
-            let meta = &txns[txn];
-            if !meta.finished && !meta.compensated.contains(&lsn_of(i)) {
-                chains
-                    .entry(*txn)
-                    .or_default()
-                    .push((lsn_of(i), op.clone()));
-            }
-        }
-    }
-
     // --- undo: each loser rolls back as a live transaction does ---
-    let mut losers: Vec<TxnId> = txns
+    let mut losers: Vec<TxnId> = ended
         .iter()
-        .filter(|(_, meta)| !meta.finished)
+        .filter(|(_, done)| !**done)
         .map(|(id, _)| *id)
         .collect();
     losers.sort();
     let mut clrs_written = 0usize;
     for txn in &losers {
-        let chain = chains.remove(txn).unwrap_or_default();
+        let mut chain = chains.remove(txn).unwrap_or_default();
+        chain.retain(|(lsn, _)| !compensated.contains(lsn));
         clrs_written += chain.len();
         db.undo_loser(*txn, chain)?;
     }
-    db.log().flush()?;
+    log.flush()?;
 
     Ok(RecoveryReport {
         redone,
@@ -119,10 +131,21 @@ pub fn recover_into(db: &Database, records: &[LogRecord]) -> DbResult<RecoveryRe
 }
 
 /// Replay a raw frame stream, as the file backend stores it, into `db`
-/// (same preconditions as [`recover_into`]): decode it, tolerating a
-/// torn tail, and replay the records.
+/// (same preconditions as [`recover`]): decode it, tolerating a torn
+/// tail, append the records to `db`'s log, which must be empty, and
+/// [`recover`]. Kept as an alias because `benchmark/` calls it; a
+/// restart onto a log file is `LogManager::with_file` and [`recover`].
 pub fn recover_from_bytes(db: &Database, bytes: &[u8]) -> DbResult<RecoveryReport> {
-    recover_into(db, &decode_stream(bytes)?)
+    let log = db.log();
+    if !log.last_lsn().is_zero() {
+        return Err(DbError::Internal(
+            "recover_from_bytes needs an empty log".into(),
+        ));
+    }
+    for rec in decode_stream(bytes)? {
+        log.append(rec);
+    }
+    recover(db)
 }
 
 #[cfg(test)]
@@ -156,16 +179,22 @@ mod tests {
     }
 
     /// A fresh database whose log holds `records` and whose catalog
-    /// holds `t` under `id`, recovered from those records.
-    fn recover(records: Vec<LogRecord>, id: TableId) -> (Database, RecoveryReport) {
+    /// holds `t` under `id`, not yet recovered.
+    fn restarted(records: Vec<LogRecord>, id: TableId) -> Database {
         let db = Database::with_log(
-            Arc::new(LogManager::with_records(records.clone())),
+            Arc::new(LogManager::with_records(records)),
             LockManagerConfig::default(),
         );
         db.catalog()
             .create_table_with_id(id, "t", schema())
             .unwrap();
-        let report = recover_into(&db, &records).unwrap();
+        db
+    }
+
+    /// [`restarted`], recovered from its log.
+    fn restart(records: Vec<LogRecord>, id: TableId) -> (Database, RecoveryReport) {
+        let db = restarted(records, id);
+        let report = recover(&db).unwrap();
         (db, report)
     }
 
@@ -175,7 +204,7 @@ mod tests {
         let db1 = Database::new();
         let id = db1.create_table("t", schema()).unwrap().id();
         work(&db1);
-        let (db2, report) = recover(log_of(&db1), id);
+        let (db2, report) = restart(log_of(&db1), id);
         (db1, db2, report)
     }
 
@@ -250,11 +279,7 @@ mod tests {
             },
         };
         let records = vec![op(1, 1), op(2, 2), LogRecord::Commit { txn: TxnId(2) }];
-        let db2 = Database::new();
-        db2.catalog()
-            .create_table_with_id(t.id(), "t", schema())
-            .unwrap();
-        let report = recover_into(&db2, &records).unwrap();
+        let (db2, report) = restart(records, t.id());
         assert_eq!(report.losers, vec![TxnId(1)]);
         assert_eq!(report.clrs_written, 1);
         assert_eq!(table_state(&db2), vec![(Key::single(2), row(2, "x"))]);
@@ -328,7 +353,7 @@ mod tests {
             db.insert(loser, "t", row(5, "x")).unwrap();
         });
         let id = db2.catalog().get("t").unwrap().id();
-        let (db3, report2) = recover(log_of(&db2), id);
+        let (db3, report2) = restart(log_of(&db2), id);
         assert!(report2.losers.is_empty());
         assert_eq!(table_state(&db2), table_state(&db3));
     }
@@ -415,12 +440,60 @@ mod tests {
         let txn = db1.begin();
         db1.insert(txn, "t", row(1, "a")).unwrap();
         db1.commit(txn).unwrap();
-        let records = log_of(&db1);
-        let db2 = Database::new(); // no table created
+        let db2 = Database::with_log(
+            Arc::new(LogManager::with_records(log_of(&db1))),
+            LockManagerConfig::default(),
+        ); // no table created
+        assert!(matches!(recover(&db2), Err(DbError::NoSuchTableId(_))));
+    }
+
+    /// Recovery needs the log from LSN 1: a log truncated past it is an
+    /// error, not a replay of what is left.
+    #[test]
+    fn a_truncated_log_is_an_error() {
+        let db1 = Database::new();
+        let id = db1.create_table("t", schema()).unwrap().id();
+        for key in 0..3 {
+            let txn = db1.begin();
+            db1.insert(txn, "t", row(key, "a")).unwrap();
+            db1.commit(txn).unwrap();
+        }
+        let db = restarted(log_of(&db1), id);
+        db.log().truncate_until(Lsn(3)).unwrap();
+        let err = recover(&db).unwrap_err();
+        assert!(
+            matches!(err, DbError::Internal(ref m) if m.contains("LSN 1 ")),
+            "got {err:?}"
+        );
+        assert!(table_state(&db).is_empty(), "nothing may be replayed");
+    }
+
+    /// The bytes alias appends to an empty log only, and a corrupt
+    /// complete frame is an error before anything is replayed.
+    #[test]
+    fn recover_from_bytes_needs_an_empty_log_and_whole_frames() {
+        let (db1, db2, _report) = crash_and_recover(|db| {
+            let txn = db.begin();
+            db.insert(txn, "t", row(1, "a")).unwrap();
+            db.commit(txn).unwrap();
+        });
+        let mut bytes = morph_wal::encode_stream(&log_of(&db1));
         assert!(matches!(
-            recover_into(&db2, &records),
-            Err(DbError::NoSuchTableId(_))
+            recover_from_bytes(&db2, &bytes),
+            Err(DbError::Internal(_))
         ));
+        bytes.extend_from_slice(&1u32.to_le_bytes());
+        bytes.push(250); // a whole frame with a bogus tag
+        let db3 = Database::new();
+        let id = db1.catalog().get("t").unwrap().id();
+        db3.catalog()
+            .create_table_with_id(id, "t", schema())
+            .unwrap();
+        assert!(matches!(
+            recover_from_bytes(&db3, &bytes),
+            Err(DbError::CorruptLog { .. })
+        ));
+        assert!(table_state(&db3).is_empty());
     }
 
     /// Recovery reserves every transaction id in the log: the next
@@ -442,7 +515,7 @@ mod tests {
             op(3, 2),
             LogRecord::Commit { txn: TxnId(3) },
         ];
-        let (db2, _report) = recover(records, t.id());
+        let (db2, _report) = restart(records, t.id());
         assert!(db2.begin() > TxnId(7));
     }
 
@@ -506,7 +579,7 @@ mod tests {
         let mut records = log_of(&db1);
         assert_eq!(records.pop(), Some(LogRecord::AbortEnd { txn }));
 
-        let (db2, report) = recover(records.clone(), id);
+        let (db2, report) = restart(records.clone(), id);
         assert_eq!(report.losers, vec![txn]);
         assert_eq!(report.clrs_written, 0);
         assert_eq!(
@@ -515,7 +588,7 @@ mod tests {
         );
         assert_eq!(table_state(&db2), vec![(Key::single(1), row(1, "keep"))]);
 
-        let (db3, report) = recover(log_of(&db2), id);
+        let (db3, report) = restart(log_of(&db2), id);
         assert!(report.losers.is_empty());
         assert_eq!(table_state(&db3), table_state(&db2));
     }

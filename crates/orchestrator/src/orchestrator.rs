@@ -43,12 +43,12 @@
 //! aborted-versus-in-flight distinction, and observability.
 
 use crate::spec::{Migration, MigrationSpec};
-use morph_common::{DbError, DbResult};
+use morph_common::{DbError, DbResult, Lsn};
 use morph_core::{
     Progress, ProgressHandle, SyncStrategy, TransformJob, TransformOptions, TransformReport,
 };
 use morph_engine::Database;
-use morph_wal::{LogRecord, MigrationPhase};
+use morph_wal::{LogRecord, MigrationPhase, RecordKind};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -61,8 +61,8 @@ pub struct Orchestrator {
     db: Arc<Database>,
 }
 
-/// The latest durable state of a migration job, harvested from a
-/// recovered log by [`Orchestrator::scan_states`].
+/// The latest durable state of a migration job, harvested from the
+/// log by [`Orchestrator::scan_states`].
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct RecoveredMigration {
     /// Job id (unique per log lifetime).
@@ -106,10 +106,15 @@ impl Orchestrator {
     }
 
     /// Harvest the latest durable [`RecoveredMigration`] per job from
-    /// a recovered record stream, in job-id order.
-    pub fn scan_states(records: &[LogRecord]) -> Vec<RecoveredMigration> {
+    /// the database's log, in job-id order: after a restart, the log
+    /// [`morph_engine::recover`] replayed.
+    pub fn scan_states(&self) -> DbResult<Vec<RecoveredMigration>> {
+        let log = self.db.log();
+        let (_, states) = log.tail(Lsn(1)).next_batch_where(log, usize::MAX, |peek| {
+            peek.kind == RecordKind::MigrationState
+        })?;
         let mut latest: BTreeMap<u64, RecoveredMigration> = BTreeMap::new();
-        for rec in records {
+        for (_, rec) in states {
             if let LogRecord::MigrationState {
                 job,
                 stage,
@@ -118,25 +123,25 @@ impl Orchestrator {
             } = rec
             {
                 latest.insert(
-                    *job,
+                    job,
                     RecoveredMigration {
-                        job: *job,
-                        stage: *stage,
-                        phase: *phase,
-                        spec_text: spec.clone(),
+                        job,
+                        stage,
+                        phase,
+                        spec_text: spec,
                     },
                 );
             }
         }
-        latest.into_values().collect()
+        Ok(latest.into_values().collect())
     }
 
     /// Resume one recovered job on a freshly recovered database (call
-    /// after `recover_into`). Non-`Aborted` jobs are re-executed from
-    /// their persisted spec, restarting at preparation per §3.5 (see
-    /// the module docs for why); `Aborted` jobs stay dead and return
-    /// `None`. The state records do not carry the strategy: it comes
-    /// from `options`.
+    /// after [`morph_engine::recover`]). Non-`Aborted` jobs are
+    /// re-executed from their persisted spec, restarting at preparation
+    /// per §3.5 (see the module docs for why); `Aborted` jobs stay dead
+    /// and return `None`. The state records do not carry the strategy:
+    /// it comes from `options`.
     pub fn resume(
         &self,
         rec: &RecoveredMigration,
@@ -150,16 +155,12 @@ impl Orchestrator {
         Ok(Some(self.job(rec.job, spec, options)?.launch(None)))
     }
 
-    /// Scan `records` and resume every recovered job (convenience
+    /// Scan the log and resume every recovered job (convenience
     /// wrapper over [`Orchestrator::scan_states`] +
     /// [`Orchestrator::resume`]).
-    pub fn recover(
-        &self,
-        records: &[LogRecord],
-        options: &TransformOptions,
-    ) -> DbResult<Vec<MigrationHandle>> {
+    pub fn recover(&self, options: &TransformOptions) -> DbResult<Vec<MigrationHandle>> {
         let mut handles = Vec::new();
-        for rec in Self::scan_states(records) {
+        for rec in self.scan_states()? {
             if let Some(h) = self.resume(&rec, options.clone())? {
                 handles.push(h);
             }
@@ -530,7 +531,7 @@ mod tests {
             .collect();
         use MigrationPhase::*;
         assert_eq!(phases, [Planned, Preparing, Syncing, Copying, CutOver]);
-        let states = Orchestrator::scan_states(&records);
+        let states = orch.scan_states().unwrap();
         assert_eq!(states.len(), 1);
         assert_eq!(states[0].phase, CutOver);
     }

@@ -16,8 +16,8 @@
 //! 4. Run the transformation synchronously.
 //! 5. If the kill fired: [`crash_and_recover`] (drain the staged
 //!    records to the backend, tear its unflushed bytes at a seeded
-//!    offset with [`FaultHandle::crash`], decode the durable prefix,
-//!    rebuild a fresh database, replay the log with `recover_into`),
+//!    offset with [`FaultHandle::crash`], decode the durable prefix
+//!    into a fresh database's log, and `recover` from that log),
 //!    then check the **Theorem 1 oracle**:
 //!      * recovered sources ≡ the workload's committed-state model
 //!        (no lost updates — valid because every workload step is a
@@ -41,11 +41,11 @@
 use crate::scenario::Scenario;
 use morph_common::{DbError, DbResult, Key, Schema, TableId, Value};
 use morph_core::SyncStrategy;
-use morph_engine::{recover_into, CrashHook, Database, RecoveryReport};
+use morph_engine::{recover, CrashHook, Database, RecoveryReport};
 use morph_storage::row::Presence;
 use morph_storage::ConsistencyFlag;
 use morph_txn::LockManagerConfig;
-use morph_wal::{FaultBackend, FaultConfig, FaultHandle, LogManager, LogRecord};
+use morph_wal::{FaultBackend, FaultConfig, FaultHandle, LogManager};
 use morph_workload::{StepStats, StepWorkload};
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
@@ -353,8 +353,10 @@ pub fn fault_db(seed: u64) -> (Arc<Database>, FaultHandle) {
 /// what it restarted from.
 pub struct Recovered {
     pub db: Arc<Database>,
-    /// Complete records decoded from the surviving byte image.
-    pub durable: Vec<LogRecord>,
+    /// Complete records decoded from the surviving byte image: the
+    /// restarted log's LSNs 1..=`durable_records`, before recovery
+    /// appended its undo records.
+    pub durable_records: usize,
     /// Unflushed bytes the seeded tear let survive.
     pub tail_bytes: usize,
     pub report: RecoveryReport,
@@ -368,7 +370,8 @@ pub struct Recovered {
 /// buffer is always empty at a crash point and the tear has nothing to
 /// cut. Then [`FaultHandle::crash`] keeps a seeded-random byte prefix
 /// of that buffer, the durable image is decoded (tolerating the torn
-/// tail), and a fresh database with the same table ids replays it.
+/// tail), and a fresh database with the same table ids, whose log is
+/// that image, recovers from its log.
 pub fn crash_and_recover(
     db: &Database,
     fault: &FaultHandle,
@@ -376,17 +379,17 @@ pub fn crash_and_recover(
 ) -> DbResult<Recovered> {
     db.log().drain()?;
     let tail_bytes = fault.crash();
-    let durable = fault.durable_records()?;
-    let log = Arc::new(LogManager::with_records(durable.clone()));
+    let log = Arc::new(LogManager::with_records(fault.durable_records()?));
+    let durable_records = log.len();
     let db2 = Arc::new(Database::with_log(log, LockManagerConfig::default()));
     for (id, name, schema) in sources {
         db2.catalog()
             .create_table_with_id(*id, name, schema.clone())?;
     }
-    let report = recover_into(&db2, &durable)?;
+    let report = recover(&db2)?;
     Ok(Recovered {
         db: db2,
-        durable,
+        durable_records,
         tail_bytes,
         report,
     })
@@ -597,14 +600,13 @@ pub fn run_sim(cfg: &SimConfig) -> Result<SimReport, SimFailure> {
             // ---- the crash, then restart on a fresh database ----
             let Recovered {
                 db: db2,
-                durable,
+                durable_records,
                 tail_bytes,
                 report,
             } = crash_and_recover(&run.db, &run.fault, &run.sources)
                 .map_err(|e| fail(format!("crash recovery failed: {e}"), &trace))?;
             trace.push(format!(
-                "crash: {} records ({tail_bytes} bytes) durable",
-                durable.len()
+                "crash: {durable_records} records ({tail_bytes} bytes) durable"
             ));
             trace.push(format!(
                 "recovered: redone={} losers={} clrs={}",
@@ -636,7 +638,7 @@ pub fn run_sim(cfg: &SimConfig) -> Result<SimReport, SimFailure> {
                 verdict: Verdict::KilledAndRecovered,
                 trace,
                 point_counts,
-                durable_records: durable.len(),
+                durable_records,
                 tail_bytes,
                 workload: stats,
             })

@@ -198,11 +198,12 @@ fn reference(row: Row) -> Vec<Tables> {
         .collect()
 }
 
-/// Tear `shard`'s WAL, rebuild a fresh engine, replay the durable
-/// prefix — the other shards are never involved.
-fn recover(shard: &Shard) -> (Arc<Database>, Vec<morph_wal::LogRecord>) {
-    let r = crash_and_recover(&shard.db, &shard.fault, &shard.sources).unwrap();
-    (r.db, r.durable)
+/// Tear `shard`'s WAL, rebuild a fresh engine on the durable prefix
+/// and recover it from that log — the other shards are never involved.
+fn recover(shard: &Shard) -> Arc<Database> {
+    crash_and_recover(&shard.db, &shard.fault, &shard.sources)
+        .unwrap()
+        .db
 }
 
 #[test]
@@ -260,7 +261,7 @@ fn migration_survives_kills_at_every_transition() {
 
             // The victim recovers from its own WAL alone: every
             // committed source row survives, no target write does.
-            let (db2, durable) = recover(victim);
+            let db2 = recover(victim);
             assert_eq!(
                 row.source_tables(&db2),
                 u.models[VICTIM],
@@ -275,16 +276,15 @@ fn migration_survives_kills_at_every_transition() {
 
             // The durable state records rediscover the job; resume
             // re-runs it from preparation.
-            let states = Orchestrator::scan_states(&durable);
+            let orch = Orchestrator::new(Arc::clone(&db2));
+            let states = orch.scan_states().unwrap();
             assert_eq!(states.len(), 1, "{row:?} {point}: expected one job");
             assert_ne!(
                 states[0].phase,
                 MigrationPhase::Aborted,
                 "{row:?} {point}: happy-path kill must not look aborted"
             );
-            let handles = Orchestrator::new(Arc::clone(&db2))
-                .recover(&durable, &options())
-                .unwrap();
+            let handles = orch.recover(&options()).unwrap();
             assert_eq!(handles.len(), 1, "{row:?} {point}: resume must relaunch");
             let reports = handles.into_iter().next().unwrap().join().unwrap();
             assert_eq!(reports.len(), 1, "{row:?} {point}: one stage, one report");
@@ -338,14 +338,14 @@ fn aborted_job_stays_dead_across_recovery() {
         "clean failure expected, got {err}"
     );
 
-    let (db2, durable) = recover(victim);
-    let states = Orchestrator::scan_states(&durable);
+    let db2 = recover(victim);
+    let orch2 = Orchestrator::new(Arc::clone(&db2));
+    let states = orch2.scan_states().unwrap();
     assert_eq!(states.len(), 1);
     assert_eq!(states[0].phase, MigrationPhase::Aborted);
     assert_eq!(states[0].stage, 1, "the failing stage is recorded");
 
-    let orch2 = Orchestrator::new(Arc::clone(&db2));
-    let handles = orch2.recover(&durable, &options()).unwrap();
+    let handles = orch2.recover(&options()).unwrap();
     assert!(handles.is_empty(), "aborted jobs must not resume");
     for target in ["CR", "CS", "U"] {
         assert!(
@@ -381,11 +381,11 @@ fn kill_during_abort_conclusion_recovers_consistently() {
     assert!(hook.fired());
     victim.db.clear_crash_hook();
 
-    let (db2, durable) = recover(victim);
+    let db2 = recover(victim);
     assert_eq!(Row::Split.source_tables(&db2), u.models[VICTIM]);
 
     let handles = Orchestrator::new(Arc::clone(&db2))
-        .recover(&durable, &options())
+        .recover(&options())
         .unwrap();
     match handles.len() {
         // Aborted record made it into the durable prefix: dead.
@@ -588,7 +588,7 @@ fn lazy_shard_kill_between_cutover_and_backfill_recovers() {
 
         // Victim: tear + recover. Theorem-1 oracle on the sources; no
         // target survives (its contents never reach the WAL).
-        let (db2, durable) = recover(victim);
+        let db2 = recover(victim);
         assert_eq!(
             row.source_tables(&db2),
             u.models[VICTIM],
@@ -599,12 +599,11 @@ fn lazy_shard_kill_between_cutover_and_backfill_recovers() {
         // The durable state records rediscover the lazy job, and
         // recovery re-runs it from preparation, lazily, its backfill
         // held again.
-        let states = Orchestrator::scan_states(&durable);
+        let orch = Orchestrator::new(Arc::clone(&db2));
+        let states = orch.scan_states().unwrap();
         let held = HeldKill::arm("no kill");
         db2.set_crash_hook(held.clone());
-        let handles = Orchestrator::new(Arc::clone(&db2))
-            .recover(&durable, &lazy)
-            .unwrap();
+        let handles = orch.recover(&lazy).unwrap();
         if survivor_done {
             assert_eq!(states.len(), 1, "{point}: expected one job");
             assert_ne!(states[0].phase, MigrationPhase::Aborted, "{point}");

@@ -4,11 +4,13 @@
 //! prefix, then the encoded body (see [`crate::codec`]). This module
 //! owns both directions of that format: `write_frame` is its one
 //! writer, used by every [`Backend`], and [`decode_stream`] its one
-//! reader, used by [`FileBackend::read_all`], the fault backend's
-//! post-crash reads and restart recovery. A final frame whose prefix
-//! promises more bytes than exist is a torn tail (a crash mid-append)
-//! and is ignored, the standard WAL recovery convention; a complete
-//! frame with a corrupt body is an error.
+//! reader, used by [`LogManager::with_file`](crate::LogManager::with_file)
+//! to reopen a log, by the fault backend's post-crash reads and by
+//! `recover_from_bytes`. A final frame whose prefix promises more bytes
+//! than exist is a torn tail (a crash mid-append): it is ignored, the
+//! standard WAL recovery convention, and a reopened file is cut back
+//! to its last whole frame before anything is appended after it. A
+//! complete frame with a corrupt body is an error.
 //!
 //! Appends are buffered; [`flush`] (called by the engine at commit)
 //! pushes bytes to the OS and syncs. The [`Backend`] trait abstracts
@@ -22,7 +24,7 @@ use crate::codec;
 use crate::record::LogRecord;
 use morph_common::{DbError, DbResult};
 use std::fs::{File, OpenOptions};
-use std::io::{BufWriter, Read, Write};
+use std::io::{BufWriter, Write};
 use std::path::Path;
 
 /// A byte sink for encoded log records. `append` buffers; `flush`
@@ -61,6 +63,12 @@ pub fn encode_stream(records: &[LogRecord]) -> Vec<u8> {
 /// body is a [`DbError::CorruptLog`] whose offset counts from the start
 /// of `bytes`.
 pub fn decode_stream(bytes: &[u8]) -> DbResult<Vec<LogRecord>> {
+    decode_frames(bytes).map(|(records, _)| records)
+}
+
+/// [`decode_stream`], also returning the length of the whole frames:
+/// the offset a torn tail starts at, or `bytes.len()`.
+fn decode_frames(bytes: &[u8]) -> DbResult<(Vec<LogRecord>, usize)> {
     let mut records = Vec::new();
     let mut pos = 0usize;
     while pos + 4 <= bytes.len() {
@@ -80,6 +88,25 @@ pub fn decode_stream(bytes: &[u8]) -> DbResult<Vec<LogRecord>> {
         records.push(rec);
         pos += 4 + len;
     }
+    Ok((records, pos))
+}
+
+/// Read every whole frame of the log file at `path` and cut a torn
+/// tail off the file (`set_len` to the end of the last whole frame,
+/// then sync), so that the next append starts a frame of its own. A
+/// missing file holds no records; a corrupt complete frame is a
+/// [`DbError::CorruptLog`] and leaves the file as it was.
+pub(crate) fn load(path: &Path) -> DbResult<Vec<LogRecord>> {
+    let bytes = match std::fs::read(path) {
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(Vec::new()),
+        read => read?,
+    };
+    let (records, whole) = decode_frames(&bytes)?;
+    if whole < bytes.len() {
+        let file = OpenOptions::new().write(true).open(path)?;
+        file.set_len(whole as u64)?;
+        file.sync_all()?;
+    }
     Ok(records)
 }
 
@@ -96,7 +123,10 @@ pub struct FileBackend {
 }
 
 impl FileBackend {
-    /// Open (or create) the log file at `path` for appending.
+    /// Open (or create) the log file at `path` for appending after
+    /// whatever it holds. To reopen a log, use
+    /// [`LogManager::with_file`](crate::LogManager::with_file), which
+    /// loads the records and cuts a torn tail first.
     pub fn open(path: &Path) -> DbResult<FileBackend> {
         let file = OpenOptions::new().create(true).append(true).open(path)?;
         Ok(FileBackend {
@@ -128,15 +158,6 @@ impl FileBackend {
         self.writer.get_ref().sync_data()?;
         Ok(())
     }
-
-    /// Read every complete record from the file at `path`. A torn tail
-    /// (fewer bytes than the last length prefix promises) is ignored;
-    /// a *decodable-length but corrupt* record is an error.
-    pub fn read_all(path: &Path) -> DbResult<Vec<LogRecord>> {
-        let mut bytes = Vec::new();
-        File::open(path)?.read_to_end(&mut bytes)?;
-        decode_stream(&bytes)
-    }
 }
 
 impl Backend for FileBackend {
@@ -153,13 +174,22 @@ impl Backend for FileBackend {
 mod tests {
     use super::*;
     use crate::record::LogRecord;
-    use morph_common::TxnId;
+    use crate::LogManager;
+    use morph_common::{Lsn, TxnId};
 
     fn tmp(name: &str) -> std::path::PathBuf {
         let mut p = std::env::temp_dir();
         p.push(format!("morphwal-{}-{}", std::process::id(), name));
         let _ = std::fs::remove_file(&p);
         p
+    }
+
+    /// Every record of `log`, from LSN 1.
+    fn records(log: &LogManager) -> Vec<LogRecord> {
+        log.read_range(Lsn(1), usize::MAX)
+            .into_iter()
+            .map(|(_, r)| (*r).clone())
+            .collect()
     }
 
     #[test]
@@ -172,12 +202,14 @@ mod tests {
             }
             be.flush().unwrap();
         }
-        let recs = FileBackend::read_all(&path).unwrap();
+        let recs = records(&LogManager::with_file(&path).unwrap());
         assert_eq!(recs.len(), 5);
         assert_eq!(recs[4], LogRecord::Commit { txn: TxnId(4) });
         std::fs::remove_file(&path).unwrap();
     }
 
+    /// A torn final frame is ignored, and reopening cuts it off the
+    /// file, so the next append starts a frame of its own.
     #[test]
     fn torn_tail_is_tolerated() {
         let path = tmp("torn");
@@ -186,6 +218,7 @@ mod tests {
             be.append(&codec::encode(&LogRecord::Commit { txn: TxnId(1) }));
             be.flush().unwrap();
         }
+        let whole = std::fs::metadata(&path).unwrap().len();
         // Simulate a crash mid-append: a length prefix promising more
         // bytes than exist.
         {
@@ -193,11 +226,14 @@ mod tests {
             f.write_all(&(1000u32).to_le_bytes()).unwrap();
             f.write_all(&[1, 2, 3]).unwrap();
         }
-        let recs = FileBackend::read_all(&path).unwrap();
-        assert_eq!(recs.len(), 1);
+        let log = LogManager::with_file(&path).unwrap();
+        assert_eq!(records(&log), vec![LogRecord::Commit { txn: TxnId(1) }]);
+        assert_eq!(std::fs::metadata(&path).unwrap().len(), whole);
         std::fs::remove_file(&path).unwrap();
     }
 
+    /// A complete frame with a corrupt body fails the reopen and
+    /// leaves the file as it was.
     #[test]
     fn corrupt_body_is_an_error() {
         let path = tmp("corrupt");
@@ -207,31 +243,45 @@ mod tests {
             f.write_all(&[250]).unwrap(); // bogus tag
         }
         assert!(matches!(
-            FileBackend::read_all(&path),
+            LogManager::with_file(&path),
             Err(DbError::CorruptLog { .. })
         ));
+        assert_eq!(std::fs::metadata(&path).unwrap().len(), 5);
         std::fs::remove_file(&path).unwrap();
     }
 
+    /// A missing file is created and holds no records; a path that
+    /// cannot be opened is an I/O error.
     #[test]
-    fn missing_file_is_io_error() {
+    fn missing_file_starts_empty_and_an_unopenable_path_is_io_error() {
         let path = tmp("never-created");
-        std::fs::remove_file(&path).ok();
-        assert!(matches!(FileBackend::read_all(&path), Err(DbError::Io(_))));
+        let log = LogManager::with_file(&path).unwrap();
+        assert_eq!(log.last_lsn(), Lsn::ZERO);
+        assert!(path.exists());
+        std::fs::remove_file(&path).unwrap();
+        let orphan = tmp("no-such-dir").join("log");
+        assert!(matches!(
+            LogManager::with_file(&orphan),
+            Err(DbError::Io(_))
+        ));
     }
 
     #[test]
     fn manager_with_file_persists() {
         let path = tmp("manager");
         {
-            let log = crate::LogManager::with_file(&path).unwrap();
+            let log = LogManager::with_file(&path).unwrap();
             log.append(LogRecord::Commit { txn: TxnId(8) });
             log.append(LogRecord::Commit { txn: TxnId(9) });
             log.flush().unwrap();
         }
-        let recs = FileBackend::read_all(&path).unwrap();
-        assert_eq!(recs.len(), 2);
-        assert_eq!(recs[1], LogRecord::Commit { txn: TxnId(9) });
+        assert_eq!(
+            decode_stream(&std::fs::read(&path).unwrap()).unwrap(),
+            vec![
+                LogRecord::Commit { txn: TxnId(8) },
+                LogRecord::Commit { txn: TxnId(9) }
+            ]
+        );
         std::fs::remove_file(&path).unwrap();
     }
 

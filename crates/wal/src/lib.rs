@@ -19,6 +19,9 @@
 //! length-prefixed binary backend used by restart recovery: the real
 //! file ([`file::FileBackend`]) or, for deterministic crash
 //! simulation, the seeded fault injector ([`fault::FaultBackend`]).
+//! A log reopened on its file ([`LogManager::with_file`]) holds the
+//! file's records at their own LSNs and continues them, so restart
+//! recovery replays the database's own log.
 //! The log keeps each record only as its codec bytes, and every
 //! reader decodes to the one owned [`LogRecord`].
 

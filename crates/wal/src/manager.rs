@@ -49,7 +49,7 @@
 //! is released, so a large free never stalls an appender or a reader.
 
 use crate::codec::{self, Peek};
-use crate::file::{Backend, FileBackend};
+use crate::file::{self, Backend, FileBackend};
 use crate::record::LogRecord;
 use bytes::BufMut;
 use morph_common::{DbError, DbResult, Lsn};
@@ -243,6 +243,9 @@ impl Default for LogManager {
 }
 
 impl LogManager {
+    /// A log preloaded with `records` at LSNs 1..=n. With a backend,
+    /// the records are the backend's own contents: drained and durable
+    /// up to n, so appends continue its numbering.
     fn build(records: Vec<LogRecord>, backend: Option<Box<dyn Backend + Send>>) -> LogManager {
         let mut store = ChunkList::default();
         let n = records.len() as u64;
@@ -256,14 +259,16 @@ impl LogManager {
                     c
                 }
             };
-            *chunk.slot(lsn).lock() = Slot::encode(&rec);
+            let mut slot = Slot::encode(&rec);
+            slot.drained = backend.is_some();
+            *chunk.slot(lsn).lock() = slot;
         }
         LogManager {
             store: RwLock::new(store),
             reserved: AtomicU64::new(n),
             published: AtomicU64::new(n),
             base: AtomicU64::new(0),
-            durable: AtomicU64::new(0),
+            durable: AtomicU64::new(n),
             order: Mutex::new(()),
             trunc: Mutex::new(()),
             backend: backend.map(|sink| Mutex::new(BackendState { sink, drained: n })),
@@ -284,11 +289,18 @@ impl LogManager {
     }
 
     /// A log that also persists every record to `path` (length-prefixed
-    /// binary, see [`crate::codec`]). Existing contents are preserved;
-    /// use [`FileBackend::read_all`] before constructing the manager to
-    /// recover them.
+    /// frames, see [`crate::file`]), continuing the file: its whole
+    /// frames are loaded as LSNs 1..=n, drained and durable, and the
+    /// next append is LSN n + 1. A torn tail is cut off the file first;
+    /// a corrupt complete frame is [`DbError::CorruptLog`]. A missing
+    /// file is created empty. Restart recovery replays the loaded
+    /// records (`morph_engine::recover`).
     pub fn with_file(path: &std::path::Path) -> DbResult<LogManager> {
-        Ok(Self::with_backend(Box::new(FileBackend::open(path)?)))
+        let records = file::load(path)?;
+        Ok(Self::build(
+            records,
+            Some(Box::new(FileBackend::open(path)?)),
+        ))
     }
 
     /// A log that tees every record into an arbitrary [`Backend`] —
@@ -538,7 +550,8 @@ impl LogManager {
     }
 
     /// The durability watermark: every record at or below it survived
-    /// a successful backend flush ([`Lsn::ZERO`] before the first).
+    /// a successful backend flush or was loaded from the backend's file
+    /// ([`Lsn::ZERO`] before either).
     pub fn durable_lsn(&self) -> Lsn {
         Lsn(self.durable.load(Ordering::Acquire))
     }
@@ -1041,6 +1054,45 @@ mod tests {
         let log = LogManager::with_records(vec![commit(1), commit(2)]);
         assert_eq!(log.last_lsn(), Lsn(2));
         assert_eq!(*log.read(Lsn(2)).unwrap(), commit(2));
+    }
+
+    /// A log reopened on its file continues it: the file's records
+    /// keep their LSNs, the durability watermark starts at the loaded
+    /// tail (nothing on disk waits for a flush), and the next append
+    /// takes the next LSN in the file as well as in memory.
+    #[test]
+    fn a_reopened_log_is_durable_to_its_loaded_tail_and_continues_it() {
+        let path = std::env::temp_dir().join(format!("morphwal-{}-reopen", std::process::id()));
+        let _ = std::fs::remove_file(&path);
+        {
+            let log = LogManager::with_file(&path).unwrap();
+            for i in 0..3 {
+                log.append(commit(i));
+            }
+            log.flush().unwrap();
+        }
+        let log = LogManager::with_file(&path).unwrap();
+        assert_eq!(log.last_lsn(), Lsn(3));
+        assert_eq!(log.durable_lsn(), Lsn(3));
+        assert_eq!(log.durability_watermark(), Lsn(3));
+        log.flush().unwrap();
+        assert_eq!(log.flush_count(), 0, "loaded records need no flush");
+        assert_eq!(log.append(commit(3)), Lsn(4));
+        assert_eq!(log.durability_watermark(), Lsn(3));
+        log.flush().unwrap();
+        assert_eq!(log.durable_lsn(), Lsn(4));
+        drop(log);
+        let log = LogManager::with_file(&path).unwrap();
+        let _ = std::fs::remove_file(&path);
+        let all: Vec<(Lsn, LogRecord)> = log
+            .read_range(Lsn(1), usize::MAX)
+            .into_iter()
+            .map(|(lsn, r)| (lsn, (*r).clone()))
+            .collect();
+        assert_eq!(
+            all,
+            (0..4).map(|i| (Lsn(i + 1), commit(i))).collect::<Vec<_>>()
+        );
     }
 
     #[test]

@@ -4,8 +4,10 @@
 //! record sequence — never panic, never error, never resurrect a
 //! record that was not fully written.
 
-use morph_common::{TableId, TxnId, Value};
-use morph_wal::{codec, decode_stream, encode_stream, Backend, FileBackend, LogOp, LogRecord};
+use morph_common::{Lsn, TableId, TxnId, Value};
+use morph_wal::{
+    codec, decode_stream, encode_stream, Backend, FileBackend, LogManager, LogOp, LogRecord,
+};
 use proptest::prelude::*;
 
 fn record_strategy() -> impl Strategy<Value = LogRecord> {
@@ -49,9 +51,11 @@ proptest! {
 
 /// The same guarantee end-to-end through a real file: write frames via
 /// the `FileBackend`, truncate the file at every byte offset, and
-/// `read_all` must return the clean prefix every time.
+/// `LogManager::with_file` must load the clean prefix every time, cut
+/// the file back to that prefix's frames, and give the next record the
+/// next LSN.
 #[test]
-fn file_backend_read_all_survives_truncation_at_every_offset() {
+fn with_file_survives_truncation_at_every_offset() {
     let recs: Vec<LogRecord> = (0..5)
         .map(|i| LogRecord::Op {
             txn: TxnId(i),
@@ -77,9 +81,29 @@ fn file_backend_read_all_survives_truncation_at_every_offset() {
     for cut in 0..=bytes.len() {
         let torn = dir.join("torn.wal");
         std::fs::write(&torn, &bytes[..cut]).unwrap();
-        let decoded =
-            FileBackend::read_all(&torn).unwrap_or_else(|e| panic!("cut at byte {cut}: {e}"));
+        let log = LogManager::with_file(&torn).unwrap_or_else(|e| panic!("cut at byte {cut}: {e}"));
+        let decoded: Vec<LogRecord> = log
+            .read_range(Lsn(1), usize::MAX)
+            .into_iter()
+            .map(|(_, r)| (*r).clone())
+            .collect();
         assert_eq!(&decoded[..], &recs[..decoded.len()], "cut at byte {cut}");
+        let whole = encode_stream(&decoded).len();
+        assert_eq!(
+            std::fs::metadata(&torn).unwrap().len(),
+            whole as u64,
+            "cut at byte {cut}: torn tail left on the file"
+        );
+        let next = LogRecord::Commit { txn: TxnId(99) };
+        assert_eq!(log.append(next.clone()), Lsn(decoded.len() as u64 + 1));
+        log.flush().unwrap();
+        let mut want = decoded;
+        want.push(next);
+        assert_eq!(
+            decode_stream(&std::fs::read(&torn).unwrap()).unwrap(),
+            want,
+            "cut at byte {cut}"
+        );
     }
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -3,7 +3,7 @@
 //! checked to reconstruct exactly the pre-crash committed state — for
 //! *arbitrary* interleavings of committed and aborted transactions.
 
-use morphdb::engine::recover_into;
+use morphdb::engine::recover;
 use morphdb::txn::LockManagerConfig;
 use morphdb::wal::LogManager;
 use morphdb::{ColumnType, Database, Key, Lsn, Schema, Value};
@@ -155,13 +155,13 @@ proptest! {
             .map(|(_, r)| (*r).clone())
             .collect();
         let db2 = Database::with_log(
-            Arc::new(LogManager::new()),
+            Arc::new(LogManager::with_records(records)),
             LockManagerConfig::default(),
         );
         db2.catalog()
             .create_table_with_id(t.id(), "t", schema())
             .unwrap();
-        let report = recover_into(&db2, &records).unwrap();
+        let report = recover(&db2).unwrap();
         prop_assert!(report.losers.len() <= 1);
         prop_assert_eq!(engine_state(&db2), model);
     }

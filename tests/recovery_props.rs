@@ -15,14 +15,16 @@
 //!    (`recover_from_bytes`): both entry points share one replay body,
 //!    so they must agree on the tables and on the report.
 
-use morphdb::engine::{recover_from_bytes, recover_into, RecoveryReport};
+use morphdb::engine::{recover, recover_from_bytes, RecoveryReport};
 use morphdb::txn::LockManagerConfig;
-use morphdb::wal::{encode_stream, file::FileBackend, LogManager, LogRecord};
-use morphdb::{ColumnType, Database, DbResult, Key, Lsn, Schema, Value};
+use morphdb::wal::{decode_stream, encode_stream, LogManager, LogRecord};
+use morphdb::{ColumnType, Database, Key, Lsn, Schema, TableId, Value};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::BTreeMap;
+use std::io::Write;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 fn schema() -> Schema {
@@ -38,7 +40,7 @@ fn schema() -> Schema {
 /// aborted (logging CLRs), and left in flight at the end — and return
 /// the log plus the table id. Key movement is excluded so the shadow
 /// model below can replay ops positionally.
-fn generate_history(seed: u64) -> (Vec<LogRecord>, morphdb::TableId) {
+fn generate_history(seed: u64) -> (Vec<LogRecord>, TableId) {
     let db = Database::new();
     let table = db.create_table("t", schema()).unwrap();
     let mut rng = StdRng::seed_from_u64(seed);
@@ -137,26 +139,54 @@ fn expected_state(records: &[LogRecord]) -> BTreeMap<Key, Vec<Value>> {
     state
 }
 
-fn recover_fresh(records: &[LogRecord], id: morphdb::TableId) -> (Database, RecoveryReport) {
-    recover_fresh_with(records, id, |db| recover_into(db, records))
-}
-
-/// A fresh database whose log holds `records` and whose catalog holds
-/// `t` under `id`, recovered by `replay`.
-fn recover_fresh_with(
-    records: &[LogRecord],
-    id: morphdb::TableId,
-    replay: impl FnOnce(&Database) -> DbResult<RecoveryReport>,
-) -> (Database, RecoveryReport) {
-    let db = Database::with_log(
-        Arc::new(LogManager::with_records(records.to_vec())),
-        LockManagerConfig::default(),
-    );
+/// A fresh database on `log` whose catalog holds `t` under `id`, not
+/// yet recovered.
+fn with_table(log: LogManager, id: TableId) -> Database {
+    let db = Database::with_log(Arc::new(log), LockManagerConfig::default());
     db.catalog()
         .create_table_with_id(id, "t", schema())
         .unwrap();
-    let report = replay(&db).unwrap();
+    db
+}
+
+/// A fresh database whose log holds `records`, recovered from it.
+fn recover_fresh(records: &[LogRecord], id: TableId) -> (Database, RecoveryReport) {
+    let db = with_table(LogManager::with_records(records.to_vec()), id);
+    let report = recover(&db).unwrap();
     (db, report)
+}
+
+/// A restart onto the log file at `path`: the log continues the file,
+/// and recovery replays it.
+fn restart_on(path: &Path, id: TableId) -> (Database, RecoveryReport) {
+    let db = with_table(LogManager::with_file(path).unwrap(), id);
+    let report = recover(&db).unwrap();
+    (db, report)
+}
+
+/// A temporary log file path unique to this process and `name`.
+fn wal_path(name: &str) -> PathBuf {
+    let path = std::env::temp_dir().join(format!("morphdb-{name}-{}.wal", std::process::id()));
+    let _ = std::fs::remove_file(&path);
+    path
+}
+
+/// The first life on a new log file at `path`: create `t`, commit
+/// row 1 with value "v", and return the table id.
+fn first_life(path: &Path) -> TableId {
+    let db = Database::with_log(
+        Arc::new(LogManager::with_file(path).unwrap()),
+        LockManagerConfig::default(),
+    );
+    let id = db.create_table("t", schema()).unwrap().id();
+    let txn = db.begin();
+    db.insert(txn, "t", row(1)).unwrap();
+    db.commit(txn).unwrap();
+    id
+}
+
+fn row(id: i64) -> Vec<Value> {
+    vec![Value::Int(id), Value::str("v")]
 }
 
 fn state_of(db: &Database) -> BTreeMap<Key, Vec<Value>> {
@@ -176,39 +206,92 @@ fn state_of(db: &Database) -> BTreeMap<Key, Vec<Value>> {
 /// would count it a winner.
 #[test]
 fn a_second_restart_undoes_an_uncommitted_write() {
-    let path = std::env::temp_dir().join(format!("morphdb-restart-{}.wal", std::process::id()));
-    let _ = std::fs::remove_file(&path);
-    let on_file = || {
-        let log = Arc::new(LogManager::with_file(&path).unwrap());
-        Database::with_log(log, LockManagerConfig::default())
-    };
-    let row = |id: i64| vec![Value::Int(id), Value::str("v")];
+    let path = wal_path("restart");
+    let id = first_life(&path);
 
-    let db = on_file();
-    let id = db.create_table("t", schema()).unwrap().id();
-    let txn = db.begin();
-    db.insert(txn, "t", row(1)).unwrap();
-    db.commit(txn).unwrap();
-    drop(db);
-
-    let records = FileBackend::read_all(&path).unwrap();
-    let db = on_file();
-    db.catalog()
-        .create_table_with_id(id, "t", schema())
-        .unwrap();
-    recover_into(&db, &records).unwrap();
+    let (db, _report) = restart_on(&path, id);
     let uncommitted = db.begin();
     db.insert(uncommitted, "t", row(2)).unwrap();
     db.log().flush().unwrap();
     drop(db);
 
-    let records = FileBackend::read_all(&path).unwrap();
+    let (db, report) = restart_on(&path, id);
     let _ = std::fs::remove_file(&path);
-    let (db, report) = recover_fresh(&records, id);
     assert_eq!(report.losers, vec![uncommitted]);
     assert_eq!(
         state_of(&db).into_keys().collect::<Vec<_>>(),
         vec![Key::single(1)]
+    );
+}
+
+/// Three lives of one log file, and a CLR's `undone_lsn` must name the
+/// same record in all of them. The second life inserts row 2 and
+/// updates row 1 under one transaction and aborts it; its `AbortEnd`
+/// is lost (cut off the file, a crash before it was durable), so the
+/// third life sees a loser whose every operation is compensated
+/// already. A second life that numbered its records from 1 again would
+/// have its CLRs name the first life's records, and the third recovery
+/// would compensate the loser's operations a second time.
+#[test]
+fn a_third_restart_finds_the_second_lifes_compensations() {
+    let path = wal_path("third-restart");
+    let id = first_life(&path);
+
+    let (db, _report) = restart_on(&path, id);
+    let txn = db.begin();
+    db.insert(txn, "t", row(2)).unwrap();
+    db.update(txn, "t", &Key::single(1), &[(1, Value::str("w"))])
+        .unwrap();
+    db.abort(txn).unwrap();
+    db.log().flush().unwrap();
+    drop(db);
+
+    let bytes = std::fs::read(&path).unwrap();
+    let records = decode_stream(&bytes).unwrap();
+    assert_eq!(records.last(), Some(&LogRecord::AbortEnd { txn }));
+    let end_frame = encode_stream(&[LogRecord::AbortEnd { txn }]).len();
+    std::fs::write(&path, &bytes[..bytes.len() - end_frame]).unwrap();
+
+    let (db, report) = restart_on(&path, id);
+    let _ = std::fs::remove_file(&path);
+    assert_eq!(report.losers, vec![txn]);
+    assert_eq!(report.clrs_written, 0, "every operation was compensated");
+    assert_eq!(
+        state_of(&db).into_iter().collect::<Vec<_>>(),
+        vec![(Key::single(1), row(1))]
+    );
+}
+
+/// A crash mid-append leaves a torn frame at the end of the file. The
+/// next life reopens the file and commits; the life after it must see
+/// that commit, so the reopen must cut the torn frame off before
+/// appending after it.
+#[test]
+fn a_commit_after_a_torn_tail_survives_the_next_restart() {
+    let path = wal_path("torn-reopen");
+    let id = first_life(&path);
+    {
+        let mut f = std::fs::OpenOptions::new()
+            .append(true)
+            .open(&path)
+            .unwrap();
+        f.write_all(&(1000u32).to_le_bytes()).unwrap();
+        f.write_all(&[1, 2, 3]).unwrap();
+    }
+
+    let (db, _report) = restart_on(&path, id);
+    let txn = db.begin();
+    db.insert(txn, "t", row(2)).unwrap();
+    db.commit(txn).unwrap();
+    db.log().flush().unwrap();
+    drop(db);
+
+    let (db, report) = restart_on(&path, id);
+    let _ = std::fs::remove_file(&path);
+    assert!(report.losers.is_empty());
+    assert_eq!(
+        state_of(&db).into_keys().collect::<Vec<_>>(),
+        vec![Key::single(1), Key::single(2)]
     );
 }
 
@@ -249,9 +332,8 @@ proptest! {
             let want = expected_state(prefix);
             prop_assert!(got == want, "prefix of {cut} records diverged: got {got:?}, want {want:?}");
 
-            let bytes = encode_stream(prefix);
-            let (db_bytes, report_bytes) =
-                recover_fresh_with(prefix, id, |db| recover_from_bytes(db, &bytes));
+            let db_bytes = with_table(LogManager::new(), id);
+            let report_bytes = recover_from_bytes(&db_bytes, &encode_stream(prefix)).unwrap();
             prop_assert!(state_of(&db_bytes) == got, "bytes path diverged at prefix {cut}");
             prop_assert!(
                 report_bytes == report,

@@ -20,7 +20,7 @@
 //!    transaction locks and wait on nobody, migration or not.
 
 use morphdb::core::{SplitSpec, TransformJob, TransformOptions, TransformPlan};
-use morphdb::engine::recover_into;
+use morphdb::engine::recover;
 use morphdb::txn::LockManagerConfig;
 use morphdb::wal::{LogManager, LogRecord};
 use morphdb::workload::{spawn_updaters, UpdateTarget};
@@ -130,13 +130,13 @@ fn check_history(seed: u64) -> Result<(), TestCaseError> {
             .map(|(_, r)| r.clone())
             .collect();
         let db2 = Database::with_log(
-            Arc::new(LogManager::with_records(prefix.clone())),
+            Arc::new(LogManager::with_records(prefix)),
             LockManagerConfig::default(),
         );
         db2.catalog()
             .create_table_with_id(table.id(), "t", schema())
             .unwrap();
-        recover_into(&db2, &prefix).unwrap();
+        recover(&db2).unwrap();
         let want = state_of(&db2);
         let got: BTreeMap<Key, Vec<Value>> =
             db.snapshot_scan(snap, "t").unwrap().into_iter().collect();
