@@ -16,25 +16,25 @@
 //! forward operations as its undo chain and rolled back by the body
 //! [`Database::abort`] runs, which appends `Abort`, a CLR per operation
 //! (each [`LogOp::undo`]) and `AbortEnd` to the same log.
-//! [`recover_from_bytes`] appends a raw frame stream to an empty log
-//! first. This is the same discipline the paper assumes of its
-//! substrate ("undo operations produce Compensating Log Records as
-//! described in the ARIES method", §1); the transformation framework
-//! itself is *not* made crash-persistent — an interrupted
-//! transformation simply restarts from its preparation step, which is
-//! safe because transformed tables are invisible to users until
-//! synchronization completes. That claim is regression-pinned by the
-//! crash simulator: `crates/sim/tests/crash_matrix.rs` kills
-//! transformations at every instrumented point, recovers from the
-//! torn log, restarts from preparation, and demands equivalence with
-//! an uninterrupted run, and `crates/sim/tests/migration_matrix.rs`
-//! does the same for orchestrated and sharded migrations, which
-//! resume from their durable state records (see `morph-sim` and
-//! DESIGN.md §9, §13).
+//! [`recover_from_bytes`] loads a raw frame stream into an empty log
+//! first, as a reopened file is loaded. This is the same discipline
+//! the paper assumes of its substrate ("undo operations produce
+//! Compensating Log Records as described in the ARIES method", §1);
+//! the transformation framework itself is *not* made crash-persistent
+//! — an interrupted transformation simply restarts from its
+//! preparation step, which is safe because transformed tables are
+//! invisible to users until synchronization completes. That claim is
+//! regression-pinned by the crash simulator:
+//! `crates/sim/tests/crash_matrix.rs` kills transformations at every
+//! instrumented point, recovers from the torn log, restarts from
+//! preparation, and demands equivalence with an uninterrupted run, and
+//! `crates/sim/tests/migration_matrix.rs` does the same for
+//! orchestrated and sharded migrations, which resume from their
+//! durable state records (see `morph-sim` and DESIGN.md §9, §13).
 
 use crate::database::Database;
 use morph_common::{DbError, DbResult, Lsn, TxnId};
-use morph_wal::{decode_stream, LogOp, LogRecord, RecordKind};
+use morph_wal::{LogOp, LogRecord, RecordKind};
 use std::collections::{HashMap, HashSet};
 
 /// Records recovery reads per batch.
@@ -131,20 +131,13 @@ pub fn recover(db: &Database) -> DbResult<RecoveryReport> {
 }
 
 /// Replay a raw frame stream, as the file backend stores it, into `db`
-/// (same preconditions as [`recover`]): decode it, tolerating a torn
-/// tail, append the records to `db`'s log, which must be empty, and
-/// [`recover`]. Kept as an alias because `benchmark/` calls it; a
+/// (same preconditions as [`recover`]): load its whole frames into
+/// `db`'s log, which must be empty
+/// ([`LogManager::load_frames`](morph_wal::LogManager::load_frames)),
+/// and [`recover`]. Kept as an alias because `benchmark/` calls it; a
 /// restart onto a log file is `LogManager::with_file` and [`recover`].
 pub fn recover_from_bytes(db: &Database, bytes: &[u8]) -> DbResult<RecoveryReport> {
-    let log = db.log();
-    if !log.last_lsn().is_zero() {
-        return Err(DbError::Internal(
-            "recover_from_bytes needs an empty log".into(),
-        ));
-    }
-    for rec in decode_stream(bytes)? {
-        log.append(rec);
-    }
+    db.log().load_frames(bytes)?;
     recover(db)
 }
 
@@ -468,8 +461,10 @@ mod tests {
         assert!(table_state(&db).is_empty(), "nothing may be replayed");
     }
 
-    /// The bytes alias appends to an empty log only, and a corrupt
-    /// complete frame is an error before anything is replayed.
+    /// The bytes alias loads into an empty log only, and a corrupt
+    /// complete frame is an error before anything is replayed: a
+    /// bogus record tag, and an `Op` whose header peeks cleanly but
+    /// whose value tag is bogus.
     #[test]
     fn recover_from_bytes_needs_an_empty_log_and_whole_frames() {
         let (db1, db2, _report) = crash_and_recover(|db| {
@@ -477,23 +472,37 @@ mod tests {
             db.insert(txn, "t", row(1, "a")).unwrap();
             db.commit(txn).unwrap();
         });
-        let mut bytes = morph_wal::encode_stream(&log_of(&db1));
+        let good = morph_wal::encode_stream(&log_of(&db1));
         assert!(matches!(
-            recover_from_bytes(&db2, &bytes),
+            recover_from_bytes(&db2, &good),
             Err(DbError::Internal(_))
         ));
-        bytes.extend_from_slice(&1u32.to_le_bytes());
-        bytes.push(250); // a whole frame with a bogus tag
-        let db3 = Database::new();
         let id = db1.catalog().get("t").unwrap().id();
-        db3.catalog()
-            .create_table_with_id(id, "t", schema())
-            .unwrap();
-        assert!(matches!(
-            recover_from_bytes(&db3, &bytes),
-            Err(DbError::CorruptLog { .. })
-        ));
-        assert!(table_state(&db3).is_empty());
+        let mut op = morph_wal::codec::encode(&LogRecord::Op {
+            txn: TxnId(1),
+            op: LogOp::Insert {
+                table: id,
+                row: vec![Value::Null],
+            },
+        })
+        .to_vec();
+        *op.last_mut().unwrap() = 250; // the value's tag
+        assert!(morph_wal::codec::peek(&op).is_ok());
+        for body in [vec![250], op] {
+            let mut bytes = good.clone();
+            bytes.extend_from_slice(&(body.len() as u32).to_le_bytes());
+            bytes.extend_from_slice(&body); // a whole frame
+            let db3 = Database::new();
+            db3.catalog()
+                .create_table_with_id(id, "t", schema())
+                .unwrap();
+            assert!(matches!(
+                recover_from_bytes(&db3, &bytes),
+                Err(DbError::CorruptLog { .. })
+            ));
+            assert!(table_state(&db3).is_empty());
+            assert_eq!(db3.log().last_lsn(), Lsn::ZERO, "nothing is loaded");
+        }
     }
 
     /// Recovery reserves every transaction id in the log: the next

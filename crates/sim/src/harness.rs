@@ -16,7 +16,7 @@
 //! 4. Run the transformation synchronously.
 //! 5. If the kill fired: [`crash_and_recover`] (drain the staged
 //!    records to the backend, tear its unflushed bytes at a seeded
-//!    offset with [`FaultHandle::crash`], decode the durable prefix
+//!    offset with [`FaultHandle::crash`], load the durable frames
 //!    into a fresh database's log, and `recover` from that log),
 //!    then check the **Theorem 1 oracle**:
 //!      * recovered sources ≡ the workload's committed-state model
@@ -353,7 +353,7 @@ pub fn fault_db(seed: u64) -> (Arc<Database>, FaultHandle) {
 /// what it restarted from.
 pub struct Recovered {
     pub db: Arc<Database>,
-    /// Complete records decoded from the surviving byte image: the
+    /// Whole frames loaded from the surviving byte image: the
     /// restarted log's LSNs 1..=`durable_records`, before recovery
     /// appended its undo records.
     pub durable_records: usize,
@@ -369,9 +369,9 @@ pub struct Recovered {
 /// its fsync leaves behind; without it the group pipeline's volatile
 /// buffer is always empty at a crash point and the tear has nothing to
 /// cut. Then [`FaultHandle::crash`] keeps a seeded-random byte prefix
-/// of that buffer, the durable image is decoded (tolerating the torn
-/// tail), and a fresh database with the same table ids, whose log is
-/// that image, recovers from its log.
+/// of that buffer, and a fresh database loads that image's whole frames
+/// into its log (the torn tail ignored), re-creates the table ids and
+/// recovers from its log.
 pub fn crash_and_recover(
     db: &Database,
     fault: &FaultHandle,
@@ -379,9 +379,9 @@ pub fn crash_and_recover(
 ) -> DbResult<Recovered> {
     db.log().drain()?;
     let tail_bytes = fault.crash();
-    let log = Arc::new(LogManager::with_records(fault.durable_records()?));
-    let durable_records = log.len();
-    let db2 = Arc::new(Database::with_log(log, LockManagerConfig::default()));
+    let db2 = Arc::new(Database::new());
+    db2.log().load_frames(&fault.durable_bytes())?;
+    let durable_records = db2.log().len();
     for (id, name, schema) in sources {
         db2.catalog()
             .create_table_with_id(*id, name, schema.clone())?;

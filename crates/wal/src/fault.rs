@@ -17,8 +17,7 @@
 //! same contract as [`FileBackend`](crate::file::FileBackend)), and
 //! flushes can fail outright, leaving the buffered bytes non-durable.
 
-use crate::file::{decode_stream, write_frame, Backend};
-use crate::record::LogRecord;
+use crate::file::{write_frame, Backend};
 use morph_common::{DbError, DbResult};
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
@@ -149,8 +148,9 @@ impl FaultHandle {
     /// `buffered.len()` = everything happened to reach the platter,
     /// anything between = a torn write at that byte offset). Returns
     /// the number of buffered bytes that survived. The backend is
-    /// wedged afterwards; reads of the surviving image go through
-    /// [`FaultHandle::durable_bytes`] / [`FaultHandle::durable_records`].
+    /// wedged afterwards; a restart loads the surviving image,
+    /// [`FaultHandle::durable_bytes`], with
+    /// [`LogManager::load_frames`](crate::LogManager::load_frames).
     pub fn crash(&self) -> usize {
         let mut s = self.state.lock();
         let buffered = std::mem::take(&mut s.buffered);
@@ -169,13 +169,6 @@ impl FaultHandle {
         self.state.lock().durable.clone()
     }
 
-    /// Decode the durable image into complete records, tolerating the
-    /// torn tail a mid-record crash leaves behind — precisely what a
-    /// restarted engine would read off disk.
-    pub fn durable_records(&self) -> DbResult<Vec<LogRecord>> {
-        decode_stream(&self.state.lock().durable)
-    }
-
     /// Unflushed byte count (0 after a crash).
     pub fn buffered_len(&self) -> usize {
         self.state.lock().buffered.len()
@@ -192,6 +185,8 @@ impl FaultHandle {
 mod tests {
     use super::*;
     use crate::codec;
+    use crate::file::decode_stream;
+    use crate::record::LogRecord;
     use morph_common::TxnId;
 
     fn rec(i: u64) -> LogRecord {
@@ -207,7 +202,7 @@ mod tests {
         be.flush().unwrap();
         be.append(&codec::encode(&rec(99)));
         handle.crash();
-        let recs = handle.durable_records().unwrap();
+        let recs = decode_stream(&handle.durable_bytes()).unwrap();
         assert!(recs.len() >= 4, "flushed records lost: {}", recs.len());
         assert_eq!(recs[..4], (0..4).map(rec).collect::<Vec<_>>()[..]);
     }
@@ -224,7 +219,7 @@ mod tests {
             }
             let survived = handle.crash();
             assert!(survived <= handle.durable_bytes().len());
-            let recs = handle.durable_records().unwrap();
+            let recs = decode_stream(&handle.durable_bytes()).unwrap();
             assert!(recs.len() <= all.len());
             assert_eq!(recs[..], all[..recs.len()], "seed {seed}");
         }
@@ -250,7 +245,7 @@ mod tests {
         handle.crash();
         be.append(&codec::encode(&rec(1)));
         assert!(matches!(be.flush(), Err(DbError::Io(_))));
-        assert!(handle.durable_records().unwrap().is_empty());
+        assert!(decode_stream(&handle.durable_bytes()).unwrap().is_empty());
     }
 
     #[test]

@@ -3,14 +3,19 @@
 //! Each record is stored as one frame: a `u32` little-endian length
 //! prefix, then the encoded body (see [`crate::codec`]). This module
 //! owns both directions of that format: `write_frame` is its one
-//! writer, used by every [`Backend`], and [`decode_stream`] its one
-//! reader, used by [`LogManager::with_file`](crate::LogManager::with_file)
-//! to reopen a log, by the fault backend's post-crash reads and by
-//! `recover_from_bytes`. A final frame whose prefix promises more bytes
-//! than exist is a torn tail (a crash mid-append): it is ignored, the
-//! standard WAL recovery convention, and a reopened file is cut back
-//! to its last whole frame before anything is appended after it. A
-//! complete frame with a corrupt body is an error.
+//! writer, used by every [`Backend`], and `frames` its one reader, a
+//! walker that yields each whole frame's body, checked in full. Every
+//! restart loads those bodies into the log's slots through
+//! [`LogManager::load_frames`](crate::LogManager::load_frames):
+//! [`LogManager::with_file`](crate::LogManager::with_file) reopening a
+//! file, the crash simulator loading the fault backend's surviving
+//! image, and `recover_from_bytes`. [`decode_stream`], for tests, maps
+//! the codec's decode over the same walker. A final frame whose prefix
+//! promises more bytes than exist is a torn tail (a crash mid-append):
+//! it is ignored, the standard WAL recovery convention, and a reopened
+//! file is cut back to its last whole frame before anything is
+//! appended after it. A complete frame with a corrupt body is an
+//! error.
 //!
 //! Appends are buffered; [`flush`] (called by the engine at commit)
 //! pushes bytes to the OS and syncs. The [`Backend`] trait abstracts
@@ -18,7 +23,7 @@
 //! in-memory, fault-injecting implementation
 //! ([`crate::fault::FaultBackend`]) for the real file.
 //!
-//! [`flush`]: FileBackend::flush
+//! [`flush`]: Backend::flush
 
 use crate::codec;
 use crate::record::LogRecord;
@@ -63,51 +68,34 @@ pub fn encode_stream(records: &[LogRecord]) -> Vec<u8> {
 /// body is a [`DbError::CorruptLog`] whose offset counts from the start
 /// of `bytes`.
 pub fn decode_stream(bytes: &[u8]) -> DbResult<Vec<LogRecord>> {
-    decode_frames(bytes).map(|(records, _)| records)
+    frames(bytes)?.0.into_iter().map(codec::decode).collect()
 }
 
-/// [`decode_stream`], also returning the length of the whole frames:
-/// the offset a torn tail starts at, or `bytes.len()`.
-fn decode_frames(bytes: &[u8]) -> DbResult<(Vec<LogRecord>, usize)> {
-    let mut records = Vec::new();
+/// Walk a frame stream: the body of every whole frame, in order, and
+/// the length of those frames, which is the offset a torn tail starts
+/// at, or `bytes.len()`. Each body is checked in full by decoding it,
+/// and the record is dropped at once: the bytes come from outside the
+/// process, and a body that only peeks cleanly would reach the live
+/// log and fail its first reader instead of the load.
+pub(crate) fn frames(bytes: &[u8]) -> DbResult<(Vec<&[u8]>, usize)> {
+    let mut bodies = Vec::new();
     let mut pos = 0usize;
-    while pos + 4 <= bytes.len() {
-        let len = u32::from_le_bytes([bytes[pos], bytes[pos + 1], bytes[pos + 2], bytes[pos + 3]])
-            as usize;
-        if pos + 4 + len > bytes.len() {
-            break; // torn final record: stop here
-        }
-        let body = &bytes[pos + 4..pos + 4 + len];
-        let rec = codec::decode(body).map_err(|e| match e {
+    while let Some(&[a, b, c, d]) = bytes.get(pos..pos + 4) {
+        let start = pos + 4;
+        let Some(body) = bytes.get(start..start + u32::from_le_bytes([a, b, c, d]) as usize) else {
+            break; // torn final frame: stop here
+        };
+        codec::decode(body).map_err(|e| match e {
             DbError::CorruptLog { offset, detail } => DbError::CorruptLog {
-                offset: (pos + 4) as u64 + offset,
+                offset: start as u64 + offset,
                 detail,
             },
             other => other,
         })?;
-        records.push(rec);
-        pos += 4 + len;
+        bodies.push(body);
+        pos = start + body.len();
     }
-    Ok((records, pos))
-}
-
-/// Read every whole frame of the log file at `path` and cut a torn
-/// tail off the file (`set_len` to the end of the last whole frame,
-/// then sync), so that the next append starts a frame of its own. A
-/// missing file holds no records; a corrupt complete frame is a
-/// [`DbError::CorruptLog`] and leaves the file as it was.
-pub(crate) fn load(path: &Path) -> DbResult<Vec<LogRecord>> {
-    let bytes = match std::fs::read(path) {
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(Vec::new()),
-        read => read?,
-    };
-    let (records, whole) = decode_frames(&bytes)?;
-    if whole < bytes.len() {
-        let file = OpenOptions::new().write(true).open(path)?;
-        file.set_len(whole as u64)?;
-        file.sync_all()?;
-    }
-    Ok(records)
+    Ok((bodies, pos))
 }
 
 /// Append-only log file.
@@ -118,7 +106,7 @@ pub struct FileBackend {
     /// must be remembered and surfaced at the next [`flush`] — the
     /// point where the engine actually depends on durability.
     ///
-    /// [`flush`]: FileBackend::flush
+    /// [`flush`]: Backend::flush
     deferred: Option<DbError>,
 }
 
@@ -134,9 +122,11 @@ impl FileBackend {
             deferred: None,
         })
     }
+}
 
+impl Backend for FileBackend {
     /// Buffer one encoded record.
-    pub fn append(&mut self, encoded: &[u8]) {
+    fn append(&mut self, encoded: &[u8]) {
         let res = write_frame(&mut self.writer, encoded);
         if let (Err(e), None) = (res, &self.deferred) {
             // Sticky: keep the *first* failure; later appends into a
@@ -146,8 +136,8 @@ impl FileBackend {
     }
 
     /// Push buffered bytes to the OS and fsync. Surfaces any write
-    /// error deferred from a buffered [`append`](FileBackend::append).
-    pub fn flush(&mut self) -> DbResult<()> {
+    /// error deferred from a buffered append.
+    fn flush(&mut self) -> DbResult<()> {
         if let Some(e) = self.deferred.take() {
             // Reinstate: the log tail is still unwritten, so the next
             // flush must fail too until the caller gives up.
@@ -160,22 +150,12 @@ impl FileBackend {
     }
 }
 
-impl Backend for FileBackend {
-    fn append(&mut self, encoded: &[u8]) {
-        FileBackend::append(self, encoded)
-    }
-
-    fn flush(&mut self) -> DbResult<()> {
-        FileBackend::flush(self)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::record::LogRecord;
+    use crate::record::LogOp;
     use crate::LogManager;
-    use morph_common::{Lsn, TxnId};
+    use morph_common::{Lsn, TableId, TxnId, Value};
 
     fn tmp(name: &str) -> std::path::PathBuf {
         let mut p = std::env::temp_dir();
@@ -233,21 +213,33 @@ mod tests {
     }
 
     /// A complete frame with a corrupt body fails the reopen and
-    /// leaves the file as it was.
+    /// leaves the file as it was: a bogus record tag, and an `Op` whose
+    /// header peeks cleanly but whose value tag is bogus, since loading
+    /// checks whole bodies, not headers.
     #[test]
     fn corrupt_body_is_an_error() {
-        let path = tmp("corrupt");
-        {
-            let mut f = File::create(&path).unwrap();
-            f.write_all(&(1u32).to_le_bytes()).unwrap();
-            f.write_all(&[250]).unwrap(); // bogus tag
+        let mut op = codec::encode(&LogRecord::Op {
+            txn: TxnId(1),
+            op: LogOp::Insert {
+                table: TableId(1),
+                row: vec![Value::Null],
+            },
+        })
+        .to_vec();
+        *op.last_mut().unwrap() = 250; // the value's tag
+        assert!(codec::peek(&op).is_ok());
+        for body in [vec![250], op] {
+            let path = tmp("corrupt");
+            let mut bytes = Vec::new();
+            write_frame(&mut bytes, &body).unwrap();
+            std::fs::write(&path, &bytes).unwrap();
+            assert!(matches!(
+                LogManager::with_file(&path),
+                Err(DbError::CorruptLog { .. })
+            ));
+            assert_eq!(std::fs::read(&path).unwrap(), bytes);
+            std::fs::remove_file(&path).unwrap();
         }
-        assert!(matches!(
-            LogManager::with_file(&path),
-            Err(DbError::CorruptLog { .. })
-        ));
-        assert_eq!(std::fs::metadata(&path).unwrap().len(), 5);
-        std::fs::remove_file(&path).unwrap();
     }
 
     /// A missing file is created and holds no records; a path that

@@ -131,8 +131,9 @@ impl Slot {
     }
 }
 
-/// The codec writes straight into a fresh slot: inline until the
-/// record outgrows [`INLINE_BYTES`], then into the spill buffer.
+/// The codec, or a loaded frame body's copy, writes straight into an
+/// empty slot: inline until the record outgrows [`INLINE_BYTES`], then
+/// into the spill buffer.
 impl BufMut for Slot {
     fn put_slice(&mut self, src: &[u8]) {
         let len = self.len as usize;
@@ -243,44 +244,21 @@ impl Default for LogManager {
 }
 
 impl LogManager {
-    /// A log preloaded with `records` at LSNs 1..=n. With a backend,
-    /// the records are the backend's own contents: drained and durable
-    /// up to n, so appends continue its numbering.
-    fn build(records: Vec<LogRecord>, backend: Option<Box<dyn Backend + Send>>) -> LogManager {
-        let mut store = ChunkList::default();
-        let n = records.len() as u64;
-        for (i, rec) in records.into_iter().enumerate() {
-            let lsn = i as u64 + 1;
-            let chunk = match store.chunks.back() {
-                Some(c) if lsn <= c.last() => Arc::clone(c),
-                _ => {
-                    let c = Arc::new(Chunk::new(ChunkList::aligned_first(lsn)));
-                    store.chunks.push_back(Arc::clone(&c));
-                    c
-                }
-            };
-            let mut slot = Slot::encode(&rec);
-            slot.drained = backend.is_some();
-            *chunk.slot(lsn).lock() = slot;
-        }
+    /// A purely in-memory log.
+    pub fn new() -> LogManager {
         LogManager {
-            store: RwLock::new(store),
-            reserved: AtomicU64::new(n),
-            published: AtomicU64::new(n),
+            store: RwLock::new(ChunkList::default()),
+            reserved: AtomicU64::new(0),
+            published: AtomicU64::new(0),
             base: AtomicU64::new(0),
-            durable: AtomicU64::new(n),
+            durable: AtomicU64::new(0),
             order: Mutex::new(()),
             trunc: Mutex::new(()),
-            backend: backend.map(|sink| Mutex::new(BackendState { sink, drained: n })),
+            backend: None,
             group: Mutex::new(false),
             group_cv: Condvar::new(),
             flushes: AtomicU64::new(0),
         }
-    }
-
-    /// A purely in-memory log.
-    pub fn new() -> LogManager {
-        Self::build(Vec::new(), None)
     }
 
     /// [`LogManager::new`]; kept only for `benchmark/`'s call sites.
@@ -290,24 +268,31 @@ impl LogManager {
 
     /// A log that also persists every record to `path` (length-prefixed
     /// frames, see [`crate::file`]), continuing the file: its whole
-    /// frames are loaded as LSNs 1..=n, drained and durable, and the
-    /// next append is LSN n + 1. A torn tail is cut off the file first;
-    /// a corrupt complete frame is [`DbError::CorruptLog`]. A missing
-    /// file is created empty. Restart recovery replays the loaded
-    /// records (`morph_engine::recover`).
+    /// frames are loaded as LSNs 1..=n ([`LogManager::load_frames`]),
+    /// then a torn tail is cut off the file, so the next append is LSN
+    /// n + 1 in memory and on disk. A missing file is created empty; a
+    /// corrupt frame leaves the file as it was.
     pub fn with_file(path: &std::path::Path) -> DbResult<LogManager> {
-        let records = file::load(path)?;
-        Ok(Self::build(
-            records,
-            Some(Box::new(FileBackend::open(path)?)),
-        ))
+        let log = Self::with_backend(Box::new(FileBackend::open(path)?));
+        let bytes = std::fs::read(path)?;
+        let whole = log.load_frames(&bytes)?;
+        if whole < bytes.len() {
+            let file = std::fs::OpenOptions::new().write(true).open(path)?;
+            file.set_len(whole as u64)?;
+            file.sync_all()?;
+        }
+        Ok(log)
     }
 
     /// A log that tees every record into an arbitrary [`Backend`] —
     /// the injection point for the crash-simulation harness's
     /// fault-capable in-memory backend.
-    pub fn with_backend(backend: Box<dyn Backend + Send>) -> LogManager {
-        Self::build(Vec::new(), Some(backend))
+    pub fn with_backend(sink: Box<dyn Backend + Send>) -> LogManager {
+        let backend = Some(Mutex::new(BackendState { sink, drained: 0 }));
+        LogManager {
+            backend,
+            ..Self::new()
+        }
     }
 
     /// [`LogManager::with_backend`]; kept only for `benchmark/`'s call
@@ -320,10 +305,56 @@ impl LogManager {
         Self::with_backend(backend)
     }
 
-    /// Construct a manager pre-loaded with recovered records (restart
-    /// recovery replays these before the database goes live).
+    /// An in-memory log preloaded with `records` at LSNs 1..=n, for
+    /// tests that restart from a history they wrote by hand: the
+    /// records are framed and loaded as a restart loads its bytes.
     pub fn with_records(records: Vec<LogRecord>) -> LogManager {
-        Self::build(records, None)
+        let log = Self::new();
+        let loaded = log.load_frames(&file::encode_stream(&records));
+        // morph-lint: allow(panic, a fresh log is empty and the codec's own frames are whole and valid)
+        loaded.expect("fresh log");
+        log
+    }
+
+    /// Load a frame stream, as a [`Backend`] stores it, into this log,
+    /// which must be empty, and return the length of its whole frames
+    /// (a torn tail after them is ignored): the one preloading body.
+    /// Each whole frame's body, checked in full, is copied into the
+    /// slot of LSNs 1..=n. A corrupt complete frame is
+    /// [`DbError::CorruptLog`], and a log that has reserved any LSN is
+    /// refused atomically; either loads nothing. An appender may race
+    /// the load: it takes an LSN after the loaded ones, and the order
+    /// and store locks keep it from publishing past, or allocating a
+    /// chunk ahead of, slots not yet filled. With a backend, the frames
+    /// are taken to be the backend's own contents: drained and durable,
+    /// never handed to it again.
+    pub fn load_frames(&self, bytes: &[u8]) -> DbResult<usize> {
+        let (bodies, whole) = file::frames(bytes)?;
+        let n = bodies.len() as u64;
+        let _order = self.order.lock();
+        let mut backend = self.backend.as_ref().map(|backend| backend.lock());
+        let mut store = self.store.write();
+        let reserved = self
+            .reserved
+            .compare_exchange(0, n, Ordering::Relaxed, Ordering::Relaxed);
+        if reserved.is_err() {
+            return Err(DbError::Internal("only an empty log can be loaded".into()));
+        }
+        for (i, bodies) in bodies.chunks(CHUNK_RECORDS as usize).enumerate() {
+            let mut chunk = Chunk::new(i as u64 * CHUNK_RECORDS + 1);
+            for (slot, body) in chunk.slots.iter_mut().zip(bodies) {
+                let slot = slot.get_mut();
+                slot.put_slice(body);
+                slot.drained = backend.is_some();
+            }
+            store.chunks.push_back(Arc::new(chunk));
+        }
+        if let Some(be) = &mut backend {
+            be.drained = n;
+        }
+        self.durable.fetch_max(n, Ordering::AcqRel);
+        self.published.store(n, Ordering::Release);
+        Ok(whole)
     }
 
     // --- append ---------------------------------------------------------
@@ -829,6 +860,7 @@ impl TailCursor {
 mod tests {
     use super::*;
     use crate::fault::{FaultBackend, FaultConfig};
+    use crate::file::decode_stream;
     use crate::record::LogRecord;
     use morph_common::TxnId;
     use std::time::Duration;
@@ -1095,6 +1127,68 @@ mod tests {
         );
     }
 
+    /// A reopened file's record longer than the inline bytes is copied
+    /// into a spilled slot and reads back unchanged, and the loaded
+    /// frames are never drained again: one append and flush add
+    /// exactly one frame to the file.
+    #[test]
+    fn a_reopened_spilled_record_reads_back_and_is_drained_once() {
+        let path = std::env::temp_dir().join(format!("morphwal-{}-spill", std::process::id()));
+        let _ = std::fs::remove_file(&path);
+        let long = LogRecord::MigrationState {
+            job: 1,
+            stage: 0,
+            phase: crate::record::MigrationPhase::Planned,
+            spec: "s".repeat(4 * INLINE_BYTES),
+        };
+        {
+            let log = LogManager::with_file(&path).unwrap();
+            log.append(commit(1));
+            log.append(long.clone());
+            log.flush().unwrap();
+        }
+        let mut want = std::fs::read(&path).unwrap();
+        let log = LogManager::with_file(&path).unwrap();
+        let chunk = log.store.read().chunk_for(2).unwrap();
+        assert!(!chunk.slot(2).lock().spill.is_empty(), "not spilled");
+        assert_eq!(*log.read(Lsn(2)).unwrap(), long);
+        log.append(commit(3));
+        log.flush().unwrap();
+        file::write_frame(&mut want, &codec::encode(&commit(3))).unwrap();
+        assert_eq!(std::fs::read(&path).unwrap(), want);
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    /// A load racing an append: either the append reserved first and
+    /// the load is refused, or the append takes the LSN after the
+    /// loaded frames. Either way the backend receives the appended
+    /// record and nothing of the load.
+    #[test]
+    fn a_load_racing_an_append_is_refused_or_precedes_it() {
+        let n = CHUNK_RECORDS + 3;
+        let frames = file::encode_stream(&(0..n).map(commit).collect::<Vec<_>>());
+        for seed in 0..20 {
+            let (backend, handle) = FaultBackend::new(FaultConfig::crash_only(seed));
+            let log = Arc::new(LogManager::with_backend(Box::new(backend)));
+            let appender = {
+                let log = Arc::clone(&log);
+                std::thread::spawn(move || log.append(commit(999)))
+            };
+            let loaded = log.load_frames(&frames);
+            let lsn = appender.join().unwrap();
+            log.flush().unwrap();
+            match loaded {
+                Ok(_) => assert_eq!(lsn, Lsn(n + 1)),
+                Err(DbError::Internal(_)) => assert_eq!(lsn, Lsn(1)),
+                Err(e) => panic!("unexpected {e:?}"),
+            }
+            assert_eq!(log.last_lsn(), lsn);
+            assert_eq!(*log.read(lsn).unwrap(), commit(999));
+            let durable = decode_stream(&handle.durable_bytes()).unwrap();
+            assert_eq!(durable, vec![commit(999)]);
+        }
+    }
+
     #[test]
     fn truncation_across_chunk_boundaries() {
         let log = LogManager::new();
@@ -1194,7 +1288,7 @@ mod tests {
         log.wait_durable(last).unwrap();
         log.flush().unwrap();
         assert_eq!(log.flush_count(), 1);
-        let recs = handle.durable_records().unwrap();
+        let recs = decode_stream(&handle.durable_bytes()).unwrap();
         assert_eq!(recs.len(), 5);
         assert_eq!(recs[4], commit(4));
     }
@@ -1243,7 +1337,7 @@ mod tests {
             max_acked = max_acked.max(h.join().unwrap());
         }
         assert!(log.durable_lsn() >= max_acked);
-        let recs = handle.durable_records().unwrap();
+        let recs = decode_stream(&handle.durable_bytes()).unwrap();
         assert_eq!(recs.len(), 400);
     }
 
@@ -1269,7 +1363,7 @@ mod tests {
         log.truncate_until(Lsn(n + 1)).unwrap();
         assert!(handle.buffered_len() > 0);
         log.flush().unwrap();
-        let recs = handle.durable_records().unwrap();
+        let recs = decode_stream(&handle.durable_bytes()).unwrap();
         // Whole reclaimed chunks were drained; the partial tail chunk
         // is drained by the flush.
         assert_eq!(recs.len(), n as usize);
@@ -1303,6 +1397,6 @@ mod tests {
         // the corrupted slot became durable, and the committer saw the
         // failure rather than a wedged log.
         assert!(log.durable_lsn() < Lsn(2));
-        assert!(handle.durable_records().unwrap().len() <= 1);
+        assert!(decode_stream(&handle.durable_bytes()).unwrap().len() <= 1);
     }
 }

@@ -20,7 +20,7 @@
 //! race the truncator's chunk frees beside inline ones.
 
 use morph_common::{DbResult, Lsn, TableId, TxnId, Value};
-use morph_wal::{Backend, FaultBackend, FaultConfig, LogManager, LogOp, LogRecord};
+use morph_wal::{decode_stream, Backend, FaultBackend, FaultConfig, LogManager, LogOp, LogRecord};
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -135,7 +135,7 @@ fn stress(seed: u64) {
     // keeps a seeded-random byte prefix of those.
     log.drain().expect("drain failed");
     handle.crash();
-    let durable = handle.durable_records().expect("torn image must decode");
+    let durable = decode_stream(&handle.durable_bytes()).expect("torn image must decode");
     let k = durable.len() as u64;
 
     // Invariant 2: acknowledged durability survived the tear.

@@ -63,8 +63,8 @@ cargo run -q -p morph-lint -- --json=target/lint/findings.json
 # no tuning), `ShardedDatabase::with_wal_mode`,
 # `Table::fuzzy_scan_partition`, `start_lazy_sharded`,
 # `ShardedLazyMigration::{is_drained, backfill_round, drain_now,
-# touch_on, finish}` and `recover_from_bytes` (appends decoded frames
-# to an empty log, then `recover`); it also reads
+# touch_on, finish}` and `recover_from_bytes` (loads the frames into
+# an empty log, then `recover`); it also reads
 # `TransformReport`'s fields. Type-check it in both modes, in the
 # target directory
 # benchmark/check.sh builds in, so a product change that breaks one of

@@ -12,8 +12,9 @@
 //!    yield exactly the effects of the transactions that committed
 //!    within that prefix — in-flight and aborted ones fully invisible.
 //!    Each prefix is also replayed from its framed bytes
-//!    (`recover_from_bytes`): both entry points share one replay body,
-//!    so they must agree on the tables and on the report.
+//!    (`recover_from_bytes`, which copies each frame's body into its
+//!    log slot): both entry points share one replay body, so they must
+//!    agree on the tables and on the report.
 
 use morphdb::engine::{recover, recover_from_bytes, RecoveryReport};
 use morphdb::txn::LockManagerConfig;
