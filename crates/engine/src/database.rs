@@ -23,10 +23,11 @@
 //!
 //! ## Rollback
 //!
-//! Rollback walks the undo chain, the transaction's forward operations
-//! as logged, backwards: each is compensated by its [`LogOp::undo`],
-//! logged as a CLR ([`LogRecord::Clr`]) atomically with its physical
-//! application, and then [`LogRecord::AbortEnd`] is written. Restart
+//! Rollback walks the undo chain, the LSNs of the transaction's forward
+//! operations, backwards: each is read back from the log, compensated
+//! by its [`LogOp::undo`], logged as a CLR ([`LogRecord::Clr`])
+//! atomically with its physical application, and then
+//! [`LogRecord::AbortEnd`] is written. Restart
 //! recovery rolls its losers back through the same body. The log
 //! propagator treats CLRs exactly like forward operations, which is how
 //! aborted work is washed out of transformed tables without ever
@@ -321,7 +322,7 @@ impl Database {
             self.rollback_cell(&cell)?;
             return Err(DbError::TxnDoomed(txn));
         }
-        let wrote = !cell.state.lock().undo.is_empty();
+        let wrote = !cell.undo.lock().is_empty();
         // No data record follows: from here on the cutover census
         // leaves this transaction out (see [`Database::lock_holders`]).
         // One that wrote nothing logs nothing, unless a census reported
@@ -369,7 +370,7 @@ impl Database {
 
     fn rollback_cell(&self, cell: &Arc<TxnCell>) -> DbResult<()> {
         let txn = cell.id;
-        let undo = std::mem::take(&mut cell.state.lock().undo);
+        let undo = std::mem::take(&mut *cell.undo.lock());
         let wrote = !undo.is_empty();
         // Nothing to undo: like a commit, log nothing unless reported.
         if !wrote && !cell.end() {
@@ -379,7 +380,7 @@ impl Database {
         }
         self.log.append(LogRecord::Abort { txn });
         let mut first_err = None;
-        for (undone_lsn, forward) in undo.into_iter().rev() {
+        for undone_lsn in undo.into_iter().rev() {
             // Rollback must run to completion no matter what: skipping
             // the lock release or leaving the transaction registered
             // would wedge every future accessor of its records. A
@@ -387,7 +388,7 @@ impl Database {
             // was dropped after the fact (a completed schema change
             // discarding a source table), in which case the physical
             // state no longer matters.
-            if let Err(e) = self.apply_clr(txn, undone_lsn, &forward) {
+            if let Err(e) = self.apply_clr(txn, undone_lsn) {
                 if first_err.is_none() {
                     first_err = Some(e);
                 }
@@ -424,10 +425,17 @@ impl Database {
         }
     }
 
-    /// Compensate one logged forward operation: log the CLR carrying
-    /// its [`LogOp::undo`] and execute that atomically under the table
-    /// latch.
-    fn apply_clr(&self, txn: TxnId, undone_lsn: Lsn, forward: &LogOp) -> DbResult<()> {
+    /// Compensate the forward operation `txn` logged at `undone_lsn`,
+    /// read back from the log (truncation stops at the oldest registered
+    /// transaction, DESIGN.md §11): log the CLR carrying its
+    /// [`LogOp::undo`] and execute that atomically under the table latch.
+    fn apply_clr(&self, txn: TxnId, undone_lsn: Lsn) -> DbResult<()> {
+        let forward = match self.log.read(undone_lsn) {
+            Some(LogRecord::Op { txn: owner, op }) if owner == txn => Ok(op),
+            _ => Err(DbError::Internal(format!(
+                "{txn} has no op at LSN {undone_lsn}"
+            ))),
+        }?;
         let op = forward.undo(&self.catalog.get_by_id(forward.table())?.schema());
         self.apply_logged(&op, || {
             Ok(self.log.append(LogRecord::Clr {
@@ -446,12 +454,14 @@ impl Database {
     }
 
     /// Roll back a loser of restart recovery the way every rollback
-    /// runs: register it with `undo`, its forward operations not yet
-    /// compensated, as its chain. It is marked reported, so a loser
-    /// with nothing left to compensate still logs Abort and AbortEnd.
-    pub(crate) fn undo_loser(&self, txn: TxnId, undo: Vec<(Lsn, LogOp)>) -> DbResult<()> {
-        let cell = self.registry.begin_with(txn, || self.log.last_lsn().next());
-        cell.state.lock().undo = undo;
+    /// runs: register it with `undo`, the LSNs of its forward operations
+    /// not yet compensated, as its chain, and the oldest as its first LSN
+    /// (truncation keeps what it reads back). It is marked reported, so
+    /// a loser with nothing left to compensate logs Abort and AbortEnd.
+    pub(crate) fn undo_loser(&self, txn: TxnId, undo: Vec<Lsn>) -> DbResult<()> {
+        let first = || *undo.first().unwrap_or(&self.log.last_lsn().next());
+        let cell = self.registry.begin_with(txn, first);
+        *cell.undo.lock() = undo;
         cell.report();
         self.rollback_cell(&cell)
     }
@@ -740,13 +750,12 @@ impl Database {
         self.locks.lock(txn, t.id(), &key, LockMode::Exclusive)?;
         self.run_interceptors(txn, &t, &PlannedOp::Insert { values: &values })?;
 
-        let op = LogOp::Insert {
-            table: t.id(),
-            row: values.clone(),
-        };
         let logged = LogRecord::Op {
             txn,
-            op: op.clone(),
+            op: LogOp::Insert {
+                table: t.id(),
+                row: values.clone(),
+            },
         };
         let mut lsn = Lsn::ZERO;
         t.insert_with(values, txn, || {
@@ -754,7 +763,7 @@ impl Database {
             lsn = self.log.append(logged);
             Ok(lsn)
         })?;
-        cell.state.lock().undo.push((lsn, op));
+        cell.undo.lock().push(lsn);
         Ok(key)
     }
 
@@ -797,7 +806,7 @@ impl Database {
         self.run_interceptors(txn, &t, &PlannedOp::Update { key, cols })?;
 
         let mut lsn = Lsn::ZERO;
-        let outcome = t.update_with(key, cols, txn, |plan| {
+        t.update_with(key, cols, txn, |plan| {
             Self::check_latched(&cell, &t)?;
             lsn = self.log.append(LogRecord::Op {
                 txn,
@@ -810,15 +819,7 @@ impl Database {
             });
             Ok(lsn)
         })?;
-        cell.state.lock().undo.push((
-            lsn,
-            LogOp::Update {
-                table: t.id(),
-                key: outcome.old_key,
-                old: outcome.old_cols,
-                new: cols.to_vec(),
-            },
-        ));
+        cell.undo.lock().push(lsn);
         Ok(())
     }
 
@@ -831,7 +832,7 @@ impl Database {
         self.run_interceptors(txn, &t, &PlannedOp::Delete { key })?;
 
         let mut lsn = Lsn::ZERO;
-        let row = t.delete_with(key, txn, |row| {
+        t.delete_with(key, txn, |row| {
             Self::check_latched(&cell, &t)?;
             lsn = self.log.append(LogRecord::Op {
                 txn,
@@ -843,14 +844,7 @@ impl Database {
             });
             Ok(lsn)
         })?;
-        cell.state.lock().undo.push((
-            lsn,
-            LogOp::Delete {
-                table: t.id(),
-                key: key.clone(),
-                old: row.values,
-            },
-        ));
+        cell.undo.lock().push(lsn);
         Ok(())
     }
 
@@ -1180,7 +1174,7 @@ mod tests {
         // precedes the mark.
         assert!(start2 < mark2);
         assert!(matches!(
-            *db.log().read(start2).unwrap(),
+            db.log().read(start2).unwrap(),
             LogRecord::Op { txn: t, .. } if t == txn
         ));
         db.commit(txn).unwrap();
@@ -1302,20 +1296,41 @@ mod tests {
 
     #[test]
     fn truncation_respects_active_txns_and_protections() {
-        let (db, _t) = db_with_table();
+        let (db, t) = db_with_table();
         let db = Arc::new(db);
+        let rows = || -> Vec<(Key, Vec<Value>)> {
+            t.snapshot()
+                .into_iter()
+                .map(|(k, r)| (k, r.values))
+                .collect()
+        };
         let setup = db.begin();
         for i in 0..10 {
             db.insert(setup, "t", row(i, "x")).unwrap();
         }
         db.commit(setup).unwrap();
         let total = db.log().len();
+        let image = rows();
 
-        // An active transaction pins the log at its first LSN.
+        // An active transaction pins the log at its first LSN, though
+        // more than a chunk (256 records) of committed traffic follows.
         let active = db.begin();
         db.insert(active, "t", row(100, "y")).unwrap();
-        let dropped = db.truncate_log().unwrap();
-        assert!(dropped > 0, "prefix before the active txn is reclaimable");
+        db.update(active, "t", &Key::single(1), &[(1, Value::str("dirty"))])
+            .unwrap();
+        db.delete(active, "t", &Key::single(2)).unwrap();
+        for i in 0..110 {
+            let txn = db.begin();
+            db.insert(txn, "t", row(1_000 + i, "z")).unwrap();
+            db.delete(txn, "t", &Key::single(1_000 + i)).unwrap();
+            db.commit(txn).unwrap();
+        }
+        assert!(db.log().len() >= total + 300);
+        assert_eq!(
+            db.truncate_log().unwrap(),
+            total,
+            "only the prefix before the active txn is reclaimable"
+        );
         assert!(db
             .log()
             .read(db.registry.get(active).unwrap().first_lsn)
@@ -1324,7 +1339,9 @@ mod tests {
         // A protection guard pins it harder.
         let guard = db.protect_log(Lsn(1)); // nothing below 1 → no-op
         assert_eq!(db.truncate_log().unwrap(), 0);
-        db.commit(active).unwrap();
+        // The rollback reads each of its operations back from the log.
+        db.abort(active).unwrap();
+        assert_eq!(rows(), image);
         assert_eq!(db.truncate_log().unwrap(), 0, "guard still pins LSN 1");
         drop(guard);
         // Everything is now reclaimable.
@@ -1334,6 +1351,51 @@ mod tests {
         let txn = db.begin();
         db.insert(txn, "t", row(200, "z")).unwrap();
         db.commit(txn).unwrap();
+    }
+
+    /// A rollback whose chain names a record it cannot read back as its
+    /// own operation, one cut off by a direct `truncate_until` (the
+    /// engine's truncation stops at the writer's first LSN) or one of
+    /// another transaction, fails with an `Internal` error naming that
+    /// LSN, and still ends: `AbortEnd` logged, the writer deregistered
+    /// and its locks released.
+    #[test]
+    fn a_rollback_that_cannot_read_an_op_back_still_ends() {
+        for cut in [true, false] {
+            let (db, _t) = db_with_table();
+            let setup = db.begin();
+            db.insert(setup, "t", row(1, "a")).unwrap();
+            db.commit(setup).unwrap();
+            let writer = db.begin();
+            db.update(writer, "t", &Key::single(1), &[(1, Value::str("b"))])
+                .unwrap();
+            db.insert(writer, "t", row(2, "c")).unwrap();
+            let cell = db.registry.get(writer).unwrap();
+            let lost = if cut {
+                let first = cell.undo.lock()[0];
+                db.log().truncate_until(first.next()).unwrap();
+                first
+            } else {
+                // The setup's insert, another transaction's operation.
+                cell.undo.lock().insert(0, Lsn(1));
+                Lsn(1)
+            };
+            let err = db.abort(writer).unwrap_err();
+            assert!(
+                matches!(err, DbError::Internal(ref m) if m.contains(&format!("LSN {lost}"))),
+                "cut = {cut}: {err:?}"
+            );
+            assert_eq!(
+                db.log().read(db.log().last_lsn()),
+                Some(LogRecord::AbortEnd { txn: writer })
+            );
+            assert!(!db.is_active(writer));
+            assert_eq!(db.locks().held_count(writer), 0);
+            let next = db.begin();
+            db.update(next, "t", &Key::single(1), &[(1, Value::str("d"))])
+                .unwrap();
+            db.commit(next).unwrap();
+        }
     }
 
     #[test]

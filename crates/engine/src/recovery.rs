@@ -12,10 +12,10 @@
 //! in the log, so that no transaction begun after the restart reuses
 //! one) and **redo** (re-execute every operation, CLRs included,
 //! exactly as logged). An **undo** pass then rolls each loser back.
-//! Undo is a rollback: the loser is registered with its uncompensated
-//! forward operations as its undo chain and rolled back by the body
-//! [`Database::abort`] runs, which appends `Abort`, a CLR per operation
-//! (each [`LogOp::undo`]) and `AbortEnd` to the same log.
+//! Undo is a rollback: the loser is registered with the LSNs of its
+//! uncompensated forward operations as its undo chain and rolled back
+//! by the body [`Database::abort`] runs, which reads each one back and
+//! appends `Abort`, a CLR per operation and `AbortEnd` to the same log.
 //! [`recover_from_bytes`] loads a raw frame stream into an empty log
 //! first, as a reopened file is loaded. This is the same discipline
 //! the paper assumes of its substrate ("undo operations produce
@@ -34,7 +34,7 @@
 
 use crate::database::Database;
 use morph_common::{DbError, DbResult, Lsn, TxnId};
-use morph_wal::{LogOp, LogRecord, RecordKind};
+use morph_wal::{LogRecord, RecordKind};
 use std::collections::{HashMap, HashSet};
 
 /// Records recovery reads per batch.
@@ -64,11 +64,11 @@ pub fn recover(db: &Database) -> DbResult<RecoveryReport> {
     // --- analysis and redo, in one pass over the log. A transaction
     // has no begin record: it is known from its first record of any
     // kind, and one that logged nothing needs no recovery. Every
-    // operation is replayed exactly as logged (CLRs included), and a
-    // transaction that has not ended keeps its forward ops, in log
-    // order, as its undo chain; a CLR's undone LSN leaves it later ---
+    // operation is replayed exactly as logged (CLRs included), and one
+    // not ended by its batch's end keeps its forward LSNs as its undo
+    // chain (unread if it ends later); a CLR's undone LSN leaves it ---
     let mut ended: HashMap<TxnId, bool> = HashMap::new();
-    let mut chains: HashMap<TxnId, Vec<(Lsn, LogOp)>> = HashMap::new();
+    let mut chains: HashMap<TxnId, Vec<Lsn>> = HashMap::new();
     let mut compensated: HashSet<Lsn> = HashSet::new();
     let mut redone = 0usize;
     let mut cursor = log.tail(Lsn(1));
@@ -92,14 +92,15 @@ pub fn recover(db: &Database) -> DbResult<RecoveryReport> {
             db.apply_logged(op, || Ok(lsn))?;
             redone += 1;
             match rec {
-                LogRecord::Op { txn, op } => chains.entry(txn).or_default().push((lsn, op)),
+                LogRecord::Op { txn, .. } if !ended[&txn] => {
+                    chains.entry(txn).or_default().push(lsn)
+                }
                 LogRecord::Clr { undone_lsn, .. } => {
                     compensated.insert(undone_lsn);
                 }
                 _ => {}
             }
         }
-        chains.retain(|txn, _| !ended[txn]);
     }
     // Every id in the log stays taken: a transaction begun after the
     // restart must not pass for one of these in a later recovery.
@@ -117,7 +118,7 @@ pub fn recover(db: &Database) -> DbResult<RecoveryReport> {
     let mut clrs_written = 0usize;
     for txn in &losers {
         let mut chain = chains.remove(txn).unwrap_or_default();
-        chain.retain(|(lsn, _)| !compensated.contains(lsn));
+        chain.retain(|lsn| !compensated.contains(lsn));
         clrs_written += chain.len();
         db.undo_loser(*txn, chain)?;
     }
@@ -146,7 +147,7 @@ mod tests {
     use super::*;
     use morph_common::{ColumnType, DbError, Key, Schema, TableId, Value};
     use morph_txn::LockManagerConfig;
-    use morph_wal::LogManager;
+    use morph_wal::{LogManager, LogOp};
     use std::sync::Arc;
 
     fn schema() -> Schema {

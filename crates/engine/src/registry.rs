@@ -1,7 +1,7 @@
 //! The active-transaction registry.
 //!
 //! Tracks, for every live transaction: a lower bound on its LSNs (fuzzy
-//! marks need the oldest one, §3.2), the undo chain for rollback, the
+//! marks need the oldest one, §3.2), its forward LSNs for rollback, the
 //! *doomed* flag set by non-blocking-abort synchronization (§3.4), and
 //! the *ending* and *reported* flags through which a transaction and
 //! the cutover census agree on whether it logs an end record.
@@ -15,20 +15,10 @@
 //! paper's Theorem 1.
 
 use morph_common::{DbError, DbResult, Lsn, TxnId};
-use morph_wal::LogOp;
 use parking_lot::{Mutex, RwLock};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-
-/// Mutable per-transaction state.
-#[derive(Default)]
-pub struct TxnState {
-    /// The forward operations exactly as logged, each with its LSN, in
-    /// forward order. Rollback walks it backwards and compensates each
-    /// entry with its [`LogOp::undo`].
-    pub undo: Vec<(Lsn, LogOp)>,
-}
 
 /// Shared handle to one transaction's bookkeeping.
 pub struct TxnCell {
@@ -49,8 +39,8 @@ pub struct TxnCell {
     /// Set by a cutover census that reported the transaction: it then
     /// logs an end record even if it wrote nothing.
     pub reported: AtomicBool,
-    /// Undo chain.
-    pub state: Mutex<TxnState>,
+    /// Undo chain: the LSNs of the forward operations, in log order.
+    pub undo: Mutex<Vec<Lsn>>,
 }
 
 impl TxnCell {
@@ -126,7 +116,7 @@ impl TxnRegistry {
             doomed: AtomicBool::new(false),
             ending: AtomicBool::new(false),
             reported: AtomicBool::new(false),
-            state: Mutex::new(TxnState::default()),
+            undo: Mutex::new(Vec::new()),
         });
         map.insert(id, Arc::clone(&cell));
         cell
@@ -195,15 +185,6 @@ impl TxnRegistry {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use morph_common::TableId;
-
-    fn dummy_op() -> LogOp {
-        LogOp::Insert {
-            table: TableId(1),
-            row: vec![],
-        }
-    }
-
     #[test]
     fn begin_get_remove() {
         let reg = TxnRegistry::new();
@@ -281,8 +262,8 @@ mod tests {
     fn undo_chain_accumulates() {
         let reg = TxnRegistry::new();
         let cell = reg.begin_with(TxnId(1), || Lsn(1));
-        cell.state.lock().undo.push((Lsn(2), dummy_op()));
-        cell.state.lock().undo.push((Lsn(3), dummy_op()));
-        assert_eq!(cell.state.lock().undo.len(), 2);
+        cell.undo.lock().push(Lsn(2));
+        cell.undo.lock().push(Lsn(3));
+        assert_eq!(*cell.undo.lock(), [Lsn(2), Lsn(3)]);
     }
 }

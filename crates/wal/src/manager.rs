@@ -708,7 +708,7 @@ impl LogManager {
     /// truncated away, or undecodable). Touches only the published
     /// watermark, the chunk index, and the record's own slot, never
     /// the append path; the decode runs on the calling thread.
-    pub fn read(&self, lsn: Lsn) -> Option<Arc<LogRecord>> {
+    pub fn read(&self, lsn: Lsn) -> Option<LogRecord> {
         if lsn.is_zero()
             || lsn.0 <= self.base.load(Ordering::Acquire)
             || lsn.0 > self.published.load(Ordering::Acquire)
@@ -717,7 +717,7 @@ impl LogManager {
         }
         let chunk = self.store.read().chunk_for(lsn.0)?;
         let slot = chunk.slot(lsn.0).lock();
-        codec::decode(slot.bytes()?).ok().map(Arc::new)
+        codec::decode(slot.bytes()?).ok()
     }
 
     /// Read up to `max` records starting at `from` (inclusive). Returns
@@ -897,8 +897,8 @@ mod tests {
         let log = LogManager::new();
         log.append(fits.clone());
         log.append(spills.clone());
-        assert_eq!(*log.read(Lsn(1)).unwrap(), fits);
-        assert_eq!(*log.read(Lsn(2)).unwrap(), spills);
+        assert_eq!(log.read(Lsn(1)).unwrap(), fits);
+        assert_eq!(log.read(Lsn(2)).unwrap(), spills);
     }
 
     #[test]
@@ -915,7 +915,7 @@ mod tests {
     fn read_by_lsn() {
         let log = LogManager::new();
         log.append(commit(7));
-        assert_eq!(*log.read(Lsn(1)).unwrap(), commit(7));
+        assert_eq!(log.read(Lsn(1)).unwrap(), commit(7));
         assert!(log.read(Lsn(2)).is_none());
         assert!(log.read(Lsn::ZERO).is_none());
     }
@@ -1044,8 +1044,8 @@ mod tests {
         assert_eq!(log.last_lsn(), Lsn(10));
         // Truncated records are gone; retained ones keep their LSNs.
         assert!(log.read(Lsn(4)).is_none());
-        assert_eq!(*log.read(Lsn(5)).unwrap(), commit(4));
-        assert_eq!(*log.read(Lsn(10)).unwrap(), commit(9));
+        assert_eq!(log.read(Lsn(5)).unwrap(), commit(4));
+        assert_eq!(log.read(Lsn(10)).unwrap(), commit(9));
         // Appends continue in sequence.
         assert_eq!(log.append(commit(99)), Lsn(11));
         // Idempotent / below-base truncation is a no-op.
@@ -1078,14 +1078,14 @@ mod tests {
         assert!(log.is_empty());
         assert_eq!(log.last_lsn(), Lsn(5));
         assert_eq!(log.append(commit(7)), Lsn(6));
-        assert_eq!(*log.read(Lsn(6)).unwrap(), commit(7));
+        assert_eq!(log.read(Lsn(6)).unwrap(), commit(7));
     }
 
     #[test]
     fn with_records_preloads() {
         let log = LogManager::with_records(vec![commit(1), commit(2)]);
         assert_eq!(log.last_lsn(), Lsn(2));
-        assert_eq!(*log.read(Lsn(2)).unwrap(), commit(2));
+        assert_eq!(log.read(Lsn(2)).unwrap(), commit(2));
     }
 
     /// A log reopened on its file continues it: the file's records
@@ -1151,7 +1151,7 @@ mod tests {
         let log = LogManager::with_file(&path).unwrap();
         let chunk = log.store.read().chunk_for(2).unwrap();
         assert!(!chunk.slot(2).lock().spill.is_empty(), "not spilled");
-        assert_eq!(*log.read(Lsn(2)).unwrap(), long);
+        assert_eq!(log.read(Lsn(2)).unwrap(), long);
         log.append(commit(3));
         log.flush().unwrap();
         file::write_frame(&mut want, &codec::encode(&commit(3))).unwrap();
@@ -1183,7 +1183,7 @@ mod tests {
                 Err(e) => panic!("unexpected {e:?}"),
             }
             assert_eq!(log.last_lsn(), lsn);
-            assert_eq!(*log.read(lsn).unwrap(), commit(999));
+            assert_eq!(log.read(lsn).unwrap(), commit(999));
             let durable = decode_stream(&handle.durable_bytes()).unwrap();
             assert_eq!(durable, vec![commit(999)]);
         }
@@ -1200,7 +1200,7 @@ mod tests {
         let cut = CHUNK_RECORDS + 9;
         assert_eq!(log.truncate_until(Lsn(cut)).unwrap(), (cut - 1) as usize);
         assert!(log.read(Lsn(cut - 1)).is_none());
-        assert_eq!(*log.read(Lsn(cut)).unwrap(), commit(cut - 1));
+        assert_eq!(log.read(Lsn(cut)).unwrap(), commit(cut - 1));
         assert_eq!(log.len(), (n - cut + 1) as usize);
         // Whole-log truncation then continued appends.
         assert_eq!(
@@ -1209,7 +1209,7 @@ mod tests {
         );
         assert!(log.is_empty());
         assert_eq!(log.append(commit(1000)), Lsn(n + 1));
-        assert_eq!(*log.read(Lsn(n + 1)).unwrap(), commit(1000));
+        assert_eq!(log.read(Lsn(n + 1)).unwrap(), commit(1000));
         assert_eq!(log.read_range(Lsn(1), 10)[0].0, Lsn(n + 1));
     }
 
@@ -1246,7 +1246,7 @@ mod tests {
             let log = Arc::clone(&log);
             std::thread::spawn(move || {
                 let lsn = log.append(commit(n));
-                let own = log.read(lsn).map(|r| (*r).clone());
+                let own = log.read(lsn);
                 let retained = log.read_range(Lsn(1), usize::MAX);
                 tx.send((lsn, own, retained.len(), retained[0].0)).unwrap();
             })

@@ -124,7 +124,7 @@ fn stress(seed: u64) {
     for lsn in base + 1..=total {
         let rec = log.read(Lsn(lsn)).expect("retained record missing");
         assert_eq!(
-            *rec,
+            rec,
             record(by_lsn[&lsn]),
             "retained LSN {lsn} reads another record (seed {seed})"
         );

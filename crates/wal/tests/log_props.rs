@@ -27,7 +27,7 @@ fn assert_reads_back(
     for (i, rec) in recs.iter().enumerate().skip(from - 1) {
         let lsn = Lsn(i as u64 + 1);
         let read = log.read(lsn);
-        prop_assert_eq!(read.as_deref(), Some(rec));
+        prop_assert_eq!(read.as_ref(), Some(rec));
     }
     let range = log.read_range(Lsn(1), usize::MAX);
     prop_assert_eq!(range.len(), recs.len() + 1 - from);

@@ -433,7 +433,7 @@ fn grandfathered_reader_releases_its_proxy_grant(strategy: SyncStrategy) {
     db.update(writer, "T", &t_key, &[(1, Value::str("after"))])
         .unwrap_or_else(|e| panic!("{strategy:?}: the new writer is still blocked: {e}"));
     db.commit(writer).unwrap();
-    assert_eq!(*logged, end, "{strategy:?}: the reader's last record");
+    assert_eq!(logged, end, "{strategy:?}: the reader's last record");
 }
 
 #[test]
