@@ -78,7 +78,7 @@ fn setup_foj() -> (Arc<Database>, FojMapping, Lsn) {
     db.commit(txn).unwrap();
 
     let m = FojMapping::prepare(&db, &FojSpec::new("R", "S", "T", "c", "c")).unwrap();
-    let (_, start, _) = db.write_fuzzy_mark();
+    let start = db.fuzzy_mark();
     m.populate(&db, 256, 1.0, None).unwrap();
 
     let mut rng = Lcg(7);
@@ -155,7 +155,7 @@ fn setup_split() -> (Arc<Database>, SplitMapping, Lsn) {
 
     let spec = SplitSpec::new("T", "R_b", "S_b", &["a", "b", "c"], "c", &["d"]);
     let m = SplitMapping::prepare(&db, &spec).unwrap();
-    let (_, start, _) = db.write_fuzzy_mark();
+    let start = db.fuzzy_mark();
     m.populate(&db, 256, 1.0, None).unwrap();
 
     let mut rng = Lcg(13);

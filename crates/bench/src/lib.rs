@@ -330,7 +330,7 @@ impl PropagationLoop {
                     Box::new(FojMapping::prepare(&db, &spec).expect("prepare"))
                 }
             };
-            let (_, start_lsn, _) = db.write_fuzzy_mark();
+            let start_lsn = db.fuzzy_mark();
             let mut prop = Propagator::new(&db, start_lsn, priority);
             oper.populate(&db, 1_024, 1.0, None).expect("populate");
             let abort = AtomicBool::new(false);

@@ -8,8 +8,8 @@
 //! The types here deliberately mirror the vocabulary of Løland &
 //! Hvasshovd's EDBT 2006 paper *Online, Non-blocking Relational Schema
 //! Changes*: log sequence numbers stamp both log records and rows
-//! (§2.2), transactions are identified in fuzzy marks by their ids
-//! (§3.2), and record keys identify the rows that propagation rules
+//! (§2.2), transactions are identified in log records and cutover
+//! censuses by their ids (§3), and record keys identify the rows that propagation rules
 //! operate on (§4, §5).
 
 pub mod error;

@@ -11,7 +11,7 @@
 //!    transformed tables — containing at least one candidate key from
 //!    each source — plus the indexes the propagation rules need (join
 //!    attribute, S-key).
-//! 2. **Initial population**: write a fuzzy mark, read the source
+//! 2. **Initial population**: take the fuzzy mark, read the source
 //!    tables *fuzzily* (chunked, without transaction locks), apply the
 //!    relational operator and insert the result — the *initial image*,
 //!    possibly inconsistent by construction.

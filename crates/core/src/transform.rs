@@ -318,7 +318,7 @@ impl TransformJob {
         result
     }
 
-    /// Initial fuzzy population (§3.2): writes the fuzzy mark, pins the
+    /// Initial fuzzy population (§3.2): takes the fuzzy mark, pins the
     /// log at the propagation cursor and copies the sources; `pause` is
     /// for the lazy copy, the backfill.
     pub fn copy(&mut self, pause: Option<&AtomicBool>) -> DbResult<()> {
@@ -329,7 +329,7 @@ impl TransformJob {
             job.db.crash_point("transform.prepared")?;
             // morph-lint: allow(nondet, phase timing stats for the report; wall time never enters table or WAL state)
             let p0 = Instant::now();
-            let (_, start_lsn, _) = job.db.write_fuzzy_mark();
+            let start_lsn = job.db.fuzzy_mark();
             job.prop = Some(Propagator::new(&job.db, start_lsn, job.options.priority));
             // Pin the log at our cursor so concurrent truncation (memory
             // reclamation on long-running systems) never outruns us; the
@@ -896,6 +896,54 @@ mod tests {
             "committed old-txn work must be in T"
         );
         assert!(rows.iter().any(|(_, r)| r.values[1] == Value::str("late")));
+    }
+
+    /// Post-sync propagation logs nothing of its own: while an old
+    /// transaction that wrote after the cutover stays open, the log
+    /// grows only by that transaction's records, and the post-sync
+    /// propagator scans only those and its Commit.
+    #[test]
+    fn post_sync_propagation_appends_nothing_while_an_old_txn_stays_open() {
+        let db = db_with_sources(50, 5);
+        let old = db.begin();
+        db.update(old, "R", &Key::single(1), &[(1, Value::str("survives"))])
+            .unwrap();
+
+        let options = opts().strategy(SyncStrategy::NonBlockingCommit);
+        let job = TransformJob::prepare(&db, &foj(), options).unwrap();
+        let handle = std::thread::spawn(move || job.run(&AtomicBool::new(false), None, |_| Ok(())));
+        let t0 = Instant::now();
+        while db.catalog().get("R").unwrap().state() == morph_storage::TableState::Active {
+            assert!(
+                t0.elapsed() < Duration::from_secs(20),
+                "sync never happened"
+            );
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        db.update(old, "R", &Key::single(2), &[(1, Value::str("late"))])
+            .unwrap();
+        let tail = db.log().last_lsn();
+        std::thread::sleep(Duration::from_millis(150));
+        assert_eq!(db.log().last_lsn(), tail, "the propagator logged records");
+        db.commit(old).unwrap();
+
+        let report = handle.join().unwrap().expect("transformation");
+        // The late update, unless the final drain took it, and the Commit.
+        assert!(
+            (1..=2).contains(&report.post_records),
+            "post-sync scanned {} records",
+            report.post_records
+        );
+    }
+
+    /// A transformation of quiescent sources logs nothing.
+    #[test]
+    fn a_quiescent_eager_job_appends_nothing() {
+        let db = db_with_sources(40, 4);
+        let tail = db.log().last_lsn();
+        run(&db, foj(), opts()).unwrap();
+        assert_eq!(db.catalog().get("T").unwrap().len(), 40);
+        assert_eq!(db.log().last_lsn(), tail);
     }
 
     #[test]

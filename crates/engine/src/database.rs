@@ -378,7 +378,6 @@ impl Database {
             self.locks.release_all(txn);
             return Ok(());
         }
-        self.log.append(LogRecord::Abort { txn });
         let mut first_err = None;
         for undone_lsn in undo.into_iter().rev() {
             // Rollback must run to completion no matter what: skipping
@@ -457,7 +456,7 @@ impl Database {
     /// runs: register it with `undo`, the LSNs of its forward operations
     /// not yet compensated, as its chain, and the oldest as its first LSN
     /// (truncation keeps what it reads back). It is marked reported, so
-    /// a loser with nothing left to compensate logs Abort and AbortEnd.
+    /// a loser with nothing left to compensate logs its AbortEnd.
     pub(crate) fn undo_loser(&self, txn: TxnId, undo: Vec<Lsn>) -> DbResult<()> {
         let first = || *undo.first().unwrap_or(&self.log.last_lsn().next());
         let cell = self.registry.begin_with(txn, first);
@@ -530,20 +529,15 @@ impl Database {
 
     // --- fuzzy mark (§3.2) ------------------------------------------------
 
-    /// Append a fuzzy mark. Atomically (with respect to transaction
-    /// admission) snapshots the active transactions and computes the
-    /// LSN log propagation must start from: the first LSN of the
-    /// oldest active transaction, or the mark itself when the system
-    /// is quiescent. Returns `(mark_lsn, start_lsn, active)`.
-    pub fn write_fuzzy_mark(&self) -> (Lsn, Lsn, Vec<TxnId>) {
-        self.registry.with_admission_blocked(|active, oldest| {
-            let start = oldest.unwrap_or_else(|| self.log.last_lsn().next());
-            let mark = self.log.append(LogRecord::FuzzyMark {
-                active: active.clone(),
-                start_lsn: start,
-            });
-            (mark, start, active)
-        })
+    /// The fuzzy mark, as a census rather than a log record: the oldest
+    /// LSN any active transaction may still log or roll back, taken
+    /// with transaction admission blocked. It is the first LSN of the
+    /// oldest active transaction, or the log tail's successor when none
+    /// is active. Log propagation starts here (§3.2), truncation keeps
+    /// it, and MVCC GC keeps what it can still resolve. Appends nothing.
+    pub fn fuzzy_mark(&self) -> Lsn {
+        self.registry
+            .with_admission_blocked(|oldest| oldest.unwrap_or_else(|| self.log.last_lsn().next()))
     }
 
     // --- MVCC snapshot reads ----------------------------------------------
@@ -616,9 +610,9 @@ impl Database {
     /// low-watermark is the minimum of
     ///
     /// 1. the oldest live snapshot timestamp,
-    /// 2. the first LSN of the oldest active transaction (its ops all
-    ///    carry LSNs at or above it, so they stay resolvable while it
-    ///    can still commit or abort),
+    /// 2. the fuzzy mark ([`Database::fuzzy_mark`]): every op of an
+    ///    active transaction carries an LSN at or above it, so it stays
+    ///    resolvable while the transaction can still commit or abort,
     /// 3. the WAL durability watermark (restart recovery replays from
     ///    genesis, but tying GC to durability means a crash can never
     ///    lose the outcome of a transaction whose versions were
@@ -633,12 +627,7 @@ impl Database {
         if !self.mvcc_enabled() {
             return Ok(0);
         }
-        let durable = self.log.durability_watermark();
-        let oldest_txn = self.registry.with_admission_blocked(|_, oldest| oldest);
-        let mut watermark = durable;
-        if let Some(l) = oldest_txn {
-            watermark = watermark.min(l);
-        }
+        let mut watermark = self.log.durability_watermark().min(self.fuzzy_mark());
         if let Some(l) = self.mvcc.snapshots.oldest() {
             watermark = watermark.min(l);
         }
@@ -667,22 +656,13 @@ impl Database {
     }
 
     /// Truncate the in-memory log up to (but excluding) the oldest LSN
-    /// anything still needs: the first LSN of any active transaction
+    /// anything still needs: the fuzzy mark ([`Database::fuzzy_mark`])
     /// and every registered protection ([`Database::protect_log`]).
     /// Returns the number of records discarded. The file backend, if
     /// any, keeps the complete archive for restart recovery.
     pub fn truncate_log(&self) -> DbResult<usize> {
-        let oldest_protected = self.protected_lsns.read().values().copied().min();
-        let keep = self.registry.with_admission_blocked(|_, oldest_txn| {
-            match (oldest_txn, oldest_protected) {
-                (Some(a), Some(b)) => a.min(b),
-                (Some(a), None) => a,
-                (None, Some(b)) => b,
-                // Nothing needs the log: everything up to the tail may
-                // go (the next append is still totally ordered).
-                (None, None) => self.log.last_lsn().next(),
-            }
-        });
+        let protected = self.protected_lsns.read().values().copied().min();
+        let keep = self.fuzzy_mark().min(protected.unwrap_or(Lsn::MAX));
         self.log.truncate_until(keep)
     }
 
@@ -968,7 +948,7 @@ mod tests {
             let expect = if commit {
                 vec![LogRecord::Commit { txn }]
             } else {
-                vec![LogRecord::Abort { txn }, LogRecord::AbortEnd { txn }]
+                vec![LogRecord::AbortEnd { txn }]
             };
             assert_eq!(logged, expect);
         }
@@ -1051,24 +1031,26 @@ mod tests {
         db.update(txn, "t", &Key::single(1), &[(1, Value::str("dirty"))])
             .unwrap();
         db.delete(txn, "t", &Key::single(2)).unwrap();
+        let forward = db.log().last_lsn();
         db.abort(txn).unwrap();
 
         assert_eq!(t.get(&Key::single(1)).unwrap().values, row(1, "keep"));
         assert_eq!(t.get(&Key::single(2)).unwrap().values, row(2, "victim"));
         assert!(t.get(&Key::single(3)).is_none());
 
-        // 3 CLRs + Abort + AbortEnd present.
-        let mut clrs = 0;
-        let mut abort_end = 0;
-        for (_, rec) in db.log().read_range(Lsn(1), usize::MAX) {
-            match &*rec {
-                LogRecord::Clr { .. } => clrs += 1,
-                LogRecord::AbortEnd { .. } => abort_end += 1,
-                _ => {}
-            }
-        }
-        assert_eq!(clrs, 3);
-        assert_eq!(abort_end, 1);
+        // The rollback logs a CLR per op, newest first, then AbortEnd.
+        let logged: Vec<_> = db
+            .log()
+            .read_range(forward.next(), usize::MAX)
+            .into_iter()
+            .map(|(_, r)| match *r {
+                LogRecord::Clr { undone_lsn, .. } => Some(undone_lsn),
+                LogRecord::AbortEnd { txn: t } if t == txn => None,
+                ref other => panic!("unexpected {other:?}"),
+            })
+            .collect();
+        let (a, b, c) = (Lsn(forward.0 - 2), Lsn(forward.0 - 1), forward);
+        assert_eq!(logged, [Some(c), Some(b), Some(a), None]);
         // Locks released.
         assert_eq!(db.locks().held_count(txn), 0);
     }
@@ -1159,25 +1141,32 @@ mod tests {
     }
 
     #[test]
-    fn fuzzy_mark_reports_active_and_start() {
+    fn fuzzy_mark_is_the_oldest_first_lsn_and_appends_nothing() {
         let (db, _t) = db_with_table();
-        // Quiescent: start == mark lsn.
-        let (mark, start, active) = db.write_fuzzy_mark();
-        assert!(active.is_empty());
-        assert_eq!(mark, start);
+        // Quiescent: the mark is the LSN the next record takes.
+        let tail = db.log().last_lsn();
+        assert_eq!(db.fuzzy_mark(), tail.next());
+        assert_eq!(db.log().last_lsn(), tail);
 
         let txn = db.begin();
         db.insert(txn, "t", row(1, "a")).unwrap();
-        let (mark2, start2, active2) = db.write_fuzzy_mark();
-        assert_eq!(active2, vec![txn]);
-        // Start points at the active txn's first record, its op, which
-        // precedes the mark.
-        assert!(start2 < mark2);
+        let other = db.begin();
+        db.insert(other, "t", row(2, "b")).unwrap();
+        let tail = db.log().last_lsn();
+        let start = db.fuzzy_mark();
+        assert_eq!(db.log().last_lsn(), tail);
+        // The mark is the oldest active transaction's first record, its op.
         assert!(matches!(
-            db.log().read(start2).unwrap(),
+            db.log().read(start).unwrap(),
             LogRecord::Op { txn: t, .. } if t == txn
         ));
         db.commit(txn).unwrap();
+        assert!(matches!(
+            db.log().read(db.fuzzy_mark()).unwrap(),
+            LogRecord::Op { txn: t, .. } if t == other
+        ));
+        db.commit(other).unwrap();
+        assert_eq!(db.fuzzy_mark(), db.log().last_lsn().next());
     }
 
     #[test]

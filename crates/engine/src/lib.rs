@@ -10,9 +10,9 @@
 //! The facade also exposes the three hooks the transformation framework
 //! needs and nothing more:
 //!
-//! * [`Database::write_fuzzy_mark`] — append a fuzzy mark carrying the
-//!   active-transaction snapshot and the LSN log propagation must start
-//!   from (§3.2),
+//! * [`Database::fuzzy_mark`] — the LSN log propagation must start
+//!   from (§3.2): an in-memory census of the active transactions,
+//!   taken with admission blocked, that appends nothing,
 //! * [`Database::doom`] — condemn a transaction during non-blocking
 //!   abort synchronization (§3.4); its next operation fails and the
 //!   client must roll it back,

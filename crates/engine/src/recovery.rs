@@ -15,7 +15,7 @@
 //! Undo is a rollback: the loser is registered with the LSNs of its
 //! uncompensated forward operations as its undo chain and rolled back
 //! by the body [`Database::abort`] runs, which reads each one back and
-//! appends `Abort`, a CLR per operation and `AbortEnd` to the same log.
+//! appends a CLR per operation and `AbortEnd` to the same log.
 //! [`recover_from_bytes`] loads a raw frame stream into an empty log
 //! first, as a reopened file is loaded. This is the same discipline
 //! the paper assumes of its substrate ("undo operations produce
@@ -384,11 +384,17 @@ mod tests {
         assert_eq!(report.redone, 7);
         assert_eq!(report.losers.len(), 1);
         assert_eq!(report.clrs_written, 2);
-        // The undo pass appended Abort, a CLR per loser op (newest
-        // first) and AbortEnd.
+        // Right after the loser's last op, the undo pass appended a CLR
+        // per loser op (newest first) and AbortEnd.
         let log = db2.log().read_range(Lsn(1), usize::MAX);
         let tail: Vec<&LogRecord> = log.iter().rev().take(4).rev().map(|(_, r)| &**r).collect();
-        assert!(matches!(tail[0], LogRecord::Abort { .. }));
+        assert!(matches!(
+            tail[0],
+            LogRecord::Op {
+                op: LogOp::Delete { .. },
+                ..
+            }
+        ));
         assert!(matches!(
             tail[1],
             LogRecord::Clr {
@@ -572,8 +578,8 @@ mod tests {
     }
 
     /// A loser killed between its last CLR and its AbortEnd has nothing
-    /// left to compensate: recovery logs one Abort and one AbortEnd for
-    /// it and no CLR, and a second recovery finds no loser.
+    /// left to compensate: recovery logs one AbortEnd for it and no CLR,
+    /// and a second recovery finds no loser.
     #[test]
     fn a_loser_compensated_before_the_crash_logs_only_its_end() {
         let db1 = Database::new();
@@ -592,10 +598,7 @@ mod tests {
         let (db2, report) = restart(records.clone(), id);
         assert_eq!(report.losers, vec![txn]);
         assert_eq!(report.clrs_written, 0);
-        assert_eq!(
-            log_of(&db2)[records.len()..],
-            [LogRecord::Abort { txn }, LogRecord::AbortEnd { txn }]
-        );
+        assert_eq!(log_of(&db2)[records.len()..], [LogRecord::AbortEnd { txn }]);
         assert_eq!(table_state(&db2), vec![(Key::single(1), row(1, "keep"))]);
 
         let (db3, report) = restart(log_of(&db2), id);

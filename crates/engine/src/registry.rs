@@ -1,7 +1,7 @@
 //! The active-transaction registry.
 //!
-//! Tracks, for every live transaction: a lower bound on its LSNs (fuzzy
-//! marks need the oldest one, §3.2), its forward LSNs for rollback, the
+//! Tracks, for every live transaction: a lower bound on its LSNs (the
+//! fuzzy mark is the oldest one, §3.2), its forward LSNs for rollback, the
 //! *doomed* flag set by non-blocking-abort synchronization (§3.4), and
 //! the *ending* and *reported* flags through which a transaction and
 //! the cutover census agree on whether it logs an end record.
@@ -9,10 +9,9 @@
 //! The registry guards a critical ordering invariant: a transaction is
 //! registered, with its first LSN read from the log tail (there is no
 //! begin record), under the same lock that
-//! [`write_fuzzy_mark`](crate::Database::write_fuzzy_mark) takes, so a
-//! fuzzy mark can never miss an in-flight transaction whose operations
-//! might not be reflected in the fuzzy read — the premise of the
-//! paper's Theorem 1.
+//! [`fuzzy_mark`](crate::Database::fuzzy_mark) takes, so the mark can
+//! never miss an in-flight transaction whose operations might not be
+//! reflected in the fuzzy read — the premise of the paper's Theorem 1.
 
 use morph_common::{DbError, DbResult, Lsn, TxnId};
 use parking_lot::{Mutex, RwLock};
@@ -75,8 +74,9 @@ const REGISTRY_SHARDS: usize = 16;
 
 /// Registry of active transactions, sharded by transaction id so that
 /// concurrent begin/get/remove traffic from updater threads does not
-/// serialize on one map lock. Whole-set operations (fuzzy mark, log
-/// truncation, MVCC GC) take every shard's write lock in index order —
+/// serialize on one map lock. The one whole-set operation, the fuzzy
+/// mark (which log truncation and MVCC GC also take), takes every
+/// shard's write lock in index order —
 /// same-class nesting in a canonical order, exactly
 /// like the storage shard latches — which still blocks admission
 /// globally, preserving the Theorem-1 premise.
@@ -105,8 +105,8 @@ impl TxnRegistry {
     }
 
     /// Register a transaction. `first_lsn` reads the log tail; it runs
-    /// under the transaction's shard write lock so that fuzzy marks
-    /// (which hold *all* shard write locks) serialize against
+    /// under the transaction's shard write lock so that the fuzzy mark
+    /// (which holds *all* shard write locks) serializes against
     /// transaction admission.
     pub fn begin_with(&self, id: TxnId, first_lsn: impl FnOnce() -> Lsn) -> Arc<TxnCell> {
         let mut map = self.shard_of(id).write();
@@ -155,19 +155,19 @@ impl TxnRegistry {
         self.shards.iter().map(|shard| shard.read().len()).sum()
     }
 
-    /// Run `f` with a consistent snapshot of (active ids, oldest first
-    /// LSN) while *blocking transaction admission* — the fuzzy-mark
-    /// primitive. `f` typically appends the mark to the log. Admission
-    /// is blocked by holding every shard's write lock, acquired in
-    /// index order (`begin_with` takes exactly one of them).
-    pub fn with_admission_blocked<R>(&self, f: impl FnOnce(Vec<TxnId>, Option<Lsn>) -> R) -> R {
+    /// Run `f` on the oldest first LSN of the active transactions while
+    /// *blocking transaction admission* — the fuzzy-mark primitive
+    /// ([`Database::fuzzy_mark`](crate::Database::fuzzy_mark)), which
+    /// reads the log tail in `f` and appends nothing. Admission is
+    /// blocked by holding every shard's write lock, acquired in index
+    /// order (`begin_with` takes exactly one of them).
+    pub fn with_admission_blocked<R>(&self, f: impl FnOnce(Option<Lsn>) -> R) -> R {
         let guards: Vec<_> = self.shards.iter().map(|shard| shard.write()).collect();
-        let active: Vec<TxnId> = guards.iter().flat_map(|g| g.keys().copied()).collect();
         let oldest = guards
             .iter()
             .flat_map(|g| g.values().map(|c| c.first_lsn))
             .min();
-        f(active, oldest)
+        f(oldest)
     }
 
     /// Doom a transaction (non-blocking abort synchronization). Returns
@@ -202,16 +202,10 @@ mod tests {
         let reg = TxnRegistry::new();
         reg.begin_with(TxnId(1), || Lsn(5));
         reg.begin_with(TxnId(2), || Lsn(9));
-        reg.with_admission_blocked(|active, oldest| {
-            assert_eq!(active.len(), 2);
-            assert_eq!(oldest, Some(Lsn(5)));
-        });
+        assert_eq!(reg.with_admission_blocked(|oldest| oldest), Some(Lsn(5)));
         reg.remove(TxnId(1));
         reg.remove(TxnId(2));
-        reg.with_admission_blocked(|active, oldest| {
-            assert!(active.is_empty());
-            assert_eq!(oldest, None);
-        });
+        assert_eq!(reg.with_admission_blocked(|oldest| oldest), None);
     }
 
     #[test]
@@ -241,17 +235,14 @@ mod tests {
     #[test]
     fn sharded_snapshot_spans_every_shard() {
         // Ids chosen to land on many distinct shards; the admission
-        // snapshot and the counters must still see all of them.
+        // census and the counters must still see all of them.
         let reg = TxnRegistry::new();
         for i in 0..40u64 {
             reg.begin_with(TxnId(i), || Lsn(100 + i));
         }
         assert_eq!(reg.active_count(), 40);
         assert_eq!(reg.cells().len(), 40);
-        reg.with_admission_blocked(|active, oldest| {
-            assert_eq!(active.len(), 40);
-            assert_eq!(oldest, Some(Lsn(100)));
-        });
+        assert_eq!(reg.with_admission_blocked(|oldest| oldest), Some(Lsn(100)));
         for i in 0..40u64 {
             reg.remove(TxnId(i));
         }

@@ -9,10 +9,12 @@
 //!    deterministic [`StepWorkload`] at them.
 //! 3. Install a [`CrashHook`]: at every instrumented crash point it
 //!    (a) kills the run with [`DbError::SimulatedCrash`] if the armed
-//!    kill matches this point's n-th occurrence, and (b) otherwise
-//!    injects a few complete workload transactions — so user activity
-//!    is interleaved with fuzzy copy, propagation batches, and every
-//!    step of all three synchronization strategies.
+//!    kill matches this point's n-th occurrence, leaving one workload
+//!    transaction open with its writes logged if the point is a safe
+//!    injection point, and (b) otherwise injects a few complete
+//!    workload transactions — so user activity is interleaved with
+//!    fuzzy copy, propagation batches, and every step of all three
+//!    synchronization strategies.
 //! 4. Run the transformation synchronously.
 //! 5. If the kill fired: [`crash_and_recover`] (drain the staged
 //!    records to the backend, tear its unflushed bytes at a seeded
@@ -20,9 +22,10 @@
 //!    into a fresh database's log, and `recover` from that log),
 //!    then check the **Theorem 1 oracle**:
 //!      * recovered sources ≡ the workload's committed-state model
-//!        (no lost updates — valid because every workload step is a
-//!        complete flushed transaction, so only transformation
-//!        bookkeeping can sit in the torn tail);
+//!        (no lost updates — valid because every other workload step
+//!        is a complete flushed transaction, so only the open
+//!        transaction and transformation bookkeeping (§5.3 checker
+//!        records) can sit in the torn tail);
 //!      * re-running the same transformation from preparation on the
 //!        recovered database succeeds (the §3.5 recovery story:
 //!        transformations are not themselves redo-logged, they are
@@ -282,6 +285,14 @@ impl CrashHook for SimHook {
         g.trace.push(format!("point:{point}#{n}"));
         if verdict.is_err() {
             g.trace.push(format!("KILL:{point}#{n}"));
+            // A client is mid-transaction when the machine dies: its
+            // writes are logged but not durable, so the tear has a
+            // loser's records to cut, and recovery rolls back whatever
+            // of them survives.
+            if crate::points::is_injection_point(point) {
+                let writes = g.workload.step_in_flight(db);
+                g.trace.push(format!("in-flight: {writes} writes"));
+            }
             return verdict;
         }
         if g.inject_budget > 0 && crate::points::is_injection_point(point) {

@@ -18,19 +18,15 @@ use crate::record::{LogOp, LogRecord, MigrationPhase, RecordKind};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use morph_common::{DbError, DbResult, Key, Lsn, TableId, TxnId, Value};
 
-// Record tags. Tag 1 was the begin record, which a transaction no
-// longer logs (its first record is its first data record); it stays
-// unassigned, like tag 10 below.
+// Record tags. Tags 1, 3, 7 and 10 were the begin, abort, fuzzy-mark
+// and checkpoint records, which no reader consumed; they stay
+// unassigned so a log written with them never decodes as another record.
 const T_COMMIT: u8 = 2;
-const T_ABORT: u8 = 3;
 const T_ABORT_END: u8 = 4;
 const T_OP: u8 = 5;
 const T_CLR: u8 = 6;
-const T_FUZZY: u8 = 7;
 const T_CC_BEGIN: u8 = 8;
 const T_CC_OK: u8 = 9;
-// Tag 10 was the checkpoint record, which nothing consumed; it stays
-// unassigned so a log written with it never decodes as another record.
 const T_MIGRATION: u8 = 11;
 
 // Op tags.
@@ -57,10 +53,6 @@ pub fn encode_into(rec: &LogRecord, b: &mut impl BufMut) {
             b.put_u8(T_COMMIT);
             b.put_u64_le(txn.0);
         }
-        LogRecord::Abort { txn } => {
-            b.put_u8(T_ABORT);
-            b.put_u64_le(txn.0);
-        }
         LogRecord::AbortEnd { txn } => {
             b.put_u8(T_ABORT_END);
             b.put_u64_le(txn.0);
@@ -79,14 +71,6 @@ pub fn encode_into(rec: &LogRecord, b: &mut impl BufMut) {
             b.put_u64_le(txn.0);
             b.put_u64_le(undone_lsn.0);
             encode_op(op, b);
-        }
-        LogRecord::FuzzyMark { active, start_lsn } => {
-            b.put_u8(T_FUZZY);
-            b.put_u32_le(active.len() as u32);
-            for t in active {
-                b.put_u64_le(t.0);
-            }
-            b.put_u64_le(start_lsn.0);
         }
         LogRecord::CcBegin { split_key } => {
             b.put_u8(T_CC_BEGIN);
@@ -191,21 +175,16 @@ pub fn peek(buf: &[u8]) -> DbResult<Peek> {
     let mut r = Reader { buf, pos: 0 };
     let kind = match r.u8()? {
         T_COMMIT => RecordKind::Commit,
-        T_ABORT => RecordKind::Abort,
         T_ABORT_END => RecordKind::AbortEnd,
         T_OP => RecordKind::Op,
         T_CLR => RecordKind::Clr,
-        T_FUZZY => RecordKind::FuzzyMark,
         T_CC_BEGIN => RecordKind::CcBegin,
         T_CC_OK => RecordKind::CcOk,
         T_MIGRATION => RecordKind::MigrationState,
         other => return Err(r.corrupt(&format!("unknown record tag {other}"))),
     };
     let txn = match kind {
-        RecordKind::FuzzyMark
-        | RecordKind::CcBegin
-        | RecordKind::CcOk
-        | RecordKind::MigrationState => None,
+        RecordKind::CcBegin | RecordKind::CcOk | RecordKind::MigrationState => None,
         _ => Some(TxnId(r.u64()?)),
     };
     let table = match kind {
@@ -306,9 +285,6 @@ fn decode_record(r: &mut Reader<'_>) -> DbResult<LogRecord> {
         T_COMMIT => LogRecord::Commit {
             txn: TxnId(r.u64()?),
         },
-        T_ABORT => LogRecord::Abort {
-            txn: TxnId(r.u64()?),
-        },
         T_ABORT_END => LogRecord::AbortEnd {
             txn: TxnId(r.u64()?),
         },
@@ -321,17 +297,6 @@ fn decode_record(r: &mut Reader<'_>) -> DbResult<LogRecord> {
             undone_lsn: Lsn(r.u64()?),
             op: decode_op(r)?,
         },
-        T_FUZZY => {
-            let n = r.u32()? as usize;
-            let mut active = Vec::with_capacity(n.min(1024));
-            for _ in 0..n {
-                active.push(TxnId(r.u64()?));
-            }
-            LogRecord::FuzzyMark {
-                active,
-                start_lsn: Lsn(r.u64()?),
-            }
-        }
         T_CC_BEGIN => LogRecord::CcBegin {
             split_key: Key(decode_values(r)?),
         },
@@ -422,7 +387,6 @@ mod tests {
         roundtrip(LogRecord::Commit {
             txn: TxnId(u64::MAX),
         });
-        roundtrip(LogRecord::Abort { txn: TxnId(0) });
         roundtrip(LogRecord::AbortEnd { txn: TxnId(77) });
     }
 
@@ -457,14 +421,6 @@ mod tests {
 
     #[test]
     fn roundtrip_marks() {
-        roundtrip(LogRecord::FuzzyMark {
-            active: vec![TxnId(1), TxnId(2), TxnId(3)],
-            start_lsn: Lsn(100),
-        });
-        roundtrip(LogRecord::FuzzyMark {
-            active: vec![],
-            start_lsn: Lsn(1),
-        });
         roundtrip(LogRecord::CcBegin {
             split_key: Key::single("7050"),
         });
@@ -562,8 +518,9 @@ mod tests {
     #[test]
     fn unknown_tags_rejected() {
         assert!(matches!(decode(&[99]), Err(DbError::CorruptLog { .. })));
-        // The retired begin and checkpoint tags decode as nothing.
-        for tag in [1u8, 10] {
+        // The retired begin, abort, fuzzy-mark and checkpoint tags
+        // decode and peek as nothing.
+        for tag in [1u8, 3, 7, 10] {
             let mut b = BytesMut::new();
             b.put_u8(tag);
             b.put_u64_le(1);

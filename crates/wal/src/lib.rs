@@ -10,9 +10,8 @@
 //!   rollback, so that a fuzzy copy can be repaired purely by redoing
 //!   the log forward — aborted work is *compensated*, never skipped,
 //! * **log sequence numbers** assigned in strictly increasing order,
-//! * **fuzzy marks** ([`LogRecord::FuzzyMark`]) recording the set of
-//!   active transactions and the LSN where log propagation must begin
-//!   (§3.2 of the paper),
+//!   so the §3.2 fuzzy mark is an LSN, not a record: the engine's
+//!   census names where log propagation must begin,
 //! * **consistency-checker records** (`CcBegin` / `CcOk`, §5.3).
 //!
 //! The log lives in memory ([`LogManager`]) with an optional

@@ -809,8 +809,8 @@ impl LogManager {
 
 /// Incremental reader over the log tail. The log propagator holds one
 /// of these across propagation iterations; [`TailCursor::next_lsn`]
-/// after a drained batch is exactly the `start_lsn` to store in the
-/// next fuzzy mark.
+/// after a drained batch is where the next iteration starts reading,
+/// the §3.3 per-iteration fuzzy mark.
 #[derive(Clone, Copy, Debug)]
 pub struct TailCursor {
     next: Lsn,

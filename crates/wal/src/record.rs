@@ -2,11 +2,12 @@
 //!
 //! A [`LogOp`] is the physical, redoable description of one data
 //! operation; a [`LogRecord`] wraps operations with the transaction
-//! end records (`Commit`/`Abort`/`AbortEnd`), CLRs, fuzzy marks and
-//! consistency-checker records that the transformation framework
-//! consumes. There is no begin record: a transaction's first record is
-//! its first data record, and one that wrote nothing logs nothing
-//! unless a cutover census reported it (DESIGN.md §11).
+//! end records (`Commit`/`AbortEnd`), CLRs and consistency-checker
+//! records that the transformation framework consumes. There is no
+//! begin record: a transaction's first record is its first data
+//! record, and one that wrote nothing logs nothing unless a cutover
+//! census reported it (DESIGN.md §11). There is no fuzzy-mark record
+//! either: the mark is an in-memory census of the registry.
 
 use morph_common::{Key, Lsn, Schema, TableId, TxnId, Value};
 
@@ -179,10 +180,8 @@ pub enum LogRecord {
     /// transaction's mirrored locks on transformed tables when it
     /// processes this record (§4.3).
     Commit { txn: TxnId },
-    /// Transaction rollback *started*. CLRs for the transaction follow.
-    Abort { txn: TxnId },
     /// Transaction rollback *finished* — the "transaction aborted log
-    /// record" of §3.4: the propagator releases the transaction's locks
+    /// record" of §3.4, logged after the rollback's CLRs: the propagator releases the transaction's locks
     /// in the transformed tables when it encounters this.
     AbortEnd { txn: TxnId },
     /// A forward data operation executed under `txn`.
@@ -199,17 +198,6 @@ pub enum LogRecord {
         /// The physical compensation that was executed.
         op: LogOp,
     },
-    /// Fuzzy mark (§3.2): bounds a fuzzy read or a log-propagation
-    /// iteration. Carries the transactions active at the time and the
-    /// LSN from which propagation must (re)start — the first log record
-    /// of the oldest of those transactions, or this mark itself if none
-    /// are active.
-    FuzzyMark {
-        /// Transactions active on the source tables at mark time.
-        active: Vec<TxnId>,
-        /// Where log propagation must start reading.
-        start_lsn: Lsn,
-    },
     /// Consistency checker (§5.3): CC started examining the S-record
     /// with the given split-key.
     CcBegin { split_key: Key },
@@ -224,8 +212,7 @@ pub enum LogRecord {
     /// transition so the latest record alone is enough to resume.
     ///
     /// Deliberately transparent to data redo: `op()` returns `None`
-    /// and recovery's analysis pass skips it, exactly like fuzzy
-    /// marks. Transformations themselves are not redo-logged (§3.5);
+    /// and recovery's analysis pass skips it. Transformations themselves are not redo-logged (§3.5);
     /// an interrupted job restarts from preparation, and this record
     /// only tells the restarted orchestrator *which* jobs to restart
     /// (or, for `Aborted`, to leave dead).
@@ -246,11 +233,9 @@ pub enum LogRecord {
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum RecordKind {
     Commit,
-    Abort,
     AbortEnd,
     Op,
     Clr,
-    FuzzyMark,
     CcBegin,
     CcOk,
     MigrationState,
@@ -261,11 +246,9 @@ impl LogRecord {
     pub fn kind(&self) -> RecordKind {
         match self {
             LogRecord::Commit { .. } => RecordKind::Commit,
-            LogRecord::Abort { .. } => RecordKind::Abort,
             LogRecord::AbortEnd { .. } => RecordKind::AbortEnd,
             LogRecord::Op { .. } => RecordKind::Op,
             LogRecord::Clr { .. } => RecordKind::Clr,
-            LogRecord::FuzzyMark { .. } => RecordKind::FuzzyMark,
             LogRecord::CcBegin { .. } => RecordKind::CcBegin,
             LogRecord::CcOk { .. } => RecordKind::CcOk,
             LogRecord::MigrationState { .. } => RecordKind::MigrationState,
@@ -276,7 +259,6 @@ impl LogRecord {
     pub fn txn(&self) -> Option<TxnId> {
         match self {
             LogRecord::Commit { txn }
-            | LogRecord::Abort { txn }
             | LogRecord::AbortEnd { txn }
             | LogRecord::Op { txn, .. }
             | LogRecord::Clr { txn, .. } => Some(*txn),
@@ -402,11 +384,10 @@ mod tests {
         assert_eq!(commit.txn(), Some(TxnId(5)));
         assert!(commit.op().is_none());
 
-        let mark = LogRecord::FuzzyMark {
-            active: vec![TxnId(1)],
-            start_lsn: Lsn(10),
+        let cc = LogRecord::CcBegin {
+            split_key: Key::single(10),
         };
-        assert_eq!(mark.txn(), None);
+        assert_eq!(cc.txn(), None);
     }
 
     #[test]

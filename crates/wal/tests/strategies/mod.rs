@@ -60,19 +60,12 @@ fn op_strategy() -> impl Strategy<Value = LogOp> {
 pub fn record_strategy() -> impl Strategy<Value = LogRecord> {
     prop_oneof![
         any::<u64>().prop_map(|t| LogRecord::Commit { txn: TxnId(t) }),
-        any::<u64>().prop_map(|t| LogRecord::Abort { txn: TxnId(t) }),
         any::<u64>().prop_map(|t| LogRecord::AbortEnd { txn: TxnId(t) }),
         (any::<u64>(), op_strategy()).prop_map(|(t, op)| LogRecord::Op { txn: TxnId(t), op }),
         (any::<u64>(), any::<u64>(), op_strategy()).prop_map(|(t, l, op)| LogRecord::Clr {
             txn: TxnId(t),
             undone_lsn: Lsn(l),
             op,
-        }),
-        (prop::collection::vec(any::<u64>(), 0..8), any::<u64>()).prop_map(|(a, l)| {
-            LogRecord::FuzzyMark {
-                active: a.into_iter().map(TxnId).collect(),
-                start_lsn: Lsn(l),
-            }
         }),
         values_strategy().prop_map(|k| LogRecord::CcBegin { split_key: Key(k) }),
         (values_strategy(), values_strategy()).prop_map(|(k, image)| LogRecord::CcOk {

@@ -15,7 +15,9 @@
 //! flushed transaction, the model equals the durable committed state
 //! at any crash point between steps — which is exactly the
 //! no-lost-updates oracle the harness checks after recovery:
-//! recovered table contents must equal the model.
+//! recovered table contents must equal the model. The one transaction
+//! left open, [`StepWorkload::step_in_flight`] at the crash, commits
+//! nothing, so recovery must roll it back to the model.
 
 use morph_common::{DbError, Key, Value};
 use morph_engine::Database;
@@ -171,6 +173,23 @@ impl StepWorkload {
             }
             Err(other) => panic!("unexpected commit error: {other}"), // morph-lint: allow(panic, workload driver for tests and sim; an unexpected engine error must fail the run loudly)
         }
+    }
+
+    /// Begin a transaction, run one step's writes and leave it open:
+    /// a client caught mid-transaction by a crash. Its records are
+    /// logged but not durable, and the model is untouched, since
+    /// nothing committed. Returns the number of writes it logged.
+    pub fn step_in_flight(&mut self, db: &Database) -> usize {
+        let n_ops = self.rng.gen_range(1..=self.max_ops_per_txn);
+        let txn = db.begin();
+        let mut planned: Vec<Planned> = Vec::new();
+        for _ in 0..n_ops {
+            let pi = self.rng.gen_range(0..self.profiles.len());
+            if self.one_op(db, txn, pi, &mut planned).is_err() {
+                break;
+            }
+        }
+        planned.len()
     }
 
     fn one_op(

@@ -8,7 +8,7 @@
 //! ## Layers
 //!
 //! * [`common`] — values, keys, schemas, ids, errors.
-//! * [`wal`] — ARIES-style write-ahead log with CLRs and fuzzy marks.
+//! * [`wal`] — ARIES-style write-ahead log with CLRs and LSNs.
 //! * [`storage`] — in-memory tables, secondary indexes, catalog.
 //! * [`txn`] — lock manager (wait–die, origin-tagged Figure-2 matrix).
 //! * [`engine`] — the transactional [`engine::Database`] facade.

@@ -11,9 +11,10 @@
 use morphdb::core::{
     FojSpec, MigrationPhase, SplitSpec, TransformJob, TransformOptions, TransformPlan,
 };
+use morphdb::engine::CrashHook;
 use morphdb::orchestrator::{Migration, Orchestrator};
 use morphdb::workload::{spawn_updaters, UpdateTarget};
-use morphdb::{ColumnType, Database, DbError, Key, Schema, Value};
+use morphdb::{ColumnType, Database, DbError, DbResult, Key, Schema, Value};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -175,6 +176,25 @@ fn disjoint_foj_and_split_run_concurrently() {
     assert_eq!(counters, 800);
 }
 
+/// Parks the first job to reach its copy (`transform.prepared`) until
+/// released.
+#[derive(Default)]
+struct ParkFirst {
+    parked: AtomicBool,
+    released: AtomicBool,
+}
+
+impl CrashHook for ParkFirst {
+    fn at(&self, _db: &Database, point: &str) -> DbResult<()> {
+        if point == "transform.prepared" && !self.parked.swap(true, Ordering::SeqCst) {
+            while !self.released.load(Ordering::SeqCst) {
+                std::thread::sleep(Duration::from_micros(200));
+            }
+        }
+        Ok(())
+    }
+}
+
 /// Two *declarative* splits over disjoint table sets run concurrently
 /// under the orchestrator, while an overlapping submission is rejected
 /// up front with a structured conflict naming the holder.
@@ -201,6 +221,8 @@ fn disjoint_declarative_splits_run_concurrently_and_overlap_conflicts() {
     let opts = TransformOptions::default()
         .deadline(Duration::from_secs(60))
         .retain_sources();
+    let barrier = Arc::new(ParkFirst::default());
+    db.set_crash_hook(barrier.clone());
 
     // One submission through the text front-end, one through the
     // builder: both compile to the same plan shape.
@@ -210,9 +232,11 @@ fn disjoint_declarative_splits_run_concurrently_and_overlap_conflicts() {
             opts.clone(),
         )
         .unwrap();
-    // Park the first migration so its claims are provably still held
-    // when the overlapping submission arrives below.
-    h1.pause();
+    // The first migration parks before its copy, so its claims are
+    // provably still held when the overlapping submission arrives below.
+    while !barrier.parked.load(Ordering::SeqCst) {
+        std::thread::sleep(Duration::from_millis(1));
+    }
     let h2 = orch
         .submit(
             Migration::split(
@@ -229,7 +253,7 @@ fn disjoint_declarative_splits_run_concurrently_and_overlap_conflicts() {
         .unwrap();
     assert_ne!(h1.id(), h2.id());
 
-    // Overlap: V1 is claimed by the paused job #1.
+    // Overlap: V1 is claimed by the parked job #1.
     let err = match orch.submit(
         Migration::split("V1", "X", "Y", &["k", "grp"], "grp", &["dep"]).build(),
         opts.clone(),
@@ -245,7 +269,7 @@ fn disjoint_declarative_splits_run_concurrently_and_overlap_conflicts() {
         other => panic!("expected MigrationConflict, got {other}"),
     }
 
-    h1.resume();
+    barrier.released.store(true, Ordering::SeqCst);
     let rep1 = h1.join().expect("declarative split of V1");
     let rep2 = h2.join().expect("declarative split of V2");
     pool.stop();
