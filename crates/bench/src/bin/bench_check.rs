@@ -17,8 +17,9 @@
 //! 2. **`shard_gate`** — shared-nothing router: aggregate commit
 //!    throughput (8 closed-loop clients through the router) and
 //!    aggregate migration throughput (one union fanned out as
-//!    per-shard jobs) at 1, 2, 4 and 8 shards, with the aggregated
-//!    [`morph_engine::ShardCounters`] per point. On ≥ 4 cores the
+//!    per-shard jobs) at 1, 2, 4 and 8 shards, with the shards' summed
+//!    WAL flushes and lock waits ([`morph_engine::ShardCounters`]) per
+//!    point. On ≥ 4 cores the
 //!    4-shard commit rate must be ≥ 1.8× the 1-shard rate.
 //! 3. **`lazy_tail`** — SLSM-style lazy mode: hot-shard p50/p99
 //!    read/write latency mid-migration, eager §3 pipeline vs lazy
@@ -418,13 +419,12 @@ fn shard_gate(entries: &mut Vec<String>, failures: &mut Vec<String>, cores: usiz
         let t = &p.counters.total;
         println!(
             "  shards={:>2}: {:>9.0} commits/s aggregate, {:>9.0} migrated records/s \
-             ({} records; wal_flushes {}, mvcc_reclaimed {}, lock_waits {})",
+             ({} records; wal_flushes {}, lock_waits {})",
             p.shards,
             p.commit_rate,
             p.propagate_rate,
             p.migrated_records,
             t.wal_flushes,
-            t.mvcc_reclaimed,
             t.lock_waits,
         );
         if p.shards == 1 {
@@ -433,12 +433,10 @@ fn shard_gate(entries: &mut Vec<String>, failures: &mut Vec<String>, cores: usiz
         if p.shards == 4 {
             rate_at_4 = p.commit_rate;
         }
-        let per_shard_flushes: Vec<u64> =
-            p.counters.per_shard.iter().map(|s| s.wal_flushes).collect();
         entries.push(format!(
-            "    {{ \"series\": \"shard_gate\", \"shards\": {}, \"clients\": {SHARD_CLIENTS}, \"commit_rate\": {:.0}, \"propagate_rate\": {:.0}, \"migrated_records\": {}, \"wal_flushes\": {}, \"wal_flushes_per_shard\": {per_shard_flushes:?}, \"mvcc_reclaimed\": {}, \"lock_waits\": {}, \"commits\": {} }}",
+            "    {{ \"series\": \"shard_gate\", \"shards\": {}, \"clients\": {SHARD_CLIENTS}, \"commit_rate\": {:.0}, \"propagate_rate\": {:.0}, \"migrated_records\": {}, \"wal_flushes\": {}, \"lock_waits\": {} }}",
             p.shards, p.commit_rate, p.propagate_rate, p.migrated_records,
-            t.wal_flushes, t.mvcc_reclaimed, t.lock_waits, t.commits,
+            t.wal_flushes, t.lock_waits,
         ));
     }
     let speedup = if base_rate > 0.0 {

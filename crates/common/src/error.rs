@@ -170,17 +170,6 @@ impl From<std::io::Error> for DbError {
     }
 }
 
-impl DbError {
-    /// Whether the error dooms the surrounding transaction (it must be
-    /// rolled back rather than retried in place).
-    pub fn is_fatal_to_txn(&self) -> bool {
-        matches!(
-            self,
-            DbError::Deadlock(_) | DbError::TxnDoomed(_) | DbError::LockTimeout(_)
-        )
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -196,15 +185,6 @@ mod tests {
     }
 
     #[test]
-    fn fatality_classification() {
-        assert!(DbError::Deadlock(TxnId(1)).is_fatal_to_txn());
-        assert!(DbError::TxnDoomed(TxnId(1)).is_fatal_to_txn());
-        assert!(DbError::LockTimeout(TxnId(1)).is_fatal_to_txn());
-        assert!(!DbError::KeyNotFound("k".into()).is_fatal_to_txn());
-        assert!(!DbError::TableFrozen(TableId(1)).is_fatal_to_txn());
-    }
-
-    #[test]
     fn parse_error_carries_span() {
         let e = DbError::ParseError {
             offset: 12,
@@ -213,12 +193,6 @@ mod tests {
         };
         let s = e.to_string();
         assert!(s.contains("12") && s.contains("expected INTO"));
-        assert!(!e.is_fatal_to_txn());
-        assert!(!DbError::MigrationConflict {
-            table: "t".into(),
-            job: 1
-        }
-        .is_fatal_to_txn());
     }
 
     #[test]

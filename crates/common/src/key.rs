@@ -38,12 +38,6 @@ impl Key {
         self.0.len()
     }
 
-    /// Whether every component is NULL (e.g. the key of the
-    /// NULL-extended side of an outer-join row).
-    pub fn is_all_null(&self) -> bool {
-        self.0.iter().all(Value::is_null)
-    }
-
     /// Component values.
     pub fn values(&self) -> &[Value] {
         &self.0
@@ -103,15 +97,6 @@ mod tests {
         let b = Key::new([Value::Int(1), Value::Int(3)]);
         let c = Key::new([Value::Int(2), Value::Int(0)]);
         assert!(a < b && b < c);
-    }
-
-    #[test]
-    fn all_null_detection() {
-        assert!(Key::new([Value::Null, Value::Null]).is_all_null());
-        assert!(!Key::new([Value::Null, Value::Int(0)]).is_all_null());
-        // An empty key is vacuously all-null; callers never build one
-        // from a schema with a non-empty primary key.
-        assert!(Key::new([]).is_all_null());
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! which it can decide exactly because it processes the log
 //! sequentially.
 
-use morph_common::{Key, Lsn, Value};
+use morph_common::{Key, Value};
 use std::collections::BTreeSet;
 
 /// Whether a split transformation may enter synchronization.
@@ -39,8 +39,6 @@ pub enum Readiness {
 pub struct PendingCc {
     /// Split-attribute key under certification.
     pub key: Key,
-    /// LSN of the `CcBegin` record.
-    pub begin_lsn: Lsn,
     /// Set when the propagator applies any operation affecting `key`
     /// after `CcBegin` — the certification is then void.
     pub touched: bool,
@@ -186,7 +184,6 @@ mod tests {
         let mut cc = CcState {
             pending: Some(PendingCc {
                 key: k(5),
-                begin_lsn: Lsn(1),
                 touched: false,
             }),
             ..CcState::default()

@@ -247,7 +247,7 @@ pub trait TransformOperator: Send + Sync {
 
     /// React to a non-data control record the propagator encountered
     /// (`CcBegin`/`CcOk`, §5.3).
-    fn on_control(&self, _lsn: Lsn, _rec: &LogRecord) -> DbResult<()> {
+    fn on_control(&self, _rec: &LogRecord) -> DbResult<()> {
         Ok(())
     }
 

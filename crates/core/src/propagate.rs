@@ -8,7 +8,11 @@
 //! The next iteration reads the log after the previous one from the
 //! cursor, so an iteration appends nothing: the paper's per-iteration
 //! fuzzy mark (§3.3) is the cursor's position, and an iteration that
-//! finds no new record is idle.
+//! finds no new record is idle. What the pipeline needs of the operator
+//! (its source ids and schemas, barrier columns and coalesce policy) is
+//! resolved by the propagator's first drain and kept: the operator
+//! fixes all of it at preparation, and no source schema changes while
+//! the propagator lives.
 //!
 //! ## The batched pipeline
 //!
@@ -51,13 +55,14 @@ use std::time::{Duration, Instant};
 /// [`Propagator::iterate`]).
 pub const ITERATION_BUDGET: Duration = Duration::from_secs(2);
 
-/// Per-drain context: everything about the operator the pipeline needs
-/// record-by-record, resolved once per drain instead of per record.
+/// Drain context: everything about the operator the pipeline needs
+/// record-by-record, resolved once per propagator (see the module
+/// docs for why it never goes stale).
 struct DrainCtx {
     sources: Vec<TableId>,
-    /// Source schemas, for computing a record's subject key. Source
-    /// schemas cannot change while propagation runs (rename-in-place
-    /// projection happens strictly after the final drain).
+    /// Source schemas, for computing a record's subject key
+    /// (rename-in-place projects the source only after the last
+    /// post-sync drain).
     schemas: HashMap<TableId, Schema>,
     /// Per-source barrier columns (see
     /// [`TransformOperator::coalesce_barrier_cols`]).
@@ -235,10 +240,10 @@ pub struct Propagator {
     post: Option<PostSyncState>,
     /// Records dropped by the coalescer over this propagator's life.
     coalesced: usize,
-    /// Drain context cached across iterations, keyed by the catalog's
-    /// structural epoch: name→table resolution and barrier-column
-    /// derivation are loop-invariant until a create/drop/rename.
-    ctx: Option<(u64, Arc<DrainCtx>)>,
+    /// The drain context, built by the first drain. A job's first
+    /// drain is a propagation iteration, so the context is never built
+    /// under the synchronization latch.
+    ctx: Option<Arc<DrainCtx>>,
 }
 
 impl Propagator {
@@ -251,20 +256,6 @@ impl Propagator {
             post: None,
             coalesced: 0,
             ctx: None,
-        }
-    }
-
-    /// The cached drain context, rebuilt when the catalog's structural
-    /// epoch moved (a table was created, dropped or renamed since).
-    fn drain_ctx(&mut self, db: &Database, op: &dyn TransformOperator) -> Arc<DrainCtx> {
-        let epoch = db.catalog().epoch();
-        match &self.ctx {
-            Some((e, ctx)) if *e == epoch => Arc::clone(ctx),
-            _ => {
-                let ctx = Arc::new(DrainCtx::new(db, op));
-                self.ctx = Some((epoch, Arc::clone(&ctx)));
-                ctx
-            }
         }
     }
 
@@ -361,7 +352,7 @@ impl Propagator {
                 // The checker must observe every prior touch before a
                 // certification is judged (§5.3).
                 self.flush(op, ctx, run)?;
-                op.on_control(lsn, &rec)?;
+                op.on_control(&rec)?;
                 Ok(true)
             }
             LogRecord::Commit { txn } | LogRecord::AbortEnd { txn } => {
@@ -406,7 +397,10 @@ impl Propagator {
         cc_interval: usize,
         abort: &AtomicBool,
     ) -> DbResult<IterationStats> {
-        let ctx = self.drain_ctx(db, op);
+        let ctx = Arc::clone(
+            self.ctx
+                .get_or_insert_with(|| Arc::new(DrainCtx::new(db, op))),
+        );
         let target = db.log().last_lsn();
         // morph-lint: allow(nondet, elapsed-time stats for the report; wall time never enters table or WAL state)
         let t0 = Instant::now();
@@ -473,7 +467,10 @@ impl Propagator {
         op: &dyn TransformOperator,
         batch_size: usize,
     ) -> DbResult<usize> {
-        let ctx = self.drain_ctx(db, op);
+        let ctx = Arc::clone(
+            self.ctx
+                .get_or_insert_with(|| Arc::new(DrainCtx::new(db, op))),
+        );
         let mut run = Run::new();
         let mut n = 0usize;
         let target = db.log().last_lsn();

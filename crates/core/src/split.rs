@@ -642,14 +642,13 @@ impl SplitMapping {
             };
             key
         };
-        let begin_lsn = log.append(LogRecord::CcBegin {
+        log.append(LogRecord::CcBegin {
             split_key: key.clone(),
         });
         {
             let mut cc = self.cc.lock();
             cc.pending = Some(PendingCc {
                 key: key.clone(),
-                begin_lsn,
                 touched: false,
             });
             cc.rounds += 1;
@@ -887,7 +886,7 @@ impl TransformOperator for SplitMapping {
     }
 
     /// Handle checker records coming back through the log stream.
-    fn on_control(&self, lsn: Lsn, rec: &LogRecord) -> DbResult<()> {
+    fn on_control(&self, rec: &LogRecord) -> DbResult<()> {
         if !self.check {
             return Ok(());
         }
@@ -899,7 +898,6 @@ impl TransformOperator for SplitMapping {
                 if cc.pending.is_none() {
                     cc.pending = Some(PendingCc {
                         key: split_key.clone(),
-                        begin_lsn: lsn,
                         touched: false,
                     });
                 }
@@ -1434,8 +1432,8 @@ mod tests {
         m.run_cc_round(db.log()).unwrap();
         // Feed the CC records back through the propagator path.
         let records = db.log().read_range(Lsn(1), usize::MAX);
-        for (lsn, rec) in records {
-            m.on_control(lsn, &rec).unwrap();
+        for (_, rec) in records {
+            m.on_control(&rec).unwrap();
         }
         assert_eq!(m.readiness(), Readiness::Ready);
         assert_eq!(
@@ -1476,8 +1474,8 @@ mod tests {
             },
         )
         .unwrap();
-        for (lsn, rec) in db.log().read_range(Lsn(1), usize::MAX) {
-            m.on_control(lsn, &rec).unwrap();
+        for (_, rec) in db.log().read_range(Lsn(1), usize::MAX) {
+            m.on_control(&rec).unwrap();
         }
         // Certification voided; still pending (not inconsistent).
         assert!(matches!(m.readiness(), Readiness::Pending { .. }));

@@ -33,7 +33,6 @@
 //! aborted work is washed out of transformed tables without ever
 //! scanning backwards.
 
-use crate::counters::CountersSnapshot;
 use crate::interceptor::OpInterceptor;
 use crate::migrations::MigrationRegistry;
 use crate::registry::{TxnCell, TxnRegistry};
@@ -181,10 +180,6 @@ pub struct Database {
     log: Arc<LogManager>,
     locks: LockManager,
     registry: TxnRegistry,
-    /// Transactions committed.
-    commits: AtomicU64,
-    /// Archived row versions reclaimed by MVCC garbage collection.
-    mvcc_reclaimed: AtomicU64,
     next_txn: AtomicU64,
     interceptors: RwLock<InterceptorList>,
     next_interceptor: AtomicU64,
@@ -222,8 +217,6 @@ impl Database {
             log,
             locks: LockManager::new(lock_config),
             registry: TxnRegistry::new(),
-            commits: AtomicU64::new(0),
-            mvcc_reclaimed: AtomicU64::new(0),
             next_txn: AtomicU64::new(1),
             interceptors: RwLock::new(Arc::new([])),
             next_interceptor: AtomicU64::new(1),
@@ -281,18 +274,6 @@ impl Database {
         &self.locks
     }
 
-    /// Point-in-time snapshot of this engine's counters, the WAL's and
-    /// the lock manager's included — the per-shard leaf of
-    /// [`ShardedDatabase::counters`](crate::router::ShardedDatabase::counters).
-    pub fn counters_snapshot(&self) -> CountersSnapshot {
-        CountersSnapshot {
-            commits: self.commits.load(Ordering::Relaxed),
-            mvcc_reclaimed: self.mvcc_reclaimed.load(Ordering::Relaxed),
-            wal_flushes: self.log.flush_count(),
-            lock_waits: self.locks.waits(),
-        }
-    }
-
     /// Table claims of running migration jobs (see
     /// [`MigrationRegistry`]).
     pub fn migrations(&self) -> &MigrationRegistry {
@@ -331,7 +312,6 @@ impl Database {
         if !wrote && !reported {
             self.registry.remove(txn);
             self.locks.release_all(txn);
-            self.commits.fetch_add(1, Ordering::Relaxed);
             return Ok(());
         }
         self.crash_point("commit.wal_append")?;
@@ -358,7 +338,6 @@ impl Database {
         self.crash_point("commit.wal_durable")?;
         self.registry.remove(txn);
         self.locks.release_all(txn);
-        self.commits.fetch_add(1, Ordering::Relaxed);
         Ok(())
     }
 
@@ -637,7 +616,6 @@ impl Database {
             reclaimed += t.gc_versions(watermark, &self.mvcc.commit);
         }
         self.mvcc.commit.prune(watermark);
-        self.mvcc_reclaimed.fetch_add(reclaimed, Ordering::Relaxed);
         Ok(reclaimed)
     }
 
@@ -873,7 +851,6 @@ mod tests {
         db.insert(txn, "t", row(1, "a")).unwrap();
         db.commit(txn).unwrap();
         assert_eq!(t.get(&Key::single(1)).unwrap().values, row(1, "a"));
-        assert_eq!(db.counters_snapshot().commits, 1);
         // Log: Op, Commit — no begin record.
         assert_eq!(db.log().len(), 2);
     }
@@ -1473,11 +1450,15 @@ mod tests {
             db.snapshot_read(&snap, "t", &Key::single(1)).unwrap(),
             Some(row(1, "v1"))
         );
+        let pinned = t.version_count() as u64;
         drop(snap);
         let reclaimed = db.mvcc_gc().unwrap();
         assert!(reclaimed > 0, "unpinned history must be reclaimed");
+        assert_eq!(
+            reclaimed, pinned,
+            "the count returned is what was reclaimed"
+        );
         assert_eq!(t.version_count(), 0);
-        assert_eq!(db.counters_snapshot().mvcc_reclaimed, reclaimed);
         // Current state is untouched.
         let now = db.begin_snapshot().unwrap();
         assert_eq!(

@@ -20,7 +20,6 @@
 //!   non-blocking *commit* strategy (mirroring source-table locks onto
 //!   the transformed table) and by the trigger-based baseline of §2.1.
 
-pub mod counters;
 pub mod database;
 pub mod interceptor;
 pub mod migrations;
@@ -28,7 +27,6 @@ pub mod recovery;
 pub mod registry;
 pub mod router;
 
-pub use counters::CountersSnapshot;
 pub use database::{CrashHook, Database, LockHolder, LogProtection, PlannedOp};
 pub use interceptor::OpInterceptor;
 pub use migrations::MigrationRegistry;

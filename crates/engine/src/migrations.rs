@@ -79,14 +79,6 @@ impl MigrationRegistry {
         self.jobs.write().remove(&job);
     }
 
-    /// The job currently claiming `table`, if any.
-    pub fn claimed_by(&self, table: &str) -> Option<u64> {
-        let jobs = self.jobs.read();
-        jobs.iter()
-            .find(|(_, claimed)| claimed.iter().any(|t| t == table))
-            .map(|(job, _)| *job)
-    }
-
     /// Ids of every job holding at least one claim, in ascending order.
     pub fn active_jobs(&self) -> Vec<u64> {
         let mut ids: Vec<u64> = self.jobs.read().keys().copied().collect();
@@ -113,10 +105,10 @@ mod tests {
             DbError::MigrationConflict { ref table, job } if table == "r" && job == a
         ));
         // The failed claim must not have claimed "x" either.
-        assert_eq!(reg.claimed_by("x"), None);
-        assert_eq!(reg.claimed_by("r"), Some(a));
+        let c = reg.next_job_id();
+        reg.claim(c, &["x".into()]).unwrap();
+        reg.release(c);
         reg.release(a);
-        assert_eq!(reg.claimed_by("r"), None);
         reg.claim(b, &["r".into()]).unwrap();
         assert_eq!(reg.active_jobs(), vec![b]);
     }
@@ -126,8 +118,12 @@ mod tests {
         let reg = MigrationRegistry::new();
         reg.claim(7, &["t".into()]).unwrap();
         reg.claim(7, &["t".into(), "u".into()]).unwrap();
-        assert_eq!(reg.claimed_by("t"), Some(7));
-        assert_eq!(reg.claimed_by("u"), Some(7));
+        for table in ["t", "u"] {
+            assert!(matches!(
+                reg.claim(8, &[table.into()]),
+                Err(DbError::MigrationConflict { job: 7, .. })
+            ));
+        }
         reg.bump_past(7);
         assert!(reg.next_job_id() > 7);
     }

@@ -17,7 +17,6 @@
 //! merged record group within one shard — the classic shard-key design
 //! decision, made explicit per table.
 
-use crate::counters::CountersSnapshot;
 use crate::database::Database;
 use morph_common::{DbError, DbResult, Key, Schema, Value};
 use morph_wal::WalMode;
@@ -56,14 +55,23 @@ fn hash_values(values: &[Value]) -> u64 {
     h
 }
 
-/// Per-shard counter report plus the field-wise aggregate — what
-/// benches and tests read instead of poking individual engines.
-#[derive(Clone, Debug, Default)]
+/// The shards' summed WAL flushes and lock waits. A benchmark alias,
+/// like `WalMode`: `benchmark/` reads `counters().total`, and
+/// `bench_check` records it. One shard's own figures are its
+/// `log().flush_count()` and `locks().waits()`.
+#[derive(Clone, Copy, Debug, Default)]
 pub struct ShardCounters {
-    /// One snapshot per shard, in shard order.
-    pub per_shard: Vec<CountersSnapshot>,
-    /// Field-wise sum of `per_shard`.
-    pub total: CountersSnapshot,
+    /// The sums over every shard.
+    pub total: ShardTotals,
+}
+
+/// The sums of [`ShardCounters`].
+#[derive(Clone, Copy, Debug, Default)]
+pub struct ShardTotals {
+    /// WAL flushes performed by the shards' log managers.
+    pub wal_flushes: u64,
+    /// Blocking record-lock waits entered on the shards.
+    pub lock_waits: u64,
 }
 
 /// A key-hash router over N shared-nothing engine shards.
@@ -241,20 +249,15 @@ impl ShardedDatabase {
         }
     }
 
-    /// Aggregate engine counters across all shards with the per-shard
-    /// breakdown (WAL flushes, MVCC reclamation, lock waits,
-    /// transaction and op counts).
+    /// WAL flushes and lock waits summed over the shards (see
+    /// [`ShardCounters`]).
     pub fn counters(&self) -> ShardCounters {
-        let per_shard: Vec<CountersSnapshot> = self
-            .shards
-            .iter()
-            .map(|db| db.counters_snapshot())
-            .collect();
-        let mut total = CountersSnapshot::default();
-        for s in &per_shard {
-            total.add(s);
+        let mut total = ShardTotals::default();
+        for db in &self.shards {
+            total.wal_flushes += db.log().flush_count();
+            total.lock_waits += db.locks().waits();
         }
-        ShardCounters { per_shard, total }
+        ShardCounters { total }
     }
 }
 
@@ -262,6 +265,9 @@ impl ShardedDatabase {
 mod tests {
     use super::*;
     use morph_common::ColumnType;
+    use morph_txn::LockManagerConfig;
+    use morph_wal::fault::{FaultBackend, FaultConfig};
+    use morph_wal::LogManager;
 
     fn schema() -> Schema {
         Schema::builder()
@@ -359,19 +365,30 @@ mod tests {
 
     #[test]
     fn counters_roll_up() {
-        let sdb = ShardedDatabase::new(2);
+        // Durable shards, so that every committed insert flushes.
+        let sdb = ShardedDatabase::from_parts(
+            (0..2)
+                .map(|seed| {
+                    let (backend, _) = FaultBackend::new(FaultConfig::crash_only(seed));
+                    let log = Arc::new(LogManager::with_backend(Box::new(backend)));
+                    Arc::new(Database::with_log(log, LockManagerConfig::default()))
+                })
+                .collect(),
+        );
         sdb.create_table("t", schema()).unwrap();
         for i in 0..16i64 {
             sdb.insert("t", vec![Value::Int(i), Value::Null]).unwrap();
         }
-        let c = sdb.counters();
-        assert_eq!(c.per_shard.len(), 2);
-        assert_eq!(c.total.commits, 16);
-        assert_eq!(
-            c.total.commits,
-            c.per_shard.iter().map(|s| s.commits).sum::<u64>()
-        );
-        // Both shards saw traffic.
-        assert!(c.per_shard.iter().all(|s| s.commits > 0));
+        let c = sdb.counters().total;
+        let flushes: Vec<u64> = sdb
+            .shards()
+            .iter()
+            .map(|db| db.log().flush_count())
+            .collect();
+        let waits: u64 = sdb.shards().iter().map(|db| db.locks().waits()).sum();
+        assert_eq!(c.wal_flushes, flushes.iter().sum::<u64>());
+        assert_eq!(c.lock_waits, waits);
+        // Both shards saw durable writes.
+        assert!(flushes.iter().all(|&f| f > 0), "{flushes:?}");
     }
 }

@@ -4,12 +4,18 @@
 //! synchronization step retargets a name (or drops the source names) so
 //! that "new transactions are given access to the new tables only"
 //! (§3.4) without the clients changing anything.
+//!
+//! Nothing caches a resolution that a structural change (create, drop,
+//! rename) could invalidate, so the catalog keeps no version number of
+//! its structure: the log propagator resolves its sources by id once
+//! and keeps them, since a migration's sources and their schemas do not
+//! change while it propagates.
 
 use crate::table::Table;
 use morph_common::{DbError, DbResult, Schema, TableId};
 use parking_lot::RwLock;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 #[derive(Default)]
@@ -23,10 +29,6 @@ struct CatalogInner {
 #[derive(Default)]
 pub struct Catalog {
     inner: RwLock<CatalogInner>,
-    /// Bumped on every structural change (create/drop/rename). Cached
-    /// name→table resolutions (the propagator's drain context) are
-    /// revalidated against this instead of re-resolving per iteration.
-    epoch: AtomicU64,
     /// When set (MVCC enabled on the owning database), every table
     /// created from then on — including transformation targets created
     /// by preparation steps — starts with versioning enabled, so
@@ -54,7 +56,6 @@ impl Catalog {
         }
         inner.by_name.insert(name.to_owned(), id);
         inner.tables.insert(id, Arc::clone(&table));
-        self.epoch.fetch_add(1, Ordering::Release);
         Ok(table)
     }
 
@@ -80,7 +81,6 @@ impl Catalog {
         inner.next_id = inner.next_id.max(id.0);
         inner.by_name.insert(name.to_owned(), id);
         inner.tables.insert(id, Arc::clone(&table));
-        self.epoch.fetch_add(1, Ordering::Release);
         Ok(table)
     }
 
@@ -97,12 +97,6 @@ impl Catalog {
     /// collected under one read lock, iterated without it).
     pub fn tables(&self) -> Vec<Arc<Table>> {
         self.inner.read().tables.values().cloned().collect()
-    }
-
-    /// Current structural epoch (see the field doc). A cached
-    /// resolution made at epoch `e` is valid while `epoch() == e`.
-    pub fn epoch(&self) -> u64 {
-        self.epoch.load(Ordering::Acquire)
     }
 
     /// Resolve a table by name.
@@ -140,7 +134,6 @@ impl Catalog {
             .ok_or_else(|| DbError::NoSuchTable(name.to_owned()))?;
         let t = inner.tables.remove(&id).expect("name/id maps in sync"); // morph-lint: allow(panic, name and id maps are mutated together under the same catalog lock)
         t.mark_dropped();
-        self.epoch.fetch_add(1, Ordering::Release);
         Ok(t)
     }
 
@@ -156,15 +149,7 @@ impl Catalog {
             .ok_or_else(|| DbError::NoSuchTable(from.to_owned()))?;
         inner.by_name.insert(to.to_owned(), id);
         inner.tables[&id].set_name(to);
-        self.epoch.fetch_add(1, Ordering::Release);
         Ok(())
-    }
-
-    /// Names of all tables, sorted (deterministic for tests/tools).
-    pub fn table_names(&self) -> Vec<String> {
-        let mut names: Vec<String> = self.inner.read().by_name.keys().cloned().collect();
-        names.sort();
-        names
     }
 
     /// Number of live tables.
@@ -255,35 +240,14 @@ mod tests {
     }
 
     #[test]
-    fn epoch_tracks_structural_changes() {
+    fn len_counts_live_tables() {
         let cat = Catalog::new();
-        let e0 = cat.epoch();
-        cat.create_table("a", schema()).unwrap();
-        let e1 = cat.epoch();
-        assert_ne!(e0, e1);
-        // Failed operations do not bump.
-        assert!(cat.create_table("a", schema()).is_err());
-        assert_eq!(cat.epoch(), e1);
-        cat.rename("a", "b").unwrap();
-        let e2 = cat.epoch();
-        assert_ne!(e1, e2);
-        cat.drop_table("b").unwrap();
-        assert_ne!(cat.epoch(), e2);
-        // Reads do not bump.
-        let _ = cat.table_names();
-        assert!(!cat.exists("b"));
-        let e3 = cat.epoch();
-        cat.create_table_with_id(TableId(9), "c", schema()).unwrap();
-        assert_ne!(cat.epoch(), e3);
-    }
-
-    #[test]
-    fn table_names_sorted() {
-        let cat = Catalog::new();
+        assert!(cat.is_empty());
         cat.create_table("zeta", schema()).unwrap();
         cat.create_table("alpha", schema()).unwrap();
-        assert_eq!(cat.table_names(), vec!["alpha", "zeta"]);
         assert_eq!(cat.len(), 2);
+        cat.drop_table("zeta").unwrap();
+        assert_eq!(cat.len(), 1);
         assert!(!cat.is_empty());
     }
 }

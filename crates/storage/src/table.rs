@@ -194,18 +194,14 @@ fn outside_mask(shard: usize) -> DbError {
     DbError::Internal(format!("shard {shard} routed outside the session mask"))
 }
 
-/// Outcome of an update, reporting key movement and the pre-images
-/// needed for undo logging.
+/// Outcome of an update: the pre-images needed for undo logging and
+/// the row's key after it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct UpdateOutcome {
     /// Pre-update values of the touched columns.
     pub old_cols: Vec<(usize, Value)>,
-    /// Key before the update.
-    pub old_key: Key,
     /// Key after the update (differs if a primary-key column changed).
     pub new_key: Key,
-    /// Row LSN before the update.
-    pub old_lsn: Lsn,
 }
 
 /// A main-memory table.
@@ -434,14 +430,6 @@ impl Table {
         }
         out.sort();
         out
-    }
-
-    /// Number of rows under index key `ik`.
-    pub fn index_cardinality(&self, idx: usize, ik: &Key) -> usize {
-        self.all_read()
-            .iter()
-            .map(|g| g.indexes[idx].cardinality(ik))
-            .sum()
     }
 
     /// Rows (with their primary keys) whose index key equals `ik`,
@@ -1044,9 +1032,7 @@ impl WriteSession<'_> {
                 .iter()
                 .map(|(i, _)| (*i, row.values[*i].clone()))
                 .collect(),
-            old_key: key.clone(),
             new_key,
-            old_lsn: row.lsn,
         };
         let lsn = mk_lsn(&outcome)?;
 
@@ -1144,12 +1130,6 @@ impl WriteSession<'_> {
             .collect();
         out.sort();
         out
-    }
-
-    /// Number of rows (within the session's shards) under index key
-    /// `ik`.
-    pub fn index_cardinality(&self, idx: usize, ik: &Key) -> usize {
-        self.owned().map(|g| g.indexes[idx].cardinality(ik)).sum()
     }
 
     /// Rows (with primary keys, within the session's shards) whose
@@ -1301,8 +1281,7 @@ mod tests {
         let k = t.insert(row(1, 10), Lsn(1)).unwrap();
         let out = t.update(&k, &[(2, Value::str("new"))], Lsn(5)).unwrap();
         assert_eq!(out.old_cols, vec![(2, Value::str("p1"))]);
-        assert_eq!(out.old_key, out.new_key);
-        assert_eq!(out.old_lsn, Lsn(1));
+        assert_eq!(out.new_key, k);
         let r = t.get(&k).unwrap();
         assert_eq!(r.lsn, Lsn(5));
         assert_eq!(r.values[2], Value::str("new"));
@@ -1374,7 +1353,7 @@ mod tests {
         t.update(&Key::single(1), &[(1, Value::Int(30))], Lsn(4))
             .unwrap();
         assert_eq!(t.index_lookup(j, &Key::single(10)), vec![Key::single(2)]);
-        assert_eq!(t.index_cardinality(j, &Key::single(30)), 2);
+        assert_eq!(t.index_lookup(j, &Key::single(30)).len(), 2);
 
         // Delete removes entries.
         t.delete(&Key::single(3)).unwrap();
@@ -1406,7 +1385,7 @@ mod tests {
         t.insert(row(1, 10), Lsn(1)).unwrap();
         t.insert(row(2, 10), Lsn(2)).unwrap();
         let j = t.add_index("j_idx", &["j"]).unwrap();
-        assert_eq!(t.index_cardinality(j, &Key::single(10)), 2);
+        assert_eq!(t.index_lookup(j, &Key::single(10)).len(), 2);
         assert!(t.add_index("j_idx", &["j"]).is_err());
         assert!(t.add_index("bad", &["nope"]).is_err());
     }
@@ -1672,7 +1651,7 @@ mod tests {
         }
         assert_eq!(t.len(), 1);
         assert_eq!(t.get(&Key::single(1)).unwrap().values[1], Value::Int(20));
-        assert_eq!(t.index_cardinality(j, &Key::single(20)), 1);
+        assert_eq!(t.index_lookup(j, &Key::single(20)), vec![Key::single(1)]);
     }
 
     #[test]

@@ -31,7 +31,7 @@ pub mod step;
 
 pub use client::{ClientConfig, HotSide};
 pub use drive::{spawn_updaters, UpdateTarget, UpdaterPool};
-pub use runner::{RelativeRun, WindowStats, WorkloadRunner};
+pub use runner::{WindowStats, WorkloadRunner};
 pub use setup::{
     setup_dummy, setup_foj_sources, setup_split_source, FOJ_R_ROWS, FOJ_S_ROWS, SPLIT_ROWS,
     SPLIT_VALUES,

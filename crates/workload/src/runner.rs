@@ -27,33 +27,6 @@ pub struct WindowStats {
     pub p95_latency_ms: f64,
 }
 
-/// Before/during pair for relative-cost reporting (§6).
-#[derive(Clone, Debug)]
-pub struct RelativeRun {
-    /// Window without a transformation running.
-    pub baseline: WindowStats,
-    /// Window with the transformation running.
-    pub during: WindowStats,
-}
-
-impl RelativeRun {
-    /// Throughput during / baseline — the y-axis of Figures 4(a)/(c).
-    pub fn relative_throughput(&self) -> f64 {
-        if self.baseline.throughput == 0.0 {
-            return 0.0;
-        }
-        self.during.throughput / self.baseline.throughput
-    }
-
-    /// Response time during / baseline — the y-axis of Figure 4(b).
-    pub fn relative_response_time(&self) -> f64 {
-        if self.baseline.mean_latency_ms == 0.0 {
-            return 0.0;
-        }
-        self.during.mean_latency_ms / self.baseline.mean_latency_ms
-    }
-}
-
 /// A running closed-loop workload.
 pub struct WorkloadRunner {
     stats: Arc<SharedStats>,

@@ -63,9 +63,11 @@ cargo run -q -p morph-lint -- --json=target/lint/findings.json
 # no tuning), `ShardedDatabase::with_wal_mode`,
 # `Table::fuzzy_scan_partition`, `start_lazy_sharded`,
 # `ShardedLazyMigration::{is_drained, backfill_round, drain_now,
-# touch_on, finish}` and `recover_from_bytes` (loads the frames into
-# an empty log, then `recover`); it also reads
-# `TransformReport`'s fields. Type-check it in both modes, in the
+# touch_on, finish}`, `recover_from_bytes` (loads the frames into
+# an empty log, then `recover`) and `ShardedDatabase::counters` with
+# `ShardCounters::total` (the shards' summed WAL flushes and lock
+# waits); it also reads `TransformReport`'s fields. Type-check it in
+# both modes, in the
 # target directory
 # benchmark/check.sh builds in, so a product change that breaks one of
 # those names fails here too, not only after the release build.

@@ -206,6 +206,13 @@ fn snapshot_readers_never_block_during_migration() {
         4,
         Duration::from_micros(200),
     );
+    // The migration of 400 rows can finish before a writer thread is
+    // first scheduled, and the retained source stays frozen after it:
+    // wait for one commit, so the writers run alongside the migration.
+    let t0 = std::time::Instant::now();
+    while pool.committed() == 0 && t0.elapsed() < Duration::from_secs(10) {
+        std::thread::sleep(Duration::from_millis(1));
+    }
 
     let done = Arc::new(AtomicBool::new(false));
     let readers: Vec<_> = (0..2)
