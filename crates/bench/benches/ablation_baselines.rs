@@ -89,10 +89,11 @@ fn main() {
     };
     println!(
         "  no maintenance:   {:>8.1} tps, {:>7.3} ms mean",
-        plain.throughput, plain.mean_latency_ms
+        plain.throughput(),
+        plain.mean_latency_ms()
     );
-    csv.row(&format!("none,tps,{:.2}", plain.throughput));
-    csv.row(&format!("none,mean_ms,{:.4}", plain.mean_latency_ms));
+    csv.row(&format!("none,tps,{:.2}", plain.throughput()));
+    csv.row(&format!("none,mean_ms,{:.4}", plain.mean_latency_ms()));
 
     let trig = {
         let db = db_foj(s);
@@ -106,13 +107,13 @@ fn main() {
     };
     println!(
         "  triggers:         {:>8.1} tps, {:>7.3} ms mean  (rel tps {:.4}, rel resp {:.4})",
-        trig.throughput,
-        trig.mean_latency_ms,
-        trig.throughput / plain.throughput,
-        trig.mean_latency_ms / plain.mean_latency_ms
+        trig.throughput(),
+        trig.mean_latency_ms(),
+        trig.throughput() / plain.throughput(),
+        trig.mean_latency_ms() / plain.mean_latency_ms()
     );
-    csv.row(&format!("triggers,tps,{:.2}", trig.throughput));
-    csv.row(&format!("triggers,mean_ms,{:.4}", trig.mean_latency_ms));
+    csv.row(&format!("triggers,tps,{:.2}", trig.throughput()));
+    csv.row(&format!("triggers,mean_ms,{:.4}", trig.mean_latency_ms()));
 
     // The paper's decisive point is not that propagation is free, but
     // that — unlike triggers, whose work is welded into the user
@@ -133,13 +134,13 @@ fn main() {
         };
         println!(
             "  {label}:  {:>8.1} tps, {:>7.3} ms mean  (rel tps {:.4}, rel resp {:.4})",
-            logprop.throughput,
-            logprop.mean_latency_ms,
-            logprop.throughput / plain.throughput,
-            logprop.mean_latency_ms / plain.mean_latency_ms
+            logprop.throughput(),
+            logprop.mean_latency_ms(),
+            logprop.throughput() / plain.throughput(),
+            logprop.mean_latency_ms() / plain.mean_latency_ms()
         );
-        csv.row(&format!("{label},tps,{:.2}", logprop.throughput));
-        csv.row(&format!("{label},mean_ms,{:.4}", logprop.mean_latency_ms));
+        csv.row(&format!("{label},tps,{:.2}", logprop.throughput()));
+        csv.row(&format!("{label},mean_ms,{:.4}", logprop.mean_latency_ms()));
     }
 
     // --- ABL3: rename-in-place vs separate-R split ---

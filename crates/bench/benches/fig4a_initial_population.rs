@@ -60,18 +60,24 @@ fn main() {
                 PopulationLoop::stop,
             );
             runner.stop();
-            let rel = if baseline.throughput > 0.0 {
-                during.throughput / baseline.throughput
+            let rel = if baseline.throughput() > 0.0 {
+                during.throughput() / baseline.throughput()
             } else {
                 0.0
             };
             println!(
                 "{:>12} {:>8} {:>14.1} {:>12.1} {:>22.4}",
-                pct, threads, baseline.throughput, during.throughput, rel
+                pct,
+                threads,
+                baseline.throughput(),
+                during.throughput(),
+                rel
             );
             csv.row(&format!(
                 "{op},{pct},{threads},{:.2},{:.2},{:.4},{rounds}",
-                baseline.throughput, during.throughput, rel
+                baseline.throughput(),
+                during.throughput(),
+                rel
             ));
         }
     }

@@ -43,22 +43,26 @@ fn main() {
             PopulationLoop::stop,
         );
         runner.stop();
-        let rel = if baseline.mean_latency_ms > 0.0 {
-            during.mean_latency_ms / baseline.mean_latency_ms
+        let rel = if baseline.mean_latency_ms() > 0.0 {
+            during.mean_latency_ms() / baseline.mean_latency_ms()
         } else {
             0.0
         };
         println!(
             "{:>12} {:>8} {:>14.3} {:>12.3} {:>24.4}",
-            pct, threads, baseline.mean_latency_ms, during.mean_latency_ms, rel
+            pct,
+            threads,
+            baseline.mean_latency_ms(),
+            during.mean_latency_ms(),
+            rel
         );
         csv.row(&format!(
             "{pct},{threads},{:.4},{:.4},{:.4},{:.4},{:.4}",
-            baseline.mean_latency_ms,
-            during.mean_latency_ms,
+            baseline.mean_latency_ms(),
+            during.mean_latency_ms(),
             rel,
-            baseline.p95_latency_ms,
-            during.p95_latency_ms
+            baseline.percentile_ms(0.95),
+            during.percentile_ms(0.95)
         ));
     }
     println!("\nCSV written to {}", csv.path.display());

@@ -59,20 +59,24 @@ fn main() {
                 PropagationLoop::stop,
             );
             runner.stop();
-            let rel = if baseline.throughput > 0.0 {
-                during.throughput / baseline.throughput
+            let rel = if baseline.throughput() > 0.0 {
+                during.throughput() / baseline.throughput()
             } else {
                 0.0
             };
             println!(
                 "{:>12} {:>8} {:>14.1} {:>12.1} {:>22.4}",
-                pct, threads, baseline.throughput, during.throughput, rel
+                pct,
+                threads,
+                baseline.throughput(),
+                during.throughput(),
+                rel
             );
             csv.row(&format!(
                 "{label},{:.0},{pct},{threads},{:.2},{:.2},{:.4},{records}",
                 hot * 100.0,
-                baseline.throughput,
-                during.throughput,
+                baseline.throughput(),
+                during.throughput(),
                 rel
             ));
         }

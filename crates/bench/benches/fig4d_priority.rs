@@ -14,7 +14,7 @@ use morph_core::{TransformJob, TransformOptions, TransformPlan};
 use morph_workload::WorkloadRunner;
 use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 fn main() {
     let s = scale();
@@ -51,26 +51,14 @@ fn main() {
         // lifetime (spawn → join), not a fixed window: at high priority
         // the change completes in a fraction of a second and a fixed
         // window would dilute its cost with idle time.
-        let before = runner.stats().snapshot();
-        let t_start = Instant::now();
+        let before = runner.totals();
         let result = TransformJob::prepare(&db, &plan, options)
             .and_then(|job| job.run(&AtomicBool::new(false), None, |_| Ok(())));
-        let lifespan = t_start.elapsed();
-        let delta = runner.stats().snapshot().since(&before);
-        let during_tps = delta.committed as f64 / lifespan.as_secs_f64().max(1e-9);
+        let during = runner.totals() - before;
         runner.stop();
 
-        let during = morph_workload::WindowStats {
-            duration: lifespan,
-            committed: delta.committed,
-            aborted: delta.aborted,
-            schema_events: delta.schema_events,
-            throughput: during_tps,
-            mean_latency_ms: delta.mean_latency_ns() / 1e6,
-            p95_latency_ms: delta.percentile_ns(0.95) as f64 / 1e6,
-        };
-        let rel = if baseline.throughput > 0.0 {
-            during.throughput / baseline.throughput
+        let rel = if baseline.throughput() > 0.0 {
+            during.throughput() / baseline.throughput()
         } else {
             0.0
         };
@@ -81,16 +69,16 @@ fn main() {
         println!(
             "{:>9.1}% {:>14.1} {:>12.1} {:>22.4} {:>14}",
             p * 100.0,
-            baseline.throughput,
-            during.throughput,
+            baseline.throughput(),
+            during.throughput(),
             rel,
             completion
         );
         csv.row(&format!(
             "{:.2},{threads},{:.2},{:.2},{:.4},{},{}",
             p * 100.0,
-            baseline.throughput,
-            during.throughput,
+            baseline.throughput(),
+            during.throughput(),
             rel,
             match &result {
                 Ok(r) => format!("{:.3}", r.total.as_secs_f64()),

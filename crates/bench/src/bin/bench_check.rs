@@ -38,7 +38,7 @@ use morph_common::{ColumnType, Key, Schema, Value};
 use morph_core::{MigrationPhase, SyncStrategy, TransformJob, TransformOptions, TransformPlan};
 use morph_engine::{Database, ShardedDatabase};
 use morph_orchestrator::{submit_sharded, Migration};
-use morph_workload::{setup_split_source, spawn_updaters, UpdateTarget};
+use morph_workload::{setup_split_source, ClientConfig, UpdateTarget, WorkloadRunner};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -214,11 +214,16 @@ fn reader_gate() -> ReaderGate {
     db.commit(txn).expect("gate row commit");
     db.enable_mvcc();
 
-    let pool = spawn_updaters(
-        &db,
-        vec![UpdateTarget::new("T", rows, 1)],
+    let pool = WorkloadRunner::start(
+        Arc::clone(&db),
+        ClientConfig {
+            updates_per_txn: 1,
+            hot_fraction: 1.0,
+            targets: vec![UpdateTarget::new("T", rows, 1)],
+            dummy: None,
+            pacing: Some(Duration::from_micros(50)),
+        },
         4,
-        Duration::from_micros(50),
     );
     let stop = Arc::new(AtomicBool::new(false));
     let mig = {

@@ -26,7 +26,8 @@ use morph_core::propagate::Propagator;
 use morph_core::{FojMapping, FojSpec, SplitMapping, SplitSpec, TransformOperator};
 use morph_engine::Database;
 use morph_workload::{
-    setup_dummy, setup_foj_sources, setup_split_source, ClientConfig, HotSide, WorkloadRunner,
+    setup_dummy, setup_foj_sources, setup_split_source, ClientConfig, UpdateTarget, WindowStats,
+    WorkloadRunner,
 };
 use std::io::Write;
 use std::path::PathBuf;
@@ -170,28 +171,34 @@ pub fn db_foj(s: Scale) -> Arc<Database> {
 }
 
 /// Client configuration for the split workload with the given fraction
-/// of updates on T.
+/// of updates on `T.b` (a column that is neither the split attribute
+/// nor functionally dependent on it, so concurrent clients preserve the
+/// functional dependency without coordination).
 pub fn split_client_cfg(s: Scale, hot_fraction: f64) -> ClientConfig {
-    ClientConfig {
-        updates_per_txn: 10,
+    client_cfg(
+        s,
         hot_fraction,
-        hot: HotSide::SplitSource,
-        hot_rows: s.split_rows,
-        hot_s_rows: 0,
-        dummy_rows: s.dummy_rows,
-        pacing: Some(PACING),
-    }
+        vec![UpdateTarget::new("T", s.split_rows as i64, 1)],
+    )
 }
 
-/// Client configuration for the FOJ workload.
+/// Client configuration for the FOJ workload: hot updates hit `R.b`,
+/// one in five of them `S.d` instead (the S-side rules).
 pub fn foj_client_cfg(s: Scale, hot_fraction: f64) -> ClientConfig {
+    let r = UpdateTarget {
+        weight: 4,
+        ..UpdateTarget::new("R", s.foj_r_rows as i64, 1)
+    };
+    let targets = vec![r, UpdateTarget::new("S", s.foj_s_rows as i64, 1)];
+    client_cfg(s, hot_fraction, targets)
+}
+
+fn client_cfg(s: Scale, hot_fraction: f64, targets: Vec<UpdateTarget>) -> ClientConfig {
     ClientConfig {
         updates_per_txn: 10,
         hot_fraction,
-        hot: HotSide::FojSources { s_share: 0.2 },
-        hot_rows: s.foj_r_rows,
-        hot_s_rows: s.foj_s_rows,
-        dummy_rows: s.dummy_rows,
+        targets,
+        dummy: Some(UpdateTarget::new("dummy", s.dummy_rows as i64, 1)),
         pacing: Some(PACING),
     }
 }
@@ -371,14 +378,14 @@ impl PropagationLoop {
 /// One relative measurement with drift control: warm up, measure a
 /// baseline window, run `phase` while measuring a second window, tear
 /// the phase down, then measure a second baseline window; the reported
-/// baseline averages the two bracketing windows so slow drift (memory
-/// layout, scheduler state) cancels out of the ratio.
+/// baseline is the sum of the two bracketing windows so slow drift
+/// (memory layout, scheduler state) cancels out of the ratio.
 pub fn relative_point<P, H>(
     runner: &WorkloadRunner,
     s: Scale,
     start_phase: impl FnOnce() -> P,
     stop_phase: impl FnOnce(P) -> H,
-) -> (morph_workload::WindowStats, morph_workload::WindowStats, H) {
+) -> (WindowStats, WindowStats, H) {
     std::thread::sleep(s.warmup);
     let b1 = runner.measure(s.window);
     let phase = start_phase();
@@ -386,32 +393,7 @@ pub fn relative_point<P, H>(
     let out = stop_phase(phase);
     std::thread::sleep(s.warmup / 2);
     let b2 = runner.measure(s.window);
-    let baseline = merge_windows(&b1, &b2);
-    (baseline, during, out)
-}
-
-/// Combine two measurement windows into one (sums counts, averages
-/// rates over the combined duration).
-pub fn merge_windows(
-    a: &morph_workload::WindowStats,
-    b: &morph_workload::WindowStats,
-) -> morph_workload::WindowStats {
-    let duration = a.duration + b.duration;
-    let committed = a.committed + b.committed;
-    let total_lat = a.mean_latency_ms * a.committed as f64 + b.mean_latency_ms * b.committed as f64;
-    morph_workload::WindowStats {
-        duration,
-        committed,
-        aborted: a.aborted + b.aborted,
-        schema_events: a.schema_events + b.schema_events,
-        throughput: committed as f64 / duration.as_secs_f64(),
-        mean_latency_ms: if committed > 0 {
-            total_lat / committed as f64
-        } else {
-            0.0
-        },
-        p95_latency_ms: a.p95_latency_ms.max(b.p95_latency_ms),
-    }
+    (b1 + b2, during, out)
 }
 
 /// CSV sink under `target/experiments/`.

@@ -259,9 +259,9 @@ impl FojMapping {
         }
     }
 
-    /// Update columns of a T row and set its presence; tolerates the
-    /// row having vanished (a newer state, per Theorem 1). Returns the
-    /// row's (possibly moved) key.
+    /// Update columns of a T row, which may move it, and set its
+    /// presence; tolerates the row having vanished (a newer state, per
+    /// Theorem 1).
     fn set_row(
         &self,
         ts: &mut WriteSession<'_>,
@@ -269,13 +269,13 @@ impl FojMapping {
         cols: &[(usize, Value)],
         presence: Presence,
         lsn: Lsn,
-    ) -> DbResult<Option<Key>> {
+    ) -> DbResult<()> {
         match ts.update(key, cols, lsn) {
-            Ok(out) => {
-                ts.with_row_mut(&out.new_key, |r| r.presence = presence);
-                Ok(Some(out.new_key))
+            Ok(moved) => {
+                ts.with_row_mut(moved.as_ref().unwrap_or(key), |r| r.presence = presence);
+                Ok(())
             }
-            Err(DbError::KeyNotFound(_)) | Err(DbError::DuplicateKey(_)) => Ok(None),
+            Err(DbError::KeyNotFound(_)) | Err(DbError::DuplicateKey(_)) => Ok(()),
             Err(e) => Err(e),
         }
     }
@@ -1060,14 +1060,15 @@ mod tests {
         }
         fn update_r(&mut self, key: Key, cols: Vec<(usize, Value)>) {
             let lsn = self.next();
-            let out = self.m.r.update(&key, &cols, lsn).unwrap();
+            let pre = self.m.r.get(&key).unwrap().values;
+            self.m.r.update(&key, &cols, lsn).unwrap();
             self.m
                 .apply(
                     lsn,
                     &LogOp::Update {
                         table: self.m.r.id(),
                         key,
-                        old: out.old_cols.clone(),
+                        old: cols.iter().map(|(i, _)| (*i, pre[*i].clone())).collect(),
                         new: cols,
                     },
                 )
@@ -1075,14 +1076,15 @@ mod tests {
         }
         fn update_s(&mut self, key: Key, cols: Vec<(usize, Value)>) {
             let lsn = self.next();
-            let out = self.m.s.update(&key, &cols, lsn).unwrap();
+            let pre = self.m.s.get(&key).unwrap().values;
+            self.m.s.update(&key, &cols, lsn).unwrap();
             self.m
                 .apply(
                     lsn,
                     &LogOp::Update {
                         table: self.m.s.id(),
                         key,
-                        old: out.old_cols.clone(),
+                        old: cols.iter().map(|(i, _)| (*i, pre[*i].clone())).collect(),
                         new: cols,
                     },
                 )

@@ -223,21 +223,14 @@ fn coalesce(run: Run, ctx: &DrainCtx) -> DbResult<Run> {
     Ok(run)
 }
 
-/// Post-synchronization bookkeeping: grandfathered transactions whose
-/// mirrored locks the propagator still guards.
-#[derive(Default, Debug)]
-pub struct PostSyncState {
-    /// Old transactions still running / rolling back.
-    pub old_txns: HashSet<TxnId>,
-}
-
 /// Drains the log through a transformation operator's rules.
 pub struct Propagator {
     cursor: TailCursor,
     throttle: Throttle,
-    /// Set after synchronization: end-records of these transactions
-    /// release their mirrors.
-    post: Option<PostSyncState>,
+    /// Set after synchronization: the grandfathered transactions, still
+    /// running or rolling back, whose end records release their
+    /// mirrored locks.
+    post: Option<HashSet<TxnId>>,
     /// Records dropped by the coalescer over this propagator's life.
     coalesced: usize,
     /// The drain context, built by the first drain. A job's first
@@ -277,12 +270,12 @@ impl Propagator {
 
     /// Enter post-synchronization mode guarding `old_txns`.
     pub fn enter_post_sync(&mut self, old_txns: HashSet<TxnId>) {
-        self.post = Some(PostSyncState { old_txns });
+        self.post = Some(old_txns);
     }
 
     /// Old transactions still outstanding (post-sync mode).
     pub fn outstanding(&self) -> usize {
-        self.post.as_ref().map_or(0, |p| p.old_txns.len())
+        self.post.as_ref().map_or(0, HashSet::len)
     }
 
     /// Coalesce and apply the accumulated run.
@@ -313,7 +306,7 @@ impl Propagator {
             RecordKind::Commit | RecordKind::AbortEnd => self
                 .post
                 .as_ref()
-                .is_some_and(|p| peek.txn.is_some_and(|t| p.old_txns.contains(&t))),
+                .is_some_and(|old| peek.txn.is_some_and(|t| old.contains(&t))),
             _ => false,
         }
     }
@@ -356,14 +349,14 @@ impl Propagator {
                 Ok(true)
             }
             LogRecord::Commit { txn } | LogRecord::AbortEnd { txn } => {
-                let guarded = self.post.as_ref().is_some_and(|p| p.old_txns.contains(txn));
+                let guarded = self.post.as_ref().is_some_and(|old| old.contains(txn));
                 if guarded {
                     // §3.4: release the transaction's mirrored locks
                     // now that its final state is reflected in the
                     // transformed tables (flush makes that true)…
                     self.flush(op, ctx, run)?;
-                    if let Some(post) = &mut self.post {
-                        post.old_txns.remove(txn);
+                    if let Some(old) = &mut self.post {
+                        old.remove(txn);
                     }
                     db.locks().release_all(proxy_owner(*txn));
                     // …and retire it from the frozen sources.

@@ -1118,14 +1118,15 @@ mod tests {
         }
         fn update(&mut self, key: Key, cols: Vec<(usize, Value)>) {
             let lsn = self.next();
-            let out = self.m.t.update(&key, &cols, lsn).unwrap();
+            let pre = self.m.t.get(&key).unwrap().values;
+            self.m.t.update(&key, &cols, lsn).unwrap();
             self.m
                 .apply(
                     lsn,
                     &LogOp::Update {
                         table: self.m.t.id(),
                         key,
-                        old: out.old_cols.clone(),
+                        old: cols.iter().map(|(i, _)| (*i, pre[*i].clone())).collect(),
                         new: cols,
                     },
                 )

@@ -414,15 +414,15 @@ mod tests {
                         }
                     }
                     _ => {
-                        if src.get(&key).is_some() {
+                        if let Some(pre) = src.get(&key) {
                             let cols = vec![(1usize, Value::str(format!("u{step}")))];
-                            let out = src.update(&key, &cols, Lsn(lsn)).unwrap();
+                            src.update(&key, &cols, Lsn(lsn)).unwrap();
                             m.apply(
                                 Lsn(lsn),
                                 &LogOp::Update {
                                     table: src.id(),
                                     key,
-                                    old: out.old_cols,
+                                    old: vec![(1, pre.values[1].clone())],
                                     new: cols,
                                 },
                             )

@@ -764,14 +764,17 @@ impl Database {
         self.run_interceptors(txn, &t, &PlannedOp::Update { key, cols })?;
 
         let mut lsn = Lsn::ZERO;
-        t.update_with(key, cols, txn, |plan| {
+        t.update_with(key, cols, txn, |row| {
             Self::check_latched(&cell, &t)?;
             lsn = self.log.append(LogRecord::Op {
                 txn,
                 op: LogOp::Update {
                     table: t.id(),
                     key: key.clone(),
-                    old: plan.old_cols.clone(),
+                    old: cols
+                        .iter()
+                        .map(|(i, _)| (*i, row.values[*i].clone()))
+                        .collect(),
                     new: cols.to_vec(),
                 },
             });

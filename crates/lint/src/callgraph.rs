@@ -341,17 +341,6 @@ impl CallGraph {
         self.by_name.get(name).map(|v| v.as_slice()).unwrap_or(&[])
     }
 
-    /// Functions defined as `Type::name`; falls back to plain name
-    /// resolution when no impl of that type defines one (trait-object
-    /// dispatch, re-exports).
-    pub fn resolve_qual(&self, ty: &str, name: &str) -> &[usize] {
-        let qual = format!("{ty}::{name}");
-        match self.by_qual.get(&qual) {
-            Some(v) => v.as_slice(),
-            None => self.resolve_name(name),
-        }
-    }
-
     /// Every definition index for an exact qualified name.
     pub fn defs_of_qual(&self, qual: &str) -> &[usize] {
         self.by_qual.get(qual).map(|v| v.as_slice()).unwrap_or(&[])

@@ -151,16 +151,6 @@ impl Catalog {
         inner.tables[&id].set_name(to);
         Ok(())
     }
-
-    /// Number of live tables.
-    pub fn len(&self) -> usize {
-        self.inner.read().tables.len()
-    }
-
-    /// Whether the catalog is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
 }
 
 #[cfg(test)]
@@ -237,17 +227,5 @@ mod tests {
         // Subsequent auto-ids skip past explicit ones.
         let t = cat.create_table("b", schema()).unwrap();
         assert!(t.id().0 > 7);
-    }
-
-    #[test]
-    fn len_counts_live_tables() {
-        let cat = Catalog::new();
-        assert!(cat.is_empty());
-        cat.create_table("zeta", schema()).unwrap();
-        cat.create_table("alpha", schema()).unwrap();
-        assert_eq!(cat.len(), 2);
-        cat.drop_table("zeta").unwrap();
-        assert_eq!(cat.len(), 1);
-        assert!(!cat.is_empty());
     }
 }

@@ -194,16 +194,6 @@ fn outside_mask(shard: usize) -> DbError {
     DbError::Internal(format!("shard {shard} routed outside the session mask"))
 }
 
-/// Outcome of an update: the pre-images needed for undo logging and
-/// the row's key after it.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct UpdateOutcome {
-    /// Pre-update values of the touched columns.
-    pub old_cols: Vec<(usize, Value)>,
-    /// Key after the update (differs if a primary-key column changed).
-    pub new_key: Key,
-}
-
 /// A main-memory table.
 ///
 /// All physical operations take a short write latch on the owning row
@@ -517,31 +507,33 @@ impl Table {
 
     /// Sparse-column update by primary key, stamped `new_lsn` (a
     /// `SYSTEM` write, see [`Table::update_with`]). Handles primary-key
-    /// column changes by moving the row.
+    /// column changes by moving the row; returns the new key if it
+    /// moved.
     pub fn update(
         &self,
         key: &Key,
         cols: &[(usize, Value)],
         new_lsn: Lsn,
-    ) -> DbResult<UpdateOutcome> {
+    ) -> DbResult<Option<Key>> {
         self.update_with(key, cols, SYSTEM, |_| Ok(new_lsn))
     }
 
     /// Update with the new LSN produced under the latch by `mk_lsn`,
-    /// which receives the update plan (old column values, key movement,
-    /// previous LSN) so the engine can append redo+undo information to
-    /// the log atomically with the physical change. With versioning on,
-    /// the displaced state is archived and the new inline row is
-    /// stamped with `writer`. A primary-key change may move the row to
-    /// another shard, so it latches every shard; any other update
-    /// latches the owning shard alone and changes the row in place.
+    /// which sees the pre-image (the row before the update) so the
+    /// engine can append redo+undo information to the log atomically
+    /// with the physical change. With versioning on, the displaced
+    /// state is archived and the new inline row is stamped with
+    /// `writer`. A primary-key change may move the row to another
+    /// shard, so it latches every shard; any other update latches the
+    /// owning shard alone and changes the row in place. Returns the
+    /// new key if the row moved.
     pub fn update_with(
         &self,
         key: &Key,
         cols: &[(usize, Value)],
         writer: TxnId,
-        mk_lsn: impl FnOnce(&UpdateOutcome) -> DbResult<Lsn>,
-    ) -> DbResult<UpdateOutcome> {
+        mk_lsn: impl FnOnce(&Row) -> DbResult<Lsn>,
+    ) -> DbResult<Option<Key>> {
         let moves = {
             let schema = self.schema.read();
             cols.iter().any(|(i, _)| schema.pkey().contains(i))
@@ -966,13 +958,14 @@ impl WriteSession<'_> {
 
     /// Sparse-column update by primary key, stamped `new_lsn` (moves
     /// the row on a primary-key change; both the old and the new shard
-    /// must be inside the session mask). Archives nothing.
+    /// must be inside the session mask). Archives nothing and returns
+    /// the new key if the row moved.
     pub fn update(
         &mut self,
         key: &Key,
         cols: &[(usize, Value)],
         new_lsn: Lsn,
-    ) -> DbResult<UpdateOutcome> {
+    ) -> DbResult<Option<Key>> {
         self.update_with(key, cols, None, |_| Ok(new_lsn))
     }
 
@@ -986,15 +979,15 @@ impl WriteSession<'_> {
     /// A row whose primary key stays put is changed in place, moving
     /// only the entries of the indexes over a touched column; a key
     /// change moves the row, and every index entry, to the new key's
-    /// shard. `mk_lsn` sees the complete outcome (pre-images included)
-    /// after every check and before any mutation.
+    /// shard and returns the new key. `mk_lsn` sees the pre-image after
+    /// every check and before any mutation.
     fn update_with(
         &mut self,
         key: &Key,
         cols: &[(usize, Value)],
         ver: Option<TxnId>,
-        mk_lsn: impl FnOnce(&UpdateOutcome) -> DbResult<Lsn>,
-    ) -> DbResult<UpdateOutcome> {
+        mk_lsn: impl FnOnce(&Row) -> DbResult<Lsn>,
+    ) -> DbResult<Option<Key>> {
         let arity = self.schema.arity();
         if let Some((i, _)) = cols.iter().find(|(i, _)| *i >= arity) {
             return Err(DbError::ArityMismatch {
@@ -1004,22 +997,22 @@ impl WriteSession<'_> {
         }
         let pkey = self.schema.pkey();
         let s_old = self.route(key);
-        let (new_key, s_new) = if cols.iter().any(|(i, _)| pkey.contains(i)) {
+        let moved = if cols.iter().any(|(i, _)| pkey.contains(i)) {
             let row = self.shard(s_old)?.rows.get(key);
             let mut post = row.ok_or_else(|| not_found(key))?.values.clone();
             for (i, v) in cols {
                 post[*i] = v.clone();
             }
-            let new_key = Key::project(&post, pkey);
-            let s_new = self.route(&new_key);
-            (new_key, s_new)
+            Some(Key::project(&post, pkey)).filter(|new_key| new_key != key)
         } else {
-            (key.clone(), s_old)
+            None
         };
-        let moves = new_key != *key;
+        let s_new = moved.as_ref().map_or(s_old, |new_key| self.route(new_key));
         let (old, new) = split_pair(&mut self.guards, s_old, s_new)?;
-        if moves && new.as_deref().unwrap_or(&*old).rows.contains_key(&new_key) {
-            return Err(taken(&new_key));
+        if let Some(new_key) = &moved {
+            if new.as_deref().unwrap_or(&*old).rows.contains_key(new_key) {
+                return Err(taken(new_key));
+            }
         }
         let TableShard {
             rows,
@@ -1027,14 +1020,7 @@ impl WriteSession<'_> {
             versions,
         } = old;
         let row = rows.get_mut(key).ok_or_else(|| not_found(key))?;
-        let outcome = UpdateOutcome {
-            old_cols: cols
-                .iter()
-                .map(|(i, _)| (*i, row.values[*i].clone()))
-                .collect(),
-            new_key,
-        };
-        let lsn = mk_lsn(&outcome)?;
+        let lsn = mk_lsn(row)?;
 
         if let Some(writer) = ver {
             let chain = versions.entry(key.clone()).or_default();
@@ -1043,7 +1029,7 @@ impl WriteSession<'_> {
                 writer: row.writer,
                 data: Some(row.clone()),
             });
-            if moves {
+            if moved.is_some() {
                 // The old key ceases to exist as of this operation.
                 chain.push(VersionEntry {
                     lsn,
@@ -1054,7 +1040,7 @@ impl WriteSession<'_> {
             row.writer = writer;
         }
         row.lsn = lsn;
-        if !moves {
+        let Some(new_key) = moved else {
             let touched =
                 |idx: &SecondaryIndex| idx.cols.iter().any(|c| cols.iter().any(|(i, _)| i == c));
             for idx in indexes.iter_mut().filter(|idx| touched(idx)) {
@@ -1064,8 +1050,8 @@ impl WriteSession<'_> {
             for idx in indexes.iter_mut().filter(|idx| touched(idx)) {
                 idx.insert(&row.values, key);
             }
-            return Ok(outcome);
-        }
+            return Ok(None);
+        };
         let mut row = rows.remove(key).expect("checked above"); // morph-lint: allow(panic, presence was checked earlier in the same latched section)
         for idx in indexes.iter_mut() {
             idx.remove(&row.values, key);
@@ -1076,10 +1062,10 @@ impl WriteSession<'_> {
             None => (rows, indexes),
         };
         for idx in indexes {
-            idx.insert(&row.values, &outcome.new_key);
+            idx.insert(&row.values, &new_key);
         }
-        rows.insert(outcome.new_key.clone(), row);
-        Ok(outcome)
+        rows.insert(new_key.clone(), row);
+        Ok(Some(new_key))
     }
 
     /// Mutate a row in place (counter/flag/LSN maintenance; must not
@@ -1279,9 +1265,19 @@ mod tests {
     fn update_plain_and_lsn_stamp() {
         let t = table();
         let k = t.insert(row(1, 10), Lsn(1)).unwrap();
-        let out = t.update(&k, &[(2, Value::str("new"))], Lsn(5)).unwrap();
-        assert_eq!(out.old_cols, vec![(2, Value::str("p1"))]);
-        assert_eq!(out.new_key, k);
+        let mut pre = None;
+        let moved = t
+            .update_with(&k, &[(2, Value::str("new"))], SYSTEM, |row| {
+                pre = Some(row.values[2].clone());
+                Ok(Lsn(5))
+            })
+            .unwrap();
+        assert_eq!(
+            pre,
+            Some(Value::str("p1")),
+            "the closure sees the pre-image"
+        );
+        assert_eq!(moved, None);
         let r = t.get(&k).unwrap();
         assert_eq!(r.lsn, Lsn(5));
         assert_eq!(r.values[2], Value::str("new"));
@@ -1291,8 +1287,8 @@ mod tests {
     fn update_moves_row_on_pkey_change() {
         let t = table();
         let k = t.insert(row(1, 10), Lsn(1)).unwrap();
-        let out = t.update(&k, &[(0, Value::Int(2))], Lsn(2)).unwrap();
-        assert_eq!(out.new_key, Key::single(2));
+        let moved = t.update(&k, &[(0, Value::Int(2))], Lsn(2)).unwrap();
+        assert_eq!(moved, Some(Key::single(2)));
         assert!(t.get(&Key::single(1)).is_none());
         assert!(t.get(&Key::single(2)).is_some());
     }

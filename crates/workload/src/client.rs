@@ -1,13 +1,14 @@
 //! The closed-loop client.
 //!
 //! Each client thread runs transactions back-to-back (zero think time,
-//! as in the paper's saturation-oriented setup): begin, perform
-//! `updates_per_txn` record updates — each hitting the transformation's
-//! source tables with probability `hot_fraction`, the dummy table
-//! otherwise — then commit. Deadlock victims, doomed transactions and
-//! frozen-table errors roll back and continue; after the schema switch
-//! removes the source tables, the hot share is redirected to the dummy
-//! table so the offered load stays constant.
+//! as in the paper's saturation-oriented setup, unless `pacing` says
+//! otherwise): begin, perform `updates_per_txn` record updates, then
+//! commit. Each update hits one of the weighted `targets`, or, with
+//! probability `1 − hot_fraction`, the `dummy` table. Deadlock victims,
+//! doomed transactions and frozen-table errors roll back and continue;
+//! once any client has seen a schema-change error, the dummy takes
+//! every update of every client, so the offered load stays constant
+//! after the schema switch removes the source tables.
 
 use crate::stats::SharedStats;
 use morph_common::{DbError, Key, Value};
@@ -18,55 +19,53 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Which tables take the "hot" (source-table) updates.
+/// One table the clients update.
 #[derive(Clone, Debug)]
-pub enum HotSide {
-    /// Split benchmark: updates hit `T.b` (a column that is neither the
-    /// split attribute nor functionally dependent on it, so concurrent
-    /// clients preserve the functional dependency without
-    /// coordination).
-    SplitSource,
-    /// FOJ benchmark: updates hit `R.b`, with an `s_share` fraction
-    /// going to `S.d` instead (exercising the S-side rules).
-    FojSources {
-        /// Fraction of hot updates that target S.
-        s_share: f64,
-    },
+pub struct UpdateTarget {
+    /// Table name.
+    pub table: String,
+    /// Keys are drawn from `0..keys` (single-column integer primary
+    /// keys, as all the benchmark and example schemas use).
+    pub keys: i64,
+    /// Column index the update rewrites (a nullable or string column;
+    /// the clients write short strings).
+    pub column: usize,
+    /// This target's share of the targeted updates, relative to the
+    /// other targets' weights.
+    pub weight: u32,
 }
 
-/// Client behaviour knobs.
+impl UpdateTarget {
+    /// A target of weight 1.
+    pub fn new(table: &str, keys: i64, column: usize) -> UpdateTarget {
+        UpdateTarget {
+            table: table.to_owned(),
+            keys,
+            column,
+            weight: 1,
+        }
+    }
+}
+
+/// What the clients do.
 #[derive(Clone, Debug)]
 pub struct ClientConfig {
     /// Updates per transaction (10 in the paper).
     pub updates_per_txn: usize,
-    /// Fraction of updates targeting the source tables (0.2 / 0.8 in
-    /// Figure 4(c)).
+    /// Fraction of updates that hit `targets` rather than `dummy`
+    /// (0.2 / 0.8 in Figure 4(c)). Without a dummy every update hits
+    /// the targets.
     pub hot_fraction: f64,
-    /// Hot-side routing.
-    pub hot: HotSide,
-    /// Key-space of the hot primary table (R or T).
-    pub hot_rows: usize,
-    /// Key-space of S (FOJ only).
-    pub hot_s_rows: usize,
-    /// Key-space of the dummy table.
-    pub dummy_rows: usize,
-    /// Optional pacing sleep per transaction (unoptimized builds /
-    /// low-rate scenarios).
+    /// The tables under transformation, picked by weight. A config
+    /// whose targets weigh nothing runs no transactions.
+    pub targets: Vec<UpdateTarget>,
+    /// The table that absorbs the other `1 − hot_fraction` share "to
+    /// keep the workload constant" (§6), and every update once a client
+    /// has seen a schema-change error. Its `weight` is not read.
+    pub dummy: Option<UpdateTarget>,
+    /// Sleep after each transaction, counted into its response time:
+    /// the network round trip of the paper's remote clients.
     pub pacing: Option<Duration>,
-}
-
-impl Default for ClientConfig {
-    fn default() -> Self {
-        ClientConfig {
-            updates_per_txn: 10,
-            hot_fraction: 0.2,
-            hot: HotSide::SplitSource,
-            hot_rows: crate::setup::SPLIT_ROWS,
-            hot_s_rows: 0,
-            dummy_rows: crate::setup::DUMMY_ROWS,
-            pacing: None,
-        }
-    }
 }
 
 pub(crate) struct Client {
@@ -79,39 +78,53 @@ pub(crate) struct Client {
     pub seed: u64,
 }
 
-enum UpdateOutcome {
-    Ok,
-    /// Retryable rollback (deadlock, lock timeout).
-    Conflict,
-    /// Schema-change event (doomed / frozen / vanished table).
-    Schema,
-}
-
 impl Client {
     pub fn run(self) {
         let mut rng = StdRng::seed_from_u64(self.seed);
+        // Cumulative target weights: a draw below `bounds[i]` and not
+        // below `bounds[i - 1]` picks target `i`.
+        let bounds: Vec<u32> = self
+            .cfg
+            .targets
+            .iter()
+            .scan(0, |sum, t| {
+                *sum += t.weight;
+                Some(*sum)
+            })
+            .collect();
+        let weights = bounds.last().copied().unwrap_or(0);
+        if weights == 0 {
+            return;
+        }
         let mut serial = 0u64;
         while !self.stop.load(Ordering::Relaxed) {
             serial += 1;
             let t0 = Instant::now();
             let txn = self.db.begin();
-            let mut outcome = UpdateOutcome::Ok;
-            for _ in 0..self.cfg.updates_per_txn {
-                let hot =
-                    rng.gen_bool(self.cfg.hot_fraction) && !self.switched.load(Ordering::Relaxed);
-                let res = if hot {
-                    self.hot_update(&mut rng, txn, serial)
-                } else {
-                    self.dummy_update(&mut rng, txn, serial)
-                };
-                match res {
-                    UpdateOutcome::Ok => {}
-                    other => {
-                        outcome = other;
-                        break;
+            let updates = (0..self.cfg.updates_per_txn).try_for_each(|_| {
+                let target = match &self.cfg.dummy {
+                    Some(dummy)
+                        if self.switched.load(Ordering::Relaxed)
+                            || !rng.gen_bool(self.cfg.hot_fraction) =>
+                    {
+                        dummy
                     }
+                    _ => {
+                        let draw = rng.gen_range(0..weights);
+                        &self.cfg.targets[bounds.partition_point(|&b| b <= draw)]
+                    }
+                };
+                let key = Key::single(rng.gen_range(0..target.keys.max(1)));
+                let patch = [(target.column, Value::str(format!("w{serial}")))];
+                self.db.update(txn, &target.table, &key, &patch)
+            });
+            let outcome = match updates {
+                Ok(()) => self.db.commit(txn),
+                Err(e) => {
+                    let _ = self.db.abort(txn);
+                    Err(e)
                 }
-            }
+            };
             // Client-observed response time includes the simulated
             // network round trip (`pacing`): the paper measured
             // response times at client nodes across a LAN, so the
@@ -120,83 +133,23 @@ impl Client {
             // time (Figure 4(b)) is defined.
             let rtt = self.cfg.pacing.unwrap_or_default();
             match outcome {
-                UpdateOutcome::Ok => match self.db.commit(txn) {
-                    Ok(()) => self
-                        .stats
-                        .record_commit((t0.elapsed() + rtt).as_nanos() as u64),
-                    Err(DbError::TxnDoomed(_)) => self.stats.record_abort(true),
-                    Err(_) => self.stats.record_abort(false),
-                },
-                UpdateOutcome::Conflict => {
-                    let _ = self.db.abort(txn);
-                    self.stats.record_abort(false);
-                }
-                UpdateOutcome::Schema => {
-                    let _ = self.db.abort(txn);
-                    self.stats.record_abort(true);
+                Ok(()) => self
+                    .stats
+                    .record_commit((t0.elapsed() + rtt).as_nanos() as u64),
+                Err(e) => {
+                    let schema = matches!(
+                        e,
+                        DbError::TxnDoomed(_) | DbError::TableFrozen(_) | DbError::NoSuchTable(_)
+                    );
+                    if schema {
+                        self.switched.store(true, Ordering::Relaxed);
+                    }
+                    self.stats.record_abort(schema);
                 }
             }
             if let Some(p) = self.cfg.pacing {
                 std::thread::sleep(p);
             }
-        }
-    }
-
-    fn classify(&self, e: DbError) -> UpdateOutcome {
-        match e {
-            DbError::TxnDoomed(_) | DbError::TableFrozen(_) | DbError::NoSuchTable(_) => {
-                self.switched.store(true, Ordering::Relaxed);
-                UpdateOutcome::Schema
-            }
-            _ => UpdateOutcome::Conflict,
-        }
-    }
-
-    fn hot_update(&self, rng: &mut StdRng, txn: morph_common::TxnId, serial: u64) -> UpdateOutcome {
-        let (table, key, col) = match &self.cfg.hot {
-            HotSide::SplitSource => (
-                "T",
-                Key::single(rng.gen_range(0..self.cfg.hot_rows.max(1)) as i64),
-                1usize, // T.b
-            ),
-            HotSide::FojSources { s_share } => {
-                if rng.gen_bool(*s_share) && self.cfg.hot_s_rows > 0 {
-                    (
-                        "S",
-                        Key::single(rng.gen_range(0..self.cfg.hot_s_rows) as i64),
-                        1usize, // S.d
-                    )
-                } else {
-                    (
-                        "R",
-                        Key::single(rng.gen_range(0..self.cfg.hot_rows.max(1)) as i64),
-                        1usize, // R.b
-                    )
-                }
-            }
-        };
-        match self
-            .db
-            .update(txn, table, &key, &[(col, Value::str(format!("w{serial}")))])
-        {
-            Ok(()) => UpdateOutcome::Ok,
-            Err(e) => self.classify(e),
-        }
-    }
-
-    fn dummy_update(
-        &self,
-        rng: &mut StdRng,
-        txn: morph_common::TxnId,
-        serial: u64,
-    ) -> UpdateOutcome {
-        let key = Key::single(rng.gen_range(0..self.cfg.dummy_rows.max(1)) as i64);
-        match self
-            .db
-            .update(txn, "dummy", &key, &[(1, Value::str(format!("w{serial}")))])
-        {
-            Ok(()) => UpdateOutcome::Ok,
-            Err(e) => self.classify(e),
         }
     }
 }

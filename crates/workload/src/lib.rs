@@ -16,6 +16,14 @@
 //!   time during the change divided by the same quantities measured
 //!   without it.
 //!
+//! One client loop serves every caller. [`ClientConfig`] names its
+//! tables as data: weighted [`UpdateTarget`]s and an optional dummy.
+//! The paper's clients set `updates_per_txn: 10` and a dummy; the
+//! background writers of the examples and tests set
+//! `updates_per_txn: 1`, `hot_fraction: 1.0`, no dummy and a pacing
+//! sleep, and read [`WorkloadRunner::committed`]. A measurement is one
+//! [`WindowStats`]; windows subtract and add.
+//!
 //! The driver also encodes the client-side reality of an online schema
 //! change: when a source table freezes or disappears mid-run
 //! (synchronization!), clients see `TableFrozen` / `NoSuchTable` /
@@ -23,18 +31,13 @@
 //! paper's non-blocking guarantee is *for*.
 
 pub mod client;
-pub mod drive;
 pub mod runner;
 pub mod setup;
 pub mod stats;
 pub mod step;
 
-pub use client::{ClientConfig, HotSide};
-pub use drive::{spawn_updaters, UpdateTarget, UpdaterPool};
-pub use runner::{WindowStats, WorkloadRunner};
-pub use setup::{
-    setup_dummy, setup_foj_sources, setup_split_source, FOJ_R_ROWS, FOJ_S_ROWS, SPLIT_ROWS,
-    SPLIT_VALUES,
-};
-pub use stats::SharedStats;
+pub use client::{ClientConfig, UpdateTarget};
+pub use runner::WorkloadRunner;
+pub use setup::{setup_dummy, setup_foj_sources, setup_split_source};
+pub use stats::WindowStats;
 pub use step::{StepOutcome, StepStats, StepWorkload, TableProfile};

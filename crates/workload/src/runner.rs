@@ -1,37 +1,18 @@
-//! The workload runner: thread pool + measurement windows.
+//! The workload runner: a pool of closed-loop clients and its
+//! measurement windows.
 
 use crate::client::{Client, ClientConfig};
-use crate::stats::SharedStats;
+use crate::stats::{SharedStats, WindowStats};
 use morph_engine::Database;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
-
-/// Aggregates from one measurement window.
-#[derive(Clone, Debug)]
-pub struct WindowStats {
-    /// Window length.
-    pub duration: Duration,
-    /// Transactions committed in the window.
-    pub committed: u64,
-    /// Transactions rolled back in the window.
-    pub aborted: u64,
-    /// Rollbacks caused by the schema change (doomed / frozen).
-    pub schema_events: u64,
-    /// Committed transactions per second.
-    pub throughput: f64,
-    /// Mean committed-transaction latency (milliseconds).
-    pub mean_latency_ms: f64,
-    /// Approximate 95th-percentile latency (milliseconds).
-    pub p95_latency_ms: f64,
-}
+use std::time::Duration;
 
 /// A running closed-loop workload.
 pub struct WorkloadRunner {
     stats: Arc<SharedStats>,
     stop: Arc<AtomicBool>,
-    switched: Arc<AtomicBool>,
     handles: Vec<JoinHandle<()>>,
 }
 
@@ -57,45 +38,39 @@ impl WorkloadRunner {
         WorkloadRunner {
             stats,
             stop,
-            switched,
             handles,
         }
     }
 
-    /// Shared statistics sink.
-    pub fn stats(&self) -> &Arc<SharedStats> {
-        &self.stats
+    /// Transactions committed so far (a live count).
+    pub fn committed(&self) -> u64 {
+        self.stats.committed()
     }
 
-    /// Whether any client has observed the schema switch.
-    pub fn switched(&self) -> bool {
-        self.switched.load(Ordering::Relaxed)
+    /// Everything the clients did since the runner started, as one
+    /// window; a later reading minus an earlier one is the window
+    /// between them.
+    pub fn totals(&self) -> WindowStats {
+        self.stats.totals()
     }
 
     /// Measure one window of the given length.
     pub fn measure(&self, window: Duration) -> WindowStats {
-        let before = self.stats.snapshot();
-        let t0 = Instant::now();
+        let before = self.totals();
         std::thread::sleep(window);
-        let elapsed = t0.elapsed();
-        let delta = self.stats.snapshot().since(&before);
-        WindowStats {
-            duration: elapsed,
-            committed: delta.committed,
-            aborted: delta.aborted,
-            schema_events: delta.schema_events,
-            throughput: delta.committed as f64 / elapsed.as_secs_f64(),
-            mean_latency_ms: delta.mean_latency_ns() / 1e6,
-            p95_latency_ms: delta.percentile_ns(0.95) as f64 / 1e6,
-        }
+        self.totals() - before
     }
 
-    /// Stop all clients and wait for them.
-    pub fn stop(self) {
+    /// Stop all clients, wait for them, and return how many
+    /// transactions they committed.
+    pub fn stop(self) -> u64 {
         self.stop.store(true, Ordering::Relaxed);
         for h in self.handles {
+            // A panicked client already failed its own test; the count
+            // still covers what was committed before.
             let _ = h.join();
         }
+        self.stats.committed()
     }
 }
 
@@ -118,8 +93,8 @@ pub fn calibrate_full_workload(
         std::thread::sleep(window / 2);
         let w = runner.measure(window);
         runner.stop();
-        if w.throughput > best.1 {
-            best = (t, w.throughput);
+        if w.throughput() > best.1 {
+            best = (t, w.throughput());
             declines = 0;
         } else {
             // Stop once throughput has stopped improving twice in a
@@ -137,10 +112,12 @@ pub fn calibrate_full_workload(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::client::HotSide;
+    use crate::client::UpdateTarget;
     use crate::setup;
+    use morph_common::Value;
     use morph_core::{FojSpec, SplitSpec, TransformJob, TransformOptions, TransformPlan};
     use std::sync::atomic::AtomicBool;
+    use std::time::Instant;
 
     fn small_split_db() -> Arc<Database> {
         let db = Arc::new(Database::new());
@@ -153,10 +130,8 @@ mod tests {
         ClientConfig {
             updates_per_txn: 10,
             hot_fraction: 0.2,
-            hot: HotSide::SplitSource,
-            hot_rows: 500,
-            hot_s_rows: 0,
-            dummy_rows: 500,
+            targets: vec![UpdateTarget::new("T", 500, 1)],
+            dummy: Some(UpdateTarget::new("dummy", 500, 1)),
             pacing: Some(Duration::from_micros(100)),
         }
     }
@@ -166,16 +141,26 @@ mod tests {
         let db = small_split_db();
         let runner = WorkloadRunner::start(db, cfg_split(), 2);
         let w = runner.measure(Duration::from_millis(200));
-        runner.stop();
+        let committed = runner.stop();
         assert!(w.committed > 0, "no commits in window: {w:?}");
-        assert!(w.throughput > 0.0);
-        assert!(w.mean_latency_ms > 0.0);
+        assert!(committed >= w.committed);
+        assert!(w.throughput() > 0.0);
+        assert!(w.mean_latency_ms() > 0.0);
     }
 
+    /// Also runs a client with no dummy beside the measured workload:
+    /// once the split drops `T`, it keeps updating `T` and fails.
     #[test]
     fn workload_survives_split_transformation() {
         let db = small_split_db();
         let runner = WorkloadRunner::start(Arc::clone(&db), cfg_split(), 4);
+        let no_dummy = ClientConfig {
+            updates_per_txn: 1,
+            hot_fraction: 1.0,
+            dummy: None,
+            ..cfg_split()
+        };
+        let updater = WorkloadRunner::start(Arc::clone(&db), no_dummy, 1);
         let baseline = runner.measure(Duration::from_millis(150));
 
         let plan =
@@ -187,11 +172,25 @@ mod tests {
         let report = handle.join().unwrap().expect("transformation");
         // Keep the workload running across the switch, then stop.
         let after = runner.measure(Duration::from_millis(150));
+        // With a dummy, a client would fail on `T` once at most.
+        let dropped = updater.totals();
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while updater.totals().schema_events < dropped.schema_events + 3
+            && Instant::now() < deadline
+        {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let updater_after = updater.totals() - dropped;
         runner.stop();
+        updater.stop();
 
         assert!(baseline.committed > 0);
         assert!(during.committed > 0, "workload must not block");
         assert!(after.committed > 0, "workload continues after the switch");
+        assert!(
+            updater_after.schema_events >= 3 && updater_after.committed == 0,
+            "a client without a dummy keeps updating the dropped T: {updater_after:?}"
+        );
         assert!(report.sync.latch_pause < Duration::from_millis(200));
         assert!(db.catalog().exists("R") && db.catalog().exists("S"));
         assert!(!db.catalog().exists("T"));
@@ -208,6 +207,10 @@ mod tests {
         assert!((1..=4).contains(&n));
     }
 
+    /// Weighted targets (R four times as often as S) with a dummy:
+    /// both sources take updates, and once the FOJ drops them and a
+    /// client has seen the first schema error, the dummy takes every
+    /// update.
     #[test]
     fn workload_survives_foj_transformation() {
         let db = Arc::new(Database::new());
@@ -216,10 +219,14 @@ mod tests {
         let cfg = ClientConfig {
             updates_per_txn: 10,
             hot_fraction: 0.2,
-            hot: HotSide::FojSources { s_share: 0.2 },
-            hot_rows: 400,
-            hot_s_rows: 80,
-            dummy_rows: 500,
+            targets: vec![
+                UpdateTarget {
+                    weight: 4,
+                    ..UpdateTarget::new("R", 400, 1)
+                },
+                UpdateTarget::new("S", 80, 1),
+            ],
+            dummy: Some(UpdateTarget::new("dummy", 500, 1)),
             pacing: Some(Duration::from_micros(100)),
         };
         let runner = WorkloadRunner::start(Arc::clone(&db), cfg, 4);
@@ -231,13 +238,26 @@ mod tests {
         let handle = std::thread::spawn(move || job.run(&AtomicBool::new(false), None, |_| Ok(())));
         let during = runner.measure(Duration::from_millis(150));
         let report = handle.join().unwrap().expect("transformation");
+        let after = runner.measure(Duration::from_millis(150));
         runner.stop();
 
         assert!(baseline.committed > 0 && during.committed > 0);
+        assert!(after.committed > 0, "workload continues after the switch");
+        // Each client fails at most once after the drop; without the
+        // switch, nine in ten of its transactions would fail.
+        assert!(
+            after.schema_events <= 4,
+            "a switched client hit a source: {after:?}"
+        );
         assert!(db.catalog().exists("T"));
         assert!(!db.catalog().exists("R"));
         // All 400 R rows joined (every R has an S partner).
-        assert_eq!(db.catalog().get("T").unwrap().len(), 400);
+        let t = db.catalog().get("T").unwrap().snapshot();
+        assert_eq!(t.len(), 400);
+        // T(a, b, c, d): both R.b and S.d were written by the clients.
+        let written = |v: &Value| matches!(v, Value::Str(s) if s.starts_with('w'));
+        assert!(t.iter().any(|(_, row)| written(&row.values[1])));
+        assert!(t.iter().any(|(_, row)| written(&row.values[3])));
         assert!(report.records_processed() > 0);
     }
 }

@@ -7,14 +7,6 @@
 use morph_common::{ColumnType, DbResult, Schema, Value};
 use morph_engine::Database;
 
-/// Paper-scale row counts.
-pub const FOJ_R_ROWS: usize = 50_000;
-pub const FOJ_S_ROWS: usize = 20_000;
-pub const SPLIT_ROWS: usize = 50_000;
-pub const SPLIT_VALUES: usize = 20_000;
-/// Dummy-table size (absorbs the non-source share of updates).
-pub const DUMMY_ROWS: usize = 50_000;
-
 fn bulk_insert(db: &Database, table: &str, rows: impl Iterator<Item = Vec<Value>>) -> DbResult<()> {
     // Batches keep any single transaction's undo chain bounded.
     let mut txn = db.begin();
@@ -46,9 +38,9 @@ pub fn setup_dummy(db: &Database, rows: usize) -> DbResult<()> {
 }
 
 /// Create and fill FOJ sources: `R(a, b, c)` (pk `a`, join `c`) and
-/// `S(c, d)` (pk = join = `c`); every R row has a join partner so the
-/// join fan-in is `FOJ_R_ROWS / FOJ_S_ROWS` ≈ 2.5, as in the paper's
-/// 50k/20k setup.
+/// `S(c, d)` (pk = join = `c`); every R row has a join partner, so
+/// the paper's 50 000 R rows over 20 000 S rows give a join fan-in of
+/// 2.5.
 pub fn setup_foj_sources(db: &Database, r_rows: usize, s_rows: usize) -> DbResult<()> {
     let r_schema = Schema::builder()
         .column("a", ColumnType::Int)

@@ -16,7 +16,7 @@
 
 use morphdb::core::TransformOptions;
 use morphdb::orchestrator::{Migration, Orchestrator};
-use morphdb::workload::{spawn_updaters, UpdateTarget};
+use morphdb::workload::{ClientConfig, UpdateTarget, WorkloadRunner};
 use morphdb::{ColumnType, Database, Schema, Value};
 use std::sync::Arc;
 use std::time::Duration;
@@ -60,11 +60,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("seeded accounts with {ROWS} rows across {BRANCHES} branches");
 
     // Background clients: the migration must not block them.
-    let pool = spawn_updaters(
-        &db,
-        vec![UpdateTarget::new("accounts", ROWS, 1)],
+    let pool = WorkloadRunner::start(
+        Arc::clone(&db),
+        ClientConfig {
+            updates_per_txn: 1,
+            hot_fraction: 1.0,
+            targets: vec![UpdateTarget::new("accounts", ROWS, 1)],
+            dummy: None,
+            pacing: Some(Duration::from_micros(20)),
+        },
         3,
-        Duration::from_micros(20),
     );
 
     let orch = Orchestrator::new(Arc::clone(&db));

@@ -16,7 +16,7 @@
 //! ```
 
 use morphdb::core::{FojSpec, SyncStrategy, TransformJob, TransformOptions, TransformPlan};
-use morphdb::workload::{setup_dummy, ClientConfig, HotSide, WorkloadRunner};
+use morphdb::workload::{setup_dummy, ClientConfig, UpdateTarget, WorkloadRunner};
 use morphdb::{ColumnType, Database, Schema, Value};
 use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
@@ -70,23 +70,29 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let cfg = ClientConfig {
         updates_per_txn: 10,
         hot_fraction: 0.2,
-        hot: HotSide::FojSources { s_share: 0.1 },
-        hot_rows: SUBSCRIBERS,
-        hot_s_rows: PLANS,
-        dummy_rows: 20_000,
+        targets: vec![
+            UpdateTarget {
+                weight: 9,
+                ..UpdateTarget::new("subscribers", SUBSCRIBERS as i64, 1)
+            },
+            UpdateTarget::new("plans", PLANS as i64, 1),
+        ],
+        dummy: Some(UpdateTarget::new("dummy", 20_000, 1)),
         pacing: Some(Duration::from_millis(2)),
     };
-    // The generic workload driver routes hot updates to tables named
-    // "R" and "S"; alias the domain tables accordingly.
-    db.catalog().rename("subscribers", "R")?;
-    db.catalog().rename("plans", "S")?;
     println!("starting call-processing workload (6 clients)…");
     let runner = WorkloadRunner::start(Arc::clone(&db), cfg, 6);
     std::thread::sleep(Duration::from_millis(300));
     let before = runner.measure(Duration::from_millis(800));
 
     println!("launching online denormalization: subscribers ⟗ plans → subscriber_plans");
-    let spec = FojSpec::new("R", "S", "subscriber_plans", "plan_id", "plan_id");
+    let spec = FojSpec::new(
+        "subscribers",
+        "plans",
+        "subscriber_plans",
+        "plan_id",
+        "plan_id",
+    );
     let options = TransformOptions::default()
         .priority(0.5)
         .strategy(SyncStrategy::NonBlockingAbort)
@@ -101,16 +107,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("\n--- what the clients saw ---");
     println!(
         "throughput  before: {:>8.1} tps   during: {:>8.1} tps ({:.1}% relative)   after: {:>8.1} tps",
-        before.throughput,
-        during.throughput,
-        100.0 * during.throughput / before.throughput.max(1e-9),
-        after.throughput
+        before.throughput(),
+        during.throughput(),
+        100.0 * during.throughput() / before.throughput().max(1e-9),
+        after.throughput()
     );
     println!(
         "response    before: {:>8.3} ms    during: {:>8.3} ms ({:.1}% relative)",
-        before.mean_latency_ms,
-        during.mean_latency_ms,
-        100.0 * during.mean_latency_ms / before.mean_latency_ms.max(1e-9),
+        before.mean_latency_ms(),
+        during.mean_latency_ms(),
+        100.0 * during.mean_latency_ms() / before.mean_latency_ms().max(1e-9),
     );
     println!(
         "schema-change rollbacks across the switch: {}",
@@ -138,6 +144,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "\nsubscriber_plans now serves reads: {} rows (subscribers joined with plans)",
         t.len()
     );
-    assert!(!db.catalog().exists("R") && !db.catalog().exists("S"));
+    assert!(!db.catalog().exists("subscribers") && !db.catalog().exists("plans"));
     Ok(())
 }

@@ -13,7 +13,7 @@ use morphdb::core::{
 };
 use morphdb::engine::CrashHook;
 use morphdb::orchestrator::{Migration, Orchestrator};
-use morphdb::workload::{spawn_updaters, UpdateTarget};
+use morphdb::workload::{ClientConfig, UpdateTarget, WorkloadRunner};
 use morphdb::{ColumnType, Database, DbError, DbResult, Key, Schema, Value};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -207,14 +207,19 @@ fn disjoint_declarative_splits_run_concurrently_and_overlap_conflicts() {
     seed_grouped(&db, "V2", 600, 20);
 
     // Concurrent writers on both sources while the migrations run.
-    let pool = spawn_updaters(
-        &db,
-        vec![
-            UpdateTarget::new("V1", 600, 1),
-            UpdateTarget::new("V2", 600, 1),
-        ],
+    let pool = WorkloadRunner::start(
+        Arc::clone(&db),
+        ClientConfig {
+            updates_per_txn: 1,
+            hot_fraction: 1.0,
+            targets: vec![
+                UpdateTarget::new("V1", 600, 1),
+                UpdateTarget::new("V2", 600, 1),
+            ],
+            dummy: None,
+            pacing: Some(Duration::from_micros(300)),
+        },
         2,
-        Duration::from_micros(300),
     );
 
     let orch = Orchestrator::new(Arc::clone(&db));
@@ -324,11 +329,16 @@ fn split_then_union_chain_converges() {
     }
     db.commit(txn).unwrap();
 
-    let pool = spawn_updaters(
-        &db,
-        vec![UpdateTarget::new("W", 500, 1)],
+    let pool = WorkloadRunner::start(
+        Arc::clone(&db),
+        ClientConfig {
+            updates_per_txn: 1,
+            hot_fraction: 1.0,
+            targets: vec![UpdateTarget::new("W", 500, 1)],
+            dummy: None,
+            pacing: Some(Duration::from_micros(300)),
+        },
         1,
-        Duration::from_micros(300),
     );
 
     let orch = Orchestrator::new(Arc::clone(&db));

@@ -12,7 +12,7 @@ use morphdb::core::{
     FojSpec, SplitSpec, TransformJob, TransformOptions, TransformPlan, TransformReport,
 };
 use morphdb::workload::{
-    setup_dummy, setup_foj_sources, setup_split_source, ClientConfig, HotSide, WorkloadRunner,
+    setup_dummy, setup_foj_sources, setup_split_source, ClientConfig, UpdateTarget, WorkloadRunner,
 };
 use morphdb::{Database, DbResult, Value};
 use std::collections::BTreeMap;
@@ -34,14 +34,13 @@ fn opts() -> TransformOptions {
         .retain_sources()
 }
 
-fn cfg(hot: HotSide) -> ClientConfig {
+/// Ten-update clients, a fifth of the updates on `targets`.
+fn cfg(targets: Vec<UpdateTarget>) -> ClientConfig {
     ClientConfig {
         updates_per_txn: 10,
         hot_fraction: 0.2,
-        hot,
-        hot_rows: ROWS,
-        hot_s_rows: S_ROWS,
-        dummy_rows: 1_000,
+        targets,
+        dummy: Some(UpdateTarget::new("dummy", 1_000, 1)),
         pacing: Some(Duration::from_millis(1)),
     }
 }
@@ -54,7 +53,13 @@ fn foj_under_live_workload_matches_independent_oracle() {
 
     let runner = WorkloadRunner::start(
         Arc::clone(&db),
-        cfg(HotSide::FojSources { s_share: 0.2 }),
+        cfg(vec![
+            UpdateTarget {
+                weight: 4,
+                ..UpdateTarget::new("R", ROWS as i64, 1)
+            },
+            UpdateTarget::new("S", S_ROWS as i64, 1),
+        ]),
         4,
     );
     std::thread::sleep(Duration::from_millis(100));
@@ -140,7 +145,11 @@ fn split_under_live_workload_matches_independent_oracle() {
     setup_dummy(&db, 1_000).unwrap();
     setup_split_source(&db, ROWS, S_ROWS).unwrap();
 
-    let runner = WorkloadRunner::start(Arc::clone(&db), cfg(HotSide::SplitSource), 4);
+    let runner = WorkloadRunner::start(
+        Arc::clone(&db),
+        cfg(vec![UpdateTarget::new("T", ROWS as i64, 1)]),
+        4,
+    );
     std::thread::sleep(Duration::from_millis(100));
 
     let spec = SplitSpec::new("T", "R2", "S2", &["a", "b", "c"], "c", &["d"]);
@@ -195,7 +204,11 @@ fn workload_is_never_globally_blocked() {
     setup_dummy(&db, 1_000).unwrap();
     setup_split_source(&db, ROWS, S_ROWS).unwrap();
 
-    let runner = WorkloadRunner::start(Arc::clone(&db), cfg(HotSide::SplitSource), 4);
+    let runner = WorkloadRunner::start(
+        Arc::clone(&db),
+        cfg(vec![UpdateTarget::new("T", ROWS as i64, 1)]),
+        4,
+    );
     std::thread::sleep(Duration::from_millis(100));
     let spec = SplitSpec::new("T", "R2", "S2", &["a", "b", "c"], "c", &["d"]);
     let job = TransformJob::prepare(&db, &TransformPlan::Split(spec), opts()).unwrap();

@@ -1,6 +1,6 @@
 //! Pause under fire: a declarative migration paused and resumed
 //! mid-propagation by the orchestrator while
-//! `workload::spawn_updaters` writers hammer the source.
+//! `workload::WorkloadRunner` writers hammer the source.
 //!
 //! What must hold:
 //!
@@ -17,10 +17,11 @@
 //!   pipelines share one).
 
 use morphdb::core::{MigrationPhase, SplitSpec, TransformJob, TransformOptions, TransformPlan};
+use morphdb::engine::CrashHook;
 use morphdb::orchestrator::{MigrationHandle, Orchestrator};
-use morphdb::workload::{spawn_updaters, UpdateTarget};
-use morphdb::{ColumnType, Database, Schema, Value};
-use std::sync::atomic::AtomicBool;
+use morphdb::workload::{ClientConfig, UpdateTarget, WorkloadRunner};
+use morphdb::{ColumnType, Database, DbResult, Schema, Value};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -92,6 +93,56 @@ fn await_parked(db: &Database, handle: &MigrationHandle) {
     }
 }
 
+/// Writers committing single-row updates of `W`'s payload column
+/// (keys `0..rows`), paced `pace` apart.
+fn start_writers(db: &Arc<Database>, rows: i64, threads: usize, pace: Duration) -> WorkloadRunner {
+    let cfg = ClientConfig {
+        updates_per_txn: 1,
+        hot_fraction: 1.0,
+        targets: vec![UpdateTarget::new("W", rows, 1)],
+        dummy: None,
+        pacing: Some(pace),
+    };
+    WorkloadRunner::start(Arc::clone(db), cfg, threads)
+}
+
+/// Holds the job after its copy (`transform.populated`) until
+/// released, so that a pause requested after `submit_text` lands
+/// before the first propagation iteration however the threads are
+/// scheduled.
+#[derive(Default)]
+struct HoldAfterCopy {
+    released: AtomicBool,
+}
+
+impl CrashHook for HoldAfterCopy {
+    fn at(&self, _db: &Database, point: &str) -> DbResult<()> {
+        while point == "transform.populated" && !self.released.load(Ordering::SeqCst) {
+            std::thread::sleep(Duration::from_micros(200));
+        }
+        Ok(())
+    }
+}
+
+/// Submit the split and park it before its first propagation
+/// iteration, with the writers' backlog behind it.
+fn submit_paused(db: &Arc<Database>) -> MigrationHandle {
+    let hold = Arc::new(HoldAfterCopy::default());
+    db.set_crash_hook(hold.clone());
+    let handle = Orchestrator::new(Arc::clone(db))
+        .submit_text(
+            SPLIT_TEXT,
+            TransformOptions::default()
+                .deadline(Duration::from_secs(120))
+                .retain_sources(),
+        )
+        .unwrap();
+    handle.pause();
+    hold.released.store(true, Ordering::SeqCst);
+    await_parked(db, &handle);
+    handle
+}
+
 /// Pause fence + uninterrupted reference, in one scripted run:
 /// pause lands mid-propagation with a writer-generated backlog, the
 /// parked propagator provably applies nothing while clients keep
@@ -103,28 +154,12 @@ fn paused_migration_matches_uninterrupted_reference() {
     db.create_table("W", grouped_schema()).unwrap();
     seed_grouped(&db, "W", 2000, 20);
 
-    let writers = spawn_updaters(
-        &db,
-        vec![UpdateTarget::new("W", 2000, 1)],
-        2,
-        Duration::from_micros(100),
-    );
-
-    let orch = Orchestrator::new(Arc::clone(&db));
-    let handle = orch
-        .submit_text(
-            SPLIT_TEXT,
-            TransformOptions::default()
-                .deadline(Duration::from_secs(120))
-                .retain_sources(),
-        )
-        .unwrap();
-    // Requested before the first propagation iteration: the job
-    // populates, enters `Propagating`, and parks at the first batch
-    // boundary — guaranteed mid-propagation, with the updates the
-    // writers committed during population still undrained behind it.
-    handle.pause();
-    await_parked(&db, &handle);
+    let writers = start_writers(&db, 2000, 2, Duration::from_micros(100));
+    // Paused before the first propagation iteration: the job populates,
+    // enters `Propagating`, and parks at the first batch boundary —
+    // guaranteed mid-propagation, with the updates the writers
+    // committed during population still undrained behind it.
+    let handle = submit_paused(&db);
 
     // The fence: writers commit on, the parked propagator applies
     // nothing.
@@ -214,24 +249,8 @@ fn migration_unparks_into_live_traffic_and_converges() {
     db.create_table("W", grouped_schema()).unwrap();
     seed_grouped(&db, "W", 800, 16);
 
-    let writers = spawn_updaters(
-        &db,
-        vec![UpdateTarget::new("W", 800, 1)],
-        2,
-        Duration::from_micros(25),
-    );
-
-    let orch = Orchestrator::new(Arc::clone(&db));
-    let handle = orch
-        .submit_text(
-            SPLIT_TEXT,
-            TransformOptions::default()
-                .deadline(Duration::from_secs(120))
-                .retain_sources(),
-        )
-        .unwrap();
-    handle.pause();
-    await_parked(&db, &handle);
+    let writers = start_writers(&db, 800, 2, Duration::from_micros(25));
+    let handle = submit_paused(&db);
 
     // Fence under fire, as above — then let go without stopping the
     // writers. The parked window grew the backlog the woken job now

@@ -23,7 +23,7 @@ use morphdb::core::{SplitSpec, TransformJob, TransformOptions, TransformPlan};
 use morphdb::engine::recover;
 use morphdb::txn::LockManagerConfig;
 use morphdb::wal::{LogManager, LogRecord};
-use morphdb::workload::{spawn_updaters, UpdateTarget};
+use morphdb::workload::{ClientConfig, UpdateTarget, WorkloadRunner};
 use morphdb::{thread_lock_waits, ColumnType, Database, Key, Lsn, Schema, Value};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -200,11 +200,16 @@ fn snapshot_readers_never_block_during_migration() {
     db.enable_mvcc();
 
     // Four writers updating in place (row count stays exactly ROWS).
-    let pool = spawn_updaters(
-        &db,
-        vec![UpdateTarget::new("W", ROWS, 1)],
+    let pool = WorkloadRunner::start(
+        Arc::clone(&db),
+        ClientConfig {
+            updates_per_txn: 1,
+            hot_fraction: 1.0,
+            targets: vec![UpdateTarget::new("W", ROWS, 1)],
+            dummy: None,
+            pacing: Some(Duration::from_micros(200)),
+        },
         4,
-        Duration::from_micros(200),
     );
     // The migration of 400 rows can finish before a writer thread is
     // first scheduled, and the retained source stays frozen after it:
